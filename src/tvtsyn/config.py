@@ -140,10 +140,6 @@ class StreamConfig:
     def overlap_samples(self) -> int:
         return int(round(self.overlap_ms * self.sample_rate / 1000.0))
 
-    @property
-    def overlap_frames(self) -> int:
-        return self.overlap_samples // FRAME_HOP
-
     def validate(self):
         if self.sample_rate != SAMPLE_RATE:
             raise ConfigError(f"sample_rate must be {SAMPLE_RATE}")

@@ -8,6 +8,8 @@ Two execution paths over the same weights:
 
 Keys are cached post-rotation at absolute positions; rotary attention depends
 only on relative offsets, so cached entries stay valid as the stream advances.
+Each pass builds one rotary cos/sin table for its frames and shares it across
+every layer and both of q and k.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InternalError
-from .kernels import F32, elu, layer_norm, masked_softmax, rope_apply
+from .kernels import F32, elu, layer_norm, linear, masked_softmax, rope_cos_sin, rope_rotate
 from .weights import WeightStore
 
 
@@ -104,29 +106,37 @@ class KvRing:
         self.write = 0
         self.next_pos = 0
 
-    def reset(self):
-        self.k[:] = 0
-        self.v[:] = 0
-        self.count = 0
-        self.write = 0
-        self.next_pos = 0
-
-    def ordered(self):
-        """(keys, values, positions) oldest-to-newest."""
-        idx = (self.write - self.count + np.arange(self.count)) % self.capacity
-        pos = self.next_pos - self.count + np.arange(self.count)
-        return self.k[idx], self.v[idx], pos
-
-    def append(self, k_new, v_new, start_pos: int):
+    def _check_start(self, start_pos: int):
         if start_pos != self.next_pos:
             raise InternalError(
-                f"KV cache desync: append at position {start_pos}, expected {self.next_pos}")
+                f"KV cache desync: block at position {start_pos}, expected {self.next_pos}")
+
+    def window(self, k_new, v_new, start_pos: int):
+        """(keys, values, positions): the cached frames oldest first, then the
+        new ones from start_pos on. The cache is left as it is; `append`
+        stores the new frames.
+
+        Until the ring wraps, `write == count`; after, the oldest entry sits
+        at `write`. Either way the cached frames are k[write:count] + k[:write].
+        """
+        self._check_start(start_pos)
+        w, n = self.write, self.count
+        keys = np.concatenate([self.k[w:n], self.k[:w], k_new])
+        values = np.concatenate([self.v[w:n], self.v[:w], v_new])
+        return keys, values, self.next_pos - n + np.arange(keys.shape[0])
+
+    def append(self, k_new, v_new, start_pos: int):
+        self._check_start(start_pos)
         n = k_new.shape[0]
         keep = min(n, self.capacity)
-        for i in range(n - keep, n):
-            self.k[self.write] = k_new[i]
-            self.v[self.write] = v_new[i]
-            self.write = (self.write + 1) % self.capacity
+        # the newest `keep` frames go in at `write`, wrapping at most once
+        head = min(keep, self.capacity - self.write)
+        src = n - keep
+        self.k[self.write:self.write + head] = k_new[src:src + head]
+        self.v[self.write:self.write + head] = v_new[src:src + head]
+        self.k[:keep - head] = k_new[src + head:]
+        self.v[:keep - head] = v_new[src + head:]
+        self.write = (self.write + keep) % self.capacity
         self.count = min(self.count + n, self.capacity)
         self.next_pos += n
 
@@ -150,8 +160,8 @@ def _merge_heads(x):
 
 
 def _ffn(x, layer):
-    h = elu(x @ layer.w1.T + layer.b1)
-    return h @ layer.w2.T + layer.b2
+    h = elu(linear(x, layer.w1, layer.b1))
+    return linear(h, layer.w2, layer.b2)
 
 
 def context_mask(n_frames: int, lookback: int, lookahead: int, block_frames=None):
@@ -174,18 +184,23 @@ def context_mask(n_frames: int, lookback: int, lookahead: int, block_frames=None
 def _attend(q, k, v, allowed):
     """q: (T,H,Dh), k/v: (S,H,Dh), allowed: (T,S) -> (T,H,Dh)."""
     scale = F32(1.0 / np.sqrt(q.shape[-1]))
-    scores = np.einsum("thd,shd->hts", q, k) * scale
+    # per-head batched matmuls, (H,T,Dh) @ (H,Dh,S): BLAS, where einsum is not
+    scores = (q.transpose(1, 0, 2) @ k.transpose(1, 2, 0)) * scale
     w = masked_softmax(scores, allowed) if allowed is not None else masked_softmax(scores)
-    return np.einsum("hts,shd->thd", w.astype(F32, copy=False), v)
+    return (w.astype(F32, copy=False) @ v.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
-def _block_full(x, layer, n_heads, allowed, position_offset):
-    h = layer_norm(x, layer.ln1_g, layer.ln1_b)
-    q = rope_apply(_split_heads(h @ layer.wq.T + layer.bq, n_heads), position_offset)
-    k = rope_apply(_split_heads(h @ layer.wk.T + layer.bk, n_heads), position_offset)
-    v = _split_heads(h @ layer.wv.T + layer.bv, n_heads)
+def _qkv(h, layer, n_heads, rope):
+    q = rope_rotate(_split_heads(linear(h, layer.wq, layer.bq), n_heads), *rope)
+    k = rope_rotate(_split_heads(linear(h, layer.wk, layer.bk), n_heads), *rope)
+    v = _split_heads(linear(h, layer.wv, layer.bv), n_heads)
+    return q, k, v
+
+
+def _block_full(x, layer, n_heads, allowed, rope):
+    q, k, v = _qkv(layer_norm(x, layer.ln1_g, layer.ln1_b), layer, n_heads, rope)
     ctx = _merge_heads(_attend(q, k, v, allowed))
-    x = x + layer.ls_attn * (ctx @ layer.wo.T + layer.bo)
+    x = x + layer.ls_attn * linear(ctx, layer.wo, layer.bo)
     x = x + layer.ls_ffn * _ffn(layer_norm(x, layer.ln2_g, layer.ln2_b), layer)
     return x.astype(F32, copy=False)
 
@@ -201,30 +216,23 @@ def transformer_full(x, params: TransformerParams, *, lookahead: int,
     """
     first = context_mask(x.shape[0], params.lookback, lookahead, block_frames)
     rest = context_mask(x.shape[0], params.lookback, 0) if lookahead else first
+    rope = rope_cos_sin(position_offset + np.arange(x.shape[0]), params.head_dim)
     for i, layer in enumerate(params.layers):
-        x = _block_full(x, layer, params.n_heads, first if i == 0 else rest,
-                        position_offset)
+        x = _block_full(x, layer, params.n_heads, first if i == 0 else rest, rope)
     return layer_norm(x, params.ln_out_g, params.ln_out_b)
 
 
 def _block_step(x, layer, n_heads, ring: KvRing, start_pos: int,
-                lookahead: int, lookback: int):
+                lookahead: int, lookback: int, rope):
     t = x.shape[0]
-    h = layer_norm(x, layer.ln1_g, layer.ln1_b)
-    q = rope_apply(_split_heads(h @ layer.wq.T + layer.bq, n_heads), start_pos)
-    k_new = rope_apply(_split_heads(h @ layer.wk.T + layer.bk, n_heads), start_pos)
-    v_new = _split_heads(h @ layer.wv.T + layer.bv, n_heads)
+    q, k_new, v_new = _qkv(layer_norm(x, layer.ln1_g, layer.ln1_b), layer, n_heads, rope)
 
-    k_past, v_past, past_pos = ring.ordered()
-    keys = np.concatenate([k_past, k_new], axis=0) if k_past.size else k_new
-    values = np.concatenate([v_past, v_new], axis=0) if v_past.size else v_new
-    key_pos = np.concatenate([past_pos, start_pos + np.arange(t)])
-
+    keys, values, key_pos = ring.window(k_new, v_new, start_pos)
     q_pos = start_pos + np.arange(t)[:, None]
     allowed = (key_pos[None, :] >= q_pos - lookback) & (key_pos[None, :] <= q_pos + lookahead)
 
     ctx = _merge_heads(_attend(q, keys, values, allowed))
-    x = x + layer.ls_attn * (ctx @ layer.wo.T + layer.bo)
+    x = x + layer.ls_attn * linear(ctx, layer.wo, layer.bo)
     x = x + layer.ls_ffn * _ffn(layer_norm(x, layer.ln2_g, layer.ln2_b), layer)
     ring.append(k_new, v_new, start_pos)
     return x.astype(F32, copy=False)
@@ -240,7 +248,8 @@ def transformer_step(x, params: TransformerParams, rings: list, start_pos: int,
     """
     if len(rings) != len(params.layers):
         raise InternalError("ring cache count does not match layer count")
+    rope = rope_cos_sin(start_pos + np.arange(x.shape[0]), params.head_dim)
     for i, (layer, ring) in enumerate(zip(params.layers, rings)):
         x = _block_step(x, layer, params.n_heads, ring, start_pos,
-                        lookahead if i == 0 else 0, params.lookback)
+                        lookahead if i == 0 else 0, params.lookback, rope)
     return layer_norm(x, params.ln_out_g, params.ln_out_b)

@@ -13,7 +13,7 @@ from .context import TransformerParams, transformer_full, transformer_step
 from .encoder import ConvLayer, ResBlock
 from .errors import InputError
 from .kernels import (F32, ConvSpec, conv_state_init, causal_conv1d, elu,
-                      layer_norm, sigmoid, transposed_conv1d_causal)
+                      layer_norm, linear, sigmoid, transposed_conv1d_causal)
 from .prosody import inject_prosody
 from .weights import WeightStore, encoder_stage_widths
 
@@ -64,11 +64,11 @@ def cln_fuse(x, s, p: ClnFusionParams):
         raise InputError(f"content/timbre frame counts differ: {x.shape[0]} vs {s.shape[0]}")
     nx = layer_norm(x, p.ln_x_g, p.ln_x_b)
     ns = layer_norm(s, p.ln_s_g, p.ln_s_b)
-    gamma = s @ p.gamma_w.T + p.gamma_b
-    beta = s @ p.beta_w.T + p.beta_b
-    gate = sigmoid(s @ p.gate_w.T + p.gate_b)
+    gamma = linear(s, p.gamma_w, p.gamma_b)
+    beta = linear(s, p.beta_w, p.beta_b)
+    gate = sigmoid(linear(s, p.gate_w, p.gate_b))
     fused = np.concatenate([(1.0 + gamma) * nx + beta, gate * ns], axis=1)
-    return (fused @ p.proj_w.T + p.proj_b).astype(F32, copy=False)
+    return linear(fused, p.proj_w, p.proj_b).astype(F32, copy=False)
 
 
 @dataclass
@@ -101,12 +101,6 @@ class DecoderCnn:
             states.append(res.init_states())
         states.append(conv_state_init(self.conv_out.spec))
         return states
-
-    def copy_states(self, states):
-        out = []
-        for st in states:
-            out.append([a.copy() for a in st] if isinstance(st, list) else st.copy())
-        return out
 
     def apply(self, frames, states=None):
         """Conditioned frames (T, d_model) -> ((T*320,) samples, states)."""

@@ -12,7 +12,7 @@ from .config import ModelConfig
 from .context import TransformerParams, make_rings, transformer_full, transformer_step
 from .errors import ConfigError, InputError
 from .kernels import (F32, ConvSpec, causal_conv1d, conv_state_init, elu,
-                      l2_normalize_rows)
+                      l2_normalize_rows, linear)
 from .weights import WeightStore, encoder_stage_widths
 
 
@@ -137,7 +137,7 @@ class VqParams:
 
 
 def vq_latents(frames, vq: VqParams):
-    z = frames @ vq.proj_down.T
+    z = linear(frames, vq.proj_down)
     if vq.l2_normalize:
         z = l2_normalize_rows(z)
     return z
@@ -161,7 +161,7 @@ def vq_quantize(frames, vq: VqParams):
     """Quantize (T, d_model) frames -> ((T, d_model) reconstruction, indices)."""
     z = vq_latents(frames, vq)
     idx = vq_nearest(z, vq.codebook)
-    out = vq.codebook[idx] @ vq.proj_up.T
+    out = linear(vq.codebook[idx], vq.proj_up)
     return out.astype(F32, copy=False), idx
 
 
@@ -198,12 +198,6 @@ class EncoderState:
         self.rings = make_rings(params.ctx)
         self.frame_pos = 0
 
-    def reset(self, params: EncoderParams):
-        self.conv = params.cnn.init_states()
-        for r in self.rings:
-            r.reset()
-        self.frame_pos = 0
-
 
 def encode_frames(wave, params: EncoderParams, state: EncoderState = None,
                   *, lookahead=None, block_frames=None):
@@ -227,9 +221,3 @@ def encode_frames(wave, params: EncoderParams, state: EncoderState = None,
                               lookahead=la)
     state.frame_pos += frames.shape[0]
     return frames, state
-
-
-def context_attend(frames, params: TransformerParams, rings, start_pos,
-                   *, lookahead):
-    """Incremental masked self-attention over one block (thin alias)."""
-    return transformer_step(frames, params, rings, start_pos, lookahead=lookahead)

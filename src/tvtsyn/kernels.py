@@ -5,7 +5,14 @@ Conventions:
   - all tensors are float32 numpy arrays,
   - conv feature maps are (channels, time), frame sequences are (time, dim),
   - every stateful kernel is pure given its explicit state argument, so
-    kernels are safe to call concurrently on disjoint data.
+    kernels are safe to call concurrently on disjoint data,
+  - every product of an activation with a weight is issued weight-major,
+    `W @ x.T` with W on the left exactly as loaded: a 60 ms chunk has three
+    frames, so each product streams the whole weight once against a few
+    columns, which BLAS does fastest with the row-major weight on the left.
+    `linear` is the helper for frame sequences, and both convs put their
+    (reshaped, never copied) weight on the left of one GEMM. No weight is
+    copied, fused or transposed at load time.
 
 Causality convention: a causal conv output at index j depends only on input
 columns <= j*stride, with the left context held in an explicit state buffer
@@ -113,16 +120,17 @@ def causal_conv1d(x, spec: ConvSpec, weight, bias=None, state=None):
     xx = np.concatenate([state, x], axis=1) if pad else x
     new_state = xx[:, xx.shape[1] - pad:].copy() if pad else state
 
-    span = pad + 1
-    windows = sliding_window_view(xx, span, axis=1)          # (C_in, T, span)
-    taps = windows[:, ::spec.stride, ::spec.dilation]        # (C_in, T', K)
-    t_out = taps.shape[1]
-    flat = taps.transpose(1, 0, 2).reshape(t_out, spec.in_ch * spec.kernel)
-    y = flat @ weight.reshape(spec.out_ch, -1).T             # (T', C_out)
-    y = y.T
+    # im2col one tap at a time: cols[c, k, j] = xx[c, j*stride + k*dilation]
+    t_out = -(-t_in // spec.stride)
+    last = (t_out - 1) * spec.stride + 1
+    cols = np.empty((spec.in_ch, spec.kernel, t_out), dtype=F32)
+    for k in range(spec.kernel):
+        start = k * spec.dilation
+        cols[:, k] = xx[:, start:start + last:spec.stride]
+    y = weight.reshape(spec.out_ch, -1) @ cols.reshape(-1, t_out)   # (C_out, T')
     if bias is not None:
-        y = y + bias[:, None]
-    return np.ascontiguousarray(y, dtype=F32), new_state
+        y += bias[:, None]
+    return y.astype(F32, copy=False), new_state
 
 
 def transposed_conv1d_causal(x, spec: ConvSpec, weight, bias=None, state=None):
@@ -140,10 +148,11 @@ def transposed_conv1d_causal(x, spec: ConvSpec, weight, bias=None, state=None):
         return np.zeros((spec.out_ch, 0), dtype=F32), state
 
     tail = spec.state_len
-    contrib = np.tensordot(x, weight, axes=([0], [0]))        # (T, C_out, K)
+    contrib = (weight.reshape(spec.in_ch, -1).T @ x).reshape(
+        spec.out_ch, spec.kernel, t_in)                       # (C_out, K, T)
     full = np.zeros((spec.out_ch, t_in * spec.stride + tail), dtype=F32)
     for k in range(spec.kernel):
-        full[:, k:k + (t_in - 1) * spec.stride + 1:spec.stride] += contrib[:, :, k].T
+        full[:, k:k + (t_in - 1) * spec.stride + 1:spec.stride] += contrib[:, k]
     if tail:
         full[:, :tail] += state
         new_state = full[:, t_in * spec.stride:].copy()
@@ -153,6 +162,18 @@ def transposed_conv1d_causal(x, spec: ConvSpec, weight, bias=None, state=None):
     if bias is not None:
         y = y + bias[:, None]
     return np.ascontiguousarray(y, dtype=F32), new_state
+
+
+def linear(x, w, b=None):
+    """Frames (T, in) through a weight stored (out, in) -> (T, out).
+
+    Issued weight-major as (w @ x.T).T: the same products as x @ w.T, with
+    the weight streamed row-major. x may also be a single (in,) vector.
+    """
+    y = (w @ x.T).T
+    if b is not None:
+        y = y + b
+    return y
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -165,8 +186,12 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
 
 def elu(x):
-    out = np.where(x > 0, x, np.expm1(np.minimum(x, 0)))
-    return out.astype(F32, copy=False)
+    """max(x, expm1(min(x, 0))), built in one buffer. Bitwise equal to
+    where(x > 0, x, expm1(min(x, 0))) on every non-NaN float32, +-0 and +-inf
+    included; NaN maps to NaN."""
+    out = np.minimum(x, F32(0), dtype=F32)
+    np.expm1(out, out=out)
+    return np.maximum(x, out, out=out)
 
 
 def relu(x):
@@ -234,9 +259,13 @@ def rope_apply(x, position_offset=0):
     x is (T, d) or (T, heads, d); row i uses absolute position
     position_offset + i, so streaming continuity only needs the offset.
     """
+    cos, sin = rope_cos_sin(position_offset + np.arange(x.shape[0]), x.shape[-1])
+    return rope_rotate(x, cos, sin)
+
+
+def rope_rotate(x, cos, sin):
+    """rope_apply with a prebuilt (T, d/2) cos/sin table from rope_cos_sin."""
     d = x.shape[-1]
-    t = x.shape[0]
-    cos, sin = rope_cos_sin(position_offset + np.arange(t), d)
     if x.ndim == 3:
         cos = cos[:, None, :]
         sin = sin[:, None, :]

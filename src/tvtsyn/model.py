@@ -16,7 +16,7 @@ import numpy as np
 from .config import FRAME_HOP, ModelConfig
 from .decoder import DecoderParams, decode_context, synthesize_wave
 from .encoder import EncoderParams, encode_frames, vq_quantize
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .kernels import F32
 from .prosody import ProsodyParams, predict_f0_energy
 from .timbre import TvtParams, build_gtm, tvt_sequence
@@ -74,6 +74,8 @@ def synthesize(model: TvtSynModel, wave, speaker, *, lookahead=None,
     also returns a dict of intermediate streams for probes and dumps.
     """
     wave = align_wave(wave)
+    if not np.isfinite(wave).all():
+        raise InputError("input wave contains non-finite samples")
     frames, _ = encode_frames(wave, model.encoder, None,
                               lookahead=lookahead, block_frames=block_frames)
     content, codes = vq_quantize(frames, model.encoder.vq)

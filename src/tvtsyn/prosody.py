@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import FRAME_HOP, ModelConfig
 from .errors import InputError
-from .kernels import F32, ConvSpec, causal_conv1d, conv_state_init, relu
+from .kernels import F32, ConvSpec, causal_conv1d, conv_state_init, linear, relu
 from .weights import WeightStore
 
 F0_MIN_HZ = 50.0
@@ -61,7 +61,7 @@ class PredictorParams:
         spec, w, b = self.conv2
         h, states[1] = causal_conv1d(h, spec, w, b, states[1])
         h = relu(h)
-        return (h.T @ self.proj_w.T + self.proj_b)[:, 0]
+        return linear(h.T, self.proj_w, self.proj_b)[:, 0]
 
 
 @dataclass
@@ -99,7 +99,7 @@ def inject_prosody(features, predictions, params: ProsodyParams, f0_scale=1.0):
     """Add the learned embedding of [f0 * scale, energy] to the feature stream."""
     pred = predictions.astype(F32).copy()
     pred[:, 0] *= F32(f0_scale)
-    return features + pred @ params.inject_w.T + params.inject_b
+    return features + linear(pred, params.inject_w, params.inject_b)
 
 
 def extract_energy(wave):

@@ -2,18 +2,18 @@
 per-module state, and exact state-carrying across encoder -> TVT -> decoder.
 
 Timing contract: chunk k's audio is emitted at chunk k (lookahead never
-crosses a chunk boundary), delayed by overlap_ms. The decoder CNN
-re-synthesizes the previous chunk's final overlap frames from a state
-snapshot, and the overlap region is emitted once as a linear crossfade of the
-two copies; `flush` emits the final tail. Feeding N chunks of c samples
-therefore yields exactly N*c samples once the flush is included.
+crosses a chunk boundary), delayed by overlap_ms. Each chunk's frames run
+through the stateful decoder CNN once; its samples then pass a plain delay
+line of overlap_ms, so chunk 0 emits c - overlap samples, later chunks emit c,
+and `flush` emits the held tail. Feeding N chunks of c samples therefore
+yields exactly N*c samples once the flush is included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import FRAME_HOP, StreamConfig
+from .config import StreamConfig
 from .context import make_rings
 from .decoder import cln_fuse, decode_context
 from .encoder import EncoderState, encode_frames, vq_quantize
@@ -22,12 +22,6 @@ from .kernels import F32
 from .model import TvtSynModel
 from .prosody import predict_f0_energy
 from .timbre import build_gtm, check_global_timbre, tvt_sequence
-
-
-def _crossfade(prev_tail, new_head):
-    n = prev_tail.shape[0]
-    ramp = ((np.arange(n, dtype=F32) + F32(0.5)) / F32(n)).astype(F32)
-    return (F32(1.0) - ramp) * prev_tail + ramp * new_head
 
 
 class StreamSession:
@@ -58,10 +52,8 @@ class StreamSession:
         self.dec_rings = make_rings(model.decoder.ctx)
         self.dec_frame_pos = 0
         self.pros_states = model.prosody.init_states()
-        self.cnn_states = model.decoder.cnn.init_states()  # used when overlap == 0
-        self.cnn_snapshot = None
-        self.pending_fused = None  # site-B-fused frames awaiting re-synthesis
-        self.tail = None           # raw audio of the pending frames
+        self.cnn_states = model.decoder.cnn.init_states()
+        self.tail = np.zeros(0, dtype=F32)  # the delay line: audio not yet emitted
         self.samples_in = 0
         self.samples_out = 0
         self.chunks_fed = 0
@@ -76,8 +68,8 @@ class StreamSession:
         if self.closed:
             raise StateError("session already flushed")
         self.closed = True
-        out = self.tail if self.tail is not None else np.zeros(0, dtype=F32)
-        self.tail = None
+        out = self.tail
+        self.tail = np.zeros(0, dtype=F32)
         self.samples_out += out.shape[0]
         return out
 
@@ -90,10 +82,6 @@ class StreamSession:
     @property
     def frames_per_chunk(self) -> int:
         return self.cfg.chunk_frames
-
-    @property
-    def overlap_frames(self) -> int:
-        return self.cfg.overlap_frames
 
     def state_nbytes(self) -> int:
         """Total bytes held in mutable stream state (constant in stream length)."""
@@ -112,12 +100,7 @@ class StreamSession:
             total += ring.state_nbytes()
         visit(self.pros_states)
         visit(self.cnn_states)
-        if self.cnn_snapshot is not None:
-            visit(self.cnn_snapshot)
-        for arr in (self.pending_fused, self.tail):
-            if arr is not None:
-                total += arr.nbytes
-        return total
+        return total + self.tail.nbytes
 
     # -- processing --------------------------------------------------------
 
@@ -129,6 +112,8 @@ class StreamSession:
         if samples.shape[0] != self.chunk_samples:
             raise InputError(
                 f"chunk has {samples.shape[0]} samples, expected {self.chunk_samples}")
+        if not np.isfinite(samples).all():
+            raise InputError("chunk contains non-finite samples")
 
         model = self.model
         frames, _ = encode_frames(samples, model.encoder, self.enc_state,
@@ -150,36 +135,11 @@ class StreamSession:
         return out
 
     def _synthesize_chunk(self, fused):
-        cnn = self.model.decoder.cnn
-        n_ov = self.overlap_frames
-        ov = n_ov * FRAME_HOP
-        chunk = self.chunk_samples
-
-        if n_ov == 0:
-            raw, self.cnn_states = cnn.apply(fused, self.cnn_states)
-            return np.clip(raw, -1.0, 1.0).astype(F32)
-
-        first = self.pending_fused is None
-        if first:
-            work = cnn.init_states()
-            pass1 = fused[:-n_ov]
-        else:
-            work = cnn.copy_states(self.cnn_snapshot)
-            pass1 = np.concatenate([self.pending_fused, fused[:-n_ov]], axis=0)
-        a1, work = cnn.apply(pass1, work)
-        self.cnn_snapshot = cnn.copy_states(work)
-        a2, work = cnn.apply(fused[-n_ov:], work)
-        raw = np.concatenate([a1, a2]) if a1.size else a2
-        self.pending_fused = fused[-n_ov:].copy()
-
-        if first:
-            out = raw[:chunk - ov]
-            self.tail = raw[chunk - ov:].copy()
-        else:
-            head = _crossfade(self.tail, raw[:ov])
-            out = np.concatenate([head, raw[ov:chunk]])
-            self.tail = raw[chunk:].copy()
-        return np.clip(out, -1.0, 1.0).astype(F32)
+        raw, self.cnn_states = self.model.decoder.cnn.apply(fused, self.cnn_states)
+        held = np.concatenate([self.tail, np.clip(raw, -1.0, 1.0).astype(F32)])
+        cut = held.shape[0] - self.cfg.overlap_samples
+        self.tail = held[cut:].copy()
+        return held[:cut]
 
 
 def open_session(model: TvtSynModel, stream_cfg: StreamConfig, speaker,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import ConfigError, InputError
-from .kernels import F32, elu, l2_normalize_rows, masked_softmax, sigmoid
+from .kernels import F32, elu, l2_normalize_rows, linear, masked_softmax, sigmoid
 from .weights import WeightStore
 
 SLERP_MIN_ANGLE = 1e-4           # below: fall back to normalized lerp
@@ -76,7 +76,7 @@ class GtmMemory:
 
 def _mlp(g, weights):
     w1, b1, w2, b2 = weights
-    return elu(g @ w1.T + b1) @ w2.T + b2
+    return linear(elu(linear(g, w1, b1)), w2, b2)
 
 
 def check_global_timbre(g, expected_dim):
@@ -101,13 +101,13 @@ def build_gtm(g, params: TvtParams) -> GtmMemory:
 def project_global(g, params: TvtParams):
     """Unit-norm projection of the global vector into the timbre space."""
     g = check_global_timbre(g, params.g_proj_w.shape[1])
-    return l2_normalize_rows(g @ params.g_proj_w.T + params.g_proj_b)
+    return l2_normalize_rows(linear(g, params.g_proj_w, params.g_proj_b))
 
 
 def retrieve_facet(content, gtm: GtmMemory, params: TvtParams):
     """Content frames (T, d_model) -> (facet mix (T, timbre_dim), weights (T, slots))."""
     content = np.atleast_2d(content)
-    q = content @ params.query_w.T + params.query_b
+    q = linear(content, params.query_w, params.query_b)
     scores = (q @ gtm.keys.T) * F32(1.0 / np.sqrt(params.attn_dim))
     w = masked_softmax(scores)
     return (w @ gtm.values).astype(F32, copy=False), w.astype(F32, copy=False)
@@ -120,7 +120,7 @@ def gate_alpha(content, facet, g_hat, params: TvtParams):
     tiled = np.broadcast_to(g_hat, (content.shape[0], g_hat.shape[-1]))
     x = np.concatenate([content, facet, tiled], axis=1)
     w1, b1, w2, b2 = params.gate
-    return sigmoid(elu(x @ w1.T + b1) @ w2.T + b2)[:, 0]
+    return sigmoid(linear(elu(linear(x, w1, b1)), w2, b2))[:, 0]
 
 
 def _unitize(x):

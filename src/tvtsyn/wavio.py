@@ -13,8 +13,7 @@ import numpy as np
 
 from .config import SAMPLE_RATE
 from .errors import InputError
-
-F32 = np.float32
+from .kernels import F32
 
 
 def read_wav(path) -> np.ndarray:

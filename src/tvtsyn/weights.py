@@ -16,11 +16,10 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import ConfigError, FormatError
+from .kernels import F32
 
 MAGIC = b"TVTW"
 VERSION = 1
-
-F32 = np.float32
 
 # init kinds
 UNIFORM = "uniform"          # scaled uniform, bound 1/sqrt(fan_in)

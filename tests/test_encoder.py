@@ -190,3 +190,24 @@ class TestVq:
         bad.put("encoder.vq.codebook", store.get("encoder.vq.codebook") * 2.0)
         with pytest.raises(ConfigError, match="unit-norm"):
             VqParams.from_store(bad, cfg)
+
+
+class TestAttend:
+    @pytest.mark.parametrize("t,s", [(1, 1), (3, 103), (40, 40)])
+    def test_matches_float64_reference(self, t, s):
+        from tvtsyn.context import _attend
+
+        rng = np.random.default_rng(t + s)
+        q = rng.normal(size=(t, 4, 16)).astype(F32)
+        k = rng.normal(size=(s, 4, 16)).astype(F32)
+        v = rng.normal(size=(s, 4, 16)).astype(F32)
+        allowed = rng.random((t, s)) < 0.7
+        allowed[:, -1] = True
+        scores = np.einsum("thd,shd->hts", q.astype(np.float64), k.astype(np.float64)) / 4.0
+        scores = np.where(allowed, scores, -np.inf)
+        w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        w /= w.sum(axis=-1, keepdims=True)
+        want = np.einsum("hts,shd->thd", w, v.astype(np.float64))
+        got = _attend(q, k, v, allowed)
+        assert got.shape == (t, 4, 16) and got.dtype == F32
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)

@@ -10,6 +10,7 @@ from tvtsyn.kernels import (AttnMask, ConvSpec, MEL_FLOOR, causal_conv1d,
                             conv_state_init, hann_window, layer_norm,
                             mel_filterbank, rope_apply, sdpa, stft_log_mel,
                             transposed_conv1d_causal)
+from tvtsyn.kernels import elu, linear
 
 F32 = np.float32
 
@@ -339,3 +340,96 @@ class TestStftLogMel:
         fb = mel_filterbank(80, 1024, 16000)
         assert fb.shape == (80, 513)
         assert (fb >= 0).all()
+
+
+def _f64(a):
+    return np.asarray(a, dtype=np.float64)
+
+
+class TestWeightMajorProducts:
+    """linear and both convs against float64 einsum references, at one frame,
+    a 60 ms chunk's three frames, and 960 samples."""
+
+    @pytest.mark.parametrize("t", [1, 3, 960])
+    def test_linear_matches_einsum(self, t):
+        rng = np.random.default_rng(t)
+        x = rng.normal(size=(t, 48)).astype(F32)
+        w = rng.normal(size=(80, 48)).astype(F32)
+        b = rng.normal(size=80).astype(F32)
+        want = np.einsum("oi,ti->to", _f64(w), _f64(x))
+        got = linear(x, w, b)
+        assert got.shape == (t, 80) and got.dtype == F32
+        np.testing.assert_allclose(got, want + _f64(b), rtol=1e-5, atol=1e-4)
+        np.testing.assert_allclose(linear(x, w), want, rtol=1e-5, atol=1e-4)
+
+    def test_linear_accepts_one_vector(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=48).astype(F32)
+        w = rng.normal(size=(80, 48)).astype(F32)
+        got = linear(x, w)
+        assert got.shape == (80,)
+        np.testing.assert_allclose(got, _f64(w) @ _f64(x), rtol=1e-5, atol=1e-4)
+
+    @pytest.mark.parametrize("t", [1, 3, 960])
+    @pytest.mark.parametrize("kernel,stride,dilation", [(3, 1, 1), (3, 1, 2), (4, 2, 1),
+                                                        (16, 8, 1), (5, 3, 2)])
+    def test_causal_conv_matches_einsum(self, t, kernel, stride, dilation):
+        rng = np.random.default_rng(100 * kernel + 10 * stride + dilation)
+        spec = ConvSpec(6, 5, kernel, stride, dilation)
+        x = rng.normal(size=(6, t)).astype(F32)
+        w = rng.normal(size=(5, 6, kernel)).astype(F32)
+        b = rng.normal(size=5).astype(F32)
+        state = rng.normal(size=(6, spec.state_len)).astype(F32)
+        xx = np.concatenate([_f64(state), _f64(x)], axis=1)
+        t_out = -(-t // stride)
+        cols = np.arange(t_out)[:, None] * stride + np.arange(kernel)[None, :] * dilation
+        want = np.einsum("ock,cjk->oj", _f64(w), xx[:, cols]) + _f64(b)[:, None]
+        got, new_state = causal_conv1d(x, spec, w, b, state)
+        assert got.shape == (5, t_out) and got.dtype == F32
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-4)
+        assert np.array_equal(new_state, xx[:, xx.shape[1] - spec.state_len:].astype(F32))
+
+    @pytest.mark.parametrize("t", [1, 3, 960])
+    @pytest.mark.parametrize("kernel,stride", [(4, 2), (16, 8), (7, 3), (2, 2)])
+    def test_transposed_conv_matches_einsum(self, t, kernel, stride):
+        rng = np.random.default_rng(10 * kernel + stride)
+        spec = ConvSpec(6, 5, kernel, stride, transposed=True)
+        x = rng.normal(size=(6, t)).astype(F32)
+        w = rng.normal(size=(6, 5, kernel)).astype(F32)
+        b = rng.normal(size=5).astype(F32)
+        state = rng.normal(size=(5, spec.state_len)).astype(F32)
+        contrib = np.einsum("cok,ct->okt", _f64(w), _f64(x))
+        full = np.zeros((5, t * stride + spec.state_len))
+        for k in range(kernel):
+            full[:, k:k + (t - 1) * stride + 1:stride] += contrib[:, k]
+        full[:, :spec.state_len] += _f64(state)
+        got, new_state = transposed_conv1d_causal(x, spec, w, b, state)
+        assert got.shape == (5, t * stride) and got.dtype == F32
+        np.testing.assert_allclose(got, full[:, :t * stride] + _f64(b)[:, None],
+                                   rtol=1e-5, atol=1e-4)
+        np.testing.assert_allclose(new_state, full[:, t * stride:], rtol=1e-5, atol=1e-4)
+
+
+class TestElu:
+    def test_matches_where_formula_bitwise(self):
+        # every float32 class: 5M random bit patterns (normals, subnormals,
+        # infinities, NaNs) plus the edge values, against the where() form
+        rng = np.random.default_rng(0)
+        bits = rng.integers(0, 2 ** 32, 5_000_000, dtype=np.uint64).astype(np.uint32)
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, -1e-45,
+                          -1e-30, -88.0, -104.0, 3e38, -3e38, 1.0, -1.0], F32)
+        x = np.concatenate([bits.view(F32), edges])
+        with np.errstate(invalid="ignore"):
+            want = np.where(x > 0, x, np.expm1(np.minimum(x, 0))).astype(F32)
+            got = elu(x)
+        assert got.dtype == F32
+        nan = np.isnan(x)
+        assert np.array_equal(got[~nan].view(np.uint32), want[~nan].view(np.uint32))
+        assert np.isnan(got[nan]).all()
+        quiet = np.flatnonzero(nan)[-2:]  # the two edge NaNs
+        assert np.array_equal(got[quiet].view(np.uint32), want[quiet].view(np.uint32))
+
+    def test_values(self):
+        x = np.array([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf], F32)
+        assert np.array_equal(elu(x), np.array([-1.0, np.expm1(F32(-1.0)), 0.0, 0.0, 2.0,
+                                                np.inf], F32))

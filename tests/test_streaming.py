@@ -188,3 +188,79 @@ class TestLookaheadIsChunkLocal:
         for k in range(3):
             assert np.array_equal(outs1[k], outs2[k])
         assert not np.array_equal(outs1[3], outs2[3])
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_feed_rejects_and_leaves_state_alone(self, model, speaker, bad):
+        sc = StreamConfig(chunk_ms=60)
+        wave = random_wave(40, 960 * 5)
+        clean = open_session(model, sc, speaker)
+        want = [clean.feed(wave[k * 960:(k + 1) * 960]) for k in range(5)]
+        s = open_session(model, sc, speaker)
+        got = [s.feed(wave[k * 960:(k + 1) * 960]) for k in range(2)]
+        poisoned = wave[2 * 960:3 * 960].copy()
+        poisoned[417] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            s.feed(poisoned)
+        assert (s.samples_in, s.samples_out, s.chunks_fed) == (
+            2 * 960, 2 * 960 - sc.overlap_samples, 2)
+        # the rejected chunk left no trace: the stream continues as if unsent
+        got += [s.feed(wave[k * 960:(k + 1) * 960]) for k in range(2, 5)]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_synthesize_rejects(self, model, speaker, bad):
+        wave = random_wave(41, 960 * 2)
+        wave[5] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            synthesize(model, wave, speaker)
+
+
+class TestDecoderCnnRunsEachFrameOnce:
+    def test_one_apply_per_chunk(self, model, speaker, monkeypatch):
+        from tvtsyn.decoder import DecoderCnn
+
+        frames = []
+        original = DecoderCnn.apply
+
+        def counted(self, x, states=None):
+            frames.append(x.shape[0])
+            return original(self, x, states)
+
+        monkeypatch.setattr(DecoderCnn, "apply", counted)
+        s = open_session(model, StreamConfig(chunk_ms=60), speaker)
+        for k in range(3):
+            s.feed(random_wave(42 + k, 960))
+        assert frames == [3, 3, 3]
+        s.flush()
+        assert frames == [3, 3, 3]
+
+    @pytest.mark.parametrize("overlap_ms", [0, 20, 60])
+    def test_delay_line_matches_offline(self, model, speaker, overlap_ms):
+        sc = StreamConfig(chunk_ms=60, overlap_ms=overlap_ms)
+        wave = random_wave(43, 960 * 12)
+        s = open_session(model, sc, speaker)
+        outs = [s.feed(wave[k * 960:(k + 1) * 960]) for k in range(12)]
+        tail = s.flush()
+        ov = sc.overlap_samples
+        assert [o.size for o in outs] == [960 - ov] + [960] * 11
+        assert tail.size == ov
+        streamed = np.concatenate(outs + [tail])
+        offline = synthesize(model, wave, speaker, block_frames=sc.chunk_frames)
+        assert np.abs(streamed - offline).max() <= 1e-4
+
+
+class TestLongStream:
+    def test_state_nbytes_constant_across_ring_wraps(self, model, speaker):
+        # 300 chunks = 900 frames, nine times the 100-frame KV window
+        s = open_session(model, StreamConfig(chunk_ms=60), speaker)
+        s.feed(np.zeros(960, F32))
+        sizes = {s.state_nbytes()}
+        for k in range(299):
+            s.feed(random_wave(k, 960, amp=0.1))
+            if k % 25 == 0:
+                sizes.add(s.state_nbytes())
+        sizes.add(s.state_nbytes())
+        assert len(sizes) == 1
