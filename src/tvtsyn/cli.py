@@ -18,9 +18,9 @@ from .config import ModelConfig, StreamConfig, load_config
 from .errors import ConfigError, InputError, InternalError, TvtSynError
 from .kernels import F32
 from .metrics import causality_probe, latency_bench
-from .model import TvtSynModel, load_model, synthesize
+from .model import TvtSynModel, synthesize
 from .streaming import open_session, stream_file
-from .weights import parameter_budget, random_init, save_weights
+from .weights import load_weights, parameter_budget, random_init, save_weights
 from . import wavio
 
 EXIT_OK = 0
@@ -41,9 +41,22 @@ def _read_speaker(path, expected_dim):
     return vec.astype(F32)
 
 
+def _model_config(path) -> ModelConfig:
+    if path is None:
+        return ModelConfig()
+    try:
+        return load_config(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read config file {path}: {exc}") from exc
+
+
 def _load(args) -> TvtSynModel:
-    cfg = load_config(args.config) if args.config else ModelConfig()
-    return load_model(args.weights, cfg)
+    cfg = _model_config(args.config)
+    try:
+        store = load_weights(args.weights)
+    except OSError as exc:
+        raise InputError(f"cannot read weight file {args.weights}: {exc}") from exc
+    return TvtSynModel.from_store(store, cfg)
 
 
 def _add_model_args(p):
@@ -57,7 +70,7 @@ def _add_speaker_arg(p):
 
 
 def cmd_init_weights(args):
-    cfg = load_config(args.config) if args.config else ModelConfig()
+    cfg = _model_config(args.config)
     store = random_init(args.seed, cfg)
     save_weights(store, args.out)
     budget = parameter_budget(store)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,10 +59,6 @@ class ModelConfig:
     @property
     def hop(self) -> int:
         return _product(self.encoder_strides)
-
-    @property
-    def frame_rate(self) -> float:
-        return self.sample_rate / self.hop
 
     @property
     def head_dim(self) -> int:
@@ -123,7 +120,6 @@ class StreamConfig:
     chunk_ms: float = 60.0
     sample_rate: int = SAMPLE_RATE
     lookahead_frames: int | None = None  # None = use the model's encoder_lookahead
-    overlap_ms: float = 20.0
 
     def __post_init__(self):
         self.validate()
@@ -136,13 +132,11 @@ class StreamConfig:
     def chunk_frames(self) -> int:
         return self.chunk_samples // FRAME_HOP
 
-    @property
-    def overlap_samples(self) -> int:
-        return int(round(self.overlap_ms * self.sample_rate / 1000.0))
-
     def validate(self):
         if self.sample_rate != SAMPLE_RATE:
             raise ConfigError(f"sample_rate must be {SAMPLE_RATE}")
+        if not math.isfinite(self.chunk_ms):
+            raise ConfigError(f"chunk_ms must be finite, got {self.chunk_ms}")
         samples = self.chunk_ms * self.sample_rate / 1000.0
         frame_ms = 1000.0 * FRAME_HOP / self.sample_rate
         if samples != int(samples) or int(samples) % FRAME_HOP or samples <= 0:
@@ -151,11 +145,6 @@ class StreamConfig:
             raise ConfigError(
                 f"chunk_ms={self.chunk_ms} is not frame-aligned "
                 f"({frame_ms:.0f} ms per frame); nearest valid sizes: {lo:.0f} ms or {hi:.0f} ms")
-        ov = self.overlap_ms * self.sample_rate / 1000.0
-        if ov != int(ov) or int(ov) % FRAME_HOP:
-            raise ConfigError(f"overlap_ms={self.overlap_ms} must be a multiple of {frame_ms:.0f} ms")
-        if self.overlap_ms > self.chunk_ms:
-            raise ConfigError("overlap_ms must be <= chunk_ms")
         if self.lookahead_frames is not None and not 0 <= self.lookahead_frames <= MAX_LOOKAHEAD:
             raise ConfigError(f"lookahead_frames must be in [0, {MAX_LOOKAHEAD}]")
 

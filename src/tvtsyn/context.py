@@ -1,15 +1,17 @@
 """Causal multi-head self-attention stacks with rotary positions.
 
-Two execution paths over the same weights:
-  - `transformer_full`: whole-sequence pass with an explicit banded mask
-    (optionally truncated at chunk-block boundaries, to mirror streaming),
-  - `transformer_step`: incremental pass over one block of new frames using
-    per-layer ring KV caches holding the rolling look-back window.
+One layer loop serves both entry points; they differ only in where each
+layer's keys come from:
+  - `transformer_full`: the whole sequence attends to itself (offline),
+    optionally with lookahead truncated at block boundaries to mirror a stream,
+  - `transformer_step`: one block of new frames attends to the per-layer
+    ring KV cache of the rolling look-back window plus itself (streaming).
 
-Keys are cached post-rotation at absolute positions; rotary attention depends
-only on relative offsets, so cached entries stay valid as the stream advances.
-Each pass builds one rotary cos/sin table for its frames and shares it across
-every layer and both of q and k.
+Either way the mask is `band_mask` over absolute frame positions. Keys are
+cached post-rotation at absolute positions; rotary attention depends only on
+relative offsets, so cached entries stay valid as the stream advances. Each
+pass builds one rotary cos/sin table for its frames and shares it across every
+layer and both of q and k.
 """
 
 from __future__ import annotations
@@ -164,20 +166,22 @@ def _ffn(x, layer):
     return linear(h, layer.w2, layer.b2)
 
 
-def context_mask(n_frames: int, lookback: int, lookahead: int, block_frames=None):
-    """Banded causal mask with lookahead truncated at block boundaries.
+def band_mask(q_pos, k_pos, lookback: int, lookahead: int, block_frames=None):
+    """Boolean (len(q_pos), len(k_pos)) mask over absolute frame positions.
 
-    Reproduces the mask a chunked runtime applies: queries see up to
-    `lookahead` future frames but never past the end of their own block.
+    A query at q sees keys in [q - lookback, q + lookahead]. With
+    `block_frames`, lookahead also stops at the end of q's block (blocks
+    start at multiples of block_frames), which is the mask a chunked runtime
+    applies when its chunks are block_frames long.
     """
-    t = np.arange(n_frames)[:, None]
-    s = np.arange(n_frames)[None, :]
-    allowed = (s >= t - lookback) & (s <= t + lookahead)
+    q = np.asarray(q_pos)[:, None]
+    k = np.asarray(k_pos)[None, :]
+    allowed = (k >= q - lookback) & (k <= q + lookahead)
     if block_frames is not None:
         if block_frames < 1:
             raise ConfigError("block_frames must be >= 1")
-        block_end = (t // block_frames + 1) * block_frames - 1
-        allowed &= (s <= t) | (s <= block_end)
+        block_end = (q // block_frames + 1) * block_frames - 1
+        allowed &= (k <= q) | (k <= block_end)
     return allowed
 
 
@@ -186,70 +190,65 @@ def _attend(q, k, v, allowed):
     scale = F32(1.0 / np.sqrt(q.shape[-1]))
     # per-head batched matmuls, (H,T,Dh) @ (H,Dh,S): BLAS, where einsum is not
     scores = (q.transpose(1, 0, 2) @ k.transpose(1, 2, 0)) * scale
-    w = masked_softmax(scores, allowed) if allowed is not None else masked_softmax(scores)
+    w = masked_softmax(scores, allowed)
     return (w.astype(F32, copy=False) @ v.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
-def _qkv(h, layer, n_heads, rope):
-    q = rope_rotate(_split_heads(linear(h, layer.wq, layer.bq), n_heads), *rope)
-    k = rope_rotate(_split_heads(linear(h, layer.wk, layer.bk), n_heads), *rope)
-    v = _split_heads(linear(h, layer.wv, layer.bv), n_heads)
-    return q, k, v
+def _block(x, layer, params: TransformerParams, rope, start_pos: int, lookahead: int,
+           block_frames, ring: KvRing | None):
+    """One pre-norm layer over the frames x at positions start_pos, start_pos + 1, ...
 
-
-def _block_full(x, layer, n_heads, allowed, rope):
-    q, k, v = _qkv(layer_norm(x, layer.ln1_g, layer.ln1_b), layer, n_heads, rope)
-    ctx = _merge_heads(_attend(q, k, v, allowed))
+    The keys are the frames' own (offline, ring None) or the ring's look-back
+    window followed by the frames' own (streaming); the ring then stores the
+    frames' keys and values.
+    """
+    h = layer_norm(x, layer.ln1_g, layer.ln1_b)
+    q = rope_rotate(_split_heads(linear(h, layer.wq, layer.bq), params.n_heads), *rope)
+    k = rope_rotate(_split_heads(linear(h, layer.wk, layer.bk), params.n_heads), *rope)
+    v = _split_heads(linear(h, layer.wv, layer.bv), params.n_heads)
+    pos = start_pos + np.arange(x.shape[0])
+    keys, values, key_pos = (k, v, pos) if ring is None else ring.window(k, v, start_pos)
+    allowed = band_mask(pos, key_pos, params.lookback, lookahead, block_frames)
+    ctx = _merge_heads(_attend(q, keys, values, allowed))
     x = x + layer.ls_attn * linear(ctx, layer.wo, layer.bo)
     x = x + layer.ls_ffn * _ffn(layer_norm(x, layer.ln2_g, layer.ln2_b), layer)
+    if ring is not None:
+        ring.append(k, v, start_pos)
     return x.astype(F32, copy=False)
+
+
+def _stack(x, params: TransformerParams, start_pos: int, lookahead: int, block_frames,
+           rings):
+    """Every layer over the frames x, then the output norm.
+
+    The lookahead window (truncated at block_frames) applies to the first
+    layer only; deeper layers are strictly causal. Stacking lookahead at every
+    layer would compound the horizon (layer n sees n * lookahead frames ahead),
+    breaking the fixed-budget future access the runtime promises.
+    """
+    rope = rope_cos_sin(start_pos + np.arange(x.shape[0]), params.head_dim)
+    for i, layer in enumerate(params.layers):
+        x = _block(x, layer, params, rope, start_pos,
+                   lookahead if i == 0 else 0, block_frames if i == 0 else None,
+                   None if rings is None else rings[i])
+    return layer_norm(x, params.ln_out_g, params.ln_out_b)
 
 
 def transformer_full(x, params: TransformerParams, *, lookahead: int,
                      block_frames=None, position_offset: int = 0):
-    """Whole-sequence pass over (T, d_model) with an explicit banded mask.
-
-    The lookahead window applies to the first layer only; deeper layers are
-    strictly causal. Stacking lookahead at every layer would compound the
-    horizon (layer n sees n * lookahead frames ahead), breaking the
-    fixed-budget future access the runtime promises.
-    """
-    first = context_mask(x.shape[0], params.lookback, lookahead, block_frames)
-    rest = context_mask(x.shape[0], params.lookback, 0) if lookahead else first
-    rope = rope_cos_sin(position_offset + np.arange(x.shape[0]), params.head_dim)
-    for i, layer in enumerate(params.layers):
-        x = _block_full(x, layer, params.n_heads, first if i == 0 else rest, rope)
-    return layer_norm(x, params.ln_out_g, params.ln_out_b)
-
-
-def _block_step(x, layer, n_heads, ring: KvRing, start_pos: int,
-                lookahead: int, lookback: int, rope):
-    t = x.shape[0]
-    q, k_new, v_new = _qkv(layer_norm(x, layer.ln1_g, layer.ln1_b), layer, n_heads, rope)
-
-    keys, values, key_pos = ring.window(k_new, v_new, start_pos)
-    q_pos = start_pos + np.arange(t)[:, None]
-    allowed = (key_pos[None, :] >= q_pos - lookback) & (key_pos[None, :] <= q_pos + lookahead)
-
-    ctx = _merge_heads(_attend(q, keys, values, allowed))
-    x = x + layer.ls_attn * linear(ctx, layer.wo, layer.bo)
-    x = x + layer.ls_ffn * _ffn(layer_norm(x, layer.ln2_g, layer.ln2_b), layer)
-    ring.append(k_new, v_new, start_pos)
-    return x.astype(F32, copy=False)
+    """Whole-sequence pass over (T, d_model) frames at positions
+    position_offset, position_offset + 1, ...; `block_frames` reproduces the
+    masks of a stream fed in blocks of that many frames."""
+    return _stack(x, params, position_offset, lookahead, block_frames, None)
 
 
 def transformer_step(x, params: TransformerParams, rings: list, start_pos: int,
                      *, lookahead: int):
     """Incremental pass over one block (T, d_model) of new frames.
 
-    Lookahead applies within the supplied block only, and (as in
-    transformer_full) at the first layer only; the rolling caches are updated
-    in place so the next call continues at start_pos + T.
+    Lookahead reaches only within the supplied block; the rolling caches are
+    updated in place so the next call continues at start_pos + T.
     """
     if len(rings) != len(params.layers):
         raise InternalError("ring cache count does not match layer count")
-    rope = rope_cos_sin(start_pos + np.arange(x.shape[0]), params.head_dim)
-    for i, (layer, ring) in enumerate(zip(params.layers, rings)):
-        x = _block_step(x, layer, params.n_heads, ring, start_pos,
-                        lookahead if i == 0 else 0, params.lookback, rope)
-    return layer_norm(x, params.ln_out_g, params.ln_out_b)
+    return _stack(x, params, start_pos, lookahead, None, rings)

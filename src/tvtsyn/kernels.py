@@ -1,5 +1,5 @@
 """Deterministic numeric kernels: causal convolutions, normalization,
-attention, rotary positions, and STFT/log-mel extraction.
+masked softmax, rotary positions, and STFT/log-mel extraction.
 
 Conventions:
   - all tensors are float32 numpy arrays,
@@ -58,26 +58,6 @@ class ConvSpec:
         if self.transposed:
             return self.kernel - self.stride
         return (self.kernel - 1) * self.dilation
-
-
-@dataclass(frozen=True)
-class AttnMask:
-    """Banded attention window: keys in [t - lookback, t + lookahead] are visible."""
-
-    lookback_frames: int
-    lookahead_frames: int = 0
-
-    def __post_init__(self):
-        if self.lookback_frames < 0:
-            raise ConfigError("lookback_frames must be >= 0")
-        if not 0 <= self.lookahead_frames <= 4:
-            raise ConfigError("lookahead_frames must be in [0, 4]")
-
-    def band(self, n_queries: int, n_keys: int) -> np.ndarray:
-        """Boolean (n_queries, n_keys) matrix, True where attention is allowed."""
-        t = np.arange(n_queries)[:, None]
-        s = np.arange(n_keys)[None, :]
-        return (s >= t - self.lookback_frames) & (s <= t + self.lookahead_frames)
 
 
 def conv_state_init(spec: ConvSpec) -> np.ndarray:
@@ -224,26 +204,6 @@ def masked_softmax(scores, allowed=None):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def sdpa(queries, keys, values, mask=None, return_weights=False):
-    """Scaled dot-product attention: (T,d) x (S,d) x (S,dv) -> (T,dv).
-
-    `mask` may be an AttnMask (banded on row indices), an explicit boolean
-    (T,S) matrix (True = visible), or None for full attention.
-    """
-    if queries.shape[-1] != keys.shape[-1]:
-        raise ConfigError("query/key dim mismatch")
-    if keys.shape[0] != values.shape[0]:
-        raise ConfigError("key/value count mismatch")
-    scale = F32(1.0 / np.sqrt(queries.shape[-1]))
-    scores = (queries @ keys.T) * scale
-    allowed = mask.band(queries.shape[0], keys.shape[0]) if isinstance(mask, AttnMask) else mask
-    w = masked_softmax(scores, allowed)
-    out = w @ values
-    if return_weights:
-        return out, w
-    return out
-
-
 def rope_cos_sin(positions, dim):
     """cos/sin tables for rotary positions; angles built in f64, emitted f32."""
     if dim % 2:
@@ -253,24 +213,18 @@ def rope_cos_sin(positions, dim):
     return np.cos(ang).astype(F32), np.sin(ang).astype(F32)
 
 
-def rope_apply(x, position_offset=0):
-    """Rotate feature pairs of x by position-dependent angles.
-
-    x is (T, d) or (T, heads, d); row i uses absolute position
-    position_offset + i, so streaming continuity only needs the offset.
-    """
-    cos, sin = rope_cos_sin(position_offset + np.arange(x.shape[0]), x.shape[-1])
-    return rope_rotate(x, cos, sin)
-
-
 def rope_rotate(x, cos, sin):
-    """rope_apply with a prebuilt (T, d/2) cos/sin table from rope_cos_sin."""
+    """Rotate feature pairs of x by the (T, d/2) cos/sin table of rope_cos_sin.
+
+    x is (T, d) or (T, heads, d); row i takes row i of the table, so a stream
+    stays continuous by building the table at its absolute positions.
+    """
     d = x.shape[-1]
     if x.ndim == 3:
         cos = cos[:, None, :]
         sin = sin[:, None, :]
     elif x.ndim != 2:
-        raise ConfigError(f"rope_apply expects 2-D or 3-D input, got {x.shape}")
+        raise ConfigError(f"rope_rotate expects 2-D or 3-D input, got {x.shape}")
     half = d // 2
     x1, x2 = x[..., :half], x[..., half:]
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FRAME_HOP, ModelConfig
+from .encoder import ConvLayer
 from .errors import InputError
 from .kernels import F32, ConvSpec, causal_conv1d, conv_state_init, linear, relu
 from .weights import WeightStore
@@ -33,34 +34,28 @@ class ProsodyFrame:
 class PredictorParams:
     """2-layer causal CNN (kernel 3, ReLU) with a point-wise projection."""
 
-    conv1: tuple  # (spec, weight, bias)
-    conv2: tuple
+    conv1: ConvLayer
+    conv2: ConvLayer
     proj_w: np.ndarray
     proj_b: np.ndarray
 
     @classmethod
     def from_store(cls, store, prefix, in_dim, hidden):
-        s1 = ConvSpec(in_dim, hidden, 3)
-        s2 = ConvSpec(hidden, hidden, 3)
         return cls(
-            conv1=(s1, store.get(f"{prefix}.conv1.weight", (hidden, in_dim, 3)),
-                   store.get(f"{prefix}.conv1.bias", (hidden,))),
-            conv2=(s2, store.get(f"{prefix}.conv2.weight", (hidden, hidden, 3)),
-                   store.get(f"{prefix}.conv2.bias", (hidden,))),
+            conv1=ConvLayer.from_store(store, f"{prefix}.conv1", ConvSpec(in_dim, hidden, 3)),
+            conv2=ConvLayer.from_store(store, f"{prefix}.conv2", ConvSpec(hidden, hidden, 3)),
             proj_w=store.get(f"{prefix}.proj.weight", (1, hidden)),
             proj_b=store.get(f"{prefix}.proj.bias", (1,)),
         )
 
     def init_states(self):
-        return [conv_state_init(self.conv1[0]), conv_state_init(self.conv2[0])]
+        return [conv_state_init(self.conv1.spec), conv_state_init(self.conv2.spec)]
 
     def apply(self, feats_ct, states):
-        spec, w, b = self.conv1
-        h, states[0] = causal_conv1d(feats_ct, spec, w, b, states[0])
-        h = relu(h)
-        spec, w, b = self.conv2
-        h, states[1] = causal_conv1d(h, spec, w, b, states[1])
-        h = relu(h)
+        h = feats_ct
+        for i, conv in enumerate((self.conv1, self.conv2)):
+            h, states[i] = causal_conv1d(h, conv.spec, conv.weight, conv.bias, states[i])
+            h = relu(h)
         return linear(h.T, self.proj_w, self.proj_b)[:, 0]
 
 

@@ -1,12 +1,12 @@
 """Chunk-wise real-time orchestration: session lifecycle, persistent
 per-module state, and exact state-carrying across encoder -> TVT -> decoder.
 
-Timing contract: chunk k's audio is emitted at chunk k (lookahead never
-crosses a chunk boundary), delayed by overlap_ms. Each chunk's frames run
-through the stateful decoder CNN once; its samples then pass a plain delay
-line of overlap_ms, so chunk 0 emits c - overlap samples, later chunks emit c,
-and `flush` emits the held tail. Feeding N chunks of c samples therefore
-yields exactly N*c samples once the flush is included.
+Timing contract: chunk k's audio is emitted by the feed of chunk k, with no
+hold (lookahead never crosses a chunk boundary). Each chunk's frames run
+through the stateful decoder CNN once, and the strictly causal CNN's samples
+are final as soon as they are computed, so every feed of c samples returns
+exactly c samples and N feeds give N*c. `flush` only closes the session; it
+returns an empty array.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class StreamSession:
         self.dec_frame_pos = 0
         self.pros_states = model.prosody.init_states()
         self.cnn_states = model.decoder.cnn.init_states()
-        self.tail = np.zeros(0, dtype=F32)  # the delay line: audio not yet emitted
         self.samples_in = 0
         self.samples_out = 0
         self.chunks_fed = 0
@@ -64,24 +63,18 @@ class StreamSession:
         self._init_state()
 
     def flush(self):
-        """Emit the residual overlap tail and close the session."""
+        """Close the session. Every fed sample was already emitted, so the
+        result is empty; it is returned so callers can concatenate it."""
         if self.closed:
             raise StateError("session already flushed")
         self.closed = True
-        out = self.tail
-        self.tail = np.zeros(0, dtype=F32)
-        self.samples_out += out.shape[0]
-        return out
+        return np.zeros(0, dtype=F32)
 
     # -- properties --------------------------------------------------------
 
     @property
     def chunk_samples(self) -> int:
         return self.cfg.chunk_samples
-
-    @property
-    def frames_per_chunk(self) -> int:
-        return self.cfg.chunk_frames
 
     def state_nbytes(self) -> int:
         """Total bytes held in mutable stream state (constant in stream length)."""
@@ -100,7 +93,7 @@ class StreamSession:
             total += ring.state_nbytes()
         visit(self.pros_states)
         visit(self.cnn_states)
-        return total + self.tail.nbytes
+        return total
 
     # -- processing --------------------------------------------------------
 
@@ -127,19 +120,13 @@ class StreamSession:
                                 rings=self.dec_rings, start_pos=self.dec_frame_pos)
         self.dec_frame_pos += frames.shape[0]
         fused = cln_fuse(ctxout, tvt, model.decoder.cln_out)
+        raw, self.cnn_states = model.decoder.cnn.apply(fused, self.cnn_states)
+        out = np.clip(raw, -1.0, 1.0).astype(F32)
 
-        out = self._synthesize_chunk(fused)
         self.samples_in += samples.shape[0]
         self.samples_out += out.shape[0]
         self.chunks_fed += 1
         return out
-
-    def _synthesize_chunk(self, fused):
-        raw, self.cnn_states = self.model.decoder.cnn.apply(fused, self.cnn_states)
-        held = np.concatenate([self.tail, np.clip(raw, -1.0, 1.0).astype(F32)])
-        cut = held.shape[0] - self.cfg.overlap_samples
-        self.tail = held[cut:].copy()
-        return held[:cut]
 
 
 def open_session(model: TvtSynModel, stream_cfg: StreamConfig, speaker,

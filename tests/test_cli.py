@@ -69,6 +69,39 @@ class TestSynth:
                     "--in", str(tmp_path / "nope.wav"), "--out", str(tmp_path / "x.wav")])
         assert code == 1
 
+    def test_missing_weights_is_input_error(self, workdir, tmp_path):
+        code = run(["synth", "--weights", str(tmp_path / "nope.tvtw"),
+                    "--config", str(workdir / "model.cfg"),
+                    "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav")])
+        assert code == 1
+
+    def test_missing_config_is_input_error(self, workdir, tmp_path):
+        code = run(["synth", "--weights", str(workdir / "w.tvtw"),
+                    "--config", str(tmp_path / "nope.cfg"),
+                    "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav")])
+        assert code == 1
+
+    def test_binary_config_is_input_error(self, workdir, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfe\x00d_model = 64\n")
+        code = run(["synth", "--weights", str(workdir / "w.tvtw"), "--config", str(bad),
+                    "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav")])
+        assert code == 1
+
+    def test_missing_config_for_init_weights_is_input_error(self, tmp_path):
+        code = run(["init-weights", "--config", str(tmp_path / "nope.cfg"),
+                    "--out", str(tmp_path / "w.tvtw")])
+        assert code == 1
+
+    def test_infinite_block_is_config_error(self, workdir, tmp_path):
+        code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
+                    "--block-ms", "inf"])
+        assert code == 2
+
 
 class TestStream:
     def test_stream_matches_masked_synth(self, workdir):
@@ -89,6 +122,13 @@ class TestStream:
         code = run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
                     "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
                     "--chunk-ms", "50"])
+        assert code == 2
+
+    @pytest.mark.parametrize("chunk_ms", ["nan", "inf"])
+    def test_non_finite_chunk_is_config_error(self, workdir, tmp_path, chunk_ms):
+        code = run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
+                    "--chunk-ms", chunk_ms])
         assert code == 2
 
 

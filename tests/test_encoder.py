@@ -121,6 +121,27 @@ class TestContextAttend:
         streamed = np.concatenate(outs, axis=0)
         assert np.abs(streamed - full).max() <= 1e-5
 
+    @pytest.mark.parametrize("lookahead", [0, 4])
+    def test_block_longer_than_ring_matches_full_pass(self, model, lookahead):
+        # one block overflows the ring on its first append (only the newest
+        # `lookback` frames are kept), then a second block reads that window
+        ctx = model.encoder.ctx
+        t = ctx.lookback + 50
+        x = self._random_frames(model, 5, t=2 * t)
+        rings = make_rings(ctx)
+        first = transformer_step(x[:t], ctx, rings, 0, lookahead=lookahead)
+        np.testing.assert_allclose(
+            first, transformer_full(x[:t], ctx, lookahead=lookahead, block_frames=t),
+            rtol=0, atol=1e-6)
+        second = transformer_step(x[t:], ctx, rings, t, lookahead=lookahead)
+        full = transformer_full(x, ctx, lookahead=lookahead, block_frames=t)
+        np.testing.assert_allclose(second, full[t:], rtol=0, atol=1e-6)
+
+    def test_block_frames_below_one_rejected(self, model):
+        x = self._random_frames(model, 6, t=4)
+        with pytest.raises(ConfigError):
+            transformer_full(x, model.encoder.ctx, lookahead=4, block_frames=0)
+
     def test_cache_position_desync_raises(self, model):
         x = self._random_frames(model, 4, t=3)
         rings = make_rings(model.encoder.ctx)

@@ -5,10 +5,11 @@ causality / streaming-equivalence properties every other module relies on.
 import numpy as np
 import pytest
 
+from tvtsyn.context import _attend, band_mask
 from tvtsyn.errors import ConfigError
-from tvtsyn.kernels import (AttnMask, ConvSpec, MEL_FLOOR, causal_conv1d,
+from tvtsyn.kernels import (ConvSpec, MEL_FLOOR, causal_conv1d,
                             conv_state_init, hann_window, layer_norm,
-                            mel_filterbank, rope_apply, sdpa, stft_log_mel,
+                            mel_filterbank, rope_cos_sin, rope_rotate, stft_log_mel,
                             transposed_conv1d_causal)
 from tvtsyn.kernels import elu, linear
 
@@ -215,6 +216,12 @@ class TestLayerNorm:
         np.testing.assert_allclose(y.var(axis=1), 1.0, atol=1e-3)
 
 
+def sdpa(q, k, v, allowed=None):
+    """Single-head scaled dot-product attention through `context._attend`:
+    (T,d) x (S,d) x (S,dv) -> (T,dv)."""
+    return _attend(q[:, None], k[:, None], v[:, None], allowed)[:, 0]
+
+
 class TestSdpa:
     def test_single_key_returns_value(self):
         rng = np.random.default_rng(0)
@@ -247,10 +254,11 @@ class TestSdpa:
         rng = np.random.default_rng(2)
         q = rng.normal(size=(10, 8)).astype(F32)
         k = rng.normal(size=(12, 8)).astype(F32)
-        v = rng.normal(size=(12, 8)).astype(F32)
-        _, w = sdpa(q, k, v, mask=AttnMask(lookback_frames=5, lookahead_frames=2),
-                    return_weights=True)
+        allowed = band_mask(np.arange(10), np.arange(12), lookback=5, lookahead=2)
+        # identity values make the output the attention weights themselves
+        w = sdpa(q, k, np.eye(12, dtype=F32), allowed)
         assert (w >= 0).all()
+        assert (w[~allowed] == 0).all()
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-6)
 
     def test_fully_masked_row_raises(self):
@@ -259,25 +267,24 @@ class TestSdpa:
         v = np.zeros((2, 4), F32)
         allowed = np.array([[True, True], [False, False]])
         with pytest.raises(ConfigError):
-            sdpa(q, k, v, mask=allowed)
+            sdpa(q, k, v, allowed)
 
-    def test_mask_invariants(self):
-        with pytest.raises(ConfigError):
-            AttnMask(lookback_frames=-1)
-        with pytest.raises(ConfigError):
-            AttnMask(lookback_frames=10, lookahead_frames=5)
+
+def rope(x, offset):
+    """x rotated as rows at positions offset, offset + 1, ..."""
+    return rope_rotate(x, *rope_cos_sin(offset + np.arange(x.shape[0]), x.shape[-1]))
 
 
 class TestRope:
     def test_position_zero_is_identity(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1, 16)).astype(F32)
-        assert np.array_equal(rope_apply(x, 0)[0], x[0])
+        assert np.array_equal(rope(x, 0)[0], x[0])
 
     def test_norm_preserved_per_pair(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(7, 16)).astype(F32)
-        y = rope_apply(x, 1234)
+        y = rope(x, 1234)
         half = 8
         nx = x[:, :half] ** 2 + x[:, half:] ** 2
         ny = y[:, :half] ** 2 + y[:, half:] ** 2
@@ -288,13 +295,13 @@ class TestRope:
         q = rng.normal(size=(1, 32)).astype(F32)
         k = rng.normal(size=(1, 32)).astype(F32)
         for p, delta, shift in [(0, 3, 17), (40, 7, 101), (5, 0, 999)]:
-            s1 = float(rope_apply(q, p)[0] @ rope_apply(k, p + delta)[0])
-            s2 = float(rope_apply(q, p + shift)[0] @ rope_apply(k, p + delta + shift)[0])
+            s1 = float(rope(q, p)[0] @ rope(k, p + delta)[0])
+            s2 = float(rope(q, p + shift)[0] @ rope(k, p + delta + shift)[0])
             assert abs(s1 - s2) < 1e-3
 
     def test_odd_dim_rejected(self):
         with pytest.raises(ConfigError):
-            rope_apply(np.zeros((2, 5), F32), 0)
+            rope(np.zeros((2, 5), F32), 0)
 
 
 class TestStftLogMel:

@@ -125,11 +125,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="40 ms or 60 ms"):
             StreamConfig(chunk_ms=50)
 
-    def test_overlap_bounds(self):
-        with pytest.raises(ConfigError):
-            StreamConfig(chunk_ms=20, overlap_ms=40)
-        with pytest.raises(ConfigError):
-            StreamConfig(chunk_ms=60, overlap_ms=15)
+    @pytest.mark.parametrize("chunk_ms", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_chunk_rejected(self, chunk_ms):
+        with pytest.raises(ConfigError, match="finite"):
+            StreamConfig(chunk_ms=chunk_ms)
 
 
 class TestBudget:

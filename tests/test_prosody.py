@@ -16,10 +16,11 @@ F32 = np.float32
 def _zero_predictor(pred: PredictorParams, bias_value: float) -> PredictorParams:
     """All weights zero, projection bias set: the predictor becomes constant."""
     def zero_conv(c):
-        spec, w, b = c
-        return (spec, np.zeros_like(w), np.zeros_like(b))
+        return dataclasses.replace(c, weight=np.zeros_like(c.weight),
+                                   bias=np.zeros_like(c.bias))
 
-    return PredictorParams(
+    return dataclasses.replace(
+        pred,
         conv1=zero_conv(pred.conv1),
         conv2=zero_conv(pred.conv2),
         proj_w=np.zeros_like(pred.proj_w),

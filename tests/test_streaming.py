@@ -24,9 +24,9 @@ def _feed_all(session, wave):
 class TestOpenSession:
     def test_frames_per_chunk(self, model, speaker):
         s = open_session(model, StreamConfig(chunk_ms=60), speaker)
-        assert s.chunk_samples == 960 and s.frames_per_chunk == 3
+        assert s.chunk_samples == 960 and s.cfg.chunk_frames == 3
         s = open_session(model, StreamConfig(chunk_ms=100), speaker)
-        assert s.chunk_samples == 1600 and s.frames_per_chunk == 5
+        assert s.chunk_samples == 1600 and s.cfg.chunk_frames == 5
 
     def test_misaligned_chunk_rejected_with_suggestions(self, model, speaker):
         with pytest.raises(ConfigError, match="40 ms or 60 ms"):
@@ -50,24 +50,14 @@ class TestEquivalence:
         assert np.abs(streamed - offline).max() <= 1e-4
 
     def test_sample_count_identity(self, model, speaker):
-        # N chunks of c samples -> exactly N*c samples including the flush tail
+        # every feed of c samples emits exactly c; the flush emits nothing
         sc = StreamConfig(chunk_ms=60)
         wave = random_wave(0, 960 * 7)
         s = open_session(model, sc, speaker)
         sizes = [s.feed(wave[k * 960:(k + 1) * 960]).size for k in range(7)]
-        tail = s.flush().size
-        assert sizes[0] == 960 - sc.overlap_samples
-        assert all(x == 960 for x in sizes[1:])
-        assert tail <= sc.overlap_samples
-        assert sum(sizes) + tail == 7 * 960
-
-    def test_zero_overlap_mode(self, model, speaker):
-        sc = StreamConfig(chunk_ms=60, overlap_ms=0)
-        wave = random_wave(1, 960 * 10)
-        streamed = _feed_all(open_session(model, sc, speaker), wave)
-        offline = synthesize(model, wave, speaker, block_frames=sc.chunk_frames)
-        assert streamed.size == wave.size
-        assert np.abs(streamed - offline).max() <= 1e-4
+        assert sizes == [960] * 7
+        assert s.samples_out == s.samples_in == 7 * 960
+        assert s.flush().size == 0
 
     def test_zeros_in_steady_state_out(self, model, speaker):
         # constant input settles to a chunk-periodic pattern once the
@@ -203,8 +193,7 @@ class TestNonFiniteInput:
         poisoned[417] = bad
         with pytest.raises(InputError, match="non-finite"):
             s.feed(poisoned)
-        assert (s.samples_in, s.samples_out, s.chunks_fed) == (
-            2 * 960, 2 * 960 - sc.overlap_samples, 2)
+        assert (s.samples_in, s.samples_out, s.chunks_fed) == (2 * 960, 2 * 960, 2)
         # the rejected chunk left no trace: the stream continues as if unsent
         got += [s.feed(wave[k * 960:(k + 1) * 960]) for k in range(2, 5)]
         for a, b in zip(got, want):
@@ -237,19 +226,16 @@ class TestDecoderCnnRunsEachFrameOnce:
         s.flush()
         assert frames == [3, 3, 3]
 
-    @pytest.mark.parametrize("overlap_ms", [0, 20, 60])
-    def test_delay_line_matches_offline(self, model, speaker, overlap_ms):
-        sc = StreamConfig(chunk_ms=60, overlap_ms=overlap_ms)
+    def test_each_feed_emits_its_chunk_matching_offline(self, model, speaker):
+        # no hold: chunk k's samples come out of feed k, already final
+        sc = StreamConfig(chunk_ms=60)
         wave = random_wave(43, 960 * 12)
         s = open_session(model, sc, speaker)
         outs = [s.feed(wave[k * 960:(k + 1) * 960]) for k in range(12)]
-        tail = s.flush()
-        ov = sc.overlap_samples
-        assert [o.size for o in outs] == [960 - ov] + [960] * 11
-        assert tail.size == ov
-        streamed = np.concatenate(outs + [tail])
+        assert [o.size for o in outs] == [960] * 12
+        assert s.flush().size == 0
         offline = synthesize(model, wave, speaker, block_frames=sc.chunk_frames)
-        assert np.abs(streamed - offline).max() <= 1e-4
+        assert np.abs(np.concatenate(outs) - offline).max() <= 1e-4
 
 
 class TestLongStream:
