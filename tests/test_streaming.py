@@ -59,6 +59,15 @@ class TestEquivalence:
         assert s.samples_out == s.samples_in == 7 * 960
         assert s.flush().size == 0
 
+    def test_zero_overlap_mode(self, model, speaker):
+        # the session holds nothing back: the stream is as long as its input
+        sc = StreamConfig(chunk_ms=60)
+        wave = random_wave(1, 960 * 10)
+        streamed = _feed_all(open_session(model, sc, speaker), wave)
+        offline = synthesize(model, wave, speaker, block_frames=sc.chunk_frames)
+        assert streamed.size == wave.size
+        assert np.abs(streamed - offline).max() <= 1e-4
+
     def test_zeros_in_steady_state_out(self, model, speaker):
         # constant input settles to a chunk-periodic pattern once the
         # 2 s KV window is full; output stays bounded by the bias response
@@ -226,15 +235,27 @@ class TestDecoderCnnRunsEachFrameOnce:
         s.flush()
         assert frames == [3, 3, 3]
 
-    def test_each_feed_emits_its_chunk_matching_offline(self, model, speaker):
-        # no hold: chunk k's samples come out of feed k, already final
+    @pytest.mark.parametrize("hold_ms", [0, 20, 60])
+    def test_delay_line_matches_offline(self, model, speaker, hold_ms):
+        # no delay line: the last hold_ms of each chunk (what a hold would
+        # keep back) already equals offline when its feed returns, and no
+        # later feed rewrites an emitted array
         sc = StreamConfig(chunk_ms=60)
+        hold = hold_ms * sc.sample_rate // 1000
         wave = random_wave(43, 960 * 12)
-        s = open_session(model, sc, speaker)
-        outs = [s.feed(wave[k * 960:(k + 1) * 960]) for k in range(12)]
-        assert [o.size for o in outs] == [960] * 12
-        assert s.flush().size == 0
         offline = synthesize(model, wave, speaker, block_frames=sc.chunk_frames)
+        s = open_session(model, sc, speaker)
+        outs, snapshots = [], []
+        for k in range(12):
+            o = s.feed(wave[k * 960:(k + 1) * 960])
+            assert o.size == 960
+            end = (k + 1) * 960
+            assert np.abs(o[960 - hold:] - offline[end - hold:end]).max(initial=0.0) <= 1e-4
+            outs.append(o)
+            snapshots.append(o.copy())
+        assert s.flush().size == 0
+        for o, snap in zip(outs, snapshots):
+            assert np.array_equal(o, snap)
         assert np.abs(np.concatenate(outs) - offline).max() <= 1e-4
 
 
