@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,15 @@ def _load(args) -> TvtSynModel:
     return TvtSynModel.from_store(store, cfg)
 
 
+@contextmanager
+def _writing(path):
+    """Report a failed write of an output file as an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _add_model_args(p):
     p.add_argument("--weights", required=True, help="TVTW weight file")
     p.add_argument("--config", default=None, help="key=value model config (default: full config)")
@@ -72,7 +83,8 @@ def _add_speaker_arg(p):
 def cmd_init_weights(args):
     cfg = _model_config(args.config)
     store = random_init(args.seed, cfg)
-    save_weights(store, args.out)
+    with _writing(args.out):
+        save_weights(store, args.out)
     budget = parameter_budget(store)
     print(f"wrote {args.out}: {len(store)} tensors, "
           f"encoder {budget['encoder']:,} / decoder {budget['decoder']:,} "
@@ -89,7 +101,8 @@ def cmd_synth(args):
         block = StreamConfig(chunk_ms=args.block_ms).chunk_frames
     out = synthesize(model, wave, speaker, lookahead=args.lookahead,
                      block_frames=block, f0_scale=args.f0_scale)
-    wavio.write_wav(args.out, out)
+    with _writing(args.out):
+        wavio.write_wav(args.out, out)
     print(f"synthesized {out.size} samples -> {args.out}")
     return EXIT_OK
 
@@ -107,7 +120,8 @@ def cmd_stream(args):
 
     out = stream_file(model, cfg, speaker, wave, f0_scale=args.f0_scale,
                       on_chunk=on_chunk)
-    wavio.write_wav(args.out, out)
+    with _writing(args.out):
+        wavio.write_wav(args.out, out)
     if times:
         print(f"streamed {len(times)} chunks of {args.chunk_ms} ms, "
               f"mean processing {np.mean(times):.2f} ms -> {args.out}")
@@ -122,6 +136,8 @@ def cmd_bench(args):
             raise InputError(f"no .wav files under {args.utterances}")
         utts = [wavio.read_wav(p) for p in paths]
     else:
+        if not (math.isfinite(args.utt_seconds) and args.utt_seconds > 0):
+            raise ConfigError(f"--utt-seconds must be finite and > 0, got {args.utt_seconds}")
         rng = np.random.Generator(np.random.PCG64(args.seed))
         n_samples = int(args.utt_seconds * 16000)
         utts = [rng.uniform(-0.5, 0.5, size=n_samples).astype(F32)
@@ -140,7 +156,8 @@ def cmd_bench(args):
                            parallel_sessions=args.parallel_sessions)
     text = json.dumps(report, indent=2)
     if args.out:
-        Path(args.out).write_text(text)
+        with _writing(args.out):
+            Path(args.out).write_text(text)
     print(text)
     return EXIT_OK
 
@@ -168,18 +185,17 @@ def cmd_dump_tvt(args):
     weights = details["facet_weights"]
     top1 = details["top1"]
     alpha = details["alpha"]
-    sink = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for i in range(weights.shape[0]):
-            sink.write(json.dumps({
-                "frame": i,
-                "alpha": float(alpha[i]),
-                "top1": int(top1[i]),
-                "weights": [float(x) for x in weights[i]],
-            }) + "\n")
-    finally:
-        if args.out:
-            sink.close()
+    text = "".join(json.dumps({
+        "frame": i,
+        "alpha": float(alpha[i]),
+        "top1": int(top1[i]),
+        "weights": [float(x) for x in weights[i]],
+    }) + "\n" for i in range(weights.shape[0]))
+    if args.out:
+        with _writing(args.out):
+            Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from .config import FRAME_HOP
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .kernels import F32, MEL_WINDOWS_MS, stft_log_mel
 
 WARMUP_UTTERANCES = 10
@@ -78,6 +78,8 @@ def latency_bench(session_factory, utterances, chunk_ms, *,
     per utterance, one stripe per thread); the numbers then include
     cross-session contention and the report is labeled accordingly.
     """
+    if parallel_sessions < 1:
+        raise ConfigError(f"parallel_sessions must be >= 1, got {parallel_sessions}")
     utterances = list(utterances)
     if not utterances:
         raise InputError("latency_bench needs at least one utterance")

@@ -40,7 +40,9 @@ def read_wav(path) -> np.ndarray:
 def write_wav(path, samples):
     samples = np.asarray(samples, dtype=F32).reshape(-1)
     ints = np.clip(np.rint(samples * 32768.0), -32768, 32767).astype("<i2")
-    with _wave.open(str(path), "wb") as w:
+    # the file is opened here: a failed open inside wave.open leaves a
+    # half-built Wave_write whose __del__ prints a second, ignored error
+    with open(path, "wb") as f, _wave.open(f, "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(SAMPLE_RATE)

@@ -8,6 +8,8 @@ Container layout (little-endian, bit-exact):
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +22,8 @@ from .kernels import F32
 
 MAGIC = b"TVTW"
 VERSION = 1
+ALIGN = 64    # arena alignment of every payload, in bytes
+MAX_NDIM = 64  # numpy's own limit
 
 # init kinds
 UNIFORM = "uniform"          # scaled uniform, bound 1/sqrt(fan_in)
@@ -41,7 +45,7 @@ class ParamSpec:
 
 
 class WeightStore:
-    """Immutable-by-convention mapping of parameter name -> float32 array."""
+    """Mapping of parameter name -> read-only float32 array."""
 
     def __init__(self, entries=None):
         self._entries: dict[str, np.ndarray] = {}
@@ -52,7 +56,10 @@ class WeightStore:
     def put(self, name, arr):
         if name in self._entries:
             raise FormatError(f"duplicate weight entry {name!r}")
-        self._entries[name] = np.ascontiguousarray(arr, dtype=F32)
+        # a view, so that the caller's own array keeps its flags
+        view = np.ascontiguousarray(arr, dtype=F32).view()
+        view.flags.writeable = False
+        self._entries[name] = view
 
     def __contains__(self, name):
         return name in self._entries
@@ -91,39 +98,85 @@ class WeightStore:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "WeightStore":
-        view = memoryview(blob)
-        if len(view) < 12 or bytes(view[:4]) != MAGIC:
-            raise FormatError("bad magic: not a TVTW weight file")
-        version, count = struct.unpack_from("<II", view, 4)
-        if version != VERSION:
-            raise FormatError(f"unsupported TVTW version {version}")
-        store = cls()
-        off = 12
-        for i in range(count):
-            try:
-                (name_len,) = struct.unpack_from("<H", view, off)
-                off += 2
-                name = bytes(view[off:off + name_len]).decode("utf-8")
-                if len(view[off:off + name_len]) != name_len:
-                    raise FormatError(f"truncated name for entry #{i}")
-                off += name_len
-                (ndim,) = struct.unpack_from("<B", view, off)
-                off += 1
-                dims = struct.unpack_from(f"<{ndim}I", view, off) if ndim else ()
-                off += 4 * ndim
-                n = 1
-                for d in dims:
-                    n *= d
-                payload = view[off:off + 4 * n]
-                if len(payload) != 4 * n:
-                    raise FormatError(f"truncated payload for entry {name!r}")
-                off += 4 * n
-                store.put(name, np.frombuffer(payload, dtype="<f4").reshape(dims).copy())
-            except struct.error as exc:
-                raise FormatError(f"truncated header at entry #{i}") from exc
-        if off != len(view):
-            raise FormatError(f"{len(view) - off} trailing bytes after last entry")
-        return store
+        return _read_store(io.BytesIO(blob))
+
+
+def _read_into(stream, buf) -> bool:
+    """Fill `buf` from `stream`; False when the stream ends first."""
+    view = memoryview(buf)
+    got = 0
+    while got < len(view):
+        n = stream.readinto(view[got:])
+        if not n:
+            return False
+        got += n
+    return True
+
+
+def _read_exact(stream, n: int, what: str) -> bytearray:
+    buf = bytearray(n)
+    if not _read_into(stream, buf):
+        raise FormatError(f"truncated {what}")
+    return buf
+
+
+def _read_store(stream) -> WeightStore:
+    """Parse a TVTW stream into a store whose arrays share one read-only arena.
+
+    Pass 1 reads the entry headers, seeking past each payload, and checks
+    every one against the stream size, so nothing is allocated from an
+    unchecked header. Pass 2 reads each payload straight into its 64-byte
+    aligned slice of the arena; no payload is copied after it is read.
+    Views of the file itself (mmap, frombuffer) are not used: most payloads
+    in the format start unaligned, and misaligned arrays miss BLAS.
+    """
+    size = stream.seek(0, io.SEEK_END)
+    stream.seek(0)
+    if size < 12 or _read_exact(stream, 4, "magic") != MAGIC:
+        raise FormatError("bad magic: not a TVTW weight file")
+    version, count = struct.unpack("<II", _read_exact(stream, 8, "file header"))
+    if version != VERSION:
+        raise FormatError(f"unsupported TVTW version {version}")
+
+    entries = []  # (name, dims, file offset, arena offset, nbytes)
+    arena_size = 0
+    for i in range(count):
+        what = f"header at entry #{i}"
+        (name_len,) = struct.unpack("<H", _read_exact(stream, 2, what))
+        raw = _read_exact(stream, name_len + 1, what)  # the name and ndim
+        try:
+            name = raw[:-1].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"name of entry #{i} is not valid UTF-8") from exc
+        ndim = raw[-1]
+        if ndim > MAX_NDIM:
+            raise FormatError(f"entry {name!r} has {ndim} dims, at most {MAX_NDIM} allowed")
+        dims = struct.unpack(f"<{ndim}I", _read_exact(stream, 4 * ndim, what))
+        off = stream.tell()
+        nbytes = 4 * math.prod(dims)
+        if off + nbytes > size:
+            raise FormatError(f"truncated payload for entry {name!r}")
+        entries.append((name, dims, off, arena_size, nbytes))
+        arena_size += -(-nbytes // ALIGN) * ALIGN
+        stream.seek(off + nbytes)
+    trailing = size - stream.tell()
+    if trailing:
+        raise FormatError(f"{trailing} trailing bytes after last entry")
+
+    arena = np.empty(arena_size + ALIGN, dtype=np.uint8)
+    base = -arena.ctypes.data % ALIGN
+    for name, _, file_off, arena_off, nbytes in entries:
+        stream.seek(file_off)
+        start = base + arena_off
+        if not _read_into(stream, arena[start:start + nbytes]):
+            raise FormatError(f"truncated payload for entry {name!r}")
+    arena.flags.writeable = False
+
+    store = WeightStore()
+    for name, dims, _, arena_off, nbytes in entries:
+        start = base + arena_off
+        store.put(name, arena[start:start + nbytes].view("<f4").reshape(dims))
+    return store
 
 
 def save_weights(store: WeightStore, path):
@@ -131,7 +184,8 @@ def save_weights(store: WeightStore, path):
 
 
 def load_weights(path) -> WeightStore:
-    return WeightStore.from_bytes(Path(path).read_bytes())
+    with open(path, "rb", buffering=0) as f:
+        return _read_store(f)
 
 
 def _linear(specs, prefix, out_dim, in_dim, bias=True):

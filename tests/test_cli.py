@@ -41,6 +41,34 @@ class TestInitWeights:
         assert (workdir / "w.tvtw").read_bytes() == (workdir / "w2.tvtw").read_bytes()
 
 
+class TestOutputIntoMissingDirectory:
+    """An --out path whose directory does not exist is an input error (exit 1)."""
+
+    def test_init_weights(self, workdir, tmp_path):
+        assert run(["init-weights", "--config", str(workdir / "model.cfg"),
+                    "--out", str(tmp_path / "nodir" / "w.tvtw")]) == 1
+
+    def test_synth(self, workdir, tmp_path, capsys):
+        assert run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"),
+                    "--out", str(tmp_path / "nodir" / "x.wav")]) == 1
+        assert "Wave_write" not in capsys.readouterr().err
+
+    def test_stream(self, workdir, tmp_path):
+        assert run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"),
+                    "--out", str(tmp_path / "nodir" / "x.wav")]) == 1
+
+    def test_bench(self, workdir, tmp_path):
+        assert run(["bench", *_margs(workdir), "--synthetic", "1", "--utt-seconds", "0.12",
+                    "--out", str(tmp_path / "nodir" / "r.json")]) == 1
+
+    def test_dump_tvt(self, workdir, tmp_path):
+        assert run(["dump-tvt", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"),
+                    "--out", str(tmp_path / "nodir" / "t.jsonl")]) == 1
+
+
 class TestSynth:
     def test_three_second_wav_round_trip(self, workdir):
         code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
@@ -155,6 +183,15 @@ class TestBench:
                     "--utterances", str(d), "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["cycled"] is True
+
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1"])
+    def test_bad_utt_seconds_is_config_error(self, workdir, seconds):
+        assert run(["bench", *_margs(workdir), "--utt-seconds", seconds]) == 2
+
+    @pytest.mark.parametrize("sessions", ["0", "-1"])
+    def test_parallel_sessions_below_one_is_config_error(self, workdir, sessions):
+        assert run(["bench", *_margs(workdir), "--synthetic", "1", "--utt-seconds", "0.12",
+                    "--parallel-sessions", sessions]) == 2
 
     def test_empty_directory_is_input_error(self, workdir, tmp_path):
         d = tmp_path / "empty"

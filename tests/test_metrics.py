@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_wave
 from tvtsyn.config import StreamConfig
-from tvtsyn.errors import InputError
+from tvtsyn.errors import ConfigError, InputError
 from tvtsyn.metrics import (causality_probe, cosine_sim, latency_bench,
                             multires_mel_l1, probe_influence)
 from tvtsyn.model import synthesize
@@ -102,6 +102,14 @@ class TestLatencyBench:
     def test_empty_utterances_rejected(self):
         with pytest.raises(InputError):
             latency_bench(lambda: MockSession(), [], 60.0)
+
+    @pytest.mark.parametrize("sessions", [0, -1])
+    def test_parallel_sessions_below_one_rejected(self, sessions):
+        calls = []
+        with pytest.raises(ConfigError, match="parallel_sessions"):
+            latency_bench(lambda: calls.append(1) or MockSession(),
+                          [np.zeros(960, F32)], 60.0, parallel_sessions=sessions)
+        assert not calls  # rejected before any session runs
 
     def test_parallel_sessions_mode_labeled(self, model, speaker):
         sc = StreamConfig(chunk_ms=60)

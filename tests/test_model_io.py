@@ -1,5 +1,8 @@
 """Weight container, config file, and seeded-initialization tests."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,111 @@ class TestContainer:
         s.put("x", np.zeros(3))
         with pytest.raises(FormatError):
             s.put("x", np.zeros(3))
+
+
+def _tvtw(count, *entries):
+    """A TVTW blob from raw (name bytes, ndim, dims, payload bytes) entries."""
+    out = [b"TVTW", struct.pack("<II", 1, count)]
+    for name, ndim, dims, payload in entries:
+        out += [struct.pack("<H", len(name)), name, struct.pack("<B", ndim),
+                struct.pack(f"<{len(dims)}I", *dims), payload]
+    return b"".join(out)
+
+
+def _two_entry_blob():
+    s = WeightStore()
+    s.put("a", np.arange(6, dtype=np.float32).reshape(2, 3))
+    s.put("b", np.float32([7.0]))
+    return s.to_bytes()
+
+
+class TestHostileHeaders:
+    """Malformed TVTW headers surface as FormatError, from bytes and from files."""
+
+    @staticmethod
+    def _rejects(blob, tmp_path, match=None):
+        with pytest.raises(FormatError, match=match):
+            WeightStore.from_bytes(blob)
+        path = tmp_path / "bad.tvtw"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=match):
+            load_weights(path)
+
+    def test_name_not_utf8(self, tmp_path):
+        blob = _tvtw(1, (b"\xff\xfe", 1, (1,), b"\x00" * 4))
+        self._rejects(blob, tmp_path, "UTF-8")
+
+    def test_ndim_255(self, tmp_path):
+        blob = _tvtw(1, (b"w", 255, (1,) * 255, b"\x00" * 4))
+        self._rejects(blob, tmp_path, "dims")
+
+    def test_huge_dims_allocate_nothing(self, tmp_path):
+        blob = _tvtw(1, (b"w", 4, (2 ** 31,) * 4, b""))
+        assert len(blob) == 32
+        tracemalloc.start()
+        try:
+            self._rejects(blob, tmp_path, "truncated payload")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_count_beyond_entries(self, tmp_path):
+        blob = bytearray(_two_entry_blob())
+        blob[8:12] = struct.pack("<I", 3)
+        self._rejects(bytes(blob), tmp_path, "truncated header at entry #2")
+
+    def test_every_truncated_prefix(self, tmp_path):
+        blob = _two_entry_blob()
+        for n in range(len(blob)):
+            self._rejects(blob[:n], tmp_path)
+
+
+class TestLoader:
+    def test_peak_memory_about_one_file(self, cfg, store, tmp_path):
+        path = tmp_path / "w.tvtw"
+        save_weights(store, path)
+        tracemalloc.start()
+        try:
+            loaded = load_weights(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == len(store)
+        assert peak <= 1.25 * path.stat().st_size
+
+    def test_loaded_arrays_match_and_are_read_only(self, store, tmp_path):
+        path = tmp_path / "w.tvtw"
+        save_weights(store, path)
+        loaded = load_weights(path)
+        ref = WeightStore.from_bytes(store.to_bytes())
+        assert loaded.names() == ref.names() == store.names()
+        for name in store.names():
+            a = loaded.get(name)
+            assert a.dtype == np.float32 and a.shape == ref.get(name).shape
+            assert a.tobytes() == ref.get(name).tobytes()
+            assert a.flags.c_contiguous and a.flags.aligned
+            assert not a.flags.writeable and not ref.get(name).flags.writeable
+
+    @pytest.mark.parametrize("source", ["random_init", "load_weights"])
+    def test_weights_cannot_be_written(self, cfg, store, tmp_path, source):
+        s = store
+        if source == "load_weights":
+            save_weights(store, tmp_path / "w.tvtw")
+            s = load_weights(tmp_path / "w.tvtw")
+        with pytest.raises(ValueError):
+            s.get("encoder.vq.codebook")[0, 0] = 1.0
+        model = TvtSynModel.from_store(s, cfg)
+        with pytest.raises(ValueError):
+            model.encoder.ctx.layers[0].wq[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            model.encoder.ctx.layers[0].bq += 1.0
+
+    def test_put_leaves_callers_array_writable(self):
+        arr = np.zeros((2, 3), dtype=np.float32)
+        s = WeightStore()
+        s.put("x", arr)
+        assert arr.flags.writeable and not s.get("x").flags.writeable
 
 
 class TestRandomInit:
