@@ -11,7 +11,7 @@ from .config import (FRAME_HOP, SAMPLE_RATE, ModelConfig, StreamConfig,
 from .errors import (ConfigError, FormatError, InputError, InternalError,
                      StateError, TvtSynError)
 from .metrics import causality_probe, cosine_sim, latency_bench, multires_mel_l1
-from .model import TvtSynModel, load_model, synthesize
+from .model import TvtSynModel, synthesize
 from .streaming import StreamSession, open_session, stream_file
 from .weights import (WeightStore, load_weights, parameter_budget, random_init,
                       save_weights)
@@ -24,7 +24,7 @@ __all__ = [
     "ConfigError", "FormatError", "InputError", "InternalError",
     "StateError", "TvtSynError",
     "causality_probe", "cosine_sim", "latency_bench", "multires_mel_l1",
-    "TvtSynModel", "load_model", "synthesize",
+    "TvtSynModel", "synthesize",
     "StreamSession", "open_session", "stream_file",
     "WeightStore", "load_weights", "parameter_budget", "random_init",
     "save_weights",

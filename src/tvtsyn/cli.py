@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ModelConfig, StreamConfig, load_config
+from .config import SAMPLE_RATE, ModelConfig, StreamConfig, load_config
 from .errors import ConfigError, InputError, InternalError, TvtSynError
 from .kernels import F32
 from .metrics import causality_probe, latency_bench
@@ -139,7 +139,7 @@ def cmd_bench(args):
         if not (math.isfinite(args.utt_seconds) and args.utt_seconds > 0):
             raise ConfigError(f"--utt-seconds must be finite and > 0, got {args.utt_seconds}")
         rng = np.random.Generator(np.random.PCG64(args.seed))
-        n_samples = int(args.utt_seconds * 16000)
+        n_samples = int(args.utt_seconds * SAMPLE_RATE)
         utts = [rng.uniform(-0.5, 0.5, size=n_samples).astype(F32)
                 for _ in range(args.synthetic)]
     if args.speaker:

@@ -12,13 +12,16 @@ from .errors import ConfigError, FormatError
 SAMPLE_RATE = 16000
 FRAME_HOP = 320  # samples per frame: 16 kHz -> 50 Hz
 MAX_LOOKAHEAD = 4
+# factorized VQ bottleneck: L2-normalized codes, 4096 entries of dim 8
+CODEBOOK_SIZE = 4096
+VQ_DIM = 8
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """All architecture hyperparameters, cross-validated for consistency."""
+    """All architecture hyperparameters, cross-validated for consistency. The
+    rates, the VQ bottleneck and the mirrored decoder strides are fixed."""
 
-    sample_rate: int = SAMPLE_RATE
     # encoder CNN
     encoder_strides: tuple = (8, 5, 4, 2)
     base_width: int = 96
@@ -35,10 +38,7 @@ class ModelConfig:
     encoder_lookahead: int = 4
     layer_scale: float = 0.01
     # factorized VQ bottleneck
-    vq_dim: int = 8
-    codebook_size: int = 4096
     vq_commitment: float = 0.15
-    vq_l2_normalize: bool = True
     # time-varying timbre
     gtm_slots: int = 48
     tvt_attn_dim: int = 128
@@ -48,51 +48,35 @@ class ModelConfig:
     gate_hidden: int = 256
     # prosody predictors
     prosody_hidden: int = 256
-    # decoder CNN
-    decoder_strides: tuple = (2, 4, 5, 8)
 
     def __post_init__(self):
         object.__setattr__(self, "encoder_strides", tuple(self.encoder_strides))
-        object.__setattr__(self, "decoder_strides", tuple(self.decoder_strides))
         self.validate()
 
     @property
-    def hop(self) -> int:
-        return _product(self.encoder_strides)
-
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
+    def decoder_strides(self) -> tuple:
+        return tuple(reversed(self.encoder_strides))
 
     def validate(self):
-        if _product(self.encoder_strides) != FRAME_HOP:
+        if math.prod(self.encoder_strides) != FRAME_HOP:
             raise ConfigError(f"encoder strides {self.encoder_strides} must multiply to {FRAME_HOP}")
-        if _product(self.decoder_strides) != FRAME_HOP:
-            raise ConfigError(f"decoder strides {self.decoder_strides} must multiply to {FRAME_HOP}")
-        if tuple(reversed(self.encoder_strides)) != self.decoder_strides:
-            raise ConfigError("decoder strides must mirror the encoder strides")
+        if min(self.encoder_strides) < 1:
+            raise ConfigError(f"encoder strides {self.encoder_strides} must all be >= 1")
+        for name in ("base_width", "init_kernel", "final_kernel", "res_kernel",
+                     "res_dilation", "d_model", "n_layers", "n_heads", "ffn_dim",
+                     "lookback_frames", "gtm_slots", "tvt_attn_dim", "global_dim",
+                     "timbre_dim", "tvt_mlp_hidden", "gate_hidden", "prosody_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("layer_scale", "vq_commitment"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
             raise ConfigError("d_model must be divisible by n_heads")
         if (self.d_model // self.n_heads) % 2:
             raise ConfigError("head dim must be even for rotary positions")
         if not 0 <= self.encoder_lookahead <= MAX_LOOKAHEAD:
             raise ConfigError(f"encoder_lookahead must be in [0, {MAX_LOOKAHEAD}]")
-        if self.codebook_size != 4096 or self.vq_dim != 8:
-            raise ConfigError("VQ bottleneck is fixed at a 4096-entry codebook of dim 8")
-        if self.lookback_frames < 1:
-            raise ConfigError("lookback_frames must be >= 1")
-        for name in ("base_width", "d_model", "n_layers", "n_heads", "ffn_dim",
-                     "gtm_slots", "tvt_attn_dim", "global_dim", "timbre_dim",
-                     "tvt_mlp_hidden", "gate_hidden", "prosody_hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-
-
-def _product(xs):
-    p = 1
-    for x in xs:
-        p *= int(x)
-    return p
 
 
 def small_config() -> ModelConfig:
@@ -118,7 +102,6 @@ class StreamConfig:
     """Chunk-wise runtime parameters."""
 
     chunk_ms: float = 60.0
-    sample_rate: int = SAMPLE_RATE
     lookahead_frames: int | None = None  # None = use the model's encoder_lookahead
 
     def __post_init__(self):
@@ -126,19 +109,17 @@ class StreamConfig:
 
     @property
     def chunk_samples(self) -> int:
-        return int(round(self.chunk_ms * self.sample_rate / 1000.0))
+        return int(round(self.chunk_ms * SAMPLE_RATE / 1000.0))
 
     @property
     def chunk_frames(self) -> int:
         return self.chunk_samples // FRAME_HOP
 
     def validate(self):
-        if self.sample_rate != SAMPLE_RATE:
-            raise ConfigError(f"sample_rate must be {SAMPLE_RATE}")
         if not math.isfinite(self.chunk_ms):
             raise ConfigError(f"chunk_ms must be finite, got {self.chunk_ms}")
-        samples = self.chunk_ms * self.sample_rate / 1000.0
-        frame_ms = 1000.0 * FRAME_HOP / self.sample_rate
+        samples = self.chunk_ms * SAMPLE_RATE / 1000.0
+        frame_ms = 1000.0 * FRAME_HOP / SAMPLE_RATE
         if samples != int(samples) or int(samples) % FRAME_HOP or samples <= 0:
             lo = max(frame_ms, (int(samples) // FRAME_HOP) * frame_ms)
             hi = lo + frame_ms
@@ -149,21 +130,24 @@ class StreamConfig:
             raise ConfigError(f"lookahead_frames must be in [0, {MAX_LOOKAHEAD}]")
 
 
+# Keys that older config files hold for values now fixed by the architecture;
+# each still loads, but only at the one value it was pinned to.
+LEGACY_KEYS = ("sample_rate", "codebook_size", "vq_dim", "vq_l2_normalize", "decoder_strides")
+
+
 def config_to_text(cfg: ModelConfig) -> str:
     lines = []
     for f in dataclasses.fields(cfg):
         v = getattr(cfg, f.name)
         if isinstance(v, tuple):
             v = ",".join(str(x) for x in v)
-        elif isinstance(v, bool):
-            v = "true" if v else "false"
         lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"
 
 
 def config_from_text(text: str) -> ModelConfig:
-    fields = {f.name: f for f in dataclasses.fields(ModelConfig)}
-    kwargs = {}
+    fields = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+    kwargs, legacy, seen = {}, {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -171,26 +155,33 @@ def config_from_text(text: str) -> ModelConfig:
         if "=" not in line:
             raise FormatError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in fields:
+        if key in seen:
+            raise FormatError(f"config key {key!r} is given twice, on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
+        if key in fields:
+            kwargs[key] = _parse_value(fields[key], val, key)
+        elif key in LEGACY_KEYS:
+            legacy[key] = val
+        else:
             raise FormatError(f"config line {lineno}: unknown key {key!r}")
-        kwargs[key] = _parse_value(fields[key].type, val, key)
-    try:
-        return ModelConfig(**kwargs)
-    except TypeError as exc:
-        raise FormatError(f"bad config: {exc}") from exc
+    cfg = ModelConfig(**kwargs)
+    fixed = {"sample_rate": (SAMPLE_RATE,), "codebook_size": (CODEBOOK_SIZE,),
+             "vq_dim": (VQ_DIM,), "decoder_strides": cfg.decoder_strides}
+    for key, val in legacy.items():
+        if key == "vq_l2_normalize":
+            ok = val.lower() in ("true", "1", "yes")
+        else:
+            ok = _parse_value("tuple", val, key) == fixed[key]
+        if not ok:
+            raise ConfigError(f"config line {seen[key]}: {key} is fixed by the architecture; "
+                              f"{val!r} is not its value")
+    return cfg
 
 
-def _parse_value(ftype, val, key):
-    ftype = str(ftype)
+def _parse_value(ftype: str, val, key):
     try:
         if "tuple" in ftype:
             return tuple(int(x) for x in val.split(","))
-        if "bool" in ftype:
-            if val.lower() in ("true", "1", "yes"):
-                return True
-            if val.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(val)
         if "int" in ftype:
             return int(val)
         if "float" in ftype:

@@ -234,12 +234,11 @@ def _stack(x, params: TransformerParams, start_pos: int, lookahead: int, block_f
     return layer_norm(x, params.ln_out_g, params.ln_out_b)
 
 
-def transformer_full(x, params: TransformerParams, *, lookahead: int,
-                     block_frames=None, position_offset: int = 0):
-    """Whole-sequence pass over (T, d_model) frames at positions
-    position_offset, position_offset + 1, ...; `block_frames` reproduces the
-    masks of a stream fed in blocks of that many frames."""
-    return _stack(x, params, position_offset, lookahead, block_frames, None)
+def transformer_full(x, params: TransformerParams, *, lookahead: int, block_frames=None):
+    """Whole-sequence pass over (T, d_model) frames at positions 0, 1, ...;
+    `block_frames` reproduces the masks of a stream fed in blocks of that
+    many frames."""
+    return _stack(x, params, 0, lookahead, block_frames, None)
 
 
 def transformer_step(x, params: TransformerParams, rings: list, start_pos: int,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import CODEBOOK_SIZE, VQ_DIM, ModelConfig
 from .context import TransformerParams, make_rings, transformer_full, transformer_step
 from .errors import ConfigError, InputError
 from .kernels import (F32, ConvSpec, causal_conv1d, conv_state_init, elu,
@@ -114,33 +114,28 @@ class EncoderCnn:
 
 @dataclass
 class VqParams:
-    proj_down: np.ndarray  # (vq_dim, d_model)
-    proj_up: np.ndarray    # (d_model, vq_dim)
-    codebook: np.ndarray   # (codebook_size, vq_dim)
-    l2_normalize: bool
+    proj_down: np.ndarray  # (VQ_DIM, d_model)
+    proj_up: np.ndarray    # (d_model, VQ_DIM)
+    codebook: np.ndarray   # (CODEBOOK_SIZE, VQ_DIM), unit-norm rows
     commitment: float
 
     @classmethod
     def from_store(cls, store: WeightStore, cfg: ModelConfig):
-        codebook = store.get("encoder.vq.codebook", (cfg.codebook_size, cfg.vq_dim))
-        if cfg.vq_l2_normalize:
-            norms = np.linalg.norm(codebook, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-5):
-                raise ConfigError("codebook rows must be unit-norm under l2_normalize")
+        codebook = store.get("encoder.vq.codebook", (CODEBOOK_SIZE, VQ_DIM))
+        norms = np.linalg.norm(codebook, axis=1)
+        if np.any(np.abs(norms - 1.0) > 1e-5):
+            raise ConfigError("codebook rows must be unit-norm")
         return cls(
-            proj_down=store.get("encoder.vq.proj_down.weight", (cfg.vq_dim, cfg.d_model)),
-            proj_up=store.get("encoder.vq.proj_up.weight", (cfg.d_model, cfg.vq_dim)),
+            proj_down=store.get("encoder.vq.proj_down.weight", (VQ_DIM, cfg.d_model)),
+            proj_up=store.get("encoder.vq.proj_up.weight", (cfg.d_model, VQ_DIM)),
             codebook=codebook,
-            l2_normalize=cfg.vq_l2_normalize,
             commitment=cfg.vq_commitment,
         )
 
 
 def vq_latents(frames, vq: VqParams):
-    z = linear(frames, vq.proj_down)
-    if vq.l2_normalize:
-        z = l2_normalize_rows(z)
-    return z
+    """L2-normalized projections of (T, d_model) frames onto the code space."""
+    return l2_normalize_rows(linear(frames, vq.proj_down))
 
 
 def vq_nearest(latents, codebook):

@@ -27,10 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, InputError
+from .config import SAMPLE_RATE
+from .errors import ConfigError
 
 F32 = np.float32
 
+N_MELS = 80
 MEL_WINDOWS_MS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 MEL_FLOOR = 1e-5
 
@@ -156,13 +158,13 @@ def linear(x, w, b=None):
     return y
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+def layer_norm(x, gamma, beta):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gamma.shape[-1] != x.shape[-1] or beta.shape[-1] != x.shape[-1]:
         raise ConfigError("layer_norm affine shape mismatch")
     mean = x.mean(axis=-1, keepdims=True, dtype=F32)
     var = np.square(x - mean).mean(axis=-1, keepdims=True, dtype=F32)
-    return ((x - mean) / np.sqrt(var + F32(eps))) * gamma + beta
+    return ((x - mean) / np.sqrt(var + F32(1e-5))) * gamma + beta
 
 
 def elu(x):
@@ -234,10 +236,9 @@ def hann_window(n):
     return np.hanning(n).astype(F32)
 
 
-def mel_filterbank(n_mels, n_fft, sample_rate, fmin=0.0, fmax=None):
-    """Triangular HTK-mel filterbank over rfft bins: (n_mels, n_fft//2 + 1)."""
-    if fmax is None:
-        fmax = sample_rate / 2.0
+def mel_filterbank(n_mels, n_fft, sample_rate):
+    """Triangular HTK-mel filterbank over rfft bins, 0 Hz to Nyquist:
+    (n_mels, n_fft//2 + 1)."""
 
     def to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -245,7 +246,7 @@ def mel_filterbank(n_mels, n_fft, sample_rate, fmin=0.0, fmax=None):
     def from_mel(m):
         return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
-    mel_pts = np.linspace(to_mel(fmin), to_mel(fmax), n_mels + 2)
+    mel_pts = np.linspace(to_mel(0.0), to_mel(sample_rate / 2.0), n_mels + 2)
     hz_pts = from_mel(mel_pts)
     bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
     fb = np.zeros((n_mels, bin_hz.size), dtype=np.float64)
@@ -257,25 +258,25 @@ def mel_filterbank(n_mels, n_fft, sample_rate, fmin=0.0, fmax=None):
     return fb.astype(F32)
 
 
-def stft_log_mel(wave, window_ms, n_mels=80, sample_rate=16000):
-    """Log-compressed mel magnitudes, (frames, n_mels); hop = window/4.
+def stft_log_mel(wave, window_ms):
+    """Log-compressed 16 kHz mel magnitudes, (frames, N_MELS); hop = window/4.
 
-    Returns an empty (0, n_mels) array when the wave is shorter than one
+    Returns an empty (0, N_MELS) array when the wave is shorter than one
     window, which callers treat as "no usable frames".
     """
     if window_ms not in MEL_WINDOWS_MS:
         raise ConfigError(f"window_ms must be one of {MEL_WINDOWS_MS}, got {window_ms}")
     wave = np.asarray(wave, dtype=F32).reshape(-1)
-    win = int(round(window_ms * sample_rate / 1000.0))
+    win = int(round(window_ms * SAMPLE_RATE / 1000.0))
     hop = max(win // 4, 1)
     if wave.size < win:
-        return np.zeros((0, n_mels), dtype=F32)
+        return np.zeros((0, N_MELS), dtype=F32)
     frames = sliding_window_view(wave, win)[::hop]
     mag = np.abs(np.fft.rfft(frames * hann_window(win), axis=1)).astype(F32)
-    mel = mag @ mel_filterbank(n_mels, win, sample_rate).T
+    mel = mag @ mel_filterbank(N_MELS, win, SAMPLE_RATE).T
     return np.log(np.maximum(mel, F32(MEL_FLOOR)))
 
 
-def l2_normalize_rows(x, eps=1e-12):
+def l2_normalize_rows(x):
     n = np.sqrt(np.sum(np.square(x), axis=-1, keepdims=True))
-    return (x / np.maximum(n, eps)).astype(F32, copy=False)
+    return (x / np.maximum(n, 1e-12)).astype(F32, copy=False)

@@ -17,6 +17,8 @@ from .kernels import F32, MEL_WINDOWS_MS, stft_log_mel
 
 WARMUP_UTTERANCES = 10
 MEASURED_UTTERANCES = 100
+PROBE_MIN_FRAMES = 16  # each probe trial draws a wave of 16-40 frames
+PROBE_MAX_FRAMES = 40
 
 
 def cosine_sim(a, b) -> float:
@@ -128,18 +130,23 @@ def latency_bench(session_factory, utterances, chunk_ms, *,
     }
 
 
-def causality_probe(synth_fn, lookahead_frames, trials, seed, *,
-                    min_frames=16, max_frames=40) -> dict:
+def _check_trials(trials):
+    if int(trials) < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+
+
+def causality_probe(synth_fn, lookahead_frames, trials, seed) -> dict:
     """Verify that samples after the allowed horizon never reach earlier output.
 
     Per trial: draw a random wave and a cut frame t, perturb input samples
     strictly after sample 320*(t + lookahead), and require output samples
     <= 320*t to be exactly unchanged. Violations are listed in the report.
     """
+    _check_trials(trials)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     violations = []
     for trial in range(int(trials)):
-        n_frames = int(rng.integers(min_frames, max_frames + 1))
+        n_frames = int(rng.integers(PROBE_MIN_FRAMES, PROBE_MAX_FRAMES + 1))
         wave = rng.uniform(-0.5, 0.5, size=n_frames * FRAME_HOP).astype(F32)
         t = int(rng.integers(1, n_frames - lookahead_frames - 1))
         horizon = FRAME_HOP * (t + lookahead_frames)
@@ -161,17 +168,17 @@ def causality_probe(synth_fn, lookahead_frames, trials, seed, *,
     }
 
 
-def probe_influence(synth_fn, lookahead_frames, trials, seed, *,
-                    perturb_offset_frames=1, min_frames=16, max_frames=40) -> int:
-    """Positive control: perturb inside the visible horizon and count trials
-    where protected output actually changed (expected > 0 with lookahead > 0)."""
+def probe_influence(synth_fn, lookahead_frames, trials, seed) -> int:
+    """Positive control: perturb from one frame after the cut frame t and count
+    trials where protected output actually changed (expected > 0 with lookahead > 0)."""
+    _check_trials(trials)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     influenced = 0
     for _ in range(int(trials)):
-        n_frames = int(rng.integers(min_frames, max_frames + 1))
+        n_frames = int(rng.integers(PROBE_MIN_FRAMES, PROBE_MAX_FRAMES + 1))
         wave = rng.uniform(-0.5, 0.5, size=n_frames * FRAME_HOP).astype(F32)
         t = int(rng.integers(lookahead_frames + 1, n_frames - lookahead_frames - 1))
-        start = FRAME_HOP * (t + perturb_offset_frames) + 1
+        start = FRAME_HOP * (t + 1) + 1
         perturbed = wave.copy()
         perturbed[start:] = rng.uniform(-0.5, 0.5, size=wave.size - start).astype(F32)
         base = synth_fn(wave)

@@ -18,9 +18,9 @@ from .decoder import DecoderParams, decode_context, synthesize_wave
 from .encoder import EncoderParams, encode_frames, vq_quantize
 from .errors import ConfigError, InputError
 from .kernels import F32
-from .prosody import ProsodyParams, predict_f0_energy
+from .prosody import ProsodyParams, check_f0_scale, predict_f0_energy
 from .timbre import TvtParams, build_gtm, tvt_sequence
-from .weights import WeightStore, load_weights, parameter_specs
+from .weights import WeightStore, parameter_specs
 
 
 @dataclass
@@ -52,10 +52,6 @@ class TvtSynModel:
         )
 
 
-def load_model(weights_path, cfg: ModelConfig) -> TvtSynModel:
-    return TvtSynModel.from_store(load_weights(weights_path), cfg)
-
-
 def align_wave(wave):
     """Zero-pad to the next multiple of the 320-sample hop."""
     wave = np.asarray(wave, dtype=F32).reshape(-1)
@@ -73,6 +69,7 @@ def synthesize(model: TvtSynModel, wave, speaker, *, lookahead=None,
     Output has exactly the (hop-aligned) input length. With return_details,
     also returns a dict of intermediate streams for probes and dumps.
     """
+    f0_scale = check_f0_scale(f0_scale)
     wave = align_wave(wave)
     if not np.isfinite(wave).all():
         raise InputError("input wave contains non-finite samples")

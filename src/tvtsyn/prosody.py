@@ -7,13 +7,14 @@ their frame count always matches the encoder's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FRAME_HOP, ModelConfig
+from .config import FRAME_HOP, SAMPLE_RATE, ModelConfig
 from .encoder import ConvLayer
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .kernels import F32, ConvSpec, causal_conv1d, conv_state_init, linear, relu
 from .weights import WeightStore
 
@@ -90,6 +91,13 @@ def predict_f0_energy(features, params: ProsodyParams, states=None):
     return np.stack([f0, en], axis=1).astype(F32), states
 
 
+def check_f0_scale(f0_scale) -> float:
+    f0_scale = float(f0_scale)
+    if not math.isfinite(f0_scale):
+        raise ConfigError(f"f0_scale must be finite, got {f0_scale}")
+    return f0_scale
+
+
 def inject_prosody(features, predictions, params: ProsodyParams, f0_scale=1.0):
     """Add the learned embedding of [f0 * scale, energy] to the feature stream."""
     pred = predictions.astype(F32).copy()
@@ -106,7 +114,7 @@ def extract_energy(wave):
     return np.log(rms + F32(ENERGY_FLOOR)).astype(F32)
 
 
-def extract_f0(wave, sample_rate=16000):
+def extract_f0(wave):
     """Autocorrelation F0 per 20 ms frame: values in [50, 500] Hz, 0 = unvoiced.
 
     Each frame is scored on a two-frame trailing window with normalized
@@ -115,8 +123,8 @@ def extract_f0(wave, sample_rate=16000):
     """
     wave = np.asarray(wave, dtype=np.float64).reshape(-1)
     n_frames = wave.size // FRAME_HOP
-    lag_min = int(np.floor(sample_rate / F0_MAX_HZ))
-    lag_max = int(np.ceil(sample_rate / F0_MIN_HZ))
+    lag_min = int(np.floor(SAMPLE_RATE / F0_MAX_HZ))
+    lag_max = int(np.ceil(SAMPLE_RATE / F0_MIN_HZ))
     out = np.zeros(n_frames, dtype=F32)
     padded = np.concatenate([np.zeros(F0_WINDOW - FRAME_HOP), wave])
     for t in range(n_frames):
@@ -149,7 +157,7 @@ def extract_f0(wave, sample_rate=16000):
             denom = a - 2.0 * b + c
             if abs(denom) > 1e-12:
                 lag += 0.5 * (a - c) / denom
-        f0 = sample_rate / lag
+        f0 = SAMPLE_RATE / lag
         out[t] = np.clip(f0, F0_MIN_HZ, F0_MAX_HZ)
     return out
 

@@ -20,7 +20,7 @@ from .encoder import EncoderState, encode_frames, vq_quantize
 from .errors import InputError, StateError
 from .kernels import F32
 from .model import TvtSynModel
-from .prosody import predict_f0_energy
+from .prosody import check_f0_scale, predict_f0_energy
 from .timbre import build_gtm, check_global_timbre, tvt_sequence
 
 
@@ -34,12 +34,12 @@ class StreamSession:
     def __init__(self, model: TvtSynModel, stream_cfg: StreamConfig, speaker,
                  f0_scale: float = 1.0):
         stream_cfg.validate()
+        self.f0_scale = check_f0_scale(f0_scale)
         self.model = model
         self.cfg = stream_cfg
         self.lookahead = (model.cfg.encoder_lookahead
                           if stream_cfg.lookahead_frames is None
                           else stream_cfg.lookahead_frames)
-        self.f0_scale = float(f0_scale)
         self.speaker = check_global_timbre(speaker, model.cfg.global_dim)
         self.gtm = build_gtm(self.speaker, model.tvt)  # built once per speaker
         self._init_state()

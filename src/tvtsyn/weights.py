@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import CODEBOOK_SIZE, VQ_DIM, ModelConfig
 from .errors import ConfigError, FormatError
 from .kernels import F32
 
@@ -31,7 +31,7 @@ ZEROS = "zeros"
 ONES = "ones"
 PRIOR = "prior"              # N(0, 0.02)
 LAYER_SCALE = "layer_scale"  # filled with cfg.layer_scale
-CODEBOOK = "codebook"        # normal, rows L2-normalized when cfg.vq_l2_normalize
+CODEBOOK = "codebook"        # normal, rows L2-normalized
 PINV = "pinv"                # pseudo-inverse of another entry (VQ down-projection)
 
 
@@ -256,11 +256,10 @@ def parameter_specs(cfg: ModelConfig) -> list:
     _transformer(specs, "encoder.attn", cfg)
 
     # --- factorized VQ ---
-    specs.append(ParamSpec("encoder.vq.proj_up.weight", (cfg.d_model, cfg.vq_dim),
-                           UNIFORM, cfg.vq_dim))
-    specs.append(ParamSpec("encoder.vq.proj_down.weight", (cfg.vq_dim, cfg.d_model),
+    specs.append(ParamSpec("encoder.vq.proj_up.weight", (cfg.d_model, VQ_DIM), UNIFORM, VQ_DIM))
+    specs.append(ParamSpec("encoder.vq.proj_down.weight", (VQ_DIM, cfg.d_model),
                            PINV, ref="encoder.vq.proj_up.weight"))
-    specs.append(ParamSpec("encoder.vq.codebook", (cfg.codebook_size, cfg.vq_dim), CODEBOOK))
+    specs.append(ParamSpec("encoder.vq.codebook", (CODEBOOK_SIZE, VQ_DIM), CODEBOOK))
 
     # --- time-varying timbre ---
     _linear(specs, "tvt.g_proj", cfg.timbre_dim, cfg.global_dim)
@@ -319,8 +318,7 @@ def random_init(seed: int, cfg: ModelConfig) -> WeightStore:
             arr = np.full(spec.shape, cfg.layer_scale)
         elif spec.kind == CODEBOOK:
             arr = rng.normal(0.0, 1.0, size=spec.shape)
-            if cfg.vq_l2_normalize:
-                arr = arr / np.linalg.norm(arr, axis=1, keepdims=True)
+            arr = arr / np.linalg.norm(arr, axis=1, keepdims=True)
         elif spec.kind == PINV:
             arr = np.linalg.pinv(store.get(spec.ref).astype(np.float64))
         else:

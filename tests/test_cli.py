@@ -10,7 +10,7 @@ import pytest
 from conftest import random_wave
 from tvtsyn import wavio
 from tvtsyn.cli import run
-from tvtsyn.config import save_config
+from tvtsyn.config import config_to_text, save_config
 
 F32 = np.float32
 
@@ -39,6 +39,40 @@ class TestInitWeights:
         run(["init-weights", "--seed", "1", "--config", str(workdir / "model.cfg"),
              "--out", str(workdir / "w2.tvtw")])
         assert (workdir / "w.tvtw").read_bytes() == (workdir / "w2.tvtw").read_bytes()
+
+
+class TestConfigFile:
+    """init-weights --config: a bad value is a config error (exit 2), a
+    malformed file an input error (exit 1)."""
+
+    def _init(self, tmp_path, text):
+        path = tmp_path / "model.cfg"
+        path.write_text(text)
+        return run(["init-weights", "--seed", "1", "--config", str(path),
+                    "--out", str(tmp_path / "w.tvtw")])
+
+    def test_legacy_keys_at_fixed_values(self, workdir, cfg, tmp_path):
+        text = config_to_text(cfg) + ("sample_rate = 16000\nvq_dim = 8\ncodebook_size = 4096\n"
+                                      "vq_l2_normalize = true\ndecoder_strides = 2,4,5,8\n")
+        assert self._init(tmp_path, text) == 0
+        assert (tmp_path / "w.tvtw").read_bytes() == (workdir / "w.tvtw").read_bytes()
+
+    @pytest.mark.parametrize("line", [
+        "sample_rate = 8000", "vq_l2_normalize = false", "codebook_size = 2048",
+        "decoder_strides = 8,5,4,2"])
+    def test_legacy_key_at_another_value(self, cfg, tmp_path, line):
+        assert self._init(tmp_path, config_to_text(cfg) + line + "\n") == 2
+
+    @pytest.mark.parametrize("key,value", [("n_heads", "0"), ("layer_scale", "nan"),
+                                           ("vq_commitment", "inf")])
+    def test_bad_value(self, cfg, tmp_path, capsys, key, value):
+        text = config_to_text(cfg).replace(f"{key} = {getattr(cfg, key)}", f"{key} = {value}")
+        assert self._init(tmp_path, text) == 2
+        assert key in capsys.readouterr().err
+
+    def test_duplicate_key(self, cfg, tmp_path, capsys):
+        assert self._init(tmp_path, config_to_text(cfg) + "d_model = 64\n") == 1
+        assert "twice" in capsys.readouterr().err
 
 
 class TestOutputIntoMissingDirectory:
@@ -131,6 +165,13 @@ class TestSynth:
         assert code == 2
 
 
+    def test_non_finite_f0_scale_is_config_error(self, workdir, tmp_path):
+        code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
+                    "--f0-scale", "nan"])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
+
+
 class TestStream:
     def test_stream_matches_masked_synth(self, workdir):
         code = run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
@@ -158,6 +199,13 @@ class TestStream:
                     "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
                     "--chunk-ms", chunk_ms])
         assert code == 2
+
+
+    def test_non_finite_f0_scale_is_config_error(self, workdir, tmp_path):
+        code = run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
+                    "--f0-scale", "inf"])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
 
 
 class TestBench:
@@ -203,6 +251,10 @@ class TestProbe:
     def test_clean_probe_exit_zero(self, workdir):
         assert run(["probe", *_margs(workdir), "--lookahead", "4",
                     "--trials", "5", "--seed", "3"]) == 0
+
+    def test_zero_trials_is_config_error(self, workdir, capsys):
+        assert run(["probe", *_margs(workdir), "--trials", "0"]) == 2
+        assert '"clean"' not in capsys.readouterr().out
 
 
 class TestDumpTvt:

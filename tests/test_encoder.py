@@ -167,7 +167,7 @@ class TestVq:
         vq = model.encoder.vq
         cb = np.eye(8, dtype=F32)
         test_vq = VqParams(proj_down=vq.proj_down, proj_up=vq.proj_up,
-                           codebook=cb, l2_normalize=False, commitment=0.15)
+                           codebook=cb, commitment=0.15)
         z = np.array([0.9, 0.2, 0, 0, 0, 0, 0, 0], F32)
         assert vq_nearest(z[None, :], cb)[0] == 0
 

@@ -141,6 +141,15 @@ class TestCausalityProbe:
         fn = lambda w: synthesize(model, w, speaker, lookahead=4)
         assert probe_influence(fn, 4, trials=15, seed=5) >= 1
 
+    @pytest.mark.parametrize("probe", [causality_probe, probe_influence])
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, probe, trials):
+        def never_called(wave):
+            raise AssertionError("a probe with no trials must not synthesize")
+
+        with pytest.raises(ConfigError, match="trials"):
+            probe(never_called, 0, trials=trials, seed=1)
+
 
 class TestCosine:
     def test_identical_is_one(self):

@@ -1,12 +1,13 @@
 """Weight container, config file, and seeded-initialization tests."""
 
+import dataclasses
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tvtsyn.config import (ModelConfig, StreamConfig, config_from_text,
+from tvtsyn.config import (LEGACY_KEYS, ModelConfig, StreamConfig, config_from_text,
                            config_to_text, small_config)
 from tvtsyn.errors import ConfigError, FormatError
 from tvtsyn.model import TvtSynModel
@@ -208,11 +209,11 @@ class TestConfig:
 
     def test_stride_product_must_be_320(self):
         with pytest.raises(ConfigError):
-            ModelConfig(encoder_strides=(8, 5, 4, 4), decoder_strides=(4, 4, 5, 8))
+            ModelConfig(encoder_strides=(8, 5, 4, 4))
 
     def test_mirrored_strides_required(self):
         with pytest.raises(ConfigError):
-            ModelConfig(decoder_strides=(8, 5, 4, 2))
+            config_from_text("decoder_strides = 8,5,4,2\n")
 
     def test_lookahead_bounds(self):
         with pytest.raises(ConfigError):
@@ -237,6 +238,118 @@ class TestConfig:
     def test_non_finite_chunk_rejected(self, chunk_ms):
         with pytest.raises(ConfigError, match="finite"):
             StreamConfig(chunk_ms=chunk_ms)
+
+
+# what save_config wrote while the rates, the VQ bottleneck and the decoder
+# strides were still fields
+LEGACY_TEXT = """\
+sample_rate = 16000
+encoder_strides = 8,5,4,2
+base_width = 96
+init_kernel = 7
+final_kernel = 3
+res_kernel = 3
+res_dilation = 2
+d_model = 512
+n_layers = 8
+n_heads = 8
+ffn_dim = 2048
+lookback_frames = 100
+encoder_lookahead = 4
+layer_scale = 0.01
+vq_dim = 8
+codebook_size = 4096
+vq_commitment = 0.15
+vq_l2_normalize = true
+gtm_slots = 48
+tvt_attn_dim = 128
+global_dim = 704
+timbre_dim = 192
+tvt_mlp_hidden = 512
+gate_hidden = 256
+prosody_hidden = 256
+decoder_strides = 2,4,5,8
+"""
+
+
+def _with_line(text, key, value):
+    """`text` with the line for `key` replaced by `key = value`, or appended."""
+    lines = [ln for ln in text.splitlines() if ln.split("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+class TestConfigText:
+    def test_fixed_values_are_not_fields(self):
+        names = {f.name for f in dataclasses.fields(ModelConfig)}
+        assert not names & set(LEGACY_KEYS)
+        assert {f.name for f in dataclasses.fields(StreamConfig)} == {
+            "chunk_ms", "lookahead_frames"}
+        assert ModelConfig().decoder_strides == (2, 4, 5, 8)
+
+    def test_legacy_text_loads(self):
+        assert config_from_text(LEGACY_TEXT) == ModelConfig()
+
+    @pytest.mark.parametrize("key,value", [
+        ("sample_rate", "8000"), ("codebook_size", "2048"), ("vq_dim", "16"),
+        ("vq_l2_normalize", "false"), ("decoder_strides", "8,5,4,2"),
+        ("decoder_strides", "2,4,5,8,1")])
+    def test_legacy_key_at_another_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_text(_with_line(LEGACY_TEXT, key, value))
+
+    def test_decoder_strides_follow_encoder_strides(self):
+        text = _with_line(_with_line(LEGACY_TEXT, "encoder_strides", "4,5,4,4"),
+                          "decoder_strides", "4,4,5,4")
+        assert config_from_text(text).decoder_strides == (4, 4, 5, 4)
+
+    def test_duplicate_key_names_both_lines(self):
+        with pytest.raises(FormatError, match="lines 2 and 4"):
+            config_from_text("d_model = 64\nn_heads = 4\n\nn_heads = 8\n")
+
+    @pytest.mark.parametrize("field", ["n_heads", "d_model", "init_kernel", "res_dilation"])
+    def test_zero_is_config_error(self, field):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{field: 0})
+
+    @pytest.mark.parametrize("field", ["layer_scale", "vq_commitment"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            ModelConfig(**{field: value})
+
+    def test_negative_stride_rejected(self):
+        with pytest.raises(ConfigError, match="strides"):
+            ModelConfig(encoder_strides=(-8, -5, 4, 2))
+
+    def test_fuzzed_text_loads_or_raises_typed_error(self):
+        # every current and removed key, at values a hand-edited file might hold
+        good = dict(line.split(" = ") for line in LEGACY_TEXT.splitlines())
+        keys = sorted(good)
+        values = ["0", "-1", "-4", "1", "2", "3", "4", "5", "7", "64", "0.5", "1e400",
+                  "nan", "inf", "-inf", "", "pony", "true", "false", "yes", "8000",
+                  "16000", "2048", "4096", "8,5,4,2", "2,4,5,8", "4,5,4,4", "320",
+                  "8,5,4,2,", "-8,-5,4,2", "0,5,4,2", "1_000", "64.0"]
+        rng = np.random.default_rng(20261018)
+        outcomes = {"loaded": 0, "FormatError": 0, "ConfigError": 0}
+        for _ in range(3000):
+            lines = []
+            for _ in range(int(rng.integers(0, 8))):
+                key = keys[rng.integers(len(keys))]
+                value = good[key] if rng.random() < 0.5 else values[rng.integers(len(values))]
+                lines.append(f"{key} = {value}")
+            if lines and rng.random() < 0.1:
+                lines.append(lines[rng.integers(len(lines))])  # a repeated line
+            if rng.random() < 0.05:
+                lines.insert(int(rng.integers(len(lines) + 1)), "no equals sign")
+            text = "\n".join(lines)
+            try:
+                cfg = config_from_text(text)
+            except (FormatError, ConfigError) as exc:
+                outcomes[type(exc).__name__] += 1
+                continue
+            outcomes["loaded"] += 1
+            assert config_from_text(config_to_text(cfg)) == cfg, text
+        assert min(outcomes.values()) > 100, outcomes
 
 
 class TestBudget:

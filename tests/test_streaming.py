@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_wave
-from tvtsyn.config import FRAME_HOP, StreamConfig
+from tvtsyn.config import FRAME_HOP, SAMPLE_RATE, StreamConfig
 from tvtsyn.errors import ConfigError, InputError, StateError
 from tvtsyn.model import synthesize
 from tvtsyn.streaming import open_session, stream_file
@@ -216,6 +216,18 @@ class TestNonFiniteInput:
             synthesize(model, wave, speaker)
 
 
+class TestNonFiniteF0Scale:
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_session_rejects(self, model, speaker, scale):
+        with pytest.raises(ConfigError, match="f0_scale"):
+            open_session(model, StreamConfig(chunk_ms=60), speaker, f0_scale=scale)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_synthesize_rejects(self, model, speaker, scale):
+        with pytest.raises(ConfigError, match="f0_scale"):
+            synthesize(model, random_wave(44, 960), speaker, f0_scale=scale)
+
+
 class TestDecoderCnnRunsEachFrameOnce:
     def test_one_apply_per_chunk(self, model, speaker, monkeypatch):
         from tvtsyn.decoder import DecoderCnn
@@ -241,7 +253,7 @@ class TestDecoderCnnRunsEachFrameOnce:
         # keep back) already equals offline when its feed returns, and no
         # later feed rewrites an emitted array
         sc = StreamConfig(chunk_ms=60)
-        hold = hold_ms * sc.sample_rate // 1000
+        hold = hold_ms * SAMPLE_RATE // 1000
         wave = random_wave(43, 960 * 12)
         offline = synthesize(model, wave, speaker, block_frames=sc.chunk_frames)
         s = open_session(model, sc, speaker)
