@@ -80,7 +80,14 @@ def _add_speaker_arg(p):
                    help="raw little-endian float32 speaker embedding file")
 
 
+def _check_seed(seed):
+    """PCG64 takes only seeds >= 0; checked before a command does any work."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_init_weights(args):
+    _check_seed(args.seed)
     cfg = _model_config(args.config)
     store = random_init(args.seed, cfg)
     with _writing(args.out):
@@ -129,6 +136,7 @@ def cmd_stream(args):
 
 
 def cmd_bench(args):
+    _check_seed(args.seed)
     model = _load(args)
     if args.utterances:
         paths = sorted(Path(args.utterances).glob("*.wav"))
@@ -163,6 +171,7 @@ def cmd_bench(args):
 
 
 def cmd_probe(args):
+    _check_seed(args.seed)
     model = _load(args)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     speaker = rng.normal(0, 1, model.cfg.global_dim).astype(F32)

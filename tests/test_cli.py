@@ -257,6 +257,27 @@ class TestProbe:
         assert '"clean"' not in capsys.readouterr().out
 
 
+class TestNegativeSeed:
+    """A negative --seed is a configuration error, raised before the command
+    reads or writes anything: the weight paths below do not exist."""
+
+    def test_init_weights(self, tmp_path, capsys):
+        out = tmp_path / "w.tvtw"
+        assert run(["init-weights", "--seed", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "--seed" in capsys.readouterr().err
+
+    def test_bench(self, tmp_path, capsys):
+        assert run(["bench", "--weights", str(tmp_path / "missing.tvtw"),
+                    "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_probe(self, tmp_path, capsys):
+        assert run(["probe", "--weights", str(tmp_path / "missing.tvtw"),
+                    "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+
 class TestDumpTvt:
     def test_jsonl_schema(self, workdir, tmp_path):
         out = tmp_path / "tvt.jsonl"
