@@ -10,7 +10,7 @@ from .config import (FRAME_HOP, SAMPLE_RATE, ModelConfig, StreamConfig,
                      load_config, save_config, small_config)
 from .errors import (ConfigError, FormatError, InputError, InternalError,
                      StateError, TvtSynError)
-from .metrics import causality_probe, cosine_sim, latency_bench, multires_mel_l1
+from .metrics import causality_probe, latency_bench
 from .model import TvtSynModel, synthesize
 from .streaming import StreamSession, open_session, stream_file
 from .weights import (WeightStore, load_weights, parameter_budget, random_init,
@@ -23,7 +23,7 @@ __all__ = [
     "load_config", "save_config", "small_config",
     "ConfigError", "FormatError", "InputError", "InternalError",
     "StateError", "TvtSynError",
-    "causality_probe", "cosine_sim", "latency_bench", "multires_mel_l1",
+    "causality_probe", "latency_bench",
     "TvtSynModel", "synthesize",
     "StreamSession", "open_session", "stream_file",
     "WeightStore", "load_weights", "parameter_budget", "random_init",

@@ -37,8 +37,6 @@ class ModelConfig:
     lookback_frames: int = 100
     encoder_lookahead: int = 4
     layer_scale: float = 0.01
-    # factorized VQ bottleneck
-    vq_commitment: float = 0.15
     # time-varying timbre
     gtm_slots: int = 48
     tvt_attn_dim: int = 128
@@ -68,9 +66,8 @@ class ModelConfig:
                      "timbre_dim", "tvt_mlp_hidden", "gate_hidden", "prosody_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("layer_scale", "vq_commitment"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.layer_scale):
+            raise ConfigError(f"layer_scale must be finite, got {self.layer_scale}")
         if self.d_model % self.n_heads:
             raise ConfigError("d_model must be divisible by n_heads")
         if (self.d_model // self.n_heads) % 2:
@@ -130,9 +127,11 @@ class StreamConfig:
             raise ConfigError(f"lookahead_frames must be in [0, {MAX_LOOKAHEAD}]")
 
 
-# Keys that older config files hold for values now fixed by the architecture;
+# Keys that older config files hold for values now fixed by the architecture
+# (vq_commitment weighted a training loss that inference never computes);
 # each still loads, but only at the one value it was pinned to.
-LEGACY_KEYS = ("sample_rate", "codebook_size", "vq_dim", "vq_l2_normalize", "decoder_strides")
+LEGACY_KEYS = ("sample_rate", "codebook_size", "vq_dim", "vq_l2_normalize", "decoder_strides",
+               "vq_commitment")
 
 
 def config_to_text(cfg: ModelConfig) -> str:
@@ -170,6 +169,8 @@ def config_from_text(text: str) -> ModelConfig:
     for key, val in legacy.items():
         if key == "vq_l2_normalize":
             ok = val.lower() in ("true", "1", "yes")
+        elif key == "vq_commitment":
+            ok = _parse_value("float", val, key) == 0.15
         else:
             ok = _parse_value("tuple", val, key) == fixed[key]
         if not ok:

@@ -117,7 +117,6 @@ class VqParams:
     proj_down: np.ndarray  # (VQ_DIM, d_model)
     proj_up: np.ndarray    # (d_model, VQ_DIM)
     codebook: np.ndarray   # (CODEBOOK_SIZE, VQ_DIM), unit-norm rows
-    commitment: float
 
     @classmethod
     def from_store(cls, store: WeightStore, cfg: ModelConfig):
@@ -129,7 +128,6 @@ class VqParams:
             proj_down=store.get("encoder.vq.proj_down.weight", (VQ_DIM, cfg.d_model)),
             proj_up=store.get("encoder.vq.proj_up.weight", (cfg.d_model, VQ_DIM)),
             codebook=codebook,
-            commitment=cfg.vq_commitment,
         )
 
 
@@ -158,14 +156,6 @@ def vq_quantize(frames, vq: VqParams):
     idx = vq_nearest(z, vq.codebook)
     out = linear(vq.codebook[idx], vq.proj_up)
     return out.astype(F32, copy=False), idx
-
-
-def vq_commitment_value(frames, vq: VqParams) -> float:
-    """Commitment diagnostic: weighted mean squared residual (not optimized)."""
-    z = vq_latents(frames, vq)
-    idx = vq_nearest(z, vq.codebook)
-    resid = z - vq.codebook[idx]
-    return float(vq.commitment * np.mean(np.sum(resid * resid, axis=1)))
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Deterministic numeric kernels: causal convolutions, normalization,
-masked softmax, rotary positions, and STFT/log-mel extraction.
+masked softmax and rotary positions.
 
 Conventions:
   - all tensors are float32 numpy arrays,
@@ -31,16 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import SAMPLE_RATE
 from .errors import ConfigError
 
 F32 = np.float32
-
-N_MELS = 80
-MEL_WINDOWS_MS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-MEL_FLOOR = 1e-5
 
 # float32 elements in one block of causal_conv1d's im2col buffer: 2 MB, the
 # L2 of one core on the 2-vCPU Xeon it was tuned on. Of 2^16..2^22, 2^19 was
@@ -265,51 +259,6 @@ def rope_rotate(x, cos, sin):
     half = d // 2
     x1, x2 = x[..., :half], x[..., half:]
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
-
-
-def hann_window(n):
-    return np.hanning(n).astype(F32)
-
-
-def mel_filterbank(n_mels, n_fft, sample_rate):
-    """Triangular HTK-mel filterbank over rfft bins, 0 Hz to Nyquist:
-    (n_mels, n_fft//2 + 1)."""
-
-    def to_mel(f):
-        return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-    def from_mel(m):
-        return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-    mel_pts = np.linspace(to_mel(0.0), to_mel(sample_rate / 2.0), n_mels + 2)
-    hz_pts = from_mel(mel_pts)
-    bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
-    fb = np.zeros((n_mels, bin_hz.size), dtype=np.float64)
-    for i in range(n_mels):
-        left, center, right = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
-        up = (bin_hz - left) / max(center - left, 1e-12)
-        down = (right - bin_hz) / max(right - center, 1e-12)
-        fb[i] = np.clip(np.minimum(up, down), 0.0, None)
-    return fb.astype(F32)
-
-
-def stft_log_mel(wave, window_ms):
-    """Log-compressed 16 kHz mel magnitudes, (frames, N_MELS); hop = window/4.
-
-    Returns an empty (0, N_MELS) array when the wave is shorter than one
-    window, which callers treat as "no usable frames".
-    """
-    if window_ms not in MEL_WINDOWS_MS:
-        raise ConfigError(f"window_ms must be one of {MEL_WINDOWS_MS}, got {window_ms}")
-    wave = np.asarray(wave, dtype=F32).reshape(-1)
-    win = int(round(window_ms * SAMPLE_RATE / 1000.0))
-    hop = max(win // 4, 1)
-    if wave.size < win:
-        return np.zeros((0, N_MELS), dtype=F32)
-    frames = sliding_window_view(wave, win)[::hop]
-    mag = np.abs(np.fft.rfft(frames * hann_window(win), axis=1)).astype(F32)
-    mel = mag @ mel_filterbank(N_MELS, win, SAMPLE_RATE).T
-    return np.log(np.maximum(mel, F32(MEL_FLOOR)))
 
 
 def l2_normalize_rows(x):

@@ -1,4 +1,4 @@
-"""Offline quality metrics, the latency/RTF benchmark, and causality probes.
+"""The latency/RTF benchmark and the causality probes.
 
 Latency follows the streaming definition: chunk duration plus per-chunk
 processing time, averaged per utterance and then across utterances. RTF is
@@ -13,38 +13,12 @@ import numpy as np
 
 from .config import FRAME_HOP
 from .errors import ConfigError, InputError
-from .kernels import F32, MEL_WINDOWS_MS, stft_log_mel
+from .kernels import F32
 
 WARMUP_UTTERANCES = 10
 MEASURED_UTTERANCES = 100
 PROBE_MIN_FRAMES = 16  # each probe trial draws a wave of 16-40 frames
 PROBE_MAX_FRAMES = 40
-
-
-def cosine_sim(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise InputError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise InputError("cosine similarity is undefined for zero vectors")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-
-
-def multires_mel_l1(a, b) -> float:
-    """Sum over 2-128 ms windows of the mean absolute log-mel difference."""
-    a = np.asarray(a, dtype=F32).reshape(-1)
-    b = np.asarray(b, dtype=F32).reshape(-1)
-    if a.shape != b.shape:
-        raise InputError(f"waveform lengths differ: {a.size} vs {b.size}")
-    total = 0.0
-    for window_ms in MEL_WINDOWS_MS:
-        ma = stft_log_mel(a, window_ms)
-        mb = stft_log_mel(b, window_ms)
-        if ma.size:
-            total += float(np.mean(np.abs(ma - mb)))
-    return total
 
 
 def _time_utterance(session_factory, wave, chunk_ms, chunk_samples, clock):

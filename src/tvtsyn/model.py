@@ -71,6 +71,8 @@ def synthesize(model: TvtSynModel, wave, speaker, *, lookahead=None,
     """
     f0_scale = check_f0_scale(f0_scale)
     wave = align_wave(wave)
+    if not wave.size:
+        raise InputError("input wave has no samples")
     if not np.isfinite(wave).all():
         raise InputError("input wave contains non-finite samples")
     frames, _ = encode_frames(wave, model.encoder, None,

@@ -66,7 +66,10 @@ class TestConfigFile:
     @pytest.mark.parametrize("key,value", [("n_heads", "0"), ("layer_scale", "nan"),
                                            ("vq_commitment", "inf")])
     def test_bad_value(self, cfg, tmp_path, capsys, key, value):
-        text = config_to_text(cfg).replace(f"{key} = {getattr(cfg, key)}", f"{key} = {value}")
+        if key == "vq_commitment":  # a legacy key, so not in config_to_text
+            text = config_to_text(cfg) + f"{key} = {value}\n"
+        else:
+            text = config_to_text(cfg).replace(f"{key} = {getattr(cfg, key)}", f"{key} = {value}")
         assert self._init(tmp_path, text) == 2
         assert key in capsys.readouterr().err
 
@@ -170,6 +173,13 @@ class TestSynth:
                     "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
                     "--f0-scale", "nan"])
         assert code == 2 and not (tmp_path / "x.wav").exists()
+
+    def test_empty_wav_is_input_error(self, workdir, tmp_path, capsys):
+        wavio.write_wav(tmp_path / "empty.wav", np.zeros(0, F32))
+        code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(tmp_path / "empty.wav"), "--out", str(tmp_path / "x.wav")])
+        assert code == 1 and not (tmp_path / "x.wav").exists()
+        assert "no samples" in capsys.readouterr().err
 
 
 class TestStream:
@@ -291,6 +301,13 @@ class TestDumpTvt:
         assert 0.0 <= rec["alpha"] <= 1.0
         assert len(rec["weights"]) == 8  # gtm_slots in the test config
         assert abs(sum(rec["weights"]) - 1.0) < 1e-5
+
+    def test_empty_wav_is_input_error(self, workdir, tmp_path, capsys):
+        wavio.write_wav(tmp_path / "empty.wav", np.zeros(0, F32))
+        code = run(["dump-tvt", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(tmp_path / "empty.wav"), "--out", str(tmp_path / "t.jsonl")])
+        assert code == 1 and not (tmp_path / "t.jsonl").exists()
+        assert "no samples" in capsys.readouterr().err
 
 
 class TestWavIo:

@@ -7,8 +7,7 @@ import pytest
 
 from conftest import random_wave
 from tvtsyn.context import make_rings, transformer_full, transformer_step
-from tvtsyn.encoder import (EncoderState, VqParams, encode_frames, vq_commitment_value,
-                            vq_nearest, vq_quantize)
+from tvtsyn.encoder import EncoderState, VqParams, encode_frames, vq_nearest, vq_quantize
 from tvtsyn.errors import ConfigError, InputError, InternalError
 
 F32 = np.float32
@@ -166,8 +165,7 @@ class TestVq:
         # codebook {e1, e2, ...}: latent (0.9, 0.2, 0...) -> index 0
         vq = model.encoder.vq
         cb = np.eye(8, dtype=F32)
-        test_vq = VqParams(proj_down=vq.proj_down, proj_up=vq.proj_up,
-                           codebook=cb, commitment=0.15)
+        test_vq = VqParams(proj_down=vq.proj_down, proj_up=vq.proj_up, codebook=cb)
         z = np.array([0.9, 0.2, 0, 0, 0, 0, 0, 0], F32)
         assert vq_nearest(z[None, :], cb)[0] == 0
 
@@ -194,14 +192,6 @@ class TestVq:
         frames, _ = encode_frames(random_wave(7, 9600), model.encoder)
         _, idx = vq_quantize(frames, model.encoder.vq)
         assert idx.min() >= 0 and idx.max() < model.encoder.vq.codebook.shape[0]
-
-    def test_commitment_diagnostic(self, model):
-        frames, _ = encode_frames(random_wave(8, 3200), model.encoder)
-        val = vq_commitment_value(frames, model.encoder.vq)
-        assert val >= 0.0
-        out, _ = vq_quantize(frames, model.encoder.vq)
-        # quantizing a reconstruction leaves zero residual (pinv projections)
-        assert vq_commitment_value(out, model.encoder.vq) < 1e-9
 
     def test_unnormalized_codebook_rejected(self, cfg, store):
         from tvtsyn.weights import WeightStore

@@ -10,10 +10,8 @@ import pytest
 from tvtsyn import kernels
 from tvtsyn.context import _attend, band_mask
 from tvtsyn.errors import ConfigError
-from tvtsyn.kernels import (ConvSpec, MEL_FLOOR, causal_conv1d,
-                            conv_state_init, hann_window, layer_norm,
-                            mel_filterbank, rope_cos_sin, rope_rotate, stft_log_mel,
-                            transposed_conv1d_causal)
+from tvtsyn.kernels import (ConvSpec, causal_conv1d, conv_state_init, layer_norm,
+                            rope_cos_sin, rope_rotate, transposed_conv1d_causal)
 from tvtsyn.kernels import elu, linear
 
 F32 = np.float32
@@ -305,51 +303,6 @@ class TestRope:
     def test_odd_dim_rejected(self):
         with pytest.raises(ConfigError):
             rope(np.zeros((2, 5), F32), 0)
-
-
-class TestStftLogMel:
-    def test_silence_is_floor(self):
-        m = stft_log_mel(np.zeros(16000, F32), 32.0)
-        assert m.shape[1] == 80
-        assert np.allclose(m, np.log(MEL_FLOOR))
-
-    def test_identical_inputs_zero_distance(self):
-        rng = np.random.default_rng(0)
-        w = rng.uniform(-0.5, 0.5, 8000).astype(F32)
-        assert np.array_equal(stft_log_mel(w, 16.0), stft_log_mel(w, 16.0))
-
-    def test_tone_dominant_band_matches_dft_oracle(self):
-        sr = 16000
-        t = np.arange(sr) / sr
-        tone = (0.5 * np.sin(2 * np.pi * 440.0 * t)).astype(F32)
-        m = stft_log_mel(tone, 64.0)
-        win, hop = 1024, 256
-        fb = mel_filterbank(80, win, sr).astype(np.float64)
-        k = np.arange(win // 2 + 1)
-        dft = np.exp(-2j * np.pi * np.outer(k, np.arange(win)) / win)
-        for f in range(0, m.shape[0], 17):
-            frame = tone[f * hop:f * hop + win].astype(np.float64) * np.hanning(win)
-            oracle = np.log(np.maximum(np.abs(dft @ frame) @ fb.T, MEL_FLOOR))
-            peak = int(np.argmax(oracle))
-            assert int(np.argmax(m[f])) == peak
-            assert abs(m[f, peak] - oracle[peak]) < 1e-4
-            # single dominant band: clear margin over every other band
-            others = np.delete(m[f], peak)
-            assert m[f, peak] > others.max() + 0.5
-
-    def test_short_wave_empty_result(self):
-        m = stft_log_mel(np.zeros(10, F32), 2.0)
-        assert m.shape == (0, 80)
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ConfigError):
-            stft_log_mel(np.zeros(1000, F32), 3.0)
-
-    def test_window_and_filterbank_shapes(self):
-        assert hann_window(32).shape == (32,)
-        fb = mel_filterbank(80, 1024, 16000)
-        assert fb.shape == (80, 513)
-        assert (fb >= 0).all()
 
 
 def _f64(a):

@@ -1,5 +1,5 @@
-"""Metric tests: multi-window mel L1, latency report arithmetic with a mocked
-clock, causality-probe liveness, and cosine similarity.
+"""Metric tests: latency report arithmetic with a mocked clock and
+causality-probe liveness.
 """
 
 import numpy as np
@@ -8,35 +8,11 @@ import pytest
 from conftest import random_wave
 from tvtsyn.config import StreamConfig
 from tvtsyn.errors import ConfigError, InputError
-from tvtsyn.metrics import (causality_probe, cosine_sim, latency_bench,
-                            multires_mel_l1, probe_influence)
+from tvtsyn.metrics import causality_probe, latency_bench, probe_influence
 from tvtsyn.model import synthesize
 from tvtsyn.streaming import open_session
 
 F32 = np.float32
-
-
-class TestMultiresMelL1:
-    def test_identical_is_zero(self):
-        w = random_wave(0, 16000)
-        assert multires_mel_l1(w, w) == 0.0
-
-    def test_symmetric(self):
-        a, b = random_wave(1, 16000), random_wave(2, 16000)
-        assert multires_mel_l1(a, b) == multires_mel_l1(b, a)
-
-    def test_monotone_spot_check(self):
-        t = np.arange(16000) / 16000.0
-        sine = (0.5 * np.sin(2 * np.pi * 220.0 * t)).astype(F32)
-        silence = np.zeros_like(sine)
-        near = sine + np.random.default_rng(3).normal(0, 1e-4, sine.size).astype(F32)
-        big = multires_mel_l1(sine, silence)
-        small = multires_mel_l1(sine, near)
-        assert big > 0 and small > 0 and big > small
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            multires_mel_l1(np.zeros(100, F32), np.zeros(101, F32))
 
 
 class MockSession:
@@ -149,26 +125,3 @@ class TestCausalityProbe:
 
         with pytest.raises(ConfigError, match="trials"):
             probe(never_called, 0, trials=trials, seed=1)
-
-
-class TestCosine:
-    def test_identical_is_one(self):
-        v = random_wave(0, 32)
-        assert cosine_sim(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal_is_zero(self):
-        a = np.array([1.0, 0.0], F32)
-        b = np.array([0.0, 2.0], F32)
-        assert cosine_sim(a, b) == pytest.approx(0.0)
-
-    def test_negation_is_minus_one(self):
-        v = random_wave(1, 16)
-        assert cosine_sim(v, -v) == pytest.approx(-1.0)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(InputError):
-            cosine_sim(np.zeros(4, F32), np.ones(4, F32))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            cosine_sim(np.ones(4, F32), np.ones(5, F32))

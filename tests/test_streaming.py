@@ -216,6 +216,16 @@ class TestNonFiniteInput:
             synthesize(model, wave, speaker)
 
 
+class TestEmptyInput:
+    def test_synthesize_rejects_before_any_work(self, model, speaker, monkeypatch):
+        def never_called(*args, **kwargs):
+            raise AssertionError("an empty wave must be rejected before encoding")
+
+        monkeypatch.setattr("tvtsyn.model.encode_frames", never_called)
+        with pytest.raises(InputError, match="no samples"):
+            synthesize(model, np.zeros(0, np.float32), speaker)
+
+
 class TestNonFiniteF0Scale:
     @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
     def test_session_rejects(self, model, speaker, scale):
