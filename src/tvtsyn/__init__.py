@@ -11,10 +11,9 @@ from .config import (FRAME_HOP, SAMPLE_RATE, ModelConfig, StreamConfig,
 from .errors import (ConfigError, FormatError, InputError, InternalError,
                      StateError, TvtSynError)
 from .metrics import causality_probe, latency_bench
-from .model import TvtSynModel, synthesize
+from .model import TvtSynModel, random_init, synthesize
 from .streaming import StreamSession, open_session, stream_file
-from .weights import (WeightStore, load_weights, parameter_budget, random_init,
-                      save_weights)
+from .weights import WeightStore, load_weights, parameter_budget, save_weights
 
 __version__ = "0.1.0"
 

@@ -20,9 +20,9 @@ from .config import SAMPLE_RATE, ModelConfig, StreamConfig, load_config
 from .errors import ConfigError, InputError, InternalError, TvtSynError
 from .kernels import F32
 from .metrics import causality_probe, latency_bench
-from .model import TvtSynModel, synthesize
+from .model import TvtSynModel, random_init, synthesize
 from .streaming import open_session, stream_file
-from .weights import load_weights, parameter_budget, random_init, save_weights
+from .weights import load_weights, parameter_budget, save_weights
 from . import wavio
 
 EXIT_OK = 0

@@ -10,12 +10,12 @@ import numpy as np
 
 from .config import ModelConfig
 from .context import TransformerParams, transformer_full, transformer_step
-from .encoder import ConvLayer, ResBlock
+from .encoder import ConvLayer, ResBlock, encoder_stage_widths
 from .errors import InputError
 from .kernels import (F32, ConvSpec, conv_state_init, causal_conv1d, elu,
                       layer_norm, linear, sigmoid, transposed_conv1d_causal)
 from .prosody import inject_prosody
-from .weights import WeightStore, encoder_stage_widths
+from .weights import WeightStore
 
 
 @dataclass

@@ -13,7 +13,11 @@ from .context import TransformerParams, make_rings, transformer_full, transforme
 from .errors import ConfigError, InputError
 from .kernels import (F32, ConvSpec, causal_conv1d, conv_state_init, elu,
                       l2_normalize_rows, linear)
-from .weights import WeightStore, encoder_stage_widths
+from .weights import WeightStore
+
+
+def encoder_stage_widths(cfg: ModelConfig):
+    return [cfg.base_width * (2 ** i) for i in range(len(cfg.encoder_strides) + 1)]
 
 
 @dataclass
@@ -120,15 +124,13 @@ class VqParams:
 
     @classmethod
     def from_store(cls, store: WeightStore, cfg: ModelConfig):
+        proj_up = store.get("encoder.vq.proj_up.weight", (cfg.d_model, VQ_DIM))
+        proj_down = store.get("encoder.vq.proj_down.weight", (VQ_DIM, cfg.d_model))
         codebook = store.get("encoder.vq.codebook", (CODEBOOK_SIZE, VQ_DIM))
         norms = np.linalg.norm(codebook, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-5):
             raise ConfigError("codebook rows must be unit-norm")
-        return cls(
-            proj_down=store.get("encoder.vq.proj_down.weight", (VQ_DIM, cfg.d_model)),
-            proj_up=store.get("encoder.vq.proj_up.weight", (cfg.d_model, VQ_DIM)),
-            codebook=codebook,
-        )
+        return cls(proj_down=proj_down, proj_up=proj_up, codebook=codebook)
 
 
 def vq_latents(frames, vq: VqParams):

@@ -31,9 +31,18 @@ class TvtParams:
     query_b: np.ndarray
     gate: tuple  # (w1, b1, w2, b2)
     scale: np.ndarray  # learnable scalar, shape (1,)
-    n_slots: int
-    attn_dim: int
-    timbre_dim: int
+
+    @property
+    def n_slots(self) -> int:
+        return self.key_prior.shape[0]
+
+    @property
+    def attn_dim(self) -> int:
+        return self.key_prior.shape[1]
+
+    @property
+    def timbre_dim(self) -> int:
+        return self.value_prior.shape[1]
 
     @classmethod
     def from_store(cls, store: WeightStore, cfg: ModelConfig):
@@ -60,9 +69,6 @@ class TvtParams:
                   store.get("tvt.gate.fc2.weight", (1, cfg.gate_hidden)),
                   store.get("tvt.gate.fc2.bias", (1,))),
             scale=store.get("tvt.scale", (1,)),
-            n_slots=cfg.gtm_slots,
-            attn_dim=cfg.tvt_attn_dim,
-            timbre_dim=cfg.timbre_dim,
         )
 
 

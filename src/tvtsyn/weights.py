@@ -1,5 +1,4 @@
-"""Weight container ("TVTW" format), the parameter registry for the full
-architecture, and seeded random initialization.
+"""Weight container ("TVTW" format), its loader, and the parameter budget.
 
 Container layout (little-endian, bit-exact):
   magic "TVTW" | version u32 | entry count u32
@@ -11,12 +10,10 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import CODEBOOK_SIZE, VQ_DIM, ModelConfig
 from .errors import ConfigError, FormatError
 from .kernels import F32
 
@@ -24,24 +21,6 @@ MAGIC = b"TVTW"
 VERSION = 1
 ALIGN = 64    # arena alignment of every payload, in bytes
 MAX_NDIM = 64  # numpy's own limit
-
-# init kinds
-UNIFORM = "uniform"          # scaled uniform, bound 1/sqrt(fan_in)
-ZEROS = "zeros"
-ONES = "ones"
-PRIOR = "prior"              # N(0, 0.02)
-LAYER_SCALE = "layer_scale"  # filled with cfg.layer_scale
-CODEBOOK = "codebook"        # normal, rows L2-normalized
-PINV = "pinv"                # pseudo-inverse of another entry (VQ down-projection)
-
-
-@dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    shape: tuple
-    kind: str = UNIFORM
-    fan_in: int = 0
-    ref: str = ""  # source entry for PINV
 
 
 class WeightStore:
@@ -186,145 +165,6 @@ def save_weights(store: WeightStore, path):
 def load_weights(path) -> WeightStore:
     with open(path, "rb", buffering=0) as f:
         return _read_store(f)
-
-
-def _linear(specs, prefix, out_dim, in_dim, bias=True):
-    specs.append(ParamSpec(f"{prefix}.weight", (out_dim, in_dim), UNIFORM, in_dim))
-    if bias:
-        specs.append(ParamSpec(f"{prefix}.bias", (out_dim,), ZEROS))
-
-
-def _conv(specs, prefix, out_ch, in_ch, kernel):
-    specs.append(ParamSpec(f"{prefix}.weight", (out_ch, in_ch, kernel), UNIFORM, in_ch * kernel))
-    specs.append(ParamSpec(f"{prefix}.bias", (out_ch,), ZEROS))
-
-
-def _tconv(specs, prefix, in_ch, out_ch, kernel):
-    specs.append(ParamSpec(f"{prefix}.weight", (in_ch, out_ch, kernel), UNIFORM, in_ch * kernel))
-    specs.append(ParamSpec(f"{prefix}.bias", (out_ch,), ZEROS))
-
-
-def _ln(specs, prefix, dim):
-    specs.append(ParamSpec(f"{prefix}.gamma", (dim,), ONES))
-    specs.append(ParamSpec(f"{prefix}.beta", (dim,), ZEROS))
-
-
-def _transformer(specs, prefix, cfg: ModelConfig):
-    d, f = cfg.d_model, cfg.ffn_dim
-    for i in range(cfg.n_layers):
-        base = f"{prefix}.layer{i}"
-        _ln(specs, f"{base}.ln1", d)
-        for proj in ("q", "k", "v", "o"):
-            _linear(specs, f"{base}.{proj}", d, d)
-        specs.append(ParamSpec(f"{base}.ls_attn", (d,), LAYER_SCALE))
-        _ln(specs, f"{base}.ln2", d)
-        _linear(specs, f"{base}.ffn1", f, d)
-        _linear(specs, f"{base}.ffn2", d, f)
-        specs.append(ParamSpec(f"{base}.ls_ffn", (d,), LAYER_SCALE))
-    _ln(specs, f"{prefix}.ln_out", d)
-
-
-def _cln(specs, prefix, cfg: ModelConfig):
-    d, s = cfg.d_model, cfg.timbre_dim
-    _ln(specs, f"{prefix}.ln_x", d)
-    _ln(specs, f"{prefix}.ln_s", s)
-    _linear(specs, f"{prefix}.gamma_gen", d, s)
-    _linear(specs, f"{prefix}.beta_gen", d, s)
-    _linear(specs, f"{prefix}.gate_gen", s, s)
-    _linear(specs, f"{prefix}.proj", d, d + s)
-
-
-def encoder_stage_widths(cfg: ModelConfig):
-    return [cfg.base_width * (2 ** i) for i in range(len(cfg.encoder_strides) + 1)]
-
-
-def parameter_specs(cfg: ModelConfig) -> list:
-    """Every tensor slot of the full architecture, in deterministic order."""
-    specs: list[ParamSpec] = []
-    widths = encoder_stage_widths(cfg)
-
-    # --- encoder CNN ---
-    _conv(specs, "encoder.cnn.conv_in", widths[0], 1, cfg.init_kernel)
-    for i, stride in enumerate(cfg.encoder_strides):
-        w, w2 = widths[i], widths[i + 1]
-        _conv(specs, f"encoder.cnn.stage{i}.res.conv1", w, w, cfg.res_kernel)
-        _conv(specs, f"encoder.cnn.stage{i}.res.conv2", w, w, 1)
-        _conv(specs, f"encoder.cnn.stage{i}.down", w2, w, 2 * stride)
-    _conv(specs, "encoder.cnn.conv_out", cfg.d_model, widths[-1], cfg.final_kernel)
-
-    # --- encoder context attention ---
-    _transformer(specs, "encoder.attn", cfg)
-
-    # --- factorized VQ ---
-    specs.append(ParamSpec("encoder.vq.proj_up.weight", (cfg.d_model, VQ_DIM), UNIFORM, VQ_DIM))
-    specs.append(ParamSpec("encoder.vq.proj_down.weight", (VQ_DIM, cfg.d_model),
-                           PINV, ref="encoder.vq.proj_up.weight"))
-    specs.append(ParamSpec("encoder.vq.codebook", (CODEBOOK_SIZE, VQ_DIM), CODEBOOK))
-
-    # --- time-varying timbre ---
-    _linear(specs, "tvt.g_proj", cfg.timbre_dim, cfg.global_dim)
-    _linear(specs, "tvt.mlp_k.fc1", cfg.tvt_mlp_hidden, cfg.global_dim)
-    _linear(specs, "tvt.mlp_k.fc2", cfg.gtm_slots * cfg.tvt_attn_dim, cfg.tvt_mlp_hidden)
-    _linear(specs, "tvt.mlp_v.fc1", cfg.tvt_mlp_hidden, cfg.global_dim)
-    _linear(specs, "tvt.mlp_v.fc2", cfg.gtm_slots * cfg.timbre_dim, cfg.tvt_mlp_hidden)
-    specs.append(ParamSpec("tvt.key_prior", (cfg.gtm_slots, cfg.tvt_attn_dim), PRIOR))
-    specs.append(ParamSpec("tvt.value_prior", (cfg.gtm_slots, cfg.timbre_dim), PRIOR))
-    _linear(specs, "tvt.query", cfg.tvt_attn_dim, cfg.d_model)
-    _linear(specs, "tvt.gate.fc1", cfg.gate_hidden, cfg.d_model + 2 * cfg.timbre_dim)
-    _linear(specs, "tvt.gate.fc2", 1, cfg.gate_hidden)
-    specs.append(ParamSpec("tvt.scale", (1,), ONES))
-
-    # --- prosody predictors ---
-    for name in ("f0", "energy"):
-        _conv(specs, f"prosody.{name}.conv1", cfg.prosody_hidden, cfg.d_model, 3)
-        _conv(specs, f"prosody.{name}.conv2", cfg.prosody_hidden, cfg.prosody_hidden, 3)
-        _linear(specs, f"prosody.{name}.proj", 1, cfg.prosody_hidden)
-    _linear(specs, "prosody.inject", cfg.d_model, 2)
-
-    # --- decoder ---
-    _cln(specs, "decoder.cln_in", cfg)
-    _transformer(specs, "decoder.attn", cfg)
-    _cln(specs, "decoder.cln_out", cfg)
-    dec_widths = list(reversed(widths))  # top width down to base
-    _conv(specs, "decoder.cnn.conv_in", dec_widths[0], cfg.d_model, cfg.final_kernel)
-    for i, stride in enumerate(cfg.decoder_strides):
-        w_in, w_out = dec_widths[i], dec_widths[i + 1]
-        _tconv(specs, f"decoder.cnn.stage{i}.up", w_in, w_out, 2 * stride)
-        _conv(specs, f"decoder.cnn.stage{i}.res.conv1", w_out, w_out, cfg.res_kernel)
-        _conv(specs, f"decoder.cnn.stage{i}.res.conv2", w_out, w_out, 1)
-    _conv(specs, "decoder.cnn.conv_out", 1, dec_widths[-1], cfg.init_kernel)
-
-    names = [s.name for s in specs]
-    if len(names) != len(set(names)):
-        raise ConfigError("parameter registry produced duplicate names")
-    return specs
-
-
-def random_init(seed: int, cfg: ModelConfig) -> WeightStore:
-    """Deterministic random weights for the full architecture."""
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    store = WeightStore()
-    for spec in parameter_specs(cfg):
-        if spec.kind == UNIFORM:
-            bound = 1.0 / np.sqrt(spec.fan_in)
-            arr = rng.uniform(-bound, bound, size=spec.shape)
-        elif spec.kind == ZEROS:
-            arr = np.zeros(spec.shape)
-        elif spec.kind == ONES:
-            arr = np.ones(spec.shape)
-        elif spec.kind == PRIOR:
-            arr = rng.normal(0.0, 0.02, size=spec.shape)
-        elif spec.kind == LAYER_SCALE:
-            arr = np.full(spec.shape, cfg.layer_scale)
-        elif spec.kind == CODEBOOK:
-            arr = rng.normal(0.0, 1.0, size=spec.shape)
-            arr = arr / np.linalg.norm(arr, axis=1, keepdims=True)
-        elif spec.kind == PINV:
-            arr = np.linalg.pinv(store.get(spec.ref).astype(np.float64))
-        else:
-            raise ConfigError(f"unknown init kind {spec.kind!r}")
-        store.put(spec.name, arr.astype(F32))
-    return store
 
 
 ENCODER_PREFIXES = ("encoder.",)

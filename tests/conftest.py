@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tvtsyn.config import small_config
-from tvtsyn.model import TvtSynModel
-from tvtsyn.weights import random_init
+from tvtsyn.model import TvtSynModel, random_init
 
 
 @pytest.fixture(scope="session")

@@ -16,11 +16,10 @@ from tvtsyn.config import StreamConfig
 from tvtsyn.errors import ConfigError
 from tvtsyn.kernels import l2_normalize_rows
 from tvtsyn.metrics import causality_probe, latency_bench, probe_influence
-from tvtsyn.model import synthesize
+from tvtsyn.model import random_init, synthesize
 from tvtsyn.streaming import open_session, stream_file
 from tvtsyn.timbre import build_gtm, project_global, slerp, tvt_sequence
 from tvtsyn.encoder import encode_frames, vq_nearest, vq_quantize
-from tvtsyn.weights import random_init
 
 F32 = np.float32
 

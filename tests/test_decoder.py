@@ -12,7 +12,6 @@ from tvtsyn.decoder import ClnFusionParams, cln_fuse, decode_context, synthesize
 from tvtsyn.errors import InputError
 from tvtsyn.kernels import layer_norm
 from tvtsyn.model import synthesize
-from tvtsyn.timbre import build_gtm, tvt_sequence
 
 F32 = np.float32
 

@@ -6,9 +6,8 @@ import numpy as np
 
 from conftest import random_wave
 from tvtsyn.config import ModelConfig, StreamConfig
-from tvtsyn.model import TvtSynModel, synthesize
+from tvtsyn.model import TvtSynModel, random_init, synthesize
 from tvtsyn.streaming import open_session
-from tvtsyn.weights import random_init
 
 F32 = np.float32
 

@@ -1,5 +1,6 @@
 """Layout guards: every public name in the package has a caller outside the
-tests, and every name the package exports resolves.
+tests, every name the package exports resolves, and no module imports a name
+it does not use.
 """
 
 import ast
@@ -79,3 +80,27 @@ def test_every_exported_name_resolves():
     assert len(set(tvtsyn.__all__)) == len(tvtsyn.__all__)
     for name in tvtsyn.__all__:
         assert hasattr(tvtsyn, name), name
+
+
+def _unused_imports(path):
+    """`path:line name` for each name the file imports and never uses as a Name."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # the package's __init__.py imports to re-export
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    unused = [entry for p in paths for entry in _unused_imports(p)]
+    assert not unused, f"imported but never used: {unused}"

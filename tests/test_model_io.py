@@ -1,6 +1,8 @@
 """Weight container, config file, and seeded-initialization tests."""
 
 import dataclasses
+import math
+import re
 import struct
 import tracemalloc
 
@@ -8,11 +10,10 @@ import numpy as np
 import pytest
 
 from tvtsyn.config import (LEGACY_KEYS, ModelConfig, StreamConfig, config_from_text,
-                           config_to_text, small_config)
+                           config_to_text)
 from tvtsyn.errors import ConfigError, FormatError
-from tvtsyn.model import TvtSynModel
-from tvtsyn.weights import (WeightStore, load_weights, parameter_budget,
-                            parameter_specs, random_init, save_weights)
+from tvtsyn.model import TvtSynModel, random_init
+from tvtsyn.weights import WeightStore, load_weights, parameter_budget, save_weights
 
 
 class TestContainer:
@@ -195,9 +196,41 @@ class TestRandomInit:
         with pytest.raises(ConfigError, match="missing"):
             TvtSynModel.from_store(partial, cfg)
 
+    def test_wrong_shape_entry_rejected(self, cfg, store):
+        name = "decoder.cnn.stage0.up.weight"
+        permuted = store.get(name).transpose(1, 0, 2)  # same size, (out_ch, in_ch, kernel)
+        assert permuted.shape != store.get(name).shape
+        bad = WeightStore({n: permuted if n == name else store.get(n) for n in store.names()})
+        with pytest.raises(ConfigError, match=re.escape(repr(name))):
+            TvtSynModel.from_store(bad, cfg)
+
+    def test_init_follows_the_layout_rule(self, cfg, store):
+        for name in store.names():
+            arr = store.get(name)
+            leaf = name.rsplit(".", 1)[-1]
+            if leaf in ("bias", "beta"):
+                assert np.all(arr == 0), name
+            elif leaf in ("gamma", "scale"):
+                assert np.all(arr == 1), name
+            elif leaf.startswith("ls_"):
+                assert np.all(arr == np.float32(cfg.layer_scale)), name
+            elif leaf.endswith("_prior"):
+                assert abs(arr.std() / 0.02 - 1.0) <= 0.2, name
+            elif leaf == "codebook":
+                np.testing.assert_allclose(np.linalg.norm(arr, axis=1), 1.0, atol=1e-6)
+            elif name == "encoder.vq.proj_down.weight":
+                up = store.get("encoder.vq.proj_up.weight")
+                np.testing.assert_allclose(arr @ up, np.eye(arr.shape[0]), atol=1e-4)
+            else:
+                # a transposed conv stores (in_ch, out_ch, kernel)
+                if name.endswith(".up.weight"):
+                    fan_in = arr.shape[0] * arr.shape[2]
+                else:
+                    fan_in = math.prod(arr.shape[1:])
+                assert np.abs(arr).max() <= np.float32(1.0 / np.sqrt(fan_in)), name
+
     def test_spec_names_unique_and_prefixed(self, cfg):
-        specs = parameter_specs(cfg)
-        names = [s.name for s in specs]
+        names = random_init(0, cfg).names()
         assert len(names) == len(set(names))
         assert all(n.split(".")[0] in ("encoder", "decoder", "tvt", "prosody")
                    for n in names)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_wave
-from tvtsyn.config import FRAME_HOP, SAMPLE_RATE, StreamConfig
+from tvtsyn.config import SAMPLE_RATE, StreamConfig
 from tvtsyn.errors import ConfigError, InputError, StateError
 from tvtsyn.model import synthesize
 from tvtsyn.streaming import open_session, stream_file
