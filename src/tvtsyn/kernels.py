@@ -6,19 +6,26 @@ Conventions:
   - conv feature maps are (channels, time), frame sequences are (time, dim),
   - every stateful kernel is pure given its explicit state argument, so
     kernels are safe to call concurrently on disjoint data,
-  - every product of an activation with a weight is issued weight-major,
-    `W @ x.T` with W on the left exactly as loaded: a 60 ms chunk has three
-    frames, so each product streams the whole weight once against a few
-    columns, which BLAS does fastest with the row-major weight on the left.
-    `linear` is the helper for frame sequences. No weight is copied, fused
-    or transposed at load time; the convs use reshaped or transposed views.
+  - every product of an activation with a weight goes through
+    `weight_product(W, x)`, W on the left exactly as loaded (`linear` is the
+    helper for frame sequences). No weight is copied, fused or transposed at
+    load time; the convs pass reshaped or transposed views.
+  - with more than GEMV_MAX_COLS activation columns (offline synthesis:
+    100 or more everywhere) the product is one GEMM. With at most that many
+    (a 60 ms chunk's 3 frames at 50 Hz and 6 at 100 Hz) it is one GEMV per
+    column over each GEMV_BLOCK-sized block of weight rows. A few-column
+    GEMM packs the weight before it multiplies and streams it at 6-8 GB/s,
+    while a GEMV reads it at ~16 GB/s from DRAM and faster again from L2,
+    where the block stays for the other columns. So each weight is read
+    from DRAM once per chunk. The transposed conv's (C_in, C_out, K) weight
+    is cut along C_in into vector x matrix products that are summed.
   - `causal_conv1d` makes no temporary of kernel x channels x input length
     (low-memory GEMM convolution, Anderson et al., arXiv:1709.03395). It
     builds im2col columns IM2COL_BLOCK elements at a time in one buffer and
-    issues one GEMM per block, weight on the left. A 1-tap conv multiplies
-    the input directly.
-  - `transposed_conv1d_causal` is one GEMM of the transposed weight view
-    over the whole input, then a K-step strided overlap-add.
+    issues one weight product per block. A 1-tap conv multiplies the input
+    directly.
+  - `transposed_conv1d_causal` is one weight product of the transposed
+    weight view over the whole input, then a K-step strided overlap-add.
 
 Causality convention: a causal conv output at index j depends only on input
 columns <= j*stride, with the left context held in an explicit state buffer
@@ -41,6 +48,16 @@ F32 = np.float32
 # fastest on the 16 kHz convs of a 2 s utterance: res 96x96 k3 d2 in 21 ms and
 # down 96->192 k16 s8 in 29 ms, against 22 and 34 ms at 2^20.
 IM2COL_BLOCK = 1 << 19
+
+# weight_product's per-column GEMV path: float32 weight elements per block
+# (2 MB, the L2 of one core) and the most activation columns that take it.
+# In two interleaved sweeps of the 60 ms stream (full config, 2-vCPU Xeon),
+# median feed was lowest at 2^19 (62 and 50 ms, against 71-74 and 57-64 ms
+# for GEMMs); 2^20-2^21 gave back 3-6 ms, and 2^17-2^18 most or all of the
+# gain. On cold weights the tiled GEMVs beat a GEMM up to 6 columns and lose
+# from 8 (BENCH_9.json).
+GEMV_BLOCK = 1 << 19
+GEMV_MAX_COLS = 6
 
 
 @dataclass(frozen=True)
@@ -110,7 +127,7 @@ def causal_conv1d(x, spec: ConvSpec, weight, bias=None, state=None):
 
     t_out = -(-t_in // spec.stride)
     if spec.kernel == 1:
-        y = weight.reshape(spec.out_ch, -1) @ x[:, ::spec.stride]
+        y = weight_product(weight.reshape(spec.out_ch, -1), x[:, ::spec.stride])
     else:
         y = _blocked_im2col_conv(x, spec, weight, state, t_out)
     if bias is not None:
@@ -140,7 +157,7 @@ def _blocked_im2col_conv(x, spec, weight, state, t_out):
         cols = buf[:rows * n].reshape(spec.in_ch, spec.kernel, n)
         for k in range(spec.kernel):
             cols[:, k] = win[:, k * d:k * d + span:s]
-        np.matmul(w, cols.reshape(rows, n), out=y[:, j0:j0 + n])
+        weight_product(w, cols.reshape(rows, n), out=y[:, j0:j0 + n])
     return y
 
 
@@ -159,7 +176,7 @@ def transposed_conv1d_causal(x, spec: ConvSpec, weight, bias=None, state=None):
         return np.zeros((spec.out_ch, 0), dtype=F32), state
 
     tail = spec.state_len
-    contrib = (weight.reshape(spec.in_ch, -1).T @ x).reshape(
+    contrib = weight_product(weight.reshape(spec.in_ch, -1).T, x).reshape(
         spec.out_ch, spec.kernel, t_in)                       # (C_out, K, T)
     full = np.zeros((spec.out_ch, t_in * spec.stride + tail), dtype=F32)
     for k in range(spec.kernel):
@@ -175,13 +192,58 @@ def transposed_conv1d_causal(x, spec: ConvSpec, weight, bias=None, state=None):
     return np.ascontiguousarray(y, dtype=F32), new_state
 
 
+def weight_product(w, x, out=None):
+    """w @ x for a weight view w (M, K) and activation columns x (K, n).
+
+    More than GEMV_MAX_COLS columns: one GEMM, into `out` when given. At
+    most that many: one GEMV per column over each block of GEMV_BLOCK
+    weight elements, so the first column streams the block from DRAM and
+    the others read it from L2. A C-contiguous w is cut into blocks of
+    whole rows. The transposed view of a C-contiguous (K, M) weight (the
+    transposed conv's stored layout) is cut along K instead, into vector x
+    matrix products over contiguous weight rows that are summed. No weight
+    is copied.
+    """
+    n = x.shape[1]
+    if n > GEMV_MAX_COLS:
+        return np.matmul(w, x, out=out)
+    m, k = w.shape
+    xt = np.ascontiguousarray(x.T)                            # (n, K)
+    yt = np.empty((n, m), dtype=np.result_type(w, x))
+    if w.flags.c_contiguous:
+        rows = max(1, GEMV_BLOCK // k)
+        for r0 in range(0, m, rows):
+            wb = w[r0:r0 + rows]
+            for j in range(n):
+                np.dot(wb, xt[j], out=yt[j, r0:r0 + rows])
+    else:
+        wt = w.T                                              # (K, M)
+        rows = max(1, GEMV_BLOCK // m)
+        part = np.empty(m, dtype=yt.dtype)
+        for r0 in range(0, k, rows):
+            wb = wt[r0:r0 + rows]
+            for j in range(n):
+                if r0 == 0:
+                    np.dot(xt[j, :rows], wb, out=yt[j])
+                else:
+                    np.dot(xt[j, r0:r0 + rows], wb, out=part)
+                    yt[j] += part
+    if out is None:
+        return yt.T
+    out[...] = yt.T
+    return out
+
+
 def linear(x, w, b=None):
     """Frames (T, in) through a weight stored (out, in) -> (T, out).
 
-    Issued weight-major as (w @ x.T).T: the same products as x @ w.T, with
-    the weight streamed row-major. x may also be a single (in,) vector.
+    Issued weight-major through weight_product(w, x.T).T: the same products
+    as x @ w.T, with the weight streamed row-major. x may also be a single
+    (in,) vector.
     """
-    y = (w @ x.T).T
+    if x.ndim == 1:
+        return linear(x[None], w, b)[0]
+    y = weight_product(w, x.T).T
     if b is not None:
         y = y + b
     return y

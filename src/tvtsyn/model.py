@@ -112,9 +112,18 @@ def random_init(seed: int, cfg: ModelConfig) -> WeightStore:
     return store
 
 
+def as_wave(samples, what="input wave"):
+    """float32 array of mono samples; any shape but 1-D is an InputError
+    (a stereo or batched array is not silently flattened into one wave)."""
+    samples = np.asarray(samples, dtype=F32)
+    if samples.ndim != 1:
+        raise InputError(f"{what} must be a 1-D array of samples, got shape {samples.shape}")
+    return samples
+
+
 def align_wave(wave):
     """Zero-pad to the next multiple of the 320-sample hop."""
-    wave = np.asarray(wave, dtype=F32).reshape(-1)
+    wave = as_wave(wave)
     rem = wave.size % FRAME_HOP
     if rem:
         wave = np.concatenate([wave, np.zeros(FRAME_HOP - rem, dtype=F32)])

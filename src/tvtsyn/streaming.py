@@ -19,7 +19,7 @@ from .decoder import cln_fuse, decode_context
 from .encoder import EncoderState, encode_frames, vq_quantize
 from .errors import InputError, StateError
 from .kernels import F32
-from .model import TvtSynModel
+from .model import TvtSynModel, as_wave
 from .prosody import check_f0_scale, predict_f0_energy
 from .timbre import build_gtm, check_global_timbre, tvt_sequence
 
@@ -101,7 +101,7 @@ class StreamSession:
         """Process one chunk; returns this chunk's synthesized samples."""
         if self.closed:
             raise StateError("cannot feed a flushed session")
-        samples = np.asarray(samples, dtype=F32).reshape(-1)
+        samples = as_wave(samples, "chunk")
         if samples.shape[0] != self.chunk_samples:
             raise InputError(
                 f"chunk has {samples.shape[0]} samples, expected {self.chunk_samples}")
@@ -144,8 +144,8 @@ def stream_file(model, stream_cfg, speaker, wave, f0_scale=1.0, on_chunk=None):
     """
     import time
 
+    wave = as_wave(wave)
     session = open_session(model, stream_cfg, speaker, f0_scale=f0_scale)
-    wave = np.asarray(wave, dtype=F32).reshape(-1)
     c = session.chunk_samples
     n_chunks = -(-wave.size // c) if wave.size else 0
     padded = np.zeros(n_chunks * c, dtype=F32)

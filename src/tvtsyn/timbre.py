@@ -86,7 +86,9 @@ def _mlp(g, weights):
 
 
 def check_global_timbre(g, expected_dim):
-    g = np.asarray(g, dtype=F32).reshape(-1)
+    g = np.asarray(g, dtype=F32)
+    if g.ndim != 1:
+        raise InputError(f"global timbre vector must be 1-D, got shape {g.shape}")
     if g.shape[0] != expected_dim:
         raise InputError(f"global timbre vector has dim {g.shape[0]}, expected {expected_dim}")
     if not np.all(np.isfinite(g)):

@@ -136,6 +136,26 @@ class TestContextAttend:
         full = transformer_full(x, ctx, lookahead=lookahead, block_frames=t)
         np.testing.assert_allclose(second, full[t:], rtol=0, atol=1e-6)
 
+    @pytest.mark.parametrize("lookahead", [0, 4])
+    def test_block_at_position_1e9_matches_position_0(self, model, lookahead):
+        # 10^9 frames is about 230 days at 50 Hz. Attention under RoPE and
+        # band_mask depends only on relative position and the rotary angles
+        # are built in float64, so a full look-back window and then a 3-frame
+        # block (the per-column GEMV products) match the same frames at 0
+        ctx = model.encoder.ctx
+        x = self._random_frames(model, 7, t=ctx.lookback + 3)
+        outs = []
+        for start in (0, 10 ** 9):
+            rings = make_rings(ctx)
+            for ring in rings:
+                ring.next_pos = start
+            hist = transformer_step(x[:ctx.lookback], ctx, rings, start, lookahead=lookahead)
+            block = transformer_step(x[ctx.lookback:], ctx, rings, start + ctx.lookback,
+                                     lookahead=lookahead)
+            outs.append((hist, block))
+        for far, near in zip(outs[1], outs[0]):
+            np.testing.assert_allclose(far, near, rtol=0, atol=1e-4)
+
     def test_block_frames_below_one_rejected(self, model):
         x = self._random_frames(model, 6, t=4)
         with pytest.raises(ConfigError):

@@ -326,10 +326,30 @@ def _check_causal_conv(rng, spec, t):
     assert np.array_equal(new_state, xx[:, xx.shape[1] - spec.state_len:].astype(F32))
 
 
+def _check_transposed_conv(rng, spec, t):
+    """transposed_conv1d_causal from a random carried state against a float64
+    einsum and overlap-add."""
+    c_in, c_out, kernel, stride = spec.in_ch, spec.out_ch, spec.kernel, spec.stride
+    x = rng.normal(size=(c_in, t)).astype(F32)
+    w = rng.normal(size=(c_in, c_out, kernel)).astype(F32)
+    b = rng.normal(size=c_out).astype(F32)
+    state = rng.normal(size=(c_out, spec.state_len)).astype(F32)
+    contrib = np.einsum("cok,ct->okt", _f64(w), _f64(x))
+    full = np.zeros((c_out, t * stride + spec.state_len))
+    for k in range(kernel):
+        full[:, k:k + (t - 1) * stride + 1:stride] += contrib[:, k]
+    full[:, :spec.state_len] += _f64(state)
+    got, new_state = transposed_conv1d_causal(x, spec, w, b, state)
+    assert got.shape == (c_out, t * stride) and got.dtype == F32
+    np.testing.assert_allclose(got, full[:, :t * stride] + _f64(b)[:, None],
+                               rtol=1e-5, atol=1e-4)
+    np.testing.assert_allclose(new_state, full[:, t * stride:], rtol=1e-5, atol=1e-4)
+
+
 class TestWeightMajorProducts:
     """linear and both convs against float64 einsum references, at one frame,
-    a 60 ms chunk's three frames, 960 samples, and inputs that span three
-    im2col blocks."""
+    a 60 ms chunk's three frames, 960 samples, inputs that span three im2col
+    blocks, and weights that span three GEMV blocks."""
 
     @pytest.mark.parametrize("t", [1, 3, 960])
     def test_linear_matches_einsum(self, t):
@@ -406,22 +426,40 @@ class TestWeightMajorProducts:
     @pytest.mark.parametrize("t", [1, 3, 960])
     @pytest.mark.parametrize("kernel,stride", [(4, 2), (16, 8), (7, 3), (2, 2)])
     def test_transposed_conv_matches_einsum(self, t, kernel, stride):
-        rng = np.random.default_rng(10 * kernel + stride)
-        spec = ConvSpec(6, 5, kernel, stride, transposed=True)
-        x = rng.normal(size=(6, t)).astype(F32)
-        w = rng.normal(size=(6, 5, kernel)).astype(F32)
-        b = rng.normal(size=5).astype(F32)
-        state = rng.normal(size=(5, spec.state_len)).astype(F32)
-        contrib = np.einsum("cok,ct->okt", _f64(w), _f64(x))
-        full = np.zeros((5, t * stride + spec.state_len))
-        for k in range(kernel):
-            full[:, k:k + (t - 1) * stride + 1:stride] += contrib[:, k]
-        full[:, :spec.state_len] += _f64(state)
-        got, new_state = transposed_conv1d_causal(x, spec, w, b, state)
-        assert got.shape == (5, t * stride) and got.dtype == F32
-        np.testing.assert_allclose(got, full[:, :t * stride] + _f64(b)[:, None],
+        _check_transposed_conv(np.random.default_rng(10 * kernel + stride),
+                               ConvSpec(6, 5, kernel, stride, transposed=True), t)
+
+    # weight_product's per-column GEMVs: GEMV_BLOCK is cut so each weight
+    # spans two full blocks of 20 rows and a ragged third of 10, and 1 to
+    # GEMV_MAX_COLS + 1 activation columns run both sides of the switch
+    @pytest.mark.parametrize("t", range(1, kernels.GEMV_MAX_COLS + 2))
+    def test_linear_over_three_gemv_blocks_matches_einsum(self, monkeypatch, t):
+        monkeypatch.setattr(kernels, "GEMV_BLOCK", 48 * 20)
+        rng = np.random.default_rng(200 + t)
+        x = rng.normal(size=(t, 48)).astype(F32)
+        w = rng.normal(size=(50, 48)).astype(F32)
+        b = rng.normal(size=50).astype(F32)
+        got = linear(x, w, b)
+        assert got.shape == (t, 50) and got.dtype == F32
+        np.testing.assert_allclose(got, np.einsum("oi,ti->to", _f64(w), _f64(x)) + _f64(b),
                                    rtol=1e-5, atol=1e-4)
-        np.testing.assert_allclose(new_state, full[:, t * stride:], rtol=1e-5, atol=1e-4)
+        np.testing.assert_allclose(linear(x[0], w, b), got[0], rtol=1e-5, atol=1e-4)
+
+    @pytest.mark.parametrize("t", range(1, kernels.GEMV_MAX_COLS + 2))
+    @pytest.mark.parametrize("kernel,stride,dilation", [(1, 1, 1), (3, 1, 2), (16, 8, 1)])
+    def test_causal_conv_over_three_gemv_blocks_matches_einsum(self, monkeypatch, t,
+                                                               kernel, stride, dilation):
+        # t output columns; K = 1 is the direct product, the others one im2col block
+        monkeypatch.setattr(kernels, "GEMV_BLOCK", 6 * kernel * 20)
+        _check_causal_conv(np.random.default_rng(300 + 10 * kernel + t),
+                           ConvSpec(6, 50, kernel, stride, dilation), t * stride)
+
+    @pytest.mark.parametrize("t", range(1, kernels.GEMV_MAX_COLS + 2))
+    def test_transposed_conv_over_three_gemv_blocks_matches_einsum(self, monkeypatch, t):
+        # the stored (C_in, C_out, K) weight is cut along C_in: 50 rows of 5 * 4
+        monkeypatch.setattr(kernels, "GEMV_BLOCK", 5 * 4 * 20)
+        _check_transposed_conv(np.random.default_rng(400 + t),
+                               ConvSpec(50, 5, 4, 2, transposed=True), t)
 
 
 class TestConvTemporaries:

@@ -226,6 +226,41 @@ class TestEmptyInput:
             synthesize(model, np.zeros(0, np.float32), speaker)
 
 
+class TestNotOneDimensional:
+    """A stereo or batched array is an InputError, never flattened into one
+    wave of twice the samples."""
+
+    def test_feed_rejects_stereo_chunk_and_leaves_state_alone(self, model, speaker):
+        sc = StreamConfig(chunk_ms=60)
+        wave = random_wave(45, 960 * 3)
+        clean = open_session(model, sc, speaker)
+        want = [clean.feed(wave[k * 960:(k + 1) * 960]) for k in range(3)]
+        s = open_session(model, sc, speaker)
+        got = [s.feed(wave[:960])]
+        # 480 interleaved stereo frames hold 960 values, one mono chunk's worth
+        with pytest.raises(InputError, match="1-D"):
+            s.feed(wave[960:1920].reshape(480, 2))
+        assert (s.samples_in, s.samples_out, s.chunks_fed) == (960, 960, 1)
+        got += [s.feed(wave[k * 960:(k + 1) * 960]) for k in range(1, 3)]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_synthesize_rejects(self, model, speaker):
+        with pytest.raises(InputError, match="1-D"):
+            synthesize(model, random_wave(46, 6400).reshape(2, 3200), speaker)
+
+    def test_stream_file_rejects(self, model, speaker):
+        with pytest.raises(InputError, match="1-D"):
+            stream_file(model, StreamConfig(chunk_ms=60), speaker,
+                        random_wave(47, 6400).reshape(2, 3200))
+
+    def test_two_dimensional_speaker_rejected(self, model, speaker):
+        with pytest.raises(InputError, match="1-D"):
+            open_session(model, StreamConfig(chunk_ms=60), speaker.reshape(2, -1))
+        with pytest.raises(InputError, match="1-D"):
+            synthesize(model, random_wave(48, 960), speaker.reshape(2, -1))
+
+
 class TestNonFiniteF0Scale:
     @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
     def test_session_rejects(self, model, speaker, scale):
