@@ -93,54 +93,58 @@ class TransformerParams:
 
 
 class KvRing:
-    """Fixed-capacity rolling cache of rotated keys/values for one layer.
+    """Rolling cache of rotated keys/values for one layer, stored head-major.
 
-    Entries hold the most recent `capacity` frames; `next_pos` is the absolute
-    frame index the next append must start at (desync raises InternalError).
-    Buffers are preallocated, so per-session memory is constant in stream length.
+    The newest `count` (at most `capacity`) frames sit oldest first in
+    k[:, end - count:end] (v alike) of a buffer twice the capacity long.
+    `push` writes a block's frames right after them, so the look-back window
+    and the block are one slice of the buffer, returned as a view. A block
+    that would run past the buffer's end first moves the kept frames to its
+    start: for blocks of T frames, once every capacity/T calls. A block that
+    does not fit even then (only a block longer than the ring can fail to) is
+    attended through a copied window, and only its newest `capacity` frames
+    are kept.
+    `next_pos` is the absolute frame index the next block must start at
+    (desync raises InternalError). The buffers are allocated once, so
+    per-session memory is constant in stream length.
     """
 
     def __init__(self, capacity: int, n_heads: int, head_dim: int):
         self.capacity = capacity
-        self.k = np.zeros((capacity, n_heads, head_dim), dtype=F32)
-        self.v = np.zeros((capacity, n_heads, head_dim), dtype=F32)
+        self.k = np.zeros((n_heads, 2 * capacity, head_dim), dtype=F32)
+        self.v = np.zeros((n_heads, 2 * capacity, head_dim), dtype=F32)
         self.count = 0
-        self.write = 0
+        self.end = 0
         self.next_pos = 0
 
-    def _check_start(self, start_pos: int):
+    def push(self, k_new, v_new, start_pos: int):
+        """Store a block's (T, heads, head_dim) keys and values as frames
+        start_pos, start_pos + 1, ... and return (keys, values): head-major
+        (heads, count + T, head_dim), the cached frames oldest first, then
+        the block's. They stay valid until the next push."""
         if start_pos != self.next_pos:
             raise InternalError(
                 f"KV cache desync: block at position {start_pos}, expected {self.next_pos}")
-
-    def window(self, k_new, v_new, start_pos: int):
-        """(keys, values, positions): the cached frames oldest first, then the
-        new ones from start_pos on. The cache is left as it is; `append`
-        stores the new frames.
-
-        Until the ring wraps, `write == count`; after, the oldest entry sits
-        at `write`. Either way the cached frames are k[write:count] + k[:write].
-        """
-        self._check_start(start_pos)
-        w, n = self.write, self.count
-        keys = np.concatenate([self.k[w:n], self.k[:w], k_new])
-        values = np.concatenate([self.v[w:n], self.v[:w], v_new])
-        return keys, values, self.next_pos - n + np.arange(keys.shape[0])
-
-    def append(self, k_new, v_new, start_pos: int):
-        self._check_start(start_pos)
-        n = k_new.shape[0]
-        keep = min(n, self.capacity)
-        # the newest `keep` frames go in at `write`, wrapping at most once
-        head = min(keep, self.capacity - self.write)
-        src = n - keep
-        self.k[self.write:self.write + head] = k_new[src:src + head]
-        self.v[self.write:self.write + head] = v_new[src:src + head]
-        self.k[:keep - head] = k_new[src + head:]
-        self.v[:keep - head] = v_new[src + head:]
-        self.write = (self.write + keep) % self.capacity
-        self.count = min(self.count + n, self.capacity)
+        n, kept, size = k_new.shape[0], self.count, self.k.shape[1]
+        old = slice(self.end - kept, self.end)
+        if kept + n > size:
+            keys = np.concatenate([self.k[:, old], k_new.transpose(1, 0, 2)], axis=1)
+            values = np.concatenate([self.v[:, old], v_new.transpose(1, 0, 2)], axis=1)
+            self.k[:, :self.capacity] = keys[:, -self.capacity:]
+            self.v[:, :self.capacity] = values[:, -self.capacity:]
+            self.end = self.capacity
+        else:
+            if self.end + n > size:
+                self.k[:, :kept] = self.k[:, old]
+                self.v[:, :kept] = self.v[:, old]
+                self.end = kept
+            lo, self.end = self.end - kept, self.end + n
+            self.k[:, self.end - n:self.end] = k_new.transpose(1, 0, 2)
+            self.v[:, self.end - n:self.end] = v_new.transpose(1, 0, 2)
+            keys, values = self.k[:, lo:self.end], self.v[:, lo:self.end]
+        self.count = min(kept + n, self.capacity)
         self.next_pos += n
+        return keys, values
 
     def state_nbytes(self) -> int:
         return self.k.nbytes + self.v.nbytes
@@ -162,8 +166,8 @@ def _merge_heads(x):
 
 
 def _ffn(x, layer):
-    h = elu(linear(x, layer.w1, layer.b1))
-    return linear(h, layer.w2, layer.b2)
+    h = linear(x, layer.w1, layer.b1)
+    return linear(elu(h, out=h), layer.w2, layer.b2)
 
 
 def band_mask(q_pos, k_pos, lookback: int, lookahead: int, block_frames=None):
@@ -172,7 +176,8 @@ def band_mask(q_pos, k_pos, lookback: int, lookahead: int, block_frames=None):
     A query at q sees keys in [q - lookback, q + lookahead]. With
     `block_frames`, lookahead also stops at the end of q's block (blocks
     start at multiples of block_frames), which is the mask a chunked runtime
-    applies when its chunks are block_frames long.
+    applies when its chunks are block_frames long. A query that sees no key
+    is a ConfigError.
     """
     q = np.asarray(q_pos)[:, None]
     k = np.asarray(k_pos)[None, :]
@@ -182,38 +187,44 @@ def band_mask(q_pos, k_pos, lookback: int, lookahead: int, block_frames=None):
             raise ConfigError("block_frames must be >= 1")
         block_end = (q // block_frames + 1) * block_frames - 1
         allowed &= (k <= q) | (k <= block_end)
+    if not allowed.any(axis=-1).all():
+        raise ConfigError("attention row is fully masked")
     return allowed
 
 
 def _attend(q, k, v, allowed):
-    """q: (T,H,Dh), k/v: (S,H,Dh), allowed: (T,S) -> (T,H,Dh)."""
+    """q: (T,H,Dh), head-major k/v: (H,S,Dh), allowed: (T,S) from band_mask
+    -> (T,H,Dh)."""
     scale = F32(1.0 / np.sqrt(q.shape[-1]))
     # per-head batched matmuls, (H,T,Dh) @ (H,Dh,S): BLAS, where einsum is not
-    scores = (q.transpose(1, 0, 2) @ k.transpose(1, 2, 0)) * scale
-    w = masked_softmax(scores, allowed)
-    return (w.astype(F32, copy=False) @ v.transpose(1, 0, 2)).transpose(1, 0, 2)
+    scores = q.transpose(1, 0, 2) @ k.transpose(0, 2, 1)
+    scores *= scale
+    w = masked_softmax(scores, allowed, out=scores)
+    return (w @ v).transpose(1, 0, 2)
 
 
-def _block(x, layer, params: TransformerParams, rope, start_pos: int, lookahead: int,
-           block_frames, ring: KvRing | None):
+def _block(x, layer, params: TransformerParams, rope, allowed, start_pos: int,
+           ring: KvRing | None, owned: bool):
     """One pre-norm layer over the frames x at positions start_pos, start_pos + 1, ...
 
     The keys are the frames' own (offline, ring None) or the ring's look-back
-    window followed by the frames' own (streaming); the ring then stores the
-    frames' keys and values.
+    window followed by the frames' own (streaming), which the ring then
+    keeps. The residual sums go into x itself when the caller `owned` it.
     """
     h = layer_norm(x, layer.ln1_g, layer.ln1_b)
     q = rope_rotate(_split_heads(linear(h, layer.wq, layer.bq), params.n_heads), *rope)
     k = rope_rotate(_split_heads(linear(h, layer.wk, layer.bk), params.n_heads), *rope)
     v = _split_heads(linear(h, layer.wv, layer.bv), params.n_heads)
-    pos = start_pos + np.arange(x.shape[0])
-    keys, values, key_pos = (k, v, pos) if ring is None else ring.window(k, v, start_pos)
-    allowed = band_mask(pos, key_pos, params.lookback, lookahead, block_frames)
-    ctx = _merge_heads(_attend(q, keys, values, allowed))
-    x = x + layer.ls_attn * linear(ctx, layer.wo, layer.bo)
-    x = x + layer.ls_ffn * _ffn(layer_norm(x, layer.ln2_g, layer.ln2_b), layer)
-    if ring is not None:
-        ring.append(k, v, start_pos)
+    if ring is None:
+        keys, values = k.transpose(1, 0, 2), v.transpose(1, 0, 2)
+    else:
+        keys, values = ring.push(k, v, start_pos)
+    a = linear(_merge_heads(_attend(q, keys, values, allowed)), layer.wo, layer.bo)
+    a *= layer.ls_attn
+    x = np.add(x, a, out=x if owned else None)
+    f = _ffn(layer_norm(x, layer.ln2_g, layer.ln2_b), layer)
+    f *= layer.ls_ffn
+    x += f
     return x.astype(F32, copy=False)
 
 
@@ -224,13 +235,19 @@ def _stack(x, params: TransformerParams, start_pos: int, lookahead: int, block_f
     The lookahead window (truncated at block_frames) applies to the first
     layer only; deeper layers are strictly causal. Stacking lookahead at every
     layer would compound the horizon (layer n sees n * lookahead frames ahead),
-    breaking the fixed-budget future access the runtime promises.
+    breaking the fixed-budget future access the runtime promises. So each
+    call builds two masks, one for the first layer and one for the rest; a
+    stream's keys are every ring's cached frames, then the new ones.
     """
-    rope = rope_cos_sin(start_pos + np.arange(x.shape[0]), params.head_dim)
+    pos = start_pos + np.arange(x.shape[0])
+    cached = rings[0].count if rings else 0
+    key_pos = start_pos - cached + np.arange(cached + x.shape[0])
+    first = band_mask(pos, key_pos, params.lookback, lookahead, block_frames)
+    rest = band_mask(pos, key_pos, params.lookback, 0)
+    rope = rope_cos_sin(pos, params.head_dim)
     for i, layer in enumerate(params.layers):
-        x = _block(x, layer, params, rope, start_pos,
-                   lookahead if i == 0 else 0, block_frames if i == 0 else None,
-                   None if rings is None else rings[i])
+        x = _block(x, layer, params, rope, first if i == 0 else rest, start_pos,
+                   None if rings is None else rings[i], owned=i > 0)
     return layer_norm(x, params.ln_out_g, params.ln_out_b)
 
 

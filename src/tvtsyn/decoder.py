@@ -67,7 +67,12 @@ def cln_fuse(x, s, p: ClnFusionParams):
     gamma = linear(s, p.gamma_w, p.gamma_b)
     beta = linear(s, p.beta_w, p.beta_b)
     gate = sigmoid(linear(s, p.gate_w, p.gate_b))
-    fused = np.concatenate([(1.0 + gamma) * nx + beta, gate * ns], axis=1)
+    d = nx.shape[1]
+    fused = np.empty((x.shape[0], d + ns.shape[1]), dtype=F32)
+    gamma += 1.0
+    np.multiply(gamma, nx, out=fused[:, :d])
+    fused[:, :d] += beta
+    np.multiply(gate, ns, out=fused[:, d:])
     return linear(fused, p.proj_w, p.proj_b).astype(F32, copy=False)
 
 
@@ -112,15 +117,15 @@ class DecoderCnn:
                                      self.conv_in.bias, states[i])
         i += 1
         for up, res in self.stages:
-            x = elu(x)
-            x, states[i] = transposed_conv1d_causal(x, up.spec, up.weight, up.bias, states[i])
+            x, states[i] = transposed_conv1d_causal(elu(x, out=x), up.spec, up.weight,
+                                                    up.bias, states[i])
             i += 1
             x = res.apply(x, states[i])
             i += 1
-        x = elu(x)
-        x, states[i] = causal_conv1d(x, self.conv_out.spec, self.conv_out.weight,
+        x, states[i] = causal_conv1d(elu(x, out=x), self.conv_out.spec, self.conv_out.weight,
                                      self.conv_out.bias, states[i])
-        return np.tanh(x[0]).astype(F32), states
+        wave = x[0]
+        return np.tanh(wave, out=wave), states
 
 
 @dataclass
@@ -165,4 +170,4 @@ def synthesize_wave(frames, tvt, params: DecoderParams, states=None):
     """Context output + timbre -> ((T*320,) waveform in [-1, 1], cnn states)."""
     y = cln_fuse(frames, tvt, params.cln_out)
     wave, states = params.cnn.apply(y, states)
-    return np.clip(wave, -1.0, 1.0).astype(F32), states
+    return np.clip(wave, -1.0, 1.0, out=wave), states

@@ -4,7 +4,7 @@ context attention, and the factorized VQ bottleneck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,10 +56,9 @@ class ResBlock:
     def apply(self, x, states):
         h, states[0] = causal_conv1d(x, self.conv1.spec, self.conv1.weight,
                                      self.conv1.bias, states[0])
-        h = elu(h)
-        h, states[1] = causal_conv1d(h, self.conv2.spec, self.conv2.weight,
+        h, states[1] = causal_conv1d(elu(h, out=h), self.conv2.spec, self.conv2.weight,
                                      self.conv2.bias, states[1])
-        return x + h
+        return np.add(x, h, out=h)
 
     def init_states(self):
         return [conv_state_init(self.conv1.spec), conv_state_init(self.conv2.spec)]
@@ -107,11 +106,10 @@ class EncoderCnn:
         for res, down in self.stages:
             x = res.apply(x, states[i])
             i += 1
-            x = elu(x)
-            x, states[i] = causal_conv1d(x, down.spec, down.weight, down.bias, states[i])
+            x, states[i] = causal_conv1d(elu(x, out=x), down.spec, down.weight, down.bias,
+                                         states[i])
             i += 1
-        x = elu(x)
-        x, states[i] = causal_conv1d(x, self.conv_out.spec, self.conv_out.weight,
+        x, states[i] = causal_conv1d(elu(x, out=x), self.conv_out.spec, self.conv_out.weight,
                                      self.conv_out.bias, states[i])
         return np.ascontiguousarray(x.T), states
 
@@ -121,6 +119,16 @@ class VqParams:
     proj_down: np.ndarray  # (VQ_DIM, d_model)
     proj_up: np.ndarray    # (d_model, VQ_DIM)
     codebook: np.ndarray   # (CODEBOOK_SIZE, VQ_DIM), unit-norm rows
+    # for vq_nearest, built once with the codebook: the codebook in float64
+    # and its rows' squared norms, both read-only
+    codebook64: np.ndarray = field(init=False, repr=False)
+    code_sq_norms: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.codebook64 = self.codebook.astype(np.float64)
+        self.code_sq_norms = _sq_norms(self.codebook64)
+        self.codebook64.setflags(write=False)
+        self.code_sq_norms.setflags(write=False)
 
     @classmethod
     def from_store(cls, store: WeightStore, cfg: ModelConfig):
@@ -138,24 +146,31 @@ def vq_latents(frames, vq: VqParams):
     return l2_normalize_rows(linear(frames, vq.proj_down))
 
 
-def vq_nearest(latents, codebook):
+def _sq_norms(c):
+    return np.sum(c * c, axis=1)
+
+
+def vq_nearest(latents, codebook, code_sq_norms=None):
     """Row-wise nearest code by L2, ties broken toward the lowest index.
 
     Distances are computed in float64 so the argmin is stable against
-    formula-level rounding; only indices leave this function.
+    formula-level rounding; only indices leave this function. The codebook's
+    squared row norms are computed unless given (VqParams keeps them).
     """
     z = latents.astype(np.float64)
-    c = codebook.astype(np.float64)
+    c = np.asarray(codebook, dtype=np.float64)
+    if code_sq_norms is None:
+        code_sq_norms = _sq_norms(c)
     d = (np.sum(z * z, axis=1, keepdims=True)
          - 2.0 * (z @ c.T)
-         + np.sum(c * c, axis=1)[None, :])
+         + code_sq_norms[None, :])
     return np.argmin(d, axis=1)
 
 
 def vq_quantize(frames, vq: VqParams):
     """Quantize (T, d_model) frames -> ((T, d_model) reconstruction, indices)."""
     z = vq_latents(frames, vq)
-    idx = vq_nearest(z, vq.codebook)
+    idx = vq_nearest(z, vq.codebook64, vq.code_sq_norms)
     out = linear(vq.codebook[idx], vq.proj_up)
     return out.astype(F32, copy=False), idx
 

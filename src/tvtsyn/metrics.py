@@ -14,6 +14,7 @@ import numpy as np
 from .config import FRAME_HOP
 from .errors import ConfigError, InputError
 from .kernels import F32
+from .model import as_wave
 
 WARMUP_UTTERANCES = 10
 MEASURED_UTTERANCES = 100
@@ -44,7 +45,8 @@ def latency_bench(session_factory, utterances, chunk_ms, *,
                   clock=time.perf_counter, parallel_sessions=1) -> dict:
     """Feed utterances through fresh sessions, timing feed() only.
 
-    The first `warmup` utterances are excluded from statistics. When fewer
+    Each utterance must be a 1-D array of mono samples (InputError
+    otherwise). The first `warmup` utterances are excluded from statistics. When fewer
     than warmup + measured utterances are supplied, the list is reused
     cyclically and the report is flagged. `clock` is injectable so the
     report arithmetic can be verified with a mocked timer.
@@ -56,14 +58,13 @@ def latency_bench(session_factory, utterances, chunk_ms, *,
     """
     if parallel_sessions < 1:
         raise ConfigError(f"parallel_sessions must be >= 1, got {parallel_sessions}")
-    utterances = list(utterances)
+    utterances = [as_wave(u, "utterance") for u in utterances]
     if not utterances:
         raise InputError("latency_bench needs at least one utterance")
     needed = warmup + measured
     cycled = len(utterances) < needed
     chunk_samples = int(round(chunk_ms * 16.0))
-    waves = [np.asarray(utterances[i % len(utterances)], dtype=F32).reshape(-1)
-             for i in range(needed)]
+    waves = [utterances[i % len(utterances)] for i in range(needed)]
 
     # warm-up is always serial; only measured utterances may run in parallel
     for wave in waves[:warmup]:

@@ -85,6 +85,7 @@ def check_f0_scale(f0_scale) -> float:
 
 def inject_prosody(features, predictions, params: ProsodyParams, f0_scale=1.0):
     """Add the learned embedding of [f0 * scale, energy] to the feature stream."""
-    pred = predictions.astype(F32).copy()
+    pred = np.array(predictions, dtype=F32)
     pred[:, 0] *= F32(f0_scale)
-    return features + linear(pred, params.inject_w, params.inject_b)
+    emb = linear(pred, params.inject_w, params.inject_b)
+    return np.add(features, emb, out=emb)

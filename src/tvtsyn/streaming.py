@@ -121,7 +121,7 @@ class StreamSession:
         self.dec_frame_pos += frames.shape[0]
         fused = cln_fuse(ctxout, tvt, model.decoder.cln_out)
         raw, self.cnn_states = model.decoder.cnn.apply(fused, self.cnn_states)
-        out = np.clip(raw, -1.0, 1.0).astype(F32)
+        out = np.clip(raw, -1.0, 1.0, out=raw)
 
         self.samples_in += samples.shape[0]
         self.samples_out += out.shape[0]

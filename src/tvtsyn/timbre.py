@@ -74,15 +74,18 @@ class TvtParams:
 
 @dataclass
 class GtmMemory:
-    """Per-speaker key/value facet slots = speaker MLP output + shared priors."""
+    """Per-speaker key/value facet slots = speaker MLP output + shared priors,
+    and the speaker's unit-norm projection into the timbre space."""
 
     keys: np.ndarray    # (slots, attn_dim)
     values: np.ndarray  # (slots, timbre_dim)
+    g_hat: np.ndarray   # (timbre_dim,)
 
 
 def _mlp(g, weights):
     w1, b1, w2, b2 = weights
-    return linear(elu(linear(g, w1, b1)), w2, b2)
+    h = linear(g, w1, b1)
+    return linear(elu(h, out=h), w2, b2)
 
 
 def check_global_timbre(g, expected_dim):
@@ -103,7 +106,8 @@ def build_gtm(g, params: TvtParams) -> GtmMemory:
     g = check_global_timbre(g, params.g_proj_w.shape[1])
     keys = _mlp(g, params.mlp_k).reshape(params.n_slots, params.attn_dim) + params.key_prior
     values = _mlp(g, params.mlp_v).reshape(params.n_slots, params.timbre_dim) + params.value_prior
-    return GtmMemory(keys=keys.astype(F32), values=values.astype(F32))
+    return GtmMemory(keys=keys.astype(F32), values=values.astype(F32),
+                     g_hat=project_global(g, params))
 
 
 def project_global(g, params: TvtParams):
@@ -128,7 +132,8 @@ def gate_alpha(content, facet, g_hat, params: TvtParams):
     tiled = np.broadcast_to(g_hat, (content.shape[0], g_hat.shape[-1]))
     x = np.concatenate([content, facet, tiled], axis=1)
     w1, b1, w2, b2 = params.gate
-    return sigmoid(linear(elu(linear(x, w1, b1)), w2, b2))[:, 0]
+    h = linear(x, w1, b1)
+    return sigmoid(linear(elu(h, out=h), w2, b2))[:, 0]
 
 
 def _unitize(x):
@@ -207,12 +212,14 @@ def tvt_sequence(content, g, gtm: GtmMemory, params: TvtParams,
                  *, force_alpha=None, return_details=False):
     """Content frames + speaker -> time-varying timbre stream (T, timbre_dim).
 
+    `g` is the speaker vector `gtm` was built from; its projection is read
+    from `gtm.g_hat`, computed once per speaker by build_gtm.
     force_alpha pins the gate (0 = static speaker, 1 = pure facet path).
     With return_details, also yields (facet_weights, top1, alpha) for
     introspection dumps.
     """
     content = np.atleast_2d(content)
-    g_hat = project_global(g, params)
+    g_hat = gtm.g_hat
     facets, weights = retrieve_facet(content, gtm, params)
     if force_alpha is None:
         alpha = gate_alpha(content, facets, g_hat, params)

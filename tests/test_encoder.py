@@ -2,13 +2,18 @@
 KV cache, and the factorized VQ bottleneck against an exhaustive oracle.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_wave
-from tvtsyn.context import make_rings, transformer_full, transformer_step
+from tvtsyn import context
+from tvtsyn.config import small_config
+from tvtsyn.context import TransformerParams, make_rings, transformer_full, transformer_step
 from tvtsyn.encoder import EncoderState, VqParams, encode_frames, vq_nearest, vq_quantize
 from tvtsyn.errors import ConfigError, InputError, InternalError
+from tvtsyn.model import random_init
 
 F32 = np.float32
 
@@ -169,6 +174,49 @@ class TestContextAttend:
             transformer_step(x, model.encoder.ctx, rings, 7, lookahead=0)
 
 
+class TestCopyFreeWindow:
+    """A stream's attention reads its look-back window in place from the ring,
+    and each step builds its masks once, not once per layer."""
+
+    def test_streamed_keys_and_values_are_views_of_the_ring(self, model, monkeypatch):
+        # 3-frame blocks well past the look-back, so the ring's buffer is
+        # compacted several times on the way
+        ctx = model.encoder.ctx
+        seen = []
+
+        def spy(q, k, v, allowed, real=context._attend):
+            seen.append((k, v))
+            return real(q, k, v, allowed)
+
+        monkeypatch.setattr(context, "_attend", spy)
+        x = np.random.default_rng(8).normal(0, 1, (3 * ctx.lookback, ctx.d_model)).astype(F32)
+        rings = make_rings(ctx)
+        for start in range(0, x.shape[0], 3):
+            seen.clear()
+            transformer_step(x[start:start + 3], ctx, rings, start, lookahead=4)
+            assert len(seen) == len(rings)
+            for (k, v), ring in zip(seen, rings):
+                assert k.shape[1] == v.shape[1] == min(start, ctx.lookback) + 3
+                assert np.shares_memory(k, ring.k) and np.shares_memory(v, ring.v)
+
+    def test_band_mask_runs_at_most_twice_per_step(self, monkeypatch):
+        cfg = replace(small_config(), n_layers=4)
+        ctx = TransformerParams.from_store(random_init(0, cfg), "encoder.attn", cfg)
+        calls = []
+
+        def counting(*args, real=context.band_mask, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(context, "band_mask", counting)
+        x = np.random.default_rng(9).normal(0, 1, (9, ctx.d_model)).astype(F32)
+        rings = make_rings(ctx)
+        for start in range(0, 9, 3):
+            calls.clear()
+            transformer_step(x[start:start + 3], ctx, rings, start, lookahead=4)
+            assert len(calls) <= 2
+
+
 class TestVq:
     def test_nearest_matches_exhaustive_scan(self, model):
         rng = np.random.default_rng(5)
@@ -239,6 +287,6 @@ class TestAttend:
         w = np.exp(scores - scores.max(axis=-1, keepdims=True))
         w /= w.sum(axis=-1, keepdims=True)
         want = np.einsum("hts,shd->thd", w, v.astype(np.float64))
-        got = _attend(q, k, v, allowed)
+        got = _attend(q, k.transpose(1, 0, 2), v.transpose(1, 0, 2), allowed)
         assert got.shape == (t, 4, 16) and got.dtype == F32
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)

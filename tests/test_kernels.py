@@ -218,9 +218,9 @@ class TestLayerNorm:
 
 
 def sdpa(q, k, v, allowed=None):
-    """Single-head scaled dot-product attention through `context._attend`:
-    (T,d) x (S,d) x (S,dv) -> (T,dv)."""
-    return _attend(q[:, None], k[:, None], v[:, None], allowed)[:, 0]
+    """Single-head scaled dot-product attention through `context._attend`
+    (keys and values head-major): (T,d) x (S,d) x (S,dv) -> (T,dv)."""
+    return _attend(q[:, None], k[None], v[None], allowed)[:, 0]
 
 
 class TestSdpa:
@@ -263,12 +263,10 @@ class TestSdpa:
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-6)
 
     def test_fully_masked_row_raises(self):
-        q = np.zeros((2, 4), F32)
-        k = np.zeros((2, 4), F32)
-        v = np.zeros((2, 4), F32)
-        allowed = np.array([[True, True], [False, False]])
-        with pytest.raises(ConfigError):
-            sdpa(q, k, v, allowed)
+        # attention masks come from band_mask, which checks each mask once:
+        # here the query at 3 sees no key in [2, 3]
+        with pytest.raises(ConfigError, match="fully masked"):
+            band_mask(np.array([0, 3]), np.array([-1, 0]), lookback=1, lookahead=0)
 
 
 def rope(x, offset):
@@ -423,11 +421,37 @@ class TestWeightMajorProducts:
             prev = cut
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, rtol=1e-5, atol=1e-4)
 
+    # the per-phase sums over groups of `stride` taps: one group (2/2),
+    # whole groups (3/1, 4/2, 12/4, 16/8) and a ragged last group (5/2, 7/3);
+    # at T = 1 the carried K - s samples outlast the call's output for 3/1,
+    # 5/2, 7/3 and 12/4
     @pytest.mark.parametrize("t", [1, 3, 960])
-    @pytest.mark.parametrize("kernel,stride", [(4, 2), (16, 8), (7, 3), (2, 2)])
+    @pytest.mark.parametrize("kernel,stride", [(4, 2), (16, 8), (7, 3), (2, 2), (3, 1),
+                                               (5, 2), (12, 4)])
     def test_transposed_conv_matches_einsum(self, t, kernel, stride):
         _check_transposed_conv(np.random.default_rng(10 * kernel + stride),
                                ConvSpec(6, 5, kernel, stride, transposed=True), t)
+
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1), (5, 2), (7, 3), (12, 4),
+                                               (16, 8)])
+    def test_transposed_conv_chunked_equals_one_call(self, kernel, stride):
+        # from a random carried state, chunks of 1 to 7 frames (ring-outs
+        # that span several later calls) against one call over all 960
+        rng = np.random.default_rng(500 + 10 * kernel + stride)
+        spec = ConvSpec(6, 5, kernel, stride, transposed=True)
+        x = rng.normal(size=(6, 960)).astype(F32)
+        w = rng.normal(size=(6, 5, kernel)).astype(F32)
+        b = rng.normal(size=5).astype(F32)
+        state = rng.normal(size=(5, spec.state_len)).astype(F32)
+        full, full_state = transposed_conv1d_causal(x, spec, w, b, state)
+        parts, prev = [], 0
+        while prev < x.shape[1]:
+            cut = min(prev + int(rng.integers(1, 8)), x.shape[1])
+            y, state = transposed_conv1d_causal(x[:, prev:cut], spec, w, b, state)
+            parts.append(y)
+            prev = cut
+        np.testing.assert_allclose(np.concatenate(parts, axis=1), full, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(state, full_state, rtol=1e-5, atol=1e-5)
 
     # weight_product's per-column GEMVs: GEMV_BLOCK is cut so each weight
     # spans two full blocks of 20 rows and a ragged third of 10, and 1 to
@@ -503,6 +527,17 @@ class TestElu:
         assert np.isnan(got[nan]).all()
         quiet = np.flatnonzero(nan)[-2:]  # the two edge NaNs
         assert np.array_equal(got[quiet].view(np.uint32), want[quiet].view(np.uint32))
+        # the in-place form gives the same bits: block by block over C- and
+        # F-ordered buffers (many blocks and a ragged last one), and in one
+        # pass over a strided view
+        flat = x.copy()
+        fortran = np.asfortranarray(x[:5_000_000].reshape(2000, 2500))
+        strided = x.copy()[::3]
+        for buf, ref in ((flat, got), (fortran, got[:5_000_000].reshape(2000, 2500)),
+                         (strided, got[::3])):
+            with np.errstate(invalid="ignore"):
+                assert elu(buf, out=buf) is buf
+            assert np.array_equal(buf.view(np.uint32), ref.view(np.uint32))
 
     def test_values(self):
         x = np.array([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf], F32)

@@ -75,6 +75,20 @@ class TestLatencyBench:
                             "cycled", "realtime"}
         assert set(rep["utterances"][0]) == {"latency_ms", "rtf"}
 
+    @pytest.mark.parametrize("shape", [(2, 1920), (1920, 2), (1, 960)])
+    def test_utterance_not_1d_rejected(self, shape):
+        # a (2, 1920) utterance used to be fed as four 960-sample mono chunks
+        fed = []
+
+        class Recording:
+            def feed(self, chunk):
+                fed.append(chunk)
+
+        with pytest.raises(InputError, match="1-D"):
+            latency_bench(lambda: Recording(), [np.zeros(960, F32), np.zeros(shape, F32)],
+                          60.0, warmup=0, measured=2)
+        assert not fed  # rejected before any session runs
+
     def test_empty_utterances_rejected(self):
         with pytest.raises(InputError):
             latency_bench(lambda: MockSession(), [], 60.0)

@@ -88,7 +88,8 @@ class TestRetrieveFacet:
         keys = np.broadcast_to(rng.normal(0, 1, model.tvt.attn_dim).astype(F32),
                                (k, model.tvt.attn_dim)).copy()
         values = rng.normal(0, 1, (k, model.tvt.timbre_dim)).astype(F32)
-        gtm = GtmMemory(keys=keys, values=values)
+        # retrieve_facet reads only the slots, not the speaker projection g_hat
+        gtm = GtmMemory(keys=keys, values=values, g_hat=np.zeros(model.tvt.timbre_dim, F32))
         c = rng.normal(0, 1, (3, model.tvt.query_w.shape[1])).astype(F32)
         v, w = retrieve_facet(c, gtm, model.tvt)
         np.testing.assert_allclose(v, np.broadcast_to(values.mean(axis=0), v.shape),
@@ -104,7 +105,8 @@ class TestRetrieveFacet:
         q = c @ model.tvt.query_w.T + model.tvt.query_b
         keys[5] = 200.0 * q[0] / np.linalg.norm(q[0])  # saturate slot 5
         values = rng.normal(0, 1, (k, model.tvt.timbre_dim)).astype(F32)
-        v, w = retrieve_facet(c, GtmMemory(keys=keys, values=values), model.tvt)
+        gtm = GtmMemory(keys=keys, values=values, g_hat=np.zeros(model.tvt.timbre_dim, F32))
+        v, w = retrieve_facet(c, gtm, model.tvt)
         assert int(np.argmax(w[0])) == 5
         np.testing.assert_allclose(v[0], values[5], atol=1e-3)
 
