@@ -36,11 +36,11 @@ def _read_speaker(path, expected_dim):
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read speaker file {path}: {exc}") from exc
-    vec = np.frombuffer(raw, dtype="<f4")
-    if vec.size != expected_dim:
+    if len(raw) != 4 * expected_dim:
         raise InputError(
-            f"speaker file {path} holds {vec.size} float32 values, expected {expected_dim}")
-    return vec.astype(F32)
+            f"speaker file {path} holds {len(raw)} bytes, expected {expected_dim} "
+            f"float32 values ({4 * expected_dim} bytes)")
+    return np.frombuffer(raw, dtype="<f4").astype(F32)
 
 
 def _model_config(path) -> ModelConfig:
@@ -160,8 +160,7 @@ def cmd_bench(args):
     def factory():
         return open_session(model, stream_cfg, speaker)
 
-    report = latency_bench(factory, utts, args.chunk_ms,
-                           parallel_sessions=args.parallel_sessions)
+    report = latency_bench(factory, utts, args.chunk_ms)
     text = json.dumps(report, indent=2)
     if args.out:
         with _writing(args.out):
@@ -249,8 +248,6 @@ def build_parser():
     q.add_argument("--utt-seconds", type=float, default=1.0)
     q.add_argument("--speaker", default=None)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--parallel-sessions", type=int, default=1,
-                   help="run measured utterances over N concurrent sessions")
     q.add_argument("--out", default=None)
     q.set_defaults(fn=cmd_bench)
 

@@ -4,8 +4,8 @@ One layer loop serves both entry points; they differ only in where each
 layer's keys come from:
   - `transformer_full`: the whole sequence attends to itself (offline),
     optionally with lookahead truncated at block boundaries to mirror a stream,
-  - `transformer_step`: one block of new frames attends to the per-layer
-    ring KV cache of the rolling look-back window plus itself (streaming).
+  - `transformer_step`: one block of new frames attends to the stack's KV
+    cache of the rolling look-back window plus itself (streaming).
 
 Either way the mask is `band_mask` over absolute frame positions. Keys are
 cached post-rotation at absolute positions; rotary attention depends only on
@@ -92,67 +92,59 @@ class TransformerParams:
         )
 
 
-class KvRing:
-    """Rolling cache of rotated keys/values for one layer, stored head-major.
+class KvCache:
+    """Rolling cache of rotated keys/values for every layer of one stack,
+    stored (layers, heads, frames, head_dim).
 
-    The newest `count` (at most `capacity`) frames sit oldest first in
-    k[:, end - count:end] (v alike) of a buffer twice the capacity long.
-    `push` writes a block's frames right after them, so the look-back window
-    and the block are one slice of the buffer, returned as a view. A block
-    that would run past the buffer's end first moves the kept frames to its
-    start: for blocks of T frames, once every capacity/T calls. A block that
-    does not fit even then (only a block longer than the ring can fail to) is
-    attended through a copied window, and only its newest `capacity` frames
-    are kept.
+    The newest `count` (at most `capacity`) frames of each layer sit oldest
+    first in k[:, :, end - count:end] (v alike). `advance` reserves room for a
+    block of at most `block` frames right after them and returns the slice
+    holding the look-back window and then the block, so each layer writes
+    its block's frames at the slice's end and attends over the slice as a
+    view. A block that would run past the buffer's end first moves the kept
+    frames to its start, one copy per buffer: for blocks of T frames, once
+    every capacity/T calls. The buffer is capacity + max(capacity, block)
+    frames long, so a block always fits after that move.
     `next_pos` is the absolute frame index the next block must start at
     (desync raises InternalError). The buffers are allocated once, so
     per-session memory is constant in stream length.
     """
 
-    def __init__(self, capacity: int, n_heads: int, head_dim: int):
-        self.capacity = capacity
-        self.k = np.zeros((n_heads, 2 * capacity, head_dim), dtype=F32)
-        self.v = np.zeros((n_heads, 2 * capacity, head_dim), dtype=F32)
+    def __init__(self, params: TransformerParams, block: int):
+        self.capacity = params.lookback
+        self.block = block
+        shape = (len(params.layers), params.n_heads,
+                 self.capacity + max(self.capacity, block), params.head_dim)
+        self.k = np.zeros(shape, dtype=F32)
+        self.v = np.zeros(shape, dtype=F32)
         self.count = 0
         self.end = 0
         self.next_pos = 0
 
-    def push(self, k_new, v_new, start_pos: int):
-        """Store a block's (T, heads, head_dim) keys and values as frames
-        start_pos, start_pos + 1, ... and return (keys, values): head-major
-        (heads, count + T, head_dim), the cached frames oldest first, then
-        the block's. They stay valid until the next push."""
+    @property
+    def nbytes(self) -> int:
+        return self.k.nbytes + self.v.nbytes
+
+    def advance(self, n: int, start_pos: int) -> slice:
+        """Take a block of n frames at positions start_pos, start_pos + 1, ...
+        and return the frame slice of the buffers that holds the cached
+        frames, oldest first, then the block's n frames (yet to be written)."""
         if start_pos != self.next_pos:
             raise InternalError(
                 f"KV cache desync: block at position {start_pos}, expected {self.next_pos}")
-        n, kept, size = k_new.shape[0], self.count, self.k.shape[1]
-        old = slice(self.end - kept, self.end)
-        if kept + n > size:
-            keys = np.concatenate([self.k[:, old], k_new.transpose(1, 0, 2)], axis=1)
-            values = np.concatenate([self.v[:, old], v_new.transpose(1, 0, 2)], axis=1)
-            self.k[:, :self.capacity] = keys[:, -self.capacity:]
-            self.v[:, :self.capacity] = values[:, -self.capacity:]
-            self.end = self.capacity
-        else:
-            if self.end + n > size:
-                self.k[:, :kept] = self.k[:, old]
-                self.v[:, :kept] = self.v[:, old]
-                self.end = kept
-            lo, self.end = self.end - kept, self.end + n
-            self.k[:, self.end - n:self.end] = k_new.transpose(1, 0, 2)
-            self.v[:, self.end - n:self.end] = v_new.transpose(1, 0, 2)
-            keys, values = self.k[:, lo:self.end], self.v[:, lo:self.end]
+        if n > self.block:
+            raise InternalError(
+                f"block of {n} frames exceeds the KV cache's {self.block}-frame block")
+        kept = self.count
+        if self.end + n > self.k.shape[2]:
+            self.k[:, :, :kept] = self.k[:, :, self.end - kept:self.end]
+            self.v[:, :, :kept] = self.v[:, :, self.end - kept:self.end]
+            self.end = kept
+        window = slice(self.end - kept, self.end + n)
+        self.end += n
         self.count = min(kept + n, self.capacity)
         self.next_pos += n
-        return keys, values
-
-    def state_nbytes(self) -> int:
-        return self.k.nbytes + self.v.nbytes
-
-
-def make_rings(params: TransformerParams) -> list:
-    return [KvRing(params.lookback, params.n_heads, params.head_dim)
-            for _ in params.layers]
+        return window
 
 
 def _split_heads(x, n_heads):
@@ -203,22 +195,25 @@ def _attend(q, k, v, allowed):
     return (w @ v).transpose(1, 0, 2)
 
 
-def _block(x, layer, params: TransformerParams, rope, allowed, start_pos: int,
-           ring: KvRing | None, owned: bool):
-    """One pre-norm layer over the frames x at positions start_pos, start_pos + 1, ...
+def _block(x, layer, params: TransformerParams, rope, allowed, kv, owned: bool):
+    """One pre-norm layer over the frames x.
 
-    The keys are the frames' own (offline, ring None) or the ring's look-back
-    window followed by the frames' own (streaming), which the ring then
-    keeps. The residual sums go into x itself when the caller `owned` it.
+    The keys are the frames' own (offline, kv None) or, when streaming, this
+    layer's (keys, values) cache views: the look-back window, with the
+    frames' own written into the view's last len(x) rows. The residual sums
+    go into x itself when the caller `owned` it.
     """
     h = layer_norm(x, layer.ln1_g, layer.ln1_b)
     q = rope_rotate(_split_heads(linear(h, layer.wq, layer.bq), params.n_heads), *rope)
     k = rope_rotate(_split_heads(linear(h, layer.wk, layer.bk), params.n_heads), *rope)
     v = _split_heads(linear(h, layer.wv, layer.bv), params.n_heads)
-    if ring is None:
+    if kv is None:
         keys, values = k.transpose(1, 0, 2), v.transpose(1, 0, 2)
     else:
-        keys, values = ring.push(k, v, start_pos)
+        keys, values = kv
+        n = x.shape[0]
+        keys[:, -n:] = k.transpose(1, 0, 2)
+        values[:, -n:] = v.transpose(1, 0, 2)
     a = linear(_merge_heads(_attend(q, keys, values, allowed)), layer.wo, layer.bo)
     a *= layer.ls_attn
     x = np.add(x, a, out=x if owned else None)
@@ -229,7 +224,7 @@ def _block(x, layer, params: TransformerParams, rope, allowed, start_pos: int,
 
 
 def _stack(x, params: TransformerParams, start_pos: int, lookahead: int, block_frames,
-           rings):
+           cache: KvCache | None):
     """Every layer over the frames x, then the output norm.
 
     The lookahead window (truncated at block_frames) applies to the first
@@ -237,17 +232,19 @@ def _stack(x, params: TransformerParams, start_pos: int, lookahead: int, block_f
     layer would compound the horizon (layer n sees n * lookahead frames ahead),
     breaking the fixed-budget future access the runtime promises. So each
     call builds two masks, one for the first layer and one for the rest; a
-    stream's keys are every ring's cached frames, then the new ones.
+    stream's keys are the cache's look-back frames, then the new ones.
     """
-    pos = start_pos + np.arange(x.shape[0])
-    cached = rings[0].count if rings else 0
-    key_pos = start_pos - cached + np.arange(cached + x.shape[0])
+    n = x.shape[0]
+    pos = start_pos + np.arange(n)
+    window = None if cache is None else cache.advance(n, start_pos)
+    cached = 0 if window is None else window.stop - window.start - n
+    key_pos = start_pos - cached + np.arange(cached + n)
     first = band_mask(pos, key_pos, params.lookback, lookahead, block_frames)
     rest = band_mask(pos, key_pos, params.lookback, 0)
     rope = rope_cos_sin(pos, params.head_dim)
     for i, layer in enumerate(params.layers):
-        x = _block(x, layer, params, rope, first if i == 0 else rest, start_pos,
-                   None if rings is None else rings[i], owned=i > 0)
+        kv = None if window is None else (cache.k[i, :, window], cache.v[i, :, window])
+        x = _block(x, layer, params, rope, first if i == 0 else rest, kv, owned=i > 0)
     return layer_norm(x, params.ln_out_g, params.ln_out_b)
 
 
@@ -258,13 +255,11 @@ def transformer_full(x, params: TransformerParams, *, lookahead: int, block_fram
     return _stack(x, params, 0, lookahead, block_frames, None)
 
 
-def transformer_step(x, params: TransformerParams, rings: list, start_pos: int,
+def transformer_step(x, params: TransformerParams, cache: KvCache, start_pos: int,
                      *, lookahead: int):
     """Incremental pass over one block (T, d_model) of new frames.
 
-    Lookahead reaches only within the supplied block; the rolling caches are
-    updated in place so the next call continues at start_pos + T.
+    Lookahead reaches only within the supplied block; the cache is updated
+    in place so the next call continues at start_pos + T.
     """
-    if len(rings) != len(params.layers):
-        raise InternalError("ring cache count does not match layer count")
-    return _stack(x, params, start_pos, lookahead, None, rings)
+    return _stack(x, params, start_pos, lookahead, None, cache)

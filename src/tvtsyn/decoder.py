@@ -146,10 +146,10 @@ class DecoderParams:
 
 
 def decode_context(frames, tvt, prosody_stream, params: DecoderParams,
-                   prosody_params, *, f0_scale=1.0, rings=None, start_pos=0):
+                   prosody_params, *, f0_scale=1.0, cache=None, start_pos=0):
     """Condition content on timbre, inject prosody, run the causal context stack.
 
-    frames/tvt/prosody_stream must be frame-aligned. Stateless when rings is
+    frames/tvt/prosody_stream must be frame-aligned. Stateless when cache is
     None (whole sequence); incremental otherwise.
     """
     frames = np.atleast_2d(frames)
@@ -161,9 +161,9 @@ def decode_context(frames, tvt, prosody_stream, params: DecoderParams,
             f"prosody {prosody_stream.shape[0]}")
     x = cln_fuse(frames, tvt, params.cln_in)
     x = inject_prosody(x, prosody_stream, prosody_params, f0_scale=f0_scale)
-    if rings is None:
+    if cache is None:
         return transformer_full(x, params.ctx, lookahead=0)
-    return transformer_step(x, params.ctx, rings, start_pos, lookahead=0)
+    return transformer_step(x, params.ctx, cache, start_pos, lookahead=0)
 
 
 def synthesize_wave(frames, tvt, params: DecoderParams, states=None):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import CODEBOOK_SIZE, VQ_DIM, ModelConfig
-from .context import TransformerParams, make_rings, transformer_full, transformer_step
+from .context import KvCache, TransformerParams, transformer_full, transformer_step
 from .errors import ConfigError, InputError
 from .kernels import (F32, ConvSpec, causal_conv1d, conv_state_init, elu,
                       l2_normalize_rows, linear)
@@ -193,11 +193,12 @@ class EncoderParams:
 
 
 class EncoderState:
-    """Per-stream encoder state: conv buffers, KV rings, frame clock."""
+    """Per-stream encoder state: conv buffers, the KV cache for blocks of at
+    most `block` frames, frame clock."""
 
-    def __init__(self, params: EncoderParams):
+    def __init__(self, params: EncoderParams, block: int):
         self.conv = params.cnn.init_states()
-        self.rings = make_rings(params.ctx)
+        self.cache = KvCache(params.ctx, block)
         self.frame_pos = 0
 
 
@@ -219,7 +220,7 @@ def encode_frames(wave, params: EncoderParams, state: EncoderState = None,
                                   block_frames=block_frames)
         return frames, None
     frames, state.conv = params.cnn.apply(wave, state.conv)
-    frames = transformer_step(frames, params.ctx, state.rings, state.frame_pos,
+    frames = transformer_step(frames, params.ctx, state.cache, state.frame_pos,
                               lookahead=la)
     state.frame_pos += frames.shape[0]
     return frames, state

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from .config import FRAME_HOP
+from .config import FRAME_HOP, MAX_LOOKAHEAD
 from .errors import ConfigError, InputError
 from .kernels import F32
 from .model import as_wave
@@ -42,22 +42,16 @@ def _time_utterance(session_factory, wave, chunk_ms, chunk_samples, clock):
 
 def latency_bench(session_factory, utterances, chunk_ms, *,
                   warmup=WARMUP_UTTERANCES, measured=MEASURED_UTTERANCES,
-                  clock=time.perf_counter, parallel_sessions=1) -> dict:
+                  clock=time.perf_counter) -> dict:
     """Feed utterances through fresh sessions, timing feed() only.
 
     Each utterance must be a 1-D array of mono samples (InputError
     otherwise). The first `warmup` utterances are excluded from statistics. When fewer
     than warmup + measured utterances are supplied, the list is reused
     cyclically and the report is flagged. `clock` is injectable so the
-    report arithmetic can be verified with a mocked timer.
-
-    Sessions run serially by default. With parallel_sessions > 1 the measured
-    utterances are striped over that many threads (one independent session
-    per utterance, one stripe per thread); the numbers then include
-    cross-session contention and the report is labeled accordingly.
+    report arithmetic can be verified with a mocked timer. Sessions run one
+    after another.
     """
-    if parallel_sessions < 1:
-        raise ConfigError(f"parallel_sessions must be >= 1, got {parallel_sessions}")
     utterances = [as_wave(u, "utterance") for u in utterances]
     if not utterances:
         raise InputError("latency_bench needs at least one utterance")
@@ -66,28 +60,9 @@ def latency_bench(session_factory, utterances, chunk_ms, *,
     chunk_samples = int(round(chunk_ms * 16.0))
     waves = [utterances[i % len(utterances)] for i in range(needed)]
 
-    # warm-up is always serial; only measured utterances may run in parallel
-    for wave in waves[:warmup]:
-        _time_utterance(session_factory, wave, chunk_ms, chunk_samples, clock)
-
-    measured_waves = waves[warmup:]
-    if parallel_sessions > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        results = [None] * len(measured_waves)
-
-        def run_stripe(offset):
-            for i in range(offset, len(measured_waves), parallel_sessions):
-                results[i] = _time_utterance(session_factory, measured_waves[i],
-                                             chunk_ms, chunk_samples, clock)
-
-        with ThreadPoolExecutor(max_workers=parallel_sessions) as pool:
-            list(pool.map(run_stripe, range(parallel_sessions)))
-        per_utt = results
-    else:
-        per_utt = [_time_utterance(session_factory, wave, chunk_ms,
-                                   chunk_samples, clock)
-                   for wave in measured_waves]
+    # the warm-up utterances are timed like the rest, then dropped
+    per_utt = [_time_utterance(session_factory, wave, chunk_ms, chunk_samples, clock)
+               for wave in waves][warmup:]
 
     latency_mean = float(np.mean([u["latency_ms"] for u in per_utt]))
     rtf_mean = float(np.mean([u["rtf"] for u in per_utt]))
@@ -100,12 +75,13 @@ def latency_bench(session_factory, utterances, chunk_ms, *,
         "measured_count": len(per_utt),
         "cycled": cycled,
         "realtime": rtf_mean < 1.0,
-        "parallel_sessions": int(parallel_sessions),
-        "mode": "parallel" if parallel_sessions > 1 else "serial",
     }
 
 
-def _check_trials(trials):
+def _check_probe(lookahead_frames, trials):
+    if not 0 <= int(lookahead_frames) <= MAX_LOOKAHEAD:
+        raise ConfigError(
+            f"lookahead_frames must be in [0, {MAX_LOOKAHEAD}], got {lookahead_frames}")
     if int(trials) < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
 
@@ -117,7 +93,7 @@ def causality_probe(synth_fn, lookahead_frames, trials, seed) -> dict:
     strictly after sample 320*(t + lookahead), and require output samples
     <= 320*t to be exactly unchanged. Violations are listed in the report.
     """
-    _check_trials(trials)
+    _check_probe(lookahead_frames, trials)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     violations = []
     for trial in range(int(trials)):
@@ -146,7 +122,7 @@ def causality_probe(synth_fn, lookahead_frames, trials, seed) -> dict:
 def probe_influence(synth_fn, lookahead_frames, trials, seed) -> int:
     """Positive control: perturb from one frame after the cut frame t and count
     trials where protected output actually changed (expected > 0 with lookahead > 0)."""
-    _check_trials(trials)
+    _check_probe(lookahead_frames, trials)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     influenced = 0
     for _ in range(int(trials)):

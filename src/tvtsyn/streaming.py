@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import StreamConfig
-from .context import make_rings
+from .context import KvCache
 from .decoder import cln_fuse, decode_context
 from .encoder import EncoderState, encode_frames, vq_quantize
 from .errors import InputError, StateError
@@ -48,8 +48,9 @@ class StreamSession:
 
     def _init_state(self):
         model = self.model
-        self.enc_state = EncoderState(model.encoder)
-        self.dec_rings = make_rings(model.decoder.ctx)
+        # each attention stack takes one chunk's frames per step
+        self.enc_state = EncoderState(model.encoder, self.cfg.chunk_frames)
+        self.dec_cache = KvCache(model.decoder.ctx, self.cfg.chunk_frames)
         self.dec_frame_pos = 0
         self.pros_states = model.prosody.init_states()
         self.cnn_states = model.decoder.cnn.init_states()
@@ -89,11 +90,9 @@ class StreamSession:
                     visit(item)
 
         visit(self.enc_state.conv)
-        for ring in self.enc_state.rings + self.dec_rings:
-            total += ring.state_nbytes()
         visit(self.pros_states)
         visit(self.cnn_states)
-        return total
+        return total + self.enc_state.cache.nbytes + self.dec_cache.nbytes
 
     # -- processing --------------------------------------------------------
 
@@ -117,7 +116,7 @@ class StreamSession:
                                                    self.pros_states)
         ctxout = decode_context(content, tvt, pred, model.decoder, model.prosody,
                                 f0_scale=self.f0_scale,
-                                rings=self.dec_rings, start_pos=self.dec_frame_pos)
+                                cache=self.dec_cache, start_pos=self.dec_frame_pos)
         self.dec_frame_pos += frames.shape[0]
         fused = cln_fuse(ctxout, tvt, model.decoder.cln_out)
         raw, self.cnn_states = model.decoder.cnn.apply(fused, self.cnn_states)

@@ -33,6 +33,9 @@ def read_wav(path) -> np.ndarray:
         raise InputError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
     if rate != SAMPLE_RATE:
         raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz (resample first)")
+    if len(raw) != n * width:
+        raise InputError(f"{path}: truncated data chunk: {len(raw)} bytes for {n} frames "
+                         f"of {width} bytes")
     ints = np.frombuffer(raw, dtype="<i2")
     return (ints.astype(F32) / F32(32768.0)).astype(F32)
 

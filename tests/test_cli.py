@@ -3,6 +3,7 @@ and the WAV / speaker-vector / JSON external interfaces.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import random_wave
 from tvtsyn import wavio
 from tvtsyn.cli import run
 from tvtsyn.config import config_to_text, save_config
+from tvtsyn.errors import InputError
 
 F32 = np.float32
 
@@ -32,6 +34,15 @@ def workdir(tmp_path_factory, cfg):
 
 def _margs(d, *extra):
     return ["--weights", str(d / "w.tvtw"), "--config", str(d / "model.cfg"), *extra]
+
+
+def _wav_bytes(n_frames, data):
+    """A 16 kHz mono PCM16 WAV whose header declares n_frames frames, followed
+    by `data` as the data chunk's payload, whatever its length."""
+    fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", 2 * n_frames) + data)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 class TestInitWeights:
@@ -128,6 +139,16 @@ class TestSynth:
         code = run(["synth", *_margs(workdir), "--speaker", str(bad),
                     "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav")])
         assert code == 1
+
+    @pytest.mark.parametrize("n_bytes", [5, 4 * 7 + 1])
+    def test_speaker_size_not_whole_floats_is_input_error(self, workdir, tmp_path,
+                                                          capsys, n_bytes):
+        bad = tmp_path / "bad.f32"
+        bad.write_bytes(b"\x01" * n_bytes)
+        code = run(["synth", *_margs(workdir), "--speaker", str(bad),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav")])
+        assert code == 1
+        assert f"{n_bytes} bytes" in capsys.readouterr().err
 
     def test_missing_wav_is_input_error(self, workdir, tmp_path):
         code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
@@ -246,11 +267,6 @@ class TestBench:
     def test_bad_utt_seconds_is_config_error(self, workdir, seconds):
         assert run(["bench", *_margs(workdir), "--utt-seconds", seconds]) == 2
 
-    @pytest.mark.parametrize("sessions", ["0", "-1"])
-    def test_parallel_sessions_below_one_is_config_error(self, workdir, sessions):
-        assert run(["bench", *_margs(workdir), "--synthetic", "1", "--utt-seconds", "0.12",
-                    "--parallel-sessions", sessions]) == 2
-
     def test_empty_directory_is_input_error(self, workdir, tmp_path):
         d = tmp_path / "empty"
         d.mkdir()
@@ -339,4 +355,11 @@ class TestWavIo:
             f.setframerate(16000)
             f.writeframes(b"\x00\x00\x00\x00" * 100)
         with pytest.raises(Exception, match="mono"):
+            wavio.read_wav(p)
+
+    @pytest.mark.parametrize("data_bytes", [403, 400])
+    def test_truncated_data_chunk_rejected(self, tmp_path, data_bytes):
+        p = tmp_path / "t.wav"
+        p.write_bytes(_wav_bytes(9600, b"\x00" * data_bytes))
+        with pytest.raises(InputError, match="truncated"):
             wavio.read_wav(p)

@@ -94,16 +94,16 @@ class TestDecodeContext:
             assert np.array_equal(base[:t + 1], y[:t + 1])
 
     def test_chunked_equals_one_shot(self, model):
-        from tvtsyn.context import make_rings
+        from tvtsyn.context import KvCache
 
         content, tvt, pros = self._streams(model, 2)
         full = decode_context(content, tvt, pros, model.decoder, model.prosody)
-        rings = make_rings(model.decoder.ctx)
+        cache = KvCache(model.decoder.ctx, 5)
         parts = []
         for k in range(0, 30, 5):
             parts.append(decode_context(content[k:k + 5], tvt[k:k + 5], pros[k:k + 5],
                                         model.decoder, model.prosody,
-                                        rings=rings, start_pos=k))
+                                        cache=cache, start_pos=k))
         np.testing.assert_allclose(np.concatenate(parts), full, atol=1e-5)
 
     def test_length_mismatch_rejected(self, model):

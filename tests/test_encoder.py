@@ -10,7 +10,7 @@ import pytest
 from conftest import random_wave
 from tvtsyn import context
 from tvtsyn.config import small_config
-from tvtsyn.context import TransformerParams, make_rings, transformer_full, transformer_step
+from tvtsyn.context import KvCache, TransformerParams, transformer_full, transformer_step
 from tvtsyn.encoder import EncoderState, VqParams, encode_frames, vq_nearest, vq_quantize
 from tvtsyn.errors import ConfigError, InputError, InternalError
 from tvtsyn.model import random_init
@@ -43,7 +43,7 @@ class TestStreamingEquivalence:
         wave = random_wave(3, 320 * chunk_frames * 10)
         offline, _ = encode_frames(wave, model.encoder, lookahead=4,
                                    block_frames=chunk_frames)
-        state = EncoderState(model.encoder)
+        state = EncoderState(model.encoder, chunk_frames)
         parts = []
         step = 320 * chunk_frames
         for k in range(10):
@@ -119,25 +119,25 @@ class TestContextAttend:
         t_total = lookback + 20
         x = self._random_frames(model, 3, t=t_total)
         full = transformer_full(x, model.encoder.ctx, lookahead=0)
-        rings = make_rings(model.encoder.ctx)
-        outs = [transformer_step(x[t:t + 1], model.encoder.ctx, rings, t, lookahead=0)
+        cache = KvCache(model.encoder.ctx, 1)
+        outs = [transformer_step(x[t:t + 1], model.encoder.ctx, cache, t, lookahead=0)
                 for t in range(t_total)]
         streamed = np.concatenate(outs, axis=0)
         assert np.abs(streamed - full).max() <= 1e-5
 
     @pytest.mark.parametrize("lookahead", [0, 4])
     def test_block_longer_than_ring_matches_full_pass(self, model, lookahead):
-        # one block overflows the ring on its first append (only the newest
-        # `lookback` frames are kept), then a second block reads that window
+        # one block longer than the look-back (only its newest `lookback`
+        # frames are kept), then a second block reads that window
         ctx = model.encoder.ctx
         t = ctx.lookback + 50
         x = self._random_frames(model, 5, t=2 * t)
-        rings = make_rings(ctx)
-        first = transformer_step(x[:t], ctx, rings, 0, lookahead=lookahead)
+        cache = KvCache(ctx, t)
+        first = transformer_step(x[:t], ctx, cache, 0, lookahead=lookahead)
         np.testing.assert_allclose(
             first, transformer_full(x[:t], ctx, lookahead=lookahead, block_frames=t),
             rtol=0, atol=1e-6)
-        second = transformer_step(x[t:], ctx, rings, t, lookahead=lookahead)
+        second = transformer_step(x[t:], ctx, cache, t, lookahead=lookahead)
         full = transformer_full(x, ctx, lookahead=lookahead, block_frames=t)
         np.testing.assert_allclose(second, full[t:], rtol=0, atol=1e-6)
 
@@ -151,11 +151,10 @@ class TestContextAttend:
         x = self._random_frames(model, 7, t=ctx.lookback + 3)
         outs = []
         for start in (0, 10 ** 9):
-            rings = make_rings(ctx)
-            for ring in rings:
-                ring.next_pos = start
-            hist = transformer_step(x[:ctx.lookback], ctx, rings, start, lookahead=lookahead)
-            block = transformer_step(x[ctx.lookback:], ctx, rings, start + ctx.lookback,
+            cache = KvCache(ctx, ctx.lookback)
+            cache.next_pos = start
+            hist = transformer_step(x[:ctx.lookback], ctx, cache, start, lookahead=lookahead)
+            block = transformer_step(x[ctx.lookback:], ctx, cache, start + ctx.lookback,
                                      lookahead=lookahead)
             outs.append((hist, block))
         for far, near in zip(outs[1], outs[0]):
@@ -168,18 +167,25 @@ class TestContextAttend:
 
     def test_cache_position_desync_raises(self, model):
         x = self._random_frames(model, 4, t=3)
-        rings = make_rings(model.encoder.ctx)
-        transformer_step(x, model.encoder.ctx, rings, 0, lookahead=0)
+        cache = KvCache(model.encoder.ctx, 3)
+        transformer_step(x, model.encoder.ctx, cache, 0, lookahead=0)
         with pytest.raises(InternalError):
-            transformer_step(x, model.encoder.ctx, rings, 7, lookahead=0)
+            transformer_step(x, model.encoder.ctx, cache, 7, lookahead=0)
+
+    def test_block_longer_than_cache_block_raises(self, model):
+        x = self._random_frames(model, 4, t=4)
+        cache = KvCache(model.encoder.ctx, 3)
+        with pytest.raises(InternalError, match="block"):
+            transformer_step(x, model.encoder.ctx, cache, 0, lookahead=0)
+        assert cache.next_pos == 0 and cache.count == 0
 
 
 class TestCopyFreeWindow:
-    """A stream's attention reads its look-back window in place from the ring,
+    """A stream's attention reads its look-back window in place from the cache,
     and each step builds its masks once, not once per layer."""
 
     def test_streamed_keys_and_values_are_views_of_the_ring(self, model, monkeypatch):
-        # 3-frame blocks well past the look-back, so the ring's buffer is
+        # 3-frame blocks well past the look-back, so the cache's buffer is
         # compacted several times on the way
         ctx = model.encoder.ctx
         seen = []
@@ -190,14 +196,14 @@ class TestCopyFreeWindow:
 
         monkeypatch.setattr(context, "_attend", spy)
         x = np.random.default_rng(8).normal(0, 1, (3 * ctx.lookback, ctx.d_model)).astype(F32)
-        rings = make_rings(ctx)
+        cache = KvCache(ctx, 3)
         for start in range(0, x.shape[0], 3):
             seen.clear()
-            transformer_step(x[start:start + 3], ctx, rings, start, lookahead=4)
-            assert len(seen) == len(rings)
-            for (k, v), ring in zip(seen, rings):
+            transformer_step(x[start:start + 3], ctx, cache, start, lookahead=4)
+            assert len(seen) == len(ctx.layers)
+            for i, (k, v) in enumerate(seen):
                 assert k.shape[1] == v.shape[1] == min(start, ctx.lookback) + 3
-                assert np.shares_memory(k, ring.k) and np.shares_memory(v, ring.v)
+                assert np.shares_memory(k, cache.k[i]) and np.shares_memory(v, cache.v[i])
 
     def test_band_mask_runs_at_most_twice_per_step(self, monkeypatch):
         cfg = replace(small_config(), n_layers=4)
@@ -210,10 +216,10 @@ class TestCopyFreeWindow:
 
         monkeypatch.setattr(context, "band_mask", counting)
         x = np.random.default_rng(9).normal(0, 1, (9, ctx.d_model)).astype(F32)
-        rings = make_rings(ctx)
+        cache = KvCache(ctx, 3)
         for start in range(0, 9, 3):
             calls.clear()
-            transformer_step(x[start:start + 3], ctx, rings, start, lookahead=4)
+            transformer_step(x[start:start + 3], ctx, cache, start, lookahead=4)
             assert len(calls) <= 2
 
 

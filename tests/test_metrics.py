@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_wave
-from tvtsyn.config import StreamConfig
+from tvtsyn.config import MAX_LOOKAHEAD, StreamConfig
 from tvtsyn.errors import ConfigError, InputError
 from tvtsyn.metrics import causality_probe, latency_bench, probe_influence
 from tvtsyn.model import synthesize
@@ -93,26 +93,6 @@ class TestLatencyBench:
         with pytest.raises(InputError):
             latency_bench(lambda: MockSession(), [], 60.0)
 
-    @pytest.mark.parametrize("sessions", [0, -1])
-    def test_parallel_sessions_below_one_rejected(self, sessions):
-        calls = []
-        with pytest.raises(ConfigError, match="parallel_sessions"):
-            latency_bench(lambda: calls.append(1) or MockSession(),
-                          [np.zeros(960, F32)], 60.0, parallel_sessions=sessions)
-        assert not calls  # rejected before any session runs
-
-    def test_parallel_sessions_mode_labeled(self, model, speaker):
-        sc = StreamConfig(chunk_ms=60)
-        utts = [random_wave(s, 960 * 2) for s in range(4)]
-        rep = latency_bench(lambda: open_session(model, sc, speaker), utts, 60.0,
-                            warmup=1, measured=6, parallel_sessions=2)
-        assert rep["mode"] == "parallel"
-        assert rep["parallel_sessions"] == 2
-        assert rep["measured_count"] == 6
-        serial = latency_bench(lambda: open_session(model, sc, speaker), utts, 60.0,
-                               warmup=1, measured=2)
-        assert serial["mode"] == "serial"
-
 
 class TestCausalityProbe:
     def test_clean_at_both_lookaheads(self, model, speaker):
@@ -139,3 +119,12 @@ class TestCausalityProbe:
 
         with pytest.raises(ConfigError, match="trials"):
             probe(never_called, 0, trials=trials, seed=1)
+
+    @pytest.mark.parametrize("probe", [causality_probe, probe_influence])
+    @pytest.mark.parametrize("lookahead", [-3, -1, MAX_LOOKAHEAD + 1, 7, 14])
+    def test_lookahead_out_of_range_rejected(self, probe, lookahead):
+        def never_called(wave):
+            raise AssertionError("a rejected probe must not synthesize")
+
+        with pytest.raises(ConfigError, match="lookahead"):
+            probe(never_called, lookahead, trials=40, seed=0)

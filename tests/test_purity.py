@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_wave
 from tvtsyn.config import StreamConfig
-from tvtsyn.context import make_rings, transformer_full, transformer_step
+from tvtsyn.context import KvCache, transformer_full, transformer_step
 from tvtsyn.kernels import (ConvSpec, causal_conv1d, elu, layer_norm, linear,
                             transposed_conv1d_causal)
 from tvtsyn.model import synthesize
@@ -83,15 +83,14 @@ def test_transformer_full_and_step_are_pure(model):
     snap = Snapshot(x)
     outs = [transformer_full(x, ctx, lookahead=4),
             transformer_full(x, ctx, lookahead=4, block_frames=3)]
-    rings = make_rings(ctx)
-    # the rings are the step's state, updated in place by design; the frames
+    cache = KvCache(ctx, 3)
+    # the cache is the step's state, updated in place by design; the frames
     # are the caller's
     for start in range(0, x.shape[0], 3):
-        outs.append(transformer_step(x[start:start + 3], ctx, rings, start, lookahead=4))
+        outs.append(transformer_step(x[start:start + 3], ctx, cache, start, lookahead=4))
     snap.assert_unchanged()
     snap.assert_not_aliased(*outs)
-    for ring in rings:
-        snap.assert_not_aliased(ring.k, ring.v)
+    snap.assert_not_aliased(cache.k, cache.v)
 
 
 def test_feed_and_synthesize_are_pure(model, speaker):
