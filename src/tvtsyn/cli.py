@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .config import SAMPLE_RATE, ModelConfig, StreamConfig, load_config
+from .config import MAX_SPAN_SECONDS, SAMPLE_RATE, ModelConfig, StreamConfig, load_config
 from .errors import ConfigError, InputError, InternalError, TvtSynError
 from .kernels import F32
 from .metrics import causality_probe, latency_bench
@@ -100,12 +99,12 @@ def cmd_init_weights(args):
 
 
 def cmd_synth(args):
-    model = _load(args)
-    speaker = _read_speaker(args.speaker, model.cfg.global_dim)
-    wave = wavio.read_wav(args.infile)
     block = None
     if args.block_ms is not None:
         block = StreamConfig(chunk_ms=args.block_ms).chunk_frames
+    model = _load(args)
+    speaker = _read_speaker(args.speaker, model.cfg.global_dim)
+    wave = wavio.read_wav(args.infile)
     out = synthesize(model, wave, speaker, lookahead=args.lookahead,
                      block_frames=block, f0_scale=args.f0_scale)
     with _writing(args.out):
@@ -115,10 +114,10 @@ def cmd_synth(args):
 
 
 def cmd_stream(args):
+    cfg = StreamConfig(chunk_ms=args.chunk_ms, lookahead_frames=args.lookahead)
     model = _load(args)
     speaker = _read_speaker(args.speaker, model.cfg.global_dim)
     wave = wavio.read_wav(args.infile)
-    cfg = StreamConfig(chunk_ms=args.chunk_ms, lookahead_frames=args.lookahead)
     times = []
 
     def on_chunk(k, seconds):
@@ -137,6 +136,10 @@ def cmd_stream(args):
 
 def cmd_bench(args):
     _check_seed(args.seed)
+    stream_cfg = StreamConfig(chunk_ms=args.chunk_ms)
+    if not args.utterances and not 0 < args.utt_seconds <= MAX_SPAN_SECONDS:
+        raise ConfigError(
+            f"--utt-seconds must be in (0, {MAX_SPAN_SECONDS:.0f}], got {args.utt_seconds}")
     model = _load(args)
     if args.utterances:
         paths = sorted(Path(args.utterances).glob("*.wav"))
@@ -144,8 +147,6 @@ def cmd_bench(args):
             raise InputError(f"no .wav files under {args.utterances}")
         utts = [wavio.read_wav(p) for p in paths]
     else:
-        if not (math.isfinite(args.utt_seconds) and args.utt_seconds > 0):
-            raise ConfigError(f"--utt-seconds must be finite and > 0, got {args.utt_seconds}")
         rng = np.random.Generator(np.random.PCG64(args.seed))
         n_samples = int(args.utt_seconds * SAMPLE_RATE)
         utts = [rng.uniform(-0.5, 0.5, size=n_samples).astype(F32)
@@ -155,7 +156,6 @@ def cmd_bench(args):
     else:
         speaker = np.random.Generator(np.random.PCG64(args.seed)).normal(
             0, 1, model.cfg.global_dim).astype(F32)
-    stream_cfg = StreamConfig(chunk_ms=args.chunk_ms)
 
     def factory():
         return open_session(model, stream_cfg, speaker)

@@ -12,6 +12,8 @@ from .errors import ConfigError, FormatError
 SAMPLE_RATE = 16000
 FRAME_HOP = 320  # samples per frame: 16 kHz -> 50 Hz
 MAX_LOOKAHEAD = 4
+# longest chunk, offline block or synthetic bench utterance
+MAX_SPAN_SECONDS = 60.0
 # factorized VQ bottleneck: L2-normalized codes, 4096 entries of dim 8
 CODEBOOK_SIZE = 4096
 VQ_DIM = 8
@@ -115,6 +117,9 @@ class StreamConfig:
     def validate(self):
         if not math.isfinite(self.chunk_ms):
             raise ConfigError(f"chunk_ms must be finite, got {self.chunk_ms}")
+        if self.chunk_ms > 1000.0 * MAX_SPAN_SECONDS:
+            raise ConfigError(
+                f"chunk_ms={self.chunk_ms} exceeds the {MAX_SPAN_SECONDS:.0f} s limit")
         samples = self.chunk_ms * SAMPLE_RATE / 1000.0
         frame_ms = 1000.0 * FRAME_HOP / SAMPLE_RATE
         if samples != int(samples) or int(samples) % FRAME_HOP or samples <= 0:

@@ -5,11 +5,12 @@ layer's keys come from:
   - `transformer_full`: the whole sequence attends to itself (offline),
     optionally with lookahead truncated at block boundaries to mirror a stream,
   - `transformer_step`: one block of new frames attends to the stack's KV
-    cache of the rolling look-back window plus itself (streaming).
+    ring, which holds the look-back window and the block itself (streaming).
 
-Either way the mask is `band_mask` over absolute frame positions. Keys are
-cached post-rotation at absolute positions; rotary attention depends only on
-relative offsets, so cached entries stay valid as the stream advances. Each
+Either way the mask is `band_mask` over absolute frame positions, so the
+ring's keys need not be in time order. Keys are cached post-rotation at
+absolute positions; rotary attention depends only on relative offsets, so
+cached entries stay valid as the stream advances. Each
 pass builds one rotary cos/sin table for its frames and shares it across every
 layer and both of q and k.
 """
@@ -93,58 +94,48 @@ class TransformerParams:
 
 
 class KvCache:
-    """Rolling cache of rotated keys/values for every layer of one stack,
-    stored (layers, heads, frames, head_dim).
+    """Ring of rotated keys/values for every layer of one stack, stored
+    (layers, heads, slots, head_dim) with slots = lookback + block.
 
-    The newest `count` (at most `capacity`) frames of each layer sit oldest
-    first in k[:, :, end - count:end] (v alike). `advance` reserves room for a
-    block of at most `block` frames right after them and returns the slice
-    holding the look-back window and then the block, so each layer writes
-    its block's frames at the slice's end and attends over the slice as a
-    view. A block that would run past the buffer's end first moves the kept
-    frames to its start, one copy per buffer: for blocks of T frames, once
-    every capacity/T calls. The buffer is capacity + max(capacity, block)
-    frames long, so a block always fits after that move.
-    `next_pos` is the absolute frame index the next block must start at
-    (desync raises InternalError). The buffers are allocated once, so
-    per-session memory is constant in stream length.
+    Frame p lives in slot p % slots, and `pos` holds the absolute frame of
+    each slot (a slot not yet written holds a position no query admits).
+    Attention masks keys by position through `band_mask` and does not care
+    about their order, so a layer writes its block at the slots `advance`
+    returns and attends over its whole ring as a view; no frame is ever
+    moved. After a block of at most `block` frames the ring still holds the
+    look-back window of every frame in it. `next_pos` is the absolute frame
+    index the next block must start at (desync raises InternalError). The
+    buffers are allocated once, so per-session memory is constant in stream
+    length.
     """
 
     def __init__(self, params: TransformerParams, block: int):
-        self.capacity = params.lookback
         self.block = block
-        shape = (len(params.layers), params.n_heads,
-                 self.capacity + max(self.capacity, block), params.head_dim)
+        slots = params.lookback + block
+        shape = (len(params.layers), params.n_heads, slots, params.head_dim)
         self.k = np.zeros(shape, dtype=F32)
         self.v = np.zeros(shape, dtype=F32)
-        self.count = 0
-        self.end = 0
+        self.pos = np.full(slots, np.iinfo(np.int64).min, dtype=np.int64)
         self.next_pos = 0
 
     @property
     def nbytes(self) -> int:
-        return self.k.nbytes + self.v.nbytes
+        return self.k.nbytes + self.v.nbytes + self.pos.nbytes
 
-    def advance(self, n: int, start_pos: int) -> slice:
+    def advance(self, n: int, start_pos: int) -> np.ndarray:
         """Take a block of n frames at positions start_pos, start_pos + 1, ...
-        and return the frame slice of the buffers that holds the cached
-        frames, oldest first, then the block's n frames (yet to be written)."""
+        and return the ring slots the block's keys/values go to."""
         if start_pos != self.next_pos:
             raise InternalError(
                 f"KV cache desync: block at position {start_pos}, expected {self.next_pos}")
         if n > self.block:
             raise InternalError(
                 f"block of {n} frames exceeds the KV cache's {self.block}-frame block")
-        kept = self.count
-        if self.end + n > self.k.shape[2]:
-            self.k[:, :, :kept] = self.k[:, :, self.end - kept:self.end]
-            self.v[:, :, :kept] = self.v[:, :, self.end - kept:self.end]
-            self.end = kept
-        window = slice(self.end - kept, self.end + n)
-        self.end += n
-        self.count = min(kept + n, self.capacity)
+        frames = start_pos + np.arange(n)
+        slots = frames % self.pos.shape[0]
+        self.pos[slots] = frames
         self.next_pos += n
-        return window
+        return slots
 
 
 def _split_heads(x, n_heads):
@@ -199,9 +190,9 @@ def _block(x, layer, params: TransformerParams, rope, allowed, kv, owned: bool):
     """One pre-norm layer over the frames x.
 
     The keys are the frames' own (offline, kv None) or, when streaming, this
-    layer's (keys, values) cache views: the look-back window, with the
-    frames' own written into the view's last len(x) rows. The residual sums
-    go into x itself when the caller `owned` it.
+    layer's (keys, values, slots): views of its whole ring, with the frames'
+    own written at the ring slots `slots` first. The residual sums go into x
+    itself when the caller `owned` it.
     """
     h = layer_norm(x, layer.ln1_g, layer.ln1_b)
     q = rope_rotate(_split_heads(linear(h, layer.wq, layer.bq), params.n_heads), *rope)
@@ -210,10 +201,9 @@ def _block(x, layer, params: TransformerParams, rope, allowed, kv, owned: bool):
     if kv is None:
         keys, values = k.transpose(1, 0, 2), v.transpose(1, 0, 2)
     else:
-        keys, values = kv
-        n = x.shape[0]
-        keys[:, -n:] = k.transpose(1, 0, 2)
-        values[:, -n:] = v.transpose(1, 0, 2)
+        keys, values, slots = kv
+        keys[:, slots] = k.transpose(1, 0, 2)
+        values[:, slots] = v.transpose(1, 0, 2)
     a = linear(_merge_heads(_attend(q, keys, values, allowed)), layer.wo, layer.bo)
     a *= layer.ls_attn
     x = np.add(x, a, out=x if owned else None)
@@ -232,18 +222,17 @@ def _stack(x, params: TransformerParams, start_pos: int, lookahead: int, block_f
     layer would compound the horizon (layer n sees n * lookahead frames ahead),
     breaking the fixed-budget future access the runtime promises. So each
     call builds two masks, one for the first layer and one for the rest; a
-    stream's keys are the cache's look-back frames, then the new ones.
+    stream's keys are its cache's ring slots, at the positions `cache.pos`.
     """
     n = x.shape[0]
     pos = start_pos + np.arange(n)
-    window = None if cache is None else cache.advance(n, start_pos)
-    cached = 0 if window is None else window.stop - window.start - n
-    key_pos = start_pos - cached + np.arange(cached + n)
+    slots = None if cache is None else cache.advance(n, start_pos)
+    key_pos = pos if cache is None else cache.pos
     first = band_mask(pos, key_pos, params.lookback, lookahead, block_frames)
     rest = band_mask(pos, key_pos, params.lookback, 0)
     rope = rope_cos_sin(pos, params.head_dim)
     for i, layer in enumerate(params.layers):
-        kv = None if window is None else (cache.k[i, :, window], cache.v[i, :, window])
+        kv = None if cache is None else (cache.k[i], cache.v[i], slots)
         x = _block(x, layer, params, rope, first if i == 0 else rest, kv, owned=i > 0)
     return layer_norm(x, params.ln_out_g, params.ln_out_b)
 

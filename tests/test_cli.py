@@ -188,6 +188,12 @@ class TestSynth:
                     "--block-ms", "inf"])
         assert code == 2
 
+    def test_oversized_block_is_config_error(self, workdir, tmp_path):
+        code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
+                    "--block-ms", "1e300"])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
+
 
     def test_non_finite_f0_scale_is_config_error(self, workdir, tmp_path):
         code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
@@ -231,6 +237,13 @@ class TestStream:
                     "--chunk-ms", chunk_ms])
         assert code == 2
 
+    @pytest.mark.parametrize("chunk_ms", ["1e300", "6.4e17"])
+    def test_oversized_chunk_is_config_error(self, workdir, tmp_path, chunk_ms):
+        code = run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
+                    "--chunk-ms", chunk_ms])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
+
 
     def test_non_finite_f0_scale_is_config_error(self, workdir, tmp_path):
         code = run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
@@ -263,7 +276,7 @@ class TestBench:
         assert code == 0
         assert json.loads(out.read_text())["cycled"] is True
 
-    @pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1", "1e15"])
     def test_bad_utt_seconds_is_config_error(self, workdir, seconds):
         assert run(["bench", *_margs(workdir), "--utt-seconds", seconds]) == 2
 

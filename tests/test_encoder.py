@@ -175,9 +175,37 @@ class TestContextAttend:
     def test_block_longer_than_cache_block_raises(self, model):
         x = self._random_frames(model, 4, t=4)
         cache = KvCache(model.encoder.ctx, 3)
+        untouched = cache.pos.copy()
         with pytest.raises(InternalError, match="block"):
             transformer_step(x, model.encoder.ctx, cache, 0, lookahead=0)
-        assert cache.next_pos == 0 and cache.count == 0
+        assert cache.next_pos == 0 and np.array_equal(cache.pos, untouched)
+
+    @pytest.mark.parametrize("lookahead", [0, 4])
+    def test_ring_wrapping_mid_block_matches_full_pass(self, model, lookahead):
+        # 7-frame blocks give 107 slots, which 7 does not divide, so most
+        # wraps fall inside a block; 92 blocks wrap the ring 6 times
+        ctx = model.encoder.ctx
+        cache = KvCache(ctx, 7)
+        slots = cache.pos.shape[0]
+        assert slots == ctx.lookback + 7 and slots % 7
+        t = 7 * 92
+        assert t >= 6 * slots
+        x = self._random_frames(model, 12, t=t)
+        streamed = np.concatenate([
+            transformer_step(x[s:s + 7], ctx, cache, s, lookahead=lookahead)
+            for s in range(0, t, 7)])
+        full = transformer_full(x, ctx, lookahead=lookahead, block_frames=7)
+        assert np.abs(streamed - full).max() <= 1e-5
+        assert np.array_equal(np.sort(cache.pos), np.arange(t - slots, t))
+
+    @pytest.mark.parametrize("block", [1, 3, 110])
+    def test_ring_has_lookback_plus_block_slots(self, model, block):
+        ctx = model.encoder.ctx
+        cache = KvCache(ctx, block)
+        slots = ctx.lookback + block
+        assert cache.k.shape == cache.v.shape == (len(ctx.layers), ctx.n_heads, slots,
+                                                  ctx.head_dim)
+        assert cache.pos.shape == (slots,)
 
 
 class TestCopyFreeWindow:
@@ -185,8 +213,8 @@ class TestCopyFreeWindow:
     and each step builds its masks once, not once per layer."""
 
     def test_streamed_keys_and_values_are_views_of_the_ring(self, model, monkeypatch):
-        # 3-frame blocks well past the look-back, so the cache's buffer is
-        # compacted several times on the way
+        # 3-frame blocks well past the look-back, so the ring wraps several
+        # times on the way and every layer attends over all of its slots
         ctx = model.encoder.ctx
         seen = []
 
@@ -202,7 +230,7 @@ class TestCopyFreeWindow:
             transformer_step(x[start:start + 3], ctx, cache, start, lookahead=4)
             assert len(seen) == len(ctx.layers)
             for i, (k, v) in enumerate(seen):
-                assert k.shape[1] == v.shape[1] == min(start, ctx.lookback) + 3
+                assert k.shape[1] == v.shape[1] == ctx.lookback + 3
                 assert np.shares_memory(k, cache.k[i]) and np.shares_memory(v, cache.v[i])
 
     def test_band_mask_runs_at_most_twice_per_step(self, monkeypatch):

@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tvtsyn.config import (LEGACY_KEYS, ModelConfig, StreamConfig, config_from_text,
-                           config_to_text)
+from tvtsyn.config import (LEGACY_KEYS, MAX_SPAN_SECONDS, ModelConfig, StreamConfig,
+                           config_from_text, config_to_text)
 from tvtsyn.errors import ConfigError, FormatError
 from tvtsyn.model import TvtSynModel, random_init
 from tvtsyn.weights import WeightStore, load_weights, parameter_budget, save_weights
@@ -271,6 +271,13 @@ class TestConfig:
     def test_non_finite_chunk_rejected(self, chunk_ms):
         with pytest.raises(ConfigError, match="finite"):
             StreamConfig(chunk_ms=chunk_ms)
+
+    def test_chunk_longer_than_span_limit_rejected(self):
+        assert StreamConfig(chunk_ms=1000 * MAX_SPAN_SECONDS).chunk_frames == 3000
+        for chunk_ms in (1000 * MAX_SPAN_SECONDS + 20, 1e20, 1e300):
+            with pytest.raises(ConfigError, match="limit") as err:
+                StreamConfig(chunk_ms=chunk_ms)
+            assert "nearest" not in str(err.value)
 
 
 # what save_config wrote while the rates, the VQ bottleneck and the decoder

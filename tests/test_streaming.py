@@ -328,3 +328,88 @@ class TestLongStream:
                 sizes.add(s.state_nbytes())
         sizes.add(s.state_nbytes())
         assert len(sizes) == 1
+
+
+def _snapshot(s):
+    """Copies of every piece of a session's mutable state, and its counters."""
+    arrays = []
+
+    def visit(st):
+        if isinstance(st, np.ndarray):
+            arrays.append(st.copy())
+        elif isinstance(st, (list, tuple)):
+            for item in st:
+                visit(item)
+
+    visit([s.enc_state.conv, s.pros_states, s.cnn_states])
+    for cache in (s.enc_state.cache, s.dec_cache):
+        visit([cache.k, cache.v, cache.pos])
+    counters = (s.enc_state.frame_pos, s.enc_state.cache.next_pos, s.dec_frame_pos,
+                s.dec_cache.next_pos, s.samples_in, s.samples_out, s.chunks_fed, s.closed)
+    return arrays, counters
+
+
+def _same_state(a, b):
+    return a[1] == b[1] and len(a[0]) == len(b[0]) and all(
+        x.shape == y.shape and np.array_equal(x, y) for x, y in zip(a[0], b[0]))
+
+
+class TestSessionSchedule:
+    """Two sessions on one model under a seeded mix of every call a client
+    can make, accepted or rejected."""
+
+    def test_interleaved_calls_match_replays(self, model, speaker):
+        sc = StreamConfig(chunk_ms=120)  # 6 frames into 106-slot rings
+        c = sc.chunk_samples
+        rng = np.random.default_rng(2026)
+        sessions = [open_session(model, sc, speaker) for _ in range(2)]
+        nbytes = sessions[0].state_nbytes()
+        fed = [[], []]     # chunks accepted since the last reset
+        outs = [[], []]    # what those chunks returned
+        wraps = [0, 0]     # ring wraps over the whole schedule
+        kinds = ["feed", "short", "long", "nan", "inf", "flush", "reset"]
+        weights = [0.68, 0.07, 0.07, 0.07, 0.07, 0.02, 0.02]
+
+        def check_replay(i):
+            replay = open_session(model, sc, speaker)
+            got = [replay.feed(chunk) for chunk in fed[i]]
+            if sessions[i].closed:
+                replay.flush()
+            for a, b in zip(got, outs[i]):
+                assert np.array_equal(a, b)
+            assert _same_state(_snapshot(replay), _snapshot(sessions[i]))
+
+        seen = set()
+        for _ in range(800):
+            i = int(rng.integers(2))
+            s = sessions[i]
+            kind = kinds[rng.choice(len(kinds), p=weights)]
+            if s.closed and rng.random() < 0.25:  # a closed session is soon reset
+                kind = "reset"
+            seen.add((kind, s.closed))
+            chunk = rng.uniform(-0.5, 0.5, c).astype(F32)
+            before = _snapshot(s)
+            if kind == "reset":
+                check_replay(i)
+                s.reset()
+                fed[i], outs[i] = [], []
+            elif kind == "flush" and not s.closed:
+                assert s.flush().size == 0
+            elif kind == "feed" and not s.closed:
+                outs[i].append(s.feed(chunk))
+                fed[i].append(chunk)
+                slots = s.dec_cache.pos.shape[0]
+                wraps[i] += s.dec_frame_pos // slots > (s.dec_frame_pos - sc.chunk_frames) // slots
+            else:  # a rejected call, which must leave no trace
+                if kind in ("short", "long"):
+                    chunk = rng.uniform(-0.5, 0.5, c - 320 if kind == "short" else c + 320)
+                elif kind in ("nan", "inf"):
+                    chunk[int(rng.integers(c))] = np.nan if kind == "nan" else np.inf
+                with pytest.raises(StateError if s.closed else InputError):
+                    s.flush() if kind == "flush" else s.feed(chunk)
+                assert _same_state(_snapshot(s), before)
+            assert s.state_nbytes() == nbytes
+        for i in range(2):
+            check_replay(i)
+            assert wraps[i] >= 5
+        assert {(kind, False) for kind in kinds} | {("feed", True)} <= seen
