@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MAX_SPAN_SECONDS, SAMPLE_RATE, ModelConfig, StreamConfig, load_config
+from .config import (MAX_SPAN_SECONDS, SAMPLE_RATE, ModelConfig, StreamConfig, load_config,
+                     span_frames)
 from .errors import ConfigError, InputError, InternalError, TvtSynError
 from .kernels import F32
 from .metrics import causality_probe, latency_bench
@@ -99,9 +100,7 @@ def cmd_init_weights(args):
 
 
 def cmd_synth(args):
-    block = None
-    if args.block_ms is not None:
-        block = StreamConfig(chunk_ms=args.block_ms).chunk_frames
+    block = None if args.block_ms is None else span_frames(args.block_ms, "--block-ms")
     model = _load(args)
     speaker = _read_speaker(args.speaker, model.cfg.global_dim)
     wave = wavio.read_wav(args.infile)
@@ -137,9 +136,12 @@ def cmd_stream(args):
 def cmd_bench(args):
     _check_seed(args.seed)
     stream_cfg = StreamConfig(chunk_ms=args.chunk_ms)
-    if not args.utterances and not 0 < args.utt_seconds <= MAX_SPAN_SECONDS:
-        raise ConfigError(
-            f"--utt-seconds must be in (0, {MAX_SPAN_SECONDS:.0f}], got {args.utt_seconds}")
+    if not args.utterances:
+        if not 0 < args.utt_seconds <= MAX_SPAN_SECONDS:
+            raise ConfigError(
+                f"--utt-seconds must be in (0, {MAX_SPAN_SECONDS:.0f}], got {args.utt_seconds}")
+        if args.synthetic < 1:
+            raise ConfigError(f"--synthetic must be >= 1, got {args.synthetic}")
     model = _load(args)
     if args.utterances:
         paths = sorted(Path(args.utterances).glob("*.wav"))

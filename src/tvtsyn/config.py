@@ -96,6 +96,25 @@ def small_config() -> ModelConfig:
     )
 
 
+def span_frames(ms, name) -> int:
+    """Frames in a span of `ms` milliseconds. A span that is not finite, is
+    longer than MAX_SPAN_SECONDS or is not a positive whole number of frames
+    is a ConfigError that names the setting `name`."""
+    if not math.isfinite(ms):
+        raise ConfigError(f"{name} must be finite, got {ms}")
+    if ms > 1000.0 * MAX_SPAN_SECONDS:
+        raise ConfigError(f"{name}={ms} exceeds the {MAX_SPAN_SECONDS:.0f} s limit")
+    samples = ms * SAMPLE_RATE / 1000.0
+    frame_ms = 1000.0 * FRAME_HOP / SAMPLE_RATE
+    if samples != int(samples) or int(samples) % FRAME_HOP or samples <= 0:
+        lo = max(frame_ms, (int(samples) // FRAME_HOP) * frame_ms)
+        hi = lo + frame_ms
+        raise ConfigError(
+            f"{name}={ms} is not frame-aligned "
+            f"({frame_ms:.0f} ms per frame); nearest valid sizes: {lo:.0f} ms or {hi:.0f} ms")
+    return int(samples) // FRAME_HOP
+
+
 @dataclass(frozen=True)
 class StreamConfig:
     """Chunk-wise runtime parameters."""
@@ -115,19 +134,7 @@ class StreamConfig:
         return self.chunk_samples // FRAME_HOP
 
     def validate(self):
-        if not math.isfinite(self.chunk_ms):
-            raise ConfigError(f"chunk_ms must be finite, got {self.chunk_ms}")
-        if self.chunk_ms > 1000.0 * MAX_SPAN_SECONDS:
-            raise ConfigError(
-                f"chunk_ms={self.chunk_ms} exceeds the {MAX_SPAN_SECONDS:.0f} s limit")
-        samples = self.chunk_ms * SAMPLE_RATE / 1000.0
-        frame_ms = 1000.0 * FRAME_HOP / SAMPLE_RATE
-        if samples != int(samples) or int(samples) % FRAME_HOP or samples <= 0:
-            lo = max(frame_ms, (int(samples) // FRAME_HOP) * frame_ms)
-            hi = lo + frame_ms
-            raise ConfigError(
-                f"chunk_ms={self.chunk_ms} is not frame-aligned "
-                f"({frame_ms:.0f} ms per frame); nearest valid sizes: {lo:.0f} ms or {hi:.0f} ms")
+        span_frames(self.chunk_ms, "chunk_ms")
         if self.lookahead_frames is not None and not 0 <= self.lookahead_frames <= MAX_LOOKAHEAD:
             raise ConfigError(f"lookahead_frames must be in [0, {MAX_LOOKAHEAD}]")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InternalError
-from .kernels import F32, elu, layer_norm, linear, masked_softmax, rope_cos_sin, rope_rotate
+from .kernels import F32, layer_norm, linear, masked_softmax, mlp, rope_cos_sin, rope_rotate
 from .weights import WeightStore
 
 
@@ -148,11 +148,6 @@ def _merge_heads(x):
     return x.reshape(t, h * dh)
 
 
-def _ffn(x, layer):
-    h = linear(x, layer.w1, layer.b1)
-    return linear(elu(h, out=h), layer.w2, layer.b2)
-
-
 def band_mask(q_pos, k_pos, lookback: int, lookahead: int, block_frames=None):
     """Boolean (len(q_pos), len(k_pos)) mask over absolute frame positions.
 
@@ -207,7 +202,7 @@ def _block(x, layer, params: TransformerParams, rope, allowed, kv, owned: bool):
     a = linear(_merge_heads(_attend(q, keys, values, allowed)), layer.wo, layer.bo)
     a *= layer.ls_attn
     x = np.add(x, a, out=x if owned else None)
-    f = _ffn(layer_norm(x, layer.ln2_g, layer.ln2_b), layer)
+    f = mlp(layer_norm(x, layer.ln2_g, layer.ln2_b), layer.w1, layer.b1, layer.w2, layer.b2)
     f *= layer.ls_ffn
     x += f
     return x.astype(F32, copy=False)

@@ -10,10 +10,9 @@ import numpy as np
 
 from .config import ModelConfig
 from .context import TransformerParams, transformer_full, transformer_step
-from .encoder import ConvLayer, ResBlock, encoder_stage_widths
+from .encoder import ResBlock, SeanetCnn, encoder_stage_widths
 from .errors import InputError
-from .kernels import (F32, ConvSpec, conv_state_init, causal_conv1d, elu,
-                      layer_norm, linear, sigmoid, transposed_conv1d_causal)
+from .kernels import F32, ConvLayer, ConvSpec, layer_norm, linear, sigmoid
 from .prosody import inject_prosody
 from .weights import WeightStore
 
@@ -76,54 +75,25 @@ def cln_fuse(x, s, p: ClnFusionParams):
     return linear(fused, p.proj_w, p.proj_b).astype(F32, copy=False)
 
 
-@dataclass
-class DecoderCnn:
-    conv_in: ConvLayer
-    stages: list  # (up ConvLayer[transposed], ResBlock) pairs
-    conv_out: ConvLayer
-
+class DecoderCnn(SeanetCnn):
     @classmethod
     def from_store(cls, store: WeightStore, cfg: ModelConfig):
         widths = list(reversed(encoder_stage_widths(cfg)))
-        conv_in = ConvLayer.from_store(store, "decoder.cnn.conv_in",
-                                       ConvSpec(cfg.d_model, widths[0], cfg.final_kernel))
-        stages = []
+        layers = [ConvLayer.from_store(store, "decoder.cnn.conv_in",
+                                       ConvSpec(cfg.d_model, widths[0], cfg.final_kernel))]
         for i, stride in enumerate(cfg.decoder_strides):
-            up = ConvLayer.from_store(
+            layers.append(ConvLayer.from_store(
                 store, f"decoder.cnn.stage{i}.up",
-                ConvSpec(widths[i], widths[i + 1], 2 * stride, stride, transposed=True))
-            res = ResBlock.from_store(store, f"decoder.cnn.stage{i}.res",
-                                      widths[i + 1], cfg.res_kernel, cfg.res_dilation)
-            stages.append((up, res))
-        conv_out = ConvLayer.from_store(store, "decoder.cnn.conv_out",
-                                        ConvSpec(widths[-1], 1, cfg.init_kernel))
-        return cls(conv_in, stages, conv_out)
-
-    def init_states(self):
-        states = [conv_state_init(self.conv_in.spec)]
-        for up, res in self.stages:
-            states.append(conv_state_init(up.spec))
-            states.append(res.init_states())
-        states.append(conv_state_init(self.conv_out.spec))
-        return states
+                ConvSpec(widths[i], widths[i + 1], 2 * stride, stride, transposed=True)))
+            layers.append(ResBlock.from_store(store, f"decoder.cnn.stage{i}.res",
+                                              widths[i + 1], cfg.res_kernel, cfg.res_dilation))
+        layers.append(ConvLayer.from_store(store, "decoder.cnn.conv_out",
+                                           ConvSpec(widths[-1], 1, cfg.init_kernel)))
+        return cls(layers)
 
     def apply(self, frames, states=None):
         """Conditioned frames (T, d_model) -> ((T*320,) samples, states)."""
-        if states is None:
-            states = self.init_states()
-        x = np.ascontiguousarray(frames.T)
-        i = 0
-        x, states[i] = causal_conv1d(x, self.conv_in.spec, self.conv_in.weight,
-                                     self.conv_in.bias, states[i])
-        i += 1
-        for up, res in self.stages:
-            x, states[i] = transposed_conv1d_causal(elu(x, out=x), up.spec, up.weight,
-                                                    up.bias, states[i])
-            i += 1
-            x = res.apply(x, states[i])
-            i += 1
-        x, states[i] = causal_conv1d(elu(x, out=x), self.conv_out.spec, self.conv_out.weight,
-                                     self.conv_out.bias, states[i])
+        x, states = self.run(np.ascontiguousarray(frames.T), states)
         wave = x[0]
         return np.tanh(wave, out=wave), states
 

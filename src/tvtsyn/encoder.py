@@ -11,30 +11,12 @@ import numpy as np
 from .config import CODEBOOK_SIZE, VQ_DIM, ModelConfig
 from .context import KvCache, TransformerParams, transformer_full, transformer_step
 from .errors import ConfigError, InputError
-from .kernels import (F32, ConvSpec, causal_conv1d, conv_state_init, elu,
-                      l2_normalize_rows, linear)
+from .kernels import F32, ConvLayer, ConvSpec, elu, l2_normalize_rows, linear
 from .weights import WeightStore
 
 
 def encoder_stage_widths(cfg: ModelConfig):
     return [cfg.base_width * (2 ** i) for i in range(len(cfg.encoder_strides) + 1)]
-
-
-@dataclass
-class ConvLayer:
-    spec: ConvSpec
-    weight: np.ndarray
-    bias: np.ndarray
-
-    @classmethod
-    def from_store(cls, store, prefix, spec: ConvSpec):
-        if spec.transposed:
-            shape = (spec.in_ch, spec.out_ch, spec.kernel)
-        else:
-            shape = (spec.out_ch, spec.in_ch, spec.kernel)
-        return cls(spec=spec,
-                   weight=store.get(f"{prefix}.weight", shape),
-                   bias=store.get(f"{prefix}.bias", (spec.out_ch,)))
 
 
 @dataclass
@@ -53,64 +35,59 @@ class ResBlock:
                                        ConvSpec(width, width, 1)),
         )
 
-    def apply(self, x, states):
-        h, states[0] = causal_conv1d(x, self.conv1.spec, self.conv1.weight,
-                                     self.conv1.bias, states[0])
-        h, states[1] = causal_conv1d(elu(h, out=h), self.conv2.spec, self.conv2.weight,
-                                     self.conv2.bias, states[1])
-        return np.add(x, h, out=h)
+    def init_state(self):
+        return [self.conv1.init_state(), self.conv2.init_state()]
 
-    def init_states(self):
-        return [conv_state_init(self.conv1.spec), conv_state_init(self.conv2.spec)]
+    def apply(self, x, state):
+        h, state1 = self.conv1.apply(x, state[0])
+        h, state2 = self.conv2.apply(elu(h, out=h), state[1])
+        return np.add(x, h, out=h), [state1, state2]
 
 
 @dataclass
-class EncoderCnn:
-    conv_in: ConvLayer
-    stages: list  # (ResBlock, down ConvLayer) pairs
-    conv_out: ConvLayer
+class SeanetCnn:
+    """A causal SEANet CNN as one list of layers in forward order: ConvLayers
+    and ResBlocks, each with its own carried state."""
 
+    layers: list
+
+    def init_states(self):
+        return [layer.init_state() for layer in self.layers]
+
+    def run(self, x, states):
+        """(C_in, T) -> ((C_out, T'), one new state per layer). An ELU goes
+        before every conv but the first; a residual block takes its input
+        as it is."""
+        if states is None:
+            states = self.init_states()
+        new_states = []
+        for i, (layer, state) in enumerate(zip(self.layers, states, strict=True)):
+            if i and isinstance(layer, ConvLayer):
+                x = elu(x, out=x)
+            x, state = layer.apply(x, state)
+            new_states.append(state)
+        return x, new_states
+
+
+class EncoderCnn(SeanetCnn):
     @classmethod
     def from_store(cls, store: WeightStore, cfg: ModelConfig):
         widths = encoder_stage_widths(cfg)
-        conv_in = ConvLayer.from_store(store, "encoder.cnn.conv_in",
-                                       ConvSpec(1, widths[0], cfg.init_kernel))
-        stages = []
+        layers = [ConvLayer.from_store(store, "encoder.cnn.conv_in",
+                                       ConvSpec(1, widths[0], cfg.init_kernel))]
         for i, stride in enumerate(cfg.encoder_strides):
-            res = ResBlock.from_store(store, f"encoder.cnn.stage{i}.res",
-                                      widths[i], cfg.res_kernel, cfg.res_dilation)
-            down = ConvLayer.from_store(store, f"encoder.cnn.stage{i}.down",
-                                        ConvSpec(widths[i], widths[i + 1], 2 * stride, stride))
-            stages.append((res, down))
-        conv_out = ConvLayer.from_store(store, "encoder.cnn.conv_out",
-                                        ConvSpec(widths[-1], cfg.d_model, cfg.final_kernel))
-        return cls(conv_in, stages, conv_out)
-
-    def init_states(self):
-        states = [conv_state_init(self.conv_in.spec)]
-        for res, down in self.stages:
-            states.append(res.init_states())
-            states.append(conv_state_init(down.spec))
-        states.append(conv_state_init(self.conv_out.spec))
-        return states
+            layers.append(ResBlock.from_store(store, f"encoder.cnn.stage{i}.res",
+                                              widths[i], cfg.res_kernel, cfg.res_dilation))
+            layers.append(ConvLayer.from_store(
+                store, f"encoder.cnn.stage{i}.down",
+                ConvSpec(widths[i], widths[i + 1], 2 * stride, stride)))
+        layers.append(ConvLayer.from_store(store, "encoder.cnn.conv_out",
+                                           ConvSpec(widths[-1], cfg.d_model, cfg.final_kernel)))
+        return cls(layers)
 
     def apply(self, wave, states=None):
         """(T,) samples -> ((T/320, d_model) frames, states)."""
-        if states is None:
-            states = self.init_states()
-        x = np.asarray(wave, dtype=F32).reshape(1, -1)
-        i = 0
-        x, states[i] = causal_conv1d(x, self.conv_in.spec, self.conv_in.weight,
-                                     self.conv_in.bias, states[i])
-        i += 1
-        for res, down in self.stages:
-            x = res.apply(x, states[i])
-            i += 1
-            x, states[i] = causal_conv1d(elu(x, out=x), down.spec, down.weight, down.bias,
-                                         states[i])
-            i += 1
-        x, states[i] = causal_conv1d(elu(x, out=x), self.conv_out.spec, self.conv_out.weight,
-                                     self.conv_out.bias, states[i])
+        x, states = self.run(np.asarray(wave, dtype=F32).reshape(1, -1), states)
         return np.ascontiguousarray(x.T), states
 
 

@@ -1,5 +1,6 @@
-"""Deterministic numeric kernels: causal convolutions, normalization,
-masked softmax and rotary positions.
+"""Deterministic numeric kernels: causal convolutions and the stored conv
+layer that calls them, the two-layer MLP, normalization, masked softmax and
+rotary positions.
 
 Conventions:
   - all tensors are float32 numpy arrays,
@@ -89,6 +90,34 @@ class ConvSpec:
 def conv_state_init(spec: ConvSpec) -> np.ndarray:
     ch = spec.out_ch if spec.transposed else spec.in_ch
     return np.zeros((ch, spec.state_len), dtype=F32)
+
+
+@dataclass
+class ConvLayer:
+    """One stored conv: its spec, weight and bias. `apply` is the one caller
+    of the conv kernels; `spec.transposed` picks which."""
+
+    spec: ConvSpec
+    weight: np.ndarray
+    bias: np.ndarray
+
+    @classmethod
+    def from_store(cls, store, prefix, spec: ConvSpec):
+        if spec.transposed:
+            shape = (spec.in_ch, spec.out_ch, spec.kernel)
+        else:
+            shape = (spec.out_ch, spec.in_ch, spec.kernel)
+        return cls(spec=spec,
+                   weight=store.get(f"{prefix}.weight", shape),
+                   bias=store.get(f"{prefix}.bias", (spec.out_ch,)))
+
+    def init_state(self):
+        return conv_state_init(self.spec)
+
+    def apply(self, x, state):
+        """(C_in, T) -> ((C_out, T'), new_state)."""
+        conv = transposed_conv1d_causal if self.spec.transposed else causal_conv1d
+        return conv(x, self.spec, self.weight, self.bias, state)
 
 
 def _check_conv_args(x, spec, weight, bias, state, want_transposed):
@@ -265,6 +294,12 @@ def linear(x, w, b=None):
     if b is not None:
         y += b
     return y
+
+
+def mlp(x, w1, b1, w2, b2):
+    """linear -> ELU -> linear."""
+    h = linear(x, w1, b1)
+    return linear(elu(h, out=h), w2, b2)
 
 
 def layer_norm(x, gamma, beta):

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .encoder import ConvLayer
 from .errors import ConfigError
-from .kernels import F32, ConvSpec, causal_conv1d, conv_state_init, linear, relu
+from .kernels import F32, ConvLayer, ConvSpec, linear, relu
 from .weights import WeightStore
 
 
@@ -35,14 +34,12 @@ class PredictorParams:
         )
 
     def init_states(self):
-        return [conv_state_init(self.conv1.spec), conv_state_init(self.conv2.spec)]
+        return [self.conv1.init_state(), self.conv2.init_state()]
 
     def apply(self, feats_ct, states):
-        h = feats_ct
-        for i, conv in enumerate((self.conv1, self.conv2)):
-            h, states[i] = causal_conv1d(h, conv.spec, conv.weight, conv.bias, states[i])
-            h = relu(h)
-        return linear(h.T, self.proj_w, self.proj_b)[:, 0]
+        h, state1 = self.conv1.apply(feats_ct, states[0])
+        h, state2 = self.conv2.apply(relu(h), states[1])
+        return linear(relu(h).T, self.proj_w, self.proj_b)[:, 0], [state1, state2]
 
 
 @dataclass
@@ -71,9 +68,9 @@ def predict_f0_energy(features, params: ProsodyParams, states=None):
     if states is None:
         states = params.init_states()
     feats_ct = np.ascontiguousarray(features.T)
-    f0 = params.f0.apply(feats_ct, states[0])
-    en = params.energy.apply(feats_ct, states[1])
-    return np.stack([f0, en], axis=1).astype(F32), states
+    f0, f0_states = params.f0.apply(feats_ct, states[0])
+    en, en_states = params.energy.apply(feats_ct, states[1])
+    return np.stack([f0, en], axis=1).astype(F32), [f0_states, en_states]
 
 
 def check_f0_scale(f0_scale) -> float:

@@ -37,9 +37,6 @@ class StreamSession:
         self.f0_scale = check_f0_scale(f0_scale)
         self.model = model
         self.cfg = stream_cfg
-        self.lookahead = (model.cfg.encoder_lookahead
-                          if stream_cfg.lookahead_frames is None
-                          else stream_cfg.lookahead_frames)
         self.speaker = check_global_timbre(speaker, model.cfg.global_dim)
         self.gtm = build_gtm(self.speaker, model.tvt)  # built once per speaker
         self._init_state()
@@ -109,7 +106,7 @@ class StreamSession:
 
         model = self.model
         frames, _ = encode_frames(samples, model.encoder, self.enc_state,
-                                  lookahead=self.lookahead)
+                                  lookahead=self.cfg.lookahead_frames)
         content, _ = vq_quantize(frames, model.encoder.vq)
         tvt = tvt_sequence(content, self.speaker, self.gtm, model.tvt)
         pred, self.pros_states = predict_f0_energy(content, model.prosody,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import ConfigError, InputError
-from .kernels import F32, elu, l2_normalize_rows, linear, masked_softmax, sigmoid
+from .kernels import F32, l2_normalize_rows, linear, masked_softmax, mlp, sigmoid
 from .weights import WeightStore
 
 SLERP_MIN_ANGLE = 1e-4           # below: fall back to normalized lerp
@@ -82,12 +82,6 @@ class GtmMemory:
     g_hat: np.ndarray   # (timbre_dim,)
 
 
-def _mlp(g, weights):
-    w1, b1, w2, b2 = weights
-    h = linear(g, w1, b1)
-    return linear(elu(h, out=h), w2, b2)
-
-
 def check_global_timbre(g, expected_dim):
     g = np.asarray(g, dtype=F32)
     if g.ndim != 1:
@@ -104,8 +98,8 @@ def check_global_timbre(g, expected_dim):
 def build_gtm(g, params: TvtParams) -> GtmMemory:
     """Speaker vector -> facet memory; the priors are shared across speakers."""
     g = check_global_timbre(g, params.g_proj_w.shape[1])
-    keys = _mlp(g, params.mlp_k).reshape(params.n_slots, params.attn_dim) + params.key_prior
-    values = _mlp(g, params.mlp_v).reshape(params.n_slots, params.timbre_dim) + params.value_prior
+    keys = mlp(g, *params.mlp_k).reshape(params.n_slots, params.attn_dim) + params.key_prior
+    values = mlp(g, *params.mlp_v).reshape(params.n_slots, params.timbre_dim) + params.value_prior
     return GtmMemory(keys=keys.astype(F32), values=values.astype(F32),
                      g_hat=project_global(g, params))
 
@@ -131,9 +125,7 @@ def gate_alpha(content, facet, g_hat, params: TvtParams):
     facet = np.atleast_2d(facet)
     tiled = np.broadcast_to(g_hat, (content.shape[0], g_hat.shape[-1]))
     x = np.concatenate([content, facet, tiled], axis=1)
-    w1, b1, w2, b2 = params.gate
-    h = linear(x, w1, b1)
-    return sigmoid(linear(elu(h, out=h), w2, b2))[:, 0]
+    return sigmoid(mlp(x, *params.gate))[:, 0]
 
 
 def _unitize(x):

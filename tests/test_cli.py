@@ -182,18 +182,27 @@ class TestSynth:
                     "--out", str(tmp_path / "w.tvtw")])
         assert code == 1
 
-    def test_infinite_block_is_config_error(self, workdir, tmp_path):
+    def test_infinite_block_is_config_error(self, workdir, tmp_path, capsys):
         code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
                     "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
                     "--block-ms", "inf"])
         assert code == 2
+        assert "--block-ms" in capsys.readouterr().err
 
-    def test_oversized_block_is_config_error(self, workdir, tmp_path):
+    def test_oversized_block_is_config_error(self, workdir, tmp_path, capsys):
         code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
                     "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
                     "--block-ms", "1e300"])
         assert code == 2 and not (tmp_path / "x.wav").exists()
+        assert "--block-ms" in capsys.readouterr().err
 
+    def test_unaligned_block_is_config_error(self, workdir, tmp_path, capsys):
+        code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
+                    "--block-ms", "50"])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
+        err = capsys.readouterr().err
+        assert "--block-ms=50.0 is not frame-aligned" in err and "chunk_ms" not in err
 
     def test_non_finite_f0_scale_is_config_error(self, workdir, tmp_path):
         code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
@@ -279,6 +288,13 @@ class TestBench:
     @pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1", "1e15"])
     def test_bad_utt_seconds_is_config_error(self, workdir, seconds):
         assert run(["bench", *_margs(workdir), "--utt-seconds", seconds]) == 2
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_synthetic_utterances_is_config_error(self, tmp_path, capsys, count):
+        # checked before the weights are read: the weight path does not exist
+        assert run(["bench", "--weights", str(tmp_path / "missing.tvtw"),
+                    "--synthetic", count]) == 2
+        assert "--synthetic" in capsys.readouterr().err
 
     def test_empty_directory_is_input_error(self, workdir, tmp_path):
         d = tmp_path / "empty"

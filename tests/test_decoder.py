@@ -129,14 +129,11 @@ class TestSynthesizeWave:
 
     def test_zero_frames_zero_bias_is_silence(self, model):
         # zero the decoder-CNN weights/biases: zero input -> exact silence
-        cnn = model.decoder.cnn
-        zcnn = dataclasses.replace(
-            cnn,
-            conv_in=dataclasses.replace(cnn.conv_in, weight=np.zeros_like(cnn.conv_in.weight),
-                                        bias=np.zeros_like(cnn.conv_in.bias)),
-            conv_out=dataclasses.replace(cnn.conv_out, weight=np.zeros_like(cnn.conv_out.weight),
-                                         bias=np.zeros_like(cnn.conv_out.bias)),
-        )
+        layers = list(model.decoder.cnn.layers)
+        for i in (0, -1):  # conv_in and conv_out
+            layers[i] = dataclasses.replace(layers[i], weight=np.zeros_like(layers[i].weight),
+                                            bias=np.zeros_like(layers[i].bias))
+        zcnn = dataclasses.replace(model.decoder.cnn, layers=layers)
         wave, _ = zcnn.apply(np.zeros((10, model.cfg.d_model), F32))
         assert not wave.any()
 

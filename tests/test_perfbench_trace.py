@@ -56,7 +56,7 @@ def _offline(model, speaker, tracer):
 
 @pytest.mark.parametrize("run,other_root", [(_stream, "model.synthesize"),
                                             (_offline, "streaming.feed")])
-def test_traced_run_reaches_every_layer(spans, model, speaker, run, other_root):
+def test_traced_run_reaches_every_layer(spans, model, store, speaker, run, other_root):
     tracer = spans.Tracer()
     feed = streaming.StreamSession.__dict__["feed"]
     with tracer.installed():
@@ -66,3 +66,8 @@ def test_traced_run_reaches_every_layer(spans, model, speaker, run, other_root):
     missing = [layer for layer in spans.LAYERS if layer != other_root
                and (layer not in report or report[layer]["frames"] <= 0)]
     assert not missing, f"layers the traced run did not reach: {missing}"
+    # the tracer counts a CNN's weights by walking its layers; every stored
+    # tensor of the CNN must be reached, once
+    for layer in ("encoder.cnn", "decoder.cnn"):
+        want = 4 * store.parameter_count([f"{layer}."])
+        assert report[layer]["weight_mb"] * 1e6 == pytest.approx(want, rel=1e-12), layer
