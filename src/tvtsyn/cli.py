@@ -19,7 +19,7 @@ from .config import (MAX_SPAN_SECONDS, SAMPLE_RATE, ModelConfig, StreamConfig, l
                      span_frames)
 from .errors import ConfigError, InputError, InternalError, TvtSynError
 from .kernels import F32
-from .metrics import causality_probe, latency_bench
+from .metrics import causality_probe, check_probe, latency_bench
 from .model import TvtSynModel, random_init, synthesize
 from .streaming import open_session, stream_file
 from .weights import load_weights, parameter_budget, save_weights
@@ -113,6 +113,7 @@ def cmd_synth(args):
 
 
 def cmd_stream(args):
+    span_frames(args.chunk_ms, "--chunk-ms")
     cfg = StreamConfig(chunk_ms=args.chunk_ms, lookahead_frames=args.lookahead)
     model = _load(args)
     speaker = _read_speaker(args.speaker, model.cfg.global_dim)
@@ -135,6 +136,7 @@ def cmd_stream(args):
 
 def cmd_bench(args):
     _check_seed(args.seed)
+    span_frames(args.chunk_ms, "--chunk-ms")
     stream_cfg = StreamConfig(chunk_ms=args.chunk_ms)
     if not args.utterances:
         if not 0 < args.utt_seconds <= MAX_SPAN_SECONDS:
@@ -173,6 +175,7 @@ def cmd_bench(args):
 
 def cmd_probe(args):
     _check_seed(args.seed)
+    check_probe(args.lookahead, args.trials)
     model = _load(args)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     speaker = rng.normal(0, 1, model.cfg.global_dim).astype(F32)

@@ -104,9 +104,8 @@ class KvCache:
     returns and attends over its whole ring as a view; no frame is ever
     moved. After a block of at most `block` frames the ring still holds the
     look-back window of every frame in it. `next_pos` is the absolute frame
-    index the next block must start at (desync raises InternalError). The
-    buffers are allocated once, so per-session memory is constant in stream
-    length.
+    the next block starts at: the stack's only frame clock. The buffers are
+    allocated once, so per-session memory is constant in stream length.
     """
 
     def __init__(self, params: TransformerParams, block: int):
@@ -122,16 +121,13 @@ class KvCache:
     def nbytes(self) -> int:
         return self.k.nbytes + self.v.nbytes + self.pos.nbytes
 
-    def advance(self, n: int, start_pos: int) -> np.ndarray:
-        """Take a block of n frames at positions start_pos, start_pos + 1, ...
+    def advance(self, n: int) -> np.ndarray:
+        """Take a block of n frames at positions next_pos, next_pos + 1, ...
         and return the ring slots the block's keys/values go to."""
-        if start_pos != self.next_pos:
-            raise InternalError(
-                f"KV cache desync: block at position {start_pos}, expected {self.next_pos}")
         if n > self.block:
             raise InternalError(
                 f"block of {n} frames exceeds the KV cache's {self.block}-frame block")
-        frames = start_pos + np.arange(n)
+        frames = self.next_pos + np.arange(n)
         slots = frames % self.pos.shape[0]
         self.pos[slots] = frames
         self.next_pos += n
@@ -177,7 +173,7 @@ def _attend(q, k, v, allowed):
     # per-head batched matmuls, (H,T,Dh) @ (H,Dh,S): BLAS, where einsum is not
     scores = q.transpose(1, 0, 2) @ k.transpose(0, 2, 1)
     scores *= scale
-    w = masked_softmax(scores, allowed, out=scores)
+    w = masked_softmax(scores, allowed)
     return (w @ v).transpose(1, 0, 2)
 
 
@@ -208,9 +204,9 @@ def _block(x, layer, params: TransformerParams, rope, allowed, kv, owned: bool):
     return x.astype(F32, copy=False)
 
 
-def _stack(x, params: TransformerParams, start_pos: int, lookahead: int, block_frames,
-           cache: KvCache | None):
-    """Every layer over the frames x, then the output norm.
+def _stack(x, params: TransformerParams, lookahead: int, block_frames, cache: KvCache | None):
+    """Every layer over the frames x, at positions 0, 1, ... offline or from
+    `cache.next_pos` on when streaming, then the output norm.
 
     The lookahead window (truncated at block_frames) applies to the first
     layer only; deeper layers are strictly causal. Stacking lookahead at every
@@ -220,8 +216,8 @@ def _stack(x, params: TransformerParams, start_pos: int, lookahead: int, block_f
     stream's keys are its cache's ring slots, at the positions `cache.pos`.
     """
     n = x.shape[0]
-    pos = start_pos + np.arange(n)
-    slots = None if cache is None else cache.advance(n, start_pos)
+    pos = (0 if cache is None else cache.next_pos) + np.arange(n)
+    slots = None if cache is None else cache.advance(n)
     key_pos = pos if cache is None else cache.pos
     first = band_mask(pos, key_pos, params.lookback, lookahead, block_frames)
     rest = band_mask(pos, key_pos, params.lookback, 0)
@@ -236,14 +232,14 @@ def transformer_full(x, params: TransformerParams, *, lookahead: int, block_fram
     """Whole-sequence pass over (T, d_model) frames at positions 0, 1, ...;
     `block_frames` reproduces the masks of a stream fed in blocks of that
     many frames."""
-    return _stack(x, params, 0, lookahead, block_frames, None)
+    return _stack(x, params, lookahead, block_frames, None)
 
 
-def transformer_step(x, params: TransformerParams, cache: KvCache, start_pos: int,
-                     *, lookahead: int):
-    """Incremental pass over one block (T, d_model) of new frames.
+def transformer_step(x, params: TransformerParams, cache: KvCache, *, lookahead: int):
+    """Incremental pass over one block (T, d_model) of new frames at
+    positions from `cache.next_pos` on.
 
     Lookahead reaches only within the supplied block; the cache is updated
-    in place so the next call continues at start_pos + T.
+    in place so the next call continues T frames later.
     """
-    return _stack(x, params, start_pos, lookahead, None, cache)
+    return _stack(x, params, lookahead, None, cache)

@@ -57,8 +57,6 @@ class ClnFusionParams:
 
 def cln_fuse(x, s, p: ClnFusionParams):
     """Condition content frames (T, d_model) on timbre frames (T, timbre_dim)."""
-    x = np.atleast_2d(x)
-    s = np.atleast_2d(s)
     if x.shape[0] != s.shape[0]:
         raise InputError(f"content/timbre frame counts differ: {x.shape[0]} vs {s.shape[0]}")
     nx = layer_norm(x, p.ln_x_g, p.ln_x_b)
@@ -116,15 +114,13 @@ class DecoderParams:
 
 
 def decode_context(frames, tvt, prosody_stream, params: DecoderParams,
-                   prosody_params, *, f0_scale=1.0, cache=None, start_pos=0):
+                   prosody_params, *, f0_scale=1.0, cache=None):
     """Condition content on timbre, inject prosody, run the causal context stack.
 
-    frames/tvt/prosody_stream must be frame-aligned. Stateless when cache is
-    None (whole sequence); incremental otherwise.
+    frames/tvt/prosody_stream must be frame-aligned 2-D streams. Stateless
+    when cache is None (whole sequence); incremental from `cache.next_pos`
+    otherwise.
     """
-    frames = np.atleast_2d(frames)
-    tvt = np.atleast_2d(tvt)
-    prosody_stream = np.atleast_2d(prosody_stream)
     if not (frames.shape[0] == tvt.shape[0] == prosody_stream.shape[0]):
         raise InputError(
             f"stream lengths differ: content {frames.shape[0]}, timbre {tvt.shape[0]}, "
@@ -133,11 +129,11 @@ def decode_context(frames, tvt, prosody_stream, params: DecoderParams,
     x = inject_prosody(x, prosody_stream, prosody_params, f0_scale=f0_scale)
     if cache is None:
         return transformer_full(x, params.ctx, lookahead=0)
-    return transformer_step(x, params.ctx, cache, start_pos, lookahead=0)
+    return transformer_step(x, params.ctx, cache, lookahead=0)
 
 
-def synthesize_wave(frames, tvt, params: DecoderParams, states=None):
-    """Context output + timbre -> ((T*320,) waveform in [-1, 1], cnn states)."""
-    y = cln_fuse(frames, tvt, params.cln_out)
-    wave, states = params.cnn.apply(y, states)
-    return np.clip(wave, -1.0, 1.0, out=wave), states
+def synthesize_wave(frames, tvt, params: DecoderParams):
+    """Context output + timbre -> (T*320,) waveform in [-1, 1] (the CNN ends
+    in tanh)."""
+    wave, _ = params.cnn.apply(cln_fuse(frames, tvt, params.cln_out))
+    return wave

@@ -170,22 +170,22 @@ class EncoderParams:
 
 
 class EncoderState:
-    """Per-stream encoder state: conv buffers, the KV cache for blocks of at
-    most `block` frames, frame clock."""
+    """Per-stream encoder state: conv buffers and the KV cache (whose
+    `next_pos` is the frame clock) for blocks of at most `block` frames."""
 
     def __init__(self, params: EncoderParams, block: int):
         self.conv = params.cnn.init_states()
         self.cache = KvCache(params.ctx, block)
-        self.frame_pos = 0
 
 
 def encode_frames(wave, params: EncoderParams, state: EncoderState = None,
                   *, lookahead=None, block_frames=None):
-    """Waveform -> (frames (T/320, d_model), state).
+    """Waveform -> frames (T/320, d_model).
 
     Stateless call (state=None): one-shot pass whose attention mask optionally
     mirrors chunked execution via `block_frames`. Stateful call: incremental
-    block with lookahead confined to the supplied block.
+    block with lookahead confined to the supplied block; `state` is updated
+    in place.
     """
     wave = np.asarray(wave, dtype=F32).reshape(-1)
     if wave.size % 320:
@@ -193,11 +193,6 @@ def encode_frames(wave, params: EncoderParams, state: EncoderState = None,
     la = params.lookahead if lookahead is None else lookahead
     if state is None:
         frames, _ = params.cnn.apply(wave)
-        frames = transformer_full(frames, params.ctx, lookahead=la,
-                                  block_frames=block_frames)
-        return frames, None
+        return transformer_full(frames, params.ctx, lookahead=la, block_frames=block_frames)
     frames, state.conv = params.cnn.apply(wave, state.conv)
-    frames = transformer_step(frames, params.ctx, state.cache, state.frame_pos,
-                              lookahead=la)
-    state.frame_pos += frames.shape[0]
-    return frames, state
+    return transformer_step(frames, params.ctx, state.cache, lookahead=la)

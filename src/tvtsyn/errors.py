@@ -26,4 +26,5 @@ class StateError(InputError):
 
 
 class InternalError(TvtSynError):
-    """Invariant violation inside the library (cache/position desync, etc.)."""
+    """Invariant violation inside the library (a block longer than its KV
+    ring was sized for, a causality-probe violation)."""

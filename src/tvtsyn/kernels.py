@@ -148,9 +148,6 @@ def causal_conv1d(x, spec: ConvSpec, weight, bias=None, state=None):
         state = conv_state_init(spec)
     _check_conv_args(x, spec, weight, bias, state, want_transposed=False)
     t_in = x.shape[1]
-    if t_in == 0:
-        return np.zeros((spec.out_ch, 0), dtype=F32), state
-
     # the last state_len columns of [state | x]
     pad = spec.state_len
     new_state = np.concatenate([state[:, t_in:], x[:, max(t_in - pad, 0):]], axis=1)
@@ -209,9 +206,6 @@ def transposed_conv1d_causal(x, spec: ConvSpec, weight, bias=None, state=None):
         state = conv_state_init(spec)
     _check_conv_args(x, spec, weight, bias, state, want_transposed=True)
     t_in = x.shape[1]
-    if t_in == 0:
-        return np.zeros((spec.out_ch, 0), dtype=F32), state
-
     s, tail = spec.stride, spec.state_len
     contrib = weight_product(weight.reshape(spec.in_ch, -1).T, x).reshape(
         spec.out_ch, spec.kernel, t_in)                       # (C_out, K, T)
@@ -359,17 +353,14 @@ def sigmoid(x):
     return out
 
 
-def masked_softmax(scores, allowed=None, out=None):
+def masked_softmax(scores, allowed=None):
     """Row softmax over the last axis with an optional boolean (rows, cols)
     mask; disallowed cells get weight 0. Every row must keep an allowed cell
-    (`context.band_mask` checks the masks it builds). With out=scores the
-    scores are overwritten."""
+    (`context.band_mask` checks the masks it builds). The result is written
+    over the scores, which are returned."""
     if allowed is not None and allowed.shape != scores.shape[-2:]:
         raise ConfigError(f"mask shape {allowed.shape} vs scores {scores.shape}")
-    if out is None:
-        out = scores.copy(order="K")
-    elif out is not scores:
-        out[...] = scores
+    out = scores
     if allowed is not None:
         np.copyto(out, F32(-np.inf), where=~allowed)
     out -= out.max(axis=-1, keepdims=True)
@@ -390,16 +381,12 @@ def rope_cos_sin(positions, dim):
 def rope_rotate(x, cos, sin):
     """Rotate feature pairs of x by the (T, d/2) cos/sin table of rope_cos_sin.
 
-    x is (T, d) or (T, heads, d); row i takes row i of the table, so a stream
-    stays continuous by building the table at its absolute positions.
+    x is (T, heads, d); row i takes row i of the table, so a stream stays
+    continuous by building the table at its absolute positions.
     """
-    d = x.shape[-1]
-    if x.ndim == 3:
-        cos = cos[:, None, :]
-        sin = sin[:, None, :]
-    elif x.ndim != 2:
-        raise ConfigError(f"rope_rotate expects 2-D or 3-D input, got {x.shape}")
-    half = d // 2
+    cos = cos[:, None, :]
+    sin = sin[:, None, :]
+    half = x.shape[-1] // 2
     x1, x2 = x[..., :half], x[..., half:]
     lo = x1 * cos
     lo -= x2 * sin

@@ -78,12 +78,30 @@ def latency_bench(session_factory, utterances, chunk_ms, *,
     }
 
 
-def _check_probe(lookahead_frames, trials):
+def check_probe(lookahead_frames, trials):
+    """The probes' settings; checked before a probe synthesizes anything."""
     if not 0 <= int(lookahead_frames) <= MAX_LOOKAHEAD:
         raise ConfigError(
             f"lookahead_frames must be in [0, {MAX_LOOKAHEAD}], got {lookahead_frames}")
     if int(trials) < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+
+
+def _probe_trials(synth_fn, lookahead_frames, trials, seed, first_cut, lead):
+    """The probes' trial loop. Per trial: draw a wave of PROBE_MIN_FRAMES to
+    PROBE_MAX_FRAMES frames and a cut frame t in [first_cut, frames -
+    lookahead - 1), redraw every input sample after sample 320*(t + lead), and
+    yield t with both outputs up to sample 320*t inclusive."""
+    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    for _ in range(int(trials)):
+        n_frames = int(rng.integers(PROBE_MIN_FRAMES, PROBE_MAX_FRAMES + 1))
+        wave = rng.uniform(-0.5, 0.5, size=n_frames * FRAME_HOP).astype(F32)
+        t = int(rng.integers(first_cut, n_frames - lookahead_frames - 1))
+        start = FRAME_HOP * (t + lead) + 1
+        perturbed = wave.copy()
+        perturbed[start:] = rng.uniform(-0.5, 0.5, size=wave.size - start).astype(F32)
+        guard = FRAME_HOP * t + 1
+        yield t, synth_fn(wave)[:guard], synth_fn(perturbed)[:guard]
 
 
 def causality_probe(synth_fn, lookahead_frames, trials, seed) -> dict:
@@ -93,21 +111,11 @@ def causality_probe(synth_fn, lookahead_frames, trials, seed) -> dict:
     strictly after sample 320*(t + lookahead), and require output samples
     <= 320*t to be exactly unchanged. Violations are listed in the report.
     """
-    _check_probe(lookahead_frames, trials)
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    check_probe(lookahead_frames, trials)
     violations = []
-    for trial in range(int(trials)):
-        n_frames = int(rng.integers(PROBE_MIN_FRAMES, PROBE_MAX_FRAMES + 1))
-        wave = rng.uniform(-0.5, 0.5, size=n_frames * FRAME_HOP).astype(F32)
-        t = int(rng.integers(1, n_frames - lookahead_frames - 1))
-        horizon = FRAME_HOP * (t + lookahead_frames)
-        perturbed = wave.copy()
-        perturbed[horizon + 1:] = rng.uniform(-0.5, 0.5,
-                                              size=wave.size - horizon - 1).astype(F32)
-        base = synth_fn(wave)
-        poked = synth_fn(perturbed)
-        guard = FRAME_HOP * t + 1
-        diff = np.abs(base[:guard].astype(np.float64) - poked[:guard].astype(np.float64))
+    for trial, (t, base, poked) in enumerate(
+            _probe_trials(synth_fn, lookahead_frames, trials, seed, 1, lookahead_frames)):
+        diff = np.abs(base.astype(np.float64) - poked.astype(np.float64))
         max_diff = float(diff.max()) if diff.size else 0.0
         if max_diff != 0.0:
             violations.append({"trial": trial, "cut_frame": t, "max_diff": max_diff})
@@ -122,19 +130,7 @@ def causality_probe(synth_fn, lookahead_frames, trials, seed) -> dict:
 def probe_influence(synth_fn, lookahead_frames, trials, seed) -> int:
     """Positive control: perturb from one frame after the cut frame t and count
     trials where protected output actually changed (expected > 0 with lookahead > 0)."""
-    _check_probe(lookahead_frames, trials)
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    influenced = 0
-    for _ in range(int(trials)):
-        n_frames = int(rng.integers(PROBE_MIN_FRAMES, PROBE_MAX_FRAMES + 1))
-        wave = rng.uniform(-0.5, 0.5, size=n_frames * FRAME_HOP).astype(F32)
-        t = int(rng.integers(lookahead_frames + 1, n_frames - lookahead_frames - 1))
-        start = FRAME_HOP * (t + 1) + 1
-        perturbed = wave.copy()
-        perturbed[start:] = rng.uniform(-0.5, 0.5, size=wave.size - start).astype(F32)
-        base = synth_fn(wave)
-        poked = synth_fn(perturbed)
-        guard = FRAME_HOP * t + 1
-        if np.any(base[:guard] != poked[:guard]):
-            influenced += 1
-    return influenced
+    check_probe(lookahead_frames, trials)
+    return sum(bool(np.any(base != poked)) for _, base, poked in
+               _probe_trials(synth_fn, lookahead_frames, trials, seed,
+                             lookahead_frames + 1, 1))

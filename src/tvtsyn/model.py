@@ -131,8 +131,7 @@ def align_wave(wave):
 
 
 def synthesize(model: TvtSynModel, wave, speaker, *, lookahead=None,
-               block_frames=None, f0_scale=1.0, force_alpha=None,
-               return_details=False):
+               block_frames=None, f0_scale=1.0, return_details=False):
     """One-shot synthesis: waveform + 704-dim speaker vector -> waveform.
 
     Output has exactly the (hop-aligned) input length. With return_details,
@@ -144,16 +143,16 @@ def synthesize(model: TvtSynModel, wave, speaker, *, lookahead=None,
         raise InputError("input wave has no samples")
     if not np.isfinite(wave).all():
         raise InputError("input wave contains non-finite samples")
-    frames, _ = encode_frames(wave, model.encoder, None,
-                              lookahead=lookahead, block_frames=block_frames)
+    frames = encode_frames(wave, model.encoder, None,
+                           lookahead=lookahead, block_frames=block_frames)
     content, codes = vq_quantize(frames, model.encoder.vq)
     gtm = build_gtm(speaker, model.tvt)
-    tvt, facet_weights, top1, alpha = tvt_sequence(
-        content, speaker, gtm, model.tvt, force_alpha=force_alpha, return_details=True)
+    tvt, facet_weights, top1, alpha = tvt_sequence(content, speaker, gtm, model.tvt,
+                                                   return_details=True)
     pred, _ = predict_f0_energy(content, model.prosody)
     ctxout = decode_context(content, tvt, pred, model.decoder, model.prosody,
                             f0_scale=f0_scale)
-    out, _ = synthesize_wave(ctxout, tvt, model.decoder)
+    out = synthesize_wave(ctxout, tvt, model.decoder)
     if return_details:
         return out, {
             "frames": frames,

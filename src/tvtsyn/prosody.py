@@ -74,9 +74,11 @@ def predict_f0_energy(features, params: ProsodyParams, states=None):
 
 
 def check_f0_scale(f0_scale) -> float:
+    """The scale as a float; it must stay finite once inject_prosody casts it
+    to float32."""
     f0_scale = float(f0_scale)
-    if not math.isfinite(f0_scale):
-        raise ConfigError(f"f0_scale must be finite, got {f0_scale}")
+    if not math.isfinite(f0_scale) or abs(f0_scale) > float(np.finfo(F32).max):
+        raise ConfigError(f"f0_scale must be finite in float32, got {f0_scale}")
     return f0_scale
 
 

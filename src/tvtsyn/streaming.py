@@ -48,12 +48,10 @@ class StreamSession:
         # each attention stack takes one chunk's frames per step
         self.enc_state = EncoderState(model.encoder, self.cfg.chunk_frames)
         self.dec_cache = KvCache(model.decoder.ctx, self.cfg.chunk_frames)
-        self.dec_frame_pos = 0
         self.pros_states = model.prosody.init_states()
         self.cnn_states = model.decoder.cnn.init_states()
         self.samples_in = 0
         self.samples_out = 0
-        self.chunks_fed = 0
         self.closed = False
 
     def reset(self):
@@ -105,23 +103,19 @@ class StreamSession:
             raise InputError("chunk contains non-finite samples")
 
         model = self.model
-        frames, _ = encode_frames(samples, model.encoder, self.enc_state,
-                                  lookahead=self.cfg.lookahead_frames)
+        frames = encode_frames(samples, model.encoder, self.enc_state,
+                               lookahead=self.cfg.lookahead_frames)
         content, _ = vq_quantize(frames, model.encoder.vq)
         tvt = tvt_sequence(content, self.speaker, self.gtm, model.tvt)
         pred, self.pros_states = predict_f0_energy(content, model.prosody,
                                                    self.pros_states)
         ctxout = decode_context(content, tvt, pred, model.decoder, model.prosody,
-                                f0_scale=self.f0_scale,
-                                cache=self.dec_cache, start_pos=self.dec_frame_pos)
-        self.dec_frame_pos += frames.shape[0]
+                                f0_scale=self.f0_scale, cache=self.dec_cache)
         fused = cln_fuse(ctxout, tvt, model.decoder.cln_out)
-        raw, self.cnn_states = model.decoder.cnn.apply(fused, self.cnn_states)
-        out = np.clip(raw, -1.0, 1.0, out=raw)
+        out, self.cnn_states = model.decoder.cnn.apply(fused, self.cnn_states)
 
         self.samples_in += samples.shape[0]
         self.samples_out += out.shape[0]
-        self.chunks_fed += 1
         return out
 
 

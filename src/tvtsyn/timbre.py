@@ -105,14 +105,12 @@ def build_gtm(g, params: TvtParams) -> GtmMemory:
 
 
 def project_global(g, params: TvtParams):
-    """Unit-norm projection of the global vector into the timbre space."""
-    g = check_global_timbre(g, params.g_proj_w.shape[1])
+    """Unit-norm projection of the (checked) global vector into the timbre space."""
     return l2_normalize_rows(linear(g, params.g_proj_w, params.g_proj_b))
 
 
 def retrieve_facet(content, gtm: GtmMemory, params: TvtParams):
     """Content frames (T, d_model) -> (facet mix (T, timbre_dim), weights (T, slots))."""
-    content = np.atleast_2d(content)
     q = linear(content, params.query_w, params.query_b)
     scores = (q @ gtm.keys.T) * F32(1.0 / np.sqrt(params.attn_dim))
     w = masked_softmax(scores)
@@ -121,8 +119,6 @@ def retrieve_facet(content, gtm: GtmMemory, params: TvtParams):
 
 def gate_alpha(content, facet, g_hat, params: TvtParams):
     """Per-frame deviation gate in (0, 1)."""
-    content = np.atleast_2d(content)
-    facet = np.atleast_2d(facet)
     tiled = np.broadcast_to(g_hat, (content.shape[0], g_hat.shape[-1]))
     x = np.concatenate([content, facet, tiled], axis=1)
     return sigmoid(mlp(x, *params.gate))[:, 0]
@@ -210,7 +206,6 @@ def tvt_sequence(content, g, gtm: GtmMemory, params: TvtParams,
     With return_details, also yields (facet_weights, top1, alpha) for
     introspection dumps.
     """
-    content = np.atleast_2d(content)
     g_hat = gtm.g_hat
     facets, weights = retrieve_facet(content, gtm, params)
     if force_alpha is None:

@@ -26,11 +26,8 @@ MAX_NDIM = 64  # numpy's own limit
 class WeightStore:
     """Mapping of parameter name -> read-only float32 array."""
 
-    def __init__(self, entries=None):
+    def __init__(self):
         self._entries: dict[str, np.ndarray] = {}
-        if entries:
-            for name, arr in entries.items():
-                self.put(name, arr)
 
     def put(self, name, arr):
         if name in self._entries:

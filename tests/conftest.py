@@ -35,6 +35,16 @@ def full_budget():
     return parameter_budget(random_init(0, ModelConfig()))
 
 
+def store_of(entries):
+    """A WeightStore holding the (name -> array) entries, in order."""
+    from tvtsyn.weights import WeightStore
+
+    store = WeightStore()
+    for name, arr in entries.items():
+        store.put(name, arr)
+    return store
+
+
 def random_wave(seed, n_samples, amp=0.5):
     rng = np.random.default_rng(seed)
     return rng.uniform(-amp, amp, n_samples).astype(np.float32)

@@ -128,7 +128,7 @@ def test_criterion_4_vq_oracle(model):
 def test_criterion_5_rates_and_shapes(model, speaker):
     """Hop-320 rates: 3 s -> 150 frames -> 48000 samples; chunk alignment."""
     wave = random_wave(37, 48000)
-    frames, _ = encode_frames(wave, model.encoder)
+    frames = encode_frames(wave, model.encoder)
     assert frames.shape[0] == 150
     out = synthesize(model, wave, speaker)
     assert out.shape == (48000,)
@@ -190,7 +190,7 @@ def test_criterion_8_tvt_behavior(model, speaker):
     gates the top-1 facet varies across frames on >= 8 of 10 utterances."""
     gtm = build_gtm(speaker, model.tvt)
     wave = random_wave(51, 9600)
-    frames, _ = encode_frames(wave, model.encoder)
+    frames = encode_frames(wave, model.encoder)
     content, _ = vq_quantize(frames, model.encoder.vq)
     s = tvt_sequence(content, speaker, gtm, model.tvt, force_alpha=0.0)
     g_hat = (project_global(speaker, model.tvt) * model.tvt.scale[0]).astype(F32)
@@ -201,7 +201,7 @@ def test_criterion_8_tvt_behavior(model, speaker):
     for i in range(10):
         g_i = rng.normal(0, 1, model.cfg.global_dim).astype(F32)
         w_i = random_wave(60 + i, 16000)
-        f_i, _ = encode_frames(w_i, model.encoder)
+        f_i = encode_frames(w_i, model.encoder)
         c_i, _ = vq_quantize(f_i, model.encoder.vq)
         _, _, top1, _ = tvt_sequence(c_i, g_i, build_gtm(g_i, model.tvt),
                                      model.tvt, return_details=True)

@@ -210,6 +210,14 @@ class TestSynth:
                     "--f0-scale", "nan"])
         assert code == 2 and not (tmp_path / "x.wav").exists()
 
+    def test_f0_scale_beyond_float32_is_config_error(self, workdir, tmp_path, capsys):
+        # finite as a float64, but inf once cast to float32: it would write silence
+        code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
+                    "--f0-scale", "1e39"])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
+        assert "f0_scale" in capsys.readouterr().err
+
     def test_empty_wav_is_input_error(self, workdir, tmp_path, capsys):
         wavio.write_wav(tmp_path / "empty.wav", np.zeros(0, F32))
         code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
@@ -233,11 +241,13 @@ class TestStream:
         assert a.shape == b.shape
         assert np.abs(a - b).max() <= 1e-4
 
-    def test_misaligned_chunk_is_config_error(self, workdir, tmp_path):
+    def test_misaligned_chunk_is_config_error(self, workdir, tmp_path, capsys):
         code = run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
                     "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
                     "--chunk-ms", "50"])
         assert code == 2
+        err = capsys.readouterr().err
+        assert "--chunk-ms=50.0 is not frame-aligned" in err and "chunk_ms" not in err
 
     @pytest.mark.parametrize("chunk_ms", ["nan", "inf"])
     def test_non_finite_chunk_is_config_error(self, workdir, tmp_path, chunk_ms):
@@ -259,6 +269,13 @@ class TestStream:
                     "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
                     "--f0-scale", "inf"])
         assert code == 2 and not (tmp_path / "x.wav").exists()
+
+    def test_f0_scale_beyond_float32_is_config_error(self, workdir, tmp_path, capsys):
+        code = run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
+                    "--f0-scale=-1e39"])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
+        assert "f0_scale" in capsys.readouterr().err
 
 
 class TestBench:
@@ -296,6 +313,13 @@ class TestBench:
                     "--synthetic", count]) == 2
         assert "--synthetic" in capsys.readouterr().err
 
+    def test_misaligned_chunk_is_config_error(self, tmp_path, capsys):
+        # checked before the weights are read: the weight path does not exist
+        assert run(["bench", "--weights", str(tmp_path / "missing.tvtw"),
+                    "--chunk-ms", "50"]) == 2
+        err = capsys.readouterr().err
+        assert "--chunk-ms=50.0 is not frame-aligned" in err and "chunk_ms" not in err
+
     def test_empty_directory_is_input_error(self, workdir, tmp_path):
         d = tmp_path / "empty"
         d.mkdir()
@@ -310,6 +334,12 @@ class TestProbe:
     def test_zero_trials_is_config_error(self, workdir, capsys):
         assert run(["probe", *_margs(workdir), "--trials", "0"]) == 2
         assert '"clean"' not in capsys.readouterr().out
+
+    def test_zero_trials_checked_before_load(self, tmp_path, capsys):
+        # as --seed is: the weight path does not exist
+        assert run(["probe", "--weights", str(tmp_path / "missing.tvtw"),
+                    "--trials", "0"]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
 
 
 class TestNegativeSeed:

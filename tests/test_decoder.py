@@ -9,9 +9,12 @@ import pytest
 
 from conftest import random_wave
 from tvtsyn.decoder import ClnFusionParams, cln_fuse, decode_context, synthesize_wave
+from tvtsyn.encoder import encode_frames, vq_quantize
 from tvtsyn.errors import InputError
 from tvtsyn.kernels import layer_norm
 from tvtsyn.model import synthesize
+from tvtsyn.prosody import predict_f0_energy
+from tvtsyn.timbre import build_gtm, tvt_sequence
 
 F32 = np.float32
 
@@ -102,8 +105,7 @@ class TestDecodeContext:
         parts = []
         for k in range(0, 30, 5):
             parts.append(decode_context(content[k:k + 5], tvt[k:k + 5], pros[k:k + 5],
-                                        model.decoder, model.prosody,
-                                        cache=cache, start_pos=k))
+                                        model.decoder, model.prosody, cache=cache))
         np.testing.assert_allclose(np.concatenate(parts), full, atol=1e-5)
 
     def test_length_mismatch_rejected(self, model):
@@ -123,7 +125,7 @@ class TestSynthesizeWave:
         rng = np.random.default_rng(0)
         frames = rng.normal(0, 1, (150, model.cfg.d_model)).astype(F32)
         tvt = rng.normal(0, 1, (150, model.cfg.timbre_dim)).astype(F32)
-        wave, _ = synthesize_wave(frames, tvt, model.decoder)
+        wave = synthesize_wave(frames, tvt, model.decoder)
         assert wave.shape == (48000,)
         assert wave.min() >= -1.0 and wave.max() <= 1.0
 
@@ -148,12 +150,18 @@ class TestSynthesizeWave:
         assert np.abs(out1 - out2).max() > 0
 
     def test_timbre_stream_reaches_output(self, model, speaker):
-        # same content, alpha forced 0 vs 1: the conditioning path is live
-        rng = np.random.default_rng(7)
+        # same content, alpha pinned 0 vs 1 through synthesize's stages: the
+        # conditioning path is live
         wave_in = random_wave(8, 9600)
-        out0 = synthesize(model, wave_in, speaker, force_alpha=0.0)
-        out1 = synthesize(model, wave_in, speaker, force_alpha=1.0)
-        assert np.abs(out0 - out1).max() > 0
+        content, _ = vq_quantize(encode_frames(wave_in, model.encoder), model.encoder.vq)
+        gtm = build_gtm(speaker, model.tvt)
+        pred, _ = predict_f0_energy(content, model.prosody)
+        outs = []
+        for alpha in (0.0, 1.0):
+            tvt = tvt_sequence(content, speaker, gtm, model.tvt, force_alpha=alpha)
+            ctxout = decode_context(content, tvt, pred, model.decoder, model.prosody)
+            outs.append(synthesize_wave(ctxout, tvt, model.decoder))
+        assert np.abs(outs[0] - outs[1]).max() > 0
 
     def test_chunked_synthesis_boundary_continuity(self, model, speaker):
         """Crossfaded chunk boundaries are no rougher than chunk interiors."""

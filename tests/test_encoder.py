@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_wave
+from conftest import random_wave, store_of
 from tvtsyn import context
 from tvtsyn.config import small_config
 from tvtsyn.context import KvCache, TransformerParams, transformer_full, transformer_step
@@ -20,16 +20,16 @@ F32 = np.float32
 
 class TestFrameRates:
     def test_three_seconds_gives_150_frames(self, model):
-        frames, _ = encode_frames(random_wave(0, 48000), model.encoder)
+        frames = encode_frames(random_wave(0, 48000), model.encoder)
         assert frames.shape == (150, model.cfg.d_model)
 
     def test_single_hop_gives_one_frame(self, model):
-        frames, _ = encode_frames(random_wave(1, 320), model.encoder)
+        frames = encode_frames(random_wave(1, 320), model.encoder)
         assert frames.shape[0] == 1
 
     def test_frame_count_floor_rule(self, model):
         for n in (320, 640, 9600, 48000):
-            frames, _ = encode_frames(random_wave(2, n), model.encoder)
+            frames = encode_frames(random_wave(2, n), model.encoder)
             assert frames.shape[0] == n // 320
 
     def test_unaligned_wave_rejected(self, model):
@@ -41,14 +41,14 @@ class TestStreamingEquivalence:
     @pytest.mark.parametrize("chunk_frames", [3, 5])
     def test_chunked_equals_offline_with_matched_masks(self, model, chunk_frames):
         wave = random_wave(3, 320 * chunk_frames * 10)
-        offline, _ = encode_frames(wave, model.encoder, lookahead=4,
-                                   block_frames=chunk_frames)
+        offline = encode_frames(wave, model.encoder, lookahead=4,
+                                block_frames=chunk_frames)
         state = EncoderState(model.encoder, chunk_frames)
         parts = []
         step = 320 * chunk_frames
         for k in range(10):
-            f, state = encode_frames(wave[k * step:(k + 1) * step], model.encoder,
-                                     state, lookahead=4)
+            f = encode_frames(wave[k * step:(k + 1) * step], model.encoder,
+                              state, lookahead=4)
             parts.append(f)
         streamed = np.concatenate(parts, axis=0)
         assert np.abs(streamed - offline).max() <= 1e-5
@@ -56,8 +56,8 @@ class TestStreamingEquivalence:
     def test_different_chunkings_agree(self, model):
         # 60 ms vs 100 ms chunks, mask-equivalent offline both ways
         wave = random_wave(4, 48000)
-        a, _ = encode_frames(wave, model.encoder, lookahead=0, block_frames=3)
-        b, _ = encode_frames(wave, model.encoder, lookahead=0, block_frames=5)
+        a = encode_frames(wave, model.encoder, lookahead=0, block_frames=3)
+        b = encode_frames(wave, model.encoder, lookahead=0, block_frames=5)
         # with lookahead 0 block truncation is irrelevant: outputs identical
         assert np.abs(a - b).max() <= 1e-5
 
@@ -120,7 +120,7 @@ class TestContextAttend:
         x = self._random_frames(model, 3, t=t_total)
         full = transformer_full(x, model.encoder.ctx, lookahead=0)
         cache = KvCache(model.encoder.ctx, 1)
-        outs = [transformer_step(x[t:t + 1], model.encoder.ctx, cache, t, lookahead=0)
+        outs = [transformer_step(x[t:t + 1], model.encoder.ctx, cache, lookahead=0)
                 for t in range(t_total)]
         streamed = np.concatenate(outs, axis=0)
         assert np.abs(streamed - full).max() <= 1e-5
@@ -133,11 +133,11 @@ class TestContextAttend:
         t = ctx.lookback + 50
         x = self._random_frames(model, 5, t=2 * t)
         cache = KvCache(ctx, t)
-        first = transformer_step(x[:t], ctx, cache, 0, lookahead=lookahead)
+        first = transformer_step(x[:t], ctx, cache, lookahead=lookahead)
         np.testing.assert_allclose(
             first, transformer_full(x[:t], ctx, lookahead=lookahead, block_frames=t),
             rtol=0, atol=1e-6)
-        second = transformer_step(x[t:], ctx, cache, t, lookahead=lookahead)
+        second = transformer_step(x[t:], ctx, cache, lookahead=lookahead)
         full = transformer_full(x, ctx, lookahead=lookahead, block_frames=t)
         np.testing.assert_allclose(second, full[t:], rtol=0, atol=1e-6)
 
@@ -153,9 +153,8 @@ class TestContextAttend:
         for start in (0, 10 ** 9):
             cache = KvCache(ctx, ctx.lookback)
             cache.next_pos = start
-            hist = transformer_step(x[:ctx.lookback], ctx, cache, start, lookahead=lookahead)
-            block = transformer_step(x[ctx.lookback:], ctx, cache, start + ctx.lookback,
-                                     lookahead=lookahead)
+            hist = transformer_step(x[:ctx.lookback], ctx, cache, lookahead=lookahead)
+            block = transformer_step(x[ctx.lookback:], ctx, cache, lookahead=lookahead)
             outs.append((hist, block))
         for far, near in zip(outs[1], outs[0]):
             np.testing.assert_allclose(far, near, rtol=0, atol=1e-4)
@@ -165,19 +164,12 @@ class TestContextAttend:
         with pytest.raises(ConfigError):
             transformer_full(x, model.encoder.ctx, lookahead=4, block_frames=0)
 
-    def test_cache_position_desync_raises(self, model):
-        x = self._random_frames(model, 4, t=3)
-        cache = KvCache(model.encoder.ctx, 3)
-        transformer_step(x, model.encoder.ctx, cache, 0, lookahead=0)
-        with pytest.raises(InternalError):
-            transformer_step(x, model.encoder.ctx, cache, 7, lookahead=0)
-
     def test_block_longer_than_cache_block_raises(self, model):
         x = self._random_frames(model, 4, t=4)
         cache = KvCache(model.encoder.ctx, 3)
         untouched = cache.pos.copy()
         with pytest.raises(InternalError, match="block"):
-            transformer_step(x, model.encoder.ctx, cache, 0, lookahead=0)
+            transformer_step(x, model.encoder.ctx, cache, lookahead=0)
         assert cache.next_pos == 0 and np.array_equal(cache.pos, untouched)
 
     @pytest.mark.parametrize("lookahead", [0, 4])
@@ -192,7 +184,7 @@ class TestContextAttend:
         assert t >= 6 * slots
         x = self._random_frames(model, 12, t=t)
         streamed = np.concatenate([
-            transformer_step(x[s:s + 7], ctx, cache, s, lookahead=lookahead)
+            transformer_step(x[s:s + 7], ctx, cache, lookahead=lookahead)
             for s in range(0, t, 7)])
         full = transformer_full(x, ctx, lookahead=lookahead, block_frames=7)
         assert np.abs(streamed - full).max() <= 1e-5
@@ -227,7 +219,7 @@ class TestCopyFreeWindow:
         cache = KvCache(ctx, 3)
         for start in range(0, x.shape[0], 3):
             seen.clear()
-            transformer_step(x[start:start + 3], ctx, cache, start, lookahead=4)
+            transformer_step(x[start:start + 3], ctx, cache, lookahead=4)
             assert len(seen) == len(ctx.layers)
             for i, (k, v) in enumerate(seen):
                 assert k.shape[1] == v.shape[1] == ctx.lookback + 3
@@ -247,7 +239,7 @@ class TestCopyFreeWindow:
         cache = KvCache(ctx, 3)
         for start in range(0, 9, 3):
             calls.clear()
-            transformer_step(x[start:start + 3], ctx, cache, start, lookahead=4)
+            transformer_step(x[start:start + 3], ctx, cache, lookahead=4)
             assert len(calls) <= 2
 
 
@@ -284,22 +276,20 @@ class TestVq:
         assert vq_nearest(np.array([[0.5, 0.5]], F32), cb)[0] == 0
 
     def test_idempotence(self, model):
-        frames, _ = encode_frames(random_wave(6, 9600), model.encoder)
+        frames = encode_frames(random_wave(6, 9600), model.encoder)
         out1, idx1 = vq_quantize(frames, model.encoder.vq)
         out2, idx2 = vq_quantize(out1, model.encoder.vq)
         assert np.array_equal(idx1, idx2)
         assert np.array_equal(out1, out2)
 
     def test_indices_in_range(self, model):
-        frames, _ = encode_frames(random_wave(7, 9600), model.encoder)
+        frames = encode_frames(random_wave(7, 9600), model.encoder)
         _, idx = vq_quantize(frames, model.encoder.vq)
         assert idx.min() >= 0 and idx.max() < model.encoder.vq.codebook.shape[0]
 
     def test_unnormalized_codebook_rejected(self, cfg, store):
-        from tvtsyn.weights import WeightStore
-
-        bad = WeightStore({n: store.get(n) for n in store.names()
-                           if n != "encoder.vq.codebook"})
+        bad = store_of({n: store.get(n) for n in store.names()
+                        if n != "encoder.vq.codebook"})
         bad.put("encoder.vq.codebook", store.get("encoder.vq.codebook") * 2.0)
         with pytest.raises(ConfigError, match="unit-norm"):
             VqParams.from_store(bad, cfg)

@@ -270,8 +270,9 @@ class TestSdpa:
 
 
 def rope(x, offset):
-    """x rotated as rows at positions offset, offset + 1, ..."""
-    return rope_rotate(x, *rope_cos_sin(offset + np.arange(x.shape[0]), x.shape[-1]))
+    """x (T, d) rotated as one head's rows at positions offset, offset + 1, ..."""
+    cos_sin = rope_cos_sin(offset + np.arange(x.shape[0]), x.shape[-1])
+    return rope_rotate(x[:, None], *cos_sin)[:, 0]
 
 
 class TestRope:
@@ -369,12 +370,25 @@ class TestWeightMajorProducts:
         assert got.shape == (80,)
         np.testing.assert_allclose(got, _f64(w) @ _f64(x), rtol=1e-5, atol=1e-4)
 
-    @pytest.mark.parametrize("t", [1, 3, 960])
+    # t = 0 takes the general path: (C_out, 0) out, the state as it was
+    @pytest.mark.parametrize("t", [0, 1, 3, 960])
     @pytest.mark.parametrize("kernel,stride,dilation", [(3, 1, 1), (3, 1, 2), (4, 2, 1),
                                                         (16, 8, 1), (5, 3, 2)])
     def test_causal_conv_matches_einsum(self, t, kernel, stride, dilation):
         _check_causal_conv(np.random.default_rng(100 * kernel + 10 * stride + dilation),
                            ConvSpec(6, 5, kernel, stride, dilation), t)
+
+    # no input columns take the general path, as in the forward conv
+    @pytest.mark.parametrize("kernel,stride", [(4, 2), (16, 8), (3, 3)])
+    def test_transposed_conv_of_no_columns(self, kernel, stride):
+        rng = np.random.default_rng(kernel)
+        spec = ConvSpec(6, 5, kernel, stride, transposed=True)
+        w = rng.normal(size=(6, 5, kernel)).astype(F32)
+        state = rng.normal(size=(5, spec.state_len)).astype(F32)
+        y, new_state = transposed_conv1d_causal(np.zeros((6, 0), F32), spec, w,
+                                                rng.normal(size=5).astype(F32), state)
+        assert y.shape == (5, 0) and y.dtype == F32
+        assert np.array_equal(new_state, state)
 
     # the model's (kernel, stride, dilation) sets: res units and their 1x1
     # convs, every down conv, conv_in/conv_out, and the frame-rate convs
@@ -543,3 +557,16 @@ class TestElu:
         x = np.array([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf], F32)
         assert np.array_equal(elu(x), np.array([-1.0, np.expm1(F32(-1.0)), 0.0, 0.0, 2.0,
                                                 np.inf], F32))
+
+
+class TestTanhRange:
+    def test_float32_tanh_stays_in_unit_range(self):
+        # the decoder's last op is tanh and nothing clips after it: the
+        # output range [-1, 1] rests on np.tanh itself
+        big = float(np.finfo(F32).max)
+        x = np.array([np.inf, -np.inf, big, -big, 20.0, -20.0, 1e-45, -1e-45, 0.0, -0.0], F32)
+        y = np.tanh(x)
+        assert y.dtype == F32
+        assert np.all(np.abs(y) <= 1.0)
+        assert np.array_equal(y[:6], np.array([1, -1, 1, -1, 1, -1], F32))
+        assert np.isnan(np.tanh(np.array([np.nan], F32))).all()

@@ -1,6 +1,6 @@
 """Layout guards: every public name in the package has a caller outside the
-tests, every name the package exports resolves, and no module imports a name
-it does not use.
+tests, so has every parameter with a default, every name the package exports
+resolves, and no module imports a name it does not use.
 """
 
 import ast
@@ -74,6 +74,117 @@ def test_every_public_name_has_a_caller():
     assert not unlisted, f"public names only the tests (or nothing) call: {unlisted}"
     # an allowlisted name that gains a caller leaves the list
     assert set(ALLOWED) <= {q.split(".")[1] for q in uncalled}
+
+
+# parameters with a default that no call in the package or the benchmark passes
+UNPASSED = {
+    "latency_bench(warmup)": "a test's short run; the CLI takes the 10 warm-up utterances",
+    "latency_bench(measured)": "a test's short run; the CLI measures 100 utterances",
+    "latency_bench(clock)": "a test's fake clock checks the report arithmetic",
+    "tvt_sequence(force_alpha)": "pins the gate for the alpha = 0 acceptance check",
+}
+
+
+def _defaulted_parameters(tree):
+    """(function name, positional parameters, parameters with a default) for
+    every function and method; a method drops its self/cls, and __init__ goes
+    by its class's name."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                a = child.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                if cls and not static:
+                    positional = positional[1:]
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                name = cls if cls and child.name == "__init__" else child.name
+                found.append((name, positional, defaulted))
+                visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def _unpassed_parameters(root):
+    """`function(parameter)` for each parameter with a default, on a function
+    or method of root/src/tvtsyn, that no call in the package or in
+    root/perfbench passes: by keyword, by position, or through *args/**kwargs.
+    Calls match by the called name alone. A function also used as a value
+    (called through an alias) is skipped; a type annotation is no such use."""
+    package = sorted((root / "src" / "tvtsyn").glob("*.py"))
+    trees = [ast.parse(p.read_text()) for p in package + sorted((root / "perfbench").glob("*.py"))]
+    passed, values = {}, set()  # name -> (keywords, most positional args, splatted)
+    for tree in trees:
+        not_values = set()  # ids of called names and of annotations
+        for node in ast.walk(tree):
+            ann = getattr(node, "annotation", None) or getattr(node, "returns", None)
+            if ann is not None:
+                not_values.update(id(sub) for sub in ast.walk(ann))
+            if isinstance(node, ast.Call):
+                func = node.func
+                not_values.add(id(func))
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                kw, n_pos, splat = passed.get(name, (set(), 0, False))
+                passed[name] = (
+                    kw | {k.arg for k in node.keywords},
+                    max(n_pos, len(node.args)),
+                    splat or any(isinstance(x, ast.Starred) for x in node.args)
+                    or any(k.arg is None for k in node.keywords))
+        for node in ast.walk(tree):
+            if id(node) not in not_values:
+                if isinstance(node, ast.Name):
+                    values.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    values.add(node.attr)
+    unpassed = []
+    for tree in trees[:len(package)]:
+        for name, positional, defaulted in _defaulted_parameters(tree):
+            if name in values:
+                continue
+            kw, n_pos, splat = passed.get(name, (set(), 0, False))
+            unpassed += [f"{name}({p})" for p in defaulted
+                         if not (splat or p in kw or p in positional[:n_pos])]
+    return unpassed
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    unpassed = _unpassed_parameters(ROOT)
+    unlisted = [q for q in unpassed if q not in UNPASSED]
+    assert not unlisted, f"parameters only the tests (or nothing) pass: {unlisted}"
+    # an allowlisted parameter that gains a caller leaves the list
+    assert set(UNPASSED) <= set(unpassed)
+
+
+def test_unpassed_parameter_guard_on_a_small_tree(tmp_path):
+    (tmp_path / "src" / "tvtsyn").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src" / "tvtsyn" / "m.py").write_text(
+        "class Store:\n"
+        "    def __init__(self, entries=None, *, strict=False):\n"
+        "        pass\n"
+        "    def get(self, name, shape=None):\n"
+        "        pass\n"
+        "def by_position(a, b=1, c=2):\n"
+        "    Store(strict=True).get('x')\n"
+        "def splatted(a, b=1):\n"
+        "    pass\n"
+        "def aliased(a, b=1):\n"
+        "    pass\n"
+        "def untyped(store: Store, fn=aliased):\n"
+        "    by_position(1, 2)\n")
+    (tmp_path / "perfbench" / "bench.py").write_text(
+        "from tvtsyn.m import splatted, untyped\n"
+        "splatted(*[1, 2])\n"
+        "untyped(None)\n")
+    assert sorted(_unpassed_parameters(tmp_path)) == [
+        "Store(entries)", "by_position(c)", "get(shape)", "untyped(fn)"]
 
 
 def test_every_exported_name_resolves():

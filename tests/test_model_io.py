@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import store_of
 from tvtsyn.config import (LEGACY_KEYS, MAX_SPAN_SECONDS, ModelConfig, StreamConfig,
                            config_from_text, config_to_text)
 from tvtsyn.errors import ConfigError, FormatError
@@ -185,14 +186,14 @@ class TestRandomInit:
 
     def test_registry_covers_model_exactly(self, cfg, store, model):
         # from_store validates exact coverage; extra entries must be rejected
-        extra = WeightStore({n: store.get(n) for n in store.names()})
+        extra = store_of({n: store.get(n) for n in store.names()})
         extra.put("rogue.weight", np.zeros(3))
         with pytest.raises(ConfigError, match="unknown"):
             TvtSynModel.from_store(extra, cfg)
 
     def test_missing_entry_rejected(self, cfg, store):
         names = store.names()
-        partial = WeightStore({n: store.get(n) for n in names[:-1]})
+        partial = store_of({n: store.get(n) for n in names[:-1]})
         with pytest.raises(ConfigError, match="missing"):
             TvtSynModel.from_store(partial, cfg)
 
@@ -200,7 +201,7 @@ class TestRandomInit:
         name = "decoder.cnn.stage0.up.weight"
         permuted = store.get(name).transpose(1, 0, 2)  # same size, (out_ch, in_ch, kernel)
         assert permuted.shape != store.get(name).shape
-        bad = WeightStore({n: permuted if n == name else store.get(n) for n in store.names()})
+        bad = store_of({n: permuted if n == name else store.get(n) for n in store.names()})
         with pytest.raises(ConfigError, match=re.escape(repr(name))):
             TvtSynModel.from_store(bad, cfg)
 

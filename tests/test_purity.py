@@ -87,7 +87,7 @@ def test_transformer_full_and_step_are_pure(model):
     # the cache is the step's state, updated in place by design; the frames
     # are the caller's
     for start in range(0, x.shape[0], 3):
-        outs.append(transformer_step(x[start:start + 3], ctx, cache, start, lookahead=4))
+        outs.append(transformer_step(x[start:start + 3], ctx, cache, lookahead=4))
     snap.assert_unchanged()
     snap.assert_not_aliased(*outs)
     snap.assert_not_aliased(cache.k, cache.v)

@@ -109,7 +109,7 @@ class TestLifecycle:
         seen = []
         for k in range(4):
             s.feed(np.zeros(960, F32))
-            seen.append((s.samples_in, s.samples_out, s.chunks_fed))
+            seen.append((s.samples_in, s.samples_out))
         assert seen == sorted(seen)
         assert seen[-1][0] == 4 * 960
 
@@ -202,7 +202,7 @@ class TestNonFiniteInput:
         poisoned[417] = bad
         with pytest.raises(InputError, match="non-finite"):
             s.feed(poisoned)
-        assert (s.samples_in, s.samples_out, s.chunks_fed) == (2 * 960, 2 * 960, 2)
+        assert (s.samples_in, s.samples_out) == (2 * 960, 2 * 960)
         # the rejected chunk left no trace: the stream continues as if unsent
         got += [s.feed(wave[k * 960:(k + 1) * 960]) for k in range(2, 5)]
         for a, b in zip(got, want):
@@ -240,7 +240,7 @@ class TestNotOneDimensional:
         # 480 interleaved stereo frames hold 960 values, one mono chunk's worth
         with pytest.raises(InputError, match="1-D"):
             s.feed(wave[960:1920].reshape(480, 2))
-        assert (s.samples_in, s.samples_out, s.chunks_fed) == (960, 960, 1)
+        assert (s.samples_in, s.samples_out) == (960, 960)
         got += [s.feed(wave[k * 960:(k + 1) * 960]) for k in range(1, 3)]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -262,12 +262,13 @@ class TestNotOneDimensional:
 
 
 class TestNonFiniteF0Scale:
-    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    # +-1e39 is finite as a float64 but inf as the float32 that scales the f0 stream
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 1e39, -1e39])
     def test_session_rejects(self, model, speaker, scale):
         with pytest.raises(ConfigError, match="f0_scale"):
             open_session(model, StreamConfig(chunk_ms=60), speaker, f0_scale=scale)
 
-    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 1e39, -1e39])
     def test_synthesize_rejects(self, model, speaker, scale):
         with pytest.raises(ConfigError, match="f0_scale"):
             synthesize(model, random_wave(44, 960), speaker, f0_scale=scale)
@@ -344,8 +345,8 @@ def _snapshot(s):
     visit([s.enc_state.conv, s.pros_states, s.cnn_states])
     for cache in (s.enc_state.cache, s.dec_cache):
         visit([cache.k, cache.v, cache.pos])
-    counters = (s.enc_state.frame_pos, s.enc_state.cache.next_pos, s.dec_frame_pos,
-                s.dec_cache.next_pos, s.samples_in, s.samples_out, s.chunks_fed, s.closed)
+    counters = (s.enc_state.cache.next_pos, s.dec_cache.next_pos, s.samples_in,
+                s.samples_out, s.closed)
     return arrays, counters
 
 
@@ -399,7 +400,8 @@ class TestSessionSchedule:
                 outs[i].append(s.feed(chunk))
                 fed[i].append(chunk)
                 slots = s.dec_cache.pos.shape[0]
-                wraps[i] += s.dec_frame_pos // slots > (s.dec_frame_pos - sc.chunk_frames) // slots
+                pos = s.dec_cache.next_pos
+                wraps[i] += pos // slots > (pos - sc.chunk_frames) // slots
             else:  # a rejected call, which must leave no trace
                 if kind in ("short", "long"):
                     chunk = rng.uniform(-0.5, 0.5, c - 320 if kind == "short" else c + 320)

@@ -201,7 +201,7 @@ class TestSlerp:
 class TestTvtSequence:
     def _content(self, model, seed=0, t=25):
         wave = random_wave(seed, 320 * t)
-        frames, _ = encode_frames(wave, model.encoder)
+        frames = encode_frames(wave, model.encoder)
         content, _ = vq_quantize(frames, model.encoder.vq)
         return content
 
