@@ -21,7 +21,7 @@ from .errors import ConfigError, InputError, InternalError, TvtSynError
 from .kernels import F32
 from .metrics import causality_probe, check_probe, latency_bench
 from .model import TvtSynModel, random_init, synthesize
-from .streaming import open_session, stream_file
+from .streaming import stream_file
 from .weights import load_weights, parameter_budget, save_weights
 from . import wavio
 
@@ -89,7 +89,11 @@ def _check_seed(seed):
 def cmd_init_weights(args):
     _check_seed(args.seed)
     cfg = _model_config(args.config)
-    store = random_init(args.seed, cfg)
+    try:
+        store = random_init(args.seed, cfg)
+    except MemoryError as exc:
+        raise ConfigError(f"config {args.config or '(full default)'} is too large "
+                          f"to allocate: {exc}") from exc
     with _writing(args.out):
         save_weights(store, args.out)
     budget = parameter_budget(store)
@@ -118,19 +122,14 @@ def cmd_stream(args):
     model = _load(args)
     speaker = _read_speaker(args.speaker, model.cfg.global_dim)
     wave = wavio.read_wav(args.infile)
-    times = []
-
-    def on_chunk(k, seconds):
-        times.append(seconds * 1000.0)
-        print(f"chunk {k}: {seconds * 1000.0:.2f} ms", file=sys.stderr)
-
-    out = stream_file(model, cfg, speaker, wave, f0_scale=args.f0_scale,
-                      on_chunk=on_chunk)
+    out, feed_ms = stream_file(model, cfg, speaker, wave, f0_scale=args.f0_scale)
+    for k, ms in enumerate(feed_ms):
+        print(f"chunk {k}: {ms:.2f} ms", file=sys.stderr)
     with _writing(args.out):
         wavio.write_wav(args.out, out)
-    if times:
-        print(f"streamed {len(times)} chunks of {args.chunk_ms} ms, "
-              f"mean processing {np.mean(times):.2f} ms -> {args.out}")
+    if feed_ms.size:
+        print(f"streamed {feed_ms.size} chunks of {args.chunk_ms} ms, "
+              f"mean processing {feed_ms.mean():.2f} ms -> {args.out}")
     return EXIT_OK
 
 
@@ -160,11 +159,7 @@ def cmd_bench(args):
     else:
         speaker = np.random.Generator(np.random.PCG64(args.seed)).normal(
             0, 1, model.cfg.global_dim).astype(F32)
-
-    def factory():
-        return open_session(model, stream_cfg, speaker)
-
-    report = latency_bench(factory, utts, args.chunk_ms)
+    report = latency_bench(model, stream_cfg, speaker, utts)
     text = json.dumps(report, indent=2)
     if args.out:
         with _writing(args.out):
@@ -194,10 +189,8 @@ def cmd_dump_tvt(args):
     model = _load(args)
     speaker = _read_speaker(args.speaker, model.cfg.global_dim)
     wave = wavio.read_wav(args.infile)
-    _, details = synthesize(model, wave, speaker, return_details=True)
-    weights = details["facet_weights"]
-    top1 = details["top1"]
-    alpha = details["alpha"]
+    _, weights, alpha = synthesize(model, wave, speaker, return_details=True)
+    top1 = np.argmax(weights, axis=1)
     text = "".join(json.dumps({
         "frame": i,
         "alpha": float(alpha[i]),

@@ -7,14 +7,13 @@ processing time over chunk duration, averaged the same way.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .config import FRAME_HOP, MAX_LOOKAHEAD
 from .errors import ConfigError, InputError
 from .kernels import F32
 from .model import as_wave
+from .streaming import stream_file
 
 WARMUP_UTTERANCES = 10
 MEASURED_UTTERANCES = 100
@@ -22,60 +21,47 @@ PROBE_MIN_FRAMES = 16  # each probe trial draws a wave of 16-40 frames
 PROBE_MAX_FRAMES = 40
 
 
-def _time_utterance(session_factory, wave, chunk_ms, chunk_samples, clock):
-    n_chunks = wave.size // chunk_samples
-    if n_chunks < 1:
-        raise InputError(f"utterance shorter than one {chunk_ms} ms chunk")
-    session = session_factory()
-    proc_ms = np.empty(n_chunks)
-    for k in range(n_chunks):
-        chunk = wave[k * chunk_samples:(k + 1) * chunk_samples]
-        t0 = clock()
-        session.feed(chunk)
-        t1 = clock()
-        proc_ms[k] = (t1 - t0) * 1000.0
-    return {
-        "latency_ms": float(chunk_ms + proc_ms.mean()),
-        "rtf": float((proc_ms / chunk_ms).mean()),
-    }
-
-
-def latency_bench(session_factory, utterances, chunk_ms, *,
-                  warmup=WARMUP_UTTERANCES, measured=MEASURED_UTTERANCES,
-                  clock=time.perf_counter) -> dict:
-    """Feed utterances through fresh sessions, timing feed() only.
-
-    Each utterance must be a 1-D array of mono samples (InputError
-    otherwise). The first `warmup` utterances are excluded from statistics. When fewer
-    than warmup + measured utterances are supplied, the list is reused
-    cyclically and the report is flagged. `clock` is injectable so the
-    report arithmetic can be verified with a mocked timer. Sessions run one
-    after another.
-    """
-    utterances = [as_wave(u, "utterance") for u in utterances]
-    if not utterances:
-        raise InputError("latency_bench needs at least one utterance")
-    needed = warmup + measured
-    cycled = len(utterances) < needed
-    chunk_samples = int(round(chunk_ms * 16.0))
-    waves = [utterances[i % len(utterances)] for i in range(needed)]
-
-    # the warm-up utterances are timed like the rest, then dropped
-    per_utt = [_time_utterance(session_factory, wave, chunk_ms, chunk_samples, clock)
-               for wave in waves][warmup:]
-
-    latency_mean = float(np.mean([u["latency_ms"] for u in per_utt]))
+def latency_report(feed_ms, chunk_ms, cycled) -> dict:
+    """The bench report from per-utterance lists of per-chunk `feed` times in
+    milliseconds. The first WARMUP_UTTERANCES are timed like the rest, then
+    dropped; `cycled` flags utterances reused to fill the run."""
+    per_utt = [{"latency_ms": float(chunk_ms + np.mean(ms)),
+                "rtf": float((np.asarray(ms) / chunk_ms).mean())}
+               for ms in feed_ms[WARMUP_UTTERANCES:]]
     rtf_mean = float(np.mean([u["rtf"] for u in per_utt]))
     return {
         "chunk_ms": float(chunk_ms),
-        "latency_ms_mean": latency_mean,
+        "latency_ms_mean": float(np.mean([u["latency_ms"] for u in per_utt])),
         "rtf_mean": rtf_mean,
         "utterances": per_utt,
-        "warmup_count": warmup,
+        "warmup_count": WARMUP_UTTERANCES,
         "measured_count": len(per_utt),
         "cycled": cycled,
         "realtime": rtf_mean < 1.0,
     }
+
+
+def latency_bench(model, stream_cfg, speaker, utterances) -> dict:
+    """Stream WARMUP_UTTERANCES + MEASURED_UTTERANCES utterances, each cut to
+    whole chunks, through fresh sessions one after another, timing `feed`
+    only, and report the times.
+
+    Each utterance must be a 1-D array of mono samples at least one chunk
+    long (InputError otherwise). When fewer utterances are supplied, the
+    list is reused cyclically and the report is flagged.
+    """
+    utterances = [as_wave(u, "utterance") for u in utterances]
+    if not utterances:
+        raise InputError("latency_bench needs at least one utterance")
+    c = stream_cfg.chunk_samples
+    if min(u.size for u in utterances) < c:
+        raise InputError(f"utterance shorter than one {stream_cfg.chunk_ms} ms chunk")
+    needed = WARMUP_UTTERANCES + MEASURED_UTTERANCES
+    feed_ms = []
+    for i in range(needed):
+        wave = utterances[i % len(utterances)]
+        feed_ms.append(stream_file(model, stream_cfg, speaker, wave[:wave.size // c * c])[1])
+    return latency_report(feed_ms, stream_cfg.chunk_ms, len(utterances) < needed)
 
 
 def check_probe(lookahead_frames, trials):

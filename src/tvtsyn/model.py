@@ -135,7 +135,7 @@ def synthesize(model: TvtSynModel, wave, speaker, *, lookahead=None,
     """One-shot synthesis: waveform + 704-dim speaker vector -> waveform.
 
     Output has exactly the (hop-aligned) input length. With return_details,
-    also returns a dict of intermediate streams for probes and dumps.
+    returns (waveform, facet weights (T, slots), gate alpha (T,)).
     """
     f0_scale = check_f0_scale(f0_scale)
     wave = align_wave(wave)
@@ -145,23 +145,13 @@ def synthesize(model: TvtSynModel, wave, speaker, *, lookahead=None,
         raise InputError("input wave contains non-finite samples")
     frames = encode_frames(wave, model.encoder, None,
                            lookahead=lookahead, block_frames=block_frames)
-    content, codes = vq_quantize(frames, model.encoder.vq)
+    content, _ = vq_quantize(frames, model.encoder.vq)
     gtm = build_gtm(speaker, model.tvt)
-    tvt, facet_weights, top1, alpha = tvt_sequence(content, speaker, gtm, model.tvt,
-                                                   return_details=True)
+    tvt, facet_weights, alpha = tvt_sequence(content, speaker, gtm, model.tvt)
     pred, _ = predict_f0_energy(content, model.prosody)
     ctxout = decode_context(content, tvt, pred, model.decoder, model.prosody,
                             f0_scale=f0_scale)
     out = synthesize_wave(ctxout, tvt, model.decoder)
     if return_details:
-        return out, {
-            "frames": frames,
-            "content": content,
-            "codes": codes,
-            "tvt": tvt,
-            "facet_weights": facet_weights,
-            "top1": top1,
-            "alpha": alpha,
-            "prosody": pred,
-        }
+        return out, facet_weights, alpha
     return out

@@ -4,7 +4,6 @@ of the predicted streams into the decoder's feature stream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +12,12 @@ from .config import ModelConfig
 from .errors import ConfigError
 from .kernels import F32, ConvLayer, ConvSpec, linear, relu
 from .weights import WeightStore
+
+# The f0 scale is a pitch ratio. Human voices span about 50 Hz to 1.1 kHz, under
+# 4.5 octaves, so five octaves (32x) bounds any real conversion. Far larger
+# scales let the injected f0 column swamp the decoder's features until
+# layer_norm's square overflows (near 1e30) and the frames normalize to 0.
+MAX_F0_SCALE = 32.0
 
 
 @dataclass
@@ -74,11 +79,12 @@ def predict_f0_energy(features, params: ProsodyParams, states=None):
 
 
 def check_f0_scale(f0_scale) -> float:
-    """The scale as a float; it must stay finite once inject_prosody casts it
-    to float32."""
+    """The scale as a float; NaN or a magnitude above MAX_F0_SCALE is a
+    ConfigError."""
     f0_scale = float(f0_scale)
-    if not math.isfinite(f0_scale) or abs(f0_scale) > float(np.finfo(F32).max):
-        raise ConfigError(f"f0_scale must be finite in float32, got {f0_scale}")
+    if not abs(f0_scale) <= MAX_F0_SCALE:
+        raise ConfigError(f"f0_scale must be finite with magnitude <= {MAX_F0_SCALE:g}, "
+                          f"got {f0_scale}")
     return f0_scale
 
 

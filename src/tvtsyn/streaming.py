@@ -11,6 +11,8 @@ returns an empty array.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from .config import StreamConfig
@@ -39,24 +41,16 @@ class StreamSession:
         self.cfg = stream_cfg
         self.speaker = check_global_timbre(speaker, model.cfg.global_dim)
         self.gtm = build_gtm(self.speaker, model.tvt)  # built once per speaker
-        self._init_state()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _init_state(self):
-        model = self.model
         # each attention stack takes one chunk's frames per step
-        self.enc_state = EncoderState(model.encoder, self.cfg.chunk_frames)
-        self.dec_cache = KvCache(model.decoder.ctx, self.cfg.chunk_frames)
+        self.enc_state = EncoderState(model.encoder, stream_cfg.chunk_frames)
+        self.dec_cache = KvCache(model.decoder.ctx, stream_cfg.chunk_frames)
         self.pros_states = model.prosody.init_states()
         self.cnn_states = model.decoder.cnn.init_states()
         self.samples_in = 0
         self.samples_out = 0
         self.closed = False
 
-    def reset(self):
-        """Zero all stream state; weights and the speaker memory persist."""
-        self._init_state()
+    # -- lifecycle ---------------------------------------------------------
 
     def flush(self):
         """Close the session. Every fed sample was already emitted, so the
@@ -106,7 +100,7 @@ class StreamSession:
         frames = encode_frames(samples, model.encoder, self.enc_state,
                                lookahead=self.cfg.lookahead_frames)
         content, _ = vq_quantize(frames, model.encoder.vq)
-        tvt = tvt_sequence(content, self.speaker, self.gtm, model.tvt)
+        tvt, _, _ = tvt_sequence(content, self.speaker, self.gtm, model.tvt)
         pred, self.pros_states = predict_f0_energy(content, model.prosody,
                                                    self.pros_states)
         ctxout = decode_context(content, tvt, pred, model.decoder, model.prosody,
@@ -125,26 +119,24 @@ def open_session(model: TvtSynModel, stream_cfg: StreamConfig, speaker,
     return StreamSession(model, stream_cfg, speaker, f0_scale=f0_scale)
 
 
-def stream_file(model, stream_cfg, speaker, wave, f0_scale=1.0, on_chunk=None):
+def stream_file(model, stream_cfg, speaker, wave, f0_scale=1.0):
     """Feed a whole waveform through a fresh session chunk by chunk.
 
     The wave is zero-padded up to a whole number of chunks. Returns the
-    concatenated output (same length as the padded input). `on_chunk`
-    receives (index, processing_seconds) per chunk when provided.
+    concatenated output (same length as the padded input) and each chunk's
+    `feed` wall time in milliseconds.
     """
-    import time
-
     wave = as_wave(wave)
     session = open_session(model, stream_cfg, speaker, f0_scale=f0_scale)
     c = session.chunk_samples
-    n_chunks = -(-wave.size // c) if wave.size else 0
+    n_chunks = -(-wave.size // c)
     padded = np.zeros(n_chunks * c, dtype=F32)
     padded[:wave.size] = wave
     pieces = []
+    feed_ms = np.empty(n_chunks)
     for k in range(n_chunks):
         t0 = time.perf_counter()
         pieces.append(session.feed(padded[k * c:(k + 1) * c]))
-        if on_chunk is not None:
-            on_chunk(k, time.perf_counter() - t0)
+        feed_ms[k] = (time.perf_counter() - t0) * 1000.0
     pieces.append(session.flush())
-    return np.concatenate(pieces) if pieces else np.zeros(0, dtype=F32)
+    return np.concatenate(pieces), feed_ms

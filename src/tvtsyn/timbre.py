@@ -196,15 +196,13 @@ def slerp(a, b, alpha):
     return out[0] if squeeze else out
 
 
-def tvt_sequence(content, g, gtm: GtmMemory, params: TvtParams,
-                 *, force_alpha=None, return_details=False):
-    """Content frames + speaker -> time-varying timbre stream (T, timbre_dim).
+def tvt_sequence(content, g, gtm: GtmMemory, params: TvtParams, *, force_alpha=None):
+    """Content frames + speaker -> (time-varying timbre stream (T, timbre_dim),
+    facet weights (T, slots), gate alpha (T,)).
 
     `g` is the speaker vector `gtm` was built from; its projection is read
     from `gtm.g_hat`, computed once per speaker by build_gtm.
     force_alpha pins the gate (0 = static speaker, 1 = pure facet path).
-    With return_details, also yields (facet_weights, top1, alpha) for
-    introspection dumps.
     """
     g_hat = gtm.g_hat
     facets, weights = retrieve_facet(content, gtm, params)
@@ -216,7 +214,4 @@ def tvt_sequence(content, g, gtm: GtmMemory, params: TvtParams,
         alpha = np.full(content.shape[0], force_alpha, dtype=F32)
     facets_hat = l2_normalize_rows(facets)
     s = slerp(np.broadcast_to(g_hat, facets_hat.shape), facets_hat, alpha)
-    s = (s * params.scale[0]).astype(F32)
-    if return_details:
-        return s, weights, np.argmax(weights, axis=1), alpha
-    return s
+    return (s * params.scale[0]).astype(F32), weights, alpha

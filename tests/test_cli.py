@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_wave
+from tvtsyn import model as model_mod
 from tvtsyn import wavio
 from tvtsyn.cli import run
 from tvtsyn.config import config_to_text, save_config
@@ -50,6 +51,19 @@ class TestInitWeights:
         run(["init-weights", "--seed", "1", "--config", str(workdir / "model.cfg"),
              "--out", str(workdir / "w2.tvtw")])
         assert (workdir / "w.tvtw").read_bytes() == (workdir / "w2.tvtw").read_bytes()
+
+    def test_config_too_large_to_allocate_is_config_error(self, workdir, tmp_path,
+                                                          monkeypatch, capsys):
+        # the draw fails as numpy's allocation would, without asking the OS for memory
+        def draw_fails(self, name, shape=None):
+            raise MemoryError(f"Unable to allocate 64.0 TiB for an array with shape {shape}")
+
+        monkeypatch.setattr(model_mod._Source, "get", draw_fails)
+        code = run(["init-weights", "--config", str(workdir / "model.cfg"),
+                    "--out", str(tmp_path / "w.tvtw")])
+        assert code == 2 and not (tmp_path / "w.tvtw").exists()
+        err = capsys.readouterr().err
+        assert str(workdir / "model.cfg") in err and "too large to allocate" in err
 
 
 class TestConfigFile:
@@ -218,6 +232,16 @@ class TestSynth:
         assert code == 2 and not (tmp_path / "x.wav").exists()
         assert "f0_scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["33", "1e30", "-3e38"])
+    def test_f0_scale_beyond_pitch_bound_is_config_error(self, workdir, tmp_path, capsys,
+                                                         scale):
+        # 1e30 used to overflow layer_norm and write a changed WAV with exit 0
+        code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
+                    f"--f0-scale={scale}"])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
+        assert "f0_scale must be finite with magnitude <= 32" in capsys.readouterr().err
+
     def test_empty_wav_is_input_error(self, workdir, tmp_path, capsys):
         wavio.write_wav(tmp_path / "empty.wav", np.zeros(0, F32))
         code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
@@ -240,6 +264,17 @@ class TestStream:
         b = wavio.read_wav(workdir / "sy.wav")
         assert a.shape == b.shape
         assert np.abs(a - b).max() <= 1e-4
+
+    def test_per_chunk_timing_log(self, workdir, tmp_path, capsys):
+        code = run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
+                    "--chunk-ms", "120"])
+        assert code == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"chunk {k}" for k in range(25)]
+        assert all(line.endswith(" ms") for line in lines)
+        assert captured.out.startswith("streamed 25 chunks of 120.0 ms, mean processing ")
 
     def test_misaligned_chunk_is_config_error(self, workdir, tmp_path, capsys):
         code = run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
@@ -276,6 +311,12 @@ class TestStream:
                     "--f0-scale=-1e39"])
         assert code == 2 and not (tmp_path / "x.wav").exists()
         assert "f0_scale" in capsys.readouterr().err
+
+    def test_f0_scale_beyond_pitch_bound_is_config_error(self, workdir, tmp_path):
+        code = run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
+                    "--f0-scale", "1e30"])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
 
 
 class TestBench:

@@ -158,7 +158,7 @@ class TestSynthesizeWave:
         pred, _ = predict_f0_energy(content, model.prosody)
         outs = []
         for alpha in (0.0, 1.0):
-            tvt = tvt_sequence(content, speaker, gtm, model.tvt, force_alpha=alpha)
+            tvt, _, _ = tvt_sequence(content, speaker, gtm, model.tvt, force_alpha=alpha)
             ctxout = decode_context(content, tvt, pred, model.decoder, model.prosody)
             outs.append(synthesize_wave(ctxout, tvt, model.decoder))
         assert np.abs(outs[0] - outs[1]).max() > 0
@@ -170,7 +170,7 @@ class TestSynthesizeWave:
 
         sc = StreamConfig(chunk_ms=60)
         wave_in = random_wave(9, 48000)
-        out = stream_file(model, sc, speaker, wave_in)
+        out, _ = stream_file(model, sc, speaker, wave_in)
         jumps = np.abs(np.diff(out.astype(np.float64)))
         c = sc.chunk_samples
         boundary_idx = np.arange(c, out.size - 1, c)

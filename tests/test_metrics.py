@@ -1,41 +1,25 @@
-"""Metric tests: latency report arithmetic with a mocked clock and
-causality-probe liveness.
+"""Metric tests: latency report arithmetic from fixed chunk times, the
+bench run's input checks, and causality-probe liveness.
 """
 
 import numpy as np
 import pytest
 
 from conftest import random_wave
+from tvtsyn import metrics
 from tvtsyn.config import MAX_LOOKAHEAD, StreamConfig
 from tvtsyn.errors import ConfigError, InputError
-from tvtsyn.metrics import causality_probe, latency_bench, probe_influence
+from tvtsyn.metrics import (MEASURED_UTTERANCES, WARMUP_UTTERANCES, causality_probe,
+                            latency_bench, latency_report, probe_influence)
 from tvtsyn.model import synthesize
-from tvtsyn.streaming import open_session
 
 F32 = np.float32
+RUN = WARMUP_UTTERANCES + MEASURED_UTTERANCES
 
 
-class MockSession:
-    def feed(self, chunk):
-        pass
-
-
-def mock_clock(step_seconds):
-    """Returns 0.0, step, 0.0, step, ... so every (t1 - t0) is exactly step."""
-    calls = {"n": 0}
-
-    def clock():
-        calls["n"] += 1
-        return 0.0 if calls["n"] % 2 else step_seconds
-
-    return clock
-
-
-class TestLatencyBench:
-    def test_table_arithmetic_with_mocked_timer(self):
-        utts = [np.zeros(960 * 5, F32) for _ in range(3)]
-        rep = latency_bench(lambda: MockSession(), utts, 60.0,
-                            clock=mock_clock(18.51 / 1000.0))
+class TestLatencyReport:
+    def test_table_arithmetic(self):
+        rep = latency_report([[18.51] * 5] * RUN, 60.0, cycled=True)
         assert rep["latency_ms_mean"] == 78.51
         assert rep["rtf_mean"] == pytest.approx(18.51 / 60.0, abs=1e-12)
         assert int(rep["rtf_mean"] * 1000) / 1000 == 0.308
@@ -44,54 +28,66 @@ class TestLatencyBench:
         assert len(rep["utterances"]) == 100
 
     def test_zero_processing_latency_is_chunk(self):
-        utts = [np.zeros(960 * 2, F32)] * 3
-        rep = latency_bench(lambda: MockSession(), utts, 60.0, clock=lambda: 0.0)
+        rep = latency_report([[0.0, 0.0]] * RUN, 60.0, cycled=True)
         assert rep["latency_ms_mean"] == 60.0
         assert rep["rtf_mean"] == 0.0
         assert rep["realtime"] is True
 
     def test_realtime_flag_definition(self):
-        utts = [np.zeros(960, F32)] * 3
-        slow = latency_bench(lambda: MockSession(), utts, 60.0,
-                             clock=mock_clock(0.12))  # 120 ms per 60 ms chunk
+        slow = latency_report([[120.0]] * RUN, 60.0, cycled=True)  # 120 ms per 60 ms chunk
         assert slow["realtime"] is False
         assert slow["rtf_mean"] == pytest.approx(2.0)
 
-    def test_real_clock_on_sessions(self, model, speaker):
-        sc = StreamConfig(chunk_ms=60)
-        utts = [random_wave(s, 960 * 3) for s in range(4)]
-        rep = latency_bench(lambda: open_session(model, sc, speaker), utts, 60.0,
-                            warmup=2, measured=6)
-        assert rep["measured_count"] == 6
-        assert rep["latency_ms_mean"] > 60.0
-        assert rep["rtf_mean"] > 0.0
-        assert isinstance(rep["realtime"], bool)
+    def test_warmup_utterances_dropped(self):
+        # a slow first utterance and chunk is what the warm-up absorbs
+        times = [[1000.0, 1000.0]] * WARMUP_UTTERANCES + [[10.0, 20.0]] * MEASURED_UTTERANCES
+        rep = latency_report(times, 60.0, cycled=False)
+        assert rep["warmup_count"] == WARMUP_UTTERANCES
+        assert rep["latency_ms_mean"] == 75.0
+        assert rep["rtf_mean"] == pytest.approx(0.25)
 
     def test_report_schema(self):
-        rep = latency_bench(lambda: MockSession(), [np.zeros(960, F32)], 60.0,
-                            warmup=1, measured=2, clock=lambda: 0.0)
-        assert set(rep) >= {"chunk_ms", "latency_ms_mean", "rtf_mean",
+        rep = latency_report([[0.0]] * RUN, 60.0, cycled=False)
+        assert set(rep) == {"chunk_ms", "latency_ms_mean", "rtf_mean",
                             "utterances", "warmup_count", "measured_count",
                             "cycled", "realtime"}
         assert set(rep["utterances"][0]) == {"latency_ms", "rtf"}
 
+
+class TestLatencyBench:
+    def test_times_each_whole_chunk(self, model, speaker, monkeypatch):
+        # utterances are cut to whole chunks and each is streamed once
+        streamed = []
+        stream_file = metrics.stream_file
+
+        def recording(*args):
+            streamed.append(args[3].size)
+            return stream_file(*args)
+
+        monkeypatch.setattr(metrics, "stream_file", recording)
+        utts = [random_wave(s, 960 * 2 + 500) for s in range(3)]
+        rep = latency_bench(model, StreamConfig(chunk_ms=60), speaker, utts)
+        assert streamed == [1920] * RUN
+        assert rep["measured_count"] == MEASURED_UTTERANCES and rep["cycled"] is True
+        assert rep["latency_ms_mean"] > 60.0 and rep["rtf_mean"] > 0.0
+
     @pytest.mark.parametrize("shape", [(2, 1920), (1920, 2), (1, 960)])
-    def test_utterance_not_1d_rejected(self, shape):
+    def test_utterance_not_1d_rejected(self, model, speaker, shape, monkeypatch):
         # a (2, 1920) utterance used to be fed as four 960-sample mono chunks
-        fed = []
-
-        class Recording:
-            def feed(self, chunk):
-                fed.append(chunk)
-
+        monkeypatch.setattr(metrics, "stream_file", None)  # rejected before any stream runs
         with pytest.raises(InputError, match="1-D"):
-            latency_bench(lambda: Recording(), [np.zeros(960, F32), np.zeros(shape, F32)],
-                          60.0, warmup=0, measured=2)
-        assert not fed  # rejected before any session runs
+            latency_bench(model, StreamConfig(chunk_ms=60), speaker,
+                          [np.zeros(960, F32), np.zeros(shape, F32)])
 
-    def test_empty_utterances_rejected(self):
+    def test_utterance_shorter_than_a_chunk_rejected(self, model, speaker, monkeypatch):
+        monkeypatch.setattr(metrics, "stream_file", None)
+        with pytest.raises(InputError, match="shorter than one 60"):
+            latency_bench(model, StreamConfig(chunk_ms=60), speaker,
+                          [np.zeros(960, F32), np.zeros(959, F32)])
+
+    def test_empty_utterances_rejected(self, model, speaker):
         with pytest.raises(InputError):
-            latency_bench(lambda: MockSession(), [], 60.0)
+            latency_bench(model, StreamConfig(chunk_ms=60), speaker, [])
 
 
 class TestCausalityProbe:
