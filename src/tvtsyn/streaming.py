@@ -35,7 +35,6 @@ class StreamSession:
 
     def __init__(self, model: TvtSynModel, stream_cfg: StreamConfig, speaker,
                  f0_scale: float = 1.0):
-        stream_cfg.validate()
         self.f0_scale = check_f0_scale(f0_scale)
         self.model = model
         self.cfg = stream_cfg

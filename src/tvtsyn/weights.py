@@ -2,14 +2,20 @@
 
 Container layout (little-endian, bit-exact):
   magic "TVTW" | version u32 | entry count u32
-  per entry: name_len u16 | name utf-8 | ndim u8 | dims u32 each | raw f32 payload
+  per entry: name_len u16 | name utf-8 | ndim u8 | dims u32 each
+             | zero padding to the next 64-byte file offset | raw f32 payload
+`save_weights` writes version 2. Version 1, the same layout without the
+padding, still loads: files written before version 2 must keep working.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import mmap
+import os
 import struct
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +24,8 @@ from .errors import ConfigError, FormatError
 from .kernels import F32
 
 MAGIC = b"TVTW"
-VERSION = 1
-ALIGN = 64    # arena alignment of every payload, in bytes
+VERSION = 2
+ALIGN = 64    # version 2 payload file offsets, and the arena's alignment, in bytes
 MAX_NDIM = 64  # numpy's own limit
 
 
@@ -63,18 +69,22 @@ class WeightStore:
 
     def to_bytes(self) -> bytes:
         out = [MAGIC, struct.pack("<II", VERSION, len(self._entries))]
+        size = 12
         for name, arr in self._entries.items():
             raw = name.encode("utf-8")
-            out.append(struct.pack("<H", len(raw)))
-            out.append(raw)
-            out.append(struct.pack("<B", arr.ndim))
-            out.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-            out.append(arr.astype("<f4", copy=False).tobytes())
+            header = (struct.pack("<H", len(raw)) + raw
+                      + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+            pad = -(size + len(header)) % ALIGN
+            out += [header, bytes(pad), arr.astype("<f4", copy=False).tobytes()]
+            size += len(header) + pad + arr.nbytes
         return b"".join(out)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "WeightStore":
-        return _read_store(io.BytesIO(blob))
+        blob = bytes(blob)  # no copy of bytes; a bytearray's owner could write it
+        stream = io.BytesIO(blob)
+        entries, _ = _read_headers(stream)
+        return _bind(entries, stream, blob)
 
 
 def _read_into(stream, buf) -> bool:
@@ -96,26 +106,23 @@ def _read_exact(stream, n: int, what: str) -> bytearray:
     return buf
 
 
-def _read_store(stream) -> WeightStore:
-    """Parse a TVTW stream into a store whose arrays share one read-only arena.
+def _read_headers(stream):
+    """The one header pass over a TVTW stream: its size, and each entry's
+    (name, dims, payload offset, payload bytes).
 
-    Pass 1 reads the entry headers, seeking past each payload, and checks
-    every one against the stream size, so nothing is allocated from an
-    unchecked header. Pass 2 reads each payload straight into its 64-byte
-    aligned slice of the arena; no payload is copied after it is read.
-    Views of the file itself (mmap, frombuffer) are not used: most payloads
-    in the format start unaligned, and misaligned arrays miss BLAS.
+    It reads every entry header, seeking past each payload, and checks each
+    against the stream size, so nothing is bound or allocated from an
+    unchecked header.
     """
     size = stream.seek(0, io.SEEK_END)
     stream.seek(0)
     if size < 12 or _read_exact(stream, 4, "magic") != MAGIC:
         raise FormatError("bad magic: not a TVTW weight file")
     version, count = struct.unpack("<II", _read_exact(stream, 8, "file header"))
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise FormatError(f"unsupported TVTW version {version}")
 
-    entries = []  # (name, dims, file offset, arena offset, nbytes)
-    arena_size = 0
+    entries = []
     for i in range(count):
         what = f"header at entry #{i}"
         (name_len,) = struct.unpack("<H", _read_exact(stream, 2, what))
@@ -129,39 +136,76 @@ def _read_store(stream) -> WeightStore:
             raise FormatError(f"entry {name!r} has {ndim} dims, at most {MAX_NDIM} allowed")
         dims = struct.unpack(f"<{ndim}I", _read_exact(stream, 4 * ndim, what))
         off = stream.tell()
+        if version == VERSION:
+            off += -off % ALIGN
         nbytes = 4 * math.prod(dims)
         if off + nbytes > size:
             raise FormatError(f"truncated payload for entry {name!r}")
-        entries.append((name, dims, off, arena_size, nbytes))
-        arena_size += -(-nbytes // ALIGN) * ALIGN
+        entries.append((name, dims, off, nbytes))
         stream.seek(off + nbytes)
     trailing = size - stream.tell()
     if trailing:
         raise FormatError(f"{trailing} trailing bytes after last entry")
+    return entries, size
 
-    arena = np.empty(arena_size + ALIGN, dtype=np.uint8)
-    base = -arena.ctypes.data % ALIGN
-    for name, _, file_off, arena_off, nbytes in entries:
-        stream.seek(file_off)
-        start = base + arena_off
-        if not _read_into(stream, arena[start:start + nbytes]):
-            raise FormatError(f"truncated payload for entry {name!r}")
-    arena.flags.writeable = False
 
+def _bind(entries, stream, buf) -> WeightStore:
+    """A store of read-only arrays that all start 64-byte aligned.
+
+    `buf` holds the bytes `stream` reads (the blob, or the file's mapping).
+    A payload that starts 64-byte aligned in `buf`, as every version 2
+    payload in a mapped file does, is bound as a view of it and never
+    copied. Any other payload, as most of a version 1 file, is read from
+    `stream` straight into its aligned slice of one arena, since misaligned
+    arrays miss BLAS. It is not copied out of `buf`: for a mapped file that
+    would count the file's pages on top of the arena's.
+    """
+    whole = np.frombuffer(buf, dtype=np.uint8)
+    viewed = [(whole.ctypes.data + off) % ALIGN == 0 for _, _, off, _ in entries]
+    arena = np.empty(sum(-(-nbytes // ALIGN) * ALIGN
+                         for (*_, nbytes), v in zip(entries, viewed) if not v) + ALIGN,
+                     dtype=np.uint8)
+    start = -arena.ctypes.data % ALIGN
     store = WeightStore()
-    for name, dims, _, arena_off, nbytes in entries:
-        start = base + arena_off
-        store.put(name, arena[start:start + nbytes].view("<f4").reshape(dims))
+    for (name, dims, off, nbytes), view in zip(entries, viewed):
+        if view:
+            payload = whole[off:off + nbytes]
+        else:
+            payload = arena[start:start + nbytes]
+            start += -(-nbytes // ALIGN) * ALIGN
+            stream.seek(off)
+            if not _read_into(stream, payload):
+                raise FormatError(f"truncated payload for entry {name!r}")
+        store.put(name, payload.view("<f4").reshape(dims))
+    arena.flags.writeable = False
     return store
 
 
 def save_weights(store: WeightStore, path):
-    Path(path).write_bytes(store.to_bytes())
+    """Write `store` to `path` through a temporary file in the same directory
+    that replaces `path` once complete. A process that maps the old file keeps
+    its pages, and a failed write leaves no partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        tmp.write_bytes(store.to_bytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_weights(path) -> WeightStore:
+    """Load a TVTW file. Its aligned payloads, every one in a version 2 file,
+    are bound as views of a read-only mapping of it (see `_bind`), so
+    processes that load the same file share its one page-cache copy."""
     with open(path, "rb", buffering=0) as f:
-        return _read_store(f)
+        entries, size = _read_headers(f)
+        try:
+            mapped = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ)
+        except ValueError as exc:  # the file shrank after the header pass
+            raise FormatError(f"cannot map {path}: {exc}") from exc
+        return _bind(entries, f, mapped)
 
 
 ENCODER_PREFIXES = ("encoder.",)

@@ -2,8 +2,11 @@
 and the WAV / speaker-vector / JSON external interfaces.
 """
 
+import errno
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +67,32 @@ class TestInitWeights:
         assert code == 2 and not (tmp_path / "w.tvtw").exists()
         err = capsys.readouterr().err
         assert str(workdir / "model.cfg") in err and "too large to allocate" in err
+
+    @pytest.mark.parametrize("fault", ["unwritable directory", "disk full"])
+    def test_failed_write_exits_1_and_leaves_no_temporary(self, workdir, tmp_path,
+                                                          monkeypatch, capsys, fault):
+        out = tmp_path / "w.tvtw"
+        out.write_bytes(b"old")
+        real_write = Path.write_bytes
+
+        def failing_write(path, data):
+            if fault == "disk full":  # the temporary file is half written first
+                real_write(path, data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+        monkeypatch.setattr(Path, "write_bytes", failing_write)
+        code = run(["init-weights", "--config", str(workdir / "model.cfg"),
+                    "--out", str(out)])
+        assert code == 1
+        assert "cannot write" in capsys.readouterr().err
+        assert out.read_bytes() == b"old" and sorted(tmp_path.iterdir()) == [out]
+
+
+class TestUnreadableWeights:
+    def test_directory_is_input_error(self, tmp_path, capsys):
+        assert run(["bench", "--weights", str(tmp_path), "--synthetic", "1"]) == 1
+        assert "cannot read weight file" in capsys.readouterr().err
 
 
 class TestConfigFile:

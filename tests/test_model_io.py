@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import mmap
+import os
 import re
 import struct
 import tracemalloc
@@ -14,6 +16,7 @@ from tvtsyn.config import (LEGACY_KEYS, MAX_SPAN_SECONDS, ModelConfig, StreamCon
                            config_from_text, config_to_text)
 from tvtsyn.errors import ConfigError, FormatError
 from tvtsyn.model import TvtSynModel, random_init
+from tvtsyn import weights as weights_mod
 from tvtsyn.weights import WeightStore, load_weights, parameter_budget, save_weights
 
 
@@ -70,6 +73,19 @@ def _tvtw(count, *entries):
     return b"".join(out)
 
 
+def _v1_blob(store):
+    """`store` as a TVTW version 1 blob: each payload right after its header."""
+    return _tvtw(len(store), *((name.encode(), store.get(name).ndim, store.get(name).shape,
+                                store.get(name).tobytes()) for name in store.names()))
+
+
+def _write(store, path, version):
+    if version == 1:
+        path.write_bytes(_v1_blob(store))
+    else:
+        save_weights(store, path)
+
+
 def _two_entry_blob():
     s = WeightStore()
     s.put("a", np.arange(6, dtype=np.float32).reshape(2, 3))
@@ -120,9 +136,10 @@ class TestHostileHeaders:
 
 
 class TestLoader:
-    def test_peak_memory_about_one_file(self, cfg, store, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_peak_memory_about_one_file(self, cfg, store, tmp_path, version):
         path = tmp_path / "w.tvtw"
-        save_weights(store, path)
+        _write(store, path, version)
         tracemalloc.start()
         try:
             loaded = load_weights(path)
@@ -132,9 +149,10 @@ class TestLoader:
         assert len(loaded) == len(store)
         assert peak <= 1.25 * path.stat().st_size
 
-    def test_loaded_arrays_match_and_are_read_only(self, store, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_loaded_arrays_match_and_are_read_only(self, store, tmp_path, version):
         path = tmp_path / "w.tvtw"
-        save_weights(store, path)
+        _write(store, path, version)
         loaded = load_weights(path)
         ref = WeightStore.from_bytes(store.to_bytes())
         assert loaded.names() == ref.names() == store.names()
@@ -143,7 +161,71 @@ class TestLoader:
             assert a.dtype == np.float32 and a.shape == ref.get(name).shape
             assert a.tobytes() == ref.get(name).tobytes()
             assert a.flags.c_contiguous and a.flags.aligned
+            assert a.ctypes.data % 64 == 0
             assert not a.flags.writeable and not ref.get(name).flags.writeable
+
+    def test_v2_arrays_are_views_of_the_file_mapping(self, store, tmp_path):
+        path = tmp_path / "w.tvtw"
+        save_weights(store, path)
+        loaded = load_weights(path)
+        for name in loaded.names():
+            a = loaded.get(name)
+            assert not a.flags.owndata and not a.flags.writeable and a.flags.c_contiguous
+            assert a.ctypes.data % 64 == 0
+            base = a
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base.obj, mmap.mmap), name  # np.frombuffer's memoryview
+
+    def test_every_payload_starts_at_a_multiple_of_64(self, store, tmp_path):
+        path = tmp_path / "w.tvtw"
+        save_weights(store, path)
+        blob = path.read_bytes()
+        assert struct.unpack_from("<4sII", blob) == (b"TVTW", 2, len(store))
+        pos = 12
+        for name in store.names():
+            arr = store.get(name)
+            pos += 2 + len(name.encode()) + 1 + 4 * arr.ndim  # the entry header
+            pad = -pos % 64
+            assert blob[pos:pos + pad] == bytes(pad), name  # zero padding only
+            pos += pad
+            assert pos % 64 == 0
+            assert blob[pos:pos + arr.nbytes] == arr.tobytes(), name
+            pos += arr.nbytes
+        assert pos == len(blob)
+
+    def test_resave_leaves_a_loaded_store_unchanged(self, cfg, store, tmp_path):
+        path = tmp_path / "w.tvtw"
+        save_weights(store, path)
+        loaded = load_weights(path)
+        other = random_init(1, cfg)
+        save_weights(other, path)
+        for name in store.names():
+            assert loaded.get(name).tobytes() == store.get(name).tobytes(), name
+        assert load_weights(path).get("encoder.vq.codebook").tobytes() == \
+            other.get("encoder.vq.codebook").tobytes()
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_empty_file_is_bad_magic(self, tmp_path):
+        path = tmp_path / "empty.tvtw"
+        path.write_bytes(b"")
+        with pytest.raises(FormatError, match="bad magic"):
+            load_weights(path)
+
+    def test_dev_null_is_bad_magic(self):
+        with pytest.raises(FormatError, match="bad magic"):
+            load_weights(os.devnull)
+
+    def test_file_shrunk_before_mapping_is_format_error(self, store, tmp_path, monkeypatch):
+        path = tmp_path / "w.tvtw"
+        save_weights(store, path)
+
+        def map_fails(*args, **kwargs):
+            raise ValueError("mmap length is greater than file size")
+
+        monkeypatch.setattr(weights_mod.mmap, "mmap", map_fails)
+        with pytest.raises(FormatError, match="cannot map"):
+            load_weights(path)
 
     @pytest.mark.parametrize("source", ["random_init", "load_weights"])
     def test_weights_cannot_be_written(self, cfg, store, tmp_path, source):
