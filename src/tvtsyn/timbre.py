@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ConfigError, InputError
+from .errors import InputError
 from .kernels import F32, l2_normalize_rows, linear, masked_softmax, mlp, sigmoid
 from .weights import WeightStore
 
@@ -196,22 +196,16 @@ def slerp(a, b, alpha):
     return out[0] if squeeze else out
 
 
-def tvt_sequence(content, g, gtm: GtmMemory, params: TvtParams, *, force_alpha=None):
+def tvt_sequence(content, g, gtm: GtmMemory, params: TvtParams):
     """Content frames + speaker -> (time-varying timbre stream (T, timbre_dim),
     facet weights (T, slots), gate alpha (T,)).
 
     `g` is the speaker vector `gtm` was built from; its projection is read
     from `gtm.g_hat`, computed once per speaker by build_gtm.
-    force_alpha pins the gate (0 = static speaker, 1 = pure facet path).
     """
     g_hat = gtm.g_hat
     facets, weights = retrieve_facet(content, gtm, params)
-    if force_alpha is None:
-        alpha = gate_alpha(content, facets, g_hat, params)
-    else:
-        if not 0.0 <= force_alpha <= 1.0:
-            raise ConfigError("force_alpha must lie in [0, 1]")
-        alpha = np.full(content.shape[0], force_alpha, dtype=F32)
+    alpha = gate_alpha(content, facets, g_hat, params)
     facets_hat = l2_normalize_rows(facets)
     s = slerp(np.broadcast_to(g_hat, facets_hat.shape), facets_hat, alpha)
     return (s * params.scale[0]).astype(F32), weights, alpha

@@ -42,6 +42,10 @@ def read_wav(path) -> np.ndarray:
 
 def write_wav(path, samples):
     samples = np.asarray(samples, dtype=F32).reshape(-1)
+    bad = samples.size - np.count_nonzero(np.isfinite(samples))
+    if bad:  # the int16 cast would write them as silence
+        raise InputError(f"cannot write {path}: {bad} of {samples.size} samples "
+                         f"are non-finite (NaN or inf)")
     ints = np.clip(np.rint(samples * 32768.0), -32768, 32767).astype("<i2")
     # the file is opened here: a failed open inside wave.open leaves a
     # half-built Wave_write whose __del__ prints a second, ignored error

@@ -4,8 +4,10 @@ Container layout (little-endian, bit-exact):
   magic "TVTW" | version u32 | entry count u32
   per entry: name_len u16 | name utf-8 | ndim u8 | dims u32 each
              | zero padding to the next 64-byte file offset | raw f32 payload
-`save_weights` writes version 2. Version 1, the same layout without the
-padding, still loads: files written before version 2 must keep working.
+`save_weights` streams version 2 into the file, and `load_weights` maps it
+and binds every payload as a view. Version 1, the same layout without the
+padding, still loads, read into one aligned arena and never mapped: files
+written before version 2 must keep working.
 """
 
 from __future__ import annotations
@@ -67,25 +69,6 @@ class WeightStore:
                 total += arr.size
         return total
 
-    def to_bytes(self) -> bytes:
-        out = [MAGIC, struct.pack("<II", VERSION, len(self._entries))]
-        size = 12
-        for name, arr in self._entries.items():
-            raw = name.encode("utf-8")
-            header = (struct.pack("<H", len(raw)) + raw
-                      + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
-            pad = -(size + len(header)) % ALIGN
-            out += [header, bytes(pad), arr.astype("<f4", copy=False).tobytes()]
-            size += len(header) + pad + arr.nbytes
-        return b"".join(out)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "WeightStore":
-        blob = bytes(blob)  # no copy of bytes; a bytearray's owner could write it
-        stream = io.BytesIO(blob)
-        entries, _ = _read_headers(stream)
-        return _bind(entries, stream, blob)
-
 
 def _read_into(stream, buf) -> bool:
     """Fill `buf` from `stream`; False when the stream ends first."""
@@ -107,11 +90,11 @@ def _read_exact(stream, n: int, what: str) -> bytearray:
 
 
 def _read_headers(stream):
-    """The one header pass over a TVTW stream: its size, and each entry's
-    (name, dims, payload offset, payload bytes).
+    """The one header pass over a TVTW file: its version, each entry's
+    (name, dims, payload offset, payload bytes), and its size.
 
     It reads every entry header, seeking past each payload, and checks each
-    against the stream size, so nothing is bound or allocated from an
+    against the file size, so nothing is bound or allocated from an
     unchecked header.
     """
     size = stream.seek(0, io.SEEK_END)
@@ -146,49 +129,44 @@ def _read_headers(stream):
     trailing = size - stream.tell()
     if trailing:
         raise FormatError(f"{trailing} trailing bytes after last entry")
-    return entries, size
+    return version, entries, size
 
 
-def _bind(entries, stream, buf) -> WeightStore:
-    """A store of read-only arrays that all start 64-byte aligned.
-
-    `buf` holds the bytes `stream` reads (the blob, or the file's mapping).
-    A payload that starts 64-byte aligned in `buf`, as every version 2
-    payload in a mapped file does, is bound as a view of it and never
-    copied. Any other payload, as most of a version 1 file, is read from
-    `stream` straight into its aligned slice of one arena, since misaligned
-    arrays miss BLAS. It is not copied out of `buf`: for a mapped file that
-    would count the file's pages on top of the arena's.
-    """
-    whole = np.frombuffer(buf, dtype=np.uint8)
-    viewed = [(whole.ctypes.data + off) % ALIGN == 0 for _, _, off, _ in entries]
-    arena = np.empty(sum(-(-nbytes // ALIGN) * ALIGN
-                         for (*_, nbytes), v in zip(entries, viewed) if not v) + ALIGN,
-                     dtype=np.uint8)
+def _read_arena(entries, stream):
+    """Each entry's payload, read from `stream` straight into its 64-byte
+    aligned slice of one read-only arena, since misaligned arrays miss BLAS."""
+    strides = [-(-nbytes // ALIGN) * ALIGN for *_, nbytes in entries]
+    arena = np.empty(sum(strides) + ALIGN, dtype=np.uint8)
     start = -arena.ctypes.data % ALIGN
-    store = WeightStore()
-    for (name, dims, off, nbytes), view in zip(entries, viewed):
-        if view:
-            payload = whole[off:off + nbytes]
-        else:
-            payload = arena[start:start + nbytes]
-            start += -(-nbytes // ALIGN) * ALIGN
-            stream.seek(off)
-            if not _read_into(stream, payload):
-                raise FormatError(f"truncated payload for entry {name!r}")
-        store.put(name, payload.view("<f4").reshape(dims))
+    payloads = []
+    for (name, _, off, nbytes), stride in zip(entries, strides):
+        payload = arena[start:start + nbytes]
+        stream.seek(off)
+        if not _read_into(stream, payload):
+            raise FormatError(f"truncated payload for entry {name!r}")
+        payloads.append(payload)
+        start += stride
     arena.flags.writeable = False
-    return store
+    return payloads
 
 
 def save_weights(store: WeightStore, path):
-    """Write `store` to `path` through a temporary file in the same directory
-    that replaces `path` once complete. A process that maps the old file keeps
-    its pages, and a failed write leaves no partial file."""
+    """Write `store` to `path` as TVTW version 2, each header and payload
+    straight into a temporary file in the same directory that replaces
+    `path` once complete. No copy of the store is made; a process that maps
+    the old file keeps its pages, and a failed write leaves no partial file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
     try:
-        tmp.write_bytes(store.to_bytes())
+        with tmp.open("wb") as f:
+            f.write(MAGIC + struct.pack("<II", VERSION, len(store)))
+            for name in store.names():
+                arr = store.get(name)
+                raw = name.encode("utf-8")
+                header = (struct.pack("<H", len(raw)) + raw
+                          + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+                f.write(header + bytes(-(f.tell() + len(header)) % ALIGN))
+                f.write(arr.astype("<f4", copy=False))  # no copy on little-endian
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -196,16 +174,27 @@ def save_weights(store: WeightStore, path):
 
 
 def load_weights(path) -> WeightStore:
-    """Load a TVTW file. Its aligned payloads, every one in a version 2 file,
-    are bound as views of a read-only mapping of it (see `_bind`), so
-    processes that load the same file share its one page-cache copy."""
+    """Load a TVTW file into a store of read-only, 64-byte aligned arrays.
+
+    A version 2 file is mapped read-only and every payload is a view of the
+    mapping, so nothing is copied and processes that load the same file
+    share its one page-cache copy. A version 1 file is never mapped: its
+    payloads, unaligned in the file, are read into one arena."""
     with open(path, "rb", buffering=0) as f:
-        entries, size = _read_headers(f)
-        try:
-            mapped = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ)
-        except ValueError as exc:  # the file shrank after the header pass
-            raise FormatError(f"cannot map {path}: {exc}") from exc
-        return _bind(entries, f, mapped)
+        version, entries, size = _read_headers(f)
+        if version == VERSION:
+            try:
+                mapped = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ)
+            except ValueError as exc:  # the file shrank after the header pass
+                raise FormatError(f"cannot map {path}: {exc}") from exc
+            whole = np.frombuffer(mapped, dtype=np.uint8)
+            payloads = [whole[off:off + nbytes] for _, _, off, nbytes in entries]
+        else:
+            payloads = _read_arena(entries, f)
+    store = WeightStore()
+    for (name, dims, _, _), payload in zip(entries, payloads):
+        store.put(name, payload.view("<f4").reshape(dims))
+    return store
 
 
 ENCODER_PREFIXES = ("encoder.",)

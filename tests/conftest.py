@@ -45,6 +45,15 @@ def store_of(entries):
     return store
 
 
+def pin_gate(monkeypatch, alpha):
+    """Make `tvt_sequence` use gate value `alpha` on every frame
+    (0 = static speaker, 1 = pure facet path)."""
+    from tvtsyn import timbre
+
+    monkeypatch.setattr(timbre, "gate_alpha", lambda content, *_: np.full(
+        content.shape[0], alpha, dtype=np.float32))
+
+
 def random_wave(seed, n_samples, amp=0.5):
     rng = np.random.default_rng(seed)
     return rng.uniform(-amp, amp, n_samples).astype(np.float32)

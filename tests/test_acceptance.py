@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_wave
+from conftest import pin_gate, random_wave
 from tvtsyn.config import StreamConfig
 from tvtsyn.errors import ConfigError
 from tvtsyn.kernels import l2_normalize_rows
@@ -173,16 +173,18 @@ def test_criterion_7_latency_methodology(model, speaker):
           f"realtime={real['realtime']} over 110 utterances")
 
 
-def test_criterion_8_tvt_behavior(model, speaker):
+def test_criterion_8_tvt_behavior(model, speaker, monkeypatch):
     """Forced alpha=0 freezes the stream at the projected global; with live
     gates the top-1 facet varies across frames on >= 8 of 10 utterances."""
     gtm = build_gtm(speaker, model.tvt)
     wave = random_wave(51, 9600)
     frames = encode_frames(wave, model.encoder)
     content, _ = vq_quantize(frames, model.encoder.vq)
-    s, _, _ = tvt_sequence(content, speaker, gtm, model.tvt, force_alpha=0.0)
+    pin_gate(monkeypatch, 0.0)
+    s, _, _ = tvt_sequence(content, speaker, gtm, model.tvt)
     g_hat = (project_global(speaker, model.tvt) * model.tvt.scale[0]).astype(F32)
     assert np.array_equal(s, np.broadcast_to(g_hat, s.shape))
+    monkeypatch.undo()  # live gates from here on
 
     rng = np.random.default_rng(53)
     varied = 0
@@ -205,14 +207,13 @@ def test_criterion_9_determinism_and_io(cfg, model, speaker, tmp_path):
     from tvtsyn import wavio
     from tvtsyn.weights import save_weights, load_weights
 
-    a = random_init(7, cfg)
-    b = random_init(7, cfg)
-    assert a.to_bytes() == b.to_bytes()
-
-    p1, p2 = tmp_path / "a.tvtw", tmp_path / "b.tvtw"
-    save_weights(a, p1)
-    save_weights(load_weights(p1), p2)
+    p1, p2, p3 = tmp_path / "a.tvtw", tmp_path / "b.tvtw", tmp_path / "c.tvtw"
+    save_weights(random_init(7, cfg), p1)
+    save_weights(random_init(7, cfg), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+    save_weights(load_weights(p1), p3)
+    assert p1.read_bytes() == p3.read_bytes()
 
     w1, w2 = tmp_path / "a.wav", tmp_path / "b.wav"
     wavio.write_wav(w1, random_wave(71, 12800, amp=1.1))

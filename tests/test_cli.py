@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_wave
+from conftest import random_wave, store_of
 from tvtsyn import model as model_mod
 from tvtsyn import wavio
 from tvtsyn.cli import run
 from tvtsyn.config import config_to_text, save_config
 from tvtsyn.errors import InputError
+from tvtsyn.weights import load_weights, save_weights
 
 F32 = np.float32
 
@@ -38,6 +39,28 @@ def workdir(tmp_path_factory, cfg):
 
 def _margs(d, *extra):
     return ["--weights", str(d / "w.tvtw"), "--config", str(d / "model.cfg"), *extra]
+
+
+@pytest.fixture(scope="module")
+def nan_weights(workdir):
+    """The workdir weights with a NaN output bias, so every output sample is NaN."""
+    store = load_weights(workdir / "w.tvtw")
+    entries = {name: store.get(name) for name in store.names()}
+    entries["decoder.cnn.conv_out.bias"] = np.full_like(entries["decoder.cnn.conv_out.bias"],
+                                                       np.nan)
+    path = workdir / "nan.tvtw"
+    save_weights(store_of(entries), path)
+    return path
+
+
+def _rejects_non_finite_output(workdir, weights, tmp_path, capsys, command, *extra):
+    out = tmp_path / "x.wav"
+    code = run([command, "--weights", str(weights),
+                "--config", str(workdir / "model.cfg"), "--speaker", str(workdir / "spk.f32"),
+                "--in", str(workdir / "in.wav"), "--out", str(out), *extra])
+    assert code == 1
+    assert "48000 of 48000 samples are non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _wav_bytes(n_frames, data):
@@ -73,15 +96,39 @@ class TestInitWeights:
                                                           monkeypatch, capsys, fault):
         out = tmp_path / "w.tvtw"
         out.write_bytes(b"old")
-        real_write = Path.write_bytes
+        real_open = Path.open
 
-        def failing_write(path, data):
-            if fault == "disk full":  # the temporary file is half written first
-                real_write(path, data[:len(data) // 2])
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        class FullDisk:
+            """A file that takes 4096 bytes, then fails as a full disk does."""
+
+            def __init__(self, f):
+                self.f, self.room = f, 4096
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def tell(self):
+                return self.f.tell()
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                self.f.write(data[:self.room])
+                if len(data) > self.room:  # the temporary file is part written first
+                    self.room = 0
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                self.room -= len(data)
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            if "w" not in mode:
+                return real_open(path, mode, *args, **kwargs)
+            if fault == "disk full":
+                return FullDisk(real_open(path, mode, *args, **kwargs))
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
-        monkeypatch.setattr(Path, "write_bytes", failing_write)
+        monkeypatch.setattr(Path, "open", failing_open)
         code = run(["init-weights", "--config", str(workdir / "model.cfg"),
                     "--out", str(out)])
         assert code == 1
@@ -198,6 +245,9 @@ class TestSynth:
                     "--in", str(tmp_path / "nope.wav"), "--out", str(tmp_path / "x.wav")])
         assert code == 1
 
+    def test_non_finite_output_is_input_error(self, workdir, nan_weights, tmp_path, capsys):
+        _rejects_non_finite_output(workdir, nan_weights, tmp_path, capsys, "synth")
+
     def test_missing_weights_is_input_error(self, workdir, tmp_path):
         code = run(["synth", "--weights", str(tmp_path / "nope.tvtw"),
                     "--config", str(workdir / "model.cfg"),
@@ -280,6 +330,10 @@ class TestSynth:
 
 
 class TestStream:
+    def test_non_finite_output_is_input_error(self, workdir, nan_weights, tmp_path, capsys):
+        _rejects_non_finite_output(workdir, nan_weights, tmp_path, capsys, "stream",
+                                   "--chunk-ms", "60")
+
     def test_stream_matches_masked_synth(self, workdir):
         code = run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
                     "--in", str(workdir / "in.wav"), "--out", str(workdir / "st.wav"),

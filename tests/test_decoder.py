@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_wave
+from conftest import pin_gate, random_wave
 from tvtsyn.decoder import ClnFusionParams, cln_fuse, decode_context, synthesize_wave
 from tvtsyn.encoder import encode_frames, vq_quantize
 from tvtsyn.errors import InputError
@@ -149,7 +149,7 @@ class TestSynthesizeWave:
         out2 = synthesize(model, wave_in, g2)
         assert np.abs(out1 - out2).max() > 0
 
-    def test_timbre_stream_reaches_output(self, model, speaker):
+    def test_timbre_stream_reaches_output(self, model, speaker, monkeypatch):
         # same content, alpha pinned 0 vs 1 through synthesize's stages: the
         # conditioning path is live
         wave_in = random_wave(8, 9600)
@@ -158,7 +158,8 @@ class TestSynthesizeWave:
         pred, _ = predict_f0_energy(content, model.prosody)
         outs = []
         for alpha in (0.0, 1.0):
-            tvt, _, _ = tvt_sequence(content, speaker, gtm, model.tvt, force_alpha=alpha)
+            pin_gate(monkeypatch, alpha)
+            tvt, _, _ = tvt_sequence(content, speaker, gtm, model.tvt)
             ctxout = decode_context(content, tvt, pred, model.decoder, model.prosody)
             outs.append(synthesize_wave(ctxout, tvt, model.decoder))
         assert np.abs(outs[0] - outs[1]).max() > 0

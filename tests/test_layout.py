@@ -19,8 +19,6 @@ ALLOWED = {
     "small_config": "public API beside ModelConfig: the reduced config for quick runs",
     "save_config": "public API beside load_config: writes the file load_config reads",
     "probe_influence": "positive control of causality_probe: shows the probe can see influence",
-    "WeightStore.from_bytes": "the in-memory counterpart of to_bytes; the malformed-container "
-                              "tests parse through it",
 }
 
 
@@ -118,9 +116,7 @@ def test_caller_guard_on_a_small_tree(tmp_path):
 
 
 # parameters with a default that no call in the package or the benchmark passes
-UNPASSED = {
-    "tvt_sequence(force_alpha)": "pins the gate for the alpha = 0 acceptance check",
-}
+UNPASSED = {}
 
 
 def _defaulted_parameters(tree):

@@ -28,40 +28,64 @@ class TestContainer:
         save_weights(load_weights(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_round_trip_is_identity_on_stores(self, store):
-        back = WeightStore.from_bytes(store.to_bytes())
+    def test_round_trip_is_identity_on_stores(self, store, tmp_path):
+        save_weights(store, tmp_path / "w.tvtw")
+        back = load_weights(tmp_path / "w.tvtw")
         assert set(back.names()) == set(store.names())
         for name in store.names():
             assert np.array_equal(back.get(name), store.get(name))
 
-    def test_empty_store_valid(self):
-        blob = WeightStore().to_bytes()
-        assert len(WeightStore.from_bytes(blob)) == 0
+    def test_empty_store_valid(self, tmp_path):
+        save_weights(WeightStore(), tmp_path / "w.tvtw")
+        assert len(load_weights(tmp_path / "w.tvtw")) == 0
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
         with pytest.raises(FormatError, match="magic"):
-            WeightStore.from_bytes(b"NOPE" + b"\x00" * 16)
+            _load_blob(b"NOPE" + b"\x00" * 16, tmp_path)
 
-    def test_truncation_names_offending_entry(self, store):
-        blob = store.to_bytes()
+    def test_truncation_names_offending_entry(self, store, tmp_path):
+        blob = _saved_blob(store, tmp_path)
         with pytest.raises(FormatError, match="truncated"):
-            WeightStore.from_bytes(blob[:len(blob) // 2])
+            _load_blob(blob[:len(blob) // 2], tmp_path)
 
-    def test_corrupted_count_no_partial_store(self, store):
-        blob = bytearray(store.to_bytes())
+    def test_corrupted_count_no_partial_store(self, store, tmp_path):
+        blob = bytearray(_saved_blob(store, tmp_path))
         blob[8:12] = (len(store) + 5).to_bytes(4, "little")  # claim more entries
         with pytest.raises(FormatError):
-            WeightStore.from_bytes(bytes(blob))
+            _load_blob(bytes(blob), tmp_path)
 
-    def test_trailing_garbage_rejected(self, store):
+    def test_trailing_garbage_rejected(self, store, tmp_path):
         with pytest.raises(FormatError, match="trailing"):
-            WeightStore.from_bytes(store.to_bytes() + b"\x00\x00\x00\x00")
+            _load_blob(_saved_blob(store, tmp_path) + b"\x00\x00\x00\x00", tmp_path)
+
+    def test_save_streams_into_the_file(self, store, tmp_path):
+        path = tmp_path / "w.tvtw"
+        tracemalloc.start()
+        try:
+            save_weights(store, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * path.stat().st_size
 
     def test_duplicate_entry_rejected(self):
         s = WeightStore()
         s.put("x", np.zeros(3))
         with pytest.raises(FormatError):
             s.put("x", np.zeros(3))
+
+
+def _saved_blob(store, tmp_path):
+    """The bytes `save_weights` writes for `store`."""
+    path = tmp_path / "saved.tvtw"
+    save_weights(store, path)
+    return path.read_bytes()
+
+
+def _load_blob(blob, tmp_path):
+    path = tmp_path / "blob.tvtw"
+    path.write_bytes(blob)
+    return load_weights(path)
 
 
 def _tvtw(count, *entries):
@@ -86,24 +110,20 @@ def _write(store, path, version):
         save_weights(store, path)
 
 
-def _two_entry_blob():
+def _two_entry_blob(tmp_path):
     s = WeightStore()
     s.put("a", np.arange(6, dtype=np.float32).reshape(2, 3))
     s.put("b", np.float32([7.0]))
-    return s.to_bytes()
+    return _saved_blob(s, tmp_path)
 
 
 class TestHostileHeaders:
-    """Malformed TVTW headers surface as FormatError, from bytes and from files."""
+    """Malformed TVTW headers surface as FormatError from load_weights."""
 
     @staticmethod
     def _rejects(blob, tmp_path, match=None):
         with pytest.raises(FormatError, match=match):
-            WeightStore.from_bytes(blob)
-        path = tmp_path / "bad.tvtw"
-        path.write_bytes(blob)
-        with pytest.raises(FormatError, match=match):
-            load_weights(path)
+            _load_blob(blob, tmp_path)
 
     def test_name_not_utf8(self, tmp_path):
         blob = _tvtw(1, (b"\xff\xfe", 1, (1,), b"\x00" * 4))
@@ -125,12 +145,12 @@ class TestHostileHeaders:
         assert peak < 1 << 20
 
     def test_count_beyond_entries(self, tmp_path):
-        blob = bytearray(_two_entry_blob())
+        blob = bytearray(_two_entry_blob(tmp_path))
         blob[8:12] = struct.pack("<I", 3)
         self._rejects(bytes(blob), tmp_path, "truncated header at entry #2")
 
     def test_every_truncated_prefix(self, tmp_path):
-        blob = _two_entry_blob()
+        blob = _two_entry_blob(tmp_path)
         for n in range(len(blob)):
             self._rejects(blob[:n], tmp_path)
 
@@ -154,15 +174,14 @@ class TestLoader:
         path = tmp_path / "w.tvtw"
         _write(store, path, version)
         loaded = load_weights(path)
-        ref = WeightStore.from_bytes(store.to_bytes())
-        assert loaded.names() == ref.names() == store.names()
+        assert loaded.names() == store.names()
         for name in store.names():
             a = loaded.get(name)
-            assert a.dtype == np.float32 and a.shape == ref.get(name).shape
-            assert a.tobytes() == ref.get(name).tobytes()
+            assert a.dtype == np.float32 and a.shape == store.get(name).shape
+            assert a.tobytes() == store.get(name).tobytes()
             assert a.flags.c_contiguous and a.flags.aligned
             assert a.ctypes.data % 64 == 0
-            assert not a.flags.writeable and not ref.get(name).flags.writeable
+            assert not a.flags.writeable
 
     def test_v2_arrays_are_views_of_the_file_mapping(self, store, tmp_path):
         path = tmp_path / "w.tvtw"
@@ -176,6 +195,31 @@ class TestLoader:
             while isinstance(base, np.ndarray):
                 base = base.base
             assert isinstance(base.obj, mmap.mmap), name  # np.frombuffer's memoryview
+
+    def test_v1_is_read_into_one_arena_and_never_mapped(self, tmp_path, monkeypatch):
+        # 12 + 2 + 45 + 1 + 4: the first payload starts at file offset 64
+        blob = _tvtw(3, (b"w" * 45, 1, (16,), np.arange(16, dtype="<f4").tobytes()),
+                     (b"b", 1, (3,), np.float32([1, 2, 3]).tobytes()),
+                     (b"m", 2, (2, 2), np.float32([[4, 5], [6, 7]]).tobytes()))
+        assert blob.index(np.arange(16, dtype="<f4").tobytes()) == 64
+        path = tmp_path / "v1.tvtw"
+        path.write_bytes(blob)
+
+        def map_fails(*args, **kwargs):
+            raise AssertionError("a version 1 file was mapped")
+
+        monkeypatch.setattr(weights_mod.mmap, "mmap", map_fails)
+        loaded = load_weights(path)
+        roots = []
+        for name in loaded.names():
+            base = loaded.get(name)
+            while isinstance(base.base, np.ndarray):
+                base = base.base
+            assert base.base is None and base.flags.owndata, name
+            roots.append(base)
+        assert all(root is roots[0] for root in roots)
+        assert loaded.get("w" * 45).tobytes() == np.arange(16, dtype="<f4").tobytes()
+        assert loaded.get("m").tolist() == [[4, 5], [6, 7]]
 
     def test_every_payload_starts_at_a_multiple_of_64(self, store, tmp_path):
         path = tmp_path / "w.tvtw"
@@ -249,10 +293,10 @@ class TestLoader:
 
 
 class TestRandomInit:
-    def test_same_seed_bitwise_identical(self, cfg):
-        a = random_init(123, cfg)
-        b = random_init(123, cfg)
-        assert a.to_bytes() == b.to_bytes()
+    def test_same_seed_bitwise_identical(self, cfg, tmp_path):
+        save_weights(random_init(123, cfg), tmp_path / "a.tvtw")
+        save_weights(random_init(123, cfg), tmp_path / "b.tvtw")
+        assert (tmp_path / "a.tvtw").read_bytes() == (tmp_path / "b.tvtw").read_bytes()
 
     def test_different_seeds_differ(self, cfg):
         a = random_init(1, cfg)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_wave
+from conftest import pin_gate, random_wave
 from tvtsyn.encoder import encode_frames, vq_quantize
 from tvtsyn.errors import InputError
 from tvtsyn.kernels import l2_normalize_rows
@@ -205,17 +205,19 @@ class TestTvtSequence:
         content, _ = vq_quantize(frames, model.encoder.vq)
         return content
 
-    def test_alpha_zero_is_static_projected_global(self, model, speaker):
+    def test_alpha_zero_is_static_projected_global(self, model, speaker, monkeypatch):
         content = self._content(model)
         gtm = build_gtm(speaker, model.tvt)
-        s, _, _ = tvt_sequence(content, speaker, gtm, model.tvt, force_alpha=0.0)
+        pin_gate(monkeypatch, 0.0)
+        s, _, _ = tvt_sequence(content, speaker, gtm, model.tvt)
         g_hat = project_global(speaker, model.tvt) * model.tvt.scale[0]
         assert np.array_equal(s, np.broadcast_to(g_hat.astype(F32), s.shape))
 
-    def test_alpha_one_is_normalized_facet(self, model, speaker):
+    def test_alpha_one_is_normalized_facet(self, model, speaker, monkeypatch):
         content = self._content(model, seed=1)
         gtm = build_gtm(speaker, model.tvt)
-        s, _, _ = tvt_sequence(content, speaker, gtm, model.tvt, force_alpha=1.0)
+        pin_gate(monkeypatch, 1.0)
+        s, _, _ = tvt_sequence(content, speaker, gtm, model.tvt)
         facets, _ = retrieve_facet(content, gtm, model.tvt)
         expected = l2_normalize_rows(facets) * model.tvt.scale[0]
         np.testing.assert_allclose(s, expected, atol=1e-6)
