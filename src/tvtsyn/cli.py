@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (MAX_SPAN_SECONDS, SAMPLE_RATE, ModelConfig, StreamConfig, load_config,
-                     span_frames)
+from .config import (MAX_LOOKAHEAD, MAX_SPAN_SECONDS, SAMPLE_RATE, ModelConfig, StreamConfig,
+                     load_config, span_frames)
 from .errors import ConfigError, InputError, InternalError, TvtSynError
 from .kernels import F32
 from .metrics import causality_probe, check_probe, latency_bench
@@ -221,7 +221,8 @@ def build_parser():
     _add_speaker_arg(q)
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--out", required=True)
-    q.add_argument("--lookahead", type=int, default=None, choices=range(0, 5))
+    q.add_argument("--lookahead", type=int, default=MAX_LOOKAHEAD,
+                   choices=range(MAX_LOOKAHEAD + 1))
     q.add_argument("--f0-scale", type=float, default=1.0)
     q.add_argument("--block-ms", type=float, default=None,
                    help="truncate lookahead at this block size (matches streaming masks)")
@@ -233,7 +234,8 @@ def build_parser():
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--out", required=True)
     q.add_argument("--chunk-ms", type=float, default=60.0)
-    q.add_argument("--lookahead", type=int, default=None, choices=range(0, 5))
+    q.add_argument("--lookahead", type=int, default=MAX_LOOKAHEAD,
+                   choices=range(MAX_LOOKAHEAD + 1))
     q.add_argument("--f0-scale", type=float, default=1.0)
     q.set_defaults(fn=cmd_stream)
 
@@ -251,7 +253,7 @@ def build_parser():
 
     q = sub.add_parser("probe", help="causality probe; nonzero exit on violation")
     _add_model_args(q)
-    q.add_argument("--lookahead", type=int, default=0, choices=range(0, 5))
+    q.add_argument("--lookahead", type=int, default=0, choices=range(MAX_LOOKAHEAD + 1))
     q.add_argument("--trials", type=int, default=20)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=cmd_probe)

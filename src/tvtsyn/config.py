@@ -10,9 +10,22 @@ from pathlib import Path
 from .errors import ConfigError, FormatError
 
 SAMPLE_RATE = 16000
-FRAME_HOP = 320  # samples per frame: 16 kHz -> 50 Hz
+# SEANet topology: the encoder down-samples by ENCODER_STRIDES, and the
+# decoder up-samples by the same strides reversed
+ENCODER_STRIDES = (8, 5, 4, 2)
+DECODER_STRIDES = ENCODER_STRIDES[::-1]
+FRAME_HOP = math.prod(ENCODER_STRIDES)  # samples per frame: 16 kHz -> 50 Hz
+INIT_KERNEL = 7   # encoder conv_in, decoder conv_out
+FINAL_KERNEL = 3  # encoder conv_out, decoder conv_in
+RES_KERNEL = 3    # each residual block's dilated conv
+RES_DILATION = 2
+# attention window: frames a query sees behind itself, and at most ahead of
+# itself (first layer only, within its chunk); MAX_LOOKAHEAD is the default
+LOOKBACK_FRAMES = 100
 MAX_LOOKAHEAD = 4
-# longest chunk, offline block or synthetic bench utterance
+# value of every layer-scale vector that random_init draws
+LAYER_SCALE = 0.01
+# longest chunk, offline block or utterance, or synthetic bench utterance
 MAX_SPAN_SECONDS = 60.0
 # factorized VQ bottleneck: L2-normalized codes, 4096 entries of dim 8
 CODEBOOK_SIZE = 4096
@@ -21,24 +34,16 @@ VQ_DIM = 8
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """All architecture hyperparameters, cross-validated for consistency. The
-    rates, the VQ bottleneck and the mirrored decoder strides are fixed."""
+    """The sizes an architecture config may vary, each >= 1. The rates, the
+    SEANet topology, the attention window and the VQ bottleneck are the
+    constants above."""
 
-    # encoder CNN
-    encoder_strides: tuple = (8, 5, 4, 2)
-    base_width: int = 96
-    init_kernel: int = 7
-    final_kernel: int = 3
-    res_kernel: int = 3
-    res_dilation: int = 2
+    base_width: int = 96  # encoder CNN channels before the first stride
     # transformer stacks (shared dims for encoder and decoder context layers)
     d_model: int = 512
     n_layers: int = 8
     n_heads: int = 8
     ffn_dim: int = 2048
-    lookback_frames: int = 100
-    encoder_lookahead: int = 4
-    layer_scale: float = 0.01
     # time-varying timbre
     gtm_slots: int = 48
     tvt_attn_dim: int = 128
@@ -50,32 +55,21 @@ class ModelConfig:
     prosody_hidden: int = 256
 
     def __post_init__(self):
-        object.__setattr__(self, "encoder_strides", tuple(self.encoder_strides))
         self.validate()
 
     @property
-    def decoder_strides(self) -> tuple:
-        return tuple(reversed(self.encoder_strides))
+    def lookback_frames(self) -> int:
+        """LOOKBACK_FRAMES, for perfbench's warm-up count."""
+        return LOOKBACK_FRAMES
 
     def validate(self):
-        if math.prod(self.encoder_strides) != FRAME_HOP:
-            raise ConfigError(f"encoder strides {self.encoder_strides} must multiply to {FRAME_HOP}")
-        if min(self.encoder_strides) < 1:
-            raise ConfigError(f"encoder strides {self.encoder_strides} must all be >= 1")
-        for name in ("base_width", "init_kernel", "final_kernel", "res_kernel",
-                     "res_dilation", "d_model", "n_layers", "n_heads", "ffn_dim",
-                     "lookback_frames", "gtm_slots", "tvt_attn_dim", "global_dim",
-                     "timbre_dim", "tvt_mlp_hidden", "gate_hidden", "prosody_hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if not math.isfinite(self.layer_scale):
-            raise ConfigError(f"layer_scale must be finite, got {self.layer_scale}")
+        for f in dataclasses.fields(self):
+            if getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be >= 1")
         if self.d_model % self.n_heads:
             raise ConfigError("d_model must be divisible by n_heads")
         if (self.d_model // self.n_heads) % 2:
             raise ConfigError("head dim must be even for rotary positions")
-        if not 0 <= self.encoder_lookahead <= MAX_LOOKAHEAD:
-            raise ConfigError(f"encoder_lookahead must be in [0, {MAX_LOOKAHEAD}]")
 
 
 def small_config() -> ModelConfig:
@@ -120,7 +114,7 @@ class StreamConfig:
     """Chunk-wise runtime parameters."""
 
     chunk_ms: float = 60.0
-    lookahead_frames: int | None = None  # None = use the model's encoder_lookahead
+    lookahead_frames: int = MAX_LOOKAHEAD
 
     def __post_init__(self):
         self.validate()
@@ -135,29 +129,29 @@ class StreamConfig:
 
     def validate(self):
         span_frames(self.chunk_ms, "chunk_ms")
-        if self.lookahead_frames is not None and not 0 <= self.lookahead_frames <= MAX_LOOKAHEAD:
+        if not 0 <= self.lookahead_frames <= MAX_LOOKAHEAD:
             raise ConfigError(f"lookahead_frames must be in [0, {MAX_LOOKAHEAD}]")
 
 
-# Keys that older config files hold for values now fixed by the architecture
-# (vq_commitment weighted a training loss that inference never computes);
-# each still loads, but only at the one value it was pinned to.
-LEGACY_KEYS = ("sample_rate", "codebook_size", "vq_dim", "vq_l2_normalize", "decoder_strides",
-               "vq_commitment")
+# Keys that older config files hold for values now fixed by the architecture,
+# each with that value (vq_commitment weighted a training loss that inference
+# never computes); each still loads, but only at the one value it was pinned to.
+LEGACY_KEYS = {
+    "sample_rate": SAMPLE_RATE, "codebook_size": CODEBOOK_SIZE, "vq_dim": VQ_DIM,
+    "vq_l2_normalize": True, "vq_commitment": 0.15,
+    "encoder_strides": ENCODER_STRIDES, "decoder_strides": DECODER_STRIDES,
+    "init_kernel": INIT_KERNEL, "final_kernel": FINAL_KERNEL, "res_kernel": RES_KERNEL,
+    "res_dilation": RES_DILATION, "lookback_frames": LOOKBACK_FRAMES,
+    "encoder_lookahead": MAX_LOOKAHEAD, "layer_scale": LAYER_SCALE,
+}
 
 
 def config_to_text(cfg: ModelConfig) -> str:
-    lines = []
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = ",".join(str(x) for x in v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in dataclasses.fields(cfg))
 
 
 def config_from_text(text: str) -> ModelConfig:
-    fields = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+    fields = {f.name for f in dataclasses.fields(ModelConfig)}
     kwargs, legacy, seen = {}, {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -170,38 +164,29 @@ def config_from_text(text: str) -> ModelConfig:
             raise FormatError(f"config key {key!r} is given twice, on lines {seen[key]} and {lineno}")
         seen[key] = lineno
         if key in fields:
-            kwargs[key] = _parse_value(fields[key], val, key)
+            kwargs[key] = _parse_value(int, val, key)
         elif key in LEGACY_KEYS:
-            legacy[key] = val
+            legacy[key] = (val, _parse_value(type(LEGACY_KEYS[key]), val, key))
         else:
             raise FormatError(f"config line {lineno}: unknown key {key!r}")
     cfg = ModelConfig(**kwargs)
-    fixed = {"sample_rate": (SAMPLE_RATE,), "codebook_size": (CODEBOOK_SIZE,),
-             "vq_dim": (VQ_DIM,), "decoder_strides": cfg.decoder_strides}
-    for key, val in legacy.items():
-        if key == "vq_l2_normalize":
-            ok = val.lower() in ("true", "1", "yes")
-        elif key == "vq_commitment":
-            ok = _parse_value("float", val, key) == 0.15
-        else:
-            ok = _parse_value("tuple", val, key) == fixed[key]
-        if not ok:
+    for key, (val, parsed) in legacy.items():
+        if parsed != LEGACY_KEYS[key]:
             raise ConfigError(f"config line {seen[key]}: {key} is fixed by the architecture; "
                               f"{val!r} is not its value")
     return cfg
 
 
-def _parse_value(ftype: str, val, key):
+def _parse_value(kind, val, key):
+    """`val` as an int, a float, a comma-separated tuple of ints or a bool."""
+    if kind is bool:
+        return val.lower() in ("true", "1", "yes")
     try:
-        if "tuple" in ftype:
+        if kind is tuple:
             return tuple(int(x) for x in val.split(","))
-        if "int" in ftype:
-            return int(val)
-        if "float" in ftype:
-            return float(val)
+        return kind(val)
     except ValueError as exc:
         raise FormatError(f"config key {key!r}: cannot parse {val!r}") from exc
-    raise FormatError(f"config key {key!r} has unsupported type {ftype}")
 
 
 def save_config(cfg: ModelConfig, path):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import LOOKBACK_FRAMES
 from .errors import ConfigError, InternalError
 from .kernels import F32, layer_norm, linear, masked_softmax, mlp, rope_cos_sin, rope_rotate
 from .weights import WeightStore
@@ -54,7 +55,6 @@ class TransformerParams:
     ln_out_g: np.ndarray
     ln_out_b: np.ndarray
     n_heads: int
-    lookback: int
 
     @property
     def d_model(self) -> int:
@@ -89,13 +89,12 @@ class TransformerParams:
             ln_out_g=store.get(f"{prefix}.ln_out.gamma", (d,)),
             ln_out_b=store.get(f"{prefix}.ln_out.beta", (d,)),
             n_heads=cfg.n_heads,
-            lookback=cfg.lookback_frames,
         )
 
 
 class KvCache:
     """Ring of rotated keys/values for every layer of one stack, stored
-    (layers, heads, slots, head_dim) with slots = lookback + block.
+    (layers, heads, slots, head_dim) with slots = LOOKBACK_FRAMES + block.
 
     Frame p lives in slot p % slots, and `pos` holds the absolute frame of
     each slot (a slot not yet written holds a position no query admits).
@@ -110,7 +109,7 @@ class KvCache:
 
     def __init__(self, params: TransformerParams, block: int):
         self.block = block
-        slots = params.lookback + block
+        slots = LOOKBACK_FRAMES + block
         shape = (len(params.layers), params.n_heads, slots, params.head_dim)
         self.k = np.zeros(shape, dtype=F32)
         self.v = np.zeros(shape, dtype=F32)
@@ -219,8 +218,8 @@ def _stack(x, params: TransformerParams, lookahead: int, block_frames, cache: Kv
     pos = (0 if cache is None else cache.next_pos) + np.arange(n)
     slots = None if cache is None else cache.advance(n)
     key_pos = pos if cache is None else cache.pos
-    first = band_mask(pos, key_pos, params.lookback, lookahead, block_frames)
-    rest = band_mask(pos, key_pos, params.lookback, 0)
+    first = band_mask(pos, key_pos, LOOKBACK_FRAMES, lookahead, block_frames)
+    rest = band_mask(pos, key_pos, LOOKBACK_FRAMES, 0)
     rope = rope_cos_sin(pos, params.head_dim)
     for i, layer in enumerate(params.layers):
         kv = None if cache is None else (cache.k[i], cache.v[i], slots)

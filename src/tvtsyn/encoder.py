@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import CODEBOOK_SIZE, VQ_DIM, ModelConfig
+from .config import (CODEBOOK_SIZE, ENCODER_STRIDES, FINAL_KERNEL, FRAME_HOP, INIT_KERNEL,
+                     MAX_LOOKAHEAD, RES_DILATION, RES_KERNEL, VQ_DIM, ModelConfig)
 from .context import KvCache, TransformerParams, transformer_full, transformer_step
 from .errors import ConfigError, InputError
 from .kernels import F32, ConvLayer, ConvSpec, elu, l2_normalize_rows, linear
@@ -16,7 +17,7 @@ from .weights import WeightStore
 
 
 def encoder_stage_widths(cfg: ModelConfig):
-    return [cfg.base_width * (2 ** i) for i in range(len(cfg.encoder_strides) + 1)]
+    return [cfg.base_width * (2 ** i) for i in range(len(ENCODER_STRIDES) + 1)]
 
 
 @dataclass
@@ -27,10 +28,10 @@ class ResBlock:
     conv2: ConvLayer
 
     @classmethod
-    def from_store(cls, store, prefix, width, kernel, dilation):
+    def from_store(cls, store, prefix, width):
         return cls(
             conv1=ConvLayer.from_store(store, f"{prefix}.conv1",
-                                       ConvSpec(width, width, kernel, 1, dilation)),
+                                       ConvSpec(width, width, RES_KERNEL, 1, RES_DILATION)),
             conv2=ConvLayer.from_store(store, f"{prefix}.conv2",
                                        ConvSpec(width, width, 1)),
         )
@@ -74,19 +75,18 @@ class EncoderCnn(SeanetCnn):
     def from_store(cls, store: WeightStore, cfg: ModelConfig):
         widths = encoder_stage_widths(cfg)
         layers = [ConvLayer.from_store(store, "encoder.cnn.conv_in",
-                                       ConvSpec(1, widths[0], cfg.init_kernel))]
-        for i, stride in enumerate(cfg.encoder_strides):
-            layers.append(ResBlock.from_store(store, f"encoder.cnn.stage{i}.res",
-                                              widths[i], cfg.res_kernel, cfg.res_dilation))
+                                       ConvSpec(1, widths[0], INIT_KERNEL))]
+        for i, stride in enumerate(ENCODER_STRIDES):
+            layers.append(ResBlock.from_store(store, f"encoder.cnn.stage{i}.res", widths[i]))
             layers.append(ConvLayer.from_store(
                 store, f"encoder.cnn.stage{i}.down",
                 ConvSpec(widths[i], widths[i + 1], 2 * stride, stride)))
         layers.append(ConvLayer.from_store(store, "encoder.cnn.conv_out",
-                                           ConvSpec(widths[-1], cfg.d_model, cfg.final_kernel)))
+                                           ConvSpec(widths[-1], cfg.d_model, FINAL_KERNEL)))
         return cls(layers)
 
     def apply(self, wave, states=None):
-        """(T,) samples -> ((T/320, d_model) frames, states)."""
+        """(T,) samples -> ((T/FRAME_HOP, d_model) frames, states)."""
         x, states = self.run(np.asarray(wave, dtype=F32).reshape(1, -1), states)
         return np.ascontiguousarray(x.T), states
 
@@ -157,7 +157,6 @@ class EncoderParams:
     cnn: EncoderCnn
     ctx: TransformerParams
     vq: VqParams
-    lookahead: int
 
     @classmethod
     def from_store(cls, store: WeightStore, cfg: ModelConfig):
@@ -165,7 +164,6 @@ class EncoderParams:
             cnn=EncoderCnn.from_store(store, cfg),
             ctx=TransformerParams.from_store(store, "encoder.attn", cfg),
             vq=VqParams.from_store(store, cfg),
-            lookahead=cfg.encoder_lookahead,
         )
 
 
@@ -179,8 +177,8 @@ class EncoderState:
 
 
 def encode_frames(wave, params: EncoderParams, state: EncoderState = None,
-                  *, lookahead=None, block_frames=None):
-    """Waveform -> frames (T/320, d_model).
+                  *, lookahead=MAX_LOOKAHEAD, block_frames=None):
+    """Waveform -> frames (T/FRAME_HOP, d_model).
 
     Stateless call (state=None): one-shot pass whose attention mask optionally
     mirrors chunked execution via `block_frames`. Stateful call: incremental
@@ -188,11 +186,12 @@ def encode_frames(wave, params: EncoderParams, state: EncoderState = None,
     in place.
     """
     wave = np.asarray(wave, dtype=F32).reshape(-1)
-    if wave.size % 320:
-        raise InputError(f"wave length {wave.size} is not a multiple of the 320-sample hop")
-    la = params.lookahead if lookahead is None else lookahead
+    if wave.size % FRAME_HOP:
+        raise InputError(
+            f"wave length {wave.size} is not a multiple of the {FRAME_HOP}-sample hop")
     if state is None:
         frames, _ = params.cnn.apply(wave)
-        return transformer_full(frames, params.ctx, lookahead=la, block_frames=block_frames)
+        return transformer_full(frames, params.ctx, lookahead=lookahead,
+                                block_frames=block_frames)
     frames, state.conv = params.cnn.apply(wave, state.conv)
-    return transformer_step(frames, params.ctx, state.cache, lookahead=la)
+    return transformer_step(frames, params.ctx, state.cache, lookahead=lookahead)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FRAME_HOP, ModelConfig
+from .config import (FRAME_HOP, LAYER_SCALE, MAX_LOOKAHEAD, MAX_SPAN_SECONDS, SAMPLE_RATE,
+                     ModelConfig)
 from .decoder import DecoderParams, decode_context, synthesize_wave
 from .encoder import EncoderParams, encode_frames, vq_quantize
 from .errors import ConfigError, InputError
@@ -92,7 +93,7 @@ def random_init(seed: int, cfg: ModelConfig) -> WeightStore:
         if leaf in ("gamma", "scale"):
             return np.ones(shape)
         if leaf.startswith("ls_"):
-            return np.full(shape, cfg.layer_scale)
+            return np.full(shape, LAYER_SCALE)
         if leaf.endswith("_prior"):
             return rng.normal(0.0, 0.02, size=shape)
         if leaf == "codebook":
@@ -130,17 +131,22 @@ def align_wave(wave):
     return wave
 
 
-def synthesize(model: TvtSynModel, wave, speaker, *, lookahead=None,
+def synthesize(model: TvtSynModel, wave, speaker, *, lookahead=MAX_LOOKAHEAD,
                block_frames=None, f0_scale=1.0, return_details=False):
     """One-shot synthesis: waveform + 704-dim speaker vector -> waveform.
 
-    Output has exactly the (hop-aligned) input length. With return_details,
-    returns (waveform, facet weights (T, slots), gate alpha (T,)).
+    Output has exactly the (hop-aligned) input length. Its memory grows with
+    that length, so a wave longer than MAX_SPAN_SECONDS is an InputError:
+    a stream's state is constant. With return_details, returns (waveform,
+    facet weights (T, slots), gate alpha (T,)).
     """
     f0_scale = check_f0_scale(f0_scale)
     wave = align_wave(wave)
     if not wave.size:
         raise InputError("input wave has no samples")
+    if wave.size > MAX_SPAN_SECONDS * SAMPLE_RATE:
+        raise InputError(f"input wave is {wave.size / SAMPLE_RATE:.2f} s long, over the "
+                         f"{MAX_SPAN_SECONDS:.0f} s offline limit; stream it (tvtsyn stream)")
     if not np.isfinite(wave).all():
         raise InputError("input wave contains non-finite samples")
     frames = encode_frames(wave, model.encoder, None,

@@ -15,7 +15,7 @@ from conftest import random_wave, store_of
 from tvtsyn import model as model_mod
 from tvtsyn import wavio
 from tvtsyn.cli import run
-from tvtsyn.config import config_to_text, save_config
+from tvtsyn.config import LEGACY_KEYS, MAX_SPAN_SECONDS, config_to_text, save_config
 from tvtsyn.errors import InputError
 from tvtsyn.weights import load_weights, save_weights
 
@@ -35,6 +35,14 @@ def workdir(tmp_path_factory, cfg):
                 "--out", str(d / "w.tvtw")])
     assert code == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def over_limit_wav(workdir):
+    """A WAV one 320-sample frame longer than the offline limit."""
+    path = workdir / "long.wav"
+    wavio.write_wav(path, random_wave(3, int(MAX_SPAN_SECONDS * 16000) + 320))
+    return path
 
 
 def _margs(d, *extra):
@@ -153,21 +161,29 @@ class TestConfigFile:
                     "--out", str(tmp_path / "w.tvtw")])
 
     def test_legacy_keys_at_fixed_values(self, workdir, cfg, tmp_path):
-        text = config_to_text(cfg) + ("sample_rate = 16000\nvq_dim = 8\ncodebook_size = 4096\n"
-                                      "vq_l2_normalize = true\ndecoder_strides = 2,4,5,8\n")
+        text = config_to_text(cfg) + (
+            "sample_rate = 16000\nvq_dim = 8\ncodebook_size = 4096\n"
+            "vq_l2_normalize = true\ndecoder_strides = 2,4,5,8\n"
+            "encoder_strides = 8,5,4,2\ninit_kernel = 7\nfinal_kernel = 3\nres_kernel = 3\n"
+            "res_dilation = 2\nlookback_frames = 100\nencoder_lookahead = 4\n"
+            "layer_scale = 0.01\n")
         assert self._init(tmp_path, text) == 0
         assert (tmp_path / "w.tvtw").read_bytes() == (workdir / "w.tvtw").read_bytes()
 
     @pytest.mark.parametrize("line", [
         "sample_rate = 8000", "vq_l2_normalize = false", "codebook_size = 2048",
-        "decoder_strides = 8,5,4,2"])
-    def test_legacy_key_at_another_value(self, cfg, tmp_path, line):
+        "decoder_strides = 8,5,4,2", "encoder_strides = 4,5,4,4", "init_kernel = 5",
+        "final_kernel = 1", "res_kernel = 5", "res_dilation = 1", "lookback_frames = 50",
+        "encoder_lookahead = 0", "layer_scale = 0.1"])
+    def test_legacy_key_at_another_value(self, cfg, tmp_path, capsys, line):
         assert self._init(tmp_path, config_to_text(cfg) + line + "\n") == 2
+        assert "fixed by the architecture" in capsys.readouterr().err
+        assert not (tmp_path / "w.tvtw").exists()
 
     @pytest.mark.parametrize("key,value", [("n_heads", "0"), ("layer_scale", "nan"),
                                            ("vq_commitment", "inf")])
     def test_bad_value(self, cfg, tmp_path, capsys, key, value):
-        if key == "vq_commitment":  # a legacy key, so not in config_to_text
+        if key in LEGACY_KEYS:  # not in config_to_text
             text = config_to_text(cfg) + f"{key} = {value}\n"
         else:
             text = config_to_text(cfg).replace(f"{key} = {getattr(cfg, key)}", f"{key} = {value}")
@@ -327,6 +343,20 @@ class TestSynth:
                     "--in", str(tmp_path / "empty.wav"), "--out", str(tmp_path / "x.wav")])
         assert code == 1 and not (tmp_path / "x.wav").exists()
         assert "no samples" in capsys.readouterr().err
+
+    def test_wave_over_offline_limit_is_input_error(self, workdir, over_limit_wav, tmp_path,
+                                                    capsys):
+        code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(over_limit_wav), "--out", str(tmp_path / "x.wav")])
+        assert code == 1 and not (tmp_path / "x.wav").exists()
+        assert "tvtsyn stream" in capsys.readouterr().err
+
+    def test_wave_at_offline_limit_is_synthesized(self, workdir, over_limit_wav, tmp_path):
+        wave = wavio.read_wav(over_limit_wav)[:int(MAX_SPAN_SECONDS * 16000)]
+        wavio.write_wav(tmp_path / "minute.wav", wave)
+        code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(tmp_path / "minute.wav"), "--out", str(tmp_path / "x.wav")])
+        assert code == 0 and wavio.read_wav(tmp_path / "x.wav").size == wave.size
 
 
 class TestStream:
@@ -507,6 +537,13 @@ class TestDumpTvt:
                     "--in", str(tmp_path / "empty.wav"), "--out", str(tmp_path / "t.jsonl")])
         assert code == 1 and not (tmp_path / "t.jsonl").exists()
         assert "no samples" in capsys.readouterr().err
+
+    def test_wave_over_offline_limit_is_input_error(self, workdir, over_limit_wav, tmp_path,
+                                                    capsys):
+        code = run(["dump-tvt", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(over_limit_wav), "--out", str(tmp_path / "t.jsonl")])
+        assert code == 1 and not (tmp_path / "t.jsonl").exists()
+        assert "tvtsyn stream" in capsys.readouterr().err
 
 
 class TestWavIo:

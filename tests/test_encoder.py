@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_wave, store_of
 from tvtsyn import context
-from tvtsyn.config import small_config
+from tvtsyn.config import LOOKBACK_FRAMES, small_config
 from tvtsyn.context import KvCache, TransformerParams, transformer_full, transformer_step
 from tvtsyn.encoder import EncoderState, VqParams, encode_frames, vq_nearest, vq_quantize
 from tvtsyn.errors import ConfigError, InputError, InternalError
@@ -101,22 +101,20 @@ class TestContextAttend:
 
         ctx = model.encoder.ctx
         one = TransformerParams(layers=ctx.layers[:1], ln_out_g=ctx.ln_out_g,
-                                ln_out_b=ctx.ln_out_b, n_heads=ctx.n_heads,
-                                lookback=ctx.lookback)
-        t_total = ctx.lookback + 30
+                                ln_out_b=ctx.ln_out_b, n_heads=ctx.n_heads)
+        t_total = LOOKBACK_FRAMES + 30
         x = self._random_frames(model, 2, t=t_total)
         base = transformer_full(x, one, lookahead=0)
         poked = x.copy()
         poked[:10] += 1.0  # visible only to queries with t - lookback < 10
         y = transformer_full(poked, one, lookahead=0)
-        safe = 10 + ctx.lookback
+        safe = 10 + LOOKBACK_FRAMES
         assert np.array_equal(base[safe:], y[safe:])
         assert not np.array_equal(base[:safe], y[:safe])
 
     def test_cache_eviction_matches_full_mask(self, model):
         # stream one frame at a time past the lookback horizon
-        lookback = model.encoder.ctx.lookback
-        t_total = lookback + 20
+        t_total = LOOKBACK_FRAMES + 20
         x = self._random_frames(model, 3, t=t_total)
         full = transformer_full(x, model.encoder.ctx, lookahead=0)
         cache = KvCache(model.encoder.ctx, 1)
@@ -130,7 +128,7 @@ class TestContextAttend:
         # one block longer than the look-back (only its newest `lookback`
         # frames are kept), then a second block reads that window
         ctx = model.encoder.ctx
-        t = ctx.lookback + 50
+        t = LOOKBACK_FRAMES + 50
         x = self._random_frames(model, 5, t=2 * t)
         cache = KvCache(ctx, t)
         first = transformer_step(x[:t], ctx, cache, lookahead=lookahead)
@@ -148,13 +146,13 @@ class TestContextAttend:
         # are built in float64, so a full look-back window and then a 3-frame
         # block (the per-column GEMV products) match the same frames at 0
         ctx = model.encoder.ctx
-        x = self._random_frames(model, 7, t=ctx.lookback + 3)
+        x = self._random_frames(model, 7, t=LOOKBACK_FRAMES + 3)
         outs = []
         for start in (0, 10 ** 9):
-            cache = KvCache(ctx, ctx.lookback)
+            cache = KvCache(ctx, LOOKBACK_FRAMES)
             cache.next_pos = start
-            hist = transformer_step(x[:ctx.lookback], ctx, cache, lookahead=lookahead)
-            block = transformer_step(x[ctx.lookback:], ctx, cache, lookahead=lookahead)
+            hist = transformer_step(x[:LOOKBACK_FRAMES], ctx, cache, lookahead=lookahead)
+            block = transformer_step(x[LOOKBACK_FRAMES:], ctx, cache, lookahead=lookahead)
             outs.append((hist, block))
         for far, near in zip(outs[1], outs[0]):
             np.testing.assert_allclose(far, near, rtol=0, atol=1e-4)
@@ -179,7 +177,7 @@ class TestContextAttend:
         ctx = model.encoder.ctx
         cache = KvCache(ctx, 7)
         slots = cache.pos.shape[0]
-        assert slots == ctx.lookback + 7 and slots % 7
+        assert slots == LOOKBACK_FRAMES + 7 and slots % 7
         t = 7 * 92
         assert t >= 6 * slots
         x = self._random_frames(model, 12, t=t)
@@ -194,7 +192,7 @@ class TestContextAttend:
     def test_ring_has_lookback_plus_block_slots(self, model, block):
         ctx = model.encoder.ctx
         cache = KvCache(ctx, block)
-        slots = ctx.lookback + block
+        slots = LOOKBACK_FRAMES + block
         assert cache.k.shape == cache.v.shape == (len(ctx.layers), ctx.n_heads, slots,
                                                   ctx.head_dim)
         assert cache.pos.shape == (slots,)
@@ -215,14 +213,15 @@ class TestCopyFreeWindow:
             return real(q, k, v, allowed)
 
         monkeypatch.setattr(context, "_attend", spy)
-        x = np.random.default_rng(8).normal(0, 1, (3 * ctx.lookback, ctx.d_model)).astype(F32)
+        x = np.random.default_rng(8).normal(0, 1, (3 * LOOKBACK_FRAMES, ctx.d_model))
+        x = x.astype(F32)
         cache = KvCache(ctx, 3)
         for start in range(0, x.shape[0], 3):
             seen.clear()
             transformer_step(x[start:start + 3], ctx, cache, lookahead=4)
             assert len(seen) == len(ctx.layers)
             for i, (k, v) in enumerate(seen):
-                assert k.shape[1] == v.shape[1] == ctx.lookback + 3
+                assert k.shape[1] == v.shape[1] == LOOKBACK_FRAMES + 3
                 assert np.shares_memory(k, cache.k[i]) and np.shares_memory(v, cache.v[i])
 
     def test_band_mask_runs_at_most_twice_per_step(self, monkeypatch):

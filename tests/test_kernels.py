@@ -12,7 +12,7 @@ from tvtsyn.context import _attend, band_mask
 from tvtsyn.errors import ConfigError
 from tvtsyn.kernels import (ConvSpec, causal_conv1d, conv_state_init, layer_norm,
                             rope_cos_sin, rope_rotate, transposed_conv1d_causal)
-from tvtsyn.kernels import elu, linear
+from tvtsyn.kernels import elu, linear, sigmoid
 
 F32 = np.float32
 
@@ -557,6 +557,33 @@ class TestElu:
         x = np.array([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf], F32)
         assert np.array_equal(elu(x), np.array([-1.0, np.expm1(F32(-1.0)), 0.0, 0.0, 2.0,
                                                 np.inf], F32))
+
+
+def _two_branch_sigmoid(x):
+    """1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere (NaN
+    included), each exp over its own branch's elements only."""
+    pos = x >= 0
+    out = np.empty_like(x)
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_two_branch_formula_bitwise(self):
+        # 10^6 values over the whole range where exp over- or underflows,
+        # plus the edges: signed zeros, infinities, NaN, the float32 exp
+        # overflow (88.7) and subnormal-result (103.9) bounds, the smallest
+        # subnormal and the largest finite value. A RuntimeWarning fails it.
+        x = (np.random.default_rng(0).standard_normal(1_000_000) * 30).astype(F32)
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 88.7, -88.7, 103.9, -103.9,
+                          1e-45, -1e-45, 3.4e38, -3.4e38], F32)
+        for v in (x, edges, x.reshape(1000, 1000)):
+            got = sigmoid(v)
+            assert got.dtype == F32 and got.shape == v.shape
+            assert np.array_equal(got.view(np.uint32), _two_branch_sigmoid(v).view(np.uint32))
+        assert np.array_equal(sigmoid(edges[:4]), np.array([0.5, 0.5, 1.0, 0.0], F32))
 
 
 class TestTanhRange:

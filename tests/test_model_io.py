@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import store_of
-from tvtsyn.config import (LEGACY_KEYS, MAX_SPAN_SECONDS, ModelConfig, StreamConfig,
-                           config_from_text, config_to_text)
+from tvtsyn.config import (DECODER_STRIDES, LAYER_SCALE, LEGACY_KEYS, MAX_SPAN_SECONDS,
+                           ModelConfig, StreamConfig, config_from_text, config_to_text,
+                           small_config)
 from tvtsyn.errors import ConfigError, FormatError
 from tvtsyn.model import TvtSynModel, random_init
 from tvtsyn import weights as weights_mod
@@ -307,8 +308,8 @@ class TestRandomInit:
         cb = store.get("encoder.vq.codebook")
         np.testing.assert_allclose(np.linalg.norm(cb, axis=1), 1.0, atol=1e-6)
 
-    def test_layer_scale_value(self, cfg, store):
-        assert np.all(store.get("encoder.attn.layer0.ls_attn") == np.float32(cfg.layer_scale))
+    def test_layer_scale_value(self, store):
+        assert np.all(store.get("encoder.attn.layer0.ls_attn") == np.float32(LAYER_SCALE))
 
     def test_registry_covers_model_exactly(self, cfg, store, model):
         # from_store validates exact coverage; extra entries must be rejected
@@ -331,7 +332,7 @@ class TestRandomInit:
         with pytest.raises(ConfigError, match=re.escape(repr(name))):
             TvtSynModel.from_store(bad, cfg)
 
-    def test_init_follows_the_layout_rule(self, cfg, store):
+    def test_init_follows_the_layout_rule(self, store):
         for name in store.names():
             arr = store.get(name)
             leaf = name.rsplit(".", 1)[-1]
@@ -340,7 +341,7 @@ class TestRandomInit:
             elif leaf in ("gamma", "scale"):
                 assert np.all(arr == 1), name
             elif leaf.startswith("ls_"):
-                assert np.all(arr == np.float32(cfg.layer_scale)), name
+                assert np.all(arr == np.float32(LAYER_SCALE)), name
             elif leaf.endswith("_prior"):
                 assert abs(arr.std() / 0.02 - 1.0) <= 0.2, name
             elif leaf == "codebook":
@@ -369,7 +370,7 @@ class TestConfig:
 
     def test_stride_product_must_be_320(self):
         with pytest.raises(ConfigError):
-            ModelConfig(encoder_strides=(8, 5, 4, 4))
+            config_from_text("encoder_strides = 8,5,4,4\n")
 
     def test_mirrored_strides_required(self):
         with pytest.raises(ConfigError):
@@ -377,7 +378,7 @@ class TestConfig:
 
     def test_lookahead_bounds(self):
         with pytest.raises(ConfigError):
-            ModelConfig(encoder_lookahead=5)
+            config_from_text("encoder_lookahead = 5\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(FormatError, match="unknown key"):
@@ -407,8 +408,8 @@ class TestConfig:
             assert "nearest" not in str(err.value)
 
 
-# what save_config wrote while the rates, the VQ bottleneck and the decoder
-# strides were still fields
+# what save_config wrote while the rates, the VQ bottleneck, the SEANet
+# topology, the attention window and the layer scale were still fields
 LEGACY_TEXT = """\
 sample_rate = 16000
 encoder_strides = 8,5,4,2
@@ -439,6 +440,16 @@ decoder_strides = 2,4,5,8
 """
 
 
+# the keys pinned at their old defaults, as LEGACY_TEXT holds them, and each
+# at another value
+PINNED = [("encoder_strides", "8,5,4,2"), ("init_kernel", "7"), ("final_kernel", "3"),
+          ("res_kernel", "3"), ("res_dilation", "2"), ("lookback_frames", "100"),
+          ("encoder_lookahead", "4"), ("layer_scale", "0.01")]
+PINNED_ELSEWHERE = [("encoder_strides", "4,5,4,4"), ("init_kernel", "5"), ("final_kernel", "1"),
+                    ("res_kernel", "5"), ("res_dilation", "1"), ("lookback_frames", "50"),
+                    ("encoder_lookahead", "0"), ("layer_scale", "0.1")]
+
+
 def _with_line(text, key, value):
     """`text` with the line for `key` replaced by `key = value`, or appended."""
     lines = [ln for ln in text.splitlines() if ln.split("=")[0].strip() != key]
@@ -451,7 +462,15 @@ class TestConfigText:
         assert not names & set(LEGACY_KEYS)
         assert {f.name for f in dataclasses.fields(StreamConfig)} == {
             "chunk_ms", "lookahead_frames"}
-        assert ModelConfig().decoder_strides == (2, 4, 5, 8)
+        assert DECODER_STRIDES == (2, 4, 5, 8)
+
+    def test_every_field_differs_in_the_small_config(self):
+        # a field that holds one value in every config is an architecture
+        # constant, not a size to configure
+        full, small = ModelConfig(), small_config()
+        same = [f.name for f in dataclasses.fields(ModelConfig)
+                if getattr(full, f.name) == getattr(small, f.name)]
+        assert not same
 
     def test_legacy_text_loads(self):
         assert config_from_text(LEGACY_TEXT) == ModelConfig()
@@ -459,15 +478,16 @@ class TestConfigText:
     @pytest.mark.parametrize("key,value", [
         ("sample_rate", "8000"), ("codebook_size", "2048"), ("vq_dim", "16"),
         ("vq_l2_normalize", "false"), ("decoder_strides", "8,5,4,2"),
-        ("decoder_strides", "2,4,5,8,1"), ("vq_commitment", "0.3")])
+        ("decoder_strides", "2,4,5,8,1"), ("vq_commitment", "0.3"),
+        *PINNED_ELSEWHERE])
     def test_legacy_key_at_another_value_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             config_from_text(_with_line(LEGACY_TEXT, key, value))
 
-    def test_decoder_strides_follow_encoder_strides(self):
-        text = _with_line(_with_line(LEGACY_TEXT, "encoder_strides", "4,5,4,4"),
-                          "decoder_strides", "4,4,5,4")
-        assert config_from_text(text).decoder_strides == (4, 4, 5, 4)
+    @pytest.mark.parametrize("key,value", PINNED)
+    def test_pinned_key_at_its_value_loads(self, key, value):
+        assert config_from_text(f"{key} = {value}\n") == ModelConfig()
+        assert key not in config_to_text(ModelConfig())
 
     def test_duplicate_key_names_both_lines(self):
         with pytest.raises(FormatError, match="lines 2 and 4"):
@@ -476,19 +496,18 @@ class TestConfigText:
     @pytest.mark.parametrize("field", ["n_heads", "d_model", "init_kernel", "res_dilation"])
     def test_zero_is_config_error(self, field):
         with pytest.raises(ConfigError, match=field):
-            ModelConfig(**{field: 0})
+            config_from_text(f"{field} = 0\n")
 
     @pytest.mark.parametrize("field", ["layer_scale", "vq_commitment"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_rejected(self, field, value):
-        # vq_commitment is a legacy key pinned at 0.15, so only a file holds it
-        want = "must be finite" if field == "layer_scale" else "fixed by the architecture"
-        with pytest.raises(ConfigError, match=f"{field}.*{want}"):
+        # both are legacy keys, pinned at 0.01 and 0.15, so only a file holds them
+        with pytest.raises(ConfigError, match=f"{field}.*fixed by the architecture"):
             config_from_text(f"{field} = {value}\n")
 
     def test_negative_stride_rejected(self):
         with pytest.raises(ConfigError, match="strides"):
-            ModelConfig(encoder_strides=(-8, -5, 4, 2))
+            config_from_text("encoder_strides = -8,-5,4,2\n")
 
     def test_fuzzed_text_loads_or_raises_typed_error(self):
         # every current and removed key, at values a hand-edited file might hold

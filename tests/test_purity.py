@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_wave
-from tvtsyn.config import StreamConfig
+from tvtsyn.config import LOOKBACK_FRAMES, StreamConfig
 from tvtsyn.context import KvCache, transformer_full, transformer_step
 from tvtsyn.kernels import (ConvSpec, causal_conv1d, elu, layer_norm, linear,
                             transposed_conv1d_causal)
@@ -79,7 +79,7 @@ def test_linear_layer_norm_and_elu_are_pure(t):
 def test_transformer_full_and_step_are_pure(model):
     ctx = model.encoder.ctx
     rng = np.random.default_rng(3)
-    x = _normal(rng, ctx.lookback + 6, ctx.d_model)
+    x = _normal(rng, LOOKBACK_FRAMES + 6, ctx.d_model)
     snap = Snapshot(x)
     outs = [transformer_full(x, ctx, lookahead=4),
             transformer_full(x, ctx, lookahead=4, block_frames=3)]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_wave
+from tvtsyn.config import ENCODER_STRIDES, FINAL_KERNEL, INIT_KERNEL, RES_DILATION, RES_KERNEL
 from tvtsyn.decoder import DecoderCnn
 from tvtsyn.encoder import EncoderCnn
 from tvtsyn.kernels import ConvSpec, causal_conv1d, elu, transposed_conv1d_causal
@@ -37,8 +38,7 @@ class Reference:
         self.store = store
         self.cfg = cfg
         self.states = {}
-        n = len(cfg.encoder_strides)
-        self.widths = [cfg.base_width * 2 ** i for i in range(n + 1)]
+        self.widths = [cfg.base_width * 2 ** i for i in range(len(ENCODER_STRIDES) + 1)]
 
     def conv(self, name, spec, x):
         kernel = transposed_conv1d_causal if spec.transposed else causal_conv1d
@@ -47,22 +47,20 @@ class Reference:
         return y
 
     def res(self, name, width, x):
-        cfg = self.cfg
-        h = self.conv(f"{name}.conv1",
-                      ConvSpec(width, width, cfg.res_kernel, 1, cfg.res_dilation), x)
+        h = self.conv(f"{name}.conv1", ConvSpec(width, width, RES_KERNEL, 1, RES_DILATION), x)
         h = self.conv(f"{name}.conv2", ConvSpec(width, width, 1), elu(h))
         return x + h
 
     def encoder(self, wave):
         """conv_in, then per stage: res block, ELU, down conv; then ELU, conv_out."""
         cfg, w = self.cfg, self.widths
-        x = self.conv("encoder.cnn.conv_in", ConvSpec(1, w[0], cfg.init_kernel),
+        x = self.conv("encoder.cnn.conv_in", ConvSpec(1, w[0], INIT_KERNEL),
                       wave.reshape(1, -1))
-        for i, s in enumerate(cfg.encoder_strides):
+        for i, s in enumerate(ENCODER_STRIDES):
             x = self.res(f"encoder.cnn.stage{i}.res", w[i], x)
             x = self.conv(f"encoder.cnn.stage{i}.down", ConvSpec(w[i], w[i + 1], 2 * s, s),
                           elu(x))
-        x = self.conv("encoder.cnn.conv_out", ConvSpec(w[-1], cfg.d_model, cfg.final_kernel),
+        x = self.conv("encoder.cnn.conv_out", ConvSpec(w[-1], cfg.d_model, FINAL_KERNEL),
                       elu(x))
         return x.T
 
@@ -70,13 +68,13 @@ class Reference:
         """conv_in, then per stage: ELU, transposed up conv, res block; then
         ELU, conv_out, tanh."""
         cfg, w = self.cfg, self.widths[::-1]
-        x = self.conv("decoder.cnn.conv_in", ConvSpec(cfg.d_model, w[0], cfg.final_kernel),
+        x = self.conv("decoder.cnn.conv_in", ConvSpec(cfg.d_model, w[0], FINAL_KERNEL),
                       frames.T)
-        for i, s in enumerate(cfg.encoder_strides[::-1]):
+        for i, s in enumerate(ENCODER_STRIDES[::-1]):
             x = self.conv(f"decoder.cnn.stage{i}.up",
                           ConvSpec(w[i], w[i + 1], 2 * s, s, transposed=True), elu(x))
             x = self.res(f"decoder.cnn.stage{i}.res", w[i + 1], x)
-        x = self.conv("decoder.cnn.conv_out", ConvSpec(w[-1], 1, cfg.init_kernel), elu(x))
+        x = self.conv("decoder.cnn.conv_out", ConvSpec(w[-1], 1, INIT_KERNEL), elu(x))
         return np.tanh(x[0])
 
 
