@@ -19,7 +19,8 @@ from .config import (MAX_LOOKAHEAD, MAX_SPAN_SECONDS, SAMPLE_RATE, ModelConfig, 
                      load_config, span_frames)
 from .errors import ConfigError, InputError, InternalError, TvtSynError
 from .kernels import F32
-from .metrics import causality_probe, check_probe, latency_bench
+from .metrics import (MEASURED_UTTERANCES, WARMUP_UTTERANCES, causality_probe, check_probe,
+                      latency_bench)
 from .model import TvtSynModel, random_init, synthesize
 from .streaming import stream_file
 from .weights import load_weights, parameter_budget, save_weights
@@ -150,10 +151,11 @@ def cmd_bench(args):
             raise InputError(f"no .wav files under {args.utterances}")
         utts = [wavio.read_wav(p) for p in paths]
     else:
+        # latency_bench reads no more utterances than it streams
         rng = np.random.Generator(np.random.PCG64(args.seed))
         n_samples = int(args.utt_seconds * SAMPLE_RATE)
         utts = [rng.uniform(-0.5, 0.5, size=n_samples).astype(F32)
-                for _ in range(args.synthetic)]
+                for _ in range(min(args.synthetic, WARMUP_UTTERANCES + MEASURED_UTTERANCES))]
     if args.speaker:
         speaker = _read_speaker(args.speaker, model.cfg.global_dim)
     else:
@@ -278,7 +280,7 @@ def run(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InternalError, TvtSynError) as exc:
+    except TvtSynError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -98,9 +98,11 @@ def span_frames(ms, name) -> int:
         raise ConfigError(f"{name} must be finite, got {ms}")
     if ms > 1000.0 * MAX_SPAN_SECONDS:
         raise ConfigError(f"{name}={ms} exceeds the {MAX_SPAN_SECONDS:.0f} s limit")
+    if ms <= 0:
+        raise ConfigError(f"{name} must be positive, got {ms}")
     samples = ms * SAMPLE_RATE / 1000.0
     frame_ms = 1000.0 * FRAME_HOP / SAMPLE_RATE
-    if samples != int(samples) or int(samples) % FRAME_HOP or samples <= 0:
+    if samples != int(samples) or int(samples) % FRAME_HOP:
         lo = max(frame_ms, (int(samples) // FRAME_HOP) * frame_ms)
         hi = lo + frame_ms
         raise ConfigError(

@@ -1,6 +1,5 @@
-"""Deterministic numeric kernels: causal convolutions and the stored conv
-layer that calls them, the two-layer MLP, normalization, masked softmax and
-rotary positions.
+"""Deterministic numeric kernels: the stored causal conv layer, the
+two-layer MLP, normalization, masked softmax and rotary positions.
 
 Conventions:
   - all tensors are float32 numpy arrays,
@@ -23,19 +22,21 @@ Conventions:
     stream at ~7 GB/s within a 60 ms chunk: 9.6 ms of its 33 ms of weight
     products. The transposed conv's (C_in, C_out, K) weight
     is cut along C_in into vector x matrix products that are summed.
-  - `causal_conv1d` makes no temporary of kernel x channels x input length
-    (low-memory GEMM convolution, Anderson et al., arXiv:1709.03395). It
-    builds im2col columns IM2COL_BLOCK elements at a time in one buffer and
-    issues one weight product per block. A 1-tap conv multiplies the input
-    directly.
-  - `transposed_conv1d_causal` is one weight product of the transposed
-    weight view over the whole input, then ceil(K/stride) shifted adds,
-    one per group of `stride` taps, straight into the output.
+  - `ConvLayer.apply` is the one way to run a conv. A forward conv makes no
+    temporary of kernel x channels x input length (low-memory GEMM
+    convolution, Anderson et al., arXiv:1709.03395). It builds im2col
+    columns IM2COL_BLOCK elements at a time in one buffer and issues one
+    weight product per block. A 1-tap conv multiplies the input directly.
+  - the transposed conv (kernel 2*stride only, the SEANet up conv) is one
+    weight product of the transposed weight view over the whole input, a
+    copy of taps 0..stride-1 and one shifted add of the other taps,
+    straight into the output.
 
 Causality convention: a causal conv output at index j depends only on input
 columns <= j*stride, with the left context held in an explicit state buffer
 (zeros at stream start); a transposed causal conv emits frame t's
-contribution at samples >= t*stride, carrying the ring-out tail as state.
+contribution at samples >= t*stride, carrying the last frame's second half
+(its spill into the next frame) as state.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import ConfigError
 
 F32 = np.float32
 
-# float32 elements in one block of causal_conv1d's im2col buffer: 2 MB, the
+# float32 elements in one block of the forward conv's im2col buffer: 2 MB, the
 # L2 of one core on the 2-vCPU Xeon it was tuned on. Of 2^16..2^22, 2^19 was
 # fastest on the 16 kHz convs of a 2 s utterance: res 96x96 k3 d2 in 21 ms and
 # down 96->192 k16 s8 in 29 ms, against 22 and 34 ms at 2^20.
@@ -67,7 +68,8 @@ GEMV_MAX_COLS = 6
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Shape contract for a 1-D convolution layer."""
+    """Shape contract for a 1-D convolution layer. A transposed conv is the
+    SEANet up conv: kernel 2*stride."""
 
     in_ch: int
     out_ch: int
@@ -79,77 +81,71 @@ class ConvSpec:
     def __post_init__(self):
         if self.kernel < 1 or self.stride < 1 or self.dilation < 1:
             raise ConfigError(f"conv spec requires kernel/stride/dilation >= 1, got {self}")
-        if self.transposed and self.kernel < self.stride:
-            raise ConfigError(f"transposed conv needs kernel >= stride, got {self}")
+        if self.transposed and self.kernel != 2 * self.stride:
+            raise ConfigError(f"transposed conv needs kernel = 2 * stride, got {self}")
+
+    @property
+    def weight_shape(self):
+        if self.transposed:
+            return (self.in_ch, self.out_ch, self.kernel)
+        return (self.out_ch, self.in_ch, self.kernel)
 
     @property
     def state_len(self) -> int:
         """Columns of carried state: left context (forward) or additive tail (transposed)."""
         if self.transposed:
-            return self.kernel - self.stride
+            return self.stride
         return (self.kernel - 1) * self.dilation
 
 
-def conv_state_init(spec: ConvSpec) -> np.ndarray:
-    ch = spec.out_ch if spec.transposed else spec.in_ch
-    return np.zeros((ch, spec.state_len), dtype=F32)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ConvLayer:
-    """One stored conv: its spec, weight and bias. `apply` is the one caller
-    of the conv kernels; `spec.transposed` picks which."""
+    """One stored conv: its spec, and a weight and bias checked against it
+    once, here. `apply` runs the conv that `spec.transposed` picks."""
 
     spec: ConvSpec
     weight: np.ndarray
     bias: np.ndarray
 
+    def __post_init__(self):
+        if self.weight.shape != self.spec.weight_shape:
+            raise ConfigError(f"weight shape {self.weight.shape} does not match spec "
+                              f"{self.spec} (want {self.spec.weight_shape})")
+        if self.bias.shape != (self.spec.out_ch,):
+            raise ConfigError(f"bias shape {self.bias.shape} does not match out_ch "
+                              f"{self.spec.out_ch}")
+
     @classmethod
     def from_store(cls, store, prefix, spec: ConvSpec):
-        if spec.transposed:
-            shape = (spec.in_ch, spec.out_ch, spec.kernel)
-        else:
-            shape = (spec.out_ch, spec.in_ch, spec.kernel)
         return cls(spec=spec,
-                   weight=store.get(f"{prefix}.weight", shape),
+                   weight=store.get(f"{prefix}.weight", spec.weight_shape),
                    bias=store.get(f"{prefix}.bias", (spec.out_ch,)))
 
     def init_state(self):
-        return conv_state_init(self.spec)
+        """Zeros: the state at stream start."""
+        ch = self.spec.out_ch if self.spec.transposed else self.spec.in_ch
+        return np.zeros((ch, self.spec.state_len), dtype=F32)
 
     def apply(self, x, state):
         """(C_in, T) -> ((C_out, T'), new_state)."""
-        conv = transposed_conv1d_causal if self.spec.transposed else causal_conv1d
-        return conv(x, self.spec, self.weight, self.bias, state)
+        spec = self.spec
+        if x.ndim != 2 or x.shape[0] != spec.in_ch:
+            raise ConfigError(f"input shape {x.shape} does not match in_ch {spec.in_ch}")
+        ch = spec.out_ch if spec.transposed else spec.in_ch
+        if state.shape != (ch, spec.state_len):
+            raise ConfigError(f"state shape {state.shape}, expected {(ch, spec.state_len)}")
+        conv = _transposed_conv if spec.transposed else _causal_conv
+        return conv(x, spec, self.weight, self.bias, state)
 
 
-def _check_conv_args(x, spec, weight, bias, state, want_transposed):
-    if spec.transposed != want_transposed:
-        raise ConfigError(f"spec.transposed={spec.transposed} does not match kernel call")
-    w_shape = (spec.in_ch, spec.out_ch, spec.kernel) if want_transposed else (
-        spec.out_ch, spec.in_ch, spec.kernel)
-    if weight.shape != w_shape:
-        raise ConfigError(f"weight shape {weight.shape} does not match spec {spec} (want {w_shape})")
-    if bias is not None and bias.shape != (spec.out_ch,):
-        raise ConfigError(f"bias shape {bias.shape} does not match out_ch {spec.out_ch}")
-    if x.ndim != 2 or x.shape[0] != spec.in_ch:
-        raise ConfigError(f"input shape {x.shape} does not match in_ch {spec.in_ch}")
-    ch = spec.out_ch if want_transposed else spec.in_ch
-    if state.shape != (ch, spec.state_len):
-        raise ConfigError(f"state shape {state.shape}, expected {(ch, spec.state_len)}")
-
-
-def causal_conv1d(x, spec: ConvSpec, weight, bias=None, state=None):
+def _causal_conv(x, spec, weight, bias, state):
     """Strided/dilated causal conv over (C_in, T) -> ((C_out, ceil(T/stride)), new_state).
 
     Output column j reads input columns j*stride - k*dilation for k in
     [0, kernel); the (kernel-1)*dilation columns of left context come from
-    `state` (zeros at stream start). When carrying state across calls, T must
-    be a multiple of stride so the output grid stays aligned.
+    `state`. When carrying state across calls, T must be a multiple of
+    stride so the output grid stays aligned.
     """
-    if state is None:
-        state = conv_state_init(spec)
-    _check_conv_args(x, spec, weight, bias, state, want_transposed=False)
     t_in = x.shape[1]
     # the last state_len columns of [state | x]
     pad = spec.state_len
@@ -160,8 +156,7 @@ def causal_conv1d(x, spec: ConvSpec, weight, bias=None, state=None):
         y = weight_product(weight.reshape(spec.out_ch, -1), x[:, ::spec.stride])
     else:
         y = _blocked_im2col_conv(x, spec, weight, state, t_out)
-    if bias is not None:
-        y += bias[:, None]
+    y += bias[:, None]
     return y.astype(F32, copy=False), new_state
 
 
@@ -191,49 +186,28 @@ def _blocked_im2col_conv(x, spec, weight, state, t_out):
     return y
 
 
-def transposed_conv1d_causal(x, spec: ConvSpec, weight, bias=None, state=None):
-    """Causal transposed conv over (C_in, T) -> ((C_out, T*stride), new_state).
+def _transposed_conv(x, spec, weight, bias, state):
+    """Causal transposed conv with kernel 2*stride over (C_in, T) ->
+    ((C_out, T*stride), new_state).
 
-    Frame t contributes to output samples [t*stride, t*stride + kernel); the
-    (kernel - stride) samples of ring-out beyond T*stride are carried as an
-    additive tail in `state` and folded into the next call's head.
-
-    Per phase (the polyphase view, Shi et al., arXiv:1609.07009): output
-    sample t*stride + p is the sum over m = 0, 1, ... of tap p + m*stride of
-    frame t - m. So the output, seen as (C_out, T, stride), is written by
-    ceil(kernel/stride) shifted adds of the taps' (C_out, stride, T) slices,
-    in the order of increasing tap; the carried tail is added after them and
-    the bias last.
+    Frame t writes output samples [t*stride, (t+2)*stride): taps 0..s-1 land
+    in its own frame, taps s..2s-1 in the next. So the output, seen as
+    (C_out, stride, T), is a copy of taps 0..s-1 and one shifted add of taps
+    s..2s-1; the previous call's last frame's taps s..2s-1, carried in
+    `state`, are added to the first frame, and the bias last.
     """
-    if state is None:
-        state = conv_state_init(spec)
-    _check_conv_args(x, spec, weight, bias, state, want_transposed=True)
-    t_in = x.shape[1]
-    s, tail = spec.stride, spec.state_len
+    t_in, s = x.shape[1], spec.stride
+    if not t_in:
+        return np.empty((spec.out_ch, 0), dtype=F32), state.copy()
     contrib = weight_product(weight.reshape(spec.in_ch, -1).T, x).reshape(
-        spec.out_ch, spec.kernel, t_in)                       # (C_out, K, T)
+        spec.out_ch, 2 * s, t_in)                             # (C_out, K, T)
     y = np.empty((spec.out_ch, t_in * s), dtype=F32)
-    # the output and the ring-out past it (frame slots T, T+1, ..., reached
-    # by taps m >= 1 of the last frames), both seen as (C_out, stride,
-    # frames) so that each add runs along time
-    phases = y.reshape(spec.out_ch, t_in, s).transpose(0, 2, 1)
-    ring = np.zeros((spec.out_ch, -(-tail // s), s), dtype=F32)
-    ring_phases = ring.transpose(0, 2, 1)
-    phases[...] = contrib[:, :s]
-    for m in range(1, -(-spec.kernel // s)):
-        k0, k1 = m * s, min((m + 1) * s, spec.kernel)
-        if m < t_in:
-            phases[:, :k1 - k0, m:] += contrib[:, k0:k1, :t_in - m]
-        lo = max(t_in - m, 0)
-        ring_phases[:, :k1 - k0, lo + m - t_in:m] += contrib[:, k0:k1, lo:]
-    ring = ring.reshape(spec.out_ch, -1)
-    if tail:
-        head = min(tail, y.shape[1])
-        y[:, :head] += state[:, :head]
-        ring[:, :tail - head] += state[:, head:]
-    if bias is not None:
-        y += bias[:, None]
-    return y, ring[:, :tail].copy() if tail else state
+    frames = y.reshape(spec.out_ch, t_in, s).transpose(0, 2, 1)
+    frames[...] = contrib[:, :s]
+    frames[:, :, 1:] += contrib[:, s:, :-1]
+    y[:, :s] += state
+    y += bias[:, None]
+    return y, contrib[:, s:, -1].copy()
 
 
 def weight_product(w, x, out=None):

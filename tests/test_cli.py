@@ -12,14 +12,20 @@ import numpy as np
 import pytest
 
 from conftest import random_wave, store_of
+from tvtsyn import cli, wavio
 from tvtsyn import model as model_mod
-from tvtsyn import wavio
 from tvtsyn.cli import run
 from tvtsyn.config import LEGACY_KEYS, MAX_SPAN_SECONDS, config_to_text, save_config
 from tvtsyn.errors import InputError
 from tvtsyn.weights import load_weights, save_weights
 
 F32 = np.float32
+
+# a span that is not a positive whole number of 20 ms frames, and what the
+# error says about it
+BAD_SPANS = [pytest.param(ms, message, id=ms) for ms, message in (
+    ("50", "=50.0 is not frame-aligned"), ("0", " must be positive, got 0.0"),
+    ("-20", " must be positive, got -20.0"))]
 
 
 @pytest.fixture(scope="module")
@@ -305,13 +311,14 @@ class TestSynth:
         assert code == 2 and not (tmp_path / "x.wav").exists()
         assert "--block-ms" in capsys.readouterr().err
 
-    def test_unaligned_block_is_config_error(self, workdir, tmp_path, capsys):
+    @pytest.mark.parametrize("block_ms,message", BAD_SPANS)
+    def test_unaligned_block_is_config_error(self, workdir, tmp_path, capsys, block_ms, message):
         code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
                     "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
-                    "--block-ms", "50"])
+                    "--block-ms", block_ms])
         assert code == 2 and not (tmp_path / "x.wav").exists()
         err = capsys.readouterr().err
-        assert "--block-ms=50.0 is not frame-aligned" in err and "chunk_ms" not in err
+        assert f"--block-ms{message}" in err and "chunk_ms" not in err
 
     def test_non_finite_f0_scale_is_config_error(self, workdir, tmp_path):
         code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
@@ -389,13 +396,15 @@ class TestStream:
         assert all(line.endswith(" ms") for line in lines)
         assert captured.out.startswith("streamed 25 chunks of 120.0 ms, mean processing ")
 
-    def test_misaligned_chunk_is_config_error(self, workdir, tmp_path, capsys):
+    @pytest.mark.parametrize("chunk_ms,message", BAD_SPANS)
+    def test_misaligned_chunk_is_config_error(self, workdir, tmp_path, capsys, chunk_ms,
+                                              message):
         code = run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
                     "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav"),
-                    "--chunk-ms", "50"])
+                    "--chunk-ms", chunk_ms])
         assert code == 2
         err = capsys.readouterr().err
-        assert "--chunk-ms=50.0 is not frame-aligned" in err and "chunk_ms" not in err
+        assert f"--chunk-ms{message}" in err and "chunk_ms" not in err
 
     @pytest.mark.parametrize("chunk_ms", ["nan", "inf"])
     def test_non_finite_chunk_is_config_error(self, workdir, tmp_path, chunk_ms):
@@ -467,12 +476,22 @@ class TestBench:
                     "--synthetic", count]) == 2
         assert "--synthetic" in capsys.readouterr().err
 
-    def test_misaligned_chunk_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("chunk_ms,message", BAD_SPANS)
+    def test_misaligned_chunk_is_config_error(self, tmp_path, capsys, chunk_ms, message):
         # checked before the weights are read: the weight path does not exist
         assert run(["bench", "--weights", str(tmp_path / "missing.tvtw"),
-                    "--chunk-ms", "50"]) == 2
+                    "--chunk-ms", chunk_ms]) == 2
         err = capsys.readouterr().err
-        assert "--chunk-ms=50.0 is not frame-aligned" in err and "chunk_ms" not in err
+        assert f"--chunk-ms{message}" in err and "chunk_ms" not in err
+
+    def test_synthetic_draws_only_the_utterances_it_streams(self, workdir, monkeypatch):
+        # 10 warm-up and 100 measured utterances: the other 390 are never read
+        seen = []
+        monkeypatch.setattr(cli, "latency_bench",
+                            lambda model, cfg, speaker, utts: seen.append(utts) or {})
+        assert run(["bench", *_margs(workdir), "--synthetic", "500",
+                    "--utt-seconds", "0.06"]) == 0
+        assert len(seen) == 1 and len(seen[0]) == 110
 
     def test_empty_directory_is_input_error(self, workdir, tmp_path):
         d = tmp_path / "empty"

@@ -2,6 +2,7 @@
 causality / streaming-equivalence properties every other module relies on.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,11 +11,21 @@ import pytest
 from tvtsyn import kernels
 from tvtsyn.context import _attend, band_mask
 from tvtsyn.errors import ConfigError
-from tvtsyn.kernels import (ConvSpec, causal_conv1d, conv_state_init, layer_norm,
-                            rope_cos_sin, rope_rotate, transposed_conv1d_causal)
+from tvtsyn.kernels import ConvLayer, ConvSpec, layer_norm, rope_cos_sin, rope_rotate
 from tvtsyn.kernels import elu, linear, sigmoid
 
 F32 = np.float32
+
+
+def conv_layer(spec, w, b=None):
+    """A ConvLayer of weight w and bias b (zeros when omitted)."""
+    return ConvLayer(spec, w, np.zeros(spec.out_ch, F32) if b is None else b)
+
+
+def conv(x, spec, w, b=None, state=None):
+    """One call of conv_layer(spec, w, b) from `state` (zeros when omitted)."""
+    layer = conv_layer(spec, w, b)
+    return layer.apply(x, layer.init_state() if state is None else state)
 
 
 def conv_oracle(x, w, b, stride, dilation):
@@ -50,20 +61,20 @@ def tconv_oracle(x, w, b, stride):
 class TestCausalConv:
     def test_identity_kernel(self):
         spec = ConvSpec(1, 1, 1)
-        y, _ = causal_conv1d(np.array([[1, 2, 3]], F32), spec, np.ones((1, 1, 1), F32))
+        y, _ = conv(np.array([[1, 2, 3]], F32), spec, np.ones((1, 1, 1), F32))
         assert np.array_equal(y, [[1, 2, 3]])
 
     def test_hand_computed_k2(self):
         # y[j] = x[j-1] + x[j] with zero left state
         spec = ConvSpec(1, 1, 2)
-        y, _ = causal_conv1d(np.array([[1, 2, 3]], F32), spec, np.ones((1, 1, 2), F32))
+        y, _ = conv(np.array([[1, 2, 3]], F32), spec, np.ones((1, 1, 2), F32))
         assert np.array_equal(y, [[1, 3, 5]])
 
     def test_stride_output_count(self):
         spec = ConvSpec(1, 2, 16, stride=8)
         rng = np.random.default_rng(0)
-        y, _ = causal_conv1d(rng.normal(size=(1, 320)).astype(F32), spec,
-                             rng.normal(size=(2, 1, 16)).astype(F32))
+        y, _ = conv(rng.normal(size=(1, 320)).astype(F32), spec,
+                    rng.normal(size=(2, 1, 16)).astype(F32))
         assert y.shape == (2, 40)
 
     @pytest.mark.parametrize("stride,dilation", [(1, 1), (1, 2), (2, 1), (5, 1), (4, 3)])
@@ -73,7 +84,7 @@ class TestCausalConv:
         x = rng.normal(size=(3, 40)).astype(F32)
         w = rng.normal(size=(5, 3, 4)).astype(F32)
         b = rng.normal(size=5).astype(F32)
-        y, _ = causal_conv1d(x, spec, w, b)
+        y, _ = conv(x, spec, w, b)
         expected = conv_oracle(x, w, b, stride, dilation)
         assert y.shape == expected.shape
         np.testing.assert_allclose(y, expected, atol=1e-5)
@@ -84,11 +95,11 @@ class TestCausalConv:
         spec = ConvSpec(2, 2, 3, dilation=2)
         x = rng.normal(size=(2, 30)).astype(F32)
         w = rng.normal(size=(2, 2, 3)).astype(F32)
-        base, _ = causal_conv1d(x, spec, w)
+        base, _ = conv(x, spec, w)
         for t in (5, 12, 28):
             poked = x.copy()
             poked[:, t + 1:] = 0
-            y, _ = causal_conv1d(poked, spec, w)
+            y, _ = conv(poked, spec, w)
             assert np.array_equal(base[:, :t + 1], y[:, :t + 1])
 
     def test_streaming_equals_one_shot_arbitrary_splits(self):
@@ -97,15 +108,15 @@ class TestCausalConv:
         x = rng.normal(size=(2, 64)).astype(F32)
         w = rng.normal(size=(3, 2, 5)).astype(F32)
         b = rng.normal(size=3).astype(F32)
-        full, _ = causal_conv1d(x, spec, w, b)
+        full, _ = conv(x, spec, w, b)
         for seed in range(5):
             cuts = np.sort(np.random.default_rng(seed).choice(
                 np.arange(1, 64), size=4, replace=False))
-            state = conv_state_init(spec)
+            state = conv_layer(spec, w).init_state()
             parts = []
             prev = 0
             for cut in list(cuts) + [64]:
-                y, state = causal_conv1d(x[:, prev:cut], spec, w, b, state)
+                y, state = conv(x[:, prev:cut], spec, w, b, state)
                 parts.append(y)
                 prev = cut
             np.testing.assert_allclose(np.concatenate(parts, axis=1), full, atol=1e-6)
@@ -115,34 +126,35 @@ class TestCausalConv:
         spec = ConvSpec(1, 2, 8, stride=4)
         x = rng.normal(size=(1, 48)).astype(F32)
         w = rng.normal(size=(2, 1, 8)).astype(F32)
-        full, _ = causal_conv1d(x, spec, w)
-        state = conv_state_init(spec)
+        full, _ = conv(x, spec, w)
+        state = conv_layer(spec, w).init_state()
         parts = []
         for k in range(0, 48, 16):
-            y, state = causal_conv1d(x[:, k:k + 16], spec, w, state=state)
+            y, state = conv(x[:, k:k + 16], spec, w, state=state)
             parts.append(y)
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, atol=1e-6)
 
     def test_shape_mismatch_is_config_error(self):
         spec = ConvSpec(2, 3, 4)
         with pytest.raises(ConfigError):
-            causal_conv1d(np.zeros((2, 8), F32), spec, np.zeros((3, 2, 5), F32))
+            conv(np.zeros((2, 8), F32), spec, np.zeros((3, 2, 5), F32))
         with pytest.raises(ConfigError):
-            causal_conv1d(np.zeros((1, 8), F32), spec, np.zeros((3, 2, 4), F32))
+            conv(np.zeros((1, 8), F32), spec, np.zeros((3, 2, 4), F32))
 
 
 class TestTransposedConv:
     def test_hand_computed(self):
-        spec = ConvSpec(1, 1, 2, stride=2, transposed=True)
-        y, _ = transposed_conv1d_causal(np.array([[1, 2]], F32), spec,
-                                        np.ones((1, 1, 2), F32))
-        assert np.array_equal(y, [[1, 1, 2, 2]])
+        # frame t adds x[t] to samples 2t..2t+3; samples 4 and 5 are carried
+        spec = ConvSpec(1, 1, 4, stride=2, transposed=True)
+        y, state = conv(np.array([[1, 2]], F32), spec, np.ones((1, 1, 4), F32))
+        assert np.array_equal(y, [[1, 1, 3, 3]])
+        assert np.array_equal(state, [[2, 2]])
 
     def test_zero_input_zero_output(self):
         spec = ConvSpec(3, 2, 8, stride=4, transposed=True)
         rng = np.random.default_rng(0)
         w = rng.normal(size=(3, 2, 8)).astype(F32)
-        y, _ = transposed_conv1d_causal(np.zeros((3, 6), F32), spec, w)
+        y, _ = conv(np.zeros((3, 6), F32), spec, w)
         assert y.shape == (2, 24) and not y.any()
 
     def test_composed_strides_restore_factor_320(self):
@@ -151,16 +163,16 @@ class TestTransposedConv:
         for stride in (2, 4, 5, 8):
             spec = ConvSpec(2, 2, 2 * stride, stride=stride, transposed=True)
             w = rng.normal(size=(2, 2, 2 * stride)).astype(F32)
-            x, _ = transposed_conv1d_causal(x, spec, w)
+            x, _ = conv(x, spec, w)
         assert x.shape == (2, 16000)
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(5)
-        spec = ConvSpec(3, 2, 6, stride=2, transposed=True)
+        spec = ConvSpec(3, 2, 4, stride=2, transposed=True)
         x = rng.normal(size=(3, 12)).astype(F32)
-        w = rng.normal(size=(3, 2, 6)).astype(F32)
+        w = rng.normal(size=(3, 2, 4)).astype(F32)
         b = rng.normal(size=2).astype(F32)
-        y, _ = transposed_conv1d_causal(x, spec, w, b)
+        y, _ = conv(x, spec, w, b)
         np.testing.assert_allclose(y, tconv_oracle(x, w, b, 2), atol=1e-5)
 
     def test_streaming_tail_carry(self):
@@ -169,11 +181,11 @@ class TestTransposedConv:
         x = rng.normal(size=(2, 20)).astype(F32)
         w = rng.normal(size=(2, 3, 10)).astype(F32)
         b = rng.normal(size=3).astype(F32)
-        full, _ = transposed_conv1d_causal(x, spec, w, b)
-        state = conv_state_init(spec)
+        full, _ = conv(x, spec, w, b)
+        state = conv_layer(spec, w).init_state()
         parts = []
         for k in range(0, 20, 5):
-            y, state = transposed_conv1d_causal(x[:, k:k + 5], spec, w, b, state)
+            y, state = conv(x[:, k:k + 5], spec, w, b, state)
             parts.append(y)
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, atol=1e-6)
 
@@ -183,13 +195,56 @@ class TestTransposedConv:
         h = x
         for stride in (8, 5, 4, 2):
             spec = ConvSpec(h.shape[0], 2, 2 * stride, stride=stride)
-            h, _ = causal_conv1d(h, spec, rng.normal(size=(2, h.shape[0], 2 * stride)).astype(F32))
+            h, _ = conv(h, spec, rng.normal(size=(2, h.shape[0], 2 * stride)).astype(F32))
         assert h.shape[1] == 10
         for stride in (2, 4, 5, 8):
             spec = ConvSpec(h.shape[0], 2, 2 * stride, stride=stride, transposed=True)
-            h, _ = transposed_conv1d_causal(h, spec,
-                                            rng.normal(size=(h.shape[0], 2, 2 * stride)).astype(F32))
+            h, _ = conv(h, spec, rng.normal(size=(h.shape[0], 2, 2 * stride)).astype(F32))
         assert h.shape[1] == 3200
+
+
+class TestConvLayer:
+    """A ConvLayer checks its tensors against its spec once, when it is built,
+    and each call's input and state; it cannot be changed after."""
+
+    @pytest.mark.parametrize("spec", [ConvSpec(2, 3, 4, 2), ConvSpec(2, 3, 4, 2, transposed=True)])
+    def test_wrong_weight_or_bias_is_config_error_at_construction(self, spec):
+        w = np.zeros(spec.weight_shape, F32)
+        ConvLayer(spec, w, np.zeros(3, F32))
+        for bad in (np.zeros((3, 3, 4), F32), np.zeros((2, 3, 5), F32), np.zeros((24,), F32)):
+            with pytest.raises(ConfigError, match="weight shape"):
+                ConvLayer(spec, bad, np.zeros(3, F32))
+        for bad in (np.zeros(2, F32), np.zeros((3, 1), F32)):
+            with pytest.raises(ConfigError, match="bias shape"):
+                ConvLayer(spec, w, bad)
+
+    def test_fields_cannot_be_assigned(self):
+        spec = ConvSpec(2, 3, 4)
+        layer = conv_layer(spec, np.zeros((3, 2, 4), F32))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.weight = np.zeros((3, 2, 5), F32)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layer.bias = None
+        assert [f.name for f in dataclasses.fields(ConvLayer)] == ["spec", "weight", "bias"]
+
+    # kernels that are not 2*stride: one group of `stride` taps (2/2, 3/3),
+    # two and a ragged third (5/2, 7/3), three (3/1, 6/2, 12/4)
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 3), (7, 3), (3, 1), (5, 2), (6, 2),
+                                               (12, 4)])
+    def test_transposed_kernel_other_than_twice_stride_is_rejected(self, kernel, stride):
+        with pytest.raises(ConfigError, match="kernel = 2 \\* stride"):
+            ConvSpec(6, 5, kernel, stride, transposed=True)
+        assert ConvSpec(6, 5, kernel, stride).state_len == kernel - 1
+
+    @pytest.mark.parametrize("spec", [ConvSpec(2, 3, 4, 2), ConvSpec(2, 3, 4, 2, transposed=True)])
+    def test_input_and_state_are_checked_per_call(self, spec):
+        layer = conv_layer(spec, np.zeros(spec.weight_shape, F32))
+        state = layer.init_state()
+        for bad in (np.zeros((3, 4), F32), np.zeros(4, F32), np.zeros((1, 2, 4), F32)):
+            with pytest.raises(ConfigError, match="input shape"):
+                layer.apply(bad, state)
+        with pytest.raises(ConfigError, match="state shape"):
+            layer.apply(np.zeros((2, 4), F32), np.zeros((state.shape[0], state.shape[1] + 1), F32))
 
 
 class TestLayerNorm:
@@ -309,7 +364,7 @@ def _f64(a):
 
 
 def _check_causal_conv(rng, spec, t):
-    """causal_conv1d from a random state against a float64 einsum over [state | x]."""
+    """A forward ConvLayer from a random state against a float64 einsum over [state | x]."""
     x = rng.normal(size=(spec.in_ch, t)).astype(F32)
     w = rng.normal(size=(spec.out_ch, spec.in_ch, spec.kernel)).astype(F32)
     b = rng.normal(size=spec.out_ch).astype(F32)
@@ -319,14 +374,14 @@ def _check_causal_conv(rng, spec, t):
     cols = (np.arange(t_out)[:, None] * spec.stride
             + np.arange(spec.kernel)[None, :] * spec.dilation)
     want = np.einsum("ock,cjk->oj", _f64(w), xx[:, cols]) + _f64(b)[:, None]
-    got, new_state = causal_conv1d(x, spec, w, b, state)
+    got, new_state = conv(x, spec, w, b, state)
     assert got.shape == (spec.out_ch, t_out) and got.dtype == F32
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-4)
     assert np.array_equal(new_state, xx[:, xx.shape[1] - spec.state_len:].astype(F32))
 
 
 def _check_transposed_conv(rng, spec, t):
-    """transposed_conv1d_causal from a random carried state against a float64
+    """A transposed ConvLayer from a random carried state against a float64
     einsum and overlap-add."""
     c_in, c_out, kernel, stride = spec.in_ch, spec.out_ch, spec.kernel, spec.stride
     x = rng.normal(size=(c_in, t)).astype(F32)
@@ -338,7 +393,7 @@ def _check_transposed_conv(rng, spec, t):
     for k in range(kernel):
         full[:, k:k + (t - 1) * stride + 1:stride] += contrib[:, k]
     full[:, :spec.state_len] += _f64(state)
-    got, new_state = transposed_conv1d_causal(x, spec, w, b, state)
+    got, new_state = conv(x, spec, w, b, state)
     assert got.shape == (c_out, t * stride) and got.dtype == F32
     np.testing.assert_allclose(got, full[:, :t * stride] + _f64(b)[:, None],
                                rtol=1e-5, atol=1e-4)
@@ -378,17 +433,17 @@ class TestWeightMajorProducts:
         _check_causal_conv(np.random.default_rng(100 * kernel + 10 * stride + dilation),
                            ConvSpec(6, 5, kernel, stride, dilation), t)
 
-    # no input columns take the general path, as in the forward conv
-    @pytest.mark.parametrize("kernel,stride", [(4, 2), (16, 8), (3, 3)])
+    # no input columns: no output, and the state as it was
+    @pytest.mark.parametrize("kernel,stride", [(4, 2), (16, 8)])
     def test_transposed_conv_of_no_columns(self, kernel, stride):
         rng = np.random.default_rng(kernel)
         spec = ConvSpec(6, 5, kernel, stride, transposed=True)
         w = rng.normal(size=(6, 5, kernel)).astype(F32)
         state = rng.normal(size=(5, spec.state_len)).astype(F32)
-        y, new_state = transposed_conv1d_causal(np.zeros((6, 0), F32), spec, w,
-                                                rng.normal(size=5).astype(F32), state)
+        y, new_state = conv(np.zeros((6, 0), F32), spec, w, rng.normal(size=5).astype(F32),
+                            state)
         assert y.shape == (5, 0) and y.dtype == F32
-        assert np.array_equal(new_state, state)
+        assert np.array_equal(new_state, state) and not np.shares_memory(new_state, state)
 
     # the model's (kernel, stride, dilation) sets: res units and their 1x1
     # convs, every down conv, conv_in/conv_out, and the frame-rate convs
@@ -426,42 +481,37 @@ class TestWeightMajorProducts:
         x = rng.normal(size=(6, t_out * stride)).astype(F32)
         w = rng.normal(size=(out_ch, 6, kernel)).astype(F32)
         b = rng.normal(size=out_ch).astype(F32)
-        full, _ = causal_conv1d(x, spec, w, b)
+        full, _ = conv(x, spec, w, b)
         cuts = np.sort(rng.choice(np.arange(1, t_out), size=6, replace=False)) * stride
-        state, parts, prev = conv_state_init(spec), [], 0
+        state, parts, prev = conv_layer(spec, w).init_state(), [], 0
         for cut in [*cuts, t_out * stride]:
-            y, state = causal_conv1d(x[:, prev:cut], spec, w, b, state)
+            y, state = conv(x[:, prev:cut], spec, w, b, state)
             parts.append(y)
             prev = cut
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, rtol=1e-5, atol=1e-4)
 
-    # the per-phase sums over groups of `stride` taps: one group (2/2),
-    # whole groups (3/1, 4/2, 12/4, 16/8) and a ragged last group (5/2, 7/3);
-    # at T = 1 the carried K - s samples outlast the call's output for 3/1,
-    # 5/2, 7/3 and 12/4
+    # kernel 2*stride at stride 1 and at every stride of the model
     @pytest.mark.parametrize("t", [1, 3, 960])
-    @pytest.mark.parametrize("kernel,stride", [(4, 2), (16, 8), (7, 3), (2, 2), (3, 1),
-                                               (5, 2), (12, 4)])
+    @pytest.mark.parametrize("kernel,stride", [(2, 1), (4, 2), (8, 4), (10, 5), (16, 8)])
     def test_transposed_conv_matches_einsum(self, t, kernel, stride):
         _check_transposed_conv(np.random.default_rng(10 * kernel + stride),
                                ConvSpec(6, 5, kernel, stride, transposed=True), t)
 
-    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1), (5, 2), (7, 3), (12, 4),
-                                               (16, 8)])
+    @pytest.mark.parametrize("kernel,stride", [(2, 1), (4, 2), (8, 4), (10, 5), (16, 8)])
     def test_transposed_conv_chunked_equals_one_call(self, kernel, stride):
-        # from a random carried state, chunks of 1 to 7 frames (ring-outs
-        # that span several later calls) against one call over all 960
+        # from a random carried state, chunks of 1 to 7 frames against one
+        # call over all 960
         rng = np.random.default_rng(500 + 10 * kernel + stride)
         spec = ConvSpec(6, 5, kernel, stride, transposed=True)
         x = rng.normal(size=(6, 960)).astype(F32)
         w = rng.normal(size=(6, 5, kernel)).astype(F32)
         b = rng.normal(size=5).astype(F32)
         state = rng.normal(size=(5, spec.state_len)).astype(F32)
-        full, full_state = transposed_conv1d_causal(x, spec, w, b, state)
+        full, full_state = conv(x, spec, w, b, state)
         parts, prev = [], 0
         while prev < x.shape[1]:
             cut = min(prev + int(rng.integers(1, 8)), x.shape[1])
-            y, state = transposed_conv1d_causal(x[:, prev:cut], spec, w, b, state)
+            y, state = conv(x[:, prev:cut], spec, w, b, state)
             parts.append(y)
             prev = cut
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, rtol=1e-5, atol=1e-5)
@@ -501,7 +551,7 @@ class TestWeightMajorProducts:
 
 
 class TestConvTemporaries:
-    """causal_conv1d's working memory is bounded by the im2col block budget,
+    """A forward conv's working memory is bounded by the im2col block budget,
     not by kernel x channels x input length (at 2 s of 16 kHz audio the old
     one-shot im2col was 86 MB for 96->1 k7 and 37 MB for 96->96 k3 d2)."""
 
@@ -513,9 +563,10 @@ class TestConvTemporaries:
         w = rng.normal(size=(out_ch, 96, kernel)).astype(F32)
         b = rng.normal(size=out_ch).astype(F32)
         state = rng.normal(size=(96, spec.state_len)).astype(F32)
+        layer = ConvLayer(spec, w, b)
         tracemalloc.start()
         try:
-            y, _ = causal_conv1d(x, spec, w, b, state)
+            y, _ = layer.apply(x, state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -10,8 +10,7 @@ import pytest
 from conftest import random_wave
 from tvtsyn.config import LOOKBACK_FRAMES, StreamConfig
 from tvtsyn.context import KvCache, transformer_full, transformer_step
-from tvtsyn.kernels import (ConvSpec, causal_conv1d, elu, layer_norm, linear,
-                            transposed_conv1d_causal)
+from tvtsyn.kernels import ConvLayer, ConvSpec, elu, layer_norm, linear
 from tvtsyn.model import synthesize
 from tvtsyn.streaming import open_session
 
@@ -41,26 +40,26 @@ class Snapshot:
 
 @pytest.mark.parametrize("t", [1, 3, 960])
 @pytest.mark.parametrize("kernel,stride,dilation", [(1, 1, 1), (3, 1, 2), (16, 8, 1), (7, 1, 1)])
-def test_causal_conv1d_is_pure(t, kernel, stride, dilation):
+def test_causal_conv_is_pure(t, kernel, stride, dilation):
     rng = np.random.default_rng(t + kernel)
     spec = ConvSpec(6, 5, kernel, stride, dilation)
     x, w, b = _normal(rng, 6, t * stride), _normal(rng, 5, 6, kernel), _normal(rng, 5)
     state = _normal(rng, 6, spec.state_len)
     snap = Snapshot(x, w, b, state)
-    y, new_state = causal_conv1d(x, spec, w, b, state)
+    y, new_state = ConvLayer(spec, w, b).apply(x, state)
     snap.assert_unchanged()
     snap.assert_not_aliased(y, new_state)
 
 
 @pytest.mark.parametrize("t", [1, 3, 960])
-@pytest.mark.parametrize("kernel,stride", [(2, 2), (4, 2), (12, 4), (16, 8)])
+@pytest.mark.parametrize("kernel,stride", [(2, 1), (4, 2), (10, 5), (16, 8)])
 def test_transposed_conv_is_pure(t, kernel, stride):
     rng = np.random.default_rng(t + kernel)
     spec = ConvSpec(6, 5, kernel, stride, transposed=True)
     x, w, b = _normal(rng, 6, t), _normal(rng, 6, 5, kernel), _normal(rng, 5)
     state = _normal(rng, 5, spec.state_len)
     snap = Snapshot(x, w, b, state)
-    y, new_state = transposed_conv1d_causal(x, spec, w, b, state)
+    y, new_state = ConvLayer(spec, w, b).apply(x, state)
     snap.assert_unchanged()
     snap.assert_not_aliased(y, new_state)
 

@@ -1,8 +1,8 @@
 """The SEANet encoder and decoder CNNs against their architecture, written out
-from the kernels: which conv follows which, where each ELU goes, the residual
-skips and the final tanh. Streaming and offline run through the same CNN code,
-so the streaming-equals-offline checks cannot see a wrong layer order; this
-reference can.
+as one ConvLayer per named weight: which conv follows which, where each ELU
+goes, the residual skips and the final tanh. Streaming and offline run
+through the same CNN code, so the streaming-equals-offline checks cannot see
+a wrong layer order; this reference can.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from conftest import random_wave
 from tvtsyn.config import ENCODER_STRIDES, FINAL_KERNEL, INIT_KERNEL, RES_DILATION, RES_KERNEL
 from tvtsyn.decoder import DecoderCnn
 from tvtsyn.encoder import EncoderCnn
-from tvtsyn.kernels import ConvSpec, causal_conv1d, elu, transposed_conv1d_causal
+from tvtsyn.kernels import ConvLayer, ConvSpec, elu
 from tvtsyn.weights import WeightStore
 
 F32 = np.float32
@@ -32,7 +32,7 @@ def biased_store(store):
 
 
 class Reference:
-    """The CNNs from the kernels, with one carried state per conv by name."""
+    """The CNNs from ConvLayers, with one carried state per conv by name."""
 
     def __init__(self, store, cfg):
         self.store = store
@@ -41,9 +41,9 @@ class Reference:
         self.widths = [cfg.base_width * 2 ** i for i in range(len(ENCODER_STRIDES) + 1)]
 
     def conv(self, name, spec, x):
-        kernel = transposed_conv1d_causal if spec.transposed else causal_conv1d
-        y, self.states[name] = kernel(x, spec, self.store.get(f"{name}.weight"),
-                                      self.store.get(f"{name}.bias"), self.states.get(name))
+        layer = ConvLayer(spec, self.store.get(f"{name}.weight"), self.store.get(f"{name}.bias"))
+        state = self.states[name] if name in self.states else layer.init_state()
+        y, self.states[name] = layer.apply(x, state)
         return y
 
     def res(self, name, width, x):

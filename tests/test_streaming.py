@@ -33,6 +33,18 @@ class TestOpenSession:
         with pytest.raises(ConfigError, match="40 ms or 60 ms"):
             open_session(model, StreamConfig(chunk_ms=50), speaker)
 
+    def test_bad_speaker_rejected(self, model, speaker):
+        # checked once, by the speaker memory the session builds
+        dim = model.cfg.global_dim
+        nan = speaker.copy()
+        nan[3] = np.nan
+        for bad, message in ((speaker[None], "must be 1-D, got shape"),
+                             (speaker[:-1], f"has dim {dim - 1}, expected {dim}"),
+                             (nan, "contains non-finite values"),
+                             (np.zeros(dim, F32), "must have nonzero norm")):
+            with pytest.raises(InputError, match=f"global timbre vector {message}"):
+                open_session(model, StreamConfig(chunk_ms=60), bad)
+
     def test_wrong_chunk_length_rejected(self, model, speaker):
         s = open_session(model, StreamConfig(chunk_ms=60), speaker)
         with pytest.raises(InputError):
