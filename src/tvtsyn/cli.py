@@ -33,14 +33,17 @@ EXIT_INTERNAL = 3
 
 
 def _read_speaker(path, expected_dim):
+    n_bytes = 4 * expected_dim
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            raw = f.read(n_bytes + 1)  # one byte more tells a longer file apart
     except OSError as exc:
         raise InputError(f"cannot read speaker file {path}: {exc}") from exc
-    if len(raw) != 4 * expected_dim:
+    if len(raw) != n_bytes:
+        held = f"more than {n_bytes}" if len(raw) > n_bytes else len(raw)
         raise InputError(
-            f"speaker file {path} holds {len(raw)} bytes, expected {expected_dim} "
-            f"float32 values ({4 * expected_dim} bytes)")
+            f"speaker file {path} holds {held} bytes, expected {expected_dim} "
+            f"float32 values ({n_bytes} bytes)")
     return np.frombuffer(raw, dtype="<f4").astype(F32)
 
 
@@ -145,17 +148,18 @@ def cmd_bench(args):
         if args.synthetic < 1:
             raise ConfigError(f"--synthetic must be >= 1, got {args.synthetic}")
     model = _load(args)
+    # latency_bench streams only the first `needed` utterances
+    needed = WARMUP_UTTERANCES + MEASURED_UTTERANCES
     if args.utterances:
         paths = sorted(Path(args.utterances).glob("*.wav"))
         if not paths:
             raise InputError(f"no .wav files under {args.utterances}")
-        utts = [wavio.read_wav(p) for p in paths]
+        utts = [wavio.read_wav(p) for p in paths[:needed]]
     else:
-        # latency_bench reads no more utterances than it streams
         rng = np.random.Generator(np.random.PCG64(args.seed))
         n_samples = int(args.utt_seconds * SAMPLE_RATE)
         utts = [rng.uniform(-0.5, 0.5, size=n_samples).astype(F32)
-                for _ in range(min(args.synthetic, WARMUP_UTTERANCES + MEASURED_UTTERANCES))]
+                for _ in range(min(args.synthetic, needed))]
     if args.speaker:
         speaker = _read_speaker(args.speaker, model.cfg.global_dim)
     else:

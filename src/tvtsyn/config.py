@@ -30,6 +30,8 @@ MAX_SPAN_SECONDS = 60.0
 # factorized VQ bottleneck: L2-normalized codes, 4096 entries of dim 8
 CODEBOOK_SIZE = 4096
 VQ_DIM = 8
+# longest config file that load_config reads; a real one is under 300 bytes
+MAX_CONFIG_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -135,26 +137,13 @@ class StreamConfig:
             raise ConfigError(f"lookahead_frames must be in [0, {MAX_LOOKAHEAD}]")
 
 
-# Keys that older config files hold for values now fixed by the architecture,
-# each with that value (vq_commitment weighted a training loss that inference
-# never computes); each still loads, but only at the one value it was pinned to.
-LEGACY_KEYS = {
-    "sample_rate": SAMPLE_RATE, "codebook_size": CODEBOOK_SIZE, "vq_dim": VQ_DIM,
-    "vq_l2_normalize": True, "vq_commitment": 0.15,
-    "encoder_strides": ENCODER_STRIDES, "decoder_strides": DECODER_STRIDES,
-    "init_kernel": INIT_KERNEL, "final_kernel": FINAL_KERNEL, "res_kernel": RES_KERNEL,
-    "res_dilation": RES_DILATION, "lookback_frames": LOOKBACK_FRAMES,
-    "encoder_lookahead": MAX_LOOKAHEAD, "layer_scale": LAYER_SCALE,
-}
-
-
 def config_to_text(cfg: ModelConfig) -> str:
     return "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in dataclasses.fields(cfg))
 
 
 def config_from_text(text: str) -> ModelConfig:
     fields = {f.name for f in dataclasses.fields(ModelConfig)}
-    kwargs, legacy, seen = {}, {}, {}
+    kwargs, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -165,30 +154,13 @@ def config_from_text(text: str) -> ModelConfig:
         if key in seen:
             raise FormatError(f"config key {key!r} is given twice, on lines {seen[key]} and {lineno}")
         seen[key] = lineno
-        if key in fields:
-            kwargs[key] = _parse_value(int, val, key)
-        elif key in LEGACY_KEYS:
-            legacy[key] = (val, _parse_value(type(LEGACY_KEYS[key]), val, key))
-        else:
+        if key not in fields:
             raise FormatError(f"config line {lineno}: unknown key {key!r}")
-    cfg = ModelConfig(**kwargs)
-    for key, (val, parsed) in legacy.items():
-        if parsed != LEGACY_KEYS[key]:
-            raise ConfigError(f"config line {seen[key]}: {key} is fixed by the architecture; "
-                              f"{val!r} is not its value")
-    return cfg
-
-
-def _parse_value(kind, val, key):
-    """`val` as an int, a float, a comma-separated tuple of ints or a bool."""
-    if kind is bool:
-        return val.lower() in ("true", "1", "yes")
-    try:
-        if kind is tuple:
-            return tuple(int(x) for x in val.split(","))
-        return kind(val)
-    except ValueError as exc:
-        raise FormatError(f"config key {key!r}: cannot parse {val!r}") from exc
+        try:
+            kwargs[key] = int(val)
+        except ValueError as exc:
+            raise FormatError(f"config key {key!r}: cannot parse {val!r}") from exc
+    return ModelConfig(**kwargs)
 
 
 def save_config(cfg: ModelConfig, path):
@@ -196,4 +168,10 @@ def save_config(cfg: ModelConfig, path):
 
 
 def load_config(path) -> ModelConfig:
-    return config_from_text(Path(path).read_text())
+    """The config file at `path`, read once from its start (so a pipe works),
+    and at most MAX_CONFIG_BYTES of it."""
+    with open(path, "rb") as f:
+        raw = f.read(MAX_CONFIG_BYTES + 1)
+    if len(raw) > MAX_CONFIG_BYTES:
+        raise FormatError(f"config file {path} is longer than {MAX_CONFIG_BYTES} bytes")
+    return config_from_text(raw.decode("utf-8"))

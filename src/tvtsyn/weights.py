@@ -5,9 +5,8 @@ Container layout (little-endian, bit-exact):
   per entry: name_len u16 | name utf-8 | ndim u8 | dims u32 each
              | zero padding to the next 64-byte file offset | raw f32 payload
 `save_weights` streams version 2 into the file, and `load_weights` maps it
-and binds every payload as a view. Version 1, the same layout without the
-padding, still loads, read into one aligned arena and never mapped: files
-written before version 2 must keep working.
+and binds every payload as a view. Any other version is a FormatError:
+`tvtsyn init-weights` regenerates a file from its seed and config.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .kernels import F32
 
 MAGIC = b"TVTW"
 VERSION = 2
-ALIGN = 64    # version 2 payload file offsets, and the arena's alignment, in bytes
+ALIGN = 64    # payload file offsets, in bytes
 MAX_NDIM = 64  # numpy's own limit
 
 
@@ -70,28 +69,21 @@ class WeightStore:
         return total
 
 
-def _read_into(stream, buf) -> bool:
-    """Fill `buf` from `stream`; False when the stream ends first."""
-    view = memoryview(buf)
-    got = 0
-    while got < len(view):
-        n = stream.readinto(view[got:])
-        if not n:
-            return False
-        got += n
-    return True
-
-
 def _read_exact(stream, n: int, what: str) -> bytearray:
     buf = bytearray(n)
-    if not _read_into(stream, buf):
-        raise FormatError(f"truncated {what}")
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = stream.readinto(view[got:])
+        if not k:
+            raise FormatError(f"truncated {what}")
+        got += k
     return buf
 
 
 def _read_headers(stream):
-    """The one header pass over a TVTW file: its version, each entry's
-    (name, dims, payload offset, payload bytes), and its size.
+    """The one header pass over a TVTW file: each entry's (name, dims,
+    payload offset, payload bytes), and the file's size.
 
     It reads every entry header, seeking past each payload, and checks each
     against the file size, so nothing is bound or allocated from an
@@ -102,8 +94,9 @@ def _read_headers(stream):
     if size < 12 or _read_exact(stream, 4, "magic") != MAGIC:
         raise FormatError("bad magic: not a TVTW weight file")
     version, count = struct.unpack("<II", _read_exact(stream, 8, "file header"))
-    if version not in (1, VERSION):
-        raise FormatError(f"unsupported TVTW version {version}")
+    if version != VERSION:
+        raise FormatError(f"unsupported TVTW version {version}, expected {VERSION}; regenerate "
+                          f"the file with `tvtsyn init-weights --seed N [--config FILE]`")
 
     entries = []
     for i in range(count):
@@ -119,8 +112,7 @@ def _read_headers(stream):
             raise FormatError(f"entry {name!r} has {ndim} dims, at most {MAX_NDIM} allowed")
         dims = struct.unpack(f"<{ndim}I", _read_exact(stream, 4 * ndim, what))
         off = stream.tell()
-        if version == VERSION:
-            off += -off % ALIGN
+        off += -off % ALIGN
         nbytes = 4 * math.prod(dims)
         if off + nbytes > size:
             raise FormatError(f"truncated payload for entry {name!r}")
@@ -129,25 +121,7 @@ def _read_headers(stream):
     trailing = size - stream.tell()
     if trailing:
         raise FormatError(f"{trailing} trailing bytes after last entry")
-    return version, entries, size
-
-
-def _read_arena(entries, stream):
-    """Each entry's payload, read from `stream` straight into its 64-byte
-    aligned slice of one read-only arena, since misaligned arrays miss BLAS."""
-    strides = [-(-nbytes // ALIGN) * ALIGN for *_, nbytes in entries]
-    arena = np.empty(sum(strides) + ALIGN, dtype=np.uint8)
-    start = -arena.ctypes.data % ALIGN
-    payloads = []
-    for (name, _, off, nbytes), stride in zip(entries, strides):
-        payload = arena[start:start + nbytes]
-        stream.seek(off)
-        if not _read_into(stream, payload):
-            raise FormatError(f"truncated payload for entry {name!r}")
-        payloads.append(payload)
-        start += stride
-    arena.flags.writeable = False
-    return payloads
+    return entries, size
 
 
 def save_weights(store: WeightStore, path):
@@ -176,24 +150,19 @@ def save_weights(store: WeightStore, path):
 def load_weights(path) -> WeightStore:
     """Load a TVTW file into a store of read-only, 64-byte aligned arrays.
 
-    A version 2 file is mapped read-only and every payload is a view of the
-    mapping, so nothing is copied and processes that load the same file
-    share its one page-cache copy. A version 1 file is never mapped: its
-    payloads, unaligned in the file, are read into one arena."""
+    The file is mapped read-only and every payload is a view of the mapping,
+    so nothing is copied and processes that load the same file share its one
+    page-cache copy."""
     with open(path, "rb", buffering=0) as f:
-        version, entries, size = _read_headers(f)
-        if version == VERSION:
-            try:
-                mapped = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ)
-            except ValueError as exc:  # the file shrank after the header pass
-                raise FormatError(f"cannot map {path}: {exc}") from exc
-            whole = np.frombuffer(mapped, dtype=np.uint8)
-            payloads = [whole[off:off + nbytes] for _, _, off, nbytes in entries]
-        else:
-            payloads = _read_arena(entries, f)
+        entries, size = _read_headers(f)
+        try:
+            mapped = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ)
+        except ValueError as exc:  # the file shrank after the header pass
+            raise FormatError(f"cannot map {path}: {exc}") from exc
+    whole = np.frombuffer(mapped, dtype=np.uint8)
     store = WeightStore()
-    for (name, dims, _, _), payload in zip(entries, payloads):
-        store.put(name, payload.view("<f4").reshape(dims))
+    for name, dims, off, nbytes in entries:
+        store.put(name, whole[off:off + nbytes].view("<f4").reshape(dims))
     return store
 
 

@@ -5,6 +5,16 @@ from tvtsyn.config import small_config
 from tvtsyn.model import TvtSynModel, random_init
 
 
+# the keys that older config files held for values the architecture fixes,
+# each at the one value it was pinned to; every one is now an unknown key
+REMOVED_CONFIG_KEYS = {
+    "sample_rate": "16000", "codebook_size": "4096", "vq_dim": "8", "vq_l2_normalize": "true",
+    "vq_commitment": "0.15", "encoder_strides": "8,5,4,2", "decoder_strides": "2,4,5,8",
+    "init_kernel": "7", "final_kernel": "3", "res_kernel": "3", "res_dilation": "2",
+    "lookback_frames": "100", "encoder_lookahead": "4", "layer_scale": "0.01",
+}
+
+
 @pytest.fixture(scope="session")
 def cfg():
     return small_config()

@@ -5,17 +5,22 @@ and the WAV / speaker-vector / JSON external interfaces.
 import errno
 import json
 import os
+import re
+import resource
 import struct
+import threading
+import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_wave, store_of
+from conftest import REMOVED_CONFIG_KEYS, random_wave, store_of
 from tvtsyn import cli, wavio
 from tvtsyn import model as model_mod
 from tvtsyn.cli import run
-from tvtsyn.config import LEGACY_KEYS, MAX_SPAN_SECONDS, config_to_text, save_config
+from tvtsyn.config import MAX_SPAN_SECONDS, config_to_text, save_config
 from tvtsyn.errors import InputError
 from tvtsyn.weights import load_weights, save_weights
 
@@ -155,10 +160,81 @@ class TestUnreadableWeights:
         assert run(["bench", "--weights", str(tmp_path), "--synthetic", "1"]) == 1
         assert "cannot read weight file" in capsys.readouterr().err
 
+    def test_version_1_file_is_input_error(self, workdir, tmp_path, capsys):
+        # the version is checked before any entry, so the rest of the file
+        # need not be version 1 layout
+        blob = bytearray((workdir / "w.tvtw").read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        (tmp_path / "v1.tvtw").write_bytes(blob)
+        code = run(["synth", "--weights", str(tmp_path / "v1.tvtw"),
+                    "--config", str(workdir / "model.cfg"), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav")])
+        assert code == 1 and not (tmp_path / "x.wav").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("input error: unsupported TVTW version 1, expected 2")
+        assert "tvtsyn init-weights --seed N [--config FILE]" in err
+        assert "Traceback" not in err
+
+
+@contextmanager
+def _address_space_headroom(nbytes):
+    """Cap this process's address space at its current size plus `nbytes`, so
+    that a read without a bound fails with MemoryError instead of taking the
+    machine's memory."""
+    status = Path("/proc/self/status").read_text()
+    size = int(re.search(r"VmSize:\s+(\d+) kB", status)[1]) * 1024
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (size + nbytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+class TestInputSizeLimits:
+    """A speaker or config file is read only up to its limit, so a huge one
+    (or /dev/zero) is an input error that allocates next to nothing."""
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--speaker", "holds more than 128 bytes, expected 32 float32 values"),
+        ("--config", "is longer than 1048576 bytes")])
+    def test_sparse_gigabyte_file_is_input_error(self, workdir, tmp_path, capsys, flag,
+                                                 message):
+        huge = tmp_path / "huge"
+        with open(huge, "wb") as f:
+            f.truncate(1 << 30)  # sparse: no disk blocks, and read as zeros
+        args = {"--weights": workdir / "w.tvtw", "--config": workdir / "model.cfg",
+                "--speaker": workdir / "spk.f32", "--in": workdir / "in.wav",
+                "--out": tmp_path / "x.wav", flag: huge}
+        tracemalloc.start()
+        try:
+            with _address_space_headroom(256 << 20):
+                code = run(["synth", *(str(a) for item in args.items() for a in item)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and not (tmp_path / "x.wav").exists()
+        assert message in capsys.readouterr().err
+        assert peak < 2 << 20
+
+    def test_config_read_from_a_fifo(self, cfg, workdir, tmp_path):
+        # as `--config <(...)` hands the command a pipe, which has no size
+        fifo = tmp_path / "model.cfg"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(config_to_text(cfg),),
+                                  daemon=True)
+        writer.start()
+        code = run(["init-weights", "--seed", "1", "--config", str(fifo),
+                    "--out", str(tmp_path / "w.tvtw")])
+        writer.join(timeout=10)
+        assert code == 0 and not writer.is_alive()
+        assert (tmp_path / "w.tvtw").read_bytes() == (workdir / "w.tvtw").read_bytes()
+
 
 class TestConfigFile:
     """init-weights --config: a bad value is a config error (exit 2), a
-    malformed file an input error (exit 1)."""
+    malformed file (an unknown or removed key, a value that is not an int) an
+    input error (exit 1)."""
 
     def _init(self, tmp_path, text):
         path = tmp_path / "model.cfg"
@@ -166,15 +242,12 @@ class TestConfigFile:
         return run(["init-weights", "--seed", "1", "--config", str(path),
                     "--out", str(tmp_path / "w.tvtw")])
 
-    def test_legacy_keys_at_fixed_values(self, workdir, cfg, tmp_path):
-        text = config_to_text(cfg) + (
-            "sample_rate = 16000\nvq_dim = 8\ncodebook_size = 4096\n"
-            "vq_l2_normalize = true\ndecoder_strides = 2,4,5,8\n"
-            "encoder_strides = 8,5,4,2\ninit_kernel = 7\nfinal_kernel = 3\nres_kernel = 3\n"
-            "res_dilation = 2\nlookback_frames = 100\nencoder_lookahead = 4\n"
-            "layer_scale = 0.01\n")
-        assert self._init(tmp_path, text) == 0
-        assert (tmp_path / "w.tvtw").read_bytes() == (workdir / "w.tvtw").read_bytes()
+    @pytest.mark.parametrize("key,value", REMOVED_CONFIG_KEYS.items())
+    def test_legacy_keys_at_fixed_values(self, cfg, tmp_path, capsys, key, value):
+        # the keys older files held for values the architecture fixes are gone
+        assert self._init(tmp_path, config_to_text(cfg) + f"{key} = {value}\n") == 1
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "w.tvtw").exists()
 
     @pytest.mark.parametrize("line", [
         "sample_rate = 8000", "vq_l2_normalize = false", "codebook_size = 2048",
@@ -182,18 +255,19 @@ class TestConfigFile:
         "final_kernel = 1", "res_kernel = 5", "res_dilation = 1", "lookback_frames = 50",
         "encoder_lookahead = 0", "layer_scale = 0.1"])
     def test_legacy_key_at_another_value(self, cfg, tmp_path, capsys, line):
-        assert self._init(tmp_path, config_to_text(cfg) + line + "\n") == 2
-        assert "fixed by the architecture" in capsys.readouterr().err
+        assert self._init(tmp_path, config_to_text(cfg) + line + "\n") == 1
+        assert f"unknown key '{line.split()[0]}'" in capsys.readouterr().err
         assert not (tmp_path / "w.tvtw").exists()
 
-    @pytest.mark.parametrize("key,value", [("n_heads", "0"), ("layer_scale", "nan"),
-                                           ("vq_commitment", "inf")])
-    def test_bad_value(self, cfg, tmp_path, capsys, key, value):
-        if key in LEGACY_KEYS:  # not in config_to_text
+    @pytest.mark.parametrize("key,value,code", [("n_heads", "0", 2), ("n_heads", "2.5", 1),
+                                                ("layer_scale", "nan", 1),
+                                                ("vq_commitment", "inf", 1)])
+    def test_bad_value(self, cfg, tmp_path, capsys, key, value, code):
+        if key in REMOVED_CONFIG_KEYS:  # not in config_to_text
             text = config_to_text(cfg) + f"{key} = {value}\n"
         else:
             text = config_to_text(cfg).replace(f"{key} = {getattr(cfg, key)}", f"{key} = {value}")
-        assert self._init(tmp_path, text) == 2
+        assert self._init(tmp_path, text) == code
         assert key in capsys.readouterr().err
 
     def test_duplicate_key(self, cfg, tmp_path, capsys):
@@ -492,6 +566,23 @@ class TestBench:
         assert run(["bench", *_margs(workdir), "--synthetic", "500",
                     "--utt-seconds", "0.06"]) == 0
         assert len(seen) == 1 and len(seen[0]) == 110
+
+    @pytest.mark.parametrize("n_files", [109, 112])
+    def test_wav_directory_reads_only_the_utterances_it_streams(self, workdir, tmp_path,
+                                                                 monkeypatch, n_files):
+        # 10 warm-up and 100 measured utterances; fewer files are cycled
+        d = tmp_path / "utts"
+        d.mkdir()
+        for i in range(n_files):
+            wavio.write_wav(d / f"u{i:03d}.wav", random_wave(i, 960))
+        read = []
+        real_read = wavio.read_wav
+        monkeypatch.setattr(wavio, "read_wav", lambda path: read.append(path) or real_read(path))
+        out = tmp_path / "report.json"
+        assert run(["bench", *_margs(workdir), "--utterances", str(d), "--out", str(out)]) == 0
+        assert read == sorted(d.glob("*.wav"))[:110]
+        rep = json.loads(out.read_text())
+        assert rep["measured_count"] == 100 and rep["cycled"] is (n_files < 110)
 
     def test_empty_directory_is_input_error(self, workdir, tmp_path):
         d = tmp_path / "empty"

@@ -11,10 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import store_of
-from tvtsyn.config import (DECODER_STRIDES, LAYER_SCALE, LEGACY_KEYS, MAX_SPAN_SECONDS,
-                           ModelConfig, StreamConfig, config_from_text, config_to_text,
-                           small_config)
+from conftest import REMOVED_CONFIG_KEYS, store_of
+from tvtsyn.config import (DECODER_STRIDES, LAYER_SCALE, MAX_SPAN_SECONDS, ModelConfig,
+                           StreamConfig, config_from_text, config_to_text, small_config)
 from tvtsyn.errors import ConfigError, FormatError
 from tvtsyn.model import TvtSynModel, random_init
 from tvtsyn import weights as weights_mod
@@ -89,26 +88,18 @@ def _load_blob(blob, tmp_path):
     return load_weights(path)
 
 
-def _tvtw(count, *entries):
-    """A TVTW blob from raw (name bytes, ndim, dims, payload bytes) entries."""
-    out = [b"TVTW", struct.pack("<II", 1, count)]
+def _tvtw(count, *entries, version=2):
+    """A TVTW blob from raw (name bytes, ndim, dims, payload bytes) entries.
+    Version 2 zero-pads each payload to the next 64-byte file offset;
+    version 1, the earlier layout, has no padding."""
+    out = bytearray(b"TVTW" + struct.pack("<II", version, count))
     for name, ndim, dims, payload in entries:
-        out += [struct.pack("<H", len(name)), name, struct.pack("<B", ndim),
-                struct.pack(f"<{len(dims)}I", *dims), payload]
-    return b"".join(out)
-
-
-def _v1_blob(store):
-    """`store` as a TVTW version 1 blob: each payload right after its header."""
-    return _tvtw(len(store), *((name.encode(), store.get(name).ndim, store.get(name).shape,
-                                store.get(name).tobytes()) for name in store.names()))
-
-
-def _write(store, path, version):
-    if version == 1:
-        path.write_bytes(_v1_blob(store))
-    else:
-        save_weights(store, path)
+        out += (struct.pack("<H", len(name)) + name + struct.pack("<B", ndim)
+                + struct.pack(f"<{len(dims)}I", *dims))
+        if version == 2:
+            out += bytes(-len(out) % 64)
+        out += payload
+    return bytes(out)
 
 
 def _two_entry_blob(tmp_path):
@@ -136,7 +127,7 @@ class TestHostileHeaders:
 
     def test_huge_dims_allocate_nothing(self, tmp_path):
         blob = _tvtw(1, (b"w", 4, (2 ** 31,) * 4, b""))
-        assert len(blob) == 32
+        assert len(blob) == 64  # 32 bytes of headers, then the padding
         tracemalloc.start()
         try:
             self._rejects(blob, tmp_path, "truncated payload")
@@ -157,10 +148,9 @@ class TestHostileHeaders:
 
 
 class TestLoader:
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_peak_memory_about_one_file(self, cfg, store, tmp_path, version):
+    def test_peak_memory_about_one_file(self, cfg, store, tmp_path):
         path = tmp_path / "w.tvtw"
-        _write(store, path, version)
+        save_weights(store, path)
         tracemalloc.start()
         try:
             loaded = load_weights(path)
@@ -170,10 +160,9 @@ class TestLoader:
         assert len(loaded) == len(store)
         assert peak <= 1.25 * path.stat().st_size
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_loaded_arrays_match_and_are_read_only(self, store, tmp_path, version):
+    def test_loaded_arrays_match_and_are_read_only(self, store, tmp_path):
         path = tmp_path / "w.tvtw"
-        _write(store, path, version)
+        save_weights(store, path)
         loaded = load_weights(path)
         assert loaded.names() == store.names()
         for name in store.names():
@@ -197,30 +186,33 @@ class TestLoader:
                 base = base.base
             assert isinstance(base.obj, mmap.mmap), name  # np.frombuffer's memoryview
 
-    def test_v1_is_read_into_one_arena_and_never_mapped(self, tmp_path, monkeypatch):
-        # 12 + 2 + 45 + 1 + 4: the first payload starts at file offset 64
-        blob = _tvtw(3, (b"w" * 45, 1, (16,), np.arange(16, dtype="<f4").tobytes()),
-                     (b"b", 1, (3,), np.float32([1, 2, 3]).tobytes()),
-                     (b"m", 2, (2, 2), np.float32([[4, 5], [6, 7]]).tobytes()))
-        assert blob.index(np.arange(16, dtype="<f4").tobytes()) == 64
+    def test_v1_file_is_format_error_and_never_mapped(self, tmp_path, monkeypatch):
+        # an 8 MB payload, right after its header as version 1 wrote it
+        payload = bytes(8 << 20)
         path = tmp_path / "v1.tvtw"
-        path.write_bytes(blob)
+        path.write_bytes(_tvtw(2, (b"w", 2, (1024, 2048), payload),
+                               (b"b", 1, (3,), np.float32([1, 2, 3]).tobytes()), version=1))
 
         def map_fails(*args, **kwargs):
             raise AssertionError("a version 1 file was mapped")
 
         monkeypatch.setattr(weights_mod.mmap, "mmap", map_fails)
-        loaded = load_weights(path)
-        roots = []
-        for name in loaded.names():
-            base = loaded.get(name)
-            while isinstance(base.base, np.ndarray):
-                base = base.base
-            assert base.base is None and base.flags.owndata, name
-            roots.append(base)
-        assert all(root is roots[0] for root in roots)
-        assert loaded.get("w" * 45).tobytes() == np.arange(16, dtype="<f4").tobytes()
-        assert loaded.get("m").tolist() == [[4, 5], [6, 7]]
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="version 1") as err:
+                load_weights(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "tvtsyn init-weights" in str(err.value)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("version", [0, 3, 2 ** 32 - 1])
+    def test_other_versions_are_format_errors(self, store, tmp_path, version):
+        blob = bytearray(_saved_blob(store, tmp_path))
+        blob[4:8] = struct.pack("<I", version)
+        with pytest.raises(FormatError, match=f"unsupported TVTW version {version}, expected 2"):
+            _load_blob(bytes(blob), tmp_path)
 
     def test_every_payload_starts_at_a_multiple_of_64(self, store, tmp_path):
         path = tmp_path / "w.tvtw"
@@ -368,25 +360,28 @@ class TestConfig:
     def test_text_round_trip(self, cfg):
         assert config_from_text(config_to_text(cfg)) == cfg
 
+    # the strides and the look-ahead are constants: no file can set them
     def test_stride_product_must_be_320(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(FormatError, match="unknown key 'encoder_strides'"):
             config_from_text("encoder_strides = 8,5,4,4\n")
 
     def test_mirrored_strides_required(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(FormatError, match="unknown key 'decoder_strides'"):
             config_from_text("decoder_strides = 8,5,4,2\n")
 
     def test_lookahead_bounds(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(FormatError, match="unknown key 'encoder_lookahead'"):
             config_from_text("encoder_lookahead = 5\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(FormatError, match="unknown key"):
             config_from_text("bogus = 3\n")
 
-    def test_bad_value_rejected(self):
-        with pytest.raises(FormatError):
-            config_from_text("d_model = pony\n")
+    @pytest.mark.parametrize("value", ["pony", "nan", "inf", "0.5", "64.0", "1e3", "8,5"])
+    def test_bad_value_rejected(self, value):
+        # every value is an int
+        with pytest.raises(FormatError, match=f"d_model': cannot parse '{value}'"):
+            config_from_text(f"d_model = {value}\n")
 
     def test_stream_config_alignment(self):
         sc = StreamConfig(chunk_ms=60)
@@ -440,14 +435,13 @@ decoder_strides = 2,4,5,8
 """
 
 
-# the keys pinned at their old defaults, as LEGACY_TEXT holds them, and each
-# at another value
-PINNED = [("encoder_strides", "8,5,4,2"), ("init_kernel", "7"), ("final_kernel", "3"),
-          ("res_kernel", "3"), ("res_dilation", "2"), ("lookback_frames", "100"),
-          ("encoder_lookahead", "4"), ("layer_scale", "0.01")]
-PINNED_ELSEWHERE = [("encoder_strides", "4,5,4,4"), ("init_kernel", "5"), ("final_kernel", "1"),
-                    ("res_kernel", "5"), ("res_dilation", "1"), ("lookback_frames", "50"),
-                    ("encoder_lookahead", "0"), ("layer_scale", "0.1")]
+# each removed key at a value other than the one it was pinned to
+REMOVED_ELSEWHERE = [
+    ("sample_rate", "8000"), ("codebook_size", "2048"), ("vq_dim", "16"),
+    ("vq_l2_normalize", "false"), ("decoder_strides", "8,5,4,2"),
+    ("decoder_strides", "2,4,5,8,1"), ("vq_commitment", "0.3"), ("encoder_strides", "4,5,4,4"),
+    ("init_kernel", "5"), ("final_kernel", "1"), ("res_kernel", "5"), ("res_dilation", "1"),
+    ("lookback_frames", "50"), ("encoder_lookahead", "0"), ("layer_scale", "0.1")]
 
 
 def _with_line(text, key, value):
@@ -459,7 +453,8 @@ def _with_line(text, key, value):
 class TestConfigText:
     def test_fixed_values_are_not_fields(self):
         names = {f.name for f in dataclasses.fields(ModelConfig)}
-        assert not names & set(LEGACY_KEYS)
+        assert not names & set(REMOVED_CONFIG_KEYS)
+        assert len(REMOVED_CONFIG_KEYS) == 14 and len(names) == 12
         assert {f.name for f in dataclasses.fields(StreamConfig)} == {
             "chunk_ms", "lookahead_frames"}
         assert DECODER_STRIDES == (2, 4, 5, 8)
@@ -472,58 +467,66 @@ class TestConfigText:
                 if getattr(full, f.name) == getattr(small, f.name)]
         assert not same
 
-    def test_legacy_text_loads(self):
-        assert config_from_text(LEGACY_TEXT) == ModelConfig()
+    def test_legacy_text_is_format_error(self):
+        with pytest.raises(FormatError, match="line 1: unknown key 'sample_rate'"):
+            config_from_text(LEGACY_TEXT)
 
-    @pytest.mark.parametrize("key,value", [
-        ("sample_rate", "8000"), ("codebook_size", "2048"), ("vq_dim", "16"),
-        ("vq_l2_normalize", "false"), ("decoder_strides", "8,5,4,2"),
-        ("decoder_strides", "2,4,5,8,1"), ("vq_commitment", "0.3"),
-        *PINNED_ELSEWHERE])
-    def test_legacy_key_at_another_value_rejected(self, key, value):
-        with pytest.raises(ConfigError, match=key):
-            config_from_text(_with_line(LEGACY_TEXT, key, value))
+    @pytest.mark.parametrize("key,value", REMOVED_ELSEWHERE)
+    def test_removed_key_at_another_value_rejected(self, key, value):
+        with pytest.raises(FormatError, match=f"unknown key '{key}'"):
+            config_from_text(_with_line(config_to_text(ModelConfig()), key, value))
 
-    @pytest.mark.parametrize("key,value", PINNED)
-    def test_pinned_key_at_its_value_loads(self, key, value):
-        assert config_from_text(f"{key} = {value}\n") == ModelConfig()
+    @pytest.mark.parametrize("key,value", REMOVED_CONFIG_KEYS.items())
+    def test_removed_key_at_its_old_value_rejected(self, key, value):
+        with pytest.raises(FormatError, match=f"line 13: unknown key '{key}'"):
+            config_from_text(_with_line(config_to_text(ModelConfig()), key, value))
         assert key not in config_to_text(ModelConfig())
 
     def test_duplicate_key_names_both_lines(self):
         with pytest.raises(FormatError, match="lines 2 and 4"):
             config_from_text("d_model = 64\nn_heads = 4\n\nn_heads = 8\n")
 
-    @pytest.mark.parametrize("field", ["n_heads", "d_model", "init_kernel", "res_dilation"])
-    def test_zero_is_config_error(self, field):
-        with pytest.raises(ConfigError, match=field):
+    @pytest.mark.parametrize("field,error", [
+        ("n_heads", ConfigError), ("d_model", ConfigError),
+        ("init_kernel", FormatError), ("res_dilation", FormatError)])  # removed keys
+    def test_zero_is_config_error(self, field, error):
+        with pytest.raises(error, match=field):
             config_from_text(f"{field} = 0\n")
 
     @pytest.mark.parametrize("field", ["layer_scale", "vq_commitment"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_rejected(self, field, value):
-        # both are legacy keys, pinned at 0.01 and 0.15, so only a file holds them
-        with pytest.raises(ConfigError, match=f"{field}.*fixed by the architecture"):
+        # both are removed keys, so no value of theirs loads; every value is an int
+        with pytest.raises(FormatError, match=f"unknown key '{field}'"):
             config_from_text(f"{field} = {value}\n")
 
     def test_negative_stride_rejected(self):
-        with pytest.raises(ConfigError, match="strides"):
+        with pytest.raises(FormatError, match="unknown key 'encoder_strides'"):
             config_from_text("encoder_strides = -8,-5,4,2\n")
 
     def test_fuzzed_text_loads_or_raises_typed_error(self):
-        # every current and removed key, at values a hand-edited file might hold
+        # every current and removed key, at values a hand-edited file might
+        # hold. A removed key fails the whole file, as does any value that is
+        # not an int, so they are drawn less often than the current keys and
+        # the int values: each outcome still needs its 100 files
         good = dict(line.split(" = ") for line in LEGACY_TEXT.splitlines())
-        keys = sorted(good)
-        values = ["0", "-1", "-4", "1", "2", "3", "4", "5", "7", "64", "0.5", "1e400",
-                  "nan", "inf", "-inf", "", "pony", "true", "false", "yes", "8000",
-                  "16000", "2048", "4096", "8,5,4,2", "2,4,5,8", "4,5,4,4", "320",
-                  "8,5,4,2,", "-8,-5,4,2", "0,5,4,2", "1_000", "64.0"]
+        current = [f.name for f in dataclasses.fields(ModelConfig)]
+        removed = sorted(REMOVED_CONFIG_KEYS)
+        int_values = ["0", "-1", "-4", "1", "2", "3", "4", "5", "7", "64", "8000", "16000",
+                      "2048", "4096", "320", "1_000"]
+        values = int_values + [
+            "0.5", "1e400", "nan", "inf", "-inf", "", "pony", "true", "false", "yes",
+            "8,5,4,2", "2,4,5,8", "4,5,4,4", "8,5,4,2,", "-8,-5,4,2", "0,5,4,2", "64.0"]
         rng = np.random.default_rng(20261018)
         outcomes = {"loaded": 0, "FormatError": 0, "ConfigError": 0}
         for _ in range(3000):
             lines = []
             for _ in range(int(rng.integers(0, 8))):
+                keys = removed if rng.random() < 0.15 else current
                 key = keys[rng.integers(len(keys))]
-                value = good[key] if rng.random() < 0.5 else values[rng.integers(len(values))]
+                r = rng.random()
+                pool = int_values if r < 0.8 else values
+                value = good[key] if r < 0.5 else pool[rng.integers(len(pool))]
                 lines.append(f"{key} = {value}")
             if lines and rng.random() < 0.1:
                 lines.append(lines[rng.integers(len(lines))])  # a repeated line

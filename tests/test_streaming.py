@@ -343,6 +343,19 @@ class TestLongStream:
         sizes.add(s.state_nbytes())
         assert len(sizes) == 1
 
+    def test_clocks_at_2_31_match_clocks_at_0(self, model, speaker):
+        # 50 chunks = 150 frames, so both 103-slot rings wrap. Attention
+        # depends only on relative positions, so a stream about 11,900 hours
+        # in gives the output of one that starts at frame 0
+        wave = random_wave(31, 50 * 960)
+        outs = []
+        for start in (0, 2 ** 31):
+            s = open_session(model, StreamConfig(chunk_ms=60), speaker)
+            s.enc_state.cache.next_pos = s.dec_cache.next_pos = start
+            outs.append(_feed_all(s, wave))
+            assert s.dec_cache.next_pos == start + 150
+        np.testing.assert_allclose(outs[1], outs[0], rtol=0, atol=1e-6)
+
 
 def _snapshot(s):
     """Copies of every piece of a session's mutable state, and its counters."""
