@@ -11,7 +11,7 @@ from .config import (FRAME_HOP, SAMPLE_RATE, ModelConfig, StreamConfig,
 from .errors import (ConfigError, FormatError, InputError, InternalError,
                      StateError, TvtSynError)
 from .metrics import causality_probe, latency_bench
-from .model import TvtSynModel, random_init, synthesize
+from .model import TvtSynModel, content_and_timbre, random_init, synthesize
 from .streaming import StreamSession, open_session, stream_file
 from .weights import WeightStore, load_weights, parameter_budget, save_weights
 
@@ -23,7 +23,7 @@ __all__ = [
     "ConfigError", "FormatError", "InputError", "InternalError",
     "StateError", "TvtSynError",
     "causality_probe", "latency_bench",
-    "TvtSynModel", "synthesize",
+    "TvtSynModel", "content_and_timbre", "synthesize",
     "StreamSession", "open_session", "stream_file",
     "WeightStore", "load_weights", "parameter_budget", "random_init",
     "save_weights",

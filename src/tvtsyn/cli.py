@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -20,8 +21,8 @@ from .config import (MAX_LOOKAHEAD, MAX_SPAN_SECONDS, SAMPLE_RATE, ModelConfig, 
 from .errors import ConfigError, InputError, InternalError, TvtSynError
 from .kernels import F32
 from .metrics import (MEASURED_UTTERANCES, WARMUP_UTTERANCES, causality_probe, check_probe,
-                      latency_bench)
-from .model import TvtSynModel, random_init, synthesize
+                      latency_bench, probe_sensitivity)
+from .model import TvtSynModel, content_and_timbre, random_init, synthesize
 from .streaming import stream_file
 from .weights import load_weights, parameter_budget, save_weights
 from . import wavio
@@ -109,9 +110,9 @@ def cmd_init_weights(args):
 
 def cmd_synth(args):
     block = None if args.block_ms is None else span_frames(args.block_ms, "--block-ms")
+    wave = wavio.read_wav(args.infile, MAX_SPAN_SECONDS)
     model = _load(args)
     speaker = _read_speaker(args.speaker, model.cfg.global_dim)
-    wave = wavio.read_wav(args.infile)
     out = synthesize(model, wave, speaker, lookahead=args.lookahead,
                      block_frames=block, f0_scale=args.f0_scale)
     with _writing(args.out):
@@ -185,17 +186,23 @@ def cmd_probe(args):
         return synthesize(model, wave, speaker, lookahead=args.lookahead)
 
     report = causality_probe(synth_fn, args.lookahead, args.trials, args.seed)
+    if args.lookahead:
+        # a probe that sees no change where the input does reach the output passes any model
+        report["influenced"] = probe_sensitivity(synth_fn, args.lookahead, args.trials, args.seed)
     print(json.dumps(report, indent=2))
     if not report["clean"]:
         raise InternalError(f"causality probe found {len(report['violations'])} violations")
+    if report.get("influenced") == 0:
+        raise InternalError(f"causality probe is blind: redrawing input that the output "
+                            f"depends on changed it in none of {args.trials} trials")
     return EXIT_OK
 
 
 def cmd_dump_tvt(args):
+    wave = wavio.read_wav(args.infile, MAX_SPAN_SECONDS)
     model = _load(args)
     speaker = _read_speaker(args.speaker, model.cfg.global_dim)
-    wave = wavio.read_wav(args.infile)
-    _, weights, alpha = synthesize(model, wave, speaker, return_details=True)
+    _, _, weights, alpha = content_and_timbre(model, wave, speaker)
     top1 = np.argmax(weights, axis=1)
     text = "".join(json.dumps({
         "frame": i,
@@ -277,7 +284,17 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # whatever is still buffered goes to devnull at exit, without an "Exception ignored"
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("input error: standard output closed before the command finished writing",
+              file=sys.stderr)
+        return EXIT_INPUT
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, InputError
 
 SAMPLE_RATE = 16000
 # SEANet topology: the encoder down-samples by ENCODER_STRIDES, and the
@@ -90,6 +90,14 @@ def small_config() -> ModelConfig:
         gate_hidden=16,
         prosody_hidden=16,
     )
+
+
+def check_offline_samples(n, what, max_seconds=MAX_SPAN_SECONDS):
+    """An offline pass holds its whole input, so `n` samples over `max_seconds`
+    are an InputError that names the input `what`: a stream's state is constant."""
+    if n > max_seconds * SAMPLE_RATE:
+        raise InputError(f"{what} is {n / SAMPLE_RATE:.2f} s long, over the "
+                         f"{max_seconds:.0f} s offline limit; stream it (tvtsyn stream)")
 
 
 def span_frames(ms, name) -> int:

@@ -1,6 +1,6 @@
 """Full-model assembly: bind a weight store to typed parameter groups, draw
 seeded random weights through the same loaders, and run the single-pass
-(offline) synthesis pipeline.
+(offline) pipeline, whole or up to the timbre stream.
 
 The offline pass recomputes everything with whole-sequence attention and
 one-shot convolutions; `block_frames` reproduces the chunked runtime's
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (FRAME_HOP, LAYER_SCALE, MAX_LOOKAHEAD, MAX_SPAN_SECONDS, SAMPLE_RATE,
-                     ModelConfig)
+from .config import FRAME_HOP, LAYER_SCALE, MAX_LOOKAHEAD, ModelConfig, check_offline_samples
 from .decoder import DecoderParams, decode_context, synthesize_wave
 from .encoder import EncoderParams, encode_frames, vq_quantize
 from .errors import ConfigError, InputError
@@ -122,31 +121,21 @@ def as_wave(samples, what="input wave"):
     return samples
 
 
-def align_wave(wave):
-    """Zero-pad to the next multiple of the 320-sample hop."""
+def content_and_timbre(model: TvtSynModel, wave, speaker, *, lookahead=MAX_LOOKAHEAD,
+                       block_frames=None):
+    """The offline front half, up to the timbre stream: waveform + 704-dim
+    speaker vector -> (content, timbre stream, facet weights (T, slots), gate
+    alpha (T,)), one frame per 320-sample hop of the wave zero-padded to whole
+    hops. Memory grows with the wave, so one over MAX_SPAN_SECONDS is an
+    InputError: a stream's state is constant.
+    """
     wave = as_wave(wave)
     rem = wave.size % FRAME_HOP
     if rem:
         wave = np.concatenate([wave, np.zeros(FRAME_HOP - rem, dtype=F32)])
-    return wave
-
-
-def synthesize(model: TvtSynModel, wave, speaker, *, lookahead=MAX_LOOKAHEAD,
-               block_frames=None, f0_scale=1.0, return_details=False):
-    """One-shot synthesis: waveform + 704-dim speaker vector -> waveform.
-
-    Output has exactly the (hop-aligned) input length. Its memory grows with
-    that length, so a wave longer than MAX_SPAN_SECONDS is an InputError:
-    a stream's state is constant. With return_details, returns (waveform,
-    facet weights (T, slots), gate alpha (T,)).
-    """
-    f0_scale = check_f0_scale(f0_scale)
-    wave = align_wave(wave)
     if not wave.size:
         raise InputError("input wave has no samples")
-    if wave.size > MAX_SPAN_SECONDS * SAMPLE_RATE:
-        raise InputError(f"input wave is {wave.size / SAMPLE_RATE:.2f} s long, over the "
-                         f"{MAX_SPAN_SECONDS:.0f} s offline limit; stream it (tvtsyn stream)")
+    check_offline_samples(wave.size, "input wave")
     if not np.isfinite(wave).all():
         raise InputError("input wave contains non-finite samples")
     frames = encode_frames(wave, model.encoder, None,
@@ -154,10 +143,18 @@ def synthesize(model: TvtSynModel, wave, speaker, *, lookahead=MAX_LOOKAHEAD,
     content, _ = vq_quantize(frames, model.encoder.vq)
     gtm = build_gtm(speaker, model.tvt)
     tvt, facet_weights, alpha = tvt_sequence(content, speaker, gtm, model.tvt)
+    return content, tvt, facet_weights, alpha
+
+
+def synthesize(model: TvtSynModel, wave, speaker, *, lookahead=MAX_LOOKAHEAD,
+               block_frames=None, f0_scale=1.0):
+    """One-shot synthesis: waveform + 704-dim speaker vector -> waveform of
+    exactly the hop-aligned input length, at most MAX_SPAN_SECONDS (see
+    content_and_timbre)."""
+    f0_scale = check_f0_scale(f0_scale)
+    content, tvt, _, _ = content_and_timbre(model, wave, speaker, lookahead=lookahead,
+                                            block_frames=block_frames)
     pred, _ = predict_f0_energy(content, model.prosody)
     ctxout = decode_context(content, tvt, pred, model.decoder, model.prosody,
                             f0_scale=f0_scale)
-    out = synthesize_wave(ctxout, tvt, model.decoder)
-    if return_details:
-        return out, facet_weights, alpha
-    return out
+    return synthesize_wave(ctxout, tvt, model.decoder)

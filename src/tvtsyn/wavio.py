@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SAMPLE_RATE
+from .config import SAMPLE_RATE, check_offline_samples
 from .errors import InputError
 from .kernels import F32
 
 
-def read_wav(path) -> np.ndarray:
+def read_wav(path, max_seconds=None) -> np.ndarray:
+    """The file's samples. With `max_seconds`, a longer file is an InputError
+    raised from its header, before any sample is read."""
     path = Path(path)
     try:
         with _wave.open(str(path), "rb") as w:
@@ -24,15 +26,18 @@ def read_wav(path) -> np.ndarray:
             width = w.getsampwidth()
             rate = w.getframerate()
             n = w.getnframes()
+            if channels != 1:
+                raise InputError(f"{path}: expected mono audio, got {channels} channels")
+            if width != 2:
+                raise InputError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
+            if rate != SAMPLE_RATE:
+                raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz "
+                                 f"(resample first)")
+            if max_seconds is not None:
+                check_offline_samples(n, path, max_seconds)
             raw = w.readframes(n)
     except (OSError, _wave.Error) as exc:
         raise InputError(f"cannot read WAV {path}: {exc}") from exc
-    if channels != 1:
-        raise InputError(f"{path}: expected mono audio, got {channels} channels")
-    if width != 2:
-        raise InputError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
-    if rate != SAMPLE_RATE:
-        raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz (resample first)")
     if len(raw) != n * width:
         raise InputError(f"{path}: truncated data chunk: {len(raw)} bytes for {n} frames "
                          f"of {width} bytes")

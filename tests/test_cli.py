@@ -8,6 +8,8 @@ import os
 import re
 import resource
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 from contextlib import contextmanager
@@ -192,8 +194,9 @@ def _address_space_headroom(nbytes):
 
 
 class TestInputSizeLimits:
-    """A speaker or config file is read only up to its limit, so a huge one
-    (or /dev/zero) is an input error that allocates next to nothing."""
+    """A speaker or config file is read only up to its limit, and an offline
+    WAV's length is checked from its header, so a huge one (or /dev/zero) is
+    an input error that allocates next to nothing."""
 
     @pytest.mark.parametrize("flag,message", [
         ("--speaker", "holds more than 128 bytes, expected 32 float32 values"),
@@ -216,6 +219,23 @@ class TestInputSizeLimits:
         assert code == 1 and not (tmp_path / "x.wav").exists()
         assert message in capsys.readouterr().err
         assert peak < 2 << 20
+
+    @pytest.mark.parametrize("command", ["synth", "dump-tvt"])
+    def test_long_wav_rejected_before_its_samples_are_read(self, workdir, tmp_path, capsys,
+                                                           command):
+        seconds = 70
+        wav = tmp_path / "long.wav"
+        wav.write_bytes(_wav_bytes(seconds * 16000, bytes(2 * seconds * 16000)))
+        tracemalloc.start()
+        try:
+            code = run([command, *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                        "--in", str(wav), "--out", str(tmp_path / "x.out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and not (tmp_path / "x.out").exists()
+        assert "70.00 s long, over the 60 s offline limit" in capsys.readouterr().err
+        assert peak < 1 << 20  # its samples alone are 2.2 MB as int16
 
     def test_config_read_from_a_fifo(self, cfg, workdir, tmp_path):
         # as `--config <(...)` hands the command a pipe, which has no size
@@ -591,9 +611,25 @@ class TestBench:
 
 
 class TestProbe:
-    def test_clean_probe_exit_zero(self, workdir):
+    def test_clean_probe_exit_zero(self, workdir, capsys):
         assert run(["probe", *_margs(workdir), "--lookahead", "4",
                     "--trials", "5", "--seed", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["influenced"] > 0
+
+    def test_blind_probe_exit_three(self, workdir, capsys, monkeypatch):
+        # output that no input reaches passes the causality check alone
+        monkeypatch.setattr(cli, "synthesize", lambda model, wave, *_, **__: np.zeros_like(wave))
+        assert run(["probe", *_margs(workdir), "--lookahead", "2", "--trials", "3"]) == 3
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["clean"] and report["influenced"] == 0
+        assert "probe is blind" in captured.err
+
+    def test_no_blind_check_at_lookahead_zero(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "synthesize", lambda model, wave, *_, **__: np.zeros_like(wave))
+        assert run(["probe", *_margs(workdir), "--lookahead", "0", "--trials", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["clean"] and "influenced" not in report
 
     def test_zero_trials_is_config_error(self, workdir, capsys):
         assert run(["probe", *_margs(workdir), "--trials", "0"]) == 2
@@ -655,8 +691,75 @@ class TestDumpTvt:
         assert code == 1 and not (tmp_path / "t.jsonl").exists()
         assert "tvtsyn stream" in capsys.readouterr().err
 
+    def test_runs_no_prosody_or_decoder(self, cfg, workdir, tmp_path, monkeypatch):
+        # the facet weights and alpha that synthesize's timbre stage computes
+        seen = []
+        real_tvt = model_mod.tvt_sequence
+        monkeypatch.setattr(model_mod, "tvt_sequence",
+                            lambda *a: seen.append(real_tvt(*a)) or seen[-1])
+        model = model_mod.TvtSynModel.from_store(load_weights(workdir / "w.tvtw"), cfg)
+        speaker = np.fromfile(workdir / "spk.f32", dtype="<f4")
+        model_mod.synthesize(model, wavio.read_wav(workdir / "in.wav"), speaker)
+        _, weights, alpha = seen[0]
+
+        def never_called(*args, **kwargs):
+            raise AssertionError("dump-tvt must stop at the timbre stream")
+
+        monkeypatch.setattr(model_mod, "predict_f0_energy", never_called)
+        monkeypatch.setattr(model_mod, "decode_context", never_called)
+        out = tmp_path / "tvt.jsonl"
+        assert run(["dump-tvt", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(out)]) == 0
+        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["weights"] for r in recs] == weights.tolist()
+        assert [r["alpha"] for r in recs] == alpha.tolist()
+        assert [r["top1"] for r in recs] == np.argmax(weights, axis=1).tolist()
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (as `| head` does) gets exit 1 and
+    one error line, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["init-weights", "probe", "bench", "dump-tvt"])
+    def test_exit_one_without_traceback(self, workdir, tmp_path, command):
+        argv = {
+            "init-weights": ["--config", str(workdir / "model.cfg"),
+                             "--out", str(tmp_path / "w.tvtw")],
+            "probe": [*_margs(workdir), "--trials", "1"],
+            "bench": [*_margs(workdir), "--synthetic", "1", "--utt-seconds", "0.06"],
+            "dump-tvt": [*_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                         "--in", str(workdir / "in.wav")],
+        }[command]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child starts, so every write fails
+        try:
+            proc = subprocess.run([sys.executable, "-m", "tvtsyn", command, *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=300)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1, err
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.splitlines() == [
+            "input error: standard output closed before the command finished writing"]
+
 
 class TestWavIo:
+    def test_offline_limit_read_from_header(self, tmp_path):
+        p = tmp_path / "minute.wav"
+        p.write_bytes(_wav_bytes(960_000, bytes(2 * 960_000)))
+        assert wavio.read_wav(p, MAX_SPAN_SECONDS).size == 960_000
+        # one frame more is rejected before the samples, missing here, are read
+        p.write_bytes(_wav_bytes(960_001, b""))
+        with pytest.raises(InputError, match="60.00 s long, over the 60 s offline limit"):
+            wavio.read_wav(p, MAX_SPAN_SECONDS)
+        with pytest.raises(InputError, match="truncated"):
+            wavio.read_wav(p)
+
     def test_round_trip_bit_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.wav", tmp_path / "b.wav"
         wavio.write_wav(p1, random_wave(0, 12345, amp=1.2))  # clipping exercised

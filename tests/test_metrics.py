@@ -10,7 +10,8 @@ from tvtsyn import metrics
 from tvtsyn.config import MAX_LOOKAHEAD, StreamConfig
 from tvtsyn.errors import ConfigError, InputError
 from tvtsyn.metrics import (MEASURED_UTTERANCES, WARMUP_UTTERANCES, causality_probe,
-                            latency_bench, latency_report, probe_influence)
+                            latency_bench, latency_report, probe_influence,
+                            probe_sensitivity)
 from tvtsyn.model import synthesize
 
 F32 = np.float32
@@ -107,7 +108,18 @@ class TestCausalityProbe:
         fn = lambda w: synthesize(model, w, speaker, lookahead=4)
         assert probe_influence(fn, 4, trials=15, seed=5) >= 1
 
-    @pytest.mark.parametrize("probe", [causality_probe, probe_influence])
+    def test_in_horizon_influence_absent_without_lookahead(self, model, speaker):
+        # the same trials as above see nothing when synthesis ignores the look-ahead
+        fn = lambda w: synthesize(model, w, speaker, lookahead=0)
+        assert probe_influence(fn, 4, trials=15, seed=5) == 0
+
+    @pytest.mark.parametrize("la", [0, 1, 4])
+    def test_sensitivity_sees_every_trial(self, model, speaker, la):
+        # a blind-probe check that fails a working model would be noise
+        fn = lambda w: synthesize(model, w, speaker, lookahead=la)
+        assert probe_sensitivity(fn, la, trials=10, seed=1) == 10
+
+    @pytest.mark.parametrize("probe", [causality_probe, probe_influence, probe_sensitivity])
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, probe, trials):
         def never_called(wave):
@@ -116,7 +128,7 @@ class TestCausalityProbe:
         with pytest.raises(ConfigError, match="trials"):
             probe(never_called, 0, trials=trials, seed=1)
 
-    @pytest.mark.parametrize("probe", [causality_probe, probe_influence])
+    @pytest.mark.parametrize("probe", [causality_probe, probe_influence, probe_sensitivity])
     @pytest.mark.parametrize("lookahead", [-3, -1, MAX_LOOKAHEAD + 1, 7, 14])
     def test_lookahead_out_of_range_rejected(self, probe, lookahead):
         def never_called(wave):

@@ -1,5 +1,7 @@
 """Global Timbre Memory, facet retrieval, gating, and slerp geometry."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from conftest import pin_gate, random_wave
 from tvtsyn.encoder import encode_frames, vq_quantize
 from tvtsyn.errors import InputError
 from tvtsyn.kernels import l2_normalize_rows
+from tvtsyn.model import content_and_timbre, synthesize
 from tvtsyn.timbre import (GtmMemory, TvtParams, build_gtm, gate_alpha,
                            project_global, retrieve_facet, slerp, tvt_sequence)
 
@@ -265,3 +268,23 @@ class TestTvtSequence:
         gtm = build_gtm(speaker, model.tvt)
         _, weights, _ = tvt_sequence(content, speaker, gtm, model.tvt)
         assert len(np.unique(np.argmax(weights, axis=1))) > 1
+
+
+class TestContentAndTimbre:
+    """The offline front half, the part of `synthesize` that `dump-tvt` runs."""
+
+    def test_timbre_stream_is_tvt_sequence_of_its_content(self, model, speaker):
+        content, *got = content_and_timbre(model, random_wave(30, 320 * 20 + 17), speaker)
+        assert content.shape[0] == 21  # zero-padded to whole hops
+        want = tvt_sequence(content, speaker, build_gtm(speaker, model.tvt), model.tvt)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_synthesize_returns_audio_only(self, model, speaker):
+        # no flag turns the waveform into a tuple, and no **kwargs takes one:
+        # any other keyword is a TypeError
+        params = inspect.signature(synthesize).parameters
+        assert list(params) == ["model", "wave", "speaker", "lookahead", "block_frames",
+                                "f0_scale"]
+        out = synthesize(model, random_wave(31, 960), speaker)
+        assert isinstance(out, np.ndarray) and out.shape == (960,)
