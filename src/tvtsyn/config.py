@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,6 +101,24 @@ def check_offline_samples(n, what, max_seconds=MAX_SPAN_SECONDS):
                          f"{max_seconds:.0f} s offline limit; stream it (tvtsyn stream)")
 
 
+def check_int(value, name, lo, hi) -> int:
+    """`value` as an int in [lo, hi], or >= lo when `hi` is None. A bool, a
+    float or any other non-integer, or a value out of range, is a ConfigError
+    that names the setting `name`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < lo or (hi is not None and value > hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{name} must be an int {bound}, got {value!r}")
+    return int(value)
+
+
+def check_lookahead(frames, name) -> int:
+    """A look-ahead of `frames` frames, an int in [0, MAX_LOOKAHEAD]: more would
+    let output see input the runtime promises not to wait for, and a
+    negative one masks every key."""
+    return check_int(frames, name, 0, MAX_LOOKAHEAD)
+
+
 def span_frames(ms, name) -> int:
     """Frames in a span of `ms` milliseconds. A span that is not finite, is
     longer than MAX_SPAN_SECONDS or is not a positive whole number of frames
@@ -141,8 +160,7 @@ class StreamConfig:
 
     def validate(self):
         span_frames(self.chunk_ms, "chunk_ms")
-        if not 0 <= self.lookahead_frames <= MAX_LOOKAHEAD:
-            raise ConfigError(f"lookahead_frames must be in [0, {MAX_LOOKAHEAD}]")
+        check_lookahead(self.lookahead_frames, "lookahead_frames")
 
 
 def config_to_text(cfg: ModelConfig) -> str:
@@ -182,4 +200,8 @@ def load_config(path) -> ModelConfig:
         raw = f.read(MAX_CONFIG_BYTES + 1)
     if len(raw) > MAX_CONFIG_BYTES:
         raise FormatError(f"config file {path} is longer than {MAX_CONFIG_BYTES} bytes")
-    return config_from_text(raw.decode("utf-8"))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    return config_from_text(text)

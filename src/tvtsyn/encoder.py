@@ -71,6 +71,10 @@ class SeanetCnn:
 
 
 class EncoderCnn(SeanetCnn):
+    """The content encoder's CNN, 16 kHz samples -> 50 Hz frames. Frame j
+    depends only on samples 0..320*j, up to the first sample of its own hop:
+    a hop of lag, since the rest of that hop first reaches frame j + 1."""
+
     @classmethod
     def from_store(cls, store: WeightStore, cfg: ModelConfig):
         widths = encoder_stage_widths(cfg)
@@ -178,7 +182,9 @@ class EncoderState:
 
 def encode_frames(wave, params: EncoderParams, state: EncoderState = None,
                   *, lookahead=MAX_LOOKAHEAD, block_frames=None):
-    """Waveform -> frames (T/FRAME_HOP, d_model).
+    """Waveform -> frames (T/FRAME_HOP, d_model). Frame j sees input samples
+    up to at most 320*(j + lookahead): the CNN's frames up to j + lookahead,
+    each of which reaches only the first sample of its hop (see EncoderCnn).
 
     Stateless call (state=None): one-shot pass whose attention mask optionally
     mirrors chunked execution via `block_frames`. Stateful call: incremental

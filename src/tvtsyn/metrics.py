@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import FRAME_HOP, MAX_LOOKAHEAD
+from .config import FRAME_HOP, check_lookahead
 from .errors import ConfigError, InputError
 from .kernels import F32
 from .model import as_wave
@@ -67,9 +67,7 @@ def latency_bench(model, stream_cfg, speaker, utterances) -> dict:
 
 def check_probe(lookahead_frames, trials):
     """The probes' settings; checked before a probe synthesizes anything."""
-    if not 0 <= int(lookahead_frames) <= MAX_LOOKAHEAD:
-        raise ConfigError(
-            f"lookahead_frames must be in [0, {MAX_LOOKAHEAD}], got {lookahead_frames}")
+    check_lookahead(lookahead_frames, "lookahead_frames")
     if int(trials) < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FRAME_HOP, LAYER_SCALE, MAX_LOOKAHEAD, ModelConfig, check_offline_samples
+from .config import (FRAME_HOP, LAYER_SCALE, MAX_LOOKAHEAD, ModelConfig, check_int,
+                     check_lookahead, check_offline_samples)
 from .decoder import DecoderParams, decode_context, synthesize_wave
 from .encoder import EncoderParams, encode_frames, vq_quantize
 from .errors import ConfigError, InputError
@@ -127,8 +128,13 @@ def content_and_timbre(model: TvtSynModel, wave, speaker, *, lookahead=MAX_LOOKA
     speaker vector -> (content, timbre stream, facet weights (T, slots), gate
     alpha (T,)), one frame per 320-sample hop of the wave zero-padded to whole
     hops. Memory grows with the wave, so one over MAX_SPAN_SECONDS is an
-    InputError: a stream's state is constant.
+    InputError: a stream's state is constant. A look-ahead outside [0,
+    MAX_LOOKAHEAD] or a `block_frames` that is not an int >= 1 is a
+    ConfigError.
     """
+    check_lookahead(lookahead, "lookahead")
+    if block_frames is not None:
+        check_int(block_frames, "block_frames", 1, None)
     wave = as_wave(wave)
     rem = wave.size % FRAME_HOP
     if rem:

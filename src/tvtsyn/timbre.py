@@ -14,9 +14,8 @@ from .errors import InputError
 from .kernels import F32, l2_normalize_rows, linear, masked_softmax, mlp, sigmoid
 from .weights import WeightStore
 
-SLERP_MIN_ANGLE = 1e-4           # below: fall back to normalized lerp
-SLERP_ANTIPODAL_MARGIN = 1e-4    # above pi - margin: perturb the endpoint
-SLERP_PERTURB = 1e-6
+# |b - (a.b)a| of unit a, b below this: b = +-a up to rounding, no plane
+SLERP_DEGENERATE = 1e-9
 
 
 @dataclass
@@ -132,66 +131,49 @@ def _unitize(x):
     return out
 
 
-def _orthogonal_perturbation(b):
-    """A deterministic unit direction orthogonal to each row of b."""
-    pick = np.argmin(np.abs(b), axis=-1)
-    e = np.zeros_like(b)
-    e[np.arange(b.shape[0]), pick] = 1.0
-    u = e - np.sum(e * b, axis=-1, keepdims=True) * b
+def _orthogonal_direction(a):
+    """A deterministic unit direction orthogonal to each row of a."""
+    pick = np.argmin(np.abs(a), axis=-1)
+    e = np.zeros_like(a)
+    e[np.arange(a.shape[0]), pick] = 1.0
+    u = e - np.sum(e * a, axis=-1, keepdims=True) * a
     return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
 
 def slerp(a, b, alpha):
-    """Spherical interpolation along the geodesic from a toward b.
+    """Spherical interpolation along the geodesic from a toward b (Shoemake,
+    SIGGRAPH 1985), as a rotation in the plane of a and b: with u the part of
+    b orthogonal to a and theta = atan2(|u|, a.b), the result is
+    cos(alpha theta) a + sin(alpha theta) u/|u|.
 
     Inputs are normalized internally; endpoints are returned exactly at
-    alpha 0/1. Near-parallel pairs fall back to normalized lerp; near-antipodal
-    pairs perturb b by a fixed orthogonal epsilon (the geodesic is undefined
-    there). Internal math in float64, float32 out.
+    alpha 0/1. When b = +-a up to rounding there is no plane, and u is a
+    fixed direction orthogonal to a: b = a stays at a, and b = -a turns
+    through that direction. Internal math in float64, float32 out.
     """
     a = np.atleast_2d(np.asarray(a, dtype=F32)).astype(np.float64)
     b = np.atleast_2d(np.asarray(b, dtype=F32)).astype(np.float64)
     squeeze = a.shape[0] == 1 and b.shape[0] == 1 and np.ndim(alpha) == 0
     a, b = np.broadcast_arrays(a, b)
-    n = max(a.shape[0], b.shape[0])
     alpha = np.broadcast_to(np.asarray(alpha, dtype=np.float64).reshape(-1, 1) if np.ndim(alpha)
-                            else np.float64(alpha), (n, 1)).copy()
+                            else np.float64(alpha), (a.shape[0], 1))
     if np.any(alpha < 0) or np.any(alpha > 1):
         raise InputError("slerp alpha must lie in [0, 1]")
 
-    a = _unitize(a)
-    b = _unitize(b)
-    b_end = b  # exact endpoint, untouched by the antipodal perturbation
-
-    dot = np.clip(np.sum(a * b, axis=-1, keepdims=True), -1.0, 1.0)
-    theta = np.arccos(dot)
-
-    antipodal = theta[:, 0] > np.pi - SLERP_ANTIPODAL_MARGIN
-    if np.any(antipodal):
-        b = b.copy()
-        u = _orthogonal_perturbation(b[antipodal])
-        b[antipodal] = b[antipodal] + SLERP_PERTURB * u
-        b[antipodal] /= np.linalg.norm(b[antipodal], axis=-1, keepdims=True)
-        dot = np.clip(np.sum(a * b, axis=-1, keepdims=True), -1.0, 1.0)
-        theta = np.arccos(dot)
-
-    sin_theta = np.sin(theta)
-    near = (theta < SLERP_MIN_ANGLE)[:, 0]
-    wa = np.empty_like(theta)
-    wb = np.empty_like(theta)
-    general = ~near
-    wa[general] = np.sin((1.0 - alpha[general]) * theta[general]) / sin_theta[general]
-    wb[general] = np.sin(alpha[general] * theta[general]) / sin_theta[general]
-    wa[near] = 1.0 - alpha[near]
-    wb[near] = alpha[near]
-
-    out = wa * a + wb * b
-    out /= np.linalg.norm(out, axis=-1, keepdims=True)
-    # exact endpoints, including the degenerate branches
+    a_hat, b_hat = (x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1e-12)
+                    for x in (a, b))
+    dot = np.sum(a_hat * b_hat, axis=-1, keepdims=True)
+    u = b_hat - dot * a_hat
+    u_norm = np.linalg.norm(u, axis=-1, keepdims=True)
+    theta = np.arctan2(u_norm, dot)
+    degenerate = u_norm[:, 0] < SLERP_DEGENERATE
+    u[degenerate] = _orthogonal_direction(a_hat[degenerate])
+    u_norm[degenerate] = 1.0
+    out = np.cos(alpha * theta) * a_hat + np.sin(alpha * theta) / u_norm * u
     at0 = alpha[:, 0] == 0.0
     at1 = alpha[:, 0] == 1.0
-    out[at0] = a[at0]
-    out[at1] = b_end[at1]
+    out[at0] = _unitize(a[at0])
+    out[at1] = _unitize(b[at1])
     out = out.astype(F32)
     return out[0] if squeeze else out
 
@@ -203,9 +185,7 @@ def tvt_sequence(content, g, gtm: GtmMemory, params: TvtParams):
     `g` is the speaker vector `gtm` was built from; its projection is read
     from `gtm.g_hat`, computed once per speaker by build_gtm.
     """
-    g_hat = gtm.g_hat
     facets, weights = retrieve_facet(content, gtm, params)
-    alpha = gate_alpha(content, facets, g_hat, params)
-    facets_hat = l2_normalize_rows(facets)
-    s = slerp(np.broadcast_to(g_hat, facets_hat.shape), facets_hat, alpha)
+    alpha = gate_alpha(content, facets, gtm.g_hat, params)
+    s = slerp(gtm.g_hat, facets, alpha)
     return (s * params.scale[0]).astype(F32), weights, alpha

@@ -64,6 +64,16 @@ def pin_gate(monkeypatch, alpha):
         content.shape[0], alpha, dtype=np.float32))
 
 
+def remove_lookahead_mask(monkeypatch):
+    """Mask-removal mutant: every attention mask lets each query see 500
+    frames ahead, whatever look-ahead it was built for."""
+    from tvtsyn import context
+
+    real = context.band_mask
+    monkeypatch.setattr(context, "band_mask", lambda q, k, lookback, lookahead, *rest: real(
+        q, k, lookback, 500, *rest))
+
+
 def random_wave(seed, n_samples, amp=0.5):
     rng = np.random.default_rng(seed)
     return rng.uniform(-amp, amp, n_samples).astype(np.float32)

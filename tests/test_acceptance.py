@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import pin_gate, random_wave
+from conftest import pin_gate, random_wave, remove_lookahead_mask
 from tvtsyn.config import StreamConfig
 from tvtsyn.errors import ConfigError
 from tvtsyn.kernels import l2_normalize_rows
@@ -57,7 +57,7 @@ def test_criterion_1_streaming_equals_offline(model, speaker):
           f"{CHUNK_SIZES_MS} ms, max abs diff {worst:.2e} <= 1e-4, {elapsed:.1f}s")
 
 
-def test_criterion_2_causality(model, speaker):
+def test_criterion_2_causality(model, speaker, monkeypatch):
     """Zero violations at lookahead 0 and 4; mutated mask is caught."""
     for lookahead in (0, 4):
         rep = causality_probe(
@@ -65,8 +65,10 @@ def test_criterion_2_causality(model, speaker):
             lookahead, trials=100, seed=17)
         assert rep["trials"] == 100
         assert rep["violations"] == [], rep["violations"][:3]
-    broken = lambda w: synthesize(model, w, speaker, lookahead=500)
-    mutated = causality_probe(broken, 0, trials=20, seed=17)
+    with monkeypatch.context() as m:
+        remove_lookahead_mask(m)
+        broken = lambda w: synthesize(model, w, speaker, lookahead=0)
+        mutated = causality_probe(broken, 0, trials=20, seed=17)
     assert len(mutated["violations"]) >= 1
     influenced = probe_influence(
         lambda w: synthesize(model, w, speaker, lookahead=4), 4, trials=15, seed=5)

@@ -32,6 +32,19 @@ class TestFrameRates:
             frames = encode_frames(random_wave(2, n), model.encoder)
             assert frames.shape[0] == n // 320
 
+    @pytest.mark.parametrize("j", [5, 10, 17])
+    def test_frame_sees_its_hop_first_sample_only(self, model, j):
+        # frame j depends on input samples 0..320*j: the first sample of its
+        # own hop, and none after it (at look-ahead 0)
+        wave = random_wave(j, 320 * 25)
+        base = encode_frames(wave, model.encoder, lookahead=0)
+        for start, first_changed in ((320 * j, j), (320 * j + 1, j + 1)):
+            redrawn = wave.copy()
+            redrawn[start:] = random_wave(100 + j, wave.size - start)
+            out = encode_frames(redrawn, model.encoder, lookahead=0)
+            changed = np.flatnonzero(np.any(out != base, axis=1))
+            assert changed[0] == first_changed
+
     def test_unaligned_wave_rejected(self, model):
         with pytest.raises(InputError):
             encode_frames(np.zeros(321, F32), model.encoder)

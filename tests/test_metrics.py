@@ -5,7 +5,7 @@ bench run's input checks, and causality-probe liveness.
 import numpy as np
 import pytest
 
-from conftest import random_wave
+from conftest import random_wave, remove_lookahead_mask
 from tvtsyn import metrics
 from tvtsyn.config import MAX_LOOKAHEAD, StreamConfig
 from tvtsyn.errors import ConfigError, InputError
@@ -98,9 +98,10 @@ class TestCausalityProbe:
                                   la, trials=10, seed=1)
             assert rep["clean"] and rep["violations"] == []
 
-    def test_mask_removal_mutation_detected(self, model, speaker):
+    def test_mask_removal_mutation_detected(self, model, speaker, monkeypatch):
         # synth sees far future while the probe expects a strict horizon
-        broken = lambda w: synthesize(model, w, speaker, lookahead=500)
+        remove_lookahead_mask(monkeypatch)
+        broken = lambda w: synthesize(model, w, speaker, lookahead=0)
         rep = causality_probe(broken, 0, trials=10, seed=1)
         assert len(rep["violations"]) >= 1
 
@@ -129,7 +130,7 @@ class TestCausalityProbe:
             probe(never_called, 0, trials=trials, seed=1)
 
     @pytest.mark.parametrize("probe", [causality_probe, probe_influence, probe_sensitivity])
-    @pytest.mark.parametrize("lookahead", [-3, -1, MAX_LOOKAHEAD + 1, 7, 14])
+    @pytest.mark.parametrize("lookahead", [-3, -1, MAX_LOOKAHEAD + 1, 7, 14, 2.5, True])
     def test_lookahead_out_of_range_rejected(self, probe, lookahead):
         def never_called(wave):
             raise AssertionError("a rejected probe must not synthesize")

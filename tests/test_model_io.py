@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import REMOVED_CONFIG_KEYS, store_of
-from tvtsyn.config import (DECODER_STRIDES, LAYER_SCALE, MAX_SPAN_SECONDS, ModelConfig,
-                           StreamConfig, config_from_text, config_to_text, small_config)
+from tvtsyn.config import (DECODER_STRIDES, LAYER_SCALE, MAX_LOOKAHEAD, MAX_SPAN_SECONDS,
+                           ModelConfig, StreamConfig, config_from_text, config_to_text,
+                           load_config, small_config)
 from tvtsyn.errors import ConfigError, FormatError
 from tvtsyn.model import TvtSynModel, random_init
 from tvtsyn import weights as weights_mod
@@ -389,6 +390,18 @@ class TestConfig:
         assert StreamConfig(chunk_ms=100).chunk_frames == 5
         with pytest.raises(ConfigError, match="40 ms or 60 ms"):
             StreamConfig(chunk_ms=50)
+
+    @pytest.mark.parametrize("lookahead", [-1, MAX_LOOKAHEAD + 1, 50, 2.5, 2.0, True, "2"])
+    def test_stream_lookahead_must_be_int_in_range(self, lookahead):
+        with pytest.raises(ConfigError, match="lookahead_frames must be an int in"):
+            StreamConfig(lookahead_frames=lookahead)
+
+    def test_non_utf8_config_file_is_format_error(self, tmp_path):
+        # a TvtSynError naming the file, not a bare UnicodeDecodeError
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(FormatError, match=f"config file {re.escape(str(path))} is not UTF-8"):
+            load_config(path)
 
     @pytest.mark.parametrize("chunk_ms", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_chunk_rejected(self, chunk_ms):

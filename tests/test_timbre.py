@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import pin_gate, random_wave
+from tvtsyn.config import MAX_LOOKAHEAD
 from tvtsyn.encoder import encode_frames, vq_quantize
-from tvtsyn.errors import InputError
+from tvtsyn.errors import ConfigError, InputError
 from tvtsyn.kernels import l2_normalize_rows
 from tvtsyn.model import content_and_timbre, synthesize
 from tvtsyn.timbre import (GtmMemory, TvtParams, build_gtm, gate_alpha,
@@ -23,6 +24,14 @@ def chord_angle(u, v):
     u = u / np.linalg.norm(u, axis=-1, keepdims=True)
     v = v / np.linalg.norm(v, axis=-1, keepdims=True)
     return 2.0 * np.arcsin(np.clip(np.linalg.norm(u - v, axis=-1) / 2.0, 0.0, 1.0))
+
+
+def geodesic_angle(u, v):
+    """Angle between rows as 2 atan2(|u - v|, |u + v|) of the normalized rows
+    in float64, well conditioned near 0 and near pi alike."""
+    u, v = (x / np.linalg.norm(x, axis=-1, keepdims=True)
+            for x in (np.atleast_2d(u).astype(np.float64), np.atleast_2d(v).astype(np.float64)))
+    return 2.0 * np.arctan2(np.linalg.norm(u - v, axis=-1), np.linalg.norm(u + v, axis=-1))
 
 
 def _zeroed(params, attr_names):
@@ -188,6 +197,28 @@ class TestSlerp:
         # half the geodesic to (a perturbation of) the antipode: a right angle
         assert abs(chord_angle(a, s)[0] - np.pi / 2) <= 1e-4
 
+    @pytest.mark.parametrize("delta", [1e-4, 1e-5, 1e-6])
+    @pytest.mark.parametrize("antipodal", [False, True])
+    def test_midpoint_on_geodesic_near_degenerate(self, delta, antipodal):
+        # pairs at angle delta or pi - delta: the midpoint stays in the plane of
+        # a and b at half their angle (an endpoint perturbation left it 0.78 off)
+        rng = np.random.default_rng(3)
+        a = l2_normalize_rows(rng.normal(0, 1, (2000, 192)))
+        w = rng.normal(0, 1, (2000, 192))
+        w = l2_normalize_rows(w - np.sum(w * a, axis=1, keepdims=True) * a)
+        theta = np.pi - delta if antipodal else delta
+        b = (np.cos(theta) * a.astype(np.float64) + np.sin(theta) * w).astype(F32)
+        s = slerp(a, b, 0.5).astype(np.float64)
+        # orthonormal basis (e1, e2) of span(a, b), in float64
+        e1 = a / np.linalg.norm(a.astype(np.float64), axis=1, keepdims=True)
+        e2 = b - np.sum(b * e1, axis=1, keepdims=True) * e1
+        e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
+        in_plane = np.sum(s * e1, axis=1, keepdims=True) * e1 \
+            + np.sum(s * e2, axis=1, keepdims=True) * e2
+        assert np.linalg.norm(s - in_plane, axis=1).max() <= 1e-6
+        angle_err = np.abs(geodesic_angle(a, s) - 0.5 * geodesic_angle(a, b))
+        assert angle_err.max() <= 1e-6
+
     def test_alpha_out_of_range_rejected(self):
         a = np.array([1.0, 0.0], F32)
         with pytest.raises(InputError):
@@ -279,6 +310,17 @@ class TestContentAndTimbre:
         want = tvt_sequence(content, speaker, build_gtm(speaker, model.tvt), model.tvt)
         for a, b in zip(got, want, strict=True):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("entry", [content_and_timbre, synthesize])
+    @pytest.mark.parametrize("setting", [
+        {"lookahead": MAX_LOOKAHEAD + 1}, {"lookahead": 50}, {"lookahead": -1},
+        {"lookahead": 2.5}, {"lookahead": True},
+        {"block_frames": 0}, {"block_frames": 2.5}, {"block_frames": True}],
+        ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
+    def test_lookahead_and_block_checked_first(self, model, speaker, entry, setting):
+        # checked before any work: the wave (None) is never looked at
+        with pytest.raises(ConfigError, match=next(iter(setting))):
+            entry(model, None, speaker, **setting)
 
     def test_synthesize_returns_audio_only(self, model, speaker):
         # no flag turns the waveform into a tuple, and no **kwargs takes one:
