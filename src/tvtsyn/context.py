@@ -31,12 +31,8 @@ from .weights import WeightStore
 class AttnLayer:
     ln1_g: np.ndarray
     ln1_b: np.ndarray
-    wq: np.ndarray
-    bq: np.ndarray
-    wk: np.ndarray
-    bk: np.ndarray
-    wv: np.ndarray
-    bv: np.ndarray
+    wqkv: np.ndarray
+    bqkv: np.ndarray
     wo: np.ndarray
     bo: np.ndarray
     ls_attn: np.ndarray
@@ -73,9 +69,8 @@ class TransformerParams:
             layers.append(AttnLayer(
                 ln1_g=store.get(f"{b}.ln1.gamma", (d,)),
                 ln1_b=store.get(f"{b}.ln1.beta", (d,)),
-                wq=store.get(f"{b}.q.weight", (d, d)), bq=store.get(f"{b}.q.bias", (d,)),
-                wk=store.get(f"{b}.k.weight", (d, d)), bk=store.get(f"{b}.k.bias", (d,)),
-                wv=store.get(f"{b}.v.weight", (d, d)), bv=store.get(f"{b}.v.bias", (d,)),
+                wqkv=store.get(f"{b}.qkv.weight", (3 * d, d)),
+                bqkv=store.get(f"{b}.qkv.bias", (3 * d,)),
                 wo=store.get(f"{b}.o.weight", (d, d)), bo=store.get(f"{b}.o.bias", (d,)),
                 ls_attn=store.get(f"{b}.ls_attn", (d,)),
                 ln2_g=store.get(f"{b}.ln2.gamma", (d,)),
@@ -185,9 +180,11 @@ def _block(x, layer, params: TransformerParams, rope, allowed, kv, owned: bool):
     itself when the caller `owned` it.
     """
     h = layer_norm(x, layer.ln1_g, layer.ln1_b)
-    q = rope_rotate(_split_heads(linear(h, layer.wq, layer.bq), params.n_heads), *rope)
-    k = rope_rotate(_split_heads(linear(h, layer.wk, layer.bk), params.n_heads), *rope)
-    v = _split_heads(linear(h, layer.wv, layer.bv), params.n_heads)
+    d = params.d_model
+    qkv = linear(h, layer.wqkv, layer.bqkv)                   # (T, 3 * d_model)
+    q = rope_rotate(_split_heads(qkv[:, :d], params.n_heads), *rope)
+    k = rope_rotate(_split_heads(qkv[:, d:2 * d], params.n_heads), *rope)
+    v = _split_heads(qkv[:, 2 * d:], params.n_heads)
     if kv is None:
         keys, values = k.transpose(1, 0, 2), v.transpose(1, 0, 2)
     else:

@@ -9,19 +9,26 @@ Conventions:
   - every product of an activation with a weight goes through
     `weight_product(W, x)`, W on the left exactly as loaded (`linear` is the
     helper for frame sequences). No weight is copied, fused or transposed at
-    load time; the convs pass reshaped or transposed views.
+    load time; the convs pass reshaped or transposed views, and an attention
+    layer's q, k and v projections are stored as one weight.
   - with more than GEMV_MAX_COLS activation columns (offline synthesis:
     100 or more everywhere) the product is one GEMM. With at most that many
     (a 60 ms chunk's 3 frames at 50 Hz and 6 at 100 Hz) it is one GEMV per
-    column over each GEMV_BLOCK-sized block of weight rows. A few-column
-    GEMM packs the weight before it multiplies and streams it at 6-8 GB/s;
-    a GEMV reads the block from DRAM once and from L2 for the other
-    columns. OpenBLAS 0.3.31 runs an sgemv on one thread below 460,800
-    weight elements (cold, 2-vCPU Xeon: 449x1024 in ~120 us, 450x1024 in
-    ~70 us), so the 1 MB 512x512 q/k/v/o products of the full config
-    stream at ~7 GB/s within a 60 ms chunk: 9.6 ms of its 33 ms of weight
-    products. The transposed conv's (C_in, C_out, K) weight
-    is cut along C_in into vector x matrix products that are summed.
+    column over each block of weight rows. A few-column GEMM packs the
+    weight before it multiplies and streams it at 6-8 GB/s; a GEMV reads
+    the block from DRAM once and from cache for the other columns.
+    OpenBLAS 0.3.31 runs an sgemv on one thread below 460,800 weight
+    elements (cold, 2-vCPU Xeon: 449x1024 in ~120 us, 450x1024 in ~70 us),
+    so an M x K weight is cut into max(1, M*K // GEMV_BLOCK) near-equal blocks
+    and no block of a weight of at least GEMV_BLOCK elements falls under
+    that cut. A full-config attention layer's (1536, 512) q/k/v weight is
+    one block: a cold 3-column product takes ~310 us, against ~390 us as
+    blocks of 1024 + 512 rows and ~470 us as three 512x512 products. The
+    weights under the cut still run on one thread: in a 60 ms chunk, the
+    16 512x512 `o` products and 20 smaller ones of up to 1.5 MB
+    (BENCH_qkv.json has the per-stage times). The
+    transposed conv's (C_in, C_out, K) weight is cut along C_in into
+    vector x matrix products that are summed.
   - `ConvLayer.apply` is the one way to run a conv. A forward conv makes no
     temporary of kernel x channels x input length (low-memory GEMM
     convolution, Anderson et al., arXiv:1709.03395). It builds im2col
@@ -55,8 +62,11 @@ F32 = np.float32
 # down 96->192 k16 s8 in 29 ms, against 22 and 34 ms at 2^20.
 IM2COL_BLOCK = 1 << 19
 
-# weight_product's per-column GEMV path: float32 weight elements per block
-# (2 MB, the L2 of one core) and the most activation columns that take it.
+# weight_product's per-column GEMV path: the fewest float32 weight elements
+# in a block of a weight at least this large (2 MB, the L2 of one core; a
+# block holds less than twice that) and the most activation columns that
+# take it. The sweep below cut blocks of exactly GEMV_BLOCK elements and a
+# smaller tail.
 # In two interleaved sweeps of the 60 ms stream (full config, 2-vCPU Xeon),
 # median feed was lowest at 2^19 (62 and 50 ms, against 71-74 and 57-64 ms
 # for GEMMs); 2^20-2^21 gave back 3-6 ms, and 2^17-2^18 most or all of the
@@ -214,13 +224,16 @@ def weight_product(w, x, out=None):
     """w @ x for a weight view w (M, K) and activation columns x (K, n).
 
     More than GEMV_MAX_COLS columns: one GEMM, into `out` when given. At
-    most that many: one GEMV per column over each block of GEMV_BLOCK
-    weight elements, so the first column streams the block from DRAM and
-    the others read it from L2. A C-contiguous w is cut into blocks of
-    whole rows. The transposed view of a C-contiguous (K, M) weight (the
-    transposed conv's stored layout) is cut along K instead, into vector x
-    matrix products over contiguous weight rows that are summed. No weight
-    is copied.
+    most that many: one GEMV per column over each block of the weight, so
+    the first column streams the block from DRAM and the others read it
+    from cache. The weight is cut into max(1, M*K // GEMV_BLOCK) blocks
+    that differ by at most one row, so a weight of at least GEMV_BLOCK
+    elements has no block under GEMV_BLOCK less one row (OpenBLAS's
+    one-thread cut is below that) nor of twice GEMV_BLOCK or more.
+    A C-contiguous w is cut into blocks of whole rows. The transposed view
+    of a C-contiguous (K, M) weight (the transposed conv's stored layout) is
+    cut along K instead, into vector x matrix products over contiguous
+    weight rows that are summed. No weight is copied.
     """
     n = x.shape[1]
     if n > GEMV_MAX_COLS:
@@ -228,23 +241,24 @@ def weight_product(w, x, out=None):
     m, k = w.shape
     xt = np.ascontiguousarray(x.T)                            # (n, K)
     yt = np.empty((n, m), dtype=np.result_type(w, x))
+    blocks = max(1, m * k // GEMV_BLOCK)
     if w.flags.c_contiguous:
-        rows = max(1, GEMV_BLOCK // k)
-        for r0 in range(0, m, rows):
-            wb = w[r0:r0 + rows]
+        cuts = [m * i // blocks for i in range(blocks + 1)]
+        for r0, r1 in zip(cuts, cuts[1:]):
+            wb = w[r0:r1]
             for j in range(n):
-                np.dot(wb, xt[j], out=yt[j, r0:r0 + rows])
+                np.dot(wb, xt[j], out=yt[j, r0:r1])
     else:
         wt = w.T                                              # (K, M)
-        rows = max(1, GEMV_BLOCK // m)
+        cuts = [k * i // blocks for i in range(blocks + 1)]
         part = np.empty(m, dtype=yt.dtype)
-        for r0 in range(0, k, rows):
-            wb = wt[r0:r0 + rows]
+        for r0, r1 in zip(cuts, cuts[1:]):
+            wb = wt[r0:r1]
             for j in range(n):
                 if r0 == 0:
-                    np.dot(xt[j, :rows], wb, out=yt[j])
+                    np.dot(xt[j, :r1], wb, out=yt[j])
                 else:
-                    np.dot(xt[j, r0:r0 + rows], wb, out=part)
+                    np.dot(xt[j, r0:r1], wb, out=part)
                     yt[j] += part
     if out is None:
         return yt.T

@@ -7,6 +7,8 @@ processing time over chunk duration, averaged the same way.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .config import FRAME_HOP, check_lookahead
@@ -68,8 +70,8 @@ def latency_bench(model, stream_cfg, speaker, utterances) -> dict:
 def check_probe(lookahead_frames, trials):
     """The probes' settings; checked before a probe synthesizes anything."""
     check_lookahead(lookahead_frames, "lookahead_frames")
-    if int(trials) < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ConfigError(f"trials must be >= 1 and an int, got {trials!r}")
 
 
 def _probe_trials(synth_fn, lookahead_frames, trials, seed, first_cut, lead):

@@ -157,7 +157,8 @@ def slerp(a, b, alpha):
     a, b = np.broadcast_arrays(a, b)
     alpha = np.broadcast_to(np.asarray(alpha, dtype=np.float64).reshape(-1, 1) if np.ndim(alpha)
                             else np.float64(alpha), (a.shape[0], 1))
-    if np.any(alpha < 0) or np.any(alpha > 1):
+    # written so that a NaN alpha fails too
+    if not np.all((alpha >= 0) & (alpha <= 1)):
         raise InputError("slerp alpha must lie in [0, 1]")
 
     a_hat, b_hat = (x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1e-12)

@@ -28,6 +28,8 @@ MAGIC = b"TVTW"
 VERSION = 2
 ALIGN = 64    # payload file offsets, in bytes
 MAX_NDIM = 64  # numpy's own limit
+# the repo ships no weights, so a file that does not load or bind is remade
+REGENERATE = "regenerate the file with `tvtsyn init-weights --seed N [--config FILE]`"
 
 
 class WeightStore:
@@ -55,7 +57,8 @@ class WeightStore:
 
     def get(self, name, shape=None):
         if name not in self._entries:
-            raise ConfigError(f"missing weight entry {name!r}")
+            raise ConfigError(f"missing weight entry {name!r}; a file written for another "
+                              f"config or layout does not bind: {REGENERATE}")
         arr = self._entries[name]
         if shape is not None and arr.shape != tuple(shape):
             raise ConfigError(f"weight {name!r} has shape {arr.shape}, expected {tuple(shape)}")
@@ -95,8 +98,7 @@ def _read_headers(stream):
         raise FormatError("bad magic: not a TVTW weight file")
     version, count = struct.unpack("<II", _read_exact(stream, 8, "file header"))
     if version != VERSION:
-        raise FormatError(f"unsupported TVTW version {version}, expected {VERSION}; regenerate "
-                          f"the file with `tvtsyn init-weights --seed N [--config FILE]`")
+        raise FormatError(f"unsupported TVTW version {version}, expected {VERSION}; {REGENERATE}")
 
     entries = []
     for i in range(count):

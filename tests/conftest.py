@@ -37,12 +37,25 @@ def speaker(cfg):
 
 
 @pytest.fixture(scope="session")
-def full_budget():
-    """Parameter counts of the full-size config (computed once per session)."""
+def full_init():
+    """The full-size config's entry shapes (name -> shape) and parameter
+    counts, from one init per session that is not kept."""
     from tvtsyn.config import ModelConfig
     from tvtsyn.weights import parameter_budget
 
-    return parameter_budget(random_init(0, ModelConfig()))
+    store = random_init(0, ModelConfig())
+    return {n: store.get(n).shape for n in store.names()}, parameter_budget(store)
+
+
+@pytest.fixture(scope="session")
+def full_shapes(full_init):
+    return full_init[0]
+
+
+@pytest.fixture(scope="session")
+def full_budget(full_init):
+    """Parameter counts of the full-size config."""
+    return full_init[1]
 
 
 def store_of(entries):

@@ -517,12 +517,12 @@ class TestWeightMajorProducts:
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(state, full_state, rtol=1e-5, atol=1e-5)
 
-    # weight_product's per-column GEMVs: GEMV_BLOCK is cut so each weight
-    # spans two full blocks of 20 rows and a ragged third of 10, and 1 to
-    # GEMV_MAX_COLS + 1 activation columns run both sides of the switch
+    # weight_product's per-column GEMVs: GEMV_BLOCK is cut so each 50-row
+    # weight has 50 * K // GEMV_BLOCK = 3 blocks of 16, 17 and 17 rows, and 1
+    # to GEMV_MAX_COLS + 1 activation columns run both sides of the switch
     @pytest.mark.parametrize("t", range(1, kernels.GEMV_MAX_COLS + 2))
     def test_linear_over_three_gemv_blocks_matches_einsum(self, monkeypatch, t):
-        monkeypatch.setattr(kernels, "GEMV_BLOCK", 48 * 20)
+        monkeypatch.setattr(kernels, "GEMV_BLOCK", 48 * 16)
         rng = np.random.default_rng(200 + t)
         x = rng.normal(size=(t, 48)).astype(F32)
         w = rng.normal(size=(50, 48)).astype(F32)
@@ -538,16 +538,60 @@ class TestWeightMajorProducts:
     def test_causal_conv_over_three_gemv_blocks_matches_einsum(self, monkeypatch, t,
                                                                kernel, stride, dilation):
         # t output columns; K = 1 is the direct product, the others one im2col block
-        monkeypatch.setattr(kernels, "GEMV_BLOCK", 6 * kernel * 20)
+        monkeypatch.setattr(kernels, "GEMV_BLOCK", 6 * kernel * 16)
         _check_causal_conv(np.random.default_rng(300 + 10 * kernel + t),
                            ConvSpec(6, 50, kernel, stride, dilation), t * stride)
 
     @pytest.mark.parametrize("t", range(1, kernels.GEMV_MAX_COLS + 2))
     def test_transposed_conv_over_three_gemv_blocks_matches_einsum(self, monkeypatch, t):
-        # the stored (C_in, C_out, K) weight is cut along C_in: 50 rows of 5 * 4
-        monkeypatch.setattr(kernels, "GEMV_BLOCK", 5 * 4 * 20)
+        # the stored (C_in, C_out, K) weight is cut along C_in: its 50 rows of
+        # 5 * 4 into blocks of 16, 17 and 17
+        monkeypatch.setattr(kernels, "GEMV_BLOCK", 5 * 4 * 16)
         _check_transposed_conv(np.random.default_rng(400 + t),
                                ConvSpec(50, 5, 4, 2, transposed=True), t)
+
+    # a weight of m * k elements just over 1, 1.5 and 2 GEMV_BLOCKs: one
+    # block, one block, and two blocks of 20 and 21 rows (or K rows when
+    # transposed)
+    @pytest.mark.parametrize("t", range(1, kernels.GEMV_MAX_COLS + 1))
+    @pytest.mark.parametrize("m", [21, 31, 41])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_weight_product_near_block_multiples_matches_einsum(self, monkeypatch, t, m,
+                                                                transposed):
+        monkeypatch.setattr(kernels, "GEMV_BLOCK", 48 * 20)
+        rng = np.random.default_rng(600 + 10 * m + t)
+        shape = (48, m) if transposed else (m, 48)
+        stored = rng.normal(size=shape).astype(F32)
+        w = stored.T if transposed else stored                # (m, 48) or (48, m)
+        x = rng.normal(size=(w.shape[1], t)).astype(F32)
+        got = kernels.weight_product(w, x)
+        assert got.shape == (w.shape[0], t) and got.dtype == F32
+        np.testing.assert_allclose(got, np.einsum("mk,kt->mt", _f64(w), _f64(x)),
+                                   rtol=1e-5, atol=1e-4)
+
+    @pytest.mark.parametrize("shape", [(1536, 512), (768, 2304), (512, 4608), (1536, 1536),
+                                       (768, 768), (96, 960)])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_no_gemv_block_below_the_block_size(self, monkeypatch, shape, transposed):
+        # the model's few-column products: a weight of at least GEMV_BLOCK
+        # elements is cut into blocks of GEMV_BLOCK to 2 * GEMV_BLOCK, so no
+        # tail block falls under OpenBLAS's one-thread sgemv cut
+        blocks = []
+        dot = np.dot
+
+        def spy(a, b, out=None):
+            blocks.append(b.size if a.ndim == 1 else a.size)
+            return dot(a, b, out=out)
+
+        monkeypatch.setattr(kernels.np, "dot", spy)
+        m, k = shape
+        w = np.ones((k, m), F32).T if transposed else np.ones((m, k), F32)
+        kernels.weight_product(w, np.ones((w.shape[1], 1), F32))
+        if m * k < kernels.GEMV_BLOCK:
+            assert blocks == [m * k]
+        else:
+            assert sum(blocks) == m * k
+            assert all(kernels.GEMV_BLOCK <= n < 2 * kernels.GEMV_BLOCK for n in blocks)
 
 
 class TestConvTemporaries:

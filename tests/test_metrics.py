@@ -121,8 +121,9 @@ class TestCausalityProbe:
         assert probe_sensitivity(fn, la, trials=10, seed=1) == 10
 
     @pytest.mark.parametrize("probe", [causality_probe, probe_influence, probe_sensitivity])
-    @pytest.mark.parametrize("trials", [0, -1])
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, True])
     def test_no_trials_rejected(self, probe, trials):
+        # 2.5 used to run 2 trials and True 1
         def never_called(wave):
             raise AssertionError("a probe with no trials must not synthesize")
 

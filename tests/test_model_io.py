@@ -275,9 +275,9 @@ class TestLoader:
             s.get("encoder.vq.codebook")[0, 0] = 1.0
         model = TvtSynModel.from_store(s, cfg)
         with pytest.raises(ValueError):
-            model.encoder.ctx.layers[0].wq[0, 0] = 1.0
+            model.encoder.ctx.layers[0].wqkv[0, 0] = 1.0
         with pytest.raises(ValueError):
-            model.encoder.ctx.layers[0].bq += 1.0
+            model.encoder.ctx.layers[0].bqkv += 1.0
 
     def test_put_leaves_callers_array_writable(self):
         arr = np.zeros((2, 3), dtype=np.float32)
@@ -316,6 +316,23 @@ class TestRandomInit:
         partial = store_of({n: store.get(n) for n in names[:-1]})
         with pytest.raises(ConfigError, match="missing"):
             TvtSynModel.from_store(partial, cfg)
+
+    def test_separate_qkv_layout_does_not_bind(self, cfg, store, tmp_path):
+        # a file written before q, k and v were fused: each qkv entry split
+        # back into the q, k and v entries that layout held
+        old = WeightStore()
+        for name in store.names():
+            if ".qkv." not in name:
+                old.put(name, store.get(name))
+                continue
+            for part, arr in zip("qkv", np.split(store.get(name), 3)):
+                old.put(name.replace(".qkv.", f".{part}."), arr)
+        save_weights(old, tmp_path / "old.tvtw")
+        with pytest.raises(ConfigError) as err:
+            TvtSynModel.from_store(load_weights(tmp_path / "old.tvtw"), cfg)
+        message = str(err.value)
+        assert "qkv.weight" in message
+        assert "tvtsyn init-weights --seed N [--config FILE]" in message
 
     def test_wrong_shape_entry_rejected(self, cfg, store):
         name = "decoder.cnn.stage0.up.weight"
@@ -566,3 +583,16 @@ class TestBudget:
         assert abs(full_budget["encoder"] / 37.5e6 - 1.0) <= 0.15
         assert abs(full_budget["decoder"] / 48.7e6 - 1.0) <= 0.15
         assert abs(full_budget["total"] / 86.0e6 - 1.0) <= 0.15
+
+    def test_full_config_budget_unchanged_by_fused_qkv(self, full_budget):
+        # the counts of the separate q/k/v layout
+        assert full_budget == {"encoder": 38_879_104, "decoder": 50_262_341,
+                               "total": 89_141_445}
+
+    def test_full_config_holds_one_qkv_per_attention_layer(self, full_shapes):
+        # 16 attention layers, each with one (3 * d_model, d_model) q/k/v weight
+        # and its bias where the separate layout held six entries: 408 -> 344
+        assert len(full_shapes) == 344
+        qkv = {n: s for n, s in full_shapes.items() if n.endswith(".qkv.weight")}
+        assert len(qkv) == 16 and set(qkv.values()) == {(1536, 512)}
+        assert not [n for n in full_shapes if re.search(r"\.[qkv]\.", n)]

@@ -224,6 +224,15 @@ class TestSlerp:
         with pytest.raises(InputError):
             slerp(a, a, 1.5)
 
+    def test_nan_alpha_rejected(self):
+        # NaN compares False against both ends of [0, 1]; it used to return NaNs
+        a = np.array([1.0, 0.0], F32)
+        b = np.array([0.0, 1.0], F32)
+        with pytest.raises(InputError, match="alpha"):
+            slerp(a, b, np.nan)
+        with pytest.raises(InputError, match="alpha"):
+            slerp(np.stack([a, a]), np.stack([b, b]), np.array([0.5, np.nan]))
+
     def test_angle_monotone_in_alpha(self):
         rng = np.random.default_rng(2)
         a = l2_normalize_rows(rng.normal(0, 1, (1, 16)).astype(F32))
