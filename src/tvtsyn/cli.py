@@ -146,6 +146,10 @@ def cmd_bench(args):
         if not 0 < args.utt_seconds <= MAX_SPAN_SECONDS:
             raise ConfigError(
                 f"--utt-seconds must be in (0, {MAX_SPAN_SECONDS:.0f}], got {args.utt_seconds}")
+        n_samples = int(args.utt_seconds * SAMPLE_RATE)
+        if n_samples < stream_cfg.chunk_samples:
+            raise ConfigError(f"--utt-seconds {args.utt_seconds} is shorter than one "
+                              f"{stream_cfg.chunk_ms} ms chunk")
         if args.synthetic < 1:
             raise ConfigError(f"--synthetic must be >= 1, got {args.synthetic}")
     model = _load(args)
@@ -158,7 +162,6 @@ def cmd_bench(args):
         utts = [wavio.read_wav(p) for p in paths[:needed]]
     else:
         rng = np.random.Generator(np.random.PCG64(args.seed))
-        n_samples = int(args.utt_seconds * SAMPLE_RATE)
         utts = [rng.uniform(-0.5, 0.5, size=n_samples).astype(F32)
                 for _ in range(min(args.synthetic, needed))]
     if args.speaker:

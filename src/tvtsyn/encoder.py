@@ -149,8 +149,12 @@ def vq_nearest(latents, codebook, code_sq_norms=None):
 
 
 def vq_quantize(frames, vq: VqParams):
-    """Quantize (T, d_model) frames -> ((T, d_model) reconstruction, indices)."""
+    """Quantize (T, d_model) frames -> ((T, d_model) reconstruction, indices).
+    A non-finite latent is an InputError: argmin would map it to code 0."""
     z = vq_latents(frames, vq)
+    if not np.isfinite(z).all():
+        raise InputError("the encoder gave non-finite VQ latents from finite input; "
+                         "check the weight file for NaN or inf values")
     idx = vq_nearest(z, vq.codebook64, vq.code_sq_norms)
     out = linear(vq.codebook[idx], vq.proj_up)
     return out.astype(F32, copy=False), idx

@@ -8,9 +8,12 @@ Conventions:
     kernels are safe to call concurrently on disjoint data,
   - every product of an activation with a weight goes through
     `weight_product(W, x)`, W on the left exactly as loaded (`linear` is the
-    helper for frame sequences). No weight is copied, fused or transposed at
-    load time; the convs pass reshaped or transposed views, and an attention
-    layer's q, k and v projections are stored as one weight.
+    helper for frame sequences). Every weight is stored output-major, so W
+    is always a C-contiguous (outputs, inputs) matrix: a stored (out, in)
+    linear weight, or a conv weight reshaped to (out, in*K) or, for the
+    transposed conv, (out*K, in). No weight is copied, fused or transposed
+    at load time, and an attention layer's q, k and v projections are
+    stored as one weight.
   - with more than GEMV_MAX_COLS activation columns (offline synthesis:
     100 or more everywhere) the product is one GEMM. With at most that many
     (a 60 ms chunk's 3 frames at 50 Hz and 6 at 100 Hz) it is one GEMV per
@@ -26,18 +29,17 @@ Conventions:
     blocks of 1024 + 512 rows and ~470 us as three 512x512 products. The
     weights under the cut still run on one thread: in a 60 ms chunk, the
     16 512x512 `o` products and 20 smaller ones of up to 1.5 MB
-    (BENCH_qkv.json has the per-stage times). The
-    transposed conv's (C_in, C_out, K) weight is cut along C_in into
-    vector x matrix products that are summed.
+    (BENCH_qkv.json has the per-stage times).
   - `ConvLayer.apply` is the one way to run a conv. A forward conv makes no
     temporary of kernel x channels x input length (low-memory GEMM
     convolution, Anderson et al., arXiv:1709.03395). It builds im2col
     columns IM2COL_BLOCK elements at a time in one buffer and issues one
     weight product per block. A 1-tap conv multiplies the input directly.
-  - the transposed conv (kernel 2*stride only, the SEANet up conv) is one
-    weight product of the transposed weight view over the whole input, a
-    copy of taps 0..stride-1 and one shifted add of the other taps,
-    straight into the output.
+  - the transposed conv (kernel 2*stride only, the SEANet up conv) stores
+    its weight (C_out, K, C_in). It is one weight product of the
+    (C_out*K, C_in) matrix over the whole input, a copy of taps
+    0..stride-1 and one shifted add of the other taps, straight into the
+    output.
 
 Causality convention: a causal conv output at index j depends only on input
 columns <= j*stride, with the left context held in an explicit state buffer
@@ -97,7 +99,7 @@ class ConvSpec:
     @property
     def weight_shape(self):
         if self.transposed:
-            return (self.in_ch, self.out_ch, self.kernel)
+            return (self.out_ch, self.kernel, self.in_ch)
         return (self.out_ch, self.in_ch, self.kernel)
 
     @property
@@ -209,7 +211,7 @@ def _transposed_conv(x, spec, weight, bias, state):
     t_in, s = x.shape[1], spec.stride
     if not t_in:
         return np.empty((spec.out_ch, 0), dtype=F32), state.copy()
-    contrib = weight_product(weight.reshape(spec.in_ch, -1).T, x).reshape(
+    contrib = weight_product(weight.reshape(-1, spec.in_ch), x).reshape(
         spec.out_ch, 2 * s, t_in)                             # (C_out, K, T)
     y = np.empty((spec.out_ch, t_in * s), dtype=F32)
     frames = y.reshape(spec.out_ch, t_in, s).transpose(0, 2, 1)
@@ -221,19 +223,16 @@ def _transposed_conv(x, spec, weight, bias, state):
 
 
 def weight_product(w, x, out=None):
-    """w @ x for a weight view w (M, K) and activation columns x (K, n).
+    """w @ x for a C-contiguous weight w (M, K) and activation columns x (K, n).
 
     More than GEMV_MAX_COLS columns: one GEMM, into `out` when given. At
-    most that many: one GEMV per column over each block of the weight, so
+    most that many: one GEMV per column over each block of weight rows, so
     the first column streams the block from DRAM and the others read it
     from cache. The weight is cut into max(1, M*K // GEMV_BLOCK) blocks
     that differ by at most one row, so a weight of at least GEMV_BLOCK
     elements has no block under GEMV_BLOCK less one row (OpenBLAS's
-    one-thread cut is below that) nor of twice GEMV_BLOCK or more.
-    A C-contiguous w is cut into blocks of whole rows. The transposed view
-    of a C-contiguous (K, M) weight (the transposed conv's stored layout) is
-    cut along K instead, into vector x matrix products over contiguous
-    weight rows that are summed. No weight is copied.
+    one-thread cut is below that) nor of twice GEMV_BLOCK or more. No
+    weight is copied.
     """
     n = x.shape[1]
     if n > GEMV_MAX_COLS:
@@ -242,24 +241,11 @@ def weight_product(w, x, out=None):
     xt = np.ascontiguousarray(x.T)                            # (n, K)
     yt = np.empty((n, m), dtype=np.result_type(w, x))
     blocks = max(1, m * k // GEMV_BLOCK)
-    if w.flags.c_contiguous:
-        cuts = [m * i // blocks for i in range(blocks + 1)]
-        for r0, r1 in zip(cuts, cuts[1:]):
-            wb = w[r0:r1]
-            for j in range(n):
-                np.dot(wb, xt[j], out=yt[j, r0:r1])
-    else:
-        wt = w.T                                              # (K, M)
-        cuts = [k * i // blocks for i in range(blocks + 1)]
-        part = np.empty(m, dtype=yt.dtype)
-        for r0, r1 in zip(cuts, cuts[1:]):
-            wb = wt[r0:r1]
-            for j in range(n):
-                if r0 == 0:
-                    np.dot(xt[j, :r1], wb, out=yt[j])
-                else:
-                    np.dot(xt[j, r0:r1], wb, out=part)
-                    yt[j] += part
+    cuts = [m * i // blocks for i in range(blocks + 1)]
+    for r0, r1 in zip(cuts, cuts[1:]):
+        wb = w[r0:r1]
+        for j in range(n):
+            np.dot(wb, xt[j], out=yt[j, r0:r1])
     if out is None:
         return yt.T
     out[...] = yt.T
@@ -315,7 +301,7 @@ def elu(x, out=None):
     at a time through one temporary of a quarter of the im2col budget, so
     that a block of x and its temporary stay in L2 (on a 12 MB map: 5.5 ->
     4.0 ms)."""
-    if out is x and x.dtype == F32 and (x.flags.c_contiguous or x.flags.f_contiguous):
+    if out is x and x.dtype == F32 and x.flags.forc:  # C or F contiguous
         flat = x.ravel(order="K")
         block = IM2COL_BLOCK // 4
         tmp = np.empty(min(block, flat.size), dtype=F32)

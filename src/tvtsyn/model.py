@@ -101,24 +101,30 @@ def random_init(seed: int, cfg: ModelConfig) -> WeightStore:
             return arr / np.linalg.norm(arr, axis=1, keepdims=True)
         if name == "encoder.vq.proj_down.weight":
             return np.linalg.pinv(store.get("encoder.vq.proj_up.weight").astype(np.float64))
-        # a transposed conv stores (in_ch, out_ch, kernel)
-        if name.endswith(".up.weight"):
-            fan_in = shape[0] * shape[2]
-        else:
-            fan_in = math.prod(shape[1:])
-        bound = 1.0 / np.sqrt(fan_in)
+        bound = 1.0 / np.sqrt(math.prod(shape[1:]))
         return rng.uniform(-bound, bound, size=shape)
 
     TvtSynModel._bind(_Source(store, draw), cfg)
     return store
 
 
+# largest sample magnitude accepted: int16 full scale, far above the [-1, 1)
+# of a PCM WAV. Much larger samples overflow layer_norm's float32 square (from
+# about 1e25) and normalize the frames to 0, a wrong output that stays finite.
+MAX_SAMPLE = 32768.0
+
+
 def as_wave(samples, what="input wave"):
-    """float32 array of mono samples; any shape but 1-D is an InputError
-    (a stereo or batched array is not silently flattened into one wave)."""
+    """float32 array of mono samples. Any shape but 1-D is an InputError (a
+    stereo or batched array is not silently flattened into one wave), and so
+    is a sample that is NaN or of magnitude above MAX_SAMPLE."""
     samples = np.asarray(samples, dtype=F32)
     if samples.ndim != 1:
         raise InputError(f"{what} must be a 1-D array of samples, got shape {samples.shape}")
+    # NaN fails the comparison
+    if not (np.abs(samples) <= MAX_SAMPLE).all():
+        raise InputError(f"{what} contains non-finite samples or samples of magnitude "
+                         f"above {MAX_SAMPLE:g}")
     return samples
 
 
@@ -130,7 +136,7 @@ def content_and_timbre(model: TvtSynModel, wave, speaker, *, lookahead=MAX_LOOKA
     hops. Memory grows with the wave, so one over MAX_SPAN_SECONDS is an
     InputError: a stream's state is constant. A look-ahead outside [0,
     MAX_LOOKAHEAD] or a `block_frames` that is not an int >= 1 is a
-    ConfigError.
+    ConfigError. Every input is checked before the encoder runs.
     """
     check_lookahead(lookahead, "lookahead")
     if block_frames is not None:
@@ -142,12 +148,10 @@ def content_and_timbre(model: TvtSynModel, wave, speaker, *, lookahead=MAX_LOOKA
     if not wave.size:
         raise InputError("input wave has no samples")
     check_offline_samples(wave.size, "input wave")
-    if not np.isfinite(wave).all():
-        raise InputError("input wave contains non-finite samples")
+    gtm = build_gtm(speaker, model.tvt)  # checks the speaker
     frames = encode_frames(wave, model.encoder, None,
                            lookahead=lookahead, block_frames=block_frames)
     content, _ = vq_quantize(frames, model.encoder.vq)
-    gtm = build_gtm(speaker, model.tvt)
     tvt, facet_weights, alpha = tvt_sequence(content, speaker, gtm, model.tvt)
     return content, tvt, facet_weights, alpha
 

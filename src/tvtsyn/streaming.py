@@ -92,8 +92,6 @@ class StreamSession:
         if samples.shape[0] != self.chunk_samples:
             raise InputError(
                 f"chunk has {samples.shape[0]} samples, expected {self.chunk_samples}")
-        if not np.isfinite(samples).all():
-            raise InputError("chunk contains non-finite samples")
 
         model = self.model
         frames = encode_frames(samples, model.encoder, self.enc_state,

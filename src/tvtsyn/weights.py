@@ -56,13 +56,15 @@ class WeightStore:
         return list(self._entries)
 
     def get(self, name, shape=None):
-        if name not in self._entries:
-            raise ConfigError(f"missing weight entry {name!r}; a file written for another "
-                              f"config or layout does not bind: {REGENERATE}")
-        arr = self._entries[name]
-        if shape is not None and arr.shape != tuple(shape):
-            raise ConfigError(f"weight {name!r} has shape {arr.shape}, expected {tuple(shape)}")
-        return arr
+        arr = self._entries.get(name)
+        if arr is None:
+            problem = f"missing weight entry {name!r}"
+        elif shape is not None and arr.shape != tuple(shape):
+            problem = f"weight {name!r} has shape {arr.shape}, expected {tuple(shape)}"
+        else:
+            return arr
+        raise ConfigError(f"{problem}; a file written for another config or layout "
+                          f"does not bind: {REGENERATE}")
 
     def parameter_count(self, prefixes=None) -> int:
         total = 0

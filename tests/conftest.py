@@ -14,6 +14,12 @@ REMOVED_CONFIG_KEYS = {
     "lookback_frames": "100", "encoder_lookahead": "4", "layer_scale": "0.01",
 }
 
+# weights where one NaN makes every VQ latent NaN (which argmin would map to
+# code 0): in the encoder CNN, the first encoder attention layer and the VQ
+# down projection
+NAN_ENCODER_WEIGHTS = ["encoder.cnn.conv_in.weight", "encoder.attn.layer0.qkv.weight",
+                       "encoder.vq.proj_down.weight"]
+
 
 @pytest.fixture(scope="session")
 def cfg():

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import REMOVED_CONFIG_KEYS, random_wave, store_of
+from conftest import NAN_ENCODER_WEIGHTS, REMOVED_CONFIG_KEYS, random_wave, store_of
 from tvtsyn import cli, wavio
 from tvtsyn import model as model_mod
 from tvtsyn.cli import run
@@ -62,16 +62,19 @@ def _margs(d, *extra):
     return ["--weights", str(d / "w.tvtw"), "--config", str(d / "model.cfg"), *extra]
 
 
+def _with_entries(workdir, path, **changed):
+    """The workdir weights with the `changed` entries, saved at `path`."""
+    store = load_weights(workdir / "w.tvtw")
+    save_weights(store_of({n: changed.get(n, store.get(n)) for n in store.names()}), path)
+    return path
+
+
 @pytest.fixture(scope="module")
 def nan_weights(workdir):
     """The workdir weights with a NaN output bias, so every output sample is NaN."""
-    store = load_weights(workdir / "w.tvtw")
-    entries = {name: store.get(name) for name in store.names()}
-    entries["decoder.cnn.conv_out.bias"] = np.full_like(entries["decoder.cnn.conv_out.bias"],
-                                                       np.nan)
-    path = workdir / "nan.tvtw"
-    save_weights(store_of(entries), path)
-    return path
+    bias = load_weights(workdir / "w.tvtw").get("decoder.cnn.conv_out.bias")
+    return _with_entries(workdir, workdir / "nan.tvtw",
+                         **{"decoder.cnn.conv_out.bias": np.full_like(bias, np.nan)})
 
 
 def _rejects_non_finite_output(workdir, weights, tmp_path, capsys, command, *extra):
@@ -191,6 +194,37 @@ def _address_space_headroom(nbytes):
         yield
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+class TestUnboundWeights:
+    def test_input_major_up_layout_is_config_error(self, workdir, tmp_path, capsys):
+        # a file written before the up convs were stored (out_ch, kernel, in_ch)
+        store = load_weights(workdir / "w.tvtw")
+        old = _with_entries(workdir, tmp_path / "old_up.tvtw", **{
+            n: store.get(n).transpose(2, 0, 1) for n in store.names()
+            if n.endswith(".up.weight")})
+        code = run(["synth", "--weights", str(old),
+                    "--config", str(workdir / "model.cfg"), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav")])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: weight 'decoder.cnn.stage0.up.weight'")
+        assert "tvtsyn init-weights --seed N [--config FILE]" in err
+
+    @pytest.mark.parametrize("name", NAN_ENCODER_WEIGHTS)
+    @pytest.mark.parametrize("command", ["synth", "stream"])
+    def test_nan_encoder_weight_is_input_error(self, workdir, tmp_path, capsys, name,
+                                               command):
+        w = load_weights(workdir / "w.tvtw").get(name).copy()
+        w.flat[0] = np.nan
+        weights = _with_entries(workdir, tmp_path / "nan.tvtw", **{name: w})
+        out = tmp_path / "x.wav"
+        code = run([command, "--weights", str(weights),
+                    "--config", str(workdir / "model.cfg"), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(out)])
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert "non-finite VQ latents" in err and "weight file" in err
 
 
 class TestInputSizeLimits:
@@ -562,6 +596,12 @@ class TestBench:
     @pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1", "1e15"])
     def test_bad_utt_seconds_is_config_error(self, workdir, seconds):
         assert run(["bench", *_margs(workdir), "--utt-seconds", seconds]) == 2
+
+    def test_utterance_shorter_than_a_chunk_is_config_error(self, tmp_path, capsys):
+        # checked before the weights are read: the weight path does not exist
+        assert run(["bench", "--weights", str(tmp_path / "missing.tvtw"),
+                    "--utt-seconds", "0.02", "--chunk-ms", "60"]) == 2
+        assert "shorter than one 60.0 ms chunk" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_no_synthetic_utterances_is_config_error(self, tmp_path, capsys, count):

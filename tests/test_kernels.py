@@ -8,11 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import random_wave
 from tvtsyn import kernels
+from tvtsyn.config import StreamConfig
 from tvtsyn.context import _attend, band_mask
 from tvtsyn.errors import ConfigError
 from tvtsyn.kernels import ConvLayer, ConvSpec, layer_norm, rope_cos_sin, rope_rotate
 from tvtsyn.kernels import elu, linear, sigmoid
+from tvtsyn.model import synthesize
+from tvtsyn.streaming import open_session
 
 F32 = np.float32
 
@@ -46,12 +50,12 @@ def conv_oracle(x, w, b, stride, dilation):
 
 def tconv_oracle(x, w, b, stride):
     """Direct-loop causal transposed convolution in float64 (no tail carry)."""
-    c_in, c_out, k = w.shape
+    c_out, k, c_in = w.shape
     t = x.shape[1]
     y = np.zeros((c_out, t * stride + k - stride))
     for j in range(t):
         for kk in range(k):
-            y[:, j * stride + kk] += w[:, :, kk].astype(np.float64).T @ x.astype(np.float64)[:, j]
+            y[:, j * stride + kk] += w[:, kk].astype(np.float64) @ x.astype(np.float64)[:, j]
     y = y[:, :t * stride]
     if b is not None:
         y += b.astype(np.float64)[:, None]
@@ -146,14 +150,14 @@ class TestTransposedConv:
     def test_hand_computed(self):
         # frame t adds x[t] to samples 2t..2t+3; samples 4 and 5 are carried
         spec = ConvSpec(1, 1, 4, stride=2, transposed=True)
-        y, state = conv(np.array([[1, 2]], F32), spec, np.ones((1, 1, 4), F32))
+        y, state = conv(np.array([[1, 2]], F32), spec, np.ones((1, 4, 1), F32))
         assert np.array_equal(y, [[1, 1, 3, 3]])
         assert np.array_equal(state, [[2, 2]])
 
     def test_zero_input_zero_output(self):
         spec = ConvSpec(3, 2, 8, stride=4, transposed=True)
         rng = np.random.default_rng(0)
-        w = rng.normal(size=(3, 2, 8)).astype(F32)
+        w = rng.normal(size=(2, 8, 3)).astype(F32)
         y, _ = conv(np.zeros((3, 6), F32), spec, w)
         assert y.shape == (2, 24) and not y.any()
 
@@ -162,7 +166,7 @@ class TestTransposedConv:
         x = rng.normal(size=(2, 50)).astype(F32)
         for stride in (2, 4, 5, 8):
             spec = ConvSpec(2, 2, 2 * stride, stride=stride, transposed=True)
-            w = rng.normal(size=(2, 2, 2 * stride)).astype(F32)
+            w = rng.normal(size=(2, 2 * stride, 2)).astype(F32)
             x, _ = conv(x, spec, w)
         assert x.shape == (2, 16000)
 
@@ -170,7 +174,7 @@ class TestTransposedConv:
         rng = np.random.default_rng(5)
         spec = ConvSpec(3, 2, 4, stride=2, transposed=True)
         x = rng.normal(size=(3, 12)).astype(F32)
-        w = rng.normal(size=(3, 2, 4)).astype(F32)
+        w = rng.normal(size=(2, 4, 3)).astype(F32)
         b = rng.normal(size=2).astype(F32)
         y, _ = conv(x, spec, w, b)
         np.testing.assert_allclose(y, tconv_oracle(x, w, b, 2), atol=1e-5)
@@ -179,7 +183,7 @@ class TestTransposedConv:
         rng = np.random.default_rng(6)
         spec = ConvSpec(2, 3, 10, stride=5, transposed=True)
         x = rng.normal(size=(2, 20)).astype(F32)
-        w = rng.normal(size=(2, 3, 10)).astype(F32)
+        w = rng.normal(size=(3, 10, 2)).astype(F32)
         b = rng.normal(size=3).astype(F32)
         full, _ = conv(x, spec, w, b)
         state = conv_layer(spec, w).init_state()
@@ -199,7 +203,7 @@ class TestTransposedConv:
         assert h.shape[1] == 10
         for stride in (2, 4, 5, 8):
             spec = ConvSpec(h.shape[0], 2, 2 * stride, stride=stride, transposed=True)
-            h, _ = conv(h, spec, rng.normal(size=(h.shape[0], 2, 2 * stride)).astype(F32))
+            h, _ = conv(h, spec, rng.normal(size=(2, 2 * stride, h.shape[0])).astype(F32))
         assert h.shape[1] == 3200
 
 
@@ -385,10 +389,10 @@ def _check_transposed_conv(rng, spec, t):
     einsum and overlap-add."""
     c_in, c_out, kernel, stride = spec.in_ch, spec.out_ch, spec.kernel, spec.stride
     x = rng.normal(size=(c_in, t)).astype(F32)
-    w = rng.normal(size=(c_in, c_out, kernel)).astype(F32)
+    w = rng.normal(size=(c_out, kernel, c_in)).astype(F32)
     b = rng.normal(size=c_out).astype(F32)
     state = rng.normal(size=(c_out, spec.state_len)).astype(F32)
-    contrib = np.einsum("cok,ct->okt", _f64(w), _f64(x))
+    contrib = np.einsum("okc,ct->okt", _f64(w), _f64(x))
     full = np.zeros((c_out, t * stride + spec.state_len))
     for k in range(kernel):
         full[:, k:k + (t - 1) * stride + 1:stride] += contrib[:, k]
@@ -438,7 +442,7 @@ class TestWeightMajorProducts:
     def test_transposed_conv_of_no_columns(self, kernel, stride):
         rng = np.random.default_rng(kernel)
         spec = ConvSpec(6, 5, kernel, stride, transposed=True)
-        w = rng.normal(size=(6, 5, kernel)).astype(F32)
+        w = rng.normal(size=(5, kernel, 6)).astype(F32)
         state = rng.normal(size=(5, spec.state_len)).astype(F32)
         y, new_state = conv(np.zeros((6, 0), F32), spec, w, rng.normal(size=5).astype(F32),
                             state)
@@ -504,7 +508,7 @@ class TestWeightMajorProducts:
         rng = np.random.default_rng(500 + 10 * kernel + stride)
         spec = ConvSpec(6, 5, kernel, stride, transposed=True)
         x = rng.normal(size=(6, 960)).astype(F32)
-        w = rng.normal(size=(6, 5, kernel)).astype(F32)
+        w = rng.normal(size=(5, kernel, 6)).astype(F32)
         b = rng.normal(size=5).astype(F32)
         state = rng.normal(size=(5, spec.state_len)).astype(F32)
         full, full_state = conv(x, spec, w, b, state)
@@ -544,15 +548,14 @@ class TestWeightMajorProducts:
 
     @pytest.mark.parametrize("t", range(1, kernels.GEMV_MAX_COLS + 2))
     def test_transposed_conv_over_three_gemv_blocks_matches_einsum(self, monkeypatch, t):
-        # the stored (C_in, C_out, K) weight is cut along C_in: its 50 rows of
-        # 5 * 4 into blocks of 16, 17 and 17
+        # the stored (C_out, K, C_in) weight is a (5 * 4, 50) matrix: its 20
+        # rows are cut into blocks of 6, 7 and 7
         monkeypatch.setattr(kernels, "GEMV_BLOCK", 5 * 4 * 16)
         _check_transposed_conv(np.random.default_rng(400 + t),
                                ConvSpec(50, 5, 4, 2, transposed=True), t)
 
     # a weight of m * k elements just over 1, 1.5 and 2 GEMV_BLOCKs: one
-    # block, one block, and two blocks of 20 and 21 rows (or K rows when
-    # transposed)
+    # block, one block, and two blocks of 20 and 21 rows
     @pytest.mark.parametrize("t", range(1, kernels.GEMV_MAX_COLS + 1))
     @pytest.mark.parametrize("m", [21, 31, 41])
     @pytest.mark.parametrize("transposed", [False, True])
@@ -592,6 +595,28 @@ class TestWeightMajorProducts:
         else:
             assert sum(blocks) == m * k
             assert all(kernels.GEMV_BLOCK <= n < 2 * kernels.GEMV_BLOCK for n in blocks)
+
+    def test_every_model_weight_is_c_contiguous(self, monkeypatch, model, speaker):
+        # every weight is stored output-major, so each product of a
+        # synthesize and of three 60 ms feeds gets a C-contiguous matrix
+        product = kernels.weight_product
+        weights = []
+
+        def spy(w, x, out=None):
+            weights.append(w)
+            return product(w, x, out=out)
+
+        monkeypatch.setattr(kernels, "weight_product", spy)
+        synthesize(model, random_wave(60, 960 * 3), speaker)
+        session = open_session(model, StreamConfig(chunk_ms=60), speaker)
+        for k in range(3):
+            session.feed(random_wave(61 + k, 960))
+        assert [w.shape for w in weights if not w.flags.c_contiguous] == []
+        shapes = {w.shape for w in weights}
+        ups = [layer.spec for layer in model.decoder.cnn.layers
+               if isinstance(layer, ConvLayer) and layer.spec.transposed]
+        assert len(ups) == 4
+        assert all((spec.out_ch * spec.kernel, spec.in_ch) in shapes for spec in ups)
 
 
 class TestConvTemporaries:

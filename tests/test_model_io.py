@@ -334,9 +334,22 @@ class TestRandomInit:
         assert "qkv.weight" in message
         assert "tvtsyn init-weights --seed N [--config FILE]" in message
 
+    def test_input_major_up_layout_does_not_bind(self, cfg, store, tmp_path):
+        # a file written before the up convs were stored output-major: each
+        # up weight transposed back from (out_ch, kernel, in_ch) to
+        # (in_ch, out_ch, kernel)
+        old = store_of({n: store.get(n).transpose(2, 0, 1) if n.endswith(".up.weight")
+                        else store.get(n) for n in store.names()})
+        save_weights(old, tmp_path / "old.tvtw")
+        with pytest.raises(ConfigError) as err:
+            TvtSynModel.from_store(load_weights(tmp_path / "old.tvtw"), cfg)
+        message = str(err.value)
+        assert "'decoder.cnn.stage0.up.weight'" in message
+        assert "tvtsyn init-weights --seed N [--config FILE]" in message
+
     def test_wrong_shape_entry_rejected(self, cfg, store):
         name = "decoder.cnn.stage0.up.weight"
-        permuted = store.get(name).transpose(1, 0, 2)  # same size, (out_ch, in_ch, kernel)
+        permuted = store.get(name).transpose(1, 0, 2)  # same size, (kernel, out_ch, in_ch)
         assert permuted.shape != store.get(name).shape
         bad = store_of({n: permuted if n == name else store.get(n) for n in store.names()})
         with pytest.raises(ConfigError, match=re.escape(repr(name))):
@@ -360,11 +373,7 @@ class TestRandomInit:
                 up = store.get("encoder.vq.proj_up.weight")
                 np.testing.assert_allclose(arr @ up, np.eye(arr.shape[0]), atol=1e-4)
             else:
-                # a transposed conv stores (in_ch, out_ch, kernel)
-                if name.endswith(".up.weight"):
-                    fan_in = arr.shape[0] * arr.shape[2]
-                else:
-                    fan_in = math.prod(arr.shape[1:])
+                fan_in = math.prod(arr.shape[1:])
                 assert np.abs(arr).max() <= np.float32(1.0 / np.sqrt(fan_in)), name
 
     def test_spec_names_unique_and_prefixed(self, cfg):

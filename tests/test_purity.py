@@ -56,7 +56,7 @@ def test_causal_conv_is_pure(t, kernel, stride, dilation):
 def test_transposed_conv_is_pure(t, kernel, stride):
     rng = np.random.default_rng(t + kernel)
     spec = ConvSpec(6, 5, kernel, stride, transposed=True)
-    x, w, b = _normal(rng, 6, t), _normal(rng, 6, 5, kernel), _normal(rng, 5)
+    x, w, b = _normal(rng, 6, t), _normal(rng, 5, kernel, 6), _normal(rng, 5)
     state = _normal(rng, 5, spec.state_len)
     snap = Snapshot(x, w, b, state)
     y, new_state = ConvLayer(spec, w, b).apply(x, state)

@@ -5,10 +5,10 @@ state semantics, lifecycle rules, determinism, isolation, and memory bounds.
 import numpy as np
 import pytest
 
-from conftest import random_wave
+from conftest import NAN_ENCODER_WEIGHTS, random_wave, store_of
 from tvtsyn.config import SAMPLE_RATE, StreamConfig
 from tvtsyn.errors import ConfigError, InputError, StateError
-from tvtsyn.model import synthesize
+from tvtsyn.model import MAX_SAMPLE, TvtSynModel, as_wave, synthesize
 from tvtsyn.prosody import MAX_F0_SCALE
 from tvtsyn.streaming import open_session, stream_file
 
@@ -194,8 +194,13 @@ class TestLookaheadIsChunkLocal:
         assert not np.array_equal(outs1[3], outs2[3])
 
 
+# non-finite samples, and finite ones far above MAX_SAMPLE that overflow
+# layer_norm's float32 square
+BAD_SAMPLES = [np.nan, np.inf, -np.inf, 1e25, -3e38]
+
+
 class TestNonFiniteInput:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", BAD_SAMPLES)
     def test_feed_rejects_and_leaves_state_alone(self, model, speaker, bad):
         sc = StreamConfig(chunk_ms=60)
         wave = random_wave(40, 960 * 5)
@@ -213,12 +218,39 @@ class TestNonFiniteInput:
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", BAD_SAMPLES)
     def test_synthesize_rejects(self, model, speaker, bad):
         wave = random_wave(41, 960 * 2)
         wave[5] = bad
         with pytest.raises(InputError, match="non-finite"):
             synthesize(model, wave, speaker)
+
+    def test_bound_is_max_sample(self):
+        assert np.array_equal(as_wave([MAX_SAMPLE, -MAX_SAMPLE]), [MAX_SAMPLE, -MAX_SAMPLE])
+        with pytest.raises(InputError, match="non-finite"):
+            as_wave([0.0, np.nextafter(F32(MAX_SAMPLE), F32(np.inf))])
+
+
+class TestNonFiniteWeights:
+    """A NaN weight before the VQ is an InputError that points at the weight
+    file, offline and in a stream, not a quiet stream of code 0."""
+
+    @pytest.fixture(scope="class", params=NAN_ENCODER_WEIGHTS)
+    def nan_model(self, request, cfg, store):
+        w = store.get(request.param).copy()
+        w.flat[0] = np.nan
+        return TvtSynModel.from_store(
+            store_of({n: w if n == request.param else store.get(n) for n in store.names()}),
+            cfg)
+
+    def test_synthesize_rejects(self, nan_model, speaker):
+        with pytest.raises(InputError, match="non-finite VQ latents.*weight file"):
+            synthesize(nan_model, random_wave(48, 960 * 2), speaker)
+
+    def test_feed_rejects(self, nan_model, speaker):
+        s = open_session(nan_model, StreamConfig(chunk_ms=60), speaker)
+        with pytest.raises(InputError, match="non-finite VQ latents.*weight file"):
+            s.feed(random_wave(49, 960))
 
 
 class TestEmptyInput:
@@ -229,6 +261,16 @@ class TestEmptyInput:
         monkeypatch.setattr("tvtsyn.model.encode_frames", never_called)
         with pytest.raises(InputError, match="no samples"):
             synthesize(model, np.zeros(0, np.float32), speaker)
+
+
+class TestBadSpeakerOffline:
+    def test_synthesize_rejects_before_any_work(self, model, monkeypatch):
+        def never_called(*args, **kwargs):
+            raise AssertionError("a bad speaker must be rejected before encoding")
+
+        monkeypatch.setattr("tvtsyn.model.encode_frames", never_called)
+        with pytest.raises(InputError, match="global timbre vector must have nonzero norm"):
+            synthesize(model, random_wave(50, 960), np.zeros(model.cfg.global_dim, F32))
 
 
 class TestNotOneDimensional:
