@@ -128,16 +128,6 @@ class KvCache:
         return slots
 
 
-def _split_heads(x, n_heads):
-    t, d = x.shape
-    return x.reshape(t, n_heads, d // n_heads)
-
-
-def _merge_heads(x):
-    t, h, dh = x.shape
-    return x.reshape(t, h * dh)
-
-
 def band_mask(q_pos, k_pos, lookback: int, lookahead: int, block_frames=None):
     """Boolean (len(q_pos), len(k_pos)) mask over absolute frame positions.
 
@@ -180,18 +170,19 @@ def _block(x, layer, params: TransformerParams, rope, allowed, kv, owned: bool):
     itself when the caller `owned` it.
     """
     h = layer_norm(x, layer.ln1_g, layer.ln1_b)
-    d = params.d_model
-    qkv = linear(h, layer.wqkv, layer.bqkv)                   # (T, 3 * d_model)
-    q = rope_rotate(_split_heads(qkv[:, :d], params.n_heads), *rope)
-    k = rope_rotate(_split_heads(qkv[:, d:2 * d], params.n_heads), *rope)
-    v = _split_heads(qkv[:, 2 * d:], params.n_heads)
+    t, d = x.shape
+    # (T, 3 * d_model) as (T, q/k/v, heads, head_dim), sliced as views
+    qkv = linear(h, layer.wqkv, layer.bqkv).reshape(t, 3, params.n_heads, -1)
+    q = rope_rotate(qkv[:, 0], *rope)
+    k = rope_rotate(qkv[:, 1], *rope)
+    v = qkv[:, 2]
     if kv is None:
         keys, values = k.transpose(1, 0, 2), v.transpose(1, 0, 2)
     else:
         keys, values, slots = kv
         keys[:, slots] = k.transpose(1, 0, 2)
         values[:, slots] = v.transpose(1, 0, 2)
-    a = linear(_merge_heads(_attend(q, keys, values, allowed)), layer.wo, layer.bo)
+    a = linear(_attend(q, keys, values, allowed).reshape(t, d), layer.wo, layer.bo)
     a *= layer.ls_attn
     x = np.add(x, a, out=x if owned else None)
     f = mlp(layer_norm(x, layer.ln2_g, layer.ln2_b), layer.w1, layer.b1, layer.w2, layer.b2)

@@ -20,19 +20,17 @@ from .weights import WeightStore
 @dataclass
 class ClnFusionParams:
     """Conditional layer norm with fusion:
-    y = Proj((1 + gamma_t) * Norm(x_t) + beta_t || gate_t * Norm(s_t)).
+    y = Proj((1 + gamma_t) * Norm(x_t) + beta_t || sigmoid(g_t) * Norm(s_t)),
+    gamma_t, beta_t and g_t one FiLM product of s_t: the rows of `film_w` are
+    gamma's d_model, then beta's d_model, then g's timbre_dim.
     """
 
     ln_x_g: np.ndarray
     ln_x_b: np.ndarray
     ln_s_g: np.ndarray
     ln_s_b: np.ndarray
-    gamma_w: np.ndarray
-    gamma_b: np.ndarray
-    beta_w: np.ndarray
-    beta_b: np.ndarray
-    gate_w: np.ndarray
-    gate_b: np.ndarray
+    film_w: np.ndarray
+    film_b: np.ndarray
     proj_w: np.ndarray
     proj_b: np.ndarray
 
@@ -44,12 +42,8 @@ class ClnFusionParams:
             ln_x_b=store.get(f"{prefix}.ln_x.beta", (d,)),
             ln_s_g=store.get(f"{prefix}.ln_s.gamma", (s,)),
             ln_s_b=store.get(f"{prefix}.ln_s.beta", (s,)),
-            gamma_w=store.get(f"{prefix}.gamma_gen.weight", (d, s)),
-            gamma_b=store.get(f"{prefix}.gamma_gen.bias", (d,)),
-            beta_w=store.get(f"{prefix}.beta_gen.weight", (d, s)),
-            beta_b=store.get(f"{prefix}.beta_gen.bias", (d,)),
-            gate_w=store.get(f"{prefix}.gate_gen.weight", (s, s)),
-            gate_b=store.get(f"{prefix}.gate_gen.bias", (s,)),
+            film_w=store.get(f"{prefix}.film.weight", (2 * d + s, s)),
+            film_b=store.get(f"{prefix}.film.bias", (2 * d + s,)),
             proj_w=store.get(f"{prefix}.proj.weight", (d, d + s)),
             proj_b=store.get(f"{prefix}.proj.bias", (d,)),
         )
@@ -61,15 +55,14 @@ def cln_fuse(x, s, p: ClnFusionParams):
         raise InputError(f"content/timbre frame counts differ: {x.shape[0]} vs {s.shape[0]}")
     nx = layer_norm(x, p.ln_x_g, p.ln_x_b)
     ns = layer_norm(s, p.ln_s_g, p.ln_s_b)
-    gamma = linear(s, p.gamma_w, p.gamma_b)
-    beta = linear(s, p.beta_w, p.beta_b)
-    gate = sigmoid(linear(s, p.gate_w, p.gate_b))
     d = nx.shape[1]
+    film = linear(s, p.film_w, p.film_b)
+    gamma, beta = film[:, :d], film[:, d:2 * d]
     fused = np.empty((x.shape[0], d + ns.shape[1]), dtype=F32)
     gamma += 1.0
     np.multiply(gamma, nx, out=fused[:, :d])
     fused[:, :d] += beta
-    np.multiply(gate, ns, out=fused[:, d:])
+    np.multiply(sigmoid(film[:, 2 * d:]), ns, out=fused[:, d:])
     return linear(fused, p.proj_w, p.proj_b).astype(F32, copy=False)
 
 

@@ -16,10 +16,11 @@ Conventions:
     stored as one weight.
   - with more than GEMV_MAX_COLS activation columns (offline synthesis:
     100 or more everywhere) the product is one GEMM. With at most that many
-    (a 60 ms chunk's 3 frames at 50 Hz and 6 at 100 Hz) it is one GEMV per
-    column over each block of weight rows. A few-column GEMM packs the
-    weight before it multiplies and streams it at 6-8 GB/s; a GEMV reads
-    the block from DRAM once and from cache for the other columns.
+    (a 60 ms chunk's 3 frames at 50 Hz and 6 at 100 Hz) it is one stacked
+    GEMV call per block of weight rows, which numpy runs as one sgemv per
+    column. A few-column GEMM packs the weight before it multiplies and
+    streams it at 6-8 GB/s; a GEMV reads the block from DRAM once and from
+    cache for the other columns.
     OpenBLAS 0.3.31 runs an sgemv on one thread below 460,800 weight
     elements (cold, 2-vCPU Xeon: 449x1024 in ~120 us, 450x1024 in ~70 us),
     so an M x K weight is cut into max(1, M*K // GEMV_BLOCK) near-equal blocks
@@ -28,7 +29,7 @@ Conventions:
     one block: a cold 3-column product takes ~310 us, against ~390 us as
     blocks of 1024 + 512 rows and ~470 us as three 512x512 products. The
     weights under the cut still run on one thread: in a 60 ms chunk, the
-    16 512x512 `o` products and 20 smaller ones of up to 1.5 MB
+    16 512x512 `o` products and 16 smaller ones of up to 1.5 MB
     (BENCH_qkv.json has the per-stage times).
   - `ConvLayer.apply` is the one way to run a conv. A forward conv makes no
     temporary of kernel x channels x input length (low-memory GEMM
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InternalError
 
 F32 = np.float32
 
@@ -225,31 +226,29 @@ def _transposed_conv(x, spec, weight, bias, state):
 def weight_product(w, x, out=None):
     """w @ x for a C-contiguous weight w (M, K) and activation columns x (K, n).
 
-    More than GEMV_MAX_COLS columns: one GEMM, into `out` when given. At
-    most that many: one GEMV per column over each block of weight rows, so
-    the first column streams the block from DRAM and the others read it
-    from cache. The weight is cut into max(1, M*K // GEMV_BLOCK) blocks
-    that differ by at most one row, so a weight of at least GEMV_BLOCK
-    elements has no block under GEMV_BLOCK less one row (OpenBLAS's
-    one-thread cut is below that) nor of twice GEMV_BLOCK or more. No
-    weight is copied.
+    Into `out` when given. More than GEMV_MAX_COLS columns: one GEMM. At
+    most that many: one stacked GEMV call per block of weight rows (numpy
+    runs one sgemv per column), so the first column streams the block from
+    DRAM and the others read it from cache. The weight is cut into
+    max(1, M*K // GEMV_BLOCK) blocks that differ by at most one row, so a
+    weight of at least GEMV_BLOCK elements has no block under GEMV_BLOCK
+    less one row (OpenBLAS's one-thread cut is below that) nor of twice
+    GEMV_BLOCK or more. No weight is copied; any other weight layout is an
+    InternalError.
     """
+    if not w.flags.c_contiguous:
+        raise InternalError(f"weight of shape {w.shape} is not C-contiguous: strides {w.strides}")
     n = x.shape[1]
     if n > GEMV_MAX_COLS:
         return np.matmul(w, x, out=out)
     m, k = w.shape
-    xt = np.ascontiguousarray(x.T)                            # (n, K)
-    yt = np.empty((n, m), dtype=np.result_type(w, x))
+    xt = np.ascontiguousarray(x.T)[:, :, None]                # (n, K, 1)
+    yt = np.empty((n, m), dtype=np.result_type(w, x)) if out is None else out.T
     blocks = max(1, m * k // GEMV_BLOCK)
     cuts = [m * i // blocks for i in range(blocks + 1)]
     for r0, r1 in zip(cuts, cuts[1:]):
-        wb = w[r0:r1]
-        for j in range(n):
-            np.dot(wb, xt[j], out=yt[j, r0:r1])
-    if out is None:
-        return yt.T
-    out[...] = yt.T
-    return out
+        np.matmul(w[r0:r1], xt, out=yt[:, r0:r1, None])
+    return yt.T
 
 
 def linear(x, w, b=None):

@@ -48,14 +48,20 @@ class StreamSession:
         self.samples_in = 0
         self.samples_out = 0
         self.closed = False
+        self.failure = None  # why the session ended, once a feed failed midway
 
     # -- lifecycle ---------------------------------------------------------
+
+    def _check_open(self, closed_message):
+        if self.failure is not None:
+            raise StateError(self.failure)
+        if self.closed:
+            raise StateError(closed_message)
 
     def flush(self):
         """Close the session. Every fed sample was already emitted, so the
         result is empty; it is returned so callers can concatenate it."""
-        if self.closed:
-            raise StateError("session already flushed")
+        self._check_open("session already flushed")
         self.closed = True
         return np.zeros(0, dtype=F32)
 
@@ -85,14 +91,22 @@ class StreamSession:
     # -- processing --------------------------------------------------------
 
     def feed(self, samples):
-        """Process one chunk; returns this chunk's synthesized samples."""
-        if self.closed:
-            raise StateError("cannot feed a flushed session")
+        """Process one chunk; returns this chunk's synthesized samples. A chunk
+        the checks below reject leaves the session as it was; an error after
+        that may have moved some state, so it ends the session."""
+        self._check_open("cannot feed a flushed session")
         samples = as_wave(samples, "chunk")
         if samples.shape[0] != self.chunk_samples:
             raise InputError(
                 f"chunk has {samples.shape[0]} samples, expected {self.chunk_samples}")
+        try:
+            return self._step(samples)
+        except BaseException as exc:
+            k = self.samples_in // self.chunk_samples
+            self.failure = f"session failed at chunk {k}: {type(exc).__name__}: {exc}"
+            raise
 
+    def _step(self, samples):
         model = self.model
         frames = encode_frames(samples, model.encoder, self.enc_state,
                                lookahead=self.cfg.lookahead_frames)

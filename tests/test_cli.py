@@ -211,6 +211,29 @@ class TestUnboundWeights:
         assert err.startswith("configuration error: weight 'decoder.cnn.stage0.up.weight'")
         assert "tvtsyn init-weights --seed N [--config FILE]" in err
 
+    def test_separate_cln_generators_layout_is_config_error(self, workdir, cfg, tmp_path,
+                                                             capsys):
+        # a file written before each cLN stored one FiLM weight: its rows were
+        # three entries, `gamma_gen`, `beta_gen` and `gate_gen`
+        store = load_weights(workdir / "w.tvtw")
+        entries = {}
+        for name in store.names():
+            prefix, _, leaf = name.rpartition(".film.")
+            if not prefix:
+                entries[name] = store.get(name)
+                continue
+            parts = np.split(store.get(name), [cfg.d_model, 2 * cfg.d_model])
+            for gen, part in zip(("gamma_gen", "beta_gen", "gate_gen"), parts):
+                entries[f"{prefix}.{gen}.{leaf}"] = part
+        save_weights(store_of(entries), tmp_path / "old_cln.tvtw")
+        code = run(["synth", "--weights", str(tmp_path / "old_cln.tvtw"),
+                    "--config", str(workdir / "model.cfg"), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav")])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
+        err = capsys.readouterr().err
+        assert "missing weight entry 'decoder.cln_in.film.weight'" in err
+        assert "tvtsyn init-weights --seed N [--config FILE]" in err
+
     @pytest.mark.parametrize("name", NAN_ENCODER_WEIGHTS)
     @pytest.mark.parametrize("command", ["synth", "stream"])
     def test_nan_encoder_weight_is_input_error(self, workdir, tmp_path, capsys, name,

@@ -20,19 +20,30 @@ F32 = np.float32
 
 
 def _identity_cln(p: ClnFusionParams) -> ClnFusionParams:
-    """gamma/beta/gate generators zeroed (gate forced hard closed), projection
-    = identity on the content half: y must equal Norm(x)."""
+    """FiLM weight zeroed, its gamma and beta biases zero and its gate bias
+    -40 (gate hard closed), projection = identity on the content half: y must
+    equal Norm(x)."""
     d, s = p.proj_w.shape[0], p.ln_s_g.shape[0]
     proj = np.zeros((d, d + s), F32)
     proj[:, :d] = np.eye(d, dtype=F32)
+    film_b = np.zeros_like(p.film_b)
+    film_b[2 * d:] = -40.0
     return ClnFusionParams(
         ln_x_g=np.ones_like(p.ln_x_g), ln_x_b=np.zeros_like(p.ln_x_b),
         ln_s_g=np.ones_like(p.ln_s_g), ln_s_b=np.zeros_like(p.ln_s_b),
-        gamma_w=np.zeros_like(p.gamma_w), gamma_b=np.zeros_like(p.gamma_b),
-        beta_w=np.zeros_like(p.beta_w), beta_b=np.zeros_like(p.beta_b),
-        gate_w=np.zeros_like(p.gate_w), gate_b=np.full_like(p.gate_b, -40.0),
+        film_w=np.zeros_like(p.film_w), film_b=film_b,
         proj_w=proj, proj_b=np.zeros(d, F32),
     )
+
+
+def _f64(a):
+    return np.asarray(a, dtype=np.float64)
+
+
+def _norm64(x, g, b):
+    """Layer norm over the last axis in float64."""
+    d = x - x.mean(axis=-1, keepdims=True)
+    return d / np.sqrt((d * d).mean(axis=-1, keepdims=True) + 1e-5) * g + b
 
 
 class TestClnFuse:
@@ -55,13 +66,34 @@ class TestClnFuse:
         x = np.broadcast_to(x[:1] * 0 + 3.0, x.shape).copy()
         p = model.decoder.cln_in
         y = cln_fuse(x, s, p)
-        beta = s @ p.beta_w.T + p.beta_b
+        d = x.shape[1]
+        beta = s @ p.film_w[d:2 * d].T + p.film_b[d:2 * d]
         from tvtsyn.kernels import sigmoid
 
-        gate = sigmoid(s @ p.gate_w.T + p.gate_b)
+        gate = sigmoid(s @ p.film_w[2 * d:].T + p.film_b[2 * d:])
         ns = layer_norm(s, p.ln_s_g, p.ln_s_b)
         expected = np.concatenate([beta, gate * ns], axis=1) @ p.proj_w.T + p.proj_b
         np.testing.assert_allclose(y, expected, atol=1e-5)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_matches_float64_reference(self, model, seed):
+        # y = Proj((1 + gamma) * Norm(x) + beta || sigmoid(g) * Norm(s)), with
+        # gamma, beta and g the FiLM rows, on random (nonzero) biases and norms
+        x, s = self._streams(model, seed=seed)
+        rng = np.random.default_rng(10 + seed)
+        p = dataclasses.replace(model.decoder.cln_out, **{
+            f: rng.normal(0, 0.5, getattr(model.decoder.cln_out, f).shape).astype(F32)
+            for f in ("ln_x_g", "ln_x_b", "ln_s_g", "ln_s_b", "film_b", "proj_b")})
+        d = x.shape[1]
+        film = _f64(s) @ _f64(p.film_w).T + _f64(p.film_b)
+        gamma, beta, g = film[:, :d], film[:, d:2 * d], film[:, 2 * d:]
+        nx = _norm64(_f64(x), _f64(p.ln_x_g), _f64(p.ln_x_b))
+        ns = _norm64(_f64(s), _f64(p.ln_s_g), _f64(p.ln_s_b))
+        fused = np.concatenate([(1 + gamma) * nx + beta, ns / (1 + np.exp(-g))], axis=1)
+        want = fused @ _f64(p.proj_w).T + _f64(p.proj_b)
+        y = cln_fuse(x, s, p)
+        assert y.shape == want.shape and y.dtype == F32
+        np.testing.assert_allclose(y, want, rtol=1e-5, atol=1e-5)
 
     def test_conditioning_is_live(self, model):
         x, s1 = self._streams(model, seed=2)

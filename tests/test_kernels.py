@@ -12,7 +12,7 @@ from conftest import random_wave
 from tvtsyn import kernels
 from tvtsyn.config import StreamConfig
 from tvtsyn.context import _attend, band_mask
-from tvtsyn.errors import ConfigError
+from tvtsyn.errors import ConfigError, InternalError
 from tvtsyn.kernels import ConvLayer, ConvSpec, layer_norm, rope_cos_sin, rope_rotate
 from tvtsyn.kernels import elu, linear, sigmoid
 from tvtsyn.model import synthesize
@@ -558,38 +558,64 @@ class TestWeightMajorProducts:
     # block, one block, and two blocks of 20 and 21 rows
     @pytest.mark.parametrize("t", range(1, kernels.GEMV_MAX_COLS + 1))
     @pytest.mark.parametrize("m", [21, 31, 41])
-    @pytest.mark.parametrize("transposed", [False, True])
-    def test_weight_product_near_block_multiples_matches_einsum(self, monkeypatch, t, m,
-                                                                transposed):
+    def test_weight_product_near_block_multiples_matches_einsum(self, monkeypatch, t, m):
         monkeypatch.setattr(kernels, "GEMV_BLOCK", 48 * 20)
         rng = np.random.default_rng(600 + 10 * m + t)
-        shape = (48, m) if transposed else (m, 48)
-        stored = rng.normal(size=shape).astype(F32)
-        w = stored.T if transposed else stored                # (m, 48) or (48, m)
-        x = rng.normal(size=(w.shape[1], t)).astype(F32)
+        w = rng.normal(size=(m, 48)).astype(F32)
+        x = rng.normal(size=(48, t)).astype(F32)
         got = kernels.weight_product(w, x)
-        assert got.shape == (w.shape[0], t) and got.dtype == F32
+        assert got.shape == (m, t) and got.dtype == F32
         np.testing.assert_allclose(got, np.einsum("mk,kt->mt", _f64(w), _f64(x)),
                                    rtol=1e-5, atol=1e-4)
 
+    @pytest.mark.parametrize("t", [1, kernels.GEMV_MAX_COLS + 1])
+    def test_weight_product_rejects_a_weight_that_is_not_c_contiguous(self, t):
+        # every weight is stored output-major, so a strided view is a caller's bug
+        w = np.ones((48, 21), F32).T
+        with pytest.raises(InternalError, match=r"shape \(21, 48\).*strides \(4, 84\)"):
+            kernels.weight_product(w, np.ones((48, t), F32))
+
+    # the model's few-column weights: q/k/v, o, the FFN pair, a cLN's FiLM
+    # weight and a frame-rate conv, each cut into 1 to 9 row blocks
+    @pytest.mark.parametrize("t", range(1, kernels.GEMV_MAX_COLS + 1))
+    @pytest.mark.parametrize("shape", [(1536, 512), (512, 512), (2048, 512), (512, 2048),
+                                       (1216, 192), (768, 2304)])
+    def test_stacked_gemv_equals_per_column_dot_bitwise(self, monkeypatch, shape, t):
+        # one stacked np.matmul per block issues the sgemv calls of one np.dot
+        # per column over that block, so the products are bitwise equal
+        m, k = shape
+        rng = np.random.default_rng(m + k + t)
+        w = rng.normal(size=shape).astype(F32)
+        x = rng.normal(size=(k, t)).astype(F32)
+        xt = np.ascontiguousarray(x.T)
+        for blocks in range(1, 10):
+            monkeypatch.setattr(kernels, "GEMV_BLOCK", m * k // blocks)
+            cuts = [m * i // blocks for i in range(blocks + 1)]
+            want = np.empty((t, m), F32)
+            for r0, r1 in zip(cuts, cuts[1:]):
+                for j in range(t):
+                    np.dot(w[r0:r1], xt[j], out=want[j, r0:r1])
+            assert np.array_equal(kernels.weight_product(w, x), want.T), blocks
+            out = np.full((m, t), np.nan, F32)
+            kernels.weight_product(w, x, out=out)
+            assert np.array_equal(out, want.T), blocks
+
     @pytest.mark.parametrize("shape", [(1536, 512), (768, 2304), (512, 4608), (1536, 1536),
                                        (768, 768), (96, 960)])
-    @pytest.mark.parametrize("transposed", [False, True])
-    def test_no_gemv_block_below_the_block_size(self, monkeypatch, shape, transposed):
+    def test_no_gemv_block_below_the_block_size(self, monkeypatch, shape):
         # the model's few-column products: a weight of at least GEMV_BLOCK
         # elements is cut into blocks of GEMV_BLOCK to 2 * GEMV_BLOCK, so no
         # tail block falls under OpenBLAS's one-thread sgemv cut
         blocks = []
-        dot = np.dot
+        matmul = np.matmul
 
         def spy(a, b, out=None):
-            blocks.append(b.size if a.ndim == 1 else a.size)
-            return dot(a, b, out=out)
+            blocks.append(a.size)
+            return matmul(a, b, out=out)
 
-        monkeypatch.setattr(kernels.np, "dot", spy)
+        monkeypatch.setattr(kernels.np, "matmul", spy)
         m, k = shape
-        w = np.ones((k, m), F32).T if transposed else np.ones((m, k), F32)
-        kernels.weight_product(w, np.ones((w.shape[1], 1), F32))
+        kernels.weight_product(np.ones((m, k), F32), np.ones((k, 1), F32))
         if m * k < kernels.GEMV_BLOCK:
             assert blocks == [m * k]
         else:

@@ -594,14 +594,20 @@ class TestBudget:
         assert abs(full_budget["total"] / 86.0e6 - 1.0) <= 0.15
 
     def test_full_config_budget_unchanged_by_fused_qkv(self, full_budget):
-        # the counts of the separate q/k/v layout
+        # the counts of the separate q/k/v and gamma/beta/gate layouts
         assert full_budget == {"encoder": 38_879_104, "decoder": 50_262_341,
                                "total": 89_141_445}
 
     def test_full_config_holds_one_qkv_per_attention_layer(self, full_shapes):
         # 16 attention layers, each with one (3 * d_model, d_model) q/k/v weight
-        # and its bias where the separate layout held six entries: 408 -> 344
-        assert len(full_shapes) == 344
+        # and its bias where the separate layout held six entries: 408 -> 344;
+        # each of the 2 cLNs holds one FiLM weight and bias where the separate
+        # gamma/beta/gate generators held six entries: 344 -> 336
+        assert len(full_shapes) == 336
         qkv = {n: s for n, s in full_shapes.items() if n.endswith(".qkv.weight")}
         assert len(qkv) == 16 and set(qkv.values()) == {(1536, 512)}
         assert not [n for n in full_shapes if re.search(r"\.[qkv]\.", n)]
+        film = {n: s for n, s in full_shapes.items() if n.endswith(".film.weight")}
+        assert film == {"decoder.cln_in.film.weight": (1216, 192),
+                        "decoder.cln_out.film.weight": (1216, 192)}
+        assert not [n for n in full_shapes if "_gen" in n]

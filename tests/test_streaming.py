@@ -252,6 +252,51 @@ class TestNonFiniteWeights:
         with pytest.raises(InputError, match="non-finite VQ latents.*weight file"):
             s.feed(random_wave(49, 960))
 
+    def test_failed_feed_ends_the_session(self, nan_model, speaker):
+        # the encoder has moved its state by then (see TestFailedFeed)
+        s = open_session(nan_model, StreamConfig(chunk_ms=60), speaker)
+        with pytest.raises(InputError, match="non-finite VQ latents") as first:
+            s.feed(random_wave(52, 960))
+        assert not isinstance(first.value, StateError)
+        why = "session failed at chunk 0: InputError: .*non-finite VQ latents"
+        with pytest.raises(StateError, match=why):
+            s.feed(random_wave(53, 960))
+        with pytest.raises(StateError, match=why):
+            s.flush()
+
+
+class TestFailedFeed:
+    """An error after a feed's checks may have moved some state and not the
+    rest, so it ends the session: every later feed and flush is a StateError
+    that names the failed chunk and the first error (a NaN weight's VQ error
+    is in TestNonFiniteWeights)."""
+
+    def test_failure_names_its_chunk(self, model, speaker, monkeypatch):
+        from tvtsyn import streaming
+
+        real, calls = streaming.predict_f0_energy, []
+
+        def fail_third(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise MemoryError("no room")
+            return real(*args)
+
+        monkeypatch.setattr(streaming, "predict_f0_energy", fail_third)
+        s = open_session(model, StreamConfig(chunk_ms=60), speaker)
+        wave = random_wave(54, 960 * 4)
+        for k in range(2):
+            s.feed(wave[k * 960:(k + 1) * 960])
+        with pytest.raises(MemoryError):
+            s.feed(wave[1920:2880])
+        # the encoder's clock moved on, the decoder's and the sample count did not
+        assert (s.enc_state.cache.next_pos, s.dec_cache.next_pos) == (9, 6)
+        assert s.samples_in == 1920
+        for call in (lambda: s.feed(wave[2880:]), lambda: s.feed(wave[:7]), s.flush):
+            with pytest.raises(StateError, match="chunk 2: MemoryError: no room"):
+                call()
+        assert len(calls) == 3
+
 
 class TestEmptyInput:
     def test_synthesize_rejects_before_any_work(self, model, speaker, monkeypatch):
