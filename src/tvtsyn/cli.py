@@ -114,7 +114,7 @@ def cmd_synth(args):
     model = _load(args)
     speaker = _read_speaker(args.speaker, model.cfg.global_dim)
     out = synthesize(model, wave, speaker, lookahead=args.lookahead,
-                     block_frames=block, f0_scale=args.f0_scale)
+                     block_frames=block, f0_scale=args.f0_scale)[:wave.size]
     with _writing(args.out):
         wavio.write_wav(args.out, out)
     print(f"synthesized {out.size} samples -> {args.out}")
@@ -131,7 +131,7 @@ def cmd_stream(args):
     for k, ms in enumerate(feed_ms):
         print(f"chunk {k}: {ms:.2f} ms", file=sys.stderr)
     with _writing(args.out):
-        wavio.write_wav(args.out, out)
+        wavio.write_wav(args.out, out[:wave.size])
     if feed_ms.size:
         print(f"streamed {feed_ms.size} chunks of {args.chunk_ms} ms, "
               f"mean processing {feed_ms.mean():.2f} ms -> {args.out}")

@@ -29,7 +29,7 @@ Conventions:
     one block: a cold 3-column product takes ~310 us, against ~390 us as
     blocks of 1024 + 512 rows and ~470 us as three 512x512 products. The
     weights under the cut still run on one thread: in a 60 ms chunk, the
-    16 512x512 `o` products and 16 smaller ones of up to 1.5 MB
+    16 512x512 `o` products and 14 smaller ones of up to 1.5 MB
     (BENCH_qkv.json has the per-stage times).
   - `ConvLayer.apply` is the one way to run a conv. A forward conv makes no
     temporary of kernel x channels x input length (low-memory GEMM

@@ -21,61 +21,61 @@ MAX_F0_SCALE = 32.0
 
 
 @dataclass
-class PredictorParams:
-    """2-layer causal CNN (kernel 3, ReLU) with a point-wise projection."""
+class PredictorHead:
+    """One predictor past the shared first conv: a causal conv and a projection."""
 
-    conv1: ConvLayer
     conv2: ConvLayer
     proj_w: np.ndarray
     proj_b: np.ndarray
 
     @classmethod
-    def from_store(cls, store, prefix, in_dim, hidden):
+    def from_store(cls, store, prefix, hidden):
         return cls(
-            conv1=ConvLayer.from_store(store, f"{prefix}.conv1", ConvSpec(in_dim, hidden, 3)),
             conv2=ConvLayer.from_store(store, f"{prefix}.conv2", ConvSpec(hidden, hidden, 3)),
             proj_w=store.get(f"{prefix}.proj.weight", (1, hidden)),
             proj_b=store.get(f"{prefix}.proj.bias", (1,)),
         )
 
-    def init_states(self):
-        return [self.conv1.init_state(), self.conv2.init_state()]
-
-    def apply(self, feats_ct, states):
-        h, state1 = self.conv1.apply(feats_ct, states[0])
-        h, state2 = self.conv2.apply(relu(h), states[1])
-        return linear(relu(h).T, self.proj_w, self.proj_b)[:, 0], [state1, state2]
-
 
 @dataclass
 class ProsodyParams:
-    f0: PredictorParams
-    energy: PredictorParams
+    """f0 and energy predictors, causal CNNs (kernel 3, ReLU) with a projection each; both
+    read the content frames, so their first convs are one stored conv, rows f0 then energy."""
+
+    conv1: ConvLayer
+    f0: PredictorHead
+    energy: PredictorHead
     inject_w: np.ndarray  # (d_model, 2)
     inject_b: np.ndarray
 
     @classmethod
     def from_store(cls, store: WeightStore, cfg: ModelConfig):
+        hidden = cfg.prosody_hidden
         return cls(
-            f0=PredictorParams.from_store(store, "prosody.f0", cfg.d_model, cfg.prosody_hidden),
-            energy=PredictorParams.from_store(store, "prosody.energy", cfg.d_model,
-                                              cfg.prosody_hidden),
+            conv1=ConvLayer.from_store(store, "prosody.conv1", ConvSpec(cfg.d_model, 2 * hidden, 3)),
+            f0=PredictorHead.from_store(store, "prosody.f0", hidden),
+            energy=PredictorHead.from_store(store, "prosody.energy", hidden),
             inject_w=store.get("prosody.inject.weight", (cfg.d_model, 2)),
             inject_b=store.get("prosody.inject.bias", (cfg.d_model,)),
         )
 
     def init_states(self):
-        return [self.f0.init_states(), self.energy.init_states()]
+        return [conv.init_state() for conv in (self.conv1, self.f0.conv2, self.energy.conv2)]
 
 
 def predict_f0_energy(features, params: ProsodyParams, states=None):
-    """Frame features (T, d_model) -> ((T, 2) [f0, log_energy], states)."""
+    """Frame features (T, d_model) -> ((T, 2) [f0, log_energy], states): one
+    first conv, then each head on its half of the rows."""
     if states is None:
         states = params.init_states()
-    feats_ct = np.ascontiguousarray(features.T)
-    f0, f0_states = params.f0.apply(feats_ct, states[0])
-    en, en_states = params.energy.apply(feats_ct, states[1])
-    return np.stack([f0, en], axis=1).astype(F32), [f0_states, en_states]
+    h, trunk_state = params.conv1.apply(np.ascontiguousarray(features.T), states[0])
+    pred = np.empty((features.shape[0], 2), dtype=F32)
+    new_states = [trunk_state]
+    for i, (head, rows) in enumerate(zip((params.f0, params.energy), np.split(relu(h), 2))):
+        g, state = head.conv2.apply(rows, states[1 + i])
+        pred[:, i] = linear(relu(g).T, head.proj_w, head.proj_b)[:, 0]
+        new_states.append(state)
+    return pred, new_states
 
 
 def check_f0_scale(f0_scale) -> float:

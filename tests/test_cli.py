@@ -234,6 +234,28 @@ class TestUnboundWeights:
         assert "missing weight entry 'decoder.cln_in.film.weight'" in err
         assert "tvtsyn init-weights --seed N [--config FILE]" in err
 
+    def test_separate_prosody_first_convs_layout_is_config_error(self, workdir, tmp_path,
+                                                                 capsys):
+        # a file written before the predictors shared one first conv: its rows
+        # were two entries, `prosody.f0.conv1` and `prosody.energy.conv1`
+        store = load_weights(workdir / "w.tvtw")
+        entries = {}
+        for name in store.names():
+            prefix, _, leaf = name.rpartition(".conv1.")
+            if prefix != "prosody":
+                entries[name] = store.get(name)
+                continue
+            for head, part in zip(("f0", "energy"), np.split(store.get(name), 2)):
+                entries[f"prosody.{head}.conv1.{leaf}"] = part
+        save_weights(store_of(entries), tmp_path / "old_prosody.tvtw")
+        code = run(["synth", "--weights", str(tmp_path / "old_prosody.tvtw"),
+                    "--config", str(workdir / "model.cfg"), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav")])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
+        err = capsys.readouterr().err
+        assert "missing weight entry 'prosody.conv1.weight'" in err
+        assert "tvtsyn init-weights --seed N [--config FILE]" in err
+
     @pytest.mark.parametrize("name", NAN_ENCODER_WEIGHTS)
     @pytest.mark.parametrize("command", ["synth", "stream"])
     def test_nan_encoder_weight_is_input_error(self, workdir, tmp_path, capsys, name,
@@ -535,6 +557,16 @@ class TestStream:
         b = wavio.read_wav(workdir / "sy.wav")
         assert a.shape == b.shape
         assert np.abs(a - b).max() <= 1e-4
+
+    def test_output_holds_as_many_samples_as_the_input(self, workdir, tmp_path):
+        # 32100 samples: neither whole 60 ms chunks nor whole 320-sample hops
+        wavio.write_wav(tmp_path / "odd.wav", random_wave(4, 32100))
+        for command, extra in (("stream", ["--chunk-ms", "60"]), ("synth", [])):
+            out = tmp_path / f"{command}.wav"
+            code = run([command, *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                        "--in", str(tmp_path / "odd.wav"), "--out", str(out), *extra])
+            assert code == 0
+            assert wavio.read_wav(out).shape == (32100,), command
 
     def test_per_chunk_timing_log(self, workdir, tmp_path, capsys):
         code = run(["stream", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),

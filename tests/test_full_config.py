@@ -21,6 +21,9 @@ def test_full_config_streams_and_matches_offline():
     wave = random_wave(5, sc.chunk_samples * 4)  # 240 ms
 
     session = open_session(model, sc, speaker)
+    # KV rings, conv states, and one carried input of the prosody predictors'
+    # shared first conv: (512, 2) float32
+    assert session.state_nbytes() == 6_876_680
     pieces = [session.feed(wave[k * 960:(k + 1) * 960]) for k in range(4)]
     pieces.append(session.flush())
     streamed = np.concatenate(pieces)

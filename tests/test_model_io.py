@@ -602,8 +602,9 @@ class TestBudget:
         # 16 attention layers, each with one (3 * d_model, d_model) q/k/v weight
         # and its bias where the separate layout held six entries: 408 -> 344;
         # each of the 2 cLNs holds one FiLM weight and bias where the separate
-        # gamma/beta/gate generators held six entries: 344 -> 336
-        assert len(full_shapes) == 336
+        # gamma/beta/gate generators held six entries: 344 -> 336; the prosody
+        # predictors share one first conv and bias where they held four: 336 -> 334
+        assert len(full_shapes) == 334
         qkv = {n: s for n, s in full_shapes.items() if n.endswith(".qkv.weight")}
         assert len(qkv) == 16 and set(qkv.values()) == {(1536, 512)}
         assert not [n for n in full_shapes if re.search(r"\.[qkv]\.", n)]
@@ -611,3 +612,5 @@ class TestBudget:
         assert film == {"decoder.cln_in.film.weight": (1216, 192),
                         "decoder.cln_out.film.weight": (1216, 192)}
         assert not [n for n in full_shapes if "_gen" in n]
+        assert full_shapes["prosody.conv1.weight"] == (512, 512, 3)
+        assert not [n for n in full_shapes if re.match(r"prosody\.\w+\.conv1\.", n)]

@@ -1,29 +1,60 @@
-"""Prosody predictor tests: constant output from zeroed weights, causality,
-and chunked runs equal to one shot.
+"""Prosody predictor tests: the stacked first conv equals its two halves,
+constant output from zeroed weights, causality, and chunked runs equal to one
+shot.
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 
-from tvtsyn.prosody import PredictorParams, predict_f0_energy
+from tvtsyn.kernels import ConvLayer, ConvSpec
+from tvtsyn.prosody import ProsodyParams, predict_f0_energy
 
 F32 = np.float32
 
 
-def _zero_predictor(pred: PredictorParams, bias_value: float) -> PredictorParams:
-    """All weights zero, projection bias set: the predictor becomes constant."""
+def _zero_predictor(params: ProsodyParams, f0_bias: float,
+                    energy_bias: float) -> ProsodyParams:
+    """All weights zero, each head's projection bias set: both predictors
+    become constant."""
     def zero_conv(c):
         return dataclasses.replace(c, weight=np.zeros_like(c.weight),
                                    bias=np.zeros_like(c.bias))
 
-    return dataclasses.replace(
-        pred,
-        conv1=zero_conv(pred.conv1),
-        conv2=zero_conv(pred.conv2),
-        proj_w=np.zeros_like(pred.proj_w),
-        proj_b=np.full_like(pred.proj_b, bias_value),
-    )
+    def zero_head(head, bias_value):
+        return dataclasses.replace(head, conv2=zero_conv(head.conv2),
+                                   proj_w=np.zeros_like(head.proj_w),
+                                   proj_b=np.full_like(head.proj_b, bias_value))
+
+    return dataclasses.replace(params, conv1=zero_conv(params.conv1),
+                               f0=zero_head(params.f0, f0_bias),
+                               energy=zero_head(params.energy, energy_bias))
+
+
+class TestTrunk:
+    # the full config's (512, 512, 3) first conv is one GEMV block above
+    # OpenBLAS's one-thread cut, where each (256, 512, 3) half is under it;
+    # and the small config's (32, 64, 3). 1, 3 and 6 columns take the GEMV
+    # path, 100 (a 2 s utterance) the GEMM path
+    @pytest.mark.parametrize("d_model,hidden", [(512, 256), (64, 16)])
+    @pytest.mark.parametrize("t", [1, 3, 6, 100])
+    def test_stacked_first_conv_equals_its_halves(self, d_model, hidden, t):
+        rng = np.random.default_rng(t)
+        spec = ConvSpec(d_model, 2 * hidden, 3)
+        bound = 1.0 / np.sqrt(3 * d_model)
+        stacked = ConvLayer(spec, rng.uniform(-bound, bound, spec.weight_shape).astype(F32),
+                            rng.normal(0, 0.1, 2 * hidden).astype(F32))
+        x = rng.normal(0, 1, (d_model, t)).astype(F32)
+        state = rng.normal(0, 1, (d_model, spec.state_len)).astype(F32)
+        y, new_state = stacked.apply(x, state)
+        assert y.shape == (2 * hidden, t)
+        for w, b, y_half in zip(np.split(stacked.weight, 2), np.split(stacked.bias, 2),
+                                np.split(y, 2)):
+            half = ConvLayer(ConvSpec(d_model, hidden, 3), w, b)
+            y_sep, state_sep = half.apply(x, state)
+            assert np.array_equal(y_half, y_sep)
+            assert np.array_equal(new_state, state_sep)
 
 
 class TestPredictor:
@@ -32,11 +63,7 @@ class TestPredictor:
         return rng.normal(0, 1, (t, model.cfg.d_model)).astype(F32)
 
     def test_zero_weights_constant_bias(self, model):
-        params = dataclasses.replace(
-            model.prosody,
-            f0=_zero_predictor(model.prosody.f0, 2.5),
-            energy=_zero_predictor(model.prosody.energy, -1.25),
-        )
+        params = _zero_predictor(model.prosody, 2.5, -1.25)
         pred, _ = predict_f0_energy(self._features(model), params)
         assert np.all(pred[:, 0] == F32(2.5))
         assert np.all(pred[:, 1] == F32(-1.25))
