@@ -10,9 +10,10 @@ layer's keys come from:
 Either way the mask is `band_mask` over absolute frame positions, so the
 ring's keys need not be in time order. Keys are cached post-rotation at
 absolute positions; rotary attention depends only on relative offsets, so
-cached entries stay valid as the stream advances. Each
-pass builds one rotary cos/sin table for its frames and shares it across every
-layer and both of q and k.
+cached entries stay valid as the stream advances. Each head's rotary pairs
+are its adjacent dims (2i, 2i+1): each pass builds one complex64 table for
+its frames, and every layer rotates its q and k together with one complex
+multiply by it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .config import LOOKBACK_FRAMES
 from .errors import ConfigError, InternalError
-from .kernels import F32, layer_norm, linear, masked_softmax, mlp, rope_cos_sin, rope_rotate
+from .kernels import F32, layer_norm, linear, masked_softmax, mlp, rope_cos_sin
 from .weights import WeightStore
 
 
@@ -162,7 +163,8 @@ def _attend(q, k, v, allowed):
 
 
 def _block(x, layer, params: TransformerParams, rope, allowed, kv, owned: bool):
-    """One pre-norm layer over the frames x.
+    """One pre-norm layer over the frames x, with `rope` the frames'
+    (T, head_dim/2) rotary table.
 
     The keys are the frames' own (offline, kv None) or, when streaming, this
     layer's (keys, values, slots): views of its whole ring, with the frames'
@@ -173,8 +175,12 @@ def _block(x, layer, params: TransformerParams, rope, allowed, kv, owned: bool):
     t, d = x.shape
     # (T, 3 * d_model) as (T, q/k/v, heads, head_dim), sliced as views
     qkv = linear(h, layer.wqkv, layer.bqkv).reshape(t, 3, params.n_heads, -1)
-    q = rope_rotate(qkv[:, 0], *rope)
-    k = rope_rotate(qkv[:, 1], *rope)
+    # q and k as complex pairs, rotated in one multiply; the complex view
+    # needs a contiguous last axis, which a GEMM's (F-ordered) output lacks
+    qk = np.ascontiguousarray(qkv[:, :2]).view(np.complex64)
+    qk *= rope[:, None, None]
+    rotated = qk.view(F32)
+    q, k = rotated[:, 0], rotated[:, 1]
     v = qkv[:, 2]
     if kv is None:
         keys, values = k.transpose(1, 0, 2), v.transpose(1, 0, 2)

@@ -41,7 +41,7 @@ class ResBlock:
 
     def apply(self, x, state):
         h, state1 = self.conv1.apply(x, state[0])
-        h, state2 = self.conv2.apply(elu(h, out=h), state[1])
+        h, state2 = self.conv2.apply(elu(h), state[1])
         return np.add(x, h, out=h), [state1, state2]
 
 
@@ -64,7 +64,7 @@ class SeanetCnn:
         new_states = []
         for i, (layer, state) in enumerate(zip(self.layers, states, strict=True)):
             if i and isinstance(layer, ConvLayer):
-                x = elu(x, out=x)
+                x = elu(x)
             x, state = layer.apply(x, state)
             new_states.append(state)
         return x, new_states
@@ -107,7 +107,7 @@ class VqParams:
 
     def __post_init__(self):
         self.codebook64 = self.codebook.astype(np.float64)
-        self.code_sq_norms = _sq_norms(self.codebook64)
+        self.code_sq_norms = np.sum(self.codebook64 * self.codebook64, axis=1)
         self.codebook64.setflags(write=False)
         self.code_sq_norms.setflags(write=False)
 
@@ -127,24 +127,17 @@ def vq_latents(frames, vq: VqParams):
     return l2_normalize_rows(linear(frames, vq.proj_down))
 
 
-def _sq_norms(c):
-    return np.sum(c * c, axis=1)
-
-
-def vq_nearest(latents, codebook, code_sq_norms=None):
+def vq_nearest(latents, vq: VqParams):
     """Row-wise nearest code by L2, ties broken toward the lowest index.
 
-    Distances are computed in float64 so the argmin is stable against
-    formula-level rounding; only indices leave this function. The codebook's
-    squared row norms are computed unless given (VqParams keeps them).
+    Distances are computed in float64, against the codebook and squared row
+    norms VqParams keeps, so the argmin is stable against formula-level
+    rounding; only indices leave this function.
     """
     z = latents.astype(np.float64)
-    c = np.asarray(codebook, dtype=np.float64)
-    if code_sq_norms is None:
-        code_sq_norms = _sq_norms(c)
     d = (np.sum(z * z, axis=1, keepdims=True)
-         - 2.0 * (z @ c.T)
-         + code_sq_norms[None, :])
+         - 2.0 * (z @ vq.codebook64.T)
+         + vq.code_sq_norms[None, :])
     return np.argmin(d, axis=1)
 
 
@@ -155,7 +148,7 @@ def vq_quantize(frames, vq: VqParams):
     if not np.isfinite(z).all():
         raise InputError("the encoder gave non-finite VQ latents from finite input; "
                          "check the weight file for NaN or inf values")
-    idx = vq_nearest(z, vq.codebook64, vq.code_sq_norms)
+    idx = vq_nearest(z, vq)
     out = linear(vq.codebook[idx], vq.proj_up)
     return out.astype(F32, copy=False), idx
 

@@ -38,9 +38,9 @@ Conventions:
     weight product per block. A 1-tap conv multiplies the input directly.
   - the transposed conv (kernel 2*stride only, the SEANet up conv) stores
     its weight (C_out, K, C_in). It is one weight product of the
-    (C_out*K, C_in) matrix over the whole input, a copy of taps
-    0..stride-1 and one shifted add of the other taps, straight into the
-    output.
+    (C_out*K, C_in) matrix over the whole input, then one add of each
+    frame's taps 0..stride-1 and its predecessor's other taps, straight into
+    the output.
 
 Causality convention: a causal conv output at index j depends only on input
 columns <= j*stride, with the left context held in an explicit state buffer
@@ -205,9 +205,10 @@ def _transposed_conv(x, spec, weight, bias, state):
 
     Frame t writes output samples [t*stride, (t+2)*stride): taps 0..s-1 land
     in its own frame, taps s..2s-1 in the next. So the output, seen as
-    (C_out, stride, T), is a copy of taps 0..s-1 and one shifted add of taps
-    s..2s-1; the previous call's last frame's taps s..2s-1, carried in
-    `state`, are added to the first frame, and the bias last.
+    (C_out, stride, T), is written once: frames 1.. as the sum of their own
+    taps 0..s-1 and the previous frame's taps s..2s-1, frame 0 as its taps
+    plus the previous call's last frame's taps s..2s-1, carried in `state`.
+    The bias is added last.
     """
     t_in, s = x.shape[1], spec.stride
     if not t_in:
@@ -216,9 +217,8 @@ def _transposed_conv(x, spec, weight, bias, state):
         spec.out_ch, 2 * s, t_in)                             # (C_out, K, T)
     y = np.empty((spec.out_ch, t_in * s), dtype=F32)
     frames = y.reshape(spec.out_ch, t_in, s).transpose(0, 2, 1)
-    frames[...] = contrib[:, :s]
-    frames[:, :, 1:] += contrib[:, s:, :-1]
-    y[:, :s] += state
+    np.add(contrib[:, :s, 1:], contrib[:, s:, :-1], out=frames[:, :, 1:])
+    np.add(contrib[:, :s, 0], state, out=frames[:, :, 0])
     y += bias[:, None]
     return y, contrib[:, s:, -1].copy()
 
@@ -269,7 +269,7 @@ def linear(x, w, b=None):
 def mlp(x, w1, b1, w2, b2):
     """linear -> ELU -> linear."""
     h = linear(x, w1, b1)
-    return linear(elu(h, out=h), w2, b2)
+    return linear(elu(h), w2, b2)
 
 
 def layer_norm(x, gamma, beta):
@@ -292,27 +292,25 @@ def _mean_last(x):
     return np.true_divide(total, np.intp(x.shape[-1]), out=total, casting="unsafe")
 
 
-def elu(x, out=None):
-    """max(x, expm1(min(x, 0))). Bitwise equal to where(x > 0, x,
-    expm1(min(x, 0))) on every non-NaN float32, +-0 and +-inf included; NaN
-    maps to NaN. Built in one new buffer, or in `out`. With out=x (for a
-    caller's own temporary) x is overwritten; a contiguous float32 x a block
-    at a time through one temporary of a quarter of the im2col budget, so
-    that a block of x and its temporary stay in L2 (on a 12 MB map: 5.5 ->
-    4.0 ms)."""
-    if out is x and x.dtype == F32 and x.flags.forc:  # C or F contiguous
-        flat = x.ravel(order="K")
-        block = IM2COL_BLOCK // 4
-        tmp = np.empty(min(block, flat.size), dtype=F32)
-        for i in range(0, flat.size, block):
-            part = flat[i:i + block]
-            neg = np.minimum(part, F32(0), out=tmp[:part.size])
-            np.expm1(neg, out=neg)
-            np.maximum(part, neg, out=part)
-        return x
-    neg = np.minimum(x, F32(0), dtype=F32, out=None if out is x else out)
-    np.expm1(neg, out=neg)
-    return np.maximum(x, neg, out=neg if out is None else out)
+def elu(x):
+    """max(x, expm1(min(x, 0))) written over x, a caller's own contiguous
+    float32 temporary (else InternalError), and returned. Bitwise equal to
+    where(x > 0, x, expm1(min(x, 0))) on every non-NaN float32, +-0 and +-inf
+    included; NaN maps to NaN. Done a block at a time through one temporary
+    of a quarter of the im2col budget, so that a block of x and its
+    temporary stay in L2 (on a 12 MB map: 5.5 -> 4.0 ms)."""
+    if x.dtype != F32 or not x.flags.forc:  # C or F contiguous
+        raise InternalError(f"elu works in place on a contiguous float32 array, got "
+                            f"{x.dtype} of strides {x.strides}")
+    flat = x.ravel(order="K")
+    block = IM2COL_BLOCK // 4
+    tmp = np.empty(min(block, flat.size), dtype=F32)
+    for i in range(0, flat.size, block):
+        part = flat[i:i + block]
+        neg = np.minimum(part, F32(0), out=tmp[:part.size])
+        np.expm1(neg, out=neg)
+        np.maximum(part, neg, out=part)
+    return x
 
 
 def relu(x):
@@ -342,29 +340,15 @@ def masked_softmax(scores, allowed=None):
 
 
 def rope_cos_sin(positions, dim):
-    """cos/sin tables for rotary positions; angles built in f64, emitted f32."""
+    """(T, dim/2) complex64 rotary table e^{i*pos*theta_j}, theta_j =
+    10000^(-2j/dim), angles in f64: times features (2j, 2j+1) viewed as one
+    complex64, entry j turns that pair (RoFormer, arXiv:2104.09864). Row i is
+    position i, so a stream builds it at its absolute positions."""
     if dim % 2:
         raise ConfigError("rotary embedding requires an even dim")
     inv_freq = 10000.0 ** (-np.arange(0, dim, 2, dtype=np.float64) / dim)
     ang = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq[None, :]
-    return np.cos(ang).astype(F32), np.sin(ang).astype(F32)
-
-
-def rope_rotate(x, cos, sin):
-    """Rotate feature pairs of x by the (T, d/2) cos/sin table of rope_cos_sin.
-
-    x is (T, heads, d); row i takes row i of the table, so a stream stays
-    continuous by building the table at its absolute positions.
-    """
-    cos = cos[:, None, :]
-    sin = sin[:, None, :]
-    half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    lo = x1 * cos
-    lo -= x2 * sin
-    hi = x1 * sin
-    hi += x2 * cos
-    return np.concatenate([lo, hi], axis=-1)
+    return (np.cos(ang) + 1j * np.sin(ang)).astype(np.complex64)
 
 
 def l2_normalize_rows(x):

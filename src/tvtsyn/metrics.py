@@ -21,7 +21,10 @@ WARMUP_UTTERANCES = 10
 MEASURED_UTTERANCES = 100
 PROBE_MIN_FRAMES = 16  # each probe trial draws a wave of 16-40 frames
 PROBE_MAX_FRAMES = 40
-PROBE_CONTROL_FRAMES = 3  # probe_sensitivity redraws from this many frames before the cut
+# the most trials a probe runs: each costs 3 syntheses of up to 0.8 s of
+# audio, so more would run for hours on the full config (a typo, not a probe)
+PROBE_MAX_TRIALS = 10_000
+PROBE_CONTROL_FRAMES = 3  # causality_probe's control redraws from this many frames before the cut
 
 
 def latency_report(feed_ms, chunk_ms, cycled) -> dict:
@@ -72,23 +75,29 @@ def check_probe(lookahead_frames, trials):
     check_lookahead(lookahead_frames, "lookahead_frames")
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ConfigError(f"trials must be >= 1 and an int, got {trials!r}")
+    if trials > PROBE_MAX_TRIALS:
+        raise ConfigError(f"trials must be at most {PROBE_MAX_TRIALS}, got {trials}")
 
 
-def _probe_trials(synth_fn, lookahead_frames, trials, seed, first_cut, lead):
+def _probe_trials(synth_fn, lookahead_frames, trials, seed, first_cut, leads):
     """The probes' trial loop. Per trial: draw a wave of PROBE_MIN_FRAMES to
     PROBE_MAX_FRAMES frames and a cut frame t in [first_cut, frames -
-    lookahead - 1), redraw every input sample after sample 320*(t + lead), and
-    yield t with both outputs up to sample 320*t inclusive."""
+    lookahead - 1); then, for each lead in `leads`, redraw every input sample
+    after sample 320*(t + lead). Yield t and the outputs up to sample 320*t
+    inclusive: the wave's, then each redraw's."""
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     for _ in range(int(trials)):
         n_frames = int(rng.integers(PROBE_MIN_FRAMES, PROBE_MAX_FRAMES + 1))
         wave = rng.uniform(-0.5, 0.5, size=n_frames * FRAME_HOP).astype(F32)
         t = int(rng.integers(first_cut, n_frames - lookahead_frames - 1))
-        start = FRAME_HOP * (t + lead) + 1
-        perturbed = wave.copy()
-        perturbed[start:] = rng.uniform(-0.5, 0.5, size=wave.size - start).astype(F32)
         guard = FRAME_HOP * t + 1
-        yield t, synth_fn(wave)[:guard], synth_fn(perturbed)[:guard]
+        outs = [synth_fn(wave)[:guard]]
+        for lead in leads:
+            start = FRAME_HOP * (t + lead) + 1
+            perturbed = wave.copy()
+            perturbed[start:] = rng.uniform(-0.5, 0.5, size=wave.size - start).astype(F32)
+            outs.append(synth_fn(perturbed)[:guard])
+        yield t, outs
 
 
 def causality_probe(synth_fn, lookahead_frames, trials, seed) -> dict:
@@ -97,27 +106,31 @@ def causality_probe(synth_fn, lookahead_frames, trials, seed) -> dict:
     Per trial: draw a random wave and a cut frame t, perturb input samples
     strictly after sample 320*(t + lookahead), and require output samples
     <= 320*t to be exactly unchanged. Violations are listed in the report.
+
+    The same trial also redraws the input after sample 320*(t -
+    PROBE_CONTROL_FRAMES), input that output up to sample 320*t depends on
+    at any lookahead, and `influenced` counts the trials where that output
+    changed: 0 means the probe cannot see a change, and so would pass any
+    model.
     """
     check_probe(lookahead_frames, trials)
     violations = []
-    for trial, (t, base, poked) in enumerate(
-            _probe_trials(synth_fn, lookahead_frames, trials, seed, 1, lookahead_frames)):
+    influenced = 0
+    for trial, (t, (base, poked, control)) in enumerate(_probe_trials(
+            synth_fn, lookahead_frames, trials, seed, PROBE_CONTROL_FRAMES,
+            (lookahead_frames, -PROBE_CONTROL_FRAMES))):
         diff = np.abs(base.astype(np.float64) - poked.astype(np.float64))
         max_diff = float(diff.max()) if diff.size else 0.0
         if max_diff != 0.0:
             violations.append({"trial": trial, "cut_frame": t, "max_diff": max_diff})
+        influenced += bool(np.any(control != base))
     return {
         "lookahead_frames": int(lookahead_frames),
         "trials": int(trials),
         "violations": violations,
         "clean": not violations,
+        "influenced": influenced,
     }
-
-
-def _changed_trials(synth_fn, lookahead_frames, trials, seed, first_cut, lead) -> int:
-    check_probe(lookahead_frames, trials)
-    return sum(bool(np.any(base != poked)) for _, base, poked in
-               _probe_trials(synth_fn, lookahead_frames, trials, seed, first_cut, lead))
 
 
 def probe_influence(synth_fn, lookahead_frames, trials, seed) -> int:
@@ -126,14 +139,7 @@ def probe_influence(synth_fn, lookahead_frames, trials, seed) -> int:
     causality_probe's own redraw), and count the trials where output up to
     sample 320*t changed. With random weights few do (45-55 of 300 at
     lookahead 4 on the small config): this shows that look-ahead input is
-    used, and probe_sensitivity is the blind-probe check."""
-    return _changed_trials(synth_fn, lookahead_frames, trials, seed, lookahead_frames + 1, 1)
-
-
-def probe_sensitivity(synth_fn, lookahead_frames, trials, seed) -> int:
-    """Blind-probe check for causality_probe: redraw the input after sample
-    320*(t - PROBE_CONTROL_FRAMES), input that output up to sample 320*t
-    depends on at any lookahead, and count the trials where that output
-    changed. A count of 0 means the probe cannot see a change."""
-    return _changed_trials(synth_fn, lookahead_frames, trials, seed,
-                           PROBE_CONTROL_FRAMES, -PROBE_CONTROL_FRAMES)
+    used, and causality_probe's `influenced` is the blind-probe check."""
+    check_probe(lookahead_frames, trials)
+    return sum(bool(np.any(base != poked)) for _, (base, poked) in _probe_trials(
+        synth_fn, lookahead_frames, trials, seed, lookahead_frames + 1, (1,)))

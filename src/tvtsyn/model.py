@@ -87,6 +87,9 @@ def random_init(seed: int, cfg: ModelConfig) -> WeightStore:
     store = WeightStore()
 
     def draw(name, shape):
+        # past the address space numpy raises a ValueError, not a MemoryError
+        if math.prod(shape) > np.iinfo(np.intp).max // 8:  # float64 elements
+            raise MemoryError(f"cannot allocate {name} of shape {shape}")
         leaf = name.rsplit(".", 1)[-1]
         if leaf in ("bias", "beta"):
             return np.zeros(shape)

@@ -89,8 +89,12 @@ def check_global_timbre(g, expected_dim):
         raise InputError(f"global timbre vector has dim {g.shape[0]}, expected {expected_dim}")
     if not np.all(np.isfinite(g)):
         raise InputError("global timbre vector contains non-finite values")
-    if float(np.linalg.norm(g)) == 0.0:
+    sq_norm = float(np.sum(np.square(g, dtype=np.float64)))  # f64: cannot overflow here
+    if sq_norm == 0.0:
         raise InputError("global timbre vector must have nonzero norm")
+    if sq_norm > float(np.finfo(F32).max):
+        raise InputError(f"global timbre vector has norm {np.sqrt(sq_norm):.3g}: its "
+                         f"squared norm overflows float32")
     return g
 
 

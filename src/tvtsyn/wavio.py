@@ -36,7 +36,7 @@ def read_wav(path, max_seconds=None) -> np.ndarray:
             if max_seconds is not None:
                 check_offline_samples(n, path, max_seconds)
             raw = w.readframes(n)
-    except (OSError, _wave.Error) as exc:
+    except (OSError, EOFError, _wave.Error) as exc:  # EOFError: a file cut inside its header
         raise InputError(f"cannot read WAV {path}: {exc}") from exc
     if len(raw) != n * width:
         raise InputError(f"{path}: truncated data chunk: {len(raw)} bytes for {n} frames "

@@ -19,7 +19,7 @@ from tvtsyn.metrics import causality_probe, latency_bench, latency_report, probe
 from tvtsyn.model import random_init, synthesize
 from tvtsyn.streaming import open_session, stream_file
 from tvtsyn.timbre import build_gtm, project_global, slerp, tvt_sequence
-from tvtsyn.encoder import encode_frames, vq_nearest, vq_quantize
+from tvtsyn.encoder import VqParams, encode_frames, vq_nearest, vq_quantize
 
 F32 = np.float32
 
@@ -112,7 +112,7 @@ def test_criterion_4_vq_oracle(model):
     cb = model.encoder.vq.codebook  # 4096 x 8, unit rows
     assert cb.shape == (4096, 8)
     z = l2_normalize_rows(rng.normal(0, 1, (10000, 8)).astype(F32))
-    fast = vq_nearest(z, cb)
+    fast = vq_nearest(z, model.encoder.vq)
     cb64 = cb.astype(np.float64)
     mismatches = 0
     for i in range(z.shape[0]):
@@ -120,9 +120,10 @@ def test_criterion_4_vq_oracle(model):
         if int(np.argmin(d)) != fast[i]:
             mismatches += 1
     assert mismatches == 0
-    tie_cb = np.array([[1, 0], [0, 1], [1, 0]], F32)
-    assert vq_nearest(np.array([[1.0, 0.0]], F32), tie_cb)[0] == 0
-    assert vq_nearest(np.array([[0.5, 0.5]], F32), tie_cb)[0] == 0
+    tie_vq = VqParams(proj_down=None, proj_up=None,
+                      codebook=np.array([[1, 0], [0, 1], [1, 0]], F32))
+    assert vq_nearest(np.array([[1.0, 0.0]], F32), tie_vq)[0] == 0
+    assert vq_nearest(np.array([[0.5, 0.5]], F32), tie_vq)[0] == 0
     print("\nACCEPT 4 PASS vq: 10^4 latents, exhaustive-scan oracle exact "
           "index match; ties break to lowest index")
 

@@ -2,6 +2,7 @@
 and the WAV / speaker-vector / JSON external interfaces.
 """
 
+import dataclasses
 import errno
 import json
 import os
@@ -11,6 +12,7 @@ import struct
 import subprocess
 import sys
 import threading
+import warnings
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
@@ -101,6 +103,17 @@ class TestInitWeights:
         run(["init-weights", "--seed", "1", "--config", str(workdir / "model.cfg"),
              "--out", str(workdir / "w2.tvtw")])
         assert (workdir / "w.tvtw").read_bytes() == (workdir / "w2.tvtw").read_bytes()
+
+    @pytest.mark.parametrize("change", [{"d_model": 1 << 62}, {"ffn_dim": 10 ** 23}],
+                             ids=["d_model", "ffn_dim"])
+    def test_tensor_past_the_address_space_is_config_error(self, cfg, tmp_path, capsys,
+                                                           change):
+        # numpy raises a ValueError for such a shape, which used to escape
+        save_config(dataclasses.replace(cfg, **change), tmp_path / "huge.cfg")
+        code = run(["init-weights", "--config", str(tmp_path / "huge.cfg"),
+                    "--out", str(tmp_path / "w.tvtw")])
+        assert code == 2 and not (tmp_path / "w.tvtw").exists()
+        assert "too large to allocate: cannot allocate" in capsys.readouterr().err
 
     def test_config_too_large_to_allocate_is_config_error(self, workdir, tmp_path,
                                                           monkeypatch, capsys):
@@ -435,6 +448,27 @@ class TestSynth:
         assert code == 1
         assert f"{n_bytes} bytes" in capsys.readouterr().err
 
+    def test_speaker_norm_past_float32_is_input_error(self, workdir, tmp_path, capsys):
+        # its squared norm used to overflow, with a RuntimeWarning, in the check
+        big = tmp_path / "big.f32"
+        np.full(32, 1e30, "<f4").tofile(big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["synth", *_margs(workdir), "--speaker", str(big),
+                        "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav")])
+        assert code == 1
+        assert "squared norm overflows float32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_bytes", [0, 20])
+    def test_wav_cut_inside_its_header_is_input_error(self, workdir, tmp_path, capsys,
+                                                      n_bytes):
+        # the wave module raises EOFError here, which used to escape
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes((workdir / "in.wav").read_bytes()[:n_bytes])
+        code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(cut), "--out", str(tmp_path / "x.wav")])
+        assert code == 1 and "cannot read WAV" in capsys.readouterr().err
+
     def test_missing_wav_is_input_error(self, workdir, tmp_path):
         code = run(["synth", *_margs(workdir), "--speaker", str(workdir / "spk.f32"),
                     "--in", str(tmp_path / "nope.wav"), "--out", str(tmp_path / "x.wav")])
@@ -726,6 +760,13 @@ class TestProbe:
         assert run(["probe", *_margs(workdir), "--trials", "0"]) == 2
         assert '"clean"' not in capsys.readouterr().out
 
+    def test_too_many_trials_is_config_error(self, tmp_path, capsys):
+        # 10^20 trials used to run without end; checked before the load, as
+        # --seed is: the weight path does not exist
+        assert run(["probe", "--weights", str(tmp_path / "missing.tvtw"),
+                    "--trials", "10001"]) == 2
+        assert "trials must be at most 10000, got 10001" in capsys.readouterr().err
+
     def test_zero_trials_checked_before_load(self, tmp_path, capsys):
         # as --seed is: the weight path does not exist
         assert run(["probe", "--weights", str(tmp_path / "missing.tvtw"),
@@ -887,3 +928,139 @@ class TestWavIo:
         p.write_bytes(_wav_bytes(9600, b"\x00" * data_bytes))
         with pytest.raises(InputError, match="truncated"):
             wavio.read_wav(p)
+
+
+def _pcm_wav(path, rate=16000, width=2, channels=1, n_frames=800):
+    import wave as wv
+
+    with wv.open(str(path), "wb") as f:
+        f.setnchannels(channels)
+        f.setsampwidth(width)
+        f.setframerate(rate)
+        f.writeframes(bytes(n_frames * width * channels))
+    return path
+
+
+@pytest.fixture(scope="module")
+def sweep_values(workdir, cfg, tmp_path_factory):
+    """Per option, the (valid, hostile) values the sweep draws from, as
+    strings; None leaves the option out."""
+    d = tmp_path_factory.mktemp("sweep")
+    rng = np.random.default_rng(28)
+    blob = (workdir / "w.tvtw").read_bytes()
+    bad_weights = []
+    for i, cut in enumerate([0, 3, 8, 12, 40, len(blob) // 2, len(blob) - 1]):
+        (d / f"cut{i}.tvtw").write_bytes(blob[:cut])
+        bad_weights.append(str(d / f"cut{i}.tvtw"))
+    for i in range(12):  # one bit flipped: in the headers for the first half
+        flipped = bytearray(blob)
+        at = int(rng.integers(0, 200 if i < 6 else len(blob)))
+        flipped[at] ^= 1 << int(rng.integers(0, 8))
+        (d / f"flip{i}.tvtw").write_bytes(bytes(flipped))
+        bad_weights.append(str(d / f"flip{i}.tvtw"))
+
+    wave = random_wave(28, 8000, amp=0.4)
+    wavio.write_wav(d / "short.wav", wave)
+    wavio.write_wav(d / "empty.wav", wave[:0])
+    (d / "loud.wav").write_bytes(_wav_bytes(8000, np.full(8000, -32768, "<i2").tobytes()))
+    (d / "cut.wav").write_bytes((d / "short.wav").read_bytes()[:1000])
+    bad_wavs = [str(d / "empty.wav"), str(d / "cut.wav"),
+                *(str(_pcm_wav(d / f"{name}.wav", **kw)) for name, kw in (
+                    ("8k", {"rate": 8000}), ("8bit", {"width": 1}), ("24bit", {"width": 3}),
+                    ("stereo", {"channels": 2})))]
+
+    save_config(dataclasses.replace(cfg, n_layers=cfg.n_layers + 1), d / "other.cfg")
+    huge = [str(d / f"huge{i}.cfg") for i in range(3)]
+    for path, change in zip(huge, ({"d_model": 1 << 40}, {"d_model": 1 << 62},
+                                   {"ffn_dim": 10 ** 23})):
+        save_config(dataclasses.replace(cfg, **change), path)
+    dim = cfg.global_dim
+    for name, values in (("nan", np.full(dim, np.nan)), ("inf", np.full(dim, np.inf)),
+                         ("big", np.full(dim, 1e30)), ("zero", np.zeros(dim)),
+                         ("short", np.ones(dim - 1))):
+        values.astype("<f4").tofile(d / f"{name}.f32")
+    for sub in ("utts", "none", "bad"):
+        (d / sub).mkdir()
+    wavio.write_wav(d / "utts" / "a.wav", wave[:960])
+    _pcm_wav(d / "bad" / "a.wav", rate=8000)
+    (d / "file").write_bytes(b"x")
+
+    # missing, a directory, under a file, and files of the wrong kind
+    paths = [str(d / "missing"), str(d), str(d / "file" / "x"), str(workdir / "in.wav"),
+             str(workdir / "model.cfg"), "/dev/zero", "/dev/null"]
+    outs = [str(d), str(d / "file" / "x"), str(d / "missing" / "x")]
+    floats = ["0", "-20", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "50", "60020",
+              "pony", ""]
+    ints = ["-1", "0", "-99999999999999999999", str(1 << 64), "99999999999999999999", "1.5",
+            "nan", ""]
+    return {
+        "--weights": ([str(workdir / "w.tvtw")], bad_weights + paths),
+        "--config": ([str(workdir / "model.cfg")],
+                     [None, str(d / "other.cfg"), *huge, *paths, str(workdir / "w.tvtw")]),
+        # without a file (or from an empty one) init-weights writes the full
+        # config: valid, but 357 MB
+        "init-weights --config": ([str(workdir / "model.cfg")],
+                                  [*huge, *paths[:-1], str(workdir / "w.tvtw")]),
+        "--speaker": ([str(workdir / "spk.f32")],
+                      [str(d / f"{n}.f32") for n in ("nan", "inf", "big", "zero", "short")]
+                      + paths),
+        "--in": ([str(d / "short.wav"), str(d / "loud.wav")],
+                 bad_wavs + paths + [str(workdir / "w.tvtw")]),
+        "--out": ([str(d / "out.wav")], outs + ["/dev/full"]),
+        "init-weights --out": ([str(d / "w.tvtw")], outs),
+        "--utterances": ([None, str(d / "utts")],
+                         [str(d / "none"), str(d / "bad"), str(d / "missing"), str(d / "file")]),
+        "--f0-scale": (["1.0", "0.5", "2"], floats),
+        "--chunk-ms": (["60", "120"], floats),
+        "--block-ms": ([None, "60", "20"], floats),
+        "--utt-seconds": (["0.06", "0.12"], floats),
+        "--lookahead": (["0", "2", "4"], ints + ["5"]),
+        "--seed": (["0", "7", str(1 << 70)], ints),
+        "--trials": (["1", "2"], ints),
+        "--synthetic": (["1", "2", str(1 << 70)], ints),
+    }
+
+
+SWEEP_OPTIONS = {
+    "init-weights": ["--seed", "init-weights --config", "init-weights --out"],
+    "synth": ["--weights", "--config", "--speaker", "--in", "--out", "--lookahead",
+              "--f0-scale", "--block-ms"],
+    "stream": ["--weights", "--config", "--speaker", "--in", "--out", "--chunk-ms",
+               "--lookahead", "--f0-scale"],
+    "bench": ["--weights", "--config", "--chunk-ms", "--utterances", "--synthetic",
+              "--utt-seconds", "--speaker", "--seed", "--out"],
+    "probe": ["--weights", "--config", "--lookahead", "--trials", "--seed"],
+    "dump-tvt": ["--weights", "--config", "--speaker", "--in", "--out"],
+}
+
+
+def test_seeded_sweep_exits_0_to_3(sweep_values, capsys):
+    """A fuzz test (Miller, Fredriksen & So, CACM 1990): seeded argument
+    lists for every subcommand, with up to two options at a hostile value
+    and the others valid, so that each hostile value reaches its check. Every
+    run ends with exit 0-3 (argparse's usage error included, as
+    SystemExit(2)), raises nothing else and warns nothing."""
+    rng = np.random.default_rng(20261020)
+    codes = dict.fromkeys(range(4), 0)
+    for i in range(900):
+        command = list(SWEEP_OPTIONS)[i % len(SWEEP_OPTIONS)]
+        options = SWEEP_OPTIONS[command]
+        hostile = set(rng.choice(options, size=int(rng.integers(0, 3)), replace=False))
+        argv = [command]
+        for option in options:
+            pool = sweep_values[option][option in hostile]
+            value = pool[rng.integers(len(pool))]
+            if value is not None:
+                argv += [option.split()[-1], value]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                raise AssertionError(f"{argv} raised {exc!r}") from exc
+        assert code in codes, argv
+        codes[code] += 1
+        capsys.readouterr()
+    assert min(codes[0], codes[1], codes[2]) >= 75, codes

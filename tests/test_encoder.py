@@ -261,7 +261,7 @@ class TestVq:
         cb = model.encoder.vq.codebook
         z = rng.normal(0, 1, (2000, cb.shape[1])).astype(F32)
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        fast = vq_nearest(z, cb)
+        fast = vq_nearest(z, model.encoder.vq)
         cb64 = cb.astype(np.float64)
         for i in range(0, len(z), 97):
             d = np.sum((cb64 - z[i].astype(np.float64)) ** 2, axis=1)
@@ -273,19 +273,20 @@ class TestVq:
         cb = np.eye(8, dtype=F32)
         test_vq = VqParams(proj_down=vq.proj_down, proj_up=vq.proj_up, codebook=cb)
         z = np.array([0.9, 0.2, 0, 0, 0, 0, 0, 0], F32)
-        assert vq_nearest(z[None, :], cb)[0] == 0
+        assert vq_nearest(z[None, :], test_vq)[0] == 0
 
     def test_exact_code_zero_residual(self, model):
         vq = model.encoder.vq
         j = 137
-        idx = vq_nearest(vq.codebook[j][None, :], vq.codebook)
+        idx = vq_nearest(vq.codebook[j][None, :], vq)
         assert idx[0] == j
 
     def test_tie_breaks_toward_lowest_index(self):
-        cb = np.array([[1, 0], [0, 1], [1, 0]], F32)
-        assert vq_nearest(np.array([[1.0, 0.0]], F32), cb)[0] == 0
+        vq = VqParams(proj_down=None, proj_up=None,
+                      codebook=np.array([[1, 0], [0, 1], [1, 0]], F32))
+        assert vq_nearest(np.array([[1.0, 0.0]], F32), vq)[0] == 0
         # equidistant from both distinct codes
-        assert vq_nearest(np.array([[0.5, 0.5]], F32), cb)[0] == 0
+        assert vq_nearest(np.array([[0.5, 0.5]], F32), vq)[0] == 0
 
     def test_idempotence(self, model):
         frames = encode_frames(random_wave(6, 9600), model.encoder)

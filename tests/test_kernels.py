@@ -13,7 +13,7 @@ from tvtsyn import kernels
 from tvtsyn.config import StreamConfig
 from tvtsyn.context import _attend, band_mask
 from tvtsyn.errors import ConfigError, InternalError
-from tvtsyn.kernels import ConvLayer, ConvSpec, layer_norm, rope_cos_sin, rope_rotate
+from tvtsyn.kernels import ConvLayer, ConvSpec, layer_norm, rope_cos_sin
 from tvtsyn.kernels import elu, linear, sigmoid
 from tvtsyn.model import synthesize
 from tvtsyn.streaming import open_session
@@ -329,9 +329,11 @@ class TestSdpa:
 
 
 def rope(x, offset):
-    """x (T, d) rotated as one head's rows at positions offset, offset + 1, ..."""
-    cos_sin = rope_cos_sin(offset + np.arange(x.shape[0]), x.shape[-1])
-    return rope_rotate(x[:, None], *cos_sin)[:, 0]
+    """x (T, d) rotated as one head's rows at positions offset, offset + 1,
+    ..., as the attention layers rotate q and k: adjacent dims as complex
+    pairs, times the table."""
+    table = rope_cos_sin(offset + np.arange(x.shape[0]), x.shape[-1])
+    return (x.view(np.complex64) * table).view(F32)
 
 
 class TestRope:
@@ -344,10 +346,26 @@ class TestRope:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(7, 16)).astype(F32)
         y = rope(x, 1234)
-        half = 8
-        nx = x[:, :half] ** 2 + x[:, half:] ** 2
-        ny = y[:, :half] ** 2 + y[:, half:] ** 2
+        nx = x[:, 0::2] ** 2 + x[:, 1::2] ** 2
+        ny = y[:, 0::2] ** 2 + y[:, 1::2] ** 2
         np.testing.assert_allclose(ny, nx, atol=1e-4)
+
+    def test_pair_j_turns_by_pos_theta_j(self):
+        # dims 2j and 2j+1 turn by pos * 10000^(-2j/d), the f32-rounded cos
+        # and sin of the f64 angle
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(5, 16)).astype(F32)
+        pos = 77 + np.arange(5)
+        ang = pos[:, None] * 10000.0 ** (-np.arange(0, 16, 2) / 16.0)
+        table = rope_cos_sin(pos, 16)
+        assert table.dtype == np.complex64 and table.shape == (5, 8)
+        assert np.array_equal(table.real, np.cos(ang).astype(F32))
+        assert np.array_equal(table.imag, np.sin(ang).astype(F32))
+        c, s = np.cos(ang), np.sin(ang)
+        y = rope(x, 77).astype(np.float64)
+        a, b = _f64(x[:, 0::2]), _f64(x[:, 1::2])
+        np.testing.assert_allclose(y[:, 0::2], a * c - b * s, atol=1e-5)
+        np.testing.assert_allclose(y[:, 1::2], a * s + b * c, atol=1e-5)
 
     def test_relative_position_property(self):
         rng = np.random.default_rng(2)
@@ -680,24 +698,26 @@ class TestElu:
         x = np.concatenate([bits.view(F32), edges])
         with np.errstate(invalid="ignore"):
             want = np.where(x > 0, x, np.expm1(np.minimum(x, 0))).astype(F32)
-            got = elu(x)
+            got = elu(x.copy())
         assert got.dtype == F32
         nan = np.isnan(x)
         assert np.array_equal(got[~nan].view(np.uint32), want[~nan].view(np.uint32))
         assert np.isnan(got[nan]).all()
         quiet = np.flatnonzero(nan)[-2:]  # the two edge NaNs
         assert np.array_equal(got[quiet].view(np.uint32), want[quiet].view(np.uint32))
-        # the in-place form gives the same bits: block by block over C- and
-        # F-ordered buffers (many blocks and a ragged last one), and in one
-        # pass over a strided view
-        flat = x.copy()
+        # block by block over an F-ordered buffer too (many blocks and a
+        # ragged last one), written over the buffer
         fortran = np.asfortranarray(x[:5_000_000].reshape(2000, 2500))
-        strided = x.copy()[::3]
-        for buf, ref in ((flat, got), (fortran, got[:5_000_000].reshape(2000, 2500)),
-                         (strided, got[::3])):
-            with np.errstate(invalid="ignore"):
-                assert elu(buf, out=buf) is buf
-            assert np.array_equal(buf.view(np.uint32), ref.view(np.uint32))
+        with np.errstate(invalid="ignore"):
+            assert elu(fortran) is fortran
+        assert np.array_equal(fortran.view(np.uint32),
+                              got[:5_000_000].reshape(2000, 2500).view(np.uint32))
+
+    @pytest.mark.parametrize("x", [np.zeros(9, F32)[::3], np.zeros(3, np.float64)],
+                             ids=["strided", "float64"])
+    def test_only_contiguous_float32_in_place(self, x):
+        with pytest.raises(InternalError, match="in place"):
+            elu(x)
 
     def test_values(self):
         x = np.array([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf], F32)

@@ -7,11 +7,10 @@ import pytest
 
 from conftest import random_wave, remove_lookahead_mask
 from tvtsyn import metrics
-from tvtsyn.config import MAX_LOOKAHEAD, StreamConfig
+from tvtsyn.config import FRAME_HOP, MAX_LOOKAHEAD, StreamConfig
 from tvtsyn.errors import ConfigError, InputError
-from tvtsyn.metrics import (MEASURED_UTTERANCES, WARMUP_UTTERANCES, causality_probe,
-                            latency_bench, latency_report, probe_influence,
-                            probe_sensitivity)
+from tvtsyn.metrics import (MEASURED_UTTERANCES, PROBE_CONTROL_FRAMES, WARMUP_UTTERANCES,
+                            causality_probe, latency_bench, latency_report, probe_influence)
 from tvtsyn.model import synthesize
 
 F32 = np.float32
@@ -115,12 +114,35 @@ class TestCausalityProbe:
         assert probe_influence(fn, 4, trials=15, seed=5) == 0
 
     @pytest.mark.parametrize("la", [0, 1, 4])
-    def test_sensitivity_sees_every_trial(self, model, speaker, la):
+    def test_control_redraw_changes_every_trial(self, model, speaker, la):
         # a blind-probe check that fails a working model would be noise
         fn = lambda w: synthesize(model, w, speaker, lookahead=la)
-        assert probe_sensitivity(fn, la, trials=10, seed=1) == 10
+        assert causality_probe(fn, la, trials=10, seed=1)["influenced"] == 10
 
-    @pytest.mark.parametrize("probe", [causality_probe, probe_influence, probe_sensitivity])
+    def test_one_draw_per_trial_three_syntheses(self):
+        # the horizon redraw and the control redraw share the trial's wave
+        # and cut; the unperturbed wave is synthesized once
+        waves = []
+
+        def record(wave):
+            waves.append(wave.copy())
+            return wave
+
+        rep = causality_probe(record, 4, trials=6, seed=0)
+        assert len(waves) == 18
+        for trial in range(6):
+            base, poked, control = waves[3 * trial:3 * trial + 3]
+            assert base.size == poked.size == control.size
+            changed = np.flatnonzero(poked != base)
+            redrawn = np.flatnonzero(control != base)
+            t_horizon = (changed[0] - 1) // FRAME_HOP - 4
+            t_control = (redrawn[0] - 1) // FRAME_HOP + PROBE_CONTROL_FRAMES
+            assert t_horizon == t_control >= PROBE_CONTROL_FRAMES
+        # output equal to the input: the horizon redraw is clean, the
+        # control redraw is seen in every trial
+        assert rep["clean"] and rep["influenced"] == 6
+
+    @pytest.mark.parametrize("probe", [causality_probe, probe_influence])
     @pytest.mark.parametrize("trials", [0, -1, 2.5, True])
     def test_no_trials_rejected(self, probe, trials):
         # 2.5 used to run 2 trials and True 1
@@ -130,7 +152,7 @@ class TestCausalityProbe:
         with pytest.raises(ConfigError, match="trials"):
             probe(never_called, 0, trials=trials, seed=1)
 
-    @pytest.mark.parametrize("probe", [causality_probe, probe_influence, probe_sensitivity])
+    @pytest.mark.parametrize("probe", [causality_probe, probe_influence])
     @pytest.mark.parametrize("lookahead", [-3, -1, MAX_LOOKAHEAD + 1, 7, 14, 2.5, True])
     def test_lookahead_out_of_range_rejected(self, probe, lookahead):
         def never_called(wave):
