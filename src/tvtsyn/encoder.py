@@ -13,7 +13,7 @@ from .config import (CODEBOOK_SIZE, ENCODER_STRIDES, FINAL_KERNEL, FRAME_HOP, IN
 from .context import KvCache, TransformerParams, transformer_full, transformer_step
 from .errors import ConfigError, InputError
 from .kernels import F32, ConvLayer, ConvSpec, elu, l2_normalize_rows, linear
-from .weights import WeightStore
+from .weights import REGENERATE, WeightStore
 
 
 def encoder_stage_widths(cfg: ModelConfig):
@@ -107,7 +107,7 @@ class VqParams:
 
     def __post_init__(self):
         self.codebook64 = self.codebook.astype(np.float64)
-        self.code_sq_norms = np.sum(self.codebook64 * self.codebook64, axis=1)
+        self.code_sq_norms = np.einsum("ij,ij->i", self.codebook64, self.codebook64)
         self.codebook64.setflags(write=False)
         self.code_sq_norms.setflags(write=False)
 
@@ -116,10 +116,11 @@ class VqParams:
         proj_up = store.get("encoder.vq.proj_up.weight", (cfg.d_model, VQ_DIM))
         proj_down = store.get("encoder.vq.proj_down.weight", (VQ_DIM, cfg.d_model))
         codebook = store.get("encoder.vq.codebook", (CODEBOOK_SIZE, VQ_DIM))
-        norms = np.linalg.norm(codebook, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-5):
-            raise ConfigError("codebook rows must be unit-norm")
-        return cls(proj_down=proj_down, proj_up=proj_up, codebook=codebook)
+        vq = cls(proj_down=proj_down, proj_up=proj_up, codebook=codebook)
+        # written so that a NaN norm fails it too
+        if not np.all(np.abs(np.sqrt(vq.code_sq_norms) - 1.0) <= 1e-5):
+            raise ConfigError(f"codebook rows must be finite and unit-norm; {REGENERATE}")
+        return vq
 
 
 def vq_latents(frames, vq: VqParams):

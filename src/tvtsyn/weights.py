@@ -11,7 +11,6 @@ and binds every payload as a view. Any other version is a FormatError:
 
 from __future__ import annotations
 
-import io
 import math
 import mmap
 import os
@@ -27,7 +26,9 @@ from .kernels import F32
 MAGIC = b"TVTW"
 VERSION = 2
 ALIGN = 64    # payload file offsets, in bytes
-MAX_NDIM = 64  # numpy's own limit
+# numpy's own limit, so that every checked header reshapes: 64 from numpy 2, 32 before
+MAX_NDIM = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+HEADER_WINDOW = 128  # bytes per header read; the model's longest header is 50
 # the repo ships no weights, so a file that does not load or bind is remade
 REGENERATE = "regenerate the file with `tvtsyn init-weights --seed N [--config FILE]`"
 
@@ -41,10 +42,13 @@ class WeightStore:
     def put(self, name, arr):
         if name in self._entries:
             raise FormatError(f"duplicate weight entry {name!r}")
-        # a view, so that the caller's own array keeps its flags
-        view = np.ascontiguousarray(arr, dtype=F32).view()
-        view.flags.writeable = False
-        self._entries[name] = view
+        # kept as it is when already read-only float32 (a mapped payload);
+        # otherwise a view, so that the caller's own array keeps its flags
+        if not (isinstance(arr, np.ndarray) and arr.dtype == F32
+                and arr.flags.c_contiguous and not arr.flags.writeable):
+            arr = np.ascontiguousarray(arr, dtype=F32).view()
+            arr.flags.writeable = False
+        self._entries[name] = arr
 
     def __contains__(self, name):
         return name in self._entries
@@ -74,55 +78,59 @@ class WeightStore:
         return total
 
 
-def _read_exact(stream, n: int, what: str) -> bytearray:
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        k = stream.readinto(view[got:])
-        if not k:
-            raise FormatError(f"truncated {what}")
-        got += k
+def _reread(fd, n: int, pos: int, i: int) -> bytes:
+    """The first `n` bytes of entry #i's header, which starts at `pos`."""
+    buf = os.pread(fd, n, pos)
+    if len(buf) < n:
+        raise FormatError(f"truncated header at entry #{i}")
     return buf
 
 
-def _read_headers(stream):
+def _read_headers(fd):
     """The one header pass over a TVTW file: each entry's (name, dims,
     payload offset, payload bytes), and the file's size.
 
-    It reads every entry header, seeking past each payload, and checks each
-    against the file size, so nothing is bound or allocated from an
-    unchecked header.
+    Each entry header is one positioned read of HEADER_WINDOW bytes, read
+    again at its full length only when it is longer, so no page of a later
+    mapping is touched. Each header is checked against the file size, so
+    nothing is bound or allocated from an unchecked header.
     """
-    size = stream.seek(0, io.SEEK_END)
-    stream.seek(0)
-    if size < 12 or _read_exact(stream, 4, "magic") != MAGIC:
+    size = os.lseek(fd, 0, os.SEEK_END)
+    head = os.pread(fd, 12, 0)
+    if len(head) < 12 or head[:4] != MAGIC:
         raise FormatError("bad magic: not a TVTW weight file")
-    version, count = struct.unpack("<II", _read_exact(stream, 8, "file header"))
+    version, count = struct.unpack_from("<II", head, 4)
     if version != VERSION:
         raise FormatError(f"unsupported TVTW version {version}, expected {VERSION}; {REGENERATE}")
 
     entries = []
+    pos = 12
     for i in range(count):
-        what = f"header at entry #{i}"
-        (name_len,) = struct.unpack("<H", _read_exact(stream, 2, what))
-        raw = _read_exact(stream, name_len + 1, what)  # the name and ndim
+        buf = os.pread(fd, HEADER_WINDOW, pos)
+        if len(buf) < 2:
+            buf = _reread(fd, 2, pos, i)
+        end = 3 + struct.unpack_from("<H", buf)[0]  # past the name and ndim
+        if len(buf) < end:
+            buf = _reread(fd, end, pos, i)
         try:
-            name = raw[:-1].decode("utf-8")
+            name = buf[2:end - 1].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"name of entry #{i} is not valid UTF-8") from exc
-        ndim = raw[-1]
+        ndim = buf[end - 1]
         if ndim > MAX_NDIM:
             raise FormatError(f"entry {name!r} has {ndim} dims, at most {MAX_NDIM} allowed")
-        dims = struct.unpack(f"<{ndim}I", _read_exact(stream, 4 * ndim, what))
-        off = stream.tell()
+        stop = end + 4 * ndim
+        if len(buf) < stop:
+            buf = _reread(fd, stop, pos, i)
+        dims = struct.unpack_from(f"<{ndim}I", buf, end)
+        off = pos + stop
         off += -off % ALIGN
         nbytes = 4 * math.prod(dims)
         if off + nbytes > size:
             raise FormatError(f"truncated payload for entry {name!r}")
         entries.append((name, dims, off, nbytes))
-        stream.seek(off + nbytes)
-    trailing = size - stream.tell()
+        pos = off + nbytes
+    trailing = size - pos
     if trailing:
         raise FormatError(f"{trailing} trailing bytes after last entry")
     return entries, size
@@ -158,7 +166,7 @@ def load_weights(path) -> WeightStore:
     so nothing is copied and processes that load the same file share its one
     page-cache copy."""
     with open(path, "rb", buffering=0) as f:
-        entries, size = _read_headers(f)
+        entries, size = _read_headers(f.fileno())
         try:
             mapped = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ)
         except ValueError as exc:  # the file shrank after the header pass

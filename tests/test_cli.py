@@ -269,6 +269,20 @@ class TestUnboundWeights:
         assert "missing weight entry 'prosody.conv1.weight'" in err
         assert "tvtsyn init-weights --seed N [--config FILE]" in err
 
+    def test_nan_codebook_row_is_config_error(self, workdir, tmp_path, capsys):
+        # it used to bind, and synth then blamed the input (exit 1)
+        cb = load_weights(workdir / "w.tvtw").get("encoder.vq.codebook").copy()
+        cb[5, 0] = np.nan
+        weights = _with_entries(workdir, tmp_path / "nan_code.tvtw",
+                                **{"encoder.vq.codebook": cb})
+        code = run(["synth", "--weights", str(weights),
+                    "--config", str(workdir / "model.cfg"), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav")])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: codebook rows must be finite and unit-norm")
+        assert "tvtsyn init-weights --seed N [--config FILE]" in err
+
     @pytest.mark.parametrize("name", NAN_ENCODER_WEIGHTS)
     @pytest.mark.parametrize("command", ["synth", "stream"])
     def test_nan_encoder_weight_is_input_error(self, workdir, tmp_path, capsys, name,

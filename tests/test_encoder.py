@@ -307,6 +307,16 @@ class TestVq:
         with pytest.raises(ConfigError, match="unit-norm"):
             VqParams.from_store(bad, cfg)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_codebook_row_rejected(self, cfg, store, value):
+        # a NaN norm is no farther than 1e-5 from 1 by `>`; it must not bind
+        cb = store.get("encoder.vq.codebook").copy()
+        cb[5, 0] = value
+        bad = store_of({n: cb if n == "encoder.vq.codebook" else store.get(n)
+                        for n in store.names()})
+        with pytest.raises(ConfigError, match="unit-norm.*tvtsyn init-weights"):
+            VqParams.from_store(bad, cfg)
+
 
 class TestAttend:
     @pytest.mark.parametrize("t,s", [(1, 1), (3, 103), (40, 40)])

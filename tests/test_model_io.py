@@ -110,6 +110,32 @@ def _two_entry_blob(tmp_path):
     return _saved_blob(s, tmp_path)
 
 
+def _entry_spans(store):
+    """Each entry's (header start, header end, payload start, payload end)
+    in the file `save_weights` writes for `store`."""
+    spans, pos = [], 12
+    for name in store.names():
+        arr = store.get(name)
+        end = pos + 2 + len(name.encode()) + 1 + 4 * arr.ndim
+        start = end + -end % 64
+        spans.append((pos, end, start, start + arr.nbytes))
+        pos = start + arr.nbytes
+    return spans
+
+
+def _mapped_rss_kb(path):
+    """Rss summed over this process's mappings of `path`, from
+    /proc/self/smaps, or None when the file is not mapped."""
+    real, rss, inside = os.path.realpath(path), None, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            if re.match(r"[0-9a-f]+-[0-9a-f]+ ", line):
+                inside = line.rstrip("\n").endswith(real)
+            elif inside and line.startswith("Rss:"):
+                rss = (rss or 0) + int(line.split()[1])
+    return rss
+
+
 class TestHostileHeaders:
     """Malformed TVTW headers surface as FormatError from load_weights."""
 
@@ -146,6 +172,53 @@ class TestHostileHeaders:
         blob = _two_entry_blob(tmp_path)
         for n in range(len(blob)):
             self._rejects(blob[:n], tmp_path)
+
+    def test_cut_or_flipped_headers_fail_typed_or_load_the_same(self, cfg, store, tmp_path):
+        # cuts at every byte through the third entry header and at every
+        # header/payload boundary; each byte of the file header and the first
+        # three entry headers flipped. Each file is a FormatError, a store
+        # that does not bind (ConfigError), or the original store
+        blob = _saved_blob(store, tmp_path)
+        spans = _entry_spans(store)
+        headers = [*range(12), *(k for a, b, _, _ in spans[:3] for k in range(a, b))]
+        cuts = {*range(spans[2][1] + 1), *(k for _, b, c, d in spans for k in (b, c, d))}
+        path = tmp_path / "fuzz.tvtw"
+
+        def check(case):
+            try:
+                loaded = load_weights(path)
+                if loaded.names() == store.names() and all(
+                        np.array_equal(loaded.get(n), store.get(n)) for n in store.names()):
+                    return
+                TvtSynModel.from_store(loaded, cfg)
+            except (FormatError, ConfigError):
+                return
+            pytest.fail(f"{case}: a changed store bound")
+
+        path.write_bytes(blob)
+        for n in sorted(cuts, reverse=True):
+            os.truncate(path, n)
+            check(f"cut at byte {n}")
+        path.write_bytes(blob)
+        with open(path, "r+b", buffering=0) as f:
+            for k in headers:
+                for mask in (0x01, 0x80, 0xFF):
+                    os.pwrite(f.fileno(), bytes([blob[k] ^ mask]), k)
+                    check(f"byte {k} xor {mask:#x}")
+                os.pwrite(f.fileno(), blob[k:k + 1], k)
+
+    def test_headers_longer_than_the_read_window_round_trip(self, tmp_path):
+        # each header is read again at its full length
+        s = WeightStore()
+        s.put("n" * 2 * weights_mod.HEADER_WINDOW, np.float32([1, 2, 3]))
+        s.put("d", np.float32([4, 5]).reshape((1,) * (weights_mod.MAX_NDIM - 1) + (2,)))
+        s.put("b", np.float32([6]))
+        save_weights(s, tmp_path / "w.tvtw")
+        back = load_weights(tmp_path / "w.tvtw")
+        assert back.names() == s.names()
+        for name in s.names():
+            assert back.get(name).shape == s.get(name).shape
+            assert np.array_equal(back.get(name), s.get(name))
 
 
 class TestLoader:
@@ -186,6 +259,15 @@ class TestLoader:
             while isinstance(base, np.ndarray):
                 base = base.base
             assert isinstance(base.obj, mmap.mmap), name  # np.frombuffer's memoryview
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+    def test_load_touches_no_payload_page(self, cfg, store, tmp_path):
+        path = tmp_path / "w.tvtw"
+        save_weights(store, path)
+        loaded = load_weights(path)
+        assert _mapped_rss_kb(path) == 0
+        TvtSynModel.from_store(loaded, cfg)  # reads the codebook
+        assert _mapped_rss_kb(path) > 0
 
     def test_v1_file_is_format_error_and_never_mapped(self, tmp_path, monkeypatch):
         # an 8 MB payload, right after its header as version 1 wrote it
