@@ -150,8 +150,6 @@ def cmd_bench(args):
         if n_samples < stream_cfg.chunk_samples:
             raise ConfigError(f"--utt-seconds {args.utt_seconds} is shorter than one "
                               f"{stream_cfg.chunk_ms} ms chunk")
-        if args.synthetic < 1:
-            raise ConfigError(f"--synthetic must be >= 1, got {args.synthetic}")
     model = _load(args)
     # latency_bench streams only the first `needed` utterances
     needed = WARMUP_UTTERANCES + MEASURED_UTTERANCES
@@ -163,7 +161,7 @@ def cmd_bench(args):
     else:
         rng = np.random.Generator(np.random.PCG64(args.seed))
         utts = [rng.uniform(-0.5, 0.5, size=n_samples).astype(F32)
-                for _ in range(min(args.synthetic, needed))]
+                for _ in range(needed)]
     if args.speaker:
         speaker = _read_speaker(args.speaker, model.cfg.global_dim)
     else:
@@ -256,8 +254,6 @@ def build_parser():
     _add_model_args(q)
     q.add_argument("--chunk-ms", type=float, default=60.0)
     q.add_argument("--utterances", default=None, help="directory of 16 kHz mono WAVs")
-    q.add_argument("--synthetic", type=int, default=110,
-                   help="number of synthetic utterances when no directory is given")
     q.add_argument("--utt-seconds", type=float, default=1.0)
     q.add_argument("--speaker", default=None)
     q.add_argument("--seed", type=int, default=0)

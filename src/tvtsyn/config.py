@@ -67,8 +67,7 @@ class ModelConfig:
 
     def validate(self):
         for f in dataclasses.fields(self):
-            if getattr(self, f.name) < 1:
-                raise ConfigError(f"{f.name} must be >= 1")
+            check_int(getattr(self, f.name), f.name, 1, None)
         if self.d_model % self.n_heads:
             raise ConfigError("d_model must be divisible by n_heads")
         if (self.d_model // self.n_heads) % 2:
@@ -122,7 +121,10 @@ def check_lookahead(frames, name) -> int:
 def span_frames(ms, name) -> int:
     """Frames in a span of `ms` milliseconds. A span that is not finite, is
     longer than MAX_SPAN_SECONDS or is not a positive whole number of frames
-    is a ConfigError that names the setting `name`."""
+    is a ConfigError that names the setting `name`, and so is a value that
+    is not a real number."""
+    if isinstance(ms, bool) or not isinstance(ms, numbers.Real):
+        raise ConfigError(f"{name} must be a number of milliseconds, got {ms!r}")
     if not math.isfinite(ms):
         raise ConfigError(f"{name} must be finite, got {ms}")
     if ms > 1000.0 * MAX_SPAN_SECONDS:

@@ -12,7 +12,7 @@ from .config import DECODER_STRIDES, FINAL_KERNEL, INIT_KERNEL, ModelConfig
 from .context import TransformerParams, transformer_full, transformer_step
 from .encoder import ResBlock, SeanetCnn, encoder_stage_widths
 from .errors import InputError
-from .kernels import F32, ConvLayer, ConvSpec, layer_norm, linear, sigmoid
+from .kernels import F32, ConvLayer, layer_norm, linear, sigmoid
 from .prosody import inject_prosody
 from .weights import WeightStore
 
@@ -71,14 +71,13 @@ class DecoderCnn(SeanetCnn):
     def from_store(cls, store: WeightStore, cfg: ModelConfig):
         widths = list(reversed(encoder_stage_widths(cfg)))
         layers = [ConvLayer.from_store(store, "decoder.cnn.conv_in",
-                                       ConvSpec(cfg.d_model, widths[0], FINAL_KERNEL))]
+                                       cfg.d_model, widths[0], FINAL_KERNEL)]
         for i, stride in enumerate(DECODER_STRIDES):
-            layers.append(ConvLayer.from_store(
-                store, f"decoder.cnn.stage{i}.up",
-                ConvSpec(widths[i], widths[i + 1], 2 * stride, stride, transposed=True)))
+            layers.append(ConvLayer.from_store(store, f"decoder.cnn.stage{i}.up", widths[i],
+                                               widths[i + 1], 2 * stride, stride, transposed=True))
             layers.append(ResBlock.from_store(store, f"decoder.cnn.stage{i}.res", widths[i + 1]))
         layers.append(ConvLayer.from_store(store, "decoder.cnn.conv_out",
-                                           ConvSpec(widths[-1], 1, INIT_KERNEL)))
+                                           widths[-1], 1, INIT_KERNEL))
         return cls(layers)
 
     def apply(self, frames, states=None):

@@ -12,7 +12,7 @@ from .config import (CODEBOOK_SIZE, ENCODER_STRIDES, FINAL_KERNEL, FRAME_HOP, IN
                      MAX_LOOKAHEAD, RES_DILATION, RES_KERNEL, VQ_DIM, ModelConfig)
 from .context import KvCache, TransformerParams, transformer_full, transformer_step
 from .errors import ConfigError, InputError
-from .kernels import F32, ConvLayer, ConvSpec, elu, l2_normalize_rows, linear
+from .kernels import F32, ConvLayer, elu, l2_normalize_rows, linear
 from .weights import REGENERATE, WeightStore
 
 
@@ -30,10 +30,9 @@ class ResBlock:
     @classmethod
     def from_store(cls, store, prefix, width):
         return cls(
-            conv1=ConvLayer.from_store(store, f"{prefix}.conv1",
-                                       ConvSpec(width, width, RES_KERNEL, 1, RES_DILATION)),
-            conv2=ConvLayer.from_store(store, f"{prefix}.conv2",
-                                       ConvSpec(width, width, 1)),
+            conv1=ConvLayer.from_store(store, f"{prefix}.conv1", width, width, RES_KERNEL,
+                                       dilation=RES_DILATION),
+            conv2=ConvLayer.from_store(store, f"{prefix}.conv2", width, width, 1),
         )
 
     def init_state(self):
@@ -78,15 +77,13 @@ class EncoderCnn(SeanetCnn):
     @classmethod
     def from_store(cls, store: WeightStore, cfg: ModelConfig):
         widths = encoder_stage_widths(cfg)
-        layers = [ConvLayer.from_store(store, "encoder.cnn.conv_in",
-                                       ConvSpec(1, widths[0], INIT_KERNEL))]
+        layers = [ConvLayer.from_store(store, "encoder.cnn.conv_in", 1, widths[0], INIT_KERNEL)]
         for i, stride in enumerate(ENCODER_STRIDES):
             layers.append(ResBlock.from_store(store, f"encoder.cnn.stage{i}.res", widths[i]))
-            layers.append(ConvLayer.from_store(
-                store, f"encoder.cnn.stage{i}.down",
-                ConvSpec(widths[i], widths[i + 1], 2 * stride, stride)))
+            layers.append(ConvLayer.from_store(store, f"encoder.cnn.stage{i}.down",
+                                               widths[i], widths[i + 1], 2 * stride, stride))
         layers.append(ConvLayer.from_store(store, "encoder.cnn.conv_out",
-                                           ConvSpec(widths[-1], cfg.d_model, FINAL_KERNEL)))
+                                           widths[-1], cfg.d_model, FINAL_KERNEL))
         return cls(layers)
 
     def apply(self, wave, states=None):

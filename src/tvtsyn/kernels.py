@@ -55,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_int
 from .errors import ConfigError, InternalError
 
 F32 = np.float32
@@ -80,78 +81,72 @@ GEMV_MAX_COLS = 6
 
 
 @dataclass(frozen=True)
-class ConvSpec:
-    """Shape contract for a 1-D convolution layer. A transposed conv is the
-    SEANet up conv: kernel 2*stride."""
+class ConvLayer:
+    """One stored 1-D conv. Its sizes are its weight's shape: (out_ch, in_ch,
+    kernel), or (out_ch, kernel, in_ch) for a transposed conv, the SEANet up
+    conv, whose kernel is 2*stride. The tensors are checked once, here, and
+    `apply` runs the conv that `transposed` picks."""
 
-    in_ch: int
-    out_ch: int
-    kernel: int
+    weight: np.ndarray
+    bias: np.ndarray
     stride: int = 1
     dilation: int = 1
     transposed: bool = False
 
     def __post_init__(self):
-        if self.kernel < 1 or self.stride < 1 or self.dilation < 1:
-            raise ConfigError(f"conv spec requires kernel/stride/dilation >= 1, got {self}")
-        if self.transposed and self.kernel != 2 * self.stride:
-            raise ConfigError(f"transposed conv needs kernel = 2 * stride, got {self}")
-
-    @property
-    def weight_shape(self):
-        if self.transposed:
-            return (self.out_ch, self.kernel, self.in_ch)
-        return (self.out_ch, self.in_ch, self.kernel)
-
-    @property
-    def state_len(self) -> int:
-        """Columns of carried state: left context (forward) or additive tail (transposed)."""
-        if self.transposed:
-            return self.stride
-        return (self.kernel - 1) * self.dilation
-
-
-@dataclass(frozen=True)
-class ConvLayer:
-    """One stored conv: its spec, and a weight and bias checked against it
-    once, here. `apply` runs the conv that `spec.transposed` picks."""
-
-    spec: ConvSpec
-    weight: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        if self.weight.shape != self.spec.weight_shape:
-            raise ConfigError(f"weight shape {self.weight.shape} does not match spec "
-                              f"{self.spec} (want {self.spec.weight_shape})")
-        if self.bias.shape != (self.spec.out_ch,):
-            raise ConfigError(f"bias shape {self.bias.shape} does not match out_ch "
-                              f"{self.spec.out_ch}")
+        if self.weight.ndim != 3 or not self.weight.size:
+            raise ConfigError(f"conv weight must be 3-D and non-empty, got shape "
+                              f"{self.weight.shape}")
+        check_int(self.stride, "conv stride", 1, None)
+        check_int(self.dilation, "conv dilation", 1, None)
+        if self.transposed and (self.kernel != 2 * self.stride or self.dilation != 1):
+            raise ConfigError(f"transposed conv needs kernel = 2 * stride and dilation 1, got "
+                              f"kernel {self.kernel} at stride {self.stride}, dilation "
+                              f"{self.dilation}")
+        if self.bias.shape != (self.out_ch,):
+            raise ConfigError(f"bias shape {self.bias.shape} does not match out_ch {self.out_ch}")
 
     @classmethod
-    def from_store(cls, store, prefix, spec: ConvSpec):
-        return cls(spec=spec,
-                   weight=store.get(f"{prefix}.weight", spec.weight_shape),
-                   bias=store.get(f"{prefix}.bias", (spec.out_ch,)))
+    def from_store(cls, store, prefix, in_ch, out_ch, kernel, stride=1, dilation=1,
+                   transposed=False):
+        shape = (out_ch, kernel, in_ch) if transposed else (out_ch, in_ch, kernel)
+        return cls(store.get(f"{prefix}.weight", shape), store.get(f"{prefix}.bias", (out_ch,)),
+                   stride, dilation, transposed)
+
+    @property
+    def out_ch(self) -> int:
+        return self.weight.shape[0]
+
+    @property
+    def in_ch(self) -> int:
+        return self.weight.shape[2 if self.transposed else 1]
+
+    @property
+    def kernel(self) -> int:
+        return self.weight.shape[1 if self.transposed else 2]
+
+    @property
+    def state_shape(self):
+        """Carried state: the left context (forward) or the additive tail (transposed)."""
+        if self.transposed:
+            return (self.out_ch, self.stride)
+        return (self.in_ch, (self.kernel - 1) * self.dilation)
 
     def init_state(self):
         """Zeros: the state at stream start."""
-        ch = self.spec.out_ch if self.spec.transposed else self.spec.in_ch
-        return np.zeros((ch, self.spec.state_len), dtype=F32)
+        return np.zeros(self.state_shape, dtype=F32)
 
     def apply(self, x, state):
         """(C_in, T) -> ((C_out, T'), new_state)."""
-        spec = self.spec
-        if x.ndim != 2 or x.shape[0] != spec.in_ch:
-            raise ConfigError(f"input shape {x.shape} does not match in_ch {spec.in_ch}")
-        ch = spec.out_ch if spec.transposed else spec.in_ch
-        if state.shape != (ch, spec.state_len):
-            raise ConfigError(f"state shape {state.shape}, expected {(ch, spec.state_len)}")
-        conv = _transposed_conv if spec.transposed else _causal_conv
-        return conv(x, spec, self.weight, self.bias, state)
+        if x.ndim != 2 or x.shape[0] != self.in_ch:
+            raise ConfigError(f"input shape {x.shape} does not match in_ch {self.in_ch}")
+        if state.shape != self.state_shape:
+            raise ConfigError(f"state shape {state.shape}, expected {self.state_shape}")
+        conv = _transposed_conv if self.transposed else _causal_conv
+        return conv(x, self, state)
 
 
-def _causal_conv(x, spec, weight, bias, state):
+def _causal_conv(x, layer, state):
     """Strided/dilated causal conv over (C_in, T) -> ((C_out, ceil(T/stride)), new_state).
 
     Output column j reads input columns j*stride - k*dilation for k in
@@ -160,28 +155,28 @@ def _causal_conv(x, spec, weight, bias, state):
     stride so the output grid stays aligned.
     """
     t_in = x.shape[1]
-    # the last state_len columns of [state | x]
-    pad = spec.state_len
+    # the last (kernel-1)*dilation columns of [state | x]
+    pad = state.shape[1]
     new_state = np.concatenate([state[:, t_in:], x[:, max(t_in - pad, 0):]], axis=1)
 
-    t_out = -(-t_in // spec.stride)
-    if spec.kernel == 1:
-        y = weight_product(weight.reshape(spec.out_ch, -1), x[:, ::spec.stride])
+    t_out = -(-t_in // layer.stride)
+    if layer.kernel == 1:
+        y = weight_product(layer.weight.reshape(layer.out_ch, -1), x[:, ::layer.stride])
     else:
-        y = _blocked_im2col_conv(x, spec, weight, state, t_out)
-    y += bias[:, None]
+        y = _blocked_im2col_conv(x, layer, state, t_out)
+    y += layer.bias[:, None]
     return y.astype(F32, copy=False), new_state
 
 
-def _blocked_im2col_conv(x, spec, weight, state, t_out):
+def _blocked_im2col_conv(x, layer, state, t_out):
     """im2col over [state | x], IM2COL_BLOCK elements at a time in one buffer,
     each block of columns one GEMM into its slice of the output."""
-    s, d, pad = spec.stride, spec.dilation, spec.state_len
-    w = weight.reshape(spec.out_ch, -1)                       # (C_out, C_in*K)
+    s, d, pad = layer.stride, layer.dilation, state.shape[1]
+    w = layer.weight.reshape(layer.out_ch, -1)                # (C_out, C_in*K)
     rows = w.shape[1]
     block = max(1, IM2COL_BLOCK // rows)
     buf = np.empty(rows * min(block, t_out), dtype=F32)
-    y = np.empty((spec.out_ch, t_out), dtype=F32)
+    y = np.empty((layer.out_ch, t_out), dtype=F32)
     for j0 in range(0, t_out, block):
         n = min(block, t_out - j0)
         # window of [state | x] from column j0*stride that output columns
@@ -192,14 +187,14 @@ def _blocked_im2col_conv(x, spec, weight, state, t_out):
         else:
             win = np.concatenate([state[:, lo:], x[:, :lo + span]], axis=1)
         # cols[c, k, j] = win[c, j*stride + k*dilation]
-        cols = buf[:rows * n].reshape(spec.in_ch, spec.kernel, n)
-        for k in range(spec.kernel):
+        cols = buf[:rows * n].reshape(layer.in_ch, layer.kernel, n)
+        for k in range(layer.kernel):
             cols[:, k] = win[:, k * d:k * d + span:s]
         weight_product(w, cols.reshape(rows, n), out=y[:, j0:j0 + n])
     return y
 
 
-def _transposed_conv(x, spec, weight, bias, state):
+def _transposed_conv(x, layer, state):
     """Causal transposed conv with kernel 2*stride over (C_in, T) ->
     ((C_out, T*stride), new_state).
 
@@ -210,16 +205,16 @@ def _transposed_conv(x, spec, weight, bias, state):
     plus the previous call's last frame's taps s..2s-1, carried in `state`.
     The bias is added last.
     """
-    t_in, s = x.shape[1], spec.stride
+    t_in, s, c_out = x.shape[1], layer.stride, layer.out_ch
     if not t_in:
-        return np.empty((spec.out_ch, 0), dtype=F32), state.copy()
-    contrib = weight_product(weight.reshape(-1, spec.in_ch), x).reshape(
-        spec.out_ch, 2 * s, t_in)                             # (C_out, K, T)
-    y = np.empty((spec.out_ch, t_in * s), dtype=F32)
-    frames = y.reshape(spec.out_ch, t_in, s).transpose(0, 2, 1)
+        return np.empty((c_out, 0), dtype=F32), state.copy()
+    contrib = weight_product(layer.weight.reshape(-1, layer.in_ch), x).reshape(
+        c_out, 2 * s, t_in)                                   # (C_out, K, T)
+    y = np.empty((c_out, t_in * s), dtype=F32)
+    frames = y.reshape(c_out, t_in, s).transpose(0, 2, 1)
     np.add(contrib[:, :s, 1:], contrib[:, s:, :-1], out=frames[:, :, 1:])
     np.add(contrib[:, :s, 0], state, out=frames[:, :, 0])
-    y += bias[:, None]
+    y += layer.bias[:, None]
     return y, contrib[:, s:, -1].copy()
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import ConfigError
-from .kernels import F32, ConvLayer, ConvSpec, linear, relu
+from .kernels import F32, ConvLayer, linear, relu
 from .weights import WeightStore
 
 # The f0 scale is a pitch ratio. Human voices span about 50 Hz to 1.1 kHz, under
@@ -31,7 +31,7 @@ class PredictorHead:
     @classmethod
     def from_store(cls, store, prefix, hidden):
         return cls(
-            conv2=ConvLayer.from_store(store, f"{prefix}.conv2", ConvSpec(hidden, hidden, 3)),
+            conv2=ConvLayer.from_store(store, f"{prefix}.conv2", hidden, hidden, 3),
             proj_w=store.get(f"{prefix}.proj.weight", (1, hidden)),
             proj_b=store.get(f"{prefix}.proj.bias", (1,)),
         )
@@ -52,7 +52,7 @@ class ProsodyParams:
     def from_store(cls, store: WeightStore, cfg: ModelConfig):
         hidden = cfg.prosody_hidden
         return cls(
-            conv1=ConvLayer.from_store(store, "prosody.conv1", ConvSpec(cfg.d_model, 2 * hidden, 3)),
+            conv1=ConvLayer.from_store(store, "prosody.conv1", cfg.d_model, 2 * hidden, 3),
             f0=PredictorHead.from_store(store, "prosody.f0", hidden),
             energy=PredictorHead.from_store(store, "prosody.energy", hidden),
             inject_w=store.get("prosody.inject.weight", (cfg.d_model, 2)),

@@ -175,7 +175,7 @@ class TestInitWeights:
 
 class TestUnreadableWeights:
     def test_directory_is_input_error(self, tmp_path, capsys):
-        assert run(["bench", "--weights", str(tmp_path), "--synthetic", "1"]) == 1
+        assert run(["bench", "--weights", str(tmp_path)]) == 1
         assert "cannot read weight file" in capsys.readouterr().err
 
     def test_version_1_file_is_input_error(self, workdir, tmp_path, capsys):
@@ -420,7 +420,7 @@ class TestOutputIntoMissingDirectory:
                     "--out", str(tmp_path / "nodir" / "x.wav")]) == 1
 
     def test_bench(self, workdir, tmp_path):
-        assert run(["bench", *_margs(workdir), "--synthetic", "1", "--utt-seconds", "0.12",
+        assert run(["bench", *_margs(workdir), "--utt-seconds", "0.12",
                     "--out", str(tmp_path / "nodir" / "r.json")]) == 1
 
     def test_dump_tvt(self, workdir, tmp_path):
@@ -675,8 +675,7 @@ class TestStream:
 class TestBench:
     def test_synthetic_report(self, workdir, tmp_path):
         out = tmp_path / "report.json"
-        code = run(["bench", *_margs(workdir), "--chunk-ms", "60",
-                    "--synthetic", "110", "--utt-seconds", "0.3",
+        code = run(["bench", *_margs(workdir), "--chunk-ms", "60", "--utt-seconds", "0.3",
                     "--out", str(out)])
         assert code == 0
         rep = json.loads(out.read_text())
@@ -706,13 +705,6 @@ class TestBench:
                     "--utt-seconds", "0.02", "--chunk-ms", "60"]) == 2
         assert "shorter than one 60.0 ms chunk" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_no_synthetic_utterances_is_config_error(self, tmp_path, capsys, count):
-        # checked before the weights are read: the weight path does not exist
-        assert run(["bench", "--weights", str(tmp_path / "missing.tvtw"),
-                    "--synthetic", count]) == 2
-        assert "--synthetic" in capsys.readouterr().err
-
     @pytest.mark.parametrize("chunk_ms,message", BAD_SPANS)
     def test_misaligned_chunk_is_config_error(self, tmp_path, capsys, chunk_ms, message):
         # checked before the weights are read: the weight path does not exist
@@ -722,12 +714,11 @@ class TestBench:
         assert f"--chunk-ms{message}" in err and "chunk_ms" not in err
 
     def test_synthetic_draws_only_the_utterances_it_streams(self, workdir, monkeypatch):
-        # 10 warm-up and 100 measured utterances: the other 390 are never read
+        # 10 warm-up and 100 measured utterances, each drawn once
         seen = []
         monkeypatch.setattr(cli, "latency_bench",
                             lambda model, cfg, speaker, utts: seen.append(utts) or {})
-        assert run(["bench", *_margs(workdir), "--synthetic", "500",
-                    "--utt-seconds", "0.06"]) == 0
+        assert run(["bench", *_margs(workdir), "--utt-seconds", "0.06"]) == 0
         assert len(seen) == 1 and len(seen[0]) == 110
 
     @pytest.mark.parametrize("n_files", [109, 112])
@@ -872,7 +863,7 @@ class TestClosedStdout:
             "init-weights": ["--config", str(workdir / "model.cfg"),
                              "--out", str(tmp_path / "w.tvtw")],
             "probe": [*_margs(workdir), "--trials", "1"],
-            "bench": [*_margs(workdir), "--synthetic", "1", "--utt-seconds", "0.06"],
+            "bench": [*_margs(workdir), "--utt-seconds", "0.06"],
             "dump-tvt": [*_margs(workdir), "--speaker", str(workdir / "spk.f32"),
                          "--in", str(workdir / "in.wav")],
         }[command]
@@ -1031,7 +1022,8 @@ def sweep_values(workdir, cfg, tmp_path_factory):
         "--lookahead": (["0", "2", "4"], ints + ["5"]),
         "--seed": (["0", "7", str(1 << 70)], ints),
         "--trials": (["1", "2"], ints),
-        "--synthetic": (["1", "2", str(1 << 70)], ints),
+        # removed from bench: any value is an unknown option
+        "--synthetic": ([None], ["1", "110", str(1 << 70), *ints]),
     }
 
 
@@ -1075,6 +1067,8 @@ def test_seeded_sweep_exits_0_to_3(sweep_values, capsys):
             except Exception as exc:
                 raise AssertionError(f"{argv} raised {exc!r}") from exc
         assert code in codes, argv
+        # bench has no --synthetic: argparse stops at it
+        assert code == 2 or "--synthetic" not in argv, argv
         codes[code] += 1
         capsys.readouterr()
     assert min(codes[0], codes[1], codes[2]) >= 75, codes

@@ -13,7 +13,7 @@ from tvtsyn import kernels
 from tvtsyn.config import StreamConfig
 from tvtsyn.context import _attend, band_mask
 from tvtsyn.errors import ConfigError, InternalError
-from tvtsyn.kernels import ConvLayer, ConvSpec, layer_norm, rope_cos_sin
+from tvtsyn.kernels import ConvLayer, layer_norm, rope_cos_sin
 from tvtsyn.kernels import elu, linear, sigmoid
 from tvtsyn.model import synthesize
 from tvtsyn.streaming import open_session
@@ -21,14 +21,13 @@ from tvtsyn.streaming import open_session
 F32 = np.float32
 
 
-def conv_layer(spec, w, b=None):
+def conv_layer(w, b=None, **geometry):
     """A ConvLayer of weight w and bias b (zeros when omitted)."""
-    return ConvLayer(spec, w, np.zeros(spec.out_ch, F32) if b is None else b)
+    return ConvLayer(w, np.zeros(w.shape[0], F32) if b is None else b, **geometry)
 
 
-def conv(x, spec, w, b=None, state=None):
-    """One call of conv_layer(spec, w, b) from `state` (zeros when omitted)."""
-    layer = conv_layer(spec, w, b)
+def conv(x, layer, state=None):
+    """One call of `layer` from `state` (zeros when omitted)."""
     return layer.apply(x, layer.init_state() if state is None else state)
 
 
@@ -64,31 +63,27 @@ def tconv_oracle(x, w, b, stride):
 
 class TestCausalConv:
     def test_identity_kernel(self):
-        spec = ConvSpec(1, 1, 1)
-        y, _ = conv(np.array([[1, 2, 3]], F32), spec, np.ones((1, 1, 1), F32))
+        y, _ = conv(np.array([[1, 2, 3]], F32), conv_layer(np.ones((1, 1, 1), F32)))
         assert np.array_equal(y, [[1, 2, 3]])
 
     def test_hand_computed_k2(self):
         # y[j] = x[j-1] + x[j] with zero left state
-        spec = ConvSpec(1, 1, 2)
-        y, _ = conv(np.array([[1, 2, 3]], F32), spec, np.ones((1, 1, 2), F32))
+        y, _ = conv(np.array([[1, 2, 3]], F32), conv_layer(np.ones((1, 1, 2), F32)))
         assert np.array_equal(y, [[1, 3, 5]])
 
     def test_stride_output_count(self):
-        spec = ConvSpec(1, 2, 16, stride=8)
         rng = np.random.default_rng(0)
-        y, _ = conv(rng.normal(size=(1, 320)).astype(F32), spec,
-                    rng.normal(size=(2, 1, 16)).astype(F32))
+        x = rng.normal(size=(1, 320)).astype(F32)
+        y, _ = conv(x, conv_layer(rng.normal(size=(2, 1, 16)).astype(F32), stride=8))
         assert y.shape == (2, 40)
 
     @pytest.mark.parametrize("stride,dilation", [(1, 1), (1, 2), (2, 1), (5, 1), (4, 3)])
     def test_matches_direct_oracle(self, stride, dilation):
         rng = np.random.default_rng(42)
-        spec = ConvSpec(3, 5, 4, stride=stride, dilation=dilation)
         x = rng.normal(size=(3, 40)).astype(F32)
         w = rng.normal(size=(5, 3, 4)).astype(F32)
         b = rng.normal(size=5).astype(F32)
-        y, _ = conv(x, spec, w, b)
+        y, _ = conv(x, conv_layer(w, b, stride=stride, dilation=dilation))
         expected = conv_oracle(x, w, b, stride, dilation)
         assert y.shape == expected.shape
         np.testing.assert_allclose(y, expected, atol=1e-5)
@@ -96,100 +91,92 @@ class TestCausalConv:
     def test_causality_exact(self):
         # zeroing any column after t never changes outputs <= t
         rng = np.random.default_rng(1)
-        spec = ConvSpec(2, 2, 3, dilation=2)
         x = rng.normal(size=(2, 30)).astype(F32)
-        w = rng.normal(size=(2, 2, 3)).astype(F32)
-        base, _ = conv(x, spec, w)
+        layer = conv_layer(rng.normal(size=(2, 2, 3)).astype(F32), dilation=2)
+        base, _ = conv(x, layer)
         for t in (5, 12, 28):
             poked = x.copy()
             poked[:, t + 1:] = 0
-            y, _ = conv(poked, spec, w)
+            y, _ = conv(poked, layer)
             assert np.array_equal(base[:, :t + 1], y[:, :t + 1])
 
     def test_streaming_equals_one_shot_arbitrary_splits(self):
         rng = np.random.default_rng(7)
-        spec = ConvSpec(2, 3, 5, dilation=2)
         x = rng.normal(size=(2, 64)).astype(F32)
-        w = rng.normal(size=(3, 2, 5)).astype(F32)
-        b = rng.normal(size=3).astype(F32)
-        full, _ = conv(x, spec, w, b)
+        layer = conv_layer(rng.normal(size=(3, 2, 5)).astype(F32),
+                           rng.normal(size=3).astype(F32), dilation=2)
+        full, _ = conv(x, layer)
         for seed in range(5):
             cuts = np.sort(np.random.default_rng(seed).choice(
                 np.arange(1, 64), size=4, replace=False))
-            state = conv_layer(spec, w).init_state()
+            state = layer.init_state()
             parts = []
             prev = 0
             for cut in list(cuts) + [64]:
-                y, state = conv(x[:, prev:cut], spec, w, b, state)
+                y, state = conv(x[:, prev:cut], layer, state)
                 parts.append(y)
                 prev = cut
             np.testing.assert_allclose(np.concatenate(parts, axis=1), full, atol=1e-6)
 
     def test_strided_streaming_state(self):
         rng = np.random.default_rng(9)
-        spec = ConvSpec(1, 2, 8, stride=4)
         x = rng.normal(size=(1, 48)).astype(F32)
-        w = rng.normal(size=(2, 1, 8)).astype(F32)
-        full, _ = conv(x, spec, w)
-        state = conv_layer(spec, w).init_state()
+        layer = conv_layer(rng.normal(size=(2, 1, 8)).astype(F32), stride=4)
+        full, _ = conv(x, layer)
+        state = layer.init_state()
         parts = []
         for k in range(0, 48, 16):
-            y, state = conv(x[:, k:k + 16], spec, w, state=state)
+            y, state = conv(x[:, k:k + 16], layer, state)
             parts.append(y)
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, atol=1e-6)
 
     def test_shape_mismatch_is_config_error(self):
-        spec = ConvSpec(2, 3, 4)
         with pytest.raises(ConfigError):
-            conv(np.zeros((2, 8), F32), spec, np.zeros((3, 2, 5), F32))
+            conv_layer(np.zeros((3, 8), F32))
         with pytest.raises(ConfigError):
-            conv(np.zeros((1, 8), F32), spec, np.zeros((3, 2, 4), F32))
+            conv(np.zeros((1, 8), F32), conv_layer(np.zeros((3, 2, 4), F32)))
 
 
 class TestTransposedConv:
     def test_hand_computed(self):
         # frame t adds x[t] to samples 2t..2t+3; samples 4 and 5 are carried
-        spec = ConvSpec(1, 1, 4, stride=2, transposed=True)
-        y, state = conv(np.array([[1, 2]], F32), spec, np.ones((1, 4, 1), F32))
+        layer = conv_layer(np.ones((1, 4, 1), F32), stride=2, transposed=True)
+        y, state = conv(np.array([[1, 2]], F32), layer)
         assert np.array_equal(y, [[1, 1, 3, 3]])
         assert np.array_equal(state, [[2, 2]])
 
     def test_zero_input_zero_output(self):
-        spec = ConvSpec(3, 2, 8, stride=4, transposed=True)
         rng = np.random.default_rng(0)
-        w = rng.normal(size=(2, 8, 3)).astype(F32)
-        y, _ = conv(np.zeros((3, 6), F32), spec, w)
+        layer = conv_layer(rng.normal(size=(2, 8, 3)).astype(F32), stride=4, transposed=True)
+        y, _ = conv(np.zeros((3, 6), F32), layer)
         assert y.shape == (2, 24) and not y.any()
 
     def test_composed_strides_restore_factor_320(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 50)).astype(F32)
         for stride in (2, 4, 5, 8):
-            spec = ConvSpec(2, 2, 2 * stride, stride=stride, transposed=True)
             w = rng.normal(size=(2, 2 * stride, 2)).astype(F32)
-            x, _ = conv(x, spec, w)
+            x, _ = conv(x, conv_layer(w, stride=stride, transposed=True))
         assert x.shape == (2, 16000)
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(5)
-        spec = ConvSpec(3, 2, 4, stride=2, transposed=True)
         x = rng.normal(size=(3, 12)).astype(F32)
         w = rng.normal(size=(2, 4, 3)).astype(F32)
         b = rng.normal(size=2).astype(F32)
-        y, _ = conv(x, spec, w, b)
+        y, _ = conv(x, conv_layer(w, b, stride=2, transposed=True))
         np.testing.assert_allclose(y, tconv_oracle(x, w, b, 2), atol=1e-5)
 
     def test_streaming_tail_carry(self):
         rng = np.random.default_rng(6)
-        spec = ConvSpec(2, 3, 10, stride=5, transposed=True)
         x = rng.normal(size=(2, 20)).astype(F32)
-        w = rng.normal(size=(3, 10, 2)).astype(F32)
-        b = rng.normal(size=3).astype(F32)
-        full, _ = conv(x, spec, w, b)
-        state = conv_layer(spec, w).init_state()
+        layer = conv_layer(rng.normal(size=(3, 10, 2)).astype(F32),
+                           rng.normal(size=3).astype(F32), stride=5, transposed=True)
+        full, _ = conv(x, layer)
+        state = layer.init_state()
         parts = []
         for k in range(0, 20, 5):
-            y, state = conv(x[:, k:k + 5], spec, w, b, state)
+            y, state = conv(x[:, k:k + 5], layer, state)
             parts.append(y)
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, atol=1e-6)
 
@@ -198,38 +185,59 @@ class TestTransposedConv:
         x = rng.normal(size=(1, 3200)).astype(F32)
         h = x
         for stride in (8, 5, 4, 2):
-            spec = ConvSpec(h.shape[0], 2, 2 * stride, stride=stride)
-            h, _ = conv(h, spec, rng.normal(size=(2, h.shape[0], 2 * stride)).astype(F32))
+            w = rng.normal(size=(2, h.shape[0], 2 * stride)).astype(F32)
+            h, _ = conv(h, conv_layer(w, stride=stride))
         assert h.shape[1] == 10
         for stride in (2, 4, 5, 8):
-            spec = ConvSpec(h.shape[0], 2, 2 * stride, stride=stride, transposed=True)
-            h, _ = conv(h, spec, rng.normal(size=(2, 2 * stride, h.shape[0])).astype(F32))
+            w = rng.normal(size=(2, 2 * stride, h.shape[0])).astype(F32)
+            h, _ = conv(h, conv_layer(w, stride=stride, transposed=True))
         assert h.shape[1] == 3200
 
 
 class TestConvLayer:
-    """A ConvLayer checks its tensors against its spec once, when it is built,
-    and each call's input and state; it cannot be changed after."""
+    """A ConvLayer is its weight and geometry: in_ch, out_ch and kernel are
+    the weight's shape. It checks its tensors and geometry once, when it is
+    built, and each call's input and state; it cannot be changed after."""
 
-    @pytest.mark.parametrize("spec", [ConvSpec(2, 3, 4, 2), ConvSpec(2, 3, 4, 2, transposed=True)])
-    def test_wrong_weight_or_bias_is_config_error_at_construction(self, spec):
-        w = np.zeros(spec.weight_shape, F32)
-        ConvLayer(spec, w, np.zeros(3, F32))
-        for bad in (np.zeros((3, 3, 4), F32), np.zeros((2, 3, 5), F32), np.zeros((24,), F32)):
-            with pytest.raises(ConfigError, match="weight shape"):
-                ConvLayer(spec, bad, np.zeros(3, F32))
+    @staticmethod
+    def weight(transposed, out_ch=3, in_ch=2, kernel=4):
+        return np.zeros((out_ch, kernel, in_ch) if transposed else (out_ch, in_ch, kernel), F32)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_wrong_weight_or_bias_is_config_error_at_construction(self, transposed):
+        w = self.weight(transposed)
+        ConvLayer(w, np.zeros(3, F32), stride=2, transposed=transposed)
+        for bad in (np.zeros((24,), F32), np.zeros((3, 8), F32), np.zeros((1, 3, 2, 4), F32),
+                    self.weight(transposed, out_ch=0), self.weight(transposed, in_ch=0),
+                    self.weight(transposed, kernel=0)):
+            with pytest.raises(ConfigError, match="conv weight must be 3-D and non-empty"):
+                ConvLayer(bad, np.zeros(3, F32), stride=2, transposed=transposed)
         for bad in (np.zeros(2, F32), np.zeros((3, 1), F32)):
             with pytest.raises(ConfigError, match="bias shape"):
-                ConvLayer(spec, w, bad)
+                ConvLayer(w, bad, stride=2, transposed=transposed)
+
+    @pytest.mark.parametrize("name", ["stride", "dilation"])
+    @pytest.mark.parametrize("value", [0, -2, 2.0, True])
+    def test_stride_or_dilation_not_an_int_of_at_least_one_is_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"conv {name} must be an int >= 1"):
+            ConvLayer(self.weight(False), np.zeros(3, F32), **{name: value})
+
+    def test_sizes_are_the_weight_shape(self):
+        layer = ConvLayer(self.weight(False), np.zeros(3, F32), 2, 3)
+        assert (layer.in_ch, layer.out_ch, layer.kernel) == (2, 3, 4)
+        assert layer.init_state().shape == (2, 9)
+        up = ConvLayer(self.weight(True), np.zeros(3, F32), stride=2, transposed=True)
+        assert (up.in_ch, up.out_ch, up.kernel) == (2, 3, 4)
+        assert up.init_state().shape == (3, 2)
 
     def test_fields_cannot_be_assigned(self):
-        spec = ConvSpec(2, 3, 4)
-        layer = conv_layer(spec, np.zeros((3, 2, 4), F32))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            layer.weight = np.zeros((3, 2, 5), F32)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            layer.bias = None
-        assert [f.name for f in dataclasses.fields(ConvLayer)] == ["spec", "weight", "bias"]
+        layer = ConvLayer(self.weight(False), np.zeros(3, F32))
+        for name, value in (("weight", np.zeros((3, 2, 5), F32)), ("bias", None),
+                            ("stride", 2), ("dilation", 2), ("transposed", True)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(layer, name, value)
+        assert [f.name for f in dataclasses.fields(ConvLayer)] == [
+            "weight", "bias", "stride", "dilation", "transposed"]
 
     # kernels that are not 2*stride: one group of `stride` taps (2/2, 3/3),
     # two and a ragged third (5/2, 7/3), three (3/1, 6/2, 12/4)
@@ -237,12 +245,20 @@ class TestConvLayer:
                                                (12, 4)])
     def test_transposed_kernel_other_than_twice_stride_is_rejected(self, kernel, stride):
         with pytest.raises(ConfigError, match="kernel = 2 \\* stride"):
-            ConvSpec(6, 5, kernel, stride, transposed=True)
-        assert ConvSpec(6, 5, kernel, stride).state_len == kernel - 1
+            ConvLayer(self.weight(True, 5, 6, kernel), np.zeros(5, F32), stride, transposed=True)
+        layer = ConvLayer(self.weight(False, 5, 6, kernel), np.zeros(5, F32), stride)
+        assert layer.init_state().shape == (6, kernel - 1)
 
-    @pytest.mark.parametrize("spec", [ConvSpec(2, 3, 4, 2), ConvSpec(2, 3, 4, 2, transposed=True)])
-    def test_input_and_state_are_checked_per_call(self, spec):
-        layer = conv_layer(spec, np.zeros(spec.weight_shape, F32))
+    def test_dilated_transposed_conv_is_rejected(self):
+        # the transposed conv has no dilation: a value other than 1 would be ignored
+        with pytest.raises(ConfigError, match="and dilation 1, got kernel 4 at stride 2, "
+                                              "dilation 2"):
+            ConvLayer(self.weight(True), np.zeros(3, F32), 2, 2, transposed=True)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_input_and_state_are_checked_per_call(self, transposed):
+        layer = ConvLayer(self.weight(transposed), np.zeros(3, F32), stride=2,
+                          transposed=transposed)
         state = layer.init_state()
         for bad in (np.zeros((3, 4), F32), np.zeros(4, F32), np.zeros((1, 2, 4), F32)):
             with pytest.raises(ConfigError, match="input shape"):
@@ -385,37 +401,37 @@ def _f64(a):
     return np.asarray(a, dtype=np.float64)
 
 
-def _check_causal_conv(rng, spec, t):
+def _check_causal_conv(rng, t, c_in, c_out, kernel, stride, dilation):
     """A forward ConvLayer from a random state against a float64 einsum over [state | x]."""
-    x = rng.normal(size=(spec.in_ch, t)).astype(F32)
-    w = rng.normal(size=(spec.out_ch, spec.in_ch, spec.kernel)).astype(F32)
-    b = rng.normal(size=spec.out_ch).astype(F32)
-    state = rng.normal(size=(spec.in_ch, spec.state_len)).astype(F32)
+    x = rng.normal(size=(c_in, t)).astype(F32)
+    w = rng.normal(size=(c_out, c_in, kernel)).astype(F32)
+    b = rng.normal(size=c_out).astype(F32)
+    pad = (kernel - 1) * dilation
+    state = rng.normal(size=(c_in, pad)).astype(F32)
     xx = np.concatenate([_f64(state), _f64(x)], axis=1)
-    t_out = -(-t // spec.stride)
-    cols = (np.arange(t_out)[:, None] * spec.stride
-            + np.arange(spec.kernel)[None, :] * spec.dilation)
+    t_out = -(-t // stride)
+    cols = np.arange(t_out)[:, None] * stride + np.arange(kernel)[None, :] * dilation
     want = np.einsum("ock,cjk->oj", _f64(w), xx[:, cols]) + _f64(b)[:, None]
-    got, new_state = conv(x, spec, w, b, state)
-    assert got.shape == (spec.out_ch, t_out) and got.dtype == F32
+    got, new_state = conv(x, ConvLayer(w, b, stride, dilation), state)
+    assert got.shape == (c_out, t_out) and got.dtype == F32
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-4)
-    assert np.array_equal(new_state, xx[:, xx.shape[1] - spec.state_len:].astype(F32))
+    assert np.array_equal(new_state, xx[:, xx.shape[1] - pad:].astype(F32))
 
 
-def _check_transposed_conv(rng, spec, t):
-    """A transposed ConvLayer from a random carried state against a float64
-    einsum and overlap-add."""
-    c_in, c_out, kernel, stride = spec.in_ch, spec.out_ch, spec.kernel, spec.stride
+def _check_transposed_conv(rng, t, c_in, c_out, stride):
+    """A transposed ConvLayer (kernel 2*stride) from a random carried state
+    against a float64 einsum and overlap-add."""
+    kernel = 2 * stride
     x = rng.normal(size=(c_in, t)).astype(F32)
     w = rng.normal(size=(c_out, kernel, c_in)).astype(F32)
     b = rng.normal(size=c_out).astype(F32)
-    state = rng.normal(size=(c_out, spec.state_len)).astype(F32)
+    state = rng.normal(size=(c_out, stride)).astype(F32)
     contrib = np.einsum("okc,ct->okt", _f64(w), _f64(x))
-    full = np.zeros((c_out, t * stride + spec.state_len))
+    full = np.zeros((c_out, t * stride + stride))
     for k in range(kernel):
         full[:, k:k + (t - 1) * stride + 1:stride] += contrib[:, k]
-    full[:, :spec.state_len] += _f64(state)
-    got, new_state = conv(x, spec, w, b, state)
+    full[:, :stride] += _f64(state)
+    got, new_state = conv(x, ConvLayer(w, b, stride, transposed=True), state)
     assert got.shape == (c_out, t * stride) and got.dtype == F32
     np.testing.assert_allclose(got, full[:, :t * stride] + _f64(b)[:, None],
                                rtol=1e-5, atol=1e-4)
@@ -453,17 +469,16 @@ class TestWeightMajorProducts:
                                                         (16, 8, 1), (5, 3, 2)])
     def test_causal_conv_matches_einsum(self, t, kernel, stride, dilation):
         _check_causal_conv(np.random.default_rng(100 * kernel + 10 * stride + dilation),
-                           ConvSpec(6, 5, kernel, stride, dilation), t)
+                           t, 6, 5, kernel, stride, dilation)
 
     # no input columns: no output, and the state as it was
     @pytest.mark.parametrize("kernel,stride", [(4, 2), (16, 8)])
     def test_transposed_conv_of_no_columns(self, kernel, stride):
         rng = np.random.default_rng(kernel)
-        spec = ConvSpec(6, 5, kernel, stride, transposed=True)
         w = rng.normal(size=(5, kernel, 6)).astype(F32)
-        state = rng.normal(size=(5, spec.state_len)).astype(F32)
-        y, new_state = conv(np.zeros((6, 0), F32), spec, w, rng.normal(size=5).astype(F32),
-                            state)
+        state = rng.normal(size=(5, stride)).astype(F32)
+        layer = conv_layer(w, rng.normal(size=5).astype(F32), stride=stride, transposed=True)
+        y, new_state = conv(np.zeros((6, 0), F32), layer, state)
         assert y.shape == (5, 0) and y.dtype == F32
         assert np.array_equal(new_state, state) and not np.shares_memory(new_state, state)
 
@@ -478,15 +493,15 @@ class TestWeightMajorProducts:
         block = kernels.IM2COL_BLOCK // (6 * kernel)
         t_out = 2 * block + block // 2 + 1
         _check_causal_conv(np.random.default_rng(kernel + stride),
-                           ConvSpec(6, 5, kernel, stride, dilation), (t_out - 1) * stride + 1)
+                           (t_out - 1) * stride + 1, 6, 5, kernel, stride, dilation)
 
     @pytest.mark.parametrize("t", [1, 3, 960, 40000])
     @pytest.mark.parametrize("stride,dilation", [(1, 1), (1, 2), (2, 1)])
     def test_single_output_conv_matches_einsum(self, t, stride, dilation):
         # out_ch == 1 with carried state, as the decoder's conv_out; 40000
-        # samples span four blocks of this spec's 42 im2col rows
+        # samples span four blocks of this layer's 42 im2col rows
         _check_causal_conv(np.random.default_rng(t + dilation),
-                           ConvSpec(6, 1, 7, stride, dilation), t)
+                           t, 6, 1, 7, stride, dilation)
 
     @pytest.mark.parametrize("block_cols", [1, 7, None])
     @pytest.mark.parametrize("out_ch,kernel,stride,dilation", [(5, 3, 1, 2), (5, 16, 8, 1),
@@ -498,16 +513,16 @@ class TestWeightMajorProducts:
         if block_cols:
             monkeypatch.setattr(kernels, "IM2COL_BLOCK", 6 * kernel * block_cols)
         rng = np.random.default_rng(kernel * 10 + (block_cols or 0))
-        spec = ConvSpec(6, out_ch, kernel, stride, dilation)
         t_out = max(3 * (kernels.IM2COL_BLOCK // (6 * kernel)) - 1, 200)
         x = rng.normal(size=(6, t_out * stride)).astype(F32)
         w = rng.normal(size=(out_ch, 6, kernel)).astype(F32)
         b = rng.normal(size=out_ch).astype(F32)
-        full, _ = conv(x, spec, w, b)
+        layer = ConvLayer(w, b, stride, dilation)
+        full, _ = conv(x, layer)
         cuts = np.sort(rng.choice(np.arange(1, t_out), size=6, replace=False)) * stride
-        state, parts, prev = conv_layer(spec, w).init_state(), [], 0
+        state, parts, prev = layer.init_state(), [], 0
         for cut in [*cuts, t_out * stride]:
-            y, state = conv(x[:, prev:cut], spec, w, b, state)
+            y, state = conv(x[:, prev:cut], layer, state)
             parts.append(y)
             prev = cut
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, rtol=1e-5, atol=1e-4)
@@ -517,23 +532,23 @@ class TestWeightMajorProducts:
     @pytest.mark.parametrize("kernel,stride", [(2, 1), (4, 2), (8, 4), (10, 5), (16, 8)])
     def test_transposed_conv_matches_einsum(self, t, kernel, stride):
         _check_transposed_conv(np.random.default_rng(10 * kernel + stride),
-                               ConvSpec(6, 5, kernel, stride, transposed=True), t)
+                               t, 6, 5, stride)
 
     @pytest.mark.parametrize("kernel,stride", [(2, 1), (4, 2), (8, 4), (10, 5), (16, 8)])
     def test_transposed_conv_chunked_equals_one_call(self, kernel, stride):
         # from a random carried state, chunks of 1 to 7 frames against one
         # call over all 960
         rng = np.random.default_rng(500 + 10 * kernel + stride)
-        spec = ConvSpec(6, 5, kernel, stride, transposed=True)
         x = rng.normal(size=(6, 960)).astype(F32)
         w = rng.normal(size=(5, kernel, 6)).astype(F32)
         b = rng.normal(size=5).astype(F32)
-        state = rng.normal(size=(5, spec.state_len)).astype(F32)
-        full, full_state = conv(x, spec, w, b, state)
+        state = rng.normal(size=(5, stride)).astype(F32)
+        layer = ConvLayer(w, b, stride, transposed=True)
+        full, full_state = conv(x, layer, state)
         parts, prev = [], 0
         while prev < x.shape[1]:
             cut = min(prev + int(rng.integers(1, 8)), x.shape[1])
-            y, state = conv(x[:, prev:cut], spec, w, b, state)
+            y, state = conv(x[:, prev:cut], layer, state)
             parts.append(y)
             prev = cut
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, rtol=1e-5, atol=1e-5)
@@ -562,7 +577,7 @@ class TestWeightMajorProducts:
         # t output columns; K = 1 is the direct product, the others one im2col block
         monkeypatch.setattr(kernels, "GEMV_BLOCK", 6 * kernel * 16)
         _check_causal_conv(np.random.default_rng(300 + 10 * kernel + t),
-                           ConvSpec(6, 50, kernel, stride, dilation), t * stride)
+                           t * stride, 6, 50, kernel, stride, dilation)
 
     @pytest.mark.parametrize("t", range(1, kernels.GEMV_MAX_COLS + 2))
     def test_transposed_conv_over_three_gemv_blocks_matches_einsum(self, monkeypatch, t):
@@ -570,7 +585,7 @@ class TestWeightMajorProducts:
         # rows are cut into blocks of 6, 7 and 7
         monkeypatch.setattr(kernels, "GEMV_BLOCK", 5 * 4 * 16)
         _check_transposed_conv(np.random.default_rng(400 + t),
-                               ConvSpec(50, 5, 4, 2, transposed=True), t)
+                               t, 50, 5, 2)
 
     # a weight of m * k elements just over 1, 1.5 and 2 GEMV_BLOCKs: one
     # block, one block, and two blocks of 20 and 21 rows
@@ -657,10 +672,10 @@ class TestWeightMajorProducts:
             session.feed(random_wave(61 + k, 960))
         assert [w.shape for w in weights if not w.flags.c_contiguous] == []
         shapes = {w.shape for w in weights}
-        ups = [layer.spec for layer in model.decoder.cnn.layers
-               if isinstance(layer, ConvLayer) and layer.spec.transposed]
+        ups = [layer for layer in model.decoder.cnn.layers
+               if isinstance(layer, ConvLayer) and layer.transposed]
         assert len(ups) == 4
-        assert all((spec.out_ch * spec.kernel, spec.in_ch) in shapes for spec in ups)
+        assert all((up.out_ch * up.kernel, up.in_ch) in shapes for up in ups)
 
 
 class TestConvTemporaries:
@@ -671,12 +686,11 @@ class TestConvTemporaries:
     @pytest.mark.parametrize("out_ch,kernel,dilation", [(1, 7, 1), (96, 3, 2)])
     def test_peak_within_input_output_and_block_budget(self, out_ch, kernel, dilation):
         rng = np.random.default_rng(kernel)
-        spec = ConvSpec(96, out_ch, kernel, 1, dilation)
         x = rng.normal(size=(96, 32000)).astype(F32)
         w = rng.normal(size=(out_ch, 96, kernel)).astype(F32)
         b = rng.normal(size=out_ch).astype(F32)
-        state = rng.normal(size=(96, spec.state_len)).astype(F32)
-        layer = ConvLayer(spec, w, b)
+        state = rng.normal(size=(96, (kernel - 1) * dilation)).astype(F32)
+        layer = ConvLayer(w, b, dilation=dilation)
         tracemalloc.start()
         try:
             y, _ = layer.apply(x, state)

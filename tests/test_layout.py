@@ -1,7 +1,7 @@
 """Layout guards: every public name in the package has a caller outside the
 tests, so has every public method and property of its classes and every
-parameter with a default, every name the package exports resolves, and no
-module imports a name it does not use.
+parameter with a default, every public dataclass field is read, every name
+the package exports resolves, and no module imports a name it does not use.
 """
 
 import ast
@@ -113,6 +113,73 @@ def test_caller_guard_on_a_small_tree(tmp_path):
         "Session().feed(1)\n"
         "WRAPPED = ('traced',)\n")
     assert sorted(_uncalled(tmp_path)) == ["m.Session.reset", "m.Session.size", "m.unused"]
+
+
+def _is_dataclass(decorator):
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(func, "id", getattr(func, "attr", None)) == "dataclass"
+
+
+def _unread_fields(root):
+    """`module.Class.field` for each public field of a dataclass in
+    root/src/tvtsyn/*.py that no code in the package or in root/perfbench
+    reads, as an attribute (`obj.field`) or as a string (`getattr(obj,
+    "field")`, a name perfbench looks up). A field matches by its bare name,
+    as in _uncalled. A keyword does not count: `Class(field=...)` sets the
+    field, so a copy that is only ever set still fails."""
+    package = sorted((root / "src" / "tvtsyn").glob("*.py"))
+    trees = {p: ast.parse(p.read_text()) for p in package}
+    read = set()
+    for tree in [*trees.values(),
+                 *(ast.parse(p.read_text()) for p in sorted((root / "perfbench").glob("*.py")))]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [f"{path.stem}.{cls.name}.{stmt.target.id}"
+            for path, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and not stmt.target.id.startswith("_") and stmt.target.id not in read]
+
+
+def test_every_dataclass_field_is_read():
+    unread = _unread_fields(ROOT)
+    assert not unread, f"dataclass fields that only the tests (or nothing) read: {unread}"
+
+
+def test_unread_field_guard_on_a_small_tree(tmp_path):
+    (tmp_path / "src" / "tvtsyn").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src" / "tvtsyn" / "m.py").write_text(
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class Conv:\n"
+        "    weight: object\n"
+        "    stride: int = 1\n"
+        "    kernel: int = 3\n"
+        "    _cache: object = None\n"
+        "    def apply(self, x):\n"
+        "        return self.weight @ x[::getattr(self, 'stride')]\n"
+        "@dataclasses.dataclass\n"
+        "class Session:\n"
+        "    conv: Conv\n"
+        "    frames: int = 0\n"
+        "    calls: int = 0\n"
+        "    def feed(self, x):\n"
+        "        self.frames = x.shape[1]\n"
+        "        return self.conv.apply(x)\n"
+        "class Plain:\n"
+        "    size: int = 0\n"
+        "def build(w):\n"
+        "    return Session(Conv(w, kernel=3, stride=2), frames=0)\n")
+    (tmp_path / "perfbench" / "bench.py").write_text(
+        "from tvtsyn.m import build\n"
+        "print(build(None).calls)\n")
+    assert sorted(_unread_fields(tmp_path)) == ["m.Conv.kernel", "m.Session.frames"]
 
 
 # parameters with a default that no call in the package or the benchmark passes

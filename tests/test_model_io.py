@@ -516,6 +516,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="finite"):
             StreamConfig(chunk_ms=chunk_ms)
 
+    @pytest.mark.parametrize("chunk_ms", ["60", None, [60], True])
+    def test_chunk_that_is_not_a_number_rejected(self, chunk_ms):
+        with pytest.raises(ConfigError, match="chunk_ms must be a number of milliseconds"):
+            StreamConfig(chunk_ms=chunk_ms)
+
+    # a size that is not an int fails here, naming the field, not later in
+    # random_init; a bool is not a size either
+    @pytest.mark.parametrize("name,value", [("d_model", 64.0), ("base_width", 4.5),
+                                            ("n_layers", 2.0), ("n_layers", True),
+                                            ("prosody_hidden", False), ("n_heads", "4")])
+    def test_size_that_is_not_an_int_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an int >= 1, got {value!r}"):
+            dataclasses.replace(small_config(), **{name: value})
+
     def test_chunk_longer_than_span_limit_rejected(self):
         assert StreamConfig(chunk_ms=1000 * MAX_SPAN_SECONDS).chunk_frames == 3000
         for chunk_ms in (1000 * MAX_SPAN_SECONDS + 20, 1e20, 1e300):

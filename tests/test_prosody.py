@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tvtsyn.kernels import ConvLayer, ConvSpec
+from tvtsyn.kernels import ConvLayer
 from tvtsyn.prosody import ProsodyParams, predict_f0_energy
 
 F32 = np.float32
@@ -41,17 +41,16 @@ class TestTrunk:
     @pytest.mark.parametrize("t", [1, 3, 6, 100])
     def test_stacked_first_conv_equals_its_halves(self, d_model, hidden, t):
         rng = np.random.default_rng(t)
-        spec = ConvSpec(d_model, 2 * hidden, 3)
         bound = 1.0 / np.sqrt(3 * d_model)
-        stacked = ConvLayer(spec, rng.uniform(-bound, bound, spec.weight_shape).astype(F32),
+        stacked = ConvLayer(rng.uniform(-bound, bound, (2 * hidden, d_model, 3)).astype(F32),
                             rng.normal(0, 0.1, 2 * hidden).astype(F32))
         x = rng.normal(0, 1, (d_model, t)).astype(F32)
-        state = rng.normal(0, 1, (d_model, spec.state_len)).astype(F32)
+        state = rng.normal(0, 1, (d_model, 2)).astype(F32)
         y, new_state = stacked.apply(x, state)
         assert y.shape == (2 * hidden, t)
         for w, b, y_half in zip(np.split(stacked.weight, 2), np.split(stacked.bias, 2),
                                 np.split(y, 2)):
-            half = ConvLayer(ConvSpec(d_model, hidden, 3), w, b)
+            half = ConvLayer(w, b)
             y_sep, state_sep = half.apply(x, state)
             assert np.array_equal(y_half, y_sep)
             assert np.array_equal(new_state, state_sep)

@@ -10,7 +10,7 @@ import pytest
 from conftest import random_wave
 from tvtsyn.config import LOOKBACK_FRAMES, StreamConfig
 from tvtsyn.context import KvCache, transformer_full, transformer_step
-from tvtsyn.kernels import ConvLayer, ConvSpec, layer_norm, linear
+from tvtsyn.kernels import ConvLayer, layer_norm, linear
 from tvtsyn.model import synthesize
 from tvtsyn.streaming import open_session
 
@@ -42,11 +42,10 @@ class Snapshot:
 @pytest.mark.parametrize("kernel,stride,dilation", [(1, 1, 1), (3, 1, 2), (16, 8, 1), (7, 1, 1)])
 def test_causal_conv_is_pure(t, kernel, stride, dilation):
     rng = np.random.default_rng(t + kernel)
-    spec = ConvSpec(6, 5, kernel, stride, dilation)
     x, w, b = _normal(rng, 6, t * stride), _normal(rng, 5, 6, kernel), _normal(rng, 5)
-    state = _normal(rng, 6, spec.state_len)
+    state = _normal(rng, 6, (kernel - 1) * dilation)
     snap = Snapshot(x, w, b, state)
-    y, new_state = ConvLayer(spec, w, b).apply(x, state)
+    y, new_state = ConvLayer(w, b, stride, dilation).apply(x, state)
     snap.assert_unchanged()
     snap.assert_not_aliased(y, new_state)
 
@@ -55,11 +54,10 @@ def test_causal_conv_is_pure(t, kernel, stride, dilation):
 @pytest.mark.parametrize("kernel,stride", [(2, 1), (4, 2), (10, 5), (16, 8)])
 def test_transposed_conv_is_pure(t, kernel, stride):
     rng = np.random.default_rng(t + kernel)
-    spec = ConvSpec(6, 5, kernel, stride, transposed=True)
     x, w, b = _normal(rng, 6, t), _normal(rng, 5, kernel, 6), _normal(rng, 5)
-    state = _normal(rng, 5, spec.state_len)
+    state = _normal(rng, 5, stride)
     snap = Snapshot(x, w, b, state)
-    y, new_state = ConvLayer(spec, w, b).apply(x, state)
+    y, new_state = ConvLayer(w, b, stride, transposed=True).apply(x, state)
     snap.assert_unchanged()
     snap.assert_not_aliased(y, new_state)
 

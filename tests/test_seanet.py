@@ -12,7 +12,7 @@ from conftest import random_wave
 from tvtsyn.config import ENCODER_STRIDES, FINAL_KERNEL, INIT_KERNEL, RES_DILATION, RES_KERNEL
 from tvtsyn.decoder import DecoderCnn
 from tvtsyn.encoder import EncoderCnn
-from tvtsyn.kernels import ConvLayer, ConvSpec, elu
+from tvtsyn.kernels import ConvLayer, elu
 from tvtsyn.weights import WeightStore
 
 F32 = np.float32
@@ -40,41 +40,39 @@ class Reference:
         self.states = {}
         self.widths = [cfg.base_width * 2 ** i for i in range(len(ENCODER_STRIDES) + 1)]
 
-    def conv(self, name, spec, x):
-        layer = ConvLayer(spec, self.store.get(f"{name}.weight"), self.store.get(f"{name}.bias"))
+    def conv(self, name, x, *sizes, **geometry):
+        """`x` through the stored conv `name` of sizes (in_ch, out_ch, kernel)."""
+        layer = ConvLayer.from_store(self.store, name, *sizes, **geometry)
         state = self.states[name] if name in self.states else layer.init_state()
         y, self.states[name] = layer.apply(x, state)
         return y
 
     def res(self, name, width, x):
-        h = self.conv(f"{name}.conv1", ConvSpec(width, width, RES_KERNEL, 1, RES_DILATION), x)
-        h = self.conv(f"{name}.conv2", ConvSpec(width, width, 1), elu(h))
+        h = self.conv(f"{name}.conv1", x, width, width, RES_KERNEL, dilation=RES_DILATION)
+        h = self.conv(f"{name}.conv2", elu(h), width, width, 1)
         return x + h
 
     def encoder(self, wave):
         """conv_in, then per stage: res block, ELU, down conv; then ELU, conv_out."""
         cfg, w = self.cfg, self.widths
-        x = self.conv("encoder.cnn.conv_in", ConvSpec(1, w[0], INIT_KERNEL),
-                      wave.reshape(1, -1))
+        x = self.conv("encoder.cnn.conv_in", wave.reshape(1, -1), 1, w[0], INIT_KERNEL)
         for i, s in enumerate(ENCODER_STRIDES):
             x = self.res(f"encoder.cnn.stage{i}.res", w[i], x)
-            x = self.conv(f"encoder.cnn.stage{i}.down", ConvSpec(w[i], w[i + 1], 2 * s, s),
-                          elu(x))
-        x = self.conv("encoder.cnn.conv_out", ConvSpec(w[-1], cfg.d_model, FINAL_KERNEL),
-                      elu(x))
+            x = self.conv(f"encoder.cnn.stage{i}.down", elu(x), w[i], w[i + 1], 2 * s,
+                          stride=s)
+        x = self.conv("encoder.cnn.conv_out", elu(x), w[-1], cfg.d_model, FINAL_KERNEL)
         return x.T
 
     def decoder(self, frames):
         """conv_in, then per stage: ELU, transposed up conv, res block; then
         ELU, conv_out, tanh."""
         cfg, w = self.cfg, self.widths[::-1]
-        x = self.conv("decoder.cnn.conv_in", ConvSpec(cfg.d_model, w[0], FINAL_KERNEL),
-                      frames.T)
+        x = self.conv("decoder.cnn.conv_in", frames.T, cfg.d_model, w[0], FINAL_KERNEL)
         for i, s in enumerate(ENCODER_STRIDES[::-1]):
-            x = self.conv(f"decoder.cnn.stage{i}.up",
-                          ConvSpec(w[i], w[i + 1], 2 * s, s, transposed=True), elu(x))
+            x = self.conv(f"decoder.cnn.stage{i}.up", elu(x), w[i], w[i + 1], 2 * s,
+                          stride=s, transposed=True)
             x = self.res(f"decoder.cnn.stage{i}.res", w[i + 1], x)
-        x = self.conv("decoder.cnn.conv_out", ConvSpec(w[-1], 1, INIT_KERNEL), elu(x))
+        x = self.conv("decoder.cnn.conv_out", elu(x), w[-1], 1, INIT_KERNEL)
         return np.tanh(x[0])
 
 
