@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (MAX_LOOKAHEAD, MAX_SPAN_SECONDS, SAMPLE_RATE, ModelConfig, StreamConfig,
-                     load_config, span_frames)
+                     check_int, check_real, load_config, span_frames)
 from .errors import ConfigError, InputError, InternalError, TvtSynError
 from .kernels import F32
 from .metrics import (MEASURED_UTTERANCES, WARMUP_UTTERANCES, causality_probe, check_probe,
@@ -85,14 +85,8 @@ def _add_speaker_arg(p):
                    help="raw little-endian float32 speaker embedding file")
 
 
-def _check_seed(seed):
-    """PCG64 takes only seeds >= 0; checked before a command does any work."""
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-
-
 def cmd_init_weights(args):
-    _check_seed(args.seed)
+    check_int(args.seed, "--seed", 0, None)  # PCG64 takes only seeds >= 0
     cfg = _model_config(args.config)
     try:
         store = random_init(args.seed, cfg)
@@ -139,17 +133,13 @@ def cmd_stream(args):
 
 
 def cmd_bench(args):
-    _check_seed(args.seed)
+    check_int(args.seed, "--seed", 0, None)
     span_frames(args.chunk_ms, "--chunk-ms")
     stream_cfg = StreamConfig(chunk_ms=args.chunk_ms)
     if not args.utterances:
-        if not 0 < args.utt_seconds <= MAX_SPAN_SECONDS:
-            raise ConfigError(
-                f"--utt-seconds must be in (0, {MAX_SPAN_SECONDS:.0f}], got {args.utt_seconds}")
-        n_samples = int(args.utt_seconds * SAMPLE_RATE)
-        if n_samples < stream_cfg.chunk_samples:
-            raise ConfigError(f"--utt-seconds {args.utt_seconds} is shorter than one "
-                              f"{stream_cfg.chunk_ms} ms chunk")
+        # at least one chunk: rounding, not truncating, keeps exactly one chunk whole
+        n_samples = round(SAMPLE_RATE * check_real(
+            args.utt_seconds, "--utt-seconds", stream_cfg.chunk_ms / 1000.0, MAX_SPAN_SECONDS))
     model = _load(args)
     # latency_bench streams only the first `needed` utterances
     needed = WARMUP_UTTERANCES + MEASURED_UTTERANCES
@@ -177,7 +167,7 @@ def cmd_bench(args):
 
 
 def cmd_probe(args):
-    _check_seed(args.seed)
+    check_int(args.seed, "--seed", 0, None)
     check_probe(args.lookahead, args.trials)
     model = _load(args)
     rng = np.random.Generator(np.random.PCG64(args.seed))

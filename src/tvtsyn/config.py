@@ -1,12 +1,16 @@
-"""Model and streaming configuration, with a flat key=value file format."""
+"""Model and streaming configuration, a flat key=value file format, and the one
+place that rules on outside values: check_int, check_real, check_float_array."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError, FormatError, InputError
 
@@ -16,6 +20,7 @@ SAMPLE_RATE = 16000
 ENCODER_STRIDES = (8, 5, 4, 2)
 DECODER_STRIDES = ENCODER_STRIDES[::-1]
 FRAME_HOP = math.prod(ENCODER_STRIDES)  # samples per frame: 16 kHz -> 50 Hz
+FRAME_MS = 1000.0 * FRAME_HOP / SAMPLE_RATE
 INIT_KERNEL = 7   # encoder conv_in, decoder conv_out
 FINAL_KERNEL = 3  # encoder conv_out, decoder conv_in
 RES_KERNEL = 3    # each residual block's dilated conv
@@ -58,20 +63,17 @@ class ModelConfig:
     prosody_hidden: int = 256
 
     def __post_init__(self):
-        self.validate()
-
-    @property
-    def lookback_frames(self) -> int:
-        """LOOKBACK_FRAMES, for perfbench's warm-up count."""
-        return LOOKBACK_FRAMES
-
-    def validate(self):
         for f in dataclasses.fields(self):
             check_int(getattr(self, f.name), f.name, 1, None)
         if self.d_model % self.n_heads:
             raise ConfigError("d_model must be divisible by n_heads")
         if (self.d_model // self.n_heads) % 2:
             raise ConfigError("head dim must be even for rotary positions")
+
+    @property
+    def lookback_frames(self) -> int:
+        """LOOKBACK_FRAMES, for perfbench's warm-up count."""
+        return LOOKBACK_FRAMES
 
 
 def small_config() -> ModelConfig:
@@ -111,6 +113,34 @@ def check_int(value, name, lo, hi) -> int:
     return int(value)
 
 
+def check_real(value, name, lo, hi) -> float:
+    """`value` as a float in [lo, hi]. A bool, a str, a complex number, a 0-d
+    array or any other value that is not a real number, NaN, or a value out
+    of range, is a ConfigError that names the setting `name`."""
+    # NaN fails the comparison
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not lo <= value <= hi:
+        raise ConfigError(f"{name} must be a real number in [{lo:g}, {hi:g}], got {value!r}")
+    return float(value)
+
+
+def check_float_array(value, what) -> np.ndarray:
+    """`value` as an array of a real floating dtype. A masked array (its mask
+    would be dropped), a ragged list or an array of another dtype (int16 PCM
+    must first be scaled by 1/32768) is an InputError that names `what`."""
+    # no masked array exists before numpy.ma is imported, which costs ~16 ms
+    ma = sys.modules.get("numpy.ma")
+    if ma is not None and isinstance(value, ma.MaskedArray):
+        raise InputError(f"{what} is a masked array; fill its masked values first")
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # a ragged list
+        raise InputError(f"{what} is not an array: {exc}") from exc
+    if arr.dtype.kind != "f":
+        pcm = "; scale integer PCM by 1/32768 first" if arr.dtype.kind in "iu" else ""
+        raise InputError(f"{what} must have a real floating dtype, got {arr.dtype}{pcm}")
+    return arr
+
+
 def check_lookahead(frames, name) -> int:
     """A look-ahead of `frames` frames, an int in [0, MAX_LOOKAHEAD]: more would
     let output see input the runtime promises not to wait for, and a
@@ -119,26 +149,16 @@ def check_lookahead(frames, name) -> int:
 
 
 def span_frames(ms, name) -> int:
-    """Frames in a span of `ms` milliseconds. A span that is not finite, is
-    longer than MAX_SPAN_SECONDS or is not a positive whole number of frames
-    is a ConfigError that names the setting `name`, and so is a value that
-    is not a real number."""
-    if isinstance(ms, bool) or not isinstance(ms, numbers.Real):
-        raise ConfigError(f"{name} must be a number of milliseconds, got {ms!r}")
-    if not math.isfinite(ms):
-        raise ConfigError(f"{name} must be finite, got {ms}")
-    if ms > 1000.0 * MAX_SPAN_SECONDS:
-        raise ConfigError(f"{name}={ms} exceeds the {MAX_SPAN_SECONDS:.0f} s limit")
-    if ms <= 0:
-        raise ConfigError(f"{name} must be positive, got {ms}")
+    """Frames in a span of `ms` milliseconds, a real number from one frame to
+    MAX_SPAN_SECONDS (see check_real) and a whole number of frames; a ConfigError
+    that names the setting `name` otherwise."""
+    check_real(ms, name, FRAME_MS, 1000.0 * MAX_SPAN_SECONDS)
     samples = ms * SAMPLE_RATE / 1000.0
-    frame_ms = 1000.0 * FRAME_HOP / SAMPLE_RATE
     if samples != int(samples) or int(samples) % FRAME_HOP:
-        lo = max(frame_ms, (int(samples) // FRAME_HOP) * frame_ms)
-        hi = lo + frame_ms
+        lo = (int(samples) // FRAME_HOP) * FRAME_MS
         raise ConfigError(
-            f"{name}={ms} is not frame-aligned "
-            f"({frame_ms:.0f} ms per frame); nearest valid sizes: {lo:.0f} ms or {hi:.0f} ms")
+            f"{name}={ms} is not frame-aligned ({FRAME_MS:.0f} ms per frame); "
+            f"nearest valid sizes: {lo:.0f} ms or {lo + FRAME_MS:.0f} ms")
     return int(samples) // FRAME_HOP
 
 
@@ -150,7 +170,8 @@ class StreamConfig:
     lookahead_frames: int = MAX_LOOKAHEAD
 
     def __post_init__(self):
-        self.validate()
+        span_frames(self.chunk_ms, "chunk_ms")
+        check_lookahead(self.lookahead_frames, "lookahead_frames")
 
     @property
     def chunk_samples(self) -> int:
@@ -159,10 +180,6 @@ class StreamConfig:
     @property
     def chunk_frames(self) -> int:
         return self.chunk_samples // FRAME_HOP
-
-    def validate(self):
-        span_frames(self.chunk_ms, "chunk_ms")
-        check_lookahead(self.lookahead_frames, "lookahead_frames")
 
 
 def config_to_text(cfg: ModelConfig) -> str:

@@ -7,12 +7,10 @@ processing time over chunk duration, averaged the same way.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .config import FRAME_HOP, check_lookahead
-from .errors import ConfigError, InputError
+from .config import FRAME_HOP, check_int, check_lookahead
+from .errors import InputError
 from .kernels import F32
 from .model import as_wave
 from .streaming import stream_file
@@ -56,7 +54,11 @@ def latency_bench(model, stream_cfg, speaker, utterances) -> dict:
     long (InputError otherwise). When fewer utterances are supplied, the
     list is reused cyclically and the report is flagged.
     """
-    utterances = [as_wave(u, "utterance") for u in utterances]
+    try:
+        items = iter(utterances)
+    except TypeError as exc:
+        raise InputError(f"utterances must be a list of waves, got {utterances!r}") from exc
+    utterances = [as_wave(u, "utterance") for u in items]
     if not utterances:
         raise InputError("latency_bench needs at least one utterance")
     c = stream_cfg.chunk_samples
@@ -73,10 +75,7 @@ def latency_bench(model, stream_cfg, speaker, utterances) -> dict:
 def check_probe(lookahead_frames, trials):
     """The probes' settings; checked before a probe synthesizes anything."""
     check_lookahead(lookahead_frames, "lookahead_frames")
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ConfigError(f"trials must be >= 1 and an int, got {trials!r}")
-    if trials > PROBE_MAX_TRIALS:
-        raise ConfigError(f"trials must be at most {PROBE_MAX_TRIALS}, got {trials}")
+    check_int(trials, "trials", 1, PROBE_MAX_TRIALS)
 
 
 def _probe_trials(synth_fn, lookahead_frames, trials, seed, first_cut, leads):

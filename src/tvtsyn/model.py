@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (FRAME_HOP, LAYER_SCALE, MAX_LOOKAHEAD, ModelConfig, check_int,
-                     check_lookahead, check_offline_samples)
+from .config import (FRAME_HOP, LAYER_SCALE, MAX_LOOKAHEAD, ModelConfig, check_float_array,
+                     check_int, check_lookahead, check_offline_samples, check_real)
 from .decoder import DecoderParams, decode_context, synthesize_wave
 from .encoder import EncoderParams, encode_frames, vq_quantize
 from .errors import ConfigError, InputError
 from .kernels import F32
-from .prosody import ProsodyParams, check_f0_scale, predict_f0_energy
+from .prosody import MAX_F0_SCALE, ProsodyParams, predict_f0_energy
 from .timbre import TvtParams, build_gtm, tvt_sequence
 from .weights import WeightStore
 
@@ -118,10 +118,10 @@ MAX_SAMPLE = 32768.0
 
 
 def as_wave(samples, what="input wave"):
-    """float32 array of mono samples. Any shape but 1-D is an InputError (a
-    stereo or batched array is not silently flattened into one wave), and so
-    is a sample that is NaN or of magnitude above MAX_SAMPLE."""
-    samples = np.asarray(samples, dtype=F32)
+    """float32 mono samples, from real floats (see check_float_array). Any shape
+    but 1-D is an InputError (a stereo or batched array is not flattened into
+    one wave), and so is a sample that is NaN or of magnitude above MAX_SAMPLE."""
+    samples = check_float_array(samples, what).astype(F32, copy=False)
     if samples.ndim != 1:
         raise InputError(f"{what} must be a 1-D array of samples, got shape {samples.shape}")
     # NaN fails the comparison
@@ -145,9 +145,7 @@ def content_and_timbre(model: TvtSynModel, wave, speaker, *, lookahead=MAX_LOOKA
     if block_frames is not None:
         check_int(block_frames, "block_frames", 1, None)
     wave = as_wave(wave)
-    rem = wave.size % FRAME_HOP
-    if rem:
-        wave = np.concatenate([wave, np.zeros(FRAME_HOP - rem, dtype=F32)])
+    wave = np.pad(wave, (0, -wave.size % FRAME_HOP))
     if not wave.size:
         raise InputError("input wave has no samples")
     check_offline_samples(wave.size, "input wave")
@@ -164,7 +162,7 @@ def synthesize(model: TvtSynModel, wave, speaker, *, lookahead=MAX_LOOKAHEAD,
     """One-shot synthesis: waveform + 704-dim speaker vector -> waveform of
     exactly the hop-aligned input length, at most MAX_SPAN_SECONDS (see
     content_and_timbre)."""
-    f0_scale = check_f0_scale(f0_scale)
+    f0_scale = check_real(f0_scale, "f0_scale", -MAX_F0_SCALE, MAX_F0_SCALE)
     content, tvt, _, _ = content_and_timbre(model, wave, speaker, lookahead=lookahead,
                                             block_frames=block_frames)
     pred, _ = predict_f0_energy(content, model.prosody)

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ConfigError
 from .kernels import F32, ConvLayer, linear, relu
 from .weights import WeightStore
 
@@ -76,16 +75,6 @@ def predict_f0_energy(features, params: ProsodyParams, states=None):
         pred[:, i] = linear(relu(g).T, head.proj_w, head.proj_b)[:, 0]
         new_states.append(state)
     return pred, new_states
-
-
-def check_f0_scale(f0_scale) -> float:
-    """The scale as a float; NaN or a magnitude above MAX_F0_SCALE is a
-    ConfigError."""
-    f0_scale = float(f0_scale)
-    if not abs(f0_scale) <= MAX_F0_SCALE:
-        raise ConfigError(f"f0_scale must be finite with magnitude <= {MAX_F0_SCALE:g}, "
-                          f"got {f0_scale}")
-    return f0_scale
 
 
 def inject_prosody(features, predictions, params: ProsodyParams, f0_scale=1.0):

@@ -15,15 +15,15 @@ import time
 
 import numpy as np
 
-from .config import StreamConfig
+from .config import StreamConfig, check_real
 from .context import KvCache
 from .decoder import cln_fuse, decode_context
 from .encoder import EncoderState, encode_frames, vq_quantize
 from .errors import InputError, StateError
 from .kernels import F32
 from .model import TvtSynModel, as_wave
-from .prosody import check_f0_scale, predict_f0_energy
-from .timbre import build_gtm, tvt_sequence
+from .prosody import MAX_F0_SCALE, predict_f0_energy
+from .timbre import build_gtm, check_global_timbre, tvt_sequence
 
 
 class StreamSession:
@@ -35,11 +35,11 @@ class StreamSession:
 
     def __init__(self, model: TvtSynModel, stream_cfg: StreamConfig, speaker,
                  f0_scale: float = 1.0):
-        self.f0_scale = check_f0_scale(f0_scale)
+        self.f0_scale = check_real(f0_scale, "f0_scale", -MAX_F0_SCALE, MAX_F0_SCALE)
         self.model = model
         self.cfg = stream_cfg
-        self.gtm = build_gtm(speaker, model.tvt)  # checks the speaker; built once per speaker
-        self.speaker = np.asarray(speaker, dtype=F32)
+        self.speaker = check_global_timbre(speaker, model.cfg.global_dim)
+        self.gtm = build_gtm(self.speaker, model.tvt)  # built once per speaker
         # each attention stack takes one chunk's frames per step
         self.enc_state = EncoderState(model.encoder, stream_cfg.chunk_frames)
         self.dec_cache = KvCache(model.decoder.ctx, stream_cfg.chunk_frames)
@@ -97,8 +97,7 @@ class StreamSession:
         self._check_open("cannot feed a flushed session")
         samples = as_wave(samples, "chunk")
         if samples.shape[0] != self.chunk_samples:
-            raise InputError(
-                f"chunk has {samples.shape[0]} samples, expected {self.chunk_samples}")
+            raise InputError(f"chunk has {samples.shape[0]} samples, expected {self.chunk_samples}")
         try:
             return self._step(samples)
         except BaseException as exc:
@@ -140,9 +139,8 @@ def stream_file(model, stream_cfg, speaker, wave, f0_scale=1.0):
     wave = as_wave(wave)
     session = open_session(model, stream_cfg, speaker, f0_scale=f0_scale)
     c = session.chunk_samples
-    n_chunks = -(-wave.size // c)
-    padded = np.zeros(n_chunks * c, dtype=F32)
-    padded[:wave.size] = wave
+    padded = np.pad(wave, (0, -wave.size % c))
+    n_chunks = padded.size // c
     pieces = []
     feed_ms = np.empty(n_chunks)
     for k in range(n_chunks):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, check_float_array
 from .errors import InputError
 from .kernels import F32, l2_normalize_rows, linear, masked_softmax, mlp, sigmoid
 from .weights import WeightStore
@@ -82,7 +82,8 @@ class GtmMemory:
 
 
 def check_global_timbre(g, expected_dim):
-    g = np.asarray(g, dtype=F32)
+    """The speaker as float32 (see check_float_array); a bad shape or value is an InputError."""
+    g = check_float_array(g, "global timbre vector").astype(F32, copy=False)
     if g.ndim != 1:
         raise InputError(f"global timbre vector must be 1-D, got shape {g.shape}")
     if g.shape[0] != expected_dim:
@@ -131,8 +132,7 @@ def _unitize(x):
     """Normalize rows in f64, but keep rows that are already unit-norm f32
     vectors bit-identical (so endpoint returns reproduce the input exactly)."""
     sq = np.sum(x * x, axis=-1, keepdims=True)
-    out = np.where(np.abs(sq - 1.0) <= 2e-6, x, x / np.sqrt(np.maximum(sq, 1e-24)))
-    return out
+    return np.where(np.abs(sq - 1.0) <= 2e-6, x, x / np.sqrt(sq))
 
 
 def _orthogonal_direction(a):
@@ -153,20 +153,28 @@ def slerp(a, b, alpha):
     Inputs are normalized internally; endpoints are returned exactly at
     alpha 0/1. When b = +-a up to rounding there is no plane, and u is a
     fixed direction orthogonal to a: b = a stays at a, and b = -a turns
-    through that direction. Internal math in float64, float32 out.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=F32)).astype(np.float64)
-    b = np.atleast_2d(np.asarray(b, dtype=F32)).astype(np.float64)
-    squeeze = a.shape[0] == 1 and b.shape[0] == 1 and np.ndim(alpha) == 0
-    a, b = np.broadcast_arrays(a, b)
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=np.float64).reshape(-1, 1) if np.ndim(alpha)
-                            else np.float64(alpha), (a.shape[0], 1))
-    # written so that a NaN alpha fails too
+    through that direction. Internal math in float64, float32 out. Any other
+    input than real floats (see check_float_array) that are finite, nonzero
+    vectors of dim >= 2 or rows of them that broadcast, with alpha in [0, 1]
+    one value or one per row, is an InputError."""
+    a, b = (np.atleast_2d(check_float_array(x, "slerp vector").astype(F32, copy=False))
+            .astype(np.float64) for x in (a, b))
+    alpha = check_float_array(alpha, "slerp alpha").astype(np.float64)
+    squeeze = a.shape[0] == 1 and b.shape[0] == 1 and alpha.ndim == 0
+    try:
+        a, b = np.broadcast_arrays(a, b)
+        alpha = np.broadcast_to(alpha.reshape(-1, 1), (a.shape[0], 1))
+    except ValueError as exc:
+        raise InputError(f"slerp inputs do not broadcast: {exc}") from exc
+    if a.ndim != 2 or a.shape[1] < 2:
+        raise InputError(f"slerp vectors must have one dim >= 2, got shape {a.shape}")
+    norms = [np.linalg.norm(x, axis=-1, keepdims=True) for x in (a, b)]
+    # written so that NaN fails too
     if not np.all((alpha >= 0) & (alpha <= 1)):
         raise InputError("slerp alpha must lie in [0, 1]")
-
-    a_hat, b_hat = (x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1e-12)
-                    for x in (a, b))
+    if not all(np.all((n > 0) & (n < np.inf)) for n in norms):
+        raise InputError("slerp vectors must be finite and nonzero")
+    a_hat, b_hat = a / norms[0], b / norms[1]
     dot = np.sum(a_hat * b_hat, axis=-1, keepdims=True)
     u = b_hat - dot * a_hat
     u_norm = np.linalg.norm(u, axis=-1, keepdims=True)

@@ -1,7 +1,8 @@
 """Layout guards: every public name in the package has a caller outside the
 tests, so has every public method and property of its classes and every
 parameter with a default, every public dataclass field is read, every name
-the package exports resolves, and no module imports a name it does not use.
+the package exports resolves, no module imports a name it does not use, and
+only config.py tests the type of a value from outside the program.
 """
 
 import ast
@@ -316,3 +317,21 @@ def test_no_unused_imports():
     paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     unused = [entry for p in paths for entry in _unused_imports(p)]
     assert not unused, f"imported but never used: {unused}"
+
+
+def _imported_modules(path):
+    """Top-level names of the modules `path` imports, absolute imports only."""
+    mods = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            mods.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            mods.add(node.module.split(".")[0])
+    return mods
+
+
+def test_only_config_imports_numbers():
+    """`numbers` is the type test behind check_int and check_real: a module
+    that imports it is writing its own rule for an outside value."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    assert [p.name for p in paths if "numbers" in _imported_modules(p)] == ["config.py"]

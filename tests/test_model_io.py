@@ -513,12 +513,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("chunk_ms", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_chunk_rejected(self, chunk_ms):
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ConfigError, match=r"chunk_ms must be a real number in \[20, 60000\]"):
             StreamConfig(chunk_ms=chunk_ms)
 
     @pytest.mark.parametrize("chunk_ms", ["60", None, [60], True])
     def test_chunk_that_is_not_a_number_rejected(self, chunk_ms):
-        with pytest.raises(ConfigError, match="chunk_ms must be a number of milliseconds"):
+        with pytest.raises(ConfigError, match="chunk_ms must be a real number in"):
             StreamConfig(chunk_ms=chunk_ms)
 
     # a size that is not an int fails here, naming the field, not later in
@@ -533,7 +533,7 @@ class TestConfig:
     def test_chunk_longer_than_span_limit_rejected(self):
         assert StreamConfig(chunk_ms=1000 * MAX_SPAN_SECONDS).chunk_frames == 3000
         for chunk_ms in (1000 * MAX_SPAN_SECONDS + 20, 1e20, 1e300):
-            with pytest.raises(ConfigError, match="limit") as err:
+            with pytest.raises(ConfigError, match=r"in \[20, 60000\]") as err:
                 StreamConfig(chunk_ms=chunk_ms)
             assert "nearest" not in str(err.value)
 
