@@ -137,9 +137,9 @@ def cmd_bench(args):
     span_frames(args.chunk_ms, "--chunk-ms")
     stream_cfg = StreamConfig(chunk_ms=args.chunk_ms)
     if not args.utterances:
-        # at least one chunk: rounding, not truncating, keeps exactly one chunk whole
-        n_samples = round(SAMPLE_RATE * check_real(
-            args.utt_seconds, "--utt-seconds", stream_cfg.chunk_ms / 1000.0, MAX_SPAN_SECONDS))
+        # one chunk or more, which int() can truncate to one sample short of a chunk
+        n_samples = max(stream_cfg.chunk_samples, int(SAMPLE_RATE * check_real(
+            args.utt_seconds, "--utt-seconds", stream_cfg.chunk_ms / 1000.0, MAX_SPAN_SECONDS)))
     model = _load(args)
     # latency_bench streams only the first `needed` utterances
     needed = WARMUP_UTTERANCES + MEASURED_UTTERANCES

@@ -123,10 +123,10 @@ def check_real(value, name, lo, hi) -> float:
     return float(value)
 
 
-def check_float_array(value, what) -> np.ndarray:
-    """`value` as an array of a real floating dtype. A masked array (its mask
-    would be dropped), a ragged list or an array of another dtype (int16 PCM
-    must first be scaled by 1/32768) is an InputError that names `what`."""
+def check_float_array(value, what, dtype=np.float32) -> np.ndarray:
+    """`value`, an array of a real floating dtype, as `dtype` (a value past its range
+    is inf). A masked array (its mask would be dropped), a ragged list or another
+    dtype (int16 PCM must be scaled by 1/32768 first) is an InputError naming `what`."""
     # no masked array exists before numpy.ma is imported, which costs ~16 ms
     ma = sys.modules.get("numpy.ma")
     if ma is not None and isinstance(value, ma.MaskedArray):
@@ -138,7 +138,10 @@ def check_float_array(value, what) -> np.ndarray:
     if arr.dtype.kind != "f":
         pcm = "; scale integer PCM by 1/32768 first" if arr.dtype.kind in "iu" else ""
         raise InputError(f"{what} must have a real floating dtype, got {arr.dtype}{pcm}")
-    return arr
+    if arr.dtype == dtype:
+        return arr
+    with np.errstate(over="ignore"):  # ~2 us, so only for a cast
+        return arr.astype(dtype)
 
 
 def check_lookahead(frames, name) -> int:

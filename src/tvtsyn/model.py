@@ -20,7 +20,6 @@ from .config import (FRAME_HOP, LAYER_SCALE, MAX_LOOKAHEAD, ModelConfig, check_f
 from .decoder import DecoderParams, decode_context, synthesize_wave
 from .encoder import EncoderParams, encode_frames, vq_quantize
 from .errors import ConfigError, InputError
-from .kernels import F32
 from .prosody import MAX_F0_SCALE, ProsodyParams, predict_f0_energy
 from .timbre import TvtParams, build_gtm, tvt_sequence
 from .weights import WeightStore
@@ -121,7 +120,7 @@ def as_wave(samples, what="input wave"):
     """float32 mono samples, from real floats (see check_float_array). Any shape
     but 1-D is an InputError (a stereo or batched array is not flattened into
     one wave), and so is a sample that is NaN or of magnitude above MAX_SAMPLE."""
-    samples = check_float_array(samples, what).astype(F32, copy=False)
+    samples = check_float_array(samples, what)
     if samples.ndim != 1:
         raise InputError(f"{what} must be a 1-D array of samples, got shape {samples.shape}")
     # NaN fails the comparison

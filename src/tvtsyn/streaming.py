@@ -23,7 +23,7 @@ from .errors import InputError, StateError
 from .kernels import F32
 from .model import TvtSynModel, as_wave
 from .prosody import MAX_F0_SCALE, predict_f0_energy
-from .timbre import build_gtm, check_global_timbre, tvt_sequence
+from .timbre import build_gtm, tvt_sequence
 
 
 class StreamSession:
@@ -38,8 +38,8 @@ class StreamSession:
         self.f0_scale = check_real(f0_scale, "f0_scale", -MAX_F0_SCALE, MAX_F0_SCALE)
         self.model = model
         self.cfg = stream_cfg
-        self.speaker = check_global_timbre(speaker, model.cfg.global_dim)
-        self.gtm = build_gtm(self.speaker, model.tvt)  # built once per speaker
+        self.speaker = speaker
+        self.gtm = build_gtm(speaker, model.tvt)  # checks the speaker; built once per speaker
         # each attention stack takes one chunk's frames per step
         self.enc_state = EncoderState(model.encoder, stream_cfg.chunk_frames)
         self.dec_cache = KvCache(model.decoder.ctx, stream_cfg.chunk_frames)

@@ -83,7 +83,7 @@ class GtmMemory:
 
 def check_global_timbre(g, expected_dim):
     """The speaker as float32 (see check_float_array); a bad shape or value is an InputError."""
-    g = check_float_array(g, "global timbre vector").astype(F32, copy=False)
+    g = check_float_array(g, "global timbre vector")
     if g.ndim != 1:
         raise InputError(f"global timbre vector must be 1-D, got shape {g.shape}")
     if g.shape[0] != expected_dim:
@@ -153,13 +153,11 @@ def slerp(a, b, alpha):
     Inputs are normalized internally; endpoints are returned exactly at
     alpha 0/1. When b = +-a up to rounding there is no plane, and u is a
     fixed direction orthogonal to a: b = a stays at a, and b = -a turns
-    through that direction. Internal math in float64, float32 out. Any other
-    input than real floats (see check_float_array) that are finite, nonzero
-    vectors of dim >= 2 or rows of them that broadcast, with alpha in [0, 1]
-    one value or one per row, is an InputError."""
-    a, b = (np.atleast_2d(check_float_array(x, "slerp vector").astype(F32, copy=False))
-            .astype(np.float64) for x in (a, b))
-    alpha = check_float_array(alpha, "slerp alpha").astype(np.float64)
+    through that direction. Internal math in float64, float32 out. Inputs other than
+    real floats (see check_float_array) of finite, nonzero vectors of dim >= 2, or rows
+    of them that broadcast, and alpha in [0, 1] once or per row, are an InputError."""
+    a, b = (np.atleast_2d(check_float_array(x, "slerp vector")).astype(np.float64) for x in (a, b))
+    alpha = check_float_array(alpha, "slerp alpha", np.float64)
     squeeze = a.shape[0] == 1 and b.shape[0] == 1 and alpha.ndim == 0
     try:
         a, b = np.broadcast_arrays(a, b)
@@ -183,8 +181,7 @@ def slerp(a, b, alpha):
     u[degenerate] = _orthogonal_direction(a_hat[degenerate])
     u_norm[degenerate] = 1.0
     out = np.cos(alpha * theta) * a_hat + np.sin(alpha * theta) / u_norm * u
-    at0 = alpha[:, 0] == 0.0
-    at1 = alpha[:, 0] == 1.0
+    at0, at1 = alpha[:, 0] == 0.0, alpha[:, 0] == 1.0
     out[at0] = _unitize(a[at0])
     out[at1] = _unitize(b[at1])
     out = out.astype(F32)

@@ -721,6 +721,18 @@ class TestBench:
         assert run(["bench", *_margs(workdir), "--utt-seconds", "0.06"]) == 0
         assert len(seen) == 1 and len(seen[0]) == 110
 
+    @pytest.mark.parametrize("seconds,chunk_ms,samples", [
+        ("0.99997", "60", 15999),  # 15999.52 samples, truncated
+        ("4.02", "4020", 64320)])  # int(4.02 * 16000) is 64319, one short of the chunk
+    def test_synthetic_utterances_truncate_to_samples_but_keep_one_chunk(
+            self, workdir, monkeypatch, seconds, chunk_ms, samples):
+        seen = []
+        monkeypatch.setattr(cli, "latency_bench",
+                            lambda model, cfg, speaker, utts: seen.append(utts) or {})
+        assert run(["bench", *_margs(workdir), "--utt-seconds", seconds,
+                    "--chunk-ms", chunk_ms]) == 0
+        assert {u.size for u in seen[0]} == {samples}
+
     @pytest.mark.parametrize("n_files", [109, 112])
     def test_wav_directory_reads_only_the_utterances_it_streams(self, workdir, tmp_path,
                                                                  monkeypatch, n_files):
