@@ -168,7 +168,7 @@ def cmd_bench(args):
 
 def cmd_probe(args):
     check_int(args.seed, "--seed", 0, None)
-    check_probe(args.lookahead, args.trials)
+    check_probe(args.lookahead, args.trials, args.seed)
     model = _load(args)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     speaker = rng.normal(0, 1, model.cfg.global_dim).astype(F32)

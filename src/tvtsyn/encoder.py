@@ -12,7 +12,7 @@ from .config import (CODEBOOK_SIZE, ENCODER_STRIDES, FINAL_KERNEL, FRAME_HOP, IN
                      MAX_LOOKAHEAD, RES_DILATION, RES_KERNEL, VQ_DIM, ModelConfig)
 from .context import KvCache, TransformerParams, transformer_full, transformer_step
 from .errors import ConfigError, InputError
-from .kernels import F32, ConvLayer, elu, l2_normalize_rows, linear
+from .kernels import F32, ConvLayer, elu, l2_normalize_rows, linear, weight_product
 from .weights import REGENERATE, WeightStore
 
 
@@ -22,7 +22,9 @@ def encoder_stage_widths(cfg: ModelConfig):
 
 @dataclass
 class ResBlock:
-    """conv(k, dilated) -> ELU -> conv(1x1) -> true skip."""
+    """conv(k, dilated) -> ELU -> conv(1x1) -> true skip. The 1x1 conv reads
+    no earlier input, so it runs as the one product it is, and the block's
+    state is conv1's."""
 
     conv1: ConvLayer
     conv2: ConvLayer
@@ -36,18 +38,20 @@ class ResBlock:
         )
 
     def init_state(self):
-        return [self.conv1.init_state(), self.conv2.init_state()]
+        return self.conv1.init_state()
 
     def apply(self, x, state):
-        h, state1 = self.conv1.apply(x, state[0])
-        h, state2 = self.conv2.apply(elu(h), state[1])
-        return np.add(x, h, out=h), [state1, state2]
+        h, state = self.conv1.apply(x, state)
+        conv2 = self.conv2
+        y = weight_product(conv2.weight.reshape(conv2.out_ch, conv2.in_ch), elu(h))
+        y += conv2.bias[:, None]
+        return np.add(x, y, out=y), state
 
 
 @dataclass
 class SeanetCnn:
     """A causal SEANet CNN as one list of layers in forward order: ConvLayers
-    and ResBlocks, each with its own carried state."""
+    and ResBlocks, each carrying one state array."""
 
     layers: list
 

@@ -15,27 +15,31 @@ Conventions:
     at load time, and an attention layer's q, k and v projections are
     stored as one weight.
   - with more than GEMV_MAX_COLS activation columns (offline synthesis:
-    100 or more everywhere) the product is one GEMM. With at most that many
+    100 or more everywhere) the product is one GEMM. With 2 to that many
     (a 60 ms chunk's 3 frames at 50 Hz and 6 at 100 Hz) it is one stacked
     GEMV call per block of weight rows, which numpy runs as one sgemv per
     column. A few-column GEMM packs the weight before it multiplies and
     streams it at 6-8 GB/s; a GEMV reads the block from DRAM once and from
-    cache for the other columns.
+    cache for the other columns. One column (a 20 ms chunk, the speaker's
+    GTM products) re-reads nothing, so it is one GEMV over the whole weight.
     OpenBLAS 0.3.31 runs an sgemv on one thread below 460,800 weight
     elements (cold, 2-vCPU Xeon: 449x1024 in ~120 us, 450x1024 in ~70 us),
-    so an M x K weight is cut into max(1, M*K // GEMV_BLOCK) near-equal blocks
-    and no block of a weight of at least GEMV_BLOCK elements falls under
-    that cut. A full-config attention layer's (1536, 512) q/k/v weight is
-    one block: a cold 3-column product takes ~310 us, against ~390 us as
-    blocks of 1024 + 512 rows and ~470 us as three 512x512 products. The
+    so a several-column M x K weight is cut into max(1, M*K // GEMV_BLOCK)
+    near-equal blocks and no block of a weight of at least GEMV_BLOCK
+    elements falls under that cut. A full-config attention layer's
+    (1536, 512) q/k/v weight is one block: a cold 3-column product takes
+    ~310 us, against ~390 us as blocks of 1024 + 512 rows and ~470 us as
+    three 512x512 products. The
     weights under the cut still run on one thread: in a 60 ms chunk, the
     16 512x512 `o` products and 14 smaller ones of up to 1.5 MB
     (BENCH_qkv.json has the per-stage times).
-  - `ConvLayer.apply` is the one way to run a conv. A forward conv makes no
-    temporary of kernel x channels x input length (low-memory GEMM
+  - `ConvLayer.apply` runs every conv that carries state. A forward conv
+    makes no temporary of kernel x channels x input length (low-memory GEMM
     convolution, Anderson et al., arXiv:1709.03395). It builds im2col
     columns IM2COL_BLOCK elements at a time in one buffer and issues one
-    weight product per block. A 1-tap conv multiplies the input directly.
+    weight product per block. A 1x1 conv carries none, so the model's one
+    (a residual block's second conv) is a plain weight product of its
+    (out, in) matrix.
   - the transposed conv (kernel 2*stride only, the SEANet up conv) stores
     its weight (C_out, K, C_in). It is one weight product of the
     (C_out*K, C_in) matrix over the whole input, then one add of each
@@ -152,26 +156,13 @@ def _causal_conv(x, layer, state):
     Output column j reads input columns j*stride - k*dilation for k in
     [0, kernel); the (kernel-1)*dilation columns of left context come from
     `state`. When carrying state across calls, T must be a multiple of
-    stride so the output grid stays aligned.
+    stride so the output grid stays aligned. im2col over [state | x] is built
+    IM2COL_BLOCK elements at a time in one buffer, each block of columns one
+    weight product into its slice of the output.
     """
-    t_in = x.shape[1]
-    # the last (kernel-1)*dilation columns of [state | x]
-    pad = state.shape[1]
-    new_state = np.concatenate([state[:, t_in:], x[:, max(t_in - pad, 0):]], axis=1)
-
-    t_out = -(-t_in // layer.stride)
-    if layer.kernel == 1:
-        y = weight_product(layer.weight.reshape(layer.out_ch, -1), x[:, ::layer.stride])
-    else:
-        y = _blocked_im2col_conv(x, layer, state, t_out)
-    y += layer.bias[:, None]
-    return y.astype(F32, copy=False), new_state
-
-
-def _blocked_im2col_conv(x, layer, state, t_out):
-    """im2col over [state | x], IM2COL_BLOCK elements at a time in one buffer,
-    each block of columns one GEMM into its slice of the output."""
     s, d, pad = layer.stride, layer.dilation, state.shape[1]
+    t_in = x.shape[1]
+    t_out = -(-t_in // s)
     w = layer.weight.reshape(layer.out_ch, -1)                # (C_out, C_in*K)
     rows = w.shape[1]
     block = max(1, IM2COL_BLOCK // rows)
@@ -191,7 +182,10 @@ def _blocked_im2col_conv(x, layer, state, t_out):
         for k in range(layer.kernel):
             cols[:, k] = win[:, k * d:k * d + span:s]
         weight_product(w, cols.reshape(rows, n), out=y[:, j0:j0 + n])
-    return y
+    y += layer.bias[:, None]
+    # the last (kernel-1)*dilation columns of [state | x]
+    new_state = np.concatenate([state[:, t_in:], x[:, max(t_in - pad, 0):]], axis=1)
+    return y, new_state
 
 
 def _transposed_conv(x, layer, state):
@@ -221,15 +215,15 @@ def _transposed_conv(x, layer, state):
 def weight_product(w, x, out=None):
     """w @ x for a C-contiguous weight w (M, K) and activation columns x (K, n).
 
-    Into `out` when given. More than GEMV_MAX_COLS columns: one GEMM. At
-    most that many: one stacked GEMV call per block of weight rows (numpy
-    runs one sgemv per column), so the first column streams the block from
-    DRAM and the others read it from cache. The weight is cut into
-    max(1, M*K // GEMV_BLOCK) blocks that differ by at most one row, so a
-    weight of at least GEMV_BLOCK elements has no block under GEMV_BLOCK
-    less one row (OpenBLAS's one-thread cut is below that) nor of twice
-    GEMV_BLOCK or more. No weight is copied; any other weight layout is an
-    InternalError.
+    Into `out` when given. More than GEMV_MAX_COLS columns: one GEMM. One
+    column: one GEMV over the whole weight. From 2 to GEMV_MAX_COLS: one
+    stacked GEMV call per block of weight rows (numpy runs one sgemv per
+    column), so the first column streams the block from DRAM and the others
+    read it from cache. The weight is then cut into max(1, M*K // GEMV_BLOCK)
+    blocks that differ by at most one row, so a weight of at least
+    GEMV_BLOCK elements has no block under GEMV_BLOCK less one row
+    (OpenBLAS's one-thread cut is below that) nor of twice GEMV_BLOCK or
+    more. No weight is copied; any other weight layout is an InternalError.
     """
     if not w.flags.c_contiguous:
         raise InternalError(f"weight of shape {w.shape} is not C-contiguous: strides {w.strides}")
@@ -239,7 +233,8 @@ def weight_product(w, x, out=None):
     m, k = w.shape
     xt = np.ascontiguousarray(x.T)[:, :, None]                # (n, K, 1)
     yt = np.empty((n, m), dtype=np.result_type(w, x)) if out is None else out.T
-    blocks = max(1, m * k // GEMV_BLOCK)
+    # blocks only pay where a later column reads them again from cache
+    blocks = max(1, m * k // GEMV_BLOCK) if n > 1 else 1
     cuts = [m * i // blocks for i in range(blocks + 1)]
     for r0, r1 in zip(cuts, cuts[1:]):
         np.matmul(w[r0:r1], xt, out=yt[:, r0:r1, None])

@@ -72,10 +72,11 @@ def latency_bench(model, stream_cfg, speaker, utterances) -> dict:
     return latency_report(feed_ms, stream_cfg.chunk_ms, len(utterances) < needed)
 
 
-def check_probe(lookahead_frames, trials):
+def check_probe(lookahead_frames, trials, seed):
     """The probes' settings; checked before a probe synthesizes anything."""
     check_lookahead(lookahead_frames, "lookahead_frames")
     check_int(trials, "trials", 1, PROBE_MAX_TRIALS)
+    check_int(seed, "seed", 0, None)  # PCG64 takes only seeds >= 0
 
 
 def _probe_trials(synth_fn, lookahead_frames, trials, seed, first_cut, leads):
@@ -84,8 +85,8 @@ def _probe_trials(synth_fn, lookahead_frames, trials, seed, first_cut, leads):
     lookahead - 1); then, for each lead in `leads`, redraw every input sample
     after sample 320*(t + lead). Yield t and the outputs up to sample 320*t
     inclusive: the wave's, then each redraw's."""
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    for _ in range(int(trials)):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(trials):
         n_frames = int(rng.integers(PROBE_MIN_FRAMES, PROBE_MAX_FRAMES + 1))
         wave = rng.uniform(-0.5, 0.5, size=n_frames * FRAME_HOP).astype(F32)
         t = int(rng.integers(first_cut, n_frames - lookahead_frames - 1))
@@ -112,7 +113,7 @@ def causality_probe(synth_fn, lookahead_frames, trials, seed) -> dict:
     changed: 0 means the probe cannot see a change, and so would pass any
     model.
     """
-    check_probe(lookahead_frames, trials)
+    check_probe(lookahead_frames, trials, seed)
     violations = []
     influenced = 0
     for trial, (t, (base, poked, control)) in enumerate(_probe_trials(
@@ -139,6 +140,6 @@ def probe_influence(synth_fn, lookahead_frames, trials, seed) -> int:
     sample 320*t changed. With random weights few do (45-55 of 300 at
     lookahead 4 on the small config): this shows that look-ahead input is
     used, and causality_probe's `influenced` is the blind-probe check."""
-    check_probe(lookahead_frames, trials)
+    check_probe(lookahead_frames, trials, seed)
     return sum(bool(np.any(base != poked)) for _, (base, poked) in _probe_trials(
         synth_fn, lookahead_frames, trials, seed, lookahead_frames + 1, (1,)))

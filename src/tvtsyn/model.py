@@ -80,9 +80,10 @@ def random_init(seed: int, cfg: ModelConfig) -> WeightStore:
     """Deterministic random weights for the full architecture.
 
     Each tensor is drawn when a loader first asks for it, so the entry order
-    and the rng draws follow the loaders.
+    and the rng draws follow the loaders. A seed that is not an int >= 0 is a
+    ConfigError.
     """
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(check_int(seed, "seed", 0, None)))
     store = WeightStore()
 
     def draw(name, shape):

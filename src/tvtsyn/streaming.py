@@ -72,21 +72,11 @@ class StreamSession:
         return self.cfg.chunk_samples
 
     def state_nbytes(self) -> int:
-        """Total bytes held in mutable stream state (constant in stream length)."""
-        total = 0
-
-        def visit(st):
-            nonlocal total
-            if isinstance(st, np.ndarray):
-                total += st.nbytes
-            elif isinstance(st, (list, tuple)):
-                for item in st:
-                    visit(item)
-
-        visit(self.enc_state.conv)
-        visit(self.pros_states)
-        visit(self.cnn_states)
-        return total + self.enc_state.cache.nbytes + self.dec_cache.nbytes
+        """Total bytes held in mutable stream state (constant in stream length):
+        one array per conv layer that carries input, and the two KV caches."""
+        convs = [*self.enc_state.conv, *self.pros_states, *self.cnn_states]
+        return (sum(state.nbytes for state in convs) + self.enc_state.cache.nbytes
+                + self.dec_cache.nbytes)
 
     # -- processing --------------------------------------------------------
 

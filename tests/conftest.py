@@ -93,6 +93,44 @@ def remove_lookahead_mask(monkeypatch):
         q, k, lookback, 500, *rest))
 
 
+def conv_states(session):
+    """A session's conv states: the encoder CNN's, the prosody predictors' and
+    the decoder CNN's, one per layer."""
+    return [*session.enc_state.conv, *session.pros_states, *session.cnn_states]
+
+
+def check_state_only_where_memory(monkeypatch, model, speaker):
+    """Over one synthesize and three feeds of a 60 ms session no ConvLayer of
+    kernel 1 runs (the residual 1x1 convs are plain products), the session
+    holds 23 conv states, none empty, and state_nbytes() is their bytes plus
+    the two KV caches'. Returns the session."""
+    from tvtsyn.config import StreamConfig
+    from tvtsyn.kernels import ConvLayer
+    from tvtsyn.model import synthesize
+    from tvtsyn.streaming import open_session
+
+    apply = ConvLayer.apply
+    kernels = []
+
+    def spy(layer, x, state):
+        kernels.append(layer.kernel)
+        return apply(layer, x, state)
+
+    monkeypatch.setattr(ConvLayer, "apply", spy)
+    synthesize(model, random_wave(40, 960 * 3), speaker)
+    session = open_session(model, StreamConfig(chunk_ms=60), speaker)
+    for k in range(3):
+        session.feed(random_wave(41 + k, 960))
+    assert kernels and 1 not in kernels
+    states = conv_states(session)
+    assert len(states) == 23
+    assert all(isinstance(state, np.ndarray) and state.size for state in states)
+    assert session.state_nbytes() == (sum(state.nbytes for state in states)
+                                      + session.enc_state.cache.nbytes
+                                      + session.dec_cache.nbytes)
+    return session
+
+
 def random_wave(seed, n_samples, amp=0.5):
     rng = np.random.default_rng(seed)
     return rng.uniform(-amp, amp, n_samples).astype(np.float32)

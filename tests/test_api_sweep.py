@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import tvtsyn
-from tvtsyn import (StreamConfig, content_and_timbre, latency_bench,
+from tvtsyn import (StreamConfig, causality_probe, content_and_timbre, latency_bench,
                     open_session, stream_file, synthesize)
 from tvtsyn.errors import ConfigError, InputError, TvtSynError
 from tvtsyn.timbre import slerp
@@ -47,6 +47,8 @@ def _params(cfg, rng):
         "chunk_ms": ([20.0, 40, np.float64(60.0)], _hostile(rng, 3)),
         "utterances": ([_waves(rng, CHUNK.chunk_samples)[:1]], _hostile(rng, 3)),
         "size": ([1, 2, np.int64(4)], _hostile(rng, 3)),
+        "trials": ([1, np.int64(1)], _hostile(rng, 3)),
+        "seed": ([0, 7, np.int64(2)], _hostile(rng, 3)),
         "a": (_waves(rng, 4) + [rng.normal(size=(3, 4))], _hostile(rng, 4)),
         "b": (_waves(rng, 4) + [rng.normal(size=(3, 4))], _hostile(rng, 4)),
         "alpha": ([0.0, 0.3, 1.0, np.float32(0.7), np.array([0.1, 0.5, 0.9])],
@@ -101,6 +103,13 @@ def _sweep(model, speaker):
         # stand in front of the type rule
         assert dataclasses.replace(model.cfg, base_width=size, prosody_hidden=size)
 
+    def probe(lookahead, trials, seed):
+        def synth_fn(wave):
+            return synthesize(model, wave, speaker, lookahead=lookahead)
+
+        report = causality_probe(synth_fn, lookahead, trials, seed)
+        assert report["clean"] and report["trials"] == trials
+
     def geodesic(a, b, alpha):
         out = _finite_f32(slerp(a, b, alpha))
         np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-5)
@@ -115,6 +124,7 @@ def _sweep(model, speaker):
         "StreamConfig": (stream_config, ["chunk_ms", "lookahead"]),
         "ModelConfig": (model_config, ["size"]),
         "slerp": (geodesic, ["a", "b", "alpha"]),
+        "causality_probe": (probe, ["lookahead", "trials", "seed"]),
     }
 
 
@@ -122,7 +132,8 @@ def test_seeded_sweep_returns_finite_float32_or_a_typed_error(model, speaker):
     """A fuzz test (Miller, Fredriksen & So, CACM 1990) of the library API on
     small_config: seeded calls with up to two value parameters hostile and the
     others valid. Each call returns finite float32 output (for slerp, unit
-    rows) or raises a tvtsyn.errors type, and warns nothing."""
+    rows; for causality_probe, a clean report) or raises a tvtsyn.errors
+    type, and warns nothing."""
     rng = np.random.default_rng(20261020)
     pools = _params(model.cfg, rng)
     sweep = _sweep(model, speaker)

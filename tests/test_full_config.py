@@ -3,8 +3,9 @@ synthesizes, and streams consistently with the offline pass.
 """
 
 import numpy as np
+import pytest
 
-from conftest import random_wave
+from conftest import check_state_only_where_memory, random_wave
 from tvtsyn.config import ModelConfig, StreamConfig
 from tvtsyn.model import TvtSynModel, random_init, synthesize
 from tvtsyn.streaming import open_session
@@ -12,11 +13,19 @@ from tvtsyn.streaming import open_session
 F32 = np.float32
 
 
-def test_full_config_streams_and_matches_offline():
+@pytest.fixture(scope="module")
+def full_model():
     cfg = ModelConfig()
-    model = TvtSynModel.from_store(random_init(0, cfg), cfg)
-    rng = np.random.default_rng(0)
-    speaker = rng.normal(0, 1, cfg.global_dim).astype(F32)
+    return TvtSynModel.from_store(random_init(0, cfg), cfg)
+
+
+@pytest.fixture(scope="module")
+def full_speaker():
+    return np.random.default_rng(0).normal(0, 1, ModelConfig().global_dim).astype(F32)
+
+
+def test_full_config_streams_and_matches_offline(full_model, full_speaker):
+    model, speaker = full_model, full_speaker
     sc = StreamConfig(chunk_ms=60)
     wave = random_wave(5, sc.chunk_samples * 4)  # 240 ms
 
@@ -32,3 +41,8 @@ def test_full_config_streams_and_matches_offline():
     assert streamed.shape == offline.shape == wave.shape
     assert np.abs(streamed - offline).max() <= 1e-4
     assert np.abs(offline).max() <= 1.0
+
+
+def test_full_config_state_only_where_memory(monkeypatch, full_model, full_speaker):
+    session = check_state_only_where_memory(monkeypatch, full_model, full_speaker)
+    assert session.state_nbytes() == 6_876_680

@@ -482,14 +482,14 @@ class TestWeightMajorProducts:
         assert y.shape == (5, 0) and y.dtype == F32
         assert np.array_equal(new_state, state) and not np.shares_memory(new_state, state)
 
-    # the model's (kernel, stride, dilation) sets: res units and their 1x1
-    # convs, every down conv, conv_in/conv_out, and the frame-rate convs
+    # the model's (kernel, stride, dilation) sets: res units, every down
+    # conv, conv_in/conv_out and the frame-rate convs; and a 1-tap conv,
+    # which the model runs as a plain product but a ConvLayer still takes
     @pytest.mark.parametrize("kernel,stride,dilation", [(3, 1, 2), (1, 1, 1), (4, 2, 1),
                                                         (8, 4, 1), (10, 5, 1), (16, 8, 1),
                                                         (7, 1, 1), (3, 1, 1)])
     def test_causal_conv_over_three_blocks_matches_einsum(self, kernel, stride, dilation):
-        # two full im2col blocks and a ragged third; K = 1 takes the direct
-        # product path instead and is checked at the same long input
+        # two full im2col blocks and a ragged third
         block = kernels.IM2COL_BLOCK // (6 * kernel)
         t_out = 2 * block + block // 2 + 1
         _check_causal_conv(np.random.default_rng(kernel + stride),
@@ -574,7 +574,7 @@ class TestWeightMajorProducts:
     @pytest.mark.parametrize("kernel,stride,dilation", [(1, 1, 1), (3, 1, 2), (16, 8, 1)])
     def test_causal_conv_over_three_gemv_blocks_matches_einsum(self, monkeypatch, t,
                                                                kernel, stride, dilation):
-        # t output columns; K = 1 is the direct product, the others one im2col block
+        # t output columns, one im2col block
         monkeypatch.setattr(kernels, "GEMV_BLOCK", 6 * kernel * 16)
         _check_causal_conv(np.random.default_rng(300 + 10 * kernel + t),
                            t * stride, 6, 50, kernel, stride, dilation)
@@ -609,7 +609,8 @@ class TestWeightMajorProducts:
             kernels.weight_product(w, np.ones((48, t), F32))
 
     # the model's few-column weights: q/k/v, o, the FFN pair, a cLN's FiLM
-    # weight and a frame-rate conv, each cut into 1 to 9 row blocks
+    # weight and a frame-rate conv, each cut into 1 to 9 row blocks from 2
+    # columns on; 1 column is never cut
     @pytest.mark.parametrize("t", range(1, kernels.GEMV_MAX_COLS + 1))
     @pytest.mark.parametrize("shape", [(1536, 512), (512, 512), (2048, 512), (512, 2048),
                                        (1216, 192), (768, 2304)])
@@ -623,7 +624,7 @@ class TestWeightMajorProducts:
         xt = np.ascontiguousarray(x.T)
         for blocks in range(1, 10):
             monkeypatch.setattr(kernels, "GEMV_BLOCK", m * k // blocks)
-            cuts = [m * i // blocks for i in range(blocks + 1)]
+            cuts = [0, m] if t == 1 else [m * i // blocks for i in range(blocks + 1)]
             want = np.empty((t, m), F32)
             for r0, r1 in zip(cuts, cuts[1:]):
                 for j in range(t):
@@ -633,12 +634,15 @@ class TestWeightMajorProducts:
             kernels.weight_product(w, x, out=out)
             assert np.array_equal(out, want.T), blocks
 
+    @pytest.mark.parametrize("t", range(1, kernels.GEMV_MAX_COLS + 1))
     @pytest.mark.parametrize("shape", [(1536, 512), (768, 2304), (512, 4608), (1536, 1536),
                                        (768, 768), (96, 960)])
-    def test_no_gemv_block_below_the_block_size(self, monkeypatch, shape):
-        # the model's few-column products: a weight of at least GEMV_BLOCK
-        # elements is cut into blocks of GEMV_BLOCK to 2 * GEMV_BLOCK, so no
-        # tail block falls under OpenBLAS's one-thread sgemv cut
+    def test_no_gemv_block_below_the_block_size(self, monkeypatch, shape, t):
+        # the model's few-column products: from 2 columns a weight of at
+        # least GEMV_BLOCK elements is cut into blocks of GEMV_BLOCK to
+        # 2 * GEMV_BLOCK, so no tail block falls under OpenBLAS's one-thread
+        # sgemv cut; 1 column reads each block once, so it is one GEMV over
+        # the whole weight
         blocks = []
         matmul = np.matmul
 
@@ -648,8 +652,8 @@ class TestWeightMajorProducts:
 
         monkeypatch.setattr(kernels.np, "matmul", spy)
         m, k = shape
-        kernels.weight_product(np.ones((m, k), F32), np.ones((k, 1), F32))
-        if m * k < kernels.GEMV_BLOCK:
+        kernels.weight_product(np.ones((m, k), F32), np.ones((k, t), F32))
+        if m * k < kernels.GEMV_BLOCK or t == 1:
             assert blocks == [m * k]
         else:
             assert sum(blocks) == m * k

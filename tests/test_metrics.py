@@ -152,6 +152,19 @@ class TestCausalityProbe:
         with pytest.raises(ConfigError, match="trials"):
             probe(never_called, 0, trials=trials, seed=1)
 
+    # 2.7, "3" and True used to run as seeds 2, 3 and 1; -1 and None raised
+    # numpy's ValueError and TypeError
+    @pytest.mark.parametrize("probe", [causality_probe, probe_influence])
+    @pytest.mark.parametrize("seed", [
+        pytest.param(2.7, id="float"), pytest.param("3", id="str"), pytest.param(True, id="bool"),
+        pytest.param(-1, id="negative"), pytest.param(None, id="None")])
+    def test_seed_that_is_not_an_int_from_0_rejected(self, probe, seed):
+        def never_called(wave):
+            raise AssertionError("a rejected probe must not synthesize")
+
+        with pytest.raises(ConfigError, match=f"seed must be an int >= 0, got {seed!r}"):
+            probe(never_called, 0, trials=1, seed=seed)
+
     @pytest.mark.parametrize("probe", [causality_probe, probe_influence])
     @pytest.mark.parametrize("lookahead", [-3, -1, MAX_LOOKAHEAD + 1, 7, 14, 2.5, True])
     def test_lookahead_out_of_range_rejected(self, probe, lookahead):

@@ -379,6 +379,15 @@ class TestRandomInit:
         b = random_init(2, cfg)
         assert any(not np.array_equal(a.get(n), b.get(n)) for n in a.names())
 
+    # 2.5 used to give seed 2's weights, "3" seed 3's and True seed 1's; -1
+    # and None raised numpy's ValueError and TypeError
+    @pytest.mark.parametrize("seed", [
+        pytest.param(2.5, id="float"), pytest.param("3", id="str"), pytest.param(True, id="bool"),
+        pytest.param(-1, id="negative"), pytest.param(None, id="None")])
+    def test_seed_that_is_not_an_int_from_0_rejected(self, cfg, seed):
+        with pytest.raises(ConfigError, match=f"seed must be an int >= 0, got {seed!r}"):
+            random_init(seed, cfg)
+
     def test_codebook_rows_unit_norm(self, cfg, store):
         cb = store.get("encoder.vq.codebook")
         np.testing.assert_allclose(np.linalg.norm(cb, axis=1), 1.0, atol=1e-6)

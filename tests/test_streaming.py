@@ -5,7 +5,8 @@ state semantics, lifecycle rules, determinism, isolation, and memory bounds.
 import numpy as np
 import pytest
 
-from conftest import NAN_ENCODER_WEIGHTS, random_wave, store_of
+from conftest import (NAN_ENCODER_WEIGHTS, check_state_only_where_memory, conv_states,
+                      random_wave, store_of)
 from tvtsyn.config import SAMPLE_RATE, StreamConfig
 from tvtsyn.errors import ConfigError, InputError, StateError
 from tvtsyn.model import MAX_SAMPLE, TvtSynModel, as_wave, synthesize
@@ -418,6 +419,9 @@ class TestDecoderCnnRunsEachFrameOnce:
 
 
 class TestLongStream:
+    def test_state_only_where_memory(self, monkeypatch, model, speaker):
+        check_state_only_where_memory(monkeypatch, model, speaker)
+
     def test_state_nbytes_constant_across_ring_wraps(self, model, speaker):
         # 300 chunks = 900 frames, nine times the 100-frame KV window
         s = open_session(model, StreamConfig(chunk_ms=60), speaker)
@@ -446,18 +450,9 @@ class TestLongStream:
 
 def _snapshot(s):
     """Copies of every piece of a session's mutable state, and its counters."""
-    arrays = []
-
-    def visit(st):
-        if isinstance(st, np.ndarray):
-            arrays.append(st.copy())
-        elif isinstance(st, (list, tuple)):
-            for item in st:
-                visit(item)
-
-    visit([s.enc_state.conv, s.pros_states, s.cnn_states])
+    arrays = [state.copy() for state in conv_states(s)]
     for cache in (s.enc_state.cache, s.dec_cache):
-        visit([cache.k, cache.v, cache.pos])
+        arrays += [cache.k.copy(), cache.v.copy(), cache.pos.copy()]
     counters = (s.enc_state.cache.next_pos, s.dec_cache.next_pos, s.samples_in,
                 s.samples_out, s.closed)
     return arrays, counters
