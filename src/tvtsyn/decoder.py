@@ -74,7 +74,7 @@ class DecoderCnn(SeanetCnn):
                                        cfg.d_model, widths[0], FINAL_KERNEL)]
         for i, stride in enumerate(DECODER_STRIDES):
             layers.append(ConvLayer.from_store(store, f"decoder.cnn.stage{i}.up", widths[i],
-                                               widths[i + 1], 2 * stride, stride, transposed=True))
+                                               widths[i + 1], 2, up=stride))
             layers.append(ResBlock.from_store(store, f"decoder.cnn.stage{i}.res", widths[i + 1]))
         layers.append(ConvLayer.from_store(store, "decoder.cnn.conv_out",
                                            widths[-1], 1, INIT_KERNEL))

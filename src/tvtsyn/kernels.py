@@ -10,10 +10,9 @@ Conventions:
     `weight_product(W, x)`, W on the left exactly as loaded (`linear` is the
     helper for frame sequences). Every weight is stored output-major, so W
     is always a C-contiguous (outputs, inputs) matrix: a stored (out, in)
-    linear weight, or a conv weight reshaped to (out, in*K) or, for the
-    transposed conv, (out*K, in). No weight is copied, fused or transposed
-    at load time, and an attention layer's q, k and v projections are
-    stored as one weight.
+    linear weight, or a conv weight reshaped to (out, in*K). No weight is
+    copied, fused or transposed at load time, and an attention layer's q, k
+    and v projections are stored as one weight.
   - with more than GEMV_MAX_COLS activation columns (offline synthesis:
     100 or more everywhere) the product is one GEMM. With 2 to that many
     (a 60 ms chunk's 3 frames at 50 Hz and 6 at 100 Hz) it is one stacked
@@ -33,24 +32,26 @@ Conventions:
     weights under the cut still run on one thread: in a 60 ms chunk, the
     16 512x512 `o` products and 14 smaller ones of up to 1.5 MB
     (BENCH_qkv.json has the per-stage times).
-  - `ConvLayer.apply` runs every conv that carries state. A forward conv
-    makes no temporary of kernel x channels x input length (low-memory GEMM
-    convolution, Anderson et al., arXiv:1709.03395). It builds im2col
-    columns IM2COL_BLOCK elements at a time in one buffer and issues one
-    weight product per block. A 1x1 conv carries none, so the model's one
-    (a residual block's second conv) is a plain weight product of its
-    (out, in) matrix.
-  - the transposed conv (kernel 2*stride only, the SEANet up conv) stores
-    its weight (C_out, K, C_in). It is one weight product of the
-    (C_out*K, C_in) matrix over the whole input, then one add of each
-    frame's taps 0..stride-1 and its predecessor's other taps, straight into
-    the output.
+  - `ConvLayer.apply` runs every conv that carries state, through one
+    kernel. It makes no temporary of kernel x channels x input length
+    (low-memory GEMM convolution, Anderson et al., arXiv:1709.03395): it
+    builds im2col columns IM2COL_BLOCK elements at a time in one buffer and
+    issues one weight product per block. A 1x1 conv carries none, so the
+    model's one (a residual block's second conv) is a plain weight product
+    of its (out, in) matrix.
+  - the SEANet up conv, a transposed conv of kernel 2*stride, is that
+    kernel's 2-tap conv over frames with `up` = stride output phases per
+    channel: its stored (out_ch*up, in_ch, 2) weight's row c*up + j holds
+    channel c's taps for sample j of each frame, on the previous frame and
+    on its own. The phases interleave into time as the bias is added, so a
+    stride-s transposed conv is a stride-1 conv and a periodic shuffle (Shi
+    et al., arXiv:1609.07009).
 
 Causality convention: a causal conv output at index j depends only on input
 columns <= j*stride, with the left context held in an explicit state buffer
-(zeros at stream start); a transposed causal conv emits frame t's
-contribution at samples >= t*stride, carrying the last frame's second half
-(its spill into the next frame) as state.
+(zeros at stream start); an up conv's samples j*up .. j*up + up - 1 depend
+only on input columns <= j. Every state is the layer's last
+(kernel-1)*dilation input columns.
 """
 
 from __future__ import annotations
@@ -86,16 +87,16 @@ GEMV_MAX_COLS = 6
 
 @dataclass(frozen=True)
 class ConvLayer:
-    """One stored 1-D conv. Its sizes are its weight's shape: (out_ch, in_ch,
-    kernel), or (out_ch, kernel, in_ch) for a transposed conv, the SEANet up
-    conv, whose kernel is 2*stride. The tensors are checked once, here, and
-    `apply` runs the conv that `transposed` picks."""
+    """One stored 1-D conv. Its sizes are its weight's shape, (out_ch * up,
+    in_ch, kernel): with `up` > 1 each output channel has `up` phases that
+    interleave into time, so T input columns give T * up samples (the SEANet
+    up conv). The tensors are checked once, here."""
 
     weight: np.ndarray
     bias: np.ndarray
     stride: int = 1
     dilation: int = 1
-    transposed: bool = False
+    up: int = 1
 
     def __post_init__(self):
         if self.weight.ndim != 3 or not self.weight.size:
@@ -103,37 +104,33 @@ class ConvLayer:
                               f"{self.weight.shape}")
         check_int(self.stride, "conv stride", 1, None)
         check_int(self.dilation, "conv dilation", 1, None)
-        if self.transposed and (self.kernel != 2 * self.stride or self.dilation != 1):
-            raise ConfigError(f"transposed conv needs kernel = 2 * stride and dilation 1, got "
-                              f"kernel {self.kernel} at stride {self.stride}, dilation "
-                              f"{self.dilation}")
+        check_int(self.up, "conv up", 1, None)
+        if self.weight.shape[0] % self.up:
+            raise ConfigError(f"conv weight of {self.weight.shape[0]} rows does not split "
+                              f"into up = {self.up} phases")
         if self.bias.shape != (self.out_ch,):
             raise ConfigError(f"bias shape {self.bias.shape} does not match out_ch {self.out_ch}")
 
     @classmethod
-    def from_store(cls, store, prefix, in_ch, out_ch, kernel, stride=1, dilation=1,
-                   transposed=False):
-        shape = (out_ch, kernel, in_ch) if transposed else (out_ch, in_ch, kernel)
-        return cls(store.get(f"{prefix}.weight", shape), store.get(f"{prefix}.bias", (out_ch,)),
-                   stride, dilation, transposed)
+    def from_store(cls, store, prefix, in_ch, out_ch, kernel, stride=1, dilation=1, up=1):
+        return cls(store.get(f"{prefix}.weight", (out_ch * up, in_ch, kernel)),
+                   store.get(f"{prefix}.bias", (out_ch,)), stride, dilation, up)
 
     @property
     def out_ch(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[0] // self.up
 
     @property
     def in_ch(self) -> int:
-        return self.weight.shape[2 if self.transposed else 1]
+        return self.weight.shape[1]
 
     @property
     def kernel(self) -> int:
-        return self.weight.shape[1 if self.transposed else 2]
+        return self.weight.shape[2]
 
     @property
     def state_shape(self):
-        """Carried state: the left context (forward) or the additive tail (transposed)."""
-        if self.transposed:
-            return (self.out_ch, self.stride)
+        """Carried state: the left context, the last (kernel-1)*dilation input columns."""
         return (self.in_ch, (self.kernel - 1) * self.dilation)
 
     def init_state(self):
@@ -141,33 +138,35 @@ class ConvLayer:
         return np.zeros(self.state_shape, dtype=F32)
 
     def apply(self, x, state):
-        """(C_in, T) -> ((C_out, T'), new_state)."""
+        """(C_in, T) -> ((C_out, ceil(T/stride) * up), new_state)."""
         if x.ndim != 2 or x.shape[0] != self.in_ch:
             raise ConfigError(f"input shape {x.shape} does not match in_ch {self.in_ch}")
         if state.shape != self.state_shape:
             raise ConfigError(f"state shape {state.shape}, expected {self.state_shape}")
-        conv = _transposed_conv if self.transposed else _causal_conv
-        return conv(x, self, state)
+        return _causal_conv(x, self, state)
 
 
 def _causal_conv(x, layer, state):
-    """Strided/dilated causal conv over (C_in, T) -> ((C_out, ceil(T/stride)), new_state).
+    """Strided/dilated causal conv over (C_in, T) -> ((C_out, ceil(T/stride) * up),
+    new_state).
 
     Output column j reads input columns j*stride - k*dilation for k in
     [0, kernel); the (kernel-1)*dilation columns of left context come from
     `state`. When carrying state across calls, T must be a multiple of
     stride so the output grid stays aligned. im2col over [state | x] is built
     IM2COL_BLOCK elements at a time in one buffer, each block of columns one
-    weight product into its slice of the output.
+    weight product into its slice of the (C_out * up, T') product. With
+    up > 1, phase j of column t is output sample t*up + j: the product is
+    written into the output, phases interleaved, by the one add of the bias.
     """
     s, d, pad = layer.stride, layer.dilation, state.shape[1]
     t_in = x.shape[1]
     t_out = -(-t_in // s)
-    w = layer.weight.reshape(layer.out_ch, -1)                # (C_out, C_in*K)
+    w = layer.weight.reshape(layer.weight.shape[0], -1)       # (C_out*up, C_in*K)
     rows = w.shape[1]
     block = max(1, IM2COL_BLOCK // rows)
     buf = np.empty(rows * min(block, t_out), dtype=F32)
-    y = np.empty((layer.out_ch, t_out), dtype=F32)
+    y = np.empty((w.shape[0], t_out), dtype=F32)
     for j0 in range(0, t_out, block):
         n = min(block, t_out - j0)
         # window of [state | x] from column j0*stride that output columns
@@ -182,34 +181,16 @@ def _causal_conv(x, layer, state):
         for k in range(layer.kernel):
             cols[:, k] = win[:, k * d:k * d + span:s]
         weight_product(w, cols.reshape(rows, n), out=y[:, j0:j0 + n])
-    y += layer.bias[:, None]
     # the last (kernel-1)*dilation columns of [state | x]
     new_state = np.concatenate([state[:, t_in:], x[:, max(t_in - pad, 0):]], axis=1)
-    return y, new_state
-
-
-def _transposed_conv(x, layer, state):
-    """Causal transposed conv with kernel 2*stride over (C_in, T) ->
-    ((C_out, T*stride), new_state).
-
-    Frame t writes output samples [t*stride, (t+2)*stride): taps 0..s-1 land
-    in its own frame, taps s..2s-1 in the next. So the output, seen as
-    (C_out, stride, T), is written once: frames 1.. as the sum of their own
-    taps 0..s-1 and the previous frame's taps s..2s-1, frame 0 as its taps
-    plus the previous call's last frame's taps s..2s-1, carried in `state`.
-    The bias is added last.
-    """
-    t_in, s, c_out = x.shape[1], layer.stride, layer.out_ch
-    if not t_in:
-        return np.empty((c_out, 0), dtype=F32), state.copy()
-    contrib = weight_product(layer.weight.reshape(-1, layer.in_ch), x).reshape(
-        c_out, 2 * s, t_in)                                   # (C_out, K, T)
-    y = np.empty((c_out, t_in * s), dtype=F32)
-    frames = y.reshape(c_out, t_in, s).transpose(0, 2, 1)
-    np.add(contrib[:, :s, 1:], contrib[:, s:, :-1], out=frames[:, :, 1:])
-    np.add(contrib[:, :s, 0], state, out=frames[:, :, 0])
-    y += layer.bias[:, None]
-    return y, contrib[:, s:, -1].copy()
+    c, up = layer.out_ch, layer.up
+    if up == 1:
+        y += layer.bias[:, None]
+        return y, new_state
+    out = np.empty((c, t_out * up), dtype=F32)
+    np.add(y.reshape(c, up, t_out).transpose(0, 2, 1), layer.bias[:, None, None],
+           out=out.reshape(c, t_out, up))
+    return out, new_state
 
 
 def weight_product(w, x, out=None):

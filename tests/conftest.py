@@ -74,6 +74,34 @@ def store_of(entries):
     return store
 
 
+def up_weight(w):
+    """A transposed conv weight (out_ch, 2*stride, in_ch), as tconv_oracle
+    takes it, in the up conv's (out_ch*stride, in_ch, 2) layout: row
+    c*stride + j holds channel c's taps for sample j of a frame, on the
+    previous frame (tap stride + j) and on its own (tap j)."""
+    c_out, k, c_in = w.shape
+    s = k // 2
+    taps = np.stack([w[:, s:], w[:, :s]], axis=-1)           # (out_ch, s, in_ch, 2)
+    return np.ascontiguousarray(taps.reshape(c_out * s, c_in, 2))
+
+
+def kernel_major_up_weights(store):
+    """Each decoder up weight of `store` (name -> array) in the (out_ch,
+    2 * stride, in_ch) layout of a transposed conv, which files held before
+    the up conv was stored as a 2-tap conv of (out_ch * stride, in_ch, 2):
+    tap j of channel c is row c * stride + j's tap on its own frame, tap
+    stride + j that row's tap on the previous frame."""
+    from tvtsyn.config import DECODER_STRIDES
+
+    old = {}
+    for i, stride in enumerate(DECODER_STRIDES):
+        name = f"decoder.cnn.stage{i}.up.weight"
+        rows, in_ch, _ = store.get(name).shape
+        w = store.get(name).reshape(rows // stride, stride, in_ch, 2)
+        old[name] = np.concatenate([w[..., 1], w[..., 0]], axis=1)
+    return old
+
+
 def pin_gate(monkeypatch, alpha):
     """Make `tvt_sequence` use gate value `alpha` on every frame
     (0 = static speaker, 1 = pure facet path)."""
@@ -99,11 +127,25 @@ def conv_states(session):
     return [*session.enc_state.conv, *session.pros_states, *session.cnn_states]
 
 
+def state_layers(model):
+    """The ConvLayer that carries each of conv_states' states, in its order: a
+    residual block's state is its first conv's."""
+    from tvtsyn.encoder import ResBlock
+
+    def carrier(layer):
+        return layer.conv1 if isinstance(layer, ResBlock) else layer
+
+    pros = model.prosody
+    return [*map(carrier, model.encoder.cnn.layers), pros.conv1, pros.f0.conv2,
+            pros.energy.conv2, *map(carrier, model.decoder.cnn.layers)]
+
+
 def check_state_only_where_memory(monkeypatch, model, speaker):
     """Over one synthesize and three feeds of a 60 ms session no ConvLayer of
     kernel 1 runs (the residual 1x1 convs are plain products), the session
-    holds 23 conv states, none empty, and state_nbytes() is their bytes plus
-    the two KV caches'. Returns the session."""
+    holds 23 conv states, each its layer's last (kernel - 1) * dilation input
+    columns, and state_nbytes() is their bytes plus the two KV caches'.
+    Returns the session."""
     from tvtsyn.config import StreamConfig
     from tvtsyn.kernels import ConvLayer
     from tvtsyn.model import synthesize
@@ -125,6 +167,8 @@ def check_state_only_where_memory(monkeypatch, model, speaker):
     states = conv_states(session)
     assert len(states) == 23
     assert all(isinstance(state, np.ndarray) and state.size for state in states)
+    assert [state.shape for state in states] == [
+        (layer.in_ch, (layer.kernel - 1) * layer.dilation) for layer in state_layers(model)]
     assert session.state_nbytes() == (sum(state.nbytes for state in states)
                                       + session.enc_state.cache.nbytes
                                       + session.dec_cache.nbytes)

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import NAN_ENCODER_WEIGHTS, REMOVED_CONFIG_KEYS, random_wave, store_of
+from conftest import (NAN_ENCODER_WEIGHTS, REMOVED_CONFIG_KEYS, kernel_major_up_weights,
+                      random_wave, store_of)
 from tvtsyn import cli, wavio
 from tvtsyn import model as model_mod
 from tvtsyn.cli import run
@@ -211,11 +212,11 @@ def _address_space_headroom(nbytes):
 
 class TestUnboundWeights:
     def test_input_major_up_layout_is_config_error(self, workdir, tmp_path, capsys):
-        # a file written before the up convs were stored (out_ch, kernel, in_ch)
-        store = load_weights(workdir / "w.tvtw")
-        old = _with_entries(workdir, tmp_path / "old_up.tvtw", **{
-            n: store.get(n).transpose(2, 0, 1) for n in store.names()
-            if n.endswith(".up.weight")})
+        # a file written before the up convs were stored output-major: each
+        # up weight in the (in_ch, out_ch, kernel) layout of a transposed conv
+        up = kernel_major_up_weights(load_weights(workdir / "w.tvtw"))
+        old = _with_entries(workdir, tmp_path / "old_up.tvtw",
+                            **{n: w.transpose(2, 0, 1) for n, w in up.items()})
         code = run(["synth", "--weights", str(old),
                     "--config", str(workdir / "model.cfg"), "--speaker", str(workdir / "spk.f32"),
                     "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav")])

@@ -32,7 +32,7 @@ def test_full_config_streams_and_matches_offline(full_model, full_speaker):
     session = open_session(model, sc, speaker)
     # KV rings, conv states, and one carried input of the prosody predictors'
     # shared first conv: (512, 2) float32
-    assert session.state_nbytes() == 6_876_680
+    assert session.state_nbytes() == 6_869_000
     pieces = [session.feed(wave[k * 960:(k + 1) * 960]) for k in range(4)]
     pieces.append(session.flush())
     streamed = np.concatenate(pieces)
@@ -45,4 +45,4 @@ def test_full_config_streams_and_matches_offline(full_model, full_speaker):
 
 def test_full_config_state_only_where_memory(monkeypatch, full_model, full_speaker):
     session = check_state_only_where_memory(monkeypatch, full_model, full_speaker)
-    assert session.state_nbytes() == 6_876_680
+    assert session.state_nbytes() == 6_869_000

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_wave
+from conftest import random_wave, up_weight
 from tvtsyn import kernels
 from tvtsyn.config import StreamConfig
 from tvtsyn.context import _attend, band_mask
@@ -29,6 +29,12 @@ def conv_layer(w, b=None, **geometry):
 def conv(x, layer, state=None):
     """One call of `layer` from `state` (zeros when omitted)."""
     return layer.apply(x, layer.init_state() if state is None else state)
+
+
+def up_layer(w, b=None):
+    """The up ConvLayer of the transposed conv weight w (out_ch, 2*stride, in_ch)."""
+    return conv_layer(up_weight(w), np.zeros(w.shape[0], F32) if b is None else b,
+                      up=w.shape[1] // 2)
 
 
 def conv_oracle(x, w, b, stride, dilation):
@@ -139,15 +145,17 @@ class TestCausalConv:
 
 class TestTransposedConv:
     def test_hand_computed(self):
-        # frame t adds x[t] to samples 2t..2t+3; samples 4 and 5 are carried
-        layer = conv_layer(np.ones((1, 4, 1), F32), stride=2, transposed=True)
+        # frame t adds x[t] to samples 2t..2t+3; the last frame is carried
+        layer = up_layer(np.ones((1, 4, 1), F32))
         y, state = conv(np.array([[1, 2]], F32), layer)
         assert np.array_equal(y, [[1, 1, 3, 3]])
-        assert np.array_equal(state, [[2, 2]])
+        assert np.array_equal(state, [[2]])
+        y, state = conv(np.array([[4]], F32), layer, state)
+        assert np.array_equal(y, [[6, 6]]) and np.array_equal(state, [[4]])
 
     def test_zero_input_zero_output(self):
         rng = np.random.default_rng(0)
-        layer = conv_layer(rng.normal(size=(2, 8, 3)).astype(F32), stride=4, transposed=True)
+        layer = up_layer(rng.normal(size=(2, 8, 3)).astype(F32))
         y, _ = conv(np.zeros((3, 6), F32), layer)
         assert y.shape == (2, 24) and not y.any()
 
@@ -156,7 +164,7 @@ class TestTransposedConv:
         x = rng.normal(size=(2, 50)).astype(F32)
         for stride in (2, 4, 5, 8):
             w = rng.normal(size=(2, 2 * stride, 2)).astype(F32)
-            x, _ = conv(x, conv_layer(w, stride=stride, transposed=True))
+            x, _ = conv(x, up_layer(w))
         assert x.shape == (2, 16000)
 
     def test_matches_direct_oracle(self):
@@ -164,14 +172,13 @@ class TestTransposedConv:
         x = rng.normal(size=(3, 12)).astype(F32)
         w = rng.normal(size=(2, 4, 3)).astype(F32)
         b = rng.normal(size=2).astype(F32)
-        y, _ = conv(x, conv_layer(w, b, stride=2, transposed=True))
+        y, _ = conv(x, up_layer(w, b))
         np.testing.assert_allclose(y, tconv_oracle(x, w, b, 2), atol=1e-5)
 
     def test_streaming_tail_carry(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 20)).astype(F32)
-        layer = conv_layer(rng.normal(size=(3, 10, 2)).astype(F32),
-                           rng.normal(size=3).astype(F32), stride=5, transposed=True)
+        layer = up_layer(rng.normal(size=(3, 10, 2)).astype(F32), rng.normal(size=3).astype(F32))
         full, _ = conv(x, layer)
         state = layer.init_state()
         parts = []
@@ -190,7 +197,7 @@ class TestTransposedConv:
         assert h.shape[1] == 10
         for stride in (2, 4, 5, 8):
             w = rng.normal(size=(2, 2 * stride, h.shape[0])).astype(F32)
-            h, _ = conv(h, conv_layer(w, stride=stride, transposed=True))
+            h, _ = conv(h, up_layer(w))
         assert h.shape[1] == 3200
 
 
@@ -200,65 +207,57 @@ class TestConvLayer:
     built, and each call's input and state; it cannot be changed after."""
 
     @staticmethod
-    def weight(transposed, out_ch=3, in_ch=2, kernel=4):
-        return np.zeros((out_ch, kernel, in_ch) if transposed else (out_ch, in_ch, kernel), F32)
+    def weight(up, out_ch=3, in_ch=2, kernel=4):
+        return np.zeros((out_ch * up, in_ch, kernel), F32)
 
-    @pytest.mark.parametrize("transposed", [False, True])
-    def test_wrong_weight_or_bias_is_config_error_at_construction(self, transposed):
-        w = self.weight(transposed)
-        ConvLayer(w, np.zeros(3, F32), stride=2, transposed=transposed)
+    @pytest.mark.parametrize("up", [1, 2])
+    def test_wrong_weight_or_bias_is_config_error_at_construction(self, up):
+        w = self.weight(up)
+        ConvLayer(w, np.zeros(3, F32), stride=2, up=up)
         for bad in (np.zeros((24,), F32), np.zeros((3, 8), F32), np.zeros((1, 3, 2, 4), F32),
-                    self.weight(transposed, out_ch=0), self.weight(transposed, in_ch=0),
-                    self.weight(transposed, kernel=0)):
+                    self.weight(up, out_ch=0), self.weight(up, in_ch=0),
+                    self.weight(up, kernel=0)):
             with pytest.raises(ConfigError, match="conv weight must be 3-D and non-empty"):
-                ConvLayer(bad, np.zeros(3, F32), stride=2, transposed=transposed)
-        for bad in (np.zeros(2, F32), np.zeros((3, 1), F32)):
+                ConvLayer(bad, np.zeros(3, F32), stride=2, up=up)
+        # one bias per output channel, not per weight row
+        for bad in (np.zeros(2, F32), np.zeros((3, 1), F32), np.zeros(6, F32)):
             with pytest.raises(ConfigError, match="bias shape"):
-                ConvLayer(w, bad, stride=2, transposed=transposed)
+                ConvLayer(w, bad, stride=2, up=up)
 
-    @pytest.mark.parametrize("name", ["stride", "dilation"])
+    @pytest.mark.parametrize("name", ["stride", "dilation", "up"])
     @pytest.mark.parametrize("value", [0, -2, 2.0, True])
-    def test_stride_or_dilation_not_an_int_of_at_least_one_is_rejected(self, name, value):
+    def test_stride_dilation_or_up_not_an_int_of_at_least_one_is_rejected(self, name, value):
         with pytest.raises(ConfigError, match=f"conv {name} must be an int >= 1"):
-            ConvLayer(self.weight(False), np.zeros(3, F32), **{name: value})
+            ConvLayer(self.weight(1), np.zeros(3, F32), **{name: value})
+
+    # 7 rows in phases of 2, 6 in phases of 4, 3 in phases of 5
+    @pytest.mark.parametrize("rows,up", [(7, 2), (6, 4), (3, 5)])
+    def test_weight_rows_that_up_does_not_divide_are_rejected(self, rows, up):
+        with pytest.raises(ConfigError, match=f"conv weight of {rows} rows does not split "
+                                              f"into up = {up} phases"):
+            ConvLayer(np.zeros((rows, 2, 2), F32), np.zeros(rows // up, F32), up=up)
 
     def test_sizes_are_the_weight_shape(self):
-        layer = ConvLayer(self.weight(False), np.zeros(3, F32), 2, 3)
+        layer = ConvLayer(self.weight(1), np.zeros(3, F32), 2, 3)
         assert (layer.in_ch, layer.out_ch, layer.kernel) == (2, 3, 4)
         assert layer.init_state().shape == (2, 9)
-        up = ConvLayer(self.weight(True), np.zeros(3, F32), stride=2, transposed=True)
-        assert (up.in_ch, up.out_ch, up.kernel) == (2, 3, 4)
-        assert up.init_state().shape == (3, 2)
+        # the up conv's state is its last input column, whatever its up
+        up = ConvLayer(self.weight(5, kernel=2), np.zeros(3, F32), up=5)
+        assert (up.in_ch, up.out_ch, up.kernel) == (2, 3, 2)
+        assert up.init_state().shape == (2, 1)
 
     def test_fields_cannot_be_assigned(self):
-        layer = ConvLayer(self.weight(False), np.zeros(3, F32))
+        layer = ConvLayer(self.weight(1), np.zeros(3, F32))
         for name, value in (("weight", np.zeros((3, 2, 5), F32)), ("bias", None),
-                            ("stride", 2), ("dilation", 2), ("transposed", True)):
+                            ("stride", 2), ("dilation", 2), ("up", 2)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(layer, name, value)
         assert [f.name for f in dataclasses.fields(ConvLayer)] == [
-            "weight", "bias", "stride", "dilation", "transposed"]
+            "weight", "bias", "stride", "dilation", "up"]
 
-    # kernels that are not 2*stride: one group of `stride` taps (2/2, 3/3),
-    # two and a ragged third (5/2, 7/3), three (3/1, 6/2, 12/4)
-    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 3), (7, 3), (3, 1), (5, 2), (6, 2),
-                                               (12, 4)])
-    def test_transposed_kernel_other_than_twice_stride_is_rejected(self, kernel, stride):
-        with pytest.raises(ConfigError, match="kernel = 2 \\* stride"):
-            ConvLayer(self.weight(True, 5, 6, kernel), np.zeros(5, F32), stride, transposed=True)
-        layer = ConvLayer(self.weight(False, 5, 6, kernel), np.zeros(5, F32), stride)
-        assert layer.init_state().shape == (6, kernel - 1)
-
-    def test_dilated_transposed_conv_is_rejected(self):
-        # the transposed conv has no dilation: a value other than 1 would be ignored
-        with pytest.raises(ConfigError, match="and dilation 1, got kernel 4 at stride 2, "
-                                              "dilation 2"):
-            ConvLayer(self.weight(True), np.zeros(3, F32), 2, 2, transposed=True)
-
-    @pytest.mark.parametrize("transposed", [False, True])
-    def test_input_and_state_are_checked_per_call(self, transposed):
-        layer = ConvLayer(self.weight(transposed), np.zeros(3, F32), stride=2,
-                          transposed=transposed)
+    @pytest.mark.parametrize("up", [1, 2])
+    def test_input_and_state_are_checked_per_call(self, up):
+        layer = ConvLayer(self.weight(up), np.zeros(3, F32), stride=2, up=up)
         state = layer.init_state()
         for bad in (np.zeros((3, 4), F32), np.zeros(4, F32), np.zeros((1, 2, 4), F32)):
             with pytest.raises(ConfigError, match="input shape"):
@@ -419,27 +418,28 @@ def _check_causal_conv(rng, t, c_in, c_out, kernel, stride, dilation):
 
 
 def _check_transposed_conv(rng, t, c_in, c_out, stride):
-    """A transposed ConvLayer (kernel 2*stride) from a random carried state
-    against a float64 einsum and overlap-add."""
+    """An up ConvLayer (a transposed conv of kernel 2*stride) from a random
+    carried frame against a float64 einsum and overlap-add over [state | x],
+    less the carried frame's own samples."""
     kernel = 2 * stride
     x = rng.normal(size=(c_in, t)).astype(F32)
     w = rng.normal(size=(c_out, kernel, c_in)).astype(F32)
     b = rng.normal(size=c_out).astype(F32)
-    state = rng.normal(size=(c_out, stride)).astype(F32)
-    contrib = np.einsum("okc,ct->okt", _f64(w), _f64(x))
-    full = np.zeros((c_out, t * stride + stride))
+    state = rng.normal(size=(c_in, 1)).astype(F32)
+    xx = np.concatenate([_f64(state), _f64(x)], axis=1)
+    contrib = np.einsum("okc,ct->okt", _f64(w), xx)
+    full = np.zeros((c_out, (t + 2) * stride))
     for k in range(kernel):
-        full[:, k:k + (t - 1) * stride + 1:stride] += contrib[:, k]
-    full[:, :stride] += _f64(state)
-    got, new_state = conv(x, ConvLayer(w, b, stride, transposed=True), state)
+        full[:, k:k + t * stride + 1:stride] += contrib[:, k]
+    got, new_state = conv(x, up_layer(w, b), state)
     assert got.shape == (c_out, t * stride) and got.dtype == F32
-    np.testing.assert_allclose(got, full[:, :t * stride] + _f64(b)[:, None],
+    np.testing.assert_allclose(got, full[:, stride:(t + 1) * stride] + _f64(b)[:, None],
                                rtol=1e-5, atol=1e-4)
-    np.testing.assert_allclose(new_state, full[:, t * stride:], rtol=1e-5, atol=1e-4)
+    assert np.array_equal(new_state, xx[:, -1:].astype(F32))
 
 
 class TestWeightMajorProducts:
-    """linear and both convs against float64 einsum references, at one frame,
+    """linear and the forward and up convs against float64 einsum references, at one frame,
     a 60 ms chunk's three frames, 960 samples, inputs that span three im2col
     blocks, and weights that span three GEMV blocks."""
 
@@ -476,8 +476,8 @@ class TestWeightMajorProducts:
     def test_transposed_conv_of_no_columns(self, kernel, stride):
         rng = np.random.default_rng(kernel)
         w = rng.normal(size=(5, kernel, 6)).astype(F32)
-        state = rng.normal(size=(5, stride)).astype(F32)
-        layer = conv_layer(w, rng.normal(size=5).astype(F32), stride=stride, transposed=True)
+        state = rng.normal(size=(6, 1)).astype(F32)
+        layer = up_layer(w, rng.normal(size=5).astype(F32))
         y, new_state = conv(np.zeros((6, 0), F32), layer, state)
         assert y.shape == (5, 0) and y.dtype == F32
         assert np.array_equal(new_state, state) and not np.shares_memory(new_state, state)
@@ -542,8 +542,8 @@ class TestWeightMajorProducts:
         x = rng.normal(size=(6, 960)).astype(F32)
         w = rng.normal(size=(5, kernel, 6)).astype(F32)
         b = rng.normal(size=5).astype(F32)
-        state = rng.normal(size=(5, stride)).astype(F32)
-        layer = ConvLayer(w, b, stride, transposed=True)
+        state = rng.normal(size=(6, 1)).astype(F32)
+        layer = up_layer(w, b)
         full, full_state = conv(x, layer, state)
         parts, prev = [], 0
         while prev < x.shape[1]:
@@ -581,9 +581,9 @@ class TestWeightMajorProducts:
 
     @pytest.mark.parametrize("t", range(1, kernels.GEMV_MAX_COLS + 2))
     def test_transposed_conv_over_three_gemv_blocks_matches_einsum(self, monkeypatch, t):
-        # the stored (C_out, K, C_in) weight is a (5 * 4, 50) matrix: its 20
-        # rows are cut into blocks of 6, 7 and 7
-        monkeypatch.setattr(kernels, "GEMV_BLOCK", 5 * 4 * 16)
+        # the stored (C_out * 2, C_in, 2) weight is a (10, 100) matrix: its 10
+        # rows are cut into blocks of 3, 3 and 4
+        monkeypatch.setattr(kernels, "GEMV_BLOCK", 10 * 100 // 3)
         _check_transposed_conv(np.random.default_rng(400 + t),
                                t, 50, 5, 2)
 
@@ -677,9 +677,9 @@ class TestWeightMajorProducts:
         assert [w.shape for w in weights if not w.flags.c_contiguous] == []
         shapes = {w.shape for w in weights}
         ups = [layer for layer in model.decoder.cnn.layers
-               if isinstance(layer, ConvLayer) and layer.transposed]
+               if isinstance(layer, ConvLayer) and layer.up > 1]
         assert len(ups) == 4
-        assert all((up.out_ch * up.kernel, up.in_ch) in shapes for up in ups)
+        assert all((up.out_ch * up.up, up.in_ch * up.kernel) in shapes for up in ups)
 
 
 class TestConvTemporaries:

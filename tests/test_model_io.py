@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import REMOVED_CONFIG_KEYS, store_of
+from conftest import REMOVED_CONFIG_KEYS, kernel_major_up_weights, store_of, up_weight
 from tvtsyn.config import (DECODER_STRIDES, LAYER_SCALE, MAX_LOOKAHEAD, MAX_SPAN_SECONDS,
                            ModelConfig, StreamConfig, config_from_text, config_to_text,
                            load_config, small_config)
@@ -427,10 +427,24 @@ class TestRandomInit:
 
     def test_input_major_up_layout_does_not_bind(self, cfg, store, tmp_path):
         # a file written before the up convs were stored output-major: each
-        # up weight transposed back from (out_ch, kernel, in_ch) to
-        # (in_ch, out_ch, kernel)
-        old = store_of({n: store.get(n).transpose(2, 0, 1) if n.endswith(".up.weight")
-                        else store.get(n) for n in store.names()})
+        # up weight in the (in_ch, out_ch, kernel) layout of a transposed conv
+        up = kernel_major_up_weights(store)
+        old = store_of({n: up[n].transpose(2, 0, 1) if n in up else store.get(n)
+                        for n in store.names()})
+        save_weights(old, tmp_path / "old.tvtw")
+        with pytest.raises(ConfigError) as err:
+            TvtSynModel.from_store(load_weights(tmp_path / "old.tvtw"), cfg)
+        message = str(err.value)
+        assert "'decoder.cnn.stage0.up.weight'" in message
+        assert "tvtsyn init-weights --seed N [--config FILE]" in message
+
+    def test_kernel_major_up_layout_does_not_bind(self, cfg, store, tmp_path):
+        # a file written before the up convs were 2-tap convs: each up weight
+        # in the (out_ch, 2 * stride, in_ch) layout of a transposed conv,
+        # which holds as many values as the (out_ch * stride, in_ch, 2) one
+        up = kernel_major_up_weights(store)
+        assert all(np.array_equal(up_weight(up[n]), store.get(n)) for n in up)
+        old = store_of({n: up.get(n, store.get(n)) for n in store.names()})
         save_weights(old, tmp_path / "old.tvtw")
         with pytest.raises(ConfigError) as err:
             TvtSynModel.from_store(load_weights(tmp_path / "old.tvtw"), cfg)
@@ -440,7 +454,7 @@ class TestRandomInit:
 
     def test_wrong_shape_entry_rejected(self, cfg, store):
         name = "decoder.cnn.stage0.up.weight"
-        permuted = store.get(name).transpose(1, 0, 2)  # same size, (kernel, out_ch, in_ch)
+        permuted = store.get(name).transpose(0, 2, 1)  # same size, (out_ch * up, kernel, in_ch)
         assert permuted.shape != store.get(name).shape
         bad = store_of({n: permuted if n == name else store.get(n) for n in store.names()})
         with pytest.raises(ConfigError, match=re.escape(repr(name))):

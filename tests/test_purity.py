@@ -50,14 +50,15 @@ def test_causal_conv_is_pure(t, kernel, stride, dilation):
     snap.assert_not_aliased(y, new_state)
 
 
+# the up convs of a transposed conv of kernel 2 * stride: 2 taps, stride phases
 @pytest.mark.parametrize("t", [1, 3, 960])
 @pytest.mark.parametrize("kernel,stride", [(2, 1), (4, 2), (10, 5), (16, 8)])
 def test_transposed_conv_is_pure(t, kernel, stride):
     rng = np.random.default_rng(t + kernel)
-    x, w, b = _normal(rng, 6, t), _normal(rng, 5, kernel, 6), _normal(rng, 5)
-    state = _normal(rng, 5, stride)
+    x, w, b = _normal(rng, 6, t), _normal(rng, 5 * stride, 6, 2), _normal(rng, 5)
+    state = _normal(rng, 6, 1)
     snap = Snapshot(x, w, b, state)
-    y, new_state = ConvLayer(w, b, stride, transposed=True).apply(x, state)
+    y, new_state = ConvLayer(w, b, up=stride).apply(x, state)
     snap.assert_unchanged()
     snap.assert_not_aliased(y, new_state)
 

@@ -64,13 +64,12 @@ class Reference:
         return x.T
 
     def decoder(self, frames):
-        """conv_in, then per stage: ELU, transposed up conv, res block; then
-        ELU, conv_out, tanh."""
+        """conv_in, then per stage: ELU, up conv (2 taps over frames, s
+        samples per frame), res block; then ELU, conv_out, tanh."""
         cfg, w = self.cfg, self.widths[::-1]
         x = self.conv("decoder.cnn.conv_in", frames.T, cfg.d_model, w[0], FINAL_KERNEL)
         for i, s in enumerate(ENCODER_STRIDES[::-1]):
-            x = self.conv(f"decoder.cnn.stage{i}.up", elu(x), w[i], w[i + 1], 2 * s,
-                          stride=s, transposed=True)
+            x = self.conv(f"decoder.cnn.stage{i}.up", elu(x), w[i], w[i + 1], 2, up=s)
             x = self.res(f"decoder.cnn.stage{i}.res", w[i + 1], x)
         x = self.conv("decoder.cnn.conv_out", elu(x), w[-1], 1, INIT_KERNEL)
         return np.tanh(x[0])
