@@ -29,7 +29,8 @@ RES_DILATION = 2
 # itself (first layer only, within its chunk); MAX_LOOKAHEAD is the default
 LOOKBACK_FRAMES = 100
 MAX_LOOKAHEAD = 4
-# value of every layer-scale vector that random_init draws
+# LayerScale folded into the init: random_init draws each attention layer's
+# o and ffn2 weights at this times the fan-in bound
 LAYER_SCALE = 0.01
 # longest chunk, offline block or utterance, or synthetic bench utterance
 MAX_SPAN_SECONDS = 60.0

@@ -14,6 +14,11 @@ cached entries stay valid as the stream advances. Each head's rotary pairs
 are its adjacent dims (2i, 2i+1): each pass builds one complex64 table for
 its frames, and every layer rotates its q and k together with one complex
 multiply by it.
+
+Each pre-norm layer adds its attention and FFN branches exactly as their
+o and ffn2 products return them: a trained model's per-channel LayerScale
+gains (CaiT, arXiv:2103.17239) are folded into those weights' rows and biases,
+as in structural re-parameterization (RepVGG, arXiv:2101.03697).
 """
 
 from __future__ import annotations
@@ -36,14 +41,12 @@ class AttnLayer:
     bqkv: np.ndarray
     wo: np.ndarray
     bo: np.ndarray
-    ls_attn: np.ndarray
     ln2_g: np.ndarray
     ln2_b: np.ndarray
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    ls_ffn: np.ndarray
 
 
 @dataclass
@@ -73,12 +76,10 @@ class TransformerParams:
                 wqkv=store.get(f"{b}.qkv.weight", (3 * d, d)),
                 bqkv=store.get(f"{b}.qkv.bias", (3 * d,)),
                 wo=store.get(f"{b}.o.weight", (d, d)), bo=store.get(f"{b}.o.bias", (d,)),
-                ls_attn=store.get(f"{b}.ls_attn", (d,)),
                 ln2_g=store.get(f"{b}.ln2.gamma", (d,)),
                 ln2_b=store.get(f"{b}.ln2.beta", (d,)),
                 w1=store.get(f"{b}.ffn1.weight", (f, d)), b1=store.get(f"{b}.ffn1.bias", (f,)),
                 w2=store.get(f"{b}.ffn2.weight", (d, f)), b2=store.get(f"{b}.ffn2.bias", (d,)),
-                ls_ffn=store.get(f"{b}.ls_ffn", (d,)),
             ))
         return cls(
             layers=layers,
@@ -189,12 +190,9 @@ def _block(x, layer, params: TransformerParams, rope, allowed, kv, owned: bool):
         keys[:, slots] = k.transpose(1, 0, 2)
         values[:, slots] = v.transpose(1, 0, 2)
     a = linear(_attend(q, keys, values, allowed).reshape(t, d), layer.wo, layer.bo)
-    a *= layer.ls_attn
     x = np.add(x, a, out=x if owned else None)
-    f = mlp(layer_norm(x, layer.ln2_g, layer.ln2_b), layer.w1, layer.b1, layer.w2, layer.b2)
-    f *= layer.ls_ffn
-    x += f
-    return x.astype(F32, copy=False)
+    x += mlp(layer_norm(x, layer.ln2_g, layer.ln2_b), layer.w1, layer.b1, layer.w2, layer.b2)
+    return x
 
 
 def _stack(x, params: TransformerParams, lookahead: int, block_frames, cache: KvCache | None):

@@ -63,7 +63,7 @@ def cln_fuse(x, s, p: ClnFusionParams):
     np.multiply(gamma, nx, out=fused[:, :d])
     fused[:, :d] += beta
     np.multiply(sigmoid(film[:, 2 * d:]), ns, out=fused[:, d:])
-    return linear(fused, p.proj_w, p.proj_b).astype(F32, copy=False)
+    return linear(fused, p.proj_w, p.proj_b)
 
 
 class DecoderCnn(SeanetCnn):

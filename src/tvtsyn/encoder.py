@@ -23,18 +23,20 @@ def encoder_stage_widths(cfg: ModelConfig):
 @dataclass
 class ResBlock:
     """conv(k, dilated) -> ELU -> conv(1x1) -> true skip. The 1x1 conv reads
-    no earlier input, so it runs as the one product it is, and the block's
-    state is conv1's."""
+    no earlier input, so it is stored as the (width, width) matrix `w2` it is
+    multiplied as, with its bias `b2`, and the block's state is conv1's."""
 
     conv1: ConvLayer
-    conv2: ConvLayer
+    w2: np.ndarray
+    b2: np.ndarray
 
     @classmethod
     def from_store(cls, store, prefix, width):
         return cls(
             conv1=ConvLayer.from_store(store, f"{prefix}.conv1", width, width, RES_KERNEL,
                                        dilation=RES_DILATION),
-            conv2=ConvLayer.from_store(store, f"{prefix}.conv2", width, width, 1),
+            w2=store.get(f"{prefix}.conv2.weight", (width, width)),
+            b2=store.get(f"{prefix}.conv2.bias", (width,)),
         )
 
     def init_state(self):
@@ -42,9 +44,8 @@ class ResBlock:
 
     def apply(self, x, state):
         h, state = self.conv1.apply(x, state)
-        conv2 = self.conv2
-        y = weight_product(conv2.weight.reshape(conv2.out_ch, conv2.in_ch), elu(h))
-        y += conv2.bias[:, None]
+        y = weight_product(self.w2, elu(h))
+        y += self.b2[:, None]
         return np.add(x, y, out=y), state
 
 
@@ -151,8 +152,7 @@ def vq_quantize(frames, vq: VqParams):
         raise InputError("the encoder gave non-finite VQ latents from finite input; "
                          "check the weight file for NaN or inf values")
     idx = vq_nearest(z, vq)
-    out = linear(vq.codebook[idx], vq.proj_up)
-    return out.astype(F32, copy=False), idx
+    return linear(vq.codebook[idx], vq.proj_up), idx
 
 
 @dataclass

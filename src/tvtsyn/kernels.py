@@ -37,8 +37,8 @@ Conventions:
     (low-memory GEMM convolution, Anderson et al., arXiv:1709.03395): it
     builds im2col columns IM2COL_BLOCK elements at a time in one buffer and
     issues one weight product per block. A 1x1 conv carries none, so the
-    model's one (a residual block's second conv) is a plain weight product
-    of its (out, in) matrix.
+    model has no 1-tap ConvLayer: a residual block stores its second conv
+    as the (out, in) matrix it is multiplied as.
   - the SEANet up conv, a transposed conv of kernel 2*stride, is that
     kernel's 2-tap conv over frames with `up` = stride output phases per
     channel: its stored (out_ch*up, in_ch, 2) weight's row c*up + j holds
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_int
-from .errors import ConfigError, InternalError
+from .errors import ConfigError, InputError, InternalError
 
 F32 = np.float32
 
@@ -244,11 +244,16 @@ def mlp(x, w1, b1, w2, b2):
 
 
 def layer_norm(x, gamma, beta):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine. A row
+    whose float32 variance overflows (values past about 1e19, which only a
+    corrupt weight file gives) is an InputError, not a row of zeros."""
     if gamma.shape[-1] != x.shape[-1] or beta.shape[-1] != x.shape[-1]:
         raise ConfigError("layer_norm affine shape mismatch")
-    d = x - _mean_last(x)
-    var = _mean_last(np.square(d))
+    with np.errstate(over="ignore"):  # checked below
+        d = x - _mean_last(x)
+        var = _mean_last(np.square(d))
+    if np.isinf(var).any():
+        raise InputError("layer norm input overflows float32: check the weight file")
     var += F32(1e-5)
     d /= np.sqrt(var, out=var)
     d *= gamma
@@ -324,4 +329,4 @@ def rope_cos_sin(positions, dim):
 
 def l2_normalize_rows(x):
     n = np.sqrt(np.sum(np.square(x), axis=-1, keepdims=True))
-    return (x / np.maximum(n, 1e-12)).astype(F32, copy=False)
+    return x / np.maximum(n, F32(1e-12))

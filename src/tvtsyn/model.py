@@ -22,7 +22,7 @@ from .encoder import EncoderParams, encode_frames, vq_quantize
 from .errors import ConfigError, InputError
 from .prosody import MAX_F0_SCALE, ProsodyParams, predict_f0_energy
 from .timbre import TvtParams, build_gtm, tvt_sequence
-from .weights import WeightStore
+from .weights import REGENERATE, WeightStore
 
 
 @dataclass
@@ -46,7 +46,7 @@ class TvtSynModel:
         unknown = [name for name in store.names() if name not in source.taken]
         if unknown:
             raise ConfigError(f"weight store has {len(unknown)} unknown entries, "
-                              f"first: {unknown[:3]}")
+                              f"first: {unknown[:3]}; {REGENERATE}")
         return model
 
     @classmethod
@@ -95,8 +95,6 @@ def random_init(seed: int, cfg: ModelConfig) -> WeightStore:
             return np.zeros(shape)
         if leaf in ("gamma", "scale"):
             return np.ones(shape)
-        if leaf.startswith("ls_"):
-            return np.full(shape, LAYER_SCALE)
         if leaf.endswith("_prior"):
             return rng.normal(0.0, 0.02, size=shape)
         if leaf == "codebook":
@@ -105,15 +103,16 @@ def random_init(seed: int, cfg: ModelConfig) -> WeightStore:
         if name == "encoder.vq.proj_down.weight":
             return np.linalg.pinv(store.get("encoder.vq.proj_up.weight").astype(np.float64))
         bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+        if name.endswith((".o.weight", ".ffn2.weight")):  # a residual branch's output
+            bound *= LAYER_SCALE
         return rng.uniform(-bound, bound, size=shape)
 
     TvtSynModel._bind(_Source(store, draw), cfg)
     return store
 
 
-# largest sample magnitude accepted: int16 full scale, far above the [-1, 1)
-# of a PCM WAV. Much larger samples overflow layer_norm's float32 square (from
-# about 1e25) and normalize the frames to 0, a wrong output that stays finite.
+# largest sample magnitude accepted: int16 full scale, far above the [-1, 1) of a
+# PCM WAV; from about 1e25 samples overflow layer_norm's float32 square
 MAX_SAMPLE = 32768.0
 
 

@@ -13,9 +13,8 @@ from .kernels import F32, ConvLayer, linear, relu
 from .weights import WeightStore
 
 # The f0 scale is a pitch ratio. Human voices span about 50 Hz to 1.1 kHz, under
-# 4.5 octaves, so five octaves (32x) bounds any real conversion. Far larger
-# scales let the injected f0 column swamp the decoder's features until
-# layer_norm's square overflows (near 1e30) and the frames normalize to 0.
+# 4.5 octaves, so five octaves (32x) bounds any real conversion; far larger
+# scales swamp the decoder's features until layer_norm's square overflows.
 MAX_F0_SCALE = 32.0
 
 

@@ -104,8 +104,7 @@ def build_gtm(g, params: TvtParams) -> GtmMemory:
     g = check_global_timbre(g, params.g_proj_w.shape[1])
     keys = mlp(g, *params.mlp_k).reshape(params.n_slots, params.attn_dim) + params.key_prior
     values = mlp(g, *params.mlp_v).reshape(params.n_slots, params.timbre_dim) + params.value_prior
-    return GtmMemory(keys=keys.astype(F32), values=values.astype(F32),
-                     g_hat=project_global(g, params))
+    return GtmMemory(keys=keys, values=values, g_hat=project_global(g, params))
 
 
 def project_global(g, params: TvtParams):
@@ -118,7 +117,7 @@ def retrieve_facet(content, gtm: GtmMemory, params: TvtParams):
     q = linear(content, params.query_w, params.query_b)
     scores = (q @ gtm.keys.T) * F32(1.0 / np.sqrt(params.attn_dim))
     w = masked_softmax(scores)
-    return (w @ gtm.values).astype(F32, copy=False), w.astype(F32, copy=False)
+    return w @ gtm.values, w
 
 
 def gate_alpha(content, facet, g_hat, params: TvtParams):
@@ -197,5 +196,4 @@ def tvt_sequence(content, g, gtm: GtmMemory, params: TvtParams):
     """
     facets, weights = retrieve_facet(content, gtm, params)
     alpha = gate_alpha(content, facets, gtm.g_hat, params)
-    s = slerp(gtm.g_hat, facets, alpha)
-    return (s * params.scale[0]).astype(F32), weights, alpha
+    return slerp(gtm.g_hat, facets, alpha) * params.scale[0], weights, alpha

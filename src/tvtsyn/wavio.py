@@ -41,8 +41,7 @@ def read_wav(path, max_seconds=None) -> np.ndarray:
     if len(raw) != n * width:
         raise InputError(f"{path}: truncated data chunk: {len(raw)} bytes for {n} frames "
                          f"of {width} bytes")
-    ints = np.frombuffer(raw, dtype="<i2")
-    return (ints.astype(F32) / F32(32768.0)).astype(F32)
+    return np.divide(np.frombuffer(raw, dtype="<i2"), F32(32768.0), dtype=F32)
 
 
 def write_wav(path, samples):

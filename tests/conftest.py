@@ -102,6 +102,22 @@ def kernel_major_up_weights(store):
     return old
 
 
+def with_layer_scales(store):
+    """`store` (name -> array) with the LayerScale entries files held before
+    the gains were folded into the o and ffn2 weights: `ls_attn` after each
+    attention layer's `o.bias` and `ls_ffn` after its `ffn2.bias`, each a
+    (d_model,) vector of LAYER_SCALE."""
+    from tvtsyn.config import LAYER_SCALE
+
+    old = {}
+    for name in store.names():
+        old[name] = store.get(name)
+        for bias, scale in ((".o.bias", ".ls_attn"), (".ffn2.bias", ".ls_ffn")):
+            if name.endswith(bias):
+                old[name[:-len(bias)] + scale] = np.full(old[name].shape, LAYER_SCALE)
+    return old
+
+
 def pin_gate(monkeypatch, alpha):
     """Make `tvt_sequence` use gate value `alpha` on every frame
     (0 = static speaker, 1 = pure facet path)."""

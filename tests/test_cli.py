@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import (NAN_ENCODER_WEIGHTS, REMOVED_CONFIG_KEYS, kernel_major_up_weights,
-                      random_wave, store_of)
+                      random_wave, store_of, with_layer_scales)
 from tvtsyn import cli, wavio
 from tvtsyn import model as model_mod
 from tvtsyn.cli import run
@@ -223,6 +223,20 @@ class TestUnboundWeights:
         assert code == 2 and not (tmp_path / "x.wav").exists()
         err = capsys.readouterr().err
         assert err.startswith("configuration error: weight 'decoder.cnn.stage0.up.weight'")
+        assert "tvtsyn init-weights --seed N [--config FILE]" in err
+
+    def test_layer_scale_layout_is_config_error(self, workdir, tmp_path, capsys):
+        # a file written before LayerScale was folded into the o and ffn2
+        # weights: each attention layer also held ls_attn and ls_ffn
+        old = tmp_path / "old_ls.tvtw"
+        save_weights(store_of(with_layer_scales(load_weights(workdir / "w.tvtw"))), old)
+        code = run(["synth", "--weights", str(old),
+                    "--config", str(workdir / "model.cfg"), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav")])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: weight store has ")
+        assert "'encoder.attn.layer0.ls_attn'" in err
         assert "tvtsyn init-weights --seed N [--config FILE]" in err
 
     def test_separate_cln_generators_layout_is_config_error(self, workdir, cfg, tmp_path,

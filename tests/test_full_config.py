@@ -5,8 +5,9 @@ synthesizes, and streams consistently with the offline pass.
 import numpy as np
 import pytest
 
-from conftest import check_state_only_where_memory, random_wave
+from conftest import check_state_only_where_memory, random_wave, store_of, with_layer_scales
 from tvtsyn.config import ModelConfig, StreamConfig
+from tvtsyn.errors import ConfigError
 from tvtsyn.model import TvtSynModel, random_init, synthesize
 from tvtsyn.streaming import open_session
 
@@ -14,9 +15,13 @@ F32 = np.float32
 
 
 @pytest.fixture(scope="module")
-def full_model():
-    cfg = ModelConfig()
-    return TvtSynModel.from_store(random_init(0, cfg), cfg)
+def full_store():
+    return random_init(0, ModelConfig())
+
+
+@pytest.fixture(scope="module")
+def full_model(full_store):
+    return TvtSynModel.from_store(full_store, ModelConfig())
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +51,16 @@ def test_full_config_streams_and_matches_offline(full_model, full_speaker):
 def test_full_config_state_only_where_memory(monkeypatch, full_model, full_speaker):
     session = check_state_only_where_memory(monkeypatch, full_model, full_speaker)
     assert session.state_nbytes() == 6_869_000
+
+
+def test_full_config_layer_scale_file_does_not_bind(full_store):
+    # the 32 LayerScale vectors a file held before they were folded into the
+    # o and ffn2 weights are unknown entries, and the error says what to do
+    old = store_of(with_layer_scales(full_store))
+    assert len(old) - len(full_store) == 32
+    with pytest.raises(ConfigError) as err:
+        TvtSynModel.from_store(old, ModelConfig())
+    message = str(err.value)
+    assert message.startswith("weight store has 32 unknown entries, first: "
+                              "['encoder.attn.layer0.ls_attn', ")
+    assert "tvtsyn init-weights --seed N [--config FILE]" in message

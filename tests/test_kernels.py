@@ -12,7 +12,7 @@ from conftest import random_wave, up_weight
 from tvtsyn import kernels
 from tvtsyn.config import StreamConfig
 from tvtsyn.context import _attend, band_mask
-from tvtsyn.errors import ConfigError, InternalError
+from tvtsyn.errors import ConfigError, InputError, InternalError
 from tvtsyn.kernels import ConvLayer, layer_norm, rope_cos_sin
 from tvtsyn.kernels import elu, linear, sigmoid
 from tvtsyn.model import synthesize
@@ -289,6 +289,15 @@ class TestLayerNorm:
         y = layer_norm(x, np.ones(64, F32), np.zeros(64, F32))
         np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-6)
         np.testing.assert_allclose(y.var(axis=1), 1.0, atol=1e-3)
+
+    @pytest.mark.parametrize("big", [1e20, 1e35, -3e38])
+    def test_row_whose_variance_overflows_is_input_error(self, big):
+        # finite, but its square is past float32: a warning and a row of
+        # zeros otherwise
+        x = np.ones((3, 64), F32)
+        x[1, 5] = big
+        with pytest.raises(InputError, match="layer norm input overflows float32"):
+            layer_norm(x, np.ones(64, F32), np.zeros(64, F32))
 
 
 def sdpa(q, k, v, allowed=None):

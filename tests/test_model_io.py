@@ -11,7 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import REMOVED_CONFIG_KEYS, kernel_major_up_weights, store_of, up_weight
+from conftest import (REMOVED_CONFIG_KEYS, kernel_major_up_weights, store_of, up_weight,
+                      with_layer_scales)
 from tvtsyn.config import (DECODER_STRIDES, LAYER_SCALE, MAX_LOOKAHEAD, MAX_SPAN_SECONDS,
                            ModelConfig, StreamConfig, config_from_text, config_to_text,
                            load_config, small_config)
@@ -393,7 +394,13 @@ class TestRandomInit:
         np.testing.assert_allclose(np.linalg.norm(cb, axis=1), 1.0, atol=1e-6)
 
     def test_layer_scale_value(self, store):
-        assert np.all(store.get("encoder.attn.layer0.ls_attn") == np.float32(LAYER_SCALE))
+        # LayerScale is folded into each residual branch's output projection:
+        # o and ffn2 are drawn at LAYER_SCALE times the fan-in bound
+        assert not [n for n in store.names() if ".ls_" in n]
+        for name in ("encoder.attn.layer0.o.weight", "decoder.attn.layer1.ffn2.weight"):
+            arr = store.get(name)
+            bound = LAYER_SCALE / np.sqrt(arr.shape[1])
+            assert 0.9 * bound < np.abs(arr).max() <= np.float32(bound), name
 
     def test_registry_covers_model_exactly(self, cfg, store, model):
         # from_store validates exact coverage; extra entries must be rejected
@@ -423,6 +430,17 @@ class TestRandomInit:
             TvtSynModel.from_store(load_weights(tmp_path / "old.tvtw"), cfg)
         message = str(err.value)
         assert "qkv.weight" in message
+        assert "tvtsyn init-weights --seed N [--config FILE]" in message
+
+    def test_layer_scale_layout_does_not_bind(self, cfg, store, tmp_path):
+        # a file written before LayerScale was folded into the o and ffn2
+        # weights: a current store plus each layer's ls_attn and ls_ffn entry
+        save_weights(store_of(with_layer_scales(store)), tmp_path / "old.tvtw")
+        with pytest.raises(ConfigError) as err:
+            TvtSynModel.from_store(load_weights(tmp_path / "old.tvtw"), cfg)
+        message = str(err.value)
+        assert f"has {4 * cfg.n_layers} unknown entries" in message
+        assert "'encoder.attn.layer0.ls_attn'" in message
         assert "tvtsyn init-weights --seed N [--config FILE]" in message
 
     def test_input_major_up_layout_does_not_bind(self, cfg, store, tmp_path):
@@ -468,8 +486,9 @@ class TestRandomInit:
                 assert np.all(arr == 0), name
             elif leaf in ("gamma", "scale"):
                 assert np.all(arr == 1), name
-            elif leaf.startswith("ls_"):
-                assert np.all(arr == np.float32(LAYER_SCALE)), name
+            elif name.endswith((".o.weight", ".ffn2.weight")):
+                bound = LAYER_SCALE / np.sqrt(arr.shape[1])
+                assert 0.9 * bound < np.abs(arr).max() <= np.float32(bound), name
             elif leaf.endswith("_prior"):
                 assert abs(arr.std() / 0.02 - 1.0) <= 0.2, name
             elif leaf == "codebook":
@@ -713,17 +732,20 @@ class TestBudget:
         assert abs(full_budget["total"] / 86.0e6 - 1.0) <= 0.15
 
     def test_full_config_budget_unchanged_by_fused_qkv(self, full_budget):
-        # the counts of the separate q/k/v and gamma/beta/gate layouts
-        assert full_budget == {"encoder": 38_879_104, "decoder": 50_262_341,
-                               "total": 89_141_445}
+        # the counts of the separate q/k/v and gamma/beta/gate layouts, less
+        # the 32 (512,) LayerScale vectors folded into the o and ffn2 weights
+        assert full_budget == {"encoder": 38_870_912, "decoder": 50_254_149,
+                               "total": 89_125_061}
 
     def test_full_config_holds_one_qkv_per_attention_layer(self, full_shapes):
         # 16 attention layers, each with one (3 * d_model, d_model) q/k/v weight
         # and its bias where the separate layout held six entries: 408 -> 344;
         # each of the 2 cLNs holds one FiLM weight and bias where the separate
         # gamma/beta/gate generators held six entries: 344 -> 336; the prosody
-        # predictors share one first conv and bias where they held four: 336 -> 334
-        assert len(full_shapes) == 334
+        # predictors share one first conv and bias where they held four: 336 -> 334;
+        # the 32 LayerScale vectors are folded into the o and ffn2 weights: 334 -> 302
+        assert len(full_shapes) == 302
+        assert not [n for n in full_shapes if ".ls_" in n]
         qkv = {n: s for n, s in full_shapes.items() if n.endswith(".qkv.weight")}
         assert len(qkv) == 16 and set(qkv.values()) == {(1536, 512)}
         assert not [n for n in full_shapes if re.search(r"\.[qkv]\.", n)]

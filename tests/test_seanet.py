@@ -49,7 +49,10 @@ class Reference:
 
     def res(self, name, width, x):
         h = self.conv(f"{name}.conv1", x, width, width, RES_KERNEL, dilation=RES_DILATION)
-        h = self.conv(f"{name}.conv2", elu(h), width, width, 1)
+        # the 1x1 conv is stored as its (width, width) matrix; run it as a conv
+        conv2 = ConvLayer(self.store.get(f"{name}.conv2.weight", (width, width))[:, :, None],
+                          self.store.get(f"{name}.conv2.bias", (width,)))
+        h, _ = conv2.apply(elu(h), conv2.init_state())
         return x + h
 
     def encoder(self, wave):

@@ -2,11 +2,15 @@
 state semantics, lifecycle rules, determinism, isolation, and memory bounds.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import (NAN_ENCODER_WEIGHTS, check_state_only_where_memory, conv_states,
                       random_wave, store_of)
+from tvtsyn import decoder, encoder, streaming, timbre
+from tvtsyn import model as model_mod
 from tvtsyn.config import SAMPLE_RATE, StreamConfig
 from tvtsyn.errors import ConfigError, InputError, StateError
 from tvtsyn.model import MAX_SAMPLE, TvtSynModel, as_wave, synthesize
@@ -266,6 +270,20 @@ class TestNonFiniteWeights:
             s.flush()
 
 
+def test_huge_attention_weight_is_input_error(cfg, store, speaker):
+    # one exponent bit flipped in a stored ffn2 weight: the residual stream
+    # grows past what layer_norm can square in float32
+    name = "decoder.attn.layer1.ffn2.weight"
+    w = store.get(name).copy()
+    w.flat[0] = 1.25e35
+    model = TvtSynModel.from_store(
+        store_of({n: w if n == name else store.get(n) for n in store.names()}), cfg)
+    with pytest.raises(InputError, match="layer norm input overflows float32"):
+        synthesize(model, random_wave(54, 960 * 2), speaker)
+    with pytest.raises(InputError, match="layer norm input overflows float32"):
+        open_session(model, StreamConfig(chunk_ms=60), speaker).feed(random_wave(55, 960))
+
+
 class TestFailedFeed:
     """An error after a feed's checks may have moved some state and not the
     rest, so it ends the session: every later feed and flush is a StateError
@@ -523,3 +541,59 @@ class TestSessionSchedule:
             check_replay(i)
             assert wraps[i] >= 5
         assert {(kind, False) for kind in kinds} | {("feed", True)} <= seen
+
+
+def _arrays(value):
+    """The arrays in a stage's return value: through tuples, lists and dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+# every stage each entry point runs, where its caller looks it up
+STAGES = {
+    "synthesize": [(model_mod, name) for name in (
+        "build_gtm", "encode_frames", "vq_quantize", "tvt_sequence", "predict_f0_energy",
+        "decode_context", "synthesize_wave")],
+    "feed": [(streaming, name) for name in (
+        "build_gtm", "encode_frames", "vq_quantize", "tvt_sequence", "predict_f0_energy",
+        "decode_context", "cln_fuse")],
+}
+INNER_STAGES = [(encoder, "vq_latents"), (encoder, "l2_normalize_rows"),
+                (timbre, "l2_normalize_rows"), (timbre, "retrieve_facet"),
+                (timbre, "gate_alpha"), (timbre, "slerp"), (decoder, "cln_fuse"),
+                (decoder, "inject_prosody"), (encoder.EncoderCnn, "apply"),
+                (decoder.DecoderCnn, "apply")]
+
+
+@pytest.mark.parametrize("entry", list(STAGES))
+def test_every_stage_output_is_float32(monkeypatch, model, speaker, entry):
+    # every float the pipeline hands from stage to stage is float32 without a
+    # cast: a float64 leak (e.g. from a numpy promotion rule) fails here
+    outputs = []
+    for owner, name in STAGES[entry] + INNER_STAGES:
+        real = vars(owner)[name]
+
+        def spy(*args, _real=real, _name=f"{owner.__name__}.{name}", **kwargs):
+            out = _real(*args, **kwargs)
+            outputs.append((_name, out))
+            return out
+
+        monkeypatch.setattr(owner, name, spy)
+    if entry == "synthesize":
+        final = synthesize(model, random_wave(50, 960 * 3), speaker)
+    else:
+        session = open_session(model, StreamConfig(chunk_ms=60), speaker)
+        final = [session.feed(random_wave(51 + k, 960)) for k in range(2)]
+    seen = {name for name, _ in outputs}
+    assert seen == {f"{owner.__name__}.{name}" for owner, name in STAGES[entry] + INNER_STAGES}
+    for name, out in [*outputs, (entry, final)]:
+        for arr in _arrays(out):
+            # the VQ code indices are the one integer output
+            assert arr.dtype == np.float32 or (name.endswith(".vq_quantize")
+                                               and arr.dtype.kind == "i"), (name, arr.dtype)

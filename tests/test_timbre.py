@@ -203,9 +203,9 @@ class TestSlerp:
         # pairs at angle delta or pi - delta: the midpoint stays in the plane of
         # a and b at half their angle (an endpoint perturbation left it 0.78 off)
         rng = np.random.default_rng(3)
-        a = l2_normalize_rows(rng.normal(0, 1, (2000, 192)))
+        a = l2_normalize_rows(rng.normal(0, 1, (2000, 192))).astype(F32)
         w = rng.normal(0, 1, (2000, 192))
-        w = l2_normalize_rows(w - np.sum(w * a, axis=1, keepdims=True) * a)
+        w = l2_normalize_rows(w - np.sum(w * a, axis=1, keepdims=True) * a).astype(F32)
         theta = np.pi - delta if antipodal else delta
         b = (np.cos(theta) * a.astype(np.float64) + np.sin(theta) * w).astype(F32)
         s = slerp(a, b, 0.5).astype(np.float64)
