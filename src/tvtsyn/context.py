@@ -15,10 +15,12 @@ are its adjacent dims (2i, 2i+1): each pass builds one complex64 table for
 its frames, and every layer rotates its q and k together with one complex
 multiply by it.
 
-Each pre-norm layer adds its attention and FFN branches exactly as their
-o and ffn2 products return them: a trained model's per-channel LayerScale
-gains (CaiT, arXiv:2103.17239) are folded into those weights' rows and biases,
-as in structural re-parameterization (RepVGG, arXiv:2101.03697).
+Weights are stored in the form the layer multiplies (structural
+re-parameterization, RepVGG, arXiv:2101.03697): each pre-norm's affine (g, b)
+is folded into the qkv or ffn1 product (W, c) it feeds, W' = W diag(g) and
+c' = c + W b, as SliceGPT folds LayerNorm scales, and a trained LayerScale
+(CaiT, arXiv:2103.17239) into the o and ffn2 rows and biases. So a layer
+normalizes with no affine and adds each branch as its product returns it.
 """
 
 from __future__ import annotations
@@ -29,20 +31,16 @@ import numpy as np
 
 from .config import LOOKBACK_FRAMES
 from .errors import ConfigError, InternalError
-from .kernels import F32, layer_norm, linear, masked_softmax, mlp, rope_cos_sin
+from .kernels import F32, layer_norm, linear, masked_softmax, mlp, normalize, rope_cos_sin
 from .weights import WeightStore
 
 
 @dataclass
 class AttnLayer:
-    ln1_g: np.ndarray
-    ln1_b: np.ndarray
     wqkv: np.ndarray
     bqkv: np.ndarray
     wo: np.ndarray
     bo: np.ndarray
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -71,13 +69,9 @@ class TransformerParams:
         for i in range(cfg.n_layers):
             b = f"{prefix}.layer{i}"
             layers.append(AttnLayer(
-                ln1_g=store.get(f"{b}.ln1.gamma", (d,)),
-                ln1_b=store.get(f"{b}.ln1.beta", (d,)),
                 wqkv=store.get(f"{b}.qkv.weight", (3 * d, d)),
                 bqkv=store.get(f"{b}.qkv.bias", (3 * d,)),
                 wo=store.get(f"{b}.o.weight", (d, d)), bo=store.get(f"{b}.o.bias", (d,)),
-                ln2_g=store.get(f"{b}.ln2.gamma", (d,)),
-                ln2_b=store.get(f"{b}.ln2.beta", (d,)),
                 w1=store.get(f"{b}.ffn1.weight", (f, d)), b1=store.get(f"{b}.ffn1.bias", (f,)),
                 w2=store.get(f"{b}.ffn2.weight", (d, f)), b2=store.get(f"{b}.ffn2.bias", (d,)),
             ))
@@ -172,7 +166,7 @@ def _block(x, layer, params: TransformerParams, rope, allowed, kv, owned: bool):
     own written at the ring slots `slots` first. The residual sums go into x
     itself when the caller `owned` it.
     """
-    h = layer_norm(x, layer.ln1_g, layer.ln1_b)
+    h = normalize(x)
     t, d = x.shape
     # (T, 3 * d_model) as (T, q/k/v, heads, head_dim), sliced as views
     qkv = linear(h, layer.wqkv, layer.bqkv).reshape(t, 3, params.n_heads, -1)
@@ -191,7 +185,7 @@ def _block(x, layer, params: TransformerParams, rope, allowed, kv, owned: bool):
         values[:, slots] = v.transpose(1, 0, 2)
     a = linear(_attend(q, keys, values, allowed).reshape(t, d), layer.wo, layer.bo)
     x = np.add(x, a, out=x if owned else None)
-    x += mlp(layer_norm(x, layer.ln2_g, layer.ln2_b), layer.w1, layer.b1, layer.w2, layer.b2)
+    x += mlp(normalize(x), layer.w1, layer.b1, layer.w2, layer.b2)
     return x
 
 

@@ -12,7 +12,7 @@ from .config import DECODER_STRIDES, FINAL_KERNEL, INIT_KERNEL, ModelConfig
 from .context import TransformerParams, transformer_full, transformer_step
 from .encoder import ResBlock, SeanetCnn, encoder_stage_widths
 from .errors import InputError
-from .kernels import F32, ConvLayer, layer_norm, linear, sigmoid
+from .kernels import F32, ConvLayer, layer_norm, linear, normalize, sigmoid
 from .prosody import inject_prosody
 from .weights import WeightStore
 
@@ -22,11 +22,12 @@ class ClnFusionParams:
     """Conditional layer norm with fusion:
     y = Proj((1 + gamma_t) * Norm(x_t) + beta_t || sigmoid(g_t) * Norm(s_t)),
     gamma_t, beta_t and g_t one FiLM product of s_t: the rows of `film_w` are
-    gamma's d_model, then beta's d_model, then g's timbre_dim.
+    gamma's d_model, then beta's d_model, then g's timbre_dim. Norm(x_t) has
+    no affine: a trained ln_x (g, b) is folded into the FiLM rows, W_gamma' =
+    diag(g) W_gamma, b_gamma' = g (1 + b_gamma) - 1, W_beta' = W_beta + diag(b)
+    W_gamma and b_beta' = b_beta + b (1 + b_gamma); the gate rows stay.
     """
 
-    ln_x_g: np.ndarray
-    ln_x_b: np.ndarray
     ln_s_g: np.ndarray
     ln_s_b: np.ndarray
     film_w: np.ndarray
@@ -38,8 +39,6 @@ class ClnFusionParams:
     def from_store(cls, store, prefix, cfg: ModelConfig):
         d, s = cfg.d_model, cfg.timbre_dim
         return cls(
-            ln_x_g=store.get(f"{prefix}.ln_x.gamma", (d,)),
-            ln_x_b=store.get(f"{prefix}.ln_x.beta", (d,)),
             ln_s_g=store.get(f"{prefix}.ln_s.gamma", (s,)),
             ln_s_b=store.get(f"{prefix}.ln_s.beta", (s,)),
             film_w=store.get(f"{prefix}.film.weight", (2 * d + s, s)),
@@ -53,7 +52,7 @@ def cln_fuse(x, s, p: ClnFusionParams):
     """Condition content frames (T, d_model) on timbre frames (T, timbre_dim)."""
     if x.shape[0] != s.shape[0]:
         raise InputError(f"content/timbre frame counts differ: {x.shape[0]} vs {s.shape[0]}")
-    nx = layer_norm(x, p.ln_x_g, p.ln_x_b)
+    nx = normalize(x)
     ns = layer_norm(s, p.ln_s_g, p.ln_s_b)
     d = nx.shape[1]
     film = linear(s, p.film_w, p.film_b)
@@ -81,9 +80,12 @@ class DecoderCnn(SeanetCnn):
         return cls(layers)
 
     def apply(self, frames, states=None):
-        """Conditioned frames (T, d_model) -> ((T*320,) samples, states)."""
+        """Conditioned frames (T, d_model) -> ((T*320,) samples, states). A NaN
+        pre-tanh sample, or one past sqrt(float32 max), is an InputError."""
         x, states = self.run(np.ascontiguousarray(frames.T), states)
         wave = x[0]
+        if not (np.abs(wave) <= F32(1.8e19)).all():
+            raise InputError("decoder CNN output is NaN or past 1.8e19: check the weight file")
         return np.tanh(wave, out=wave), states
 
 

@@ -169,17 +169,15 @@ def _causal_conv(x, layer, state):
     y = np.empty((w.shape[0], t_out), dtype=F32)
     for j0 in range(0, t_out, block):
         n = min(block, t_out - j0)
-        # window of [state | x] from column j0*stride that output columns
-        # j0..j0+n-1 read; only a window that reaches into the state is copied
-        lo, span = j0 * s, (n - 1) * s + 1
-        if lo >= pad:
-            win = x[:, lo - pad:lo + span]
-        else:
-            win = np.concatenate([state[:, lo:], x[:, :lo + span]], axis=1)
-        # cols[c, k, j] = win[c, j*stride + k*dilation]
+        # cols[c, k, j] = [state | x][c, (j0 + j)*stride + k*dilation]: tap k reads
+        # x's columns c0, c0 + stride, ..., the first m of them left of x, in state
         cols = buf[:rows * n].reshape(layer.in_ch, layer.kernel, n)
         for k in range(layer.kernel):
-            cols[:, k] = win[:, k * d:k * d + span:s]
+            c0 = j0 * s + k * d - pad
+            m = min(n, max(0, -(c0 // s)))
+            if m:
+                cols[:, k, :m] = state[:, pad + c0:pad + c0 + m * s:s]
+            cols[:, k, m:] = x[:, c0 + m * s:c0 + n * s:s]
         weight_product(w, cols.reshape(rows, n), out=y[:, j0:j0 + n])
     # the last (kernel-1)*dilation columns of [state | x]
     new_state = np.concatenate([state[:, t_in:], x[:, max(t_in - pad, 0):]], axis=1)
@@ -243,12 +241,10 @@ def mlp(x, w1, b1, w2, b2):
     return linear(elu(h), w2, b2)
 
 
-def layer_norm(x, gamma, beta):
-    """Normalize the last axis to zero mean / unit variance, then affine. A row
+def normalize(x):
+    """Normalize the last axis to zero mean / unit variance, no affine. A row
     whose float32 variance overflows (values past about 1e19, which only a
     corrupt weight file gives) is an InputError, not a row of zeros."""
-    if gamma.shape[-1] != x.shape[-1] or beta.shape[-1] != x.shape[-1]:
-        raise ConfigError("layer_norm affine shape mismatch")
     with np.errstate(over="ignore"):  # checked below
         d = x - _mean_last(x)
         var = _mean_last(np.square(d))
@@ -256,6 +252,14 @@ def layer_norm(x, gamma, beta):
         raise InputError("layer norm input overflows float32: check the weight file")
     var += F32(1e-5)
     d /= np.sqrt(var, out=var)
+    return d
+
+
+def layer_norm(x, gamma, beta):
+    """normalize, then the affine: for a norm that no product follows."""
+    if gamma.shape[-1] != x.shape[-1] or beta.shape[-1] != x.shape[-1]:
+        raise ConfigError("layer_norm affine shape mismatch")
+    d = normalize(x)
     d *= gamma
     d += beta
     return d

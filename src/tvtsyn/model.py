@@ -112,7 +112,7 @@ def random_init(seed: int, cfg: ModelConfig) -> WeightStore:
 
 
 # largest sample magnitude accepted: int16 full scale, far above the [-1, 1) of a
-# PCM WAV; from about 1e25 samples overflow layer_norm's float32 square
+# PCM WAV; from about 1e25 samples overflow normalize's float32 square
 MAX_SAMPLE = 32768.0
 
 

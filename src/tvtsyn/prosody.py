@@ -14,7 +14,7 @@ from .weights import WeightStore
 
 # The f0 scale is a pitch ratio. Human voices span about 50 Hz to 1.1 kHz, under
 # 4.5 octaves, so five octaves (32x) bounds any real conversion; far larger
-# scales swamp the decoder's features until layer_norm's square overflows.
+# scales swamp the decoder's features until normalize's square overflows.
 MAX_F0_SCALE = 32.0
 
 

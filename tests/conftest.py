@@ -118,6 +118,52 @@ def with_layer_scales(store):
     return old
 
 
+def with_pre_norm_affines(store, d_model):
+    """`store` (name -> array) with the pre-norm affines files held before
+    they were folded into the products they feed, each (d_model,) at its
+    init (gamma ones, beta zeros): `ln1.gamma` and `ln1.beta` before each
+    attention layer's `qkv.weight`, `ln2.*` before its `ffn1.weight`, and
+    `ln_x.*` before each cLN's `ln_s.gamma`."""
+    old = {}
+    for name in store.names():
+        for follower, norm in ((".qkv.weight", ".ln1"), (".ffn1.weight", ".ln2"),
+                               (".ln_s.gamma", ".ln_x")):
+            if name.endswith(follower):
+                prefix = name[:-len(follower)] + norm
+                old[prefix + ".gamma"] = np.ones(d_model, np.float32)
+                old[prefix + ".beta"] = np.zeros(d_model, np.float32)
+        old[name] = store.get(name)
+    return old
+
+
+def fold_pre_norm(w, c, g, b):
+    """A product (w, c) fed by a layer norm of affine (g, b), folded so that it
+    reads the bare normalized frames n: w'n + c' = w(g n + b) + c. In float64."""
+    w, c, g, b = (np.asarray(a, np.float64) for a in (w, c, g, b))
+    return w * g, c + w @ b
+
+
+def fold_film(film_w, film_b, g, b, d_model):
+    """A cLN's FiLM weight and bias with its ln_x affine (g, b) folded into
+    the gamma and beta row blocks, so that (1 + gamma') n + beta' = (1 +
+    gamma)(g n + b) + beta for the bare normalized frames n. In float64."""
+    w, c, g, b = (np.asarray(a, np.float64) for a in (film_w, film_b, g, b))
+    d = d_model
+    w_g, w_b, c_g, c_b = w[:d], w[d:2 * d], c[:d], c[d:2 * d]
+    return (np.concatenate([g[:, None] * w_g, w_b + b[:, None] * w_g, w[2 * d:]]),
+            np.concatenate([g * (1 + c_g) - 1, c_b + b * (1 + c_g), c[2 * d:]]))
+
+
+def bit_flipped(w, near=0.061):
+    """A copy of weight w with bit 30, the top exponent bit, flipped in the
+    element whose magnitude is nearest `near`: a value v of |v| < 2 becomes
+    v * 2^128 (-0.061 -> -2.08e37)."""
+    w = np.array(w, dtype=np.float32)
+    i = np.argmin(np.abs(np.abs(w.ravel()) - near))
+    w.view(np.uint32).flat[i] ^= np.uint32(1 << 30)
+    return w
+
+
 def pin_gate(monkeypatch, alpha):
     """Make `tvt_sequence` use gate value `alpha` on every frame
     (0 = static speaker, 1 = pure facet path)."""

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (NAN_ENCODER_WEIGHTS, REMOVED_CONFIG_KEYS, kernel_major_up_weights,
-                      random_wave, store_of, with_layer_scales)
+from conftest import (NAN_ENCODER_WEIGHTS, REMOVED_CONFIG_KEYS, bit_flipped,
+                      kernel_major_up_weights, random_wave, store_of, with_layer_scales,
+                      with_pre_norm_affines)
 from tvtsyn import cli, wavio
 from tvtsyn import model as model_mod
 from tvtsyn.cli import run
@@ -86,8 +87,16 @@ def _rejects_non_finite_output(workdir, weights, tmp_path, capsys, command, *ext
                 "--config", str(workdir / "model.cfg"), "--speaker", str(workdir / "spk.f32"),
                 "--in", str(workdir / "in.wav"), "--out", str(out), *extra])
     assert code == 1
-    assert "48000 of 48000 samples are non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "input error: decoder CNN output is NaN or past 1.8e19: check the weight file\n"
     assert not out.exists()
+
+
+def test_write_wav_rejects_non_finite_samples(tmp_path):
+    # the int16 cast would write them as silence
+    with pytest.raises(InputError, match="2 of 3 samples are non-finite"):
+        wavio.write_wav(tmp_path / "x.wav", np.array([0.0, np.nan, -np.inf], F32))
+    assert not (tmp_path / "x.wav").exists()
 
 
 def _wav_bytes(n_frames, data):
@@ -223,6 +232,22 @@ class TestUnboundWeights:
         assert code == 2 and not (tmp_path / "x.wav").exists()
         err = capsys.readouterr().err
         assert err.startswith("configuration error: weight 'decoder.cnn.stage0.up.weight'")
+        assert "tvtsyn init-weights --seed N [--config FILE]" in err
+
+    def test_pre_norm_affine_layout_is_config_error(self, workdir, cfg, tmp_path, capsys):
+        # a file written before the pre-norm affines were folded into the qkv,
+        # ffn1 and FiLM weights: each attention layer also held ln1 and ln2,
+        # and each cLN ln_x, as a gamma and a beta
+        old = tmp_path / "old_ln.tvtw"
+        save_weights(store_of(with_pre_norm_affines(load_weights(workdir / "w.tvtw"),
+                                                    cfg.d_model)), old)
+        code = run(["synth", "--weights", str(old),
+                    "--config", str(workdir / "model.cfg"), "--speaker", str(workdir / "spk.f32"),
+                    "--in", str(workdir / "in.wav"), "--out", str(tmp_path / "x.wav")])
+        assert code == 2 and not (tmp_path / "x.wav").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: weight store has {8 * cfg.n_layers + 4} "
+                              "unknown entries, first: ['encoder.attn.layer0.ln1.gamma'")
         assert "tvtsyn init-weights --seed N [--config FILE]" in err
 
     def test_layer_scale_layout_is_config_error(self, workdir, tmp_path, capsys):
@@ -787,6 +812,17 @@ class TestProbe:
         report = json.loads(captured.out)
         assert report["clean"] and report["influenced"] == 0
         assert "probe is blind" in captured.err
+
+    def test_huge_decoder_weight_exits_one(self, workdir, tmp_path, capsys):
+        # one exponent bit flipped in the decoder CNN's first weight used to
+        # clip most samples to +-1, so redrawn input changed no output and the
+        # probe blamed itself (exit 3); the corrupt file is an input error
+        name = "decoder.cnn.conv_in.weight"
+        flipped = _with_entries(workdir, tmp_path / "flip.tvtw",
+                                **{name: bit_flipped(load_weights(workdir / "w.tvtw").get(name))})
+        assert run(["probe", "--weights", str(flipped), "--config", str(workdir / "model.cfg"),
+                    "--lookahead", "4", "--trials", "2"]) == 1
+        assert "decoder CNN output is NaN or past 1.8e19" in capsys.readouterr().err
 
     def test_zero_trials_is_config_error(self, workdir, capsys):
         assert run(["probe", *_margs(workdir), "--trials", "0"]) == 2

@@ -7,11 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import pin_gate, random_wave
+from conftest import fold_film, fold_pre_norm, pin_gate, random_wave
+from tvtsyn.config import LOOKBACK_FRAMES
+from tvtsyn.context import AttnLayer, TransformerParams, band_mask, transformer_full
 from tvtsyn.decoder import ClnFusionParams, cln_fuse, decode_context, synthesize_wave
 from tvtsyn.encoder import encode_frames, vq_quantize
 from tvtsyn.errors import InputError
-from tvtsyn.kernels import layer_norm
+from tvtsyn.kernels import layer_norm, normalize
 from tvtsyn.model import synthesize
 from tvtsyn.prosody import predict_f0_energy
 from tvtsyn.timbre import build_gtm, tvt_sequence
@@ -29,7 +31,6 @@ def _identity_cln(p: ClnFusionParams) -> ClnFusionParams:
     film_b = np.zeros_like(p.film_b)
     film_b[2 * d:] = -40.0
     return ClnFusionParams(
-        ln_x_g=np.ones_like(p.ln_x_g), ln_x_b=np.zeros_like(p.ln_x_b),
         ln_s_g=np.ones_like(p.ln_s_g), ln_s_b=np.zeros_like(p.ln_s_b),
         film_w=np.zeros_like(p.film_w), film_b=film_b,
         proj_w=proj, proj_b=np.zeros(d, F32),
@@ -57,7 +58,7 @@ class TestClnFuse:
         x, s = self._streams(model)
         p = _identity_cln(model.decoder.cln_in)
         y = cln_fuse(x, s, p)
-        expected = layer_norm(x, np.ones(x.shape[1], F32), np.zeros(x.shape[1], F32))
+        expected = normalize(x)
         np.testing.assert_allclose(y, expected, atol=1e-6)
 
     def test_constant_x_collapses_to_conditioning(self, model):
@@ -77,23 +78,52 @@ class TestClnFuse:
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_matches_float64_reference(self, model, seed):
-        # y = Proj((1 + gamma) * Norm(x) + beta || sigmoid(g) * Norm(s)), with
-        # gamma, beta and g the FiLM rows, on random (nonzero) biases and norms
+        # y = Proj((1 + gamma) * Norm(x) + beta || sigmoid(g) * Norm_s(s)), with
+        # gamma, beta and g the FiLM rows and Norm(x) affine-free (ln_x is
+        # folded into the FiLM rows), on random (nonzero) biases and ln_s
         x, s = self._streams(model, seed=seed)
         rng = np.random.default_rng(10 + seed)
         p = dataclasses.replace(model.decoder.cln_out, **{
             f: rng.normal(0, 0.5, getattr(model.decoder.cln_out, f).shape).astype(F32)
-            for f in ("ln_x_g", "ln_x_b", "ln_s_g", "ln_s_b", "film_b", "proj_b")})
+            for f in ("ln_s_g", "ln_s_b", "film_b", "proj_b")})
         d = x.shape[1]
         film = _f64(s) @ _f64(p.film_w).T + _f64(p.film_b)
         gamma, beta, g = film[:, :d], film[:, d:2 * d], film[:, 2 * d:]
-        nx = _norm64(_f64(x), _f64(p.ln_x_g), _f64(p.ln_x_b))
+        nx = _norm64(_f64(x), 1.0, 0.0)
         ns = _norm64(_f64(s), _f64(p.ln_s_g), _f64(p.ln_s_b))
         fused = np.concatenate([(1 + gamma) * nx + beta, ns / (1 + np.exp(-g))], axis=1)
         want = fused @ _f64(p.proj_w).T + _f64(p.proj_b)
         y = cln_fuse(x, s, p)
         assert y.shape == want.shape and y.dtype == F32
         np.testing.assert_allclose(y, want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_folded_ln_x_matches_unfolded_reference(self, model, seed):
+        # a trained ln_x (g, b) of non-unit g and nonzero b, folded into the
+        # FiLM gamma and beta rows: (1 + gamma)(g Norm(x) + b) + beta, in float64
+        x, s = self._streams(model, seed=seed)
+        rng = np.random.default_rng(20 + seed)
+        p = dataclasses.replace(model.decoder.cln_in, **{
+            f: rng.normal(0, 0.5, getattr(model.decoder.cln_in, f).shape).astype(F32)
+            for f in ("ln_s_g", "ln_s_b", "film_b", "proj_b")})
+        d = x.shape[1]
+        g, b = rng.normal(1, 0.5, d), rng.normal(0, 0.5, d)
+        film = _f64(s) @ _f64(p.film_w).T + _f64(p.film_b)
+        gamma, beta, gate = film[:, :d], film[:, d:2 * d], film[:, 2 * d:]
+        nx = _norm64(_f64(x), g, b)
+        ns = _norm64(_f64(s), _f64(p.ln_s_g), _f64(p.ln_s_b))
+        fused = np.concatenate([(1 + gamma) * nx + beta, ns / (1 + np.exp(-gate))], axis=1)
+        want = fused @ _f64(p.proj_w).T + _f64(p.proj_b)
+        film_w, film_b = fold_film(p.film_w, p.film_b, g, b, d)
+        folded = dataclasses.replace(p, film_w=film_w.astype(F32), film_b=film_b.astype(F32))
+        np.testing.assert_allclose(cln_fuse(x, s, folded), want, rtol=1e-5, atol=1e-5)
+        # the gate rows do not change
+        assert np.array_equal(folded.film_w[2 * d:], p.film_w[2 * d:])
+        assert np.array_equal(folded.film_b[2 * d:], p.film_b[2 * d:])
+
+    def test_stores_no_ln_x_affine(self):
+        assert [f.name for f in dataclasses.fields(ClnFusionParams)] == [
+            "ln_s_g", "ln_s_b", "film_w", "film_b", "proj_w", "proj_b"]
 
     def test_conditioning_is_live(self, model):
         x, s1 = self._streams(model, seed=2)
@@ -106,6 +136,51 @@ class TestClnFuse:
         x, s = self._streams(model)
         with pytest.raises(InputError):
             cln_fuse(x, s[:-1], model.decoder.cln_in)
+
+
+class TestPreNormFold:
+    """A trained attention layer's ln1 and ln2 affines, folded into its qkv and
+    ffn1 weights, give the unfolded layer's output: the rule a converted
+    checkpoint follows."""
+
+    @pytest.mark.parametrize("lookahead", [0, 4])
+    def test_folded_layer_matches_unfolded_reference(self, model, lookahead):
+        ctx = model.decoder.ctx
+        layer, t, d, h = ctx.layers[0], 40, ctx.d_model, ctx.n_heads
+        dh = d // h
+        rng = np.random.default_rng(30 + lookahead)
+        x = _f64(rng.normal(0, 1, (t, d)).astype(F32))
+        g1, b1, g2, b2, g_out, b_out = (rng.normal(m, 0.5, d) for m in (1, 0, 1, 0, 1, 0))
+        # the unfolded pre-norm layer and the output norm, in float64
+        qkv = _norm64(x, g1, b1) @ _f64(layer.wqkv).T + _f64(layer.bqkv)
+        q, k, v = qkv.reshape(t, 3, h, dh).transpose(1, 2, 0, 3)       # each (H, T, Dh)
+        turn = np.exp(1j * np.arange(t)[:, None] * 10000.0 ** (-np.arange(0, dh, 2) / dh))
+        q, k = (((a[..., 0::2] + 1j * a[..., 1::2]) * turn) for a in (q, k))
+        q, k = (np.stack([a.real, a.imag], axis=-1).reshape(h, t, dh) for a in (q, k))
+        scores = q @ k.transpose(0, 2, 1) / np.sqrt(dh)
+        scores[:, ~band_mask(np.arange(t), np.arange(t), LOOKBACK_FRAMES, lookahead)] = -np.inf
+        w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        w /= w.sum(axis=-1, keepdims=True)
+        mid = x + (w @ v).transpose(1, 0, 2).reshape(t, d) @ _f64(layer.wo).T + _f64(layer.bo)
+        hidden = _norm64(mid, g2, b2) @ _f64(layer.w1).T + _f64(layer.b1)
+        hidden = np.where(hidden > 0, hidden, np.expm1(np.minimum(hidden, 0)))
+        want = _norm64(mid + hidden @ _f64(layer.w2).T + _f64(layer.b2), g_out, b_out)
+
+        def f32(a):
+            return np.ascontiguousarray(a, dtype=F32)
+
+        wqkv, bqkv = fold_pre_norm(layer.wqkv, layer.bqkv, g1, b1)
+        w1, c1 = fold_pre_norm(layer.w1, layer.b1, g2, b2)
+        folded = dataclasses.replace(layer, wqkv=f32(wqkv), bqkv=f32(bqkv), w1=f32(w1),
+                                     b1=f32(c1))
+        one = TransformerParams(layers=[folded], ln_out_g=f32(g_out), ln_out_b=f32(b_out),
+                                n_heads=h)
+        y = transformer_full(f32(x), one, lookahead=lookahead)
+        np.testing.assert_allclose(y, want, rtol=1e-5, atol=1e-5)
+
+    def test_attention_layer_stores_no_pre_norm_affine(self):
+        assert [f.name for f in dataclasses.fields(AttnLayer)] == [
+            "wqkv", "bqkv", "wo", "bo", "w1", "b1", "w2", "b2"]
 
 
 class TestDecodeContext:

@@ -5,7 +5,8 @@ synthesizes, and streams consistently with the offline pass.
 import numpy as np
 import pytest
 
-from conftest import check_state_only_where_memory, random_wave, store_of, with_layer_scales
+from conftest import (check_state_only_where_memory, random_wave, store_of, with_layer_scales,
+                      with_pre_norm_affines)
 from tvtsyn.config import ModelConfig, StreamConfig
 from tvtsyn.errors import ConfigError
 from tvtsyn.model import TvtSynModel, random_init, synthesize
@@ -63,4 +64,17 @@ def test_full_config_layer_scale_file_does_not_bind(full_store):
     message = str(err.value)
     assert message.startswith("weight store has 32 unknown entries, first: "
                               "['encoder.attn.layer0.ls_attn', ")
+    assert "tvtsyn init-weights --seed N [--config FILE]" in message
+
+
+def test_full_config_pre_norm_file_does_not_bind(full_store):
+    # the 64 ln1/ln2 and 4 ln_x gammas and betas a file held before they were
+    # folded into the qkv, ffn1 and FiLM weights are unknown entries
+    old = store_of(with_pre_norm_affines(full_store, ModelConfig().d_model))
+    assert len(old) - len(full_store) == 68
+    with pytest.raises(ConfigError) as err:
+        TvtSynModel.from_store(old, ModelConfig())
+    message = str(err.value)
+    assert message.startswith("weight store has 68 unknown entries, first: "
+                              "['encoder.attn.layer0.ln1.gamma', ")
     assert "tvtsyn init-weights --seed N [--config FILE]" in message

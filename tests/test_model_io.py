@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (REMOVED_CONFIG_KEYS, kernel_major_up_weights, store_of, up_weight,
-                      with_layer_scales)
+                      with_layer_scales, with_pre_norm_affines)
 from tvtsyn.config import (DECODER_STRIDES, LAYER_SCALE, MAX_LOOKAHEAD, MAX_SPAN_SECONDS,
                            ModelConfig, StreamConfig, config_from_text, config_to_text,
                            load_config, small_config)
@@ -443,6 +443,23 @@ class TestRandomInit:
         assert "'encoder.attn.layer0.ls_attn'" in message
         assert "tvtsyn init-weights --seed N [--config FILE]" in message
 
+    @pytest.mark.parametrize("norms, first", [
+        (("ln1", "ln2", "ln_x"), "'encoder.attn.layer0.ln1.gamma'"),
+        (("ln_x",), "'decoder.cln_in.ln_x.gamma'")])
+    def test_pre_norm_affine_layout_does_not_bind(self, cfg, store, tmp_path, norms, first):
+        # a file written before the pre-norm affines were folded into the
+        # qkv, ffn1 and FiLM weights: each norm's gamma and beta are unknown
+        old = {n: a for n, a in with_pre_norm_affines(store, cfg.d_model).items()
+               if n in store or n.split(".")[-2] in norms}
+        save_weights(store_of(old), tmp_path / "old.tvtw")
+        with pytest.raises(ConfigError) as err:
+            TvtSynModel.from_store(load_weights(tmp_path / "old.tvtw"), cfg)
+        message = str(err.value)
+        unknown = len(old) - len(store)
+        assert unknown == (8 * cfg.n_layers + 4 if "ln1" in norms else 4)
+        assert message.startswith(f"weight store has {unknown} unknown entries, first: [{first}")
+        assert message.endswith(weights_mod.REGENERATE)
+
     def test_input_major_up_layout_does_not_bind(self, cfg, store, tmp_path):
         # a file written before the up convs were stored output-major: each
         # up weight in the (in_ch, out_ch, kernel) layout of a transposed conv
@@ -734,8 +751,13 @@ class TestBudget:
     def test_full_config_budget_unchanged_by_fused_qkv(self, full_budget):
         # the counts of the separate q/k/v and gamma/beta/gate layouts, less
         # the 32 (512,) LayerScale vectors folded into the o and ffn2 weights
-        assert full_budget == {"encoder": 38_870_912, "decoder": 50_254_149,
-                               "total": 89_125_061}
+        # and the 68 (512,) pre-norm gammas and betas folded into the qkv,
+        # ffn1 and FiLM weights
+        assert full_budget == {"encoder": 38_854_528, "decoder": 50_235_717,
+                               "total": 89_090_245}
+
+    def test_small_config_layout(self, store):
+        assert (len(store), store.parameter_count()) == (138, 274_845)
 
     def test_full_config_holds_one_qkv_per_attention_layer(self, full_shapes):
         # 16 attention layers, each with one (3 * d_model, d_model) q/k/v weight
@@ -743,9 +765,12 @@ class TestBudget:
         # each of the 2 cLNs holds one FiLM weight and bias where the separate
         # gamma/beta/gate generators held six entries: 344 -> 336; the prosody
         # predictors share one first conv and bias where they held four: 336 -> 334;
-        # the 32 LayerScale vectors are folded into the o and ffn2 weights: 334 -> 302
-        assert len(full_shapes) == 302
+        # the 32 LayerScale vectors are folded into the o and ffn2 weights: 334 -> 302;
+        # the 64 ln1/ln2 and 4 ln_x gammas and betas are folded into the qkv,
+        # ffn1 and FiLM weights: 302 -> 234
+        assert len(full_shapes) == 234
         assert not [n for n in full_shapes if ".ls_" in n]
+        assert not [n for n in full_shapes if re.search(r"\.(ln1|ln2|ln_x)\.", n)]
         qkv = {n: s for n, s in full_shapes.items() if n.endswith(".qkv.weight")}
         assert len(qkv) == 16 and set(qkv.values()) == {(1536, 512)}
         assert not [n for n in full_shapes if re.search(r"\.[qkv]\.", n)]

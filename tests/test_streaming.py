@@ -7,13 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (NAN_ENCODER_WEIGHTS, check_state_only_where_memory, conv_states,
+from conftest import (NAN_ENCODER_WEIGHTS, bit_flipped, check_state_only_where_memory, conv_states,
                       random_wave, store_of)
 from tvtsyn import decoder, encoder, streaming, timbre
 from tvtsyn import model as model_mod
 from tvtsyn.config import SAMPLE_RATE, StreamConfig
 from tvtsyn.errors import ConfigError, InputError, StateError
-from tvtsyn.model import MAX_SAMPLE, TvtSynModel, as_wave, synthesize
+from tvtsyn.model import MAX_SAMPLE, TvtSynModel, as_wave, random_init, synthesize
 from tvtsyn.prosody import MAX_F0_SCALE
 from tvtsyn.streaming import open_session, stream_file
 
@@ -282,6 +282,51 @@ def test_huge_attention_weight_is_input_error(cfg, store, speaker):
         synthesize(model, random_wave(54, 960 * 2), speaker)
     with pytest.raises(InputError, match="layer norm input overflows float32"):
         open_session(model, StreamConfig(chunk_ms=60), speaker).feed(random_wave(55, 960))
+
+
+class TestHugeDecoderWeight:
+    """One exponent bit flipped in the decoder CNN's first weight (-0.061 ->
+    -2.08e37 in the small config's seed-1 weights) drove the pre-tanh samples
+    to about 1e35, and tanh clipped most of them to +-1 with no error. Past
+    sqrt(float32 max) they are an InputError that points at the weight file."""
+
+    @pytest.fixture(scope="class")
+    def flipped_model(self, cfg):
+        store = random_init(1, cfg)
+        name = "decoder.cnn.conv_in.weight"
+        return TvtSynModel.from_store(store_of(
+            {n: bit_flipped(store.get(n)) if n == name else store.get(n)
+             for n in store.names()}), cfg)
+
+    def test_synthesize_rejects(self, flipped_model, speaker):
+        with pytest.raises(InputError, match="decoder CNN output .* check the weight file"):
+            synthesize(flipped_model, random_wave(56, 960 * 2), speaker)
+
+    def test_failed_feed_ends_the_session(self, flipped_model, speaker):
+        s = open_session(flipped_model, StreamConfig(chunk_ms=60), speaker)
+        with pytest.raises(InputError, match="decoder CNN output") as first:
+            s.feed(random_wave(57, 960))
+        assert not isinstance(first.value, StateError)
+        with pytest.raises(StateError, match="session failed at chunk 0: InputError: decoder CNN"):
+            s.feed(random_wave(58, 960))
+
+    @pytest.mark.parametrize("bias, passes", [(1.7e19, True), (-1.7e19, True),
+                                              (1.9e19, False), (-1.9e19, False),
+                                              (np.nan, False)])
+    def test_bound_is_sqrt_of_float32_max(self, model, bias, passes):
+        # 1.8e19 is about sqrt(float32 max), past which a layer norm's
+        # variance already overflows: an output bias moves every sample there
+        assert 1.8e19 ** 2 <= float(np.finfo(F32).max) < 1.9e19 ** 2
+        layers = list(model.decoder.cnn.layers)
+        layers[-1] = dataclasses.replace(layers[-1], bias=np.full(1, bias, F32))
+        cnn = dataclasses.replace(model.decoder.cnn, layers=layers)
+        frames = np.ones((2, model.cfg.d_model), F32)
+        if passes:
+            wave, _ = cnn.apply(frames)
+            assert np.array_equal(wave, np.full(wave.shape, np.sign(bias), F32))
+        else:
+            with pytest.raises(InputError, match="decoder CNN output"):
+                cnn.apply(frames)
 
 
 class TestFailedFeed:
