@@ -80,13 +80,12 @@ class DecoderCnn(SeanetCnn):
         return cls(layers)
 
     def apply(self, frames, states=None):
-        """Conditioned frames (T, d_model) -> ((T*320,) samples, states). A NaN
-        pre-tanh sample, or one past sqrt(float32 max), is an InputError."""
-        x, states = self.run(np.ascontiguousarray(frames.T), states)
-        wave = x[0]
+        """Conditioned frames (T, d_model) -> (T*320,) samples. A NaN pre-tanh
+        sample, or one past sqrt(float32 max), is an InputError."""
+        wave = self.run(np.ascontiguousarray(frames.T), states)[0]
         if not (np.abs(wave) <= F32(1.8e19)).all():
             raise InputError("decoder CNN output is NaN or past 1.8e19: check the weight file")
-        return np.tanh(wave, out=wave), states
+        return np.tanh(wave, out=wave)
 
 
 @dataclass
@@ -128,5 +127,4 @@ def decode_context(frames, tvt, prosody_stream, params: DecoderParams,
 def synthesize_wave(frames, tvt, params: DecoderParams):
     """Context output + timbre -> (T*320,) waveform in [-1, 1] (the CNN ends
     in tanh)."""
-    wave, _ = params.cnn.apply(cln_fuse(frames, tvt, params.cln_out))
-    return wave
+    return params.cnn.apply(cln_fuse(frames, tvt, params.cln_out))

@@ -43,16 +43,15 @@ class ResBlock:
         return self.conv1.init_state()
 
     def apply(self, x, state):
-        h, state = self.conv1.apply(x, state)
-        y = weight_product(self.w2, elu(h))
+        y = weight_product(self.w2, elu(self.conv1.apply(x, state)))
         y += self.b2[:, None]
-        return np.add(x, y, out=y), state
+        return np.add(x, y, out=y)
 
 
 @dataclass
 class SeanetCnn:
     """A causal SEANet CNN as one list of layers in forward order: ConvLayers
-    and ResBlocks, each carrying one state array."""
+    and ResBlocks, each carrying one state array, shifted in place."""
 
     layers: list
 
@@ -60,18 +59,16 @@ class SeanetCnn:
         return [layer.init_state() for layer in self.layers]
 
     def run(self, x, states):
-        """(C_in, T) -> ((C_out, T'), one new state per layer). An ELU goes
-        before every conv but the first; a residual block takes its input
-        as it is."""
+        """(C_in, T) -> (C_out, T'), shifting each layer's state in place (zero
+        states, dropped after the call, when None). An ELU goes before every
+        conv but the first; a residual block takes its input as it is."""
         if states is None:
             states = self.init_states()
-        new_states = []
         for i, (layer, state) in enumerate(zip(self.layers, states, strict=True)):
             if i and isinstance(layer, ConvLayer):
                 x = elu(x)
-            x, state = layer.apply(x, state)
-            new_states.append(state)
-        return x, new_states
+            x = layer.apply(x, state)
+        return x
 
 
 class EncoderCnn(SeanetCnn):
@@ -92,9 +89,9 @@ class EncoderCnn(SeanetCnn):
         return cls(layers)
 
     def apply(self, wave, states=None):
-        """(T,) samples -> ((T/FRAME_HOP, d_model) frames, states)."""
-        x, states = self.run(np.asarray(wave, dtype=F32).reshape(1, -1), states)
-        return np.ascontiguousarray(x.T), states
+        """(T,) samples -> (T/FRAME_HOP, d_model) frames."""
+        x = self.run(np.asarray(wave, dtype=F32).reshape(1, -1), states)
+        return np.ascontiguousarray(x.T)
 
 
 @dataclass
@@ -187,16 +184,16 @@ def encode_frames(wave, params: EncoderParams, state: EncoderState = None,
 
     Stateless call (state=None): one-shot pass whose attention mask optionally
     mirrors chunked execution via `block_frames`. Stateful call: incremental
-    block with lookahead confined to the supplied block; `state` is updated
-    in place.
+    block with lookahead confined to the supplied block; `state` (conv states
+    and KV ring) is updated in place.
     """
     wave = np.asarray(wave, dtype=F32).reshape(-1)
     if wave.size % FRAME_HOP:
         raise InputError(
             f"wave length {wave.size} is not a multiple of the {FRAME_HOP}-sample hop")
     if state is None:
-        frames, _ = params.cnn.apply(wave)
+        frames = params.cnn.apply(wave)
         return transformer_full(frames, params.ctx, lookahead=lookahead,
                                 block_frames=block_frames)
-    frames, state.conv = params.cnn.apply(wave, state.conv)
+    frames = params.cnn.apply(wave, state.conv)
     return transformer_step(frames, params.ctx, state.cache, lookahead=lookahead)

@@ -4,8 +4,9 @@ two-layer MLP, normalization, masked softmax and rotary positions.
 Conventions:
   - all tensors are float32 numpy arrays,
   - conv feature maps are (channels, time), frame sequences are (time, dim),
-  - every stateful kernel is pure given its explicit state argument, so
-    kernels are safe to call concurrently on disjoint data,
+  - a kernel writes only its temporaries and the state it is passed: a conv
+    state, like a KV ring, is allocated once per session and shifted in place,
+    so kernels are safe to call concurrently on disjoint states,
   - every product of an activation with a weight goes through
     `weight_product(W, x)`, W on the left exactly as loaded (`linear` is the
     helper for frame sequences). Every weight is stored output-major, so W
@@ -138,7 +139,8 @@ class ConvLayer:
         return np.zeros(self.state_shape, dtype=F32)
 
     def apply(self, x, state):
-        """(C_in, T) -> ((C_out, ceil(T/stride) * up), new_state)."""
+        """(C_in, T) -> (C_out, ceil(T/stride) * up); then `state` is shifted
+        in place to the last (kernel-1)*dilation columns of [state | x]."""
         if x.ndim != 2 or x.shape[0] != self.in_ch:
             raise ConfigError(f"input shape {x.shape} does not match in_ch {self.in_ch}")
         if state.shape != self.state_shape:
@@ -147,8 +149,8 @@ class ConvLayer:
 
 
 def _causal_conv(x, layer, state):
-    """Strided/dilated causal conv over (C_in, T) -> ((C_out, ceil(T/stride) * up),
-    new_state).
+    """Strided/dilated causal conv over (C_in, T) -> (C_out, ceil(T/stride) * up),
+    shifting `state` in place.
 
     Output column j reads input columns j*stride - k*dilation for k in
     [0, kernel); the (kernel-1)*dilation columns of left context come from
@@ -179,16 +181,18 @@ def _causal_conv(x, layer, state):
                 cols[:, k, :m] = state[:, pad + c0:pad + c0 + m * s:s]
             cols[:, k, m:] = x[:, c0 + m * s:c0 + n * s:s]
         weight_product(w, cols.reshape(rows, n), out=y[:, j0:j0 + n])
-    # the last (kernel-1)*dilation columns of [state | x]
-    new_state = np.concatenate([state[:, t_in:], x[:, max(t_in - pad, 0):]], axis=1)
+    # the last pad columns of [state | x]; numpy handles the overlap at t_in < pad
+    keep = max(pad - t_in, 0)
+    state[:, :keep] = state[:, t_in:]
+    state[:, keep:] = x[:, t_in - pad + keep:]
     c, up = layer.out_ch, layer.up
     if up == 1:
         y += layer.bias[:, None]
-        return y, new_state
+        return y
     out = np.empty((c, t_out * up), dtype=F32)
     np.add(y.reshape(c, up, t_out).transpose(0, 2, 1), layer.bias[:, None, None],
            out=out.reshape(c, t_out, up))
-    return out, new_state
+    return out
 
 
 def weight_product(w, x, out=None):

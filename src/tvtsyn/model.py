@@ -164,7 +164,7 @@ def synthesize(model: TvtSynModel, wave, speaker, *, lookahead=MAX_LOOKAHEAD,
     f0_scale = check_real(f0_scale, "f0_scale", -MAX_F0_SCALE, MAX_F0_SCALE)
     content, tvt, _, _ = content_and_timbre(model, wave, speaker, lookahead=lookahead,
                                             block_frames=block_frames)
-    pred, _ = predict_f0_energy(content, model.prosody)
+    pred = predict_f0_energy(content, model.prosody)
     ctxout = decode_context(content, tvt, pred, model.decoder, model.prosody,
                             f0_scale=f0_scale)
     return synthesize_wave(ctxout, tvt, model.decoder)

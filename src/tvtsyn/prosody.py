@@ -62,18 +62,16 @@ class ProsodyParams:
 
 
 def predict_f0_energy(features, params: ProsodyParams, states=None):
-    """Frame features (T, d_model) -> ((T, 2) [f0, log_energy], states): one
-    first conv, then each head on its half of the rows."""
+    """Frame features (T, d_model) -> (T, 2) [f0, log_energy]: one first conv,
+    then each head on its half of the rows; each conv shifts its state in place."""
     if states is None:
         states = params.init_states()
-    h, trunk_state = params.conv1.apply(np.ascontiguousarray(features.T), states[0])
+    h = params.conv1.apply(np.ascontiguousarray(features.T), states[0])
     pred = np.empty((features.shape[0], 2), dtype=F32)
-    new_states = [trunk_state]
     for i, (head, rows) in enumerate(zip((params.f0, params.energy), np.split(relu(h), 2))):
-        g, state = head.conv2.apply(rows, states[1 + i])
+        g = head.conv2.apply(rows, states[1 + i])
         pred[:, i] = linear(relu(g).T, head.proj_w, head.proj_b)[:, 0]
-        new_states.append(state)
-    return pred, new_states
+    return pred
 
 
 def inject_prosody(features, predictions, params: ProsodyParams, f0_scale=1.0):

@@ -72,8 +72,8 @@ class StreamSession:
         return self.cfg.chunk_samples
 
     def state_nbytes(self) -> int:
-        """Total bytes held in mutable stream state (constant in stream length):
-        one array per conv layer that carries input, and the two KV caches."""
+        """Total bytes held in mutable stream state, each array allocated once:
+        one per conv layer that carries input, and the two KV caches."""
         convs = [*self.enc_state.conv, *self.pros_states, *self.cnn_states]
         return (sum(state.nbytes for state in convs) + self.enc_state.cache.nbytes
                 + self.dec_cache.nbytes)
@@ -101,12 +101,11 @@ class StreamSession:
                                lookahead=self.cfg.lookahead_frames)
         content, _ = vq_quantize(frames, model.encoder.vq)
         tvt, _, _ = tvt_sequence(content, self.speaker, self.gtm, model.tvt)
-        pred, self.pros_states = predict_f0_energy(content, model.prosody,
-                                                   self.pros_states)
+        pred = predict_f0_energy(content, model.prosody, self.pros_states)
         ctxout = decode_context(content, tvt, pred, model.decoder, model.prosody,
                                 f0_scale=self.f0_scale, cache=self.dec_cache)
         fused = cln_fuse(ctxout, tvt, model.decoder.cln_out)
-        out, self.cnn_states = model.decoder.cnn.apply(fused, self.cnn_states)
+        out = model.decoder.cnn.apply(fused, self.cnn_states)
 
         self.samples_in += samples.shape[0]
         self.samples_out += out.shape[0]

@@ -189,6 +189,13 @@ def conv_states(session):
     return [*session.enc_state.conv, *session.pros_states, *session.cnn_states]
 
 
+def state_arrays(session):
+    """Every array of a session's state: its conv states, then each KV ring's
+    k, v and pos."""
+    rings = (session.enc_state.cache, session.dec_cache)
+    return [*conv_states(session), *(a for ring in rings for a in (ring.k, ring.v, ring.pos))]
+
+
 def state_layers(model):
     """The ConvLayer that carries each of conv_states' states, in its order: a
     residual block's state is its first conv's."""
@@ -203,37 +210,52 @@ def state_layers(model):
 
 
 def check_state_only_where_memory(monkeypatch, model, speaker):
-    """Over one synthesize and three feeds of a 60 ms session no ConvLayer of
-    kernel 1 runs (the residual 1x1 convs are plain products), the session
-    holds 23 conv states, each its layer's last (kernel - 1) * dilation input
-    columns, and state_nbytes() is their bytes plus the two KV caches'.
-    Returns the session."""
+    """Over one synthesize and three feeds each of a 20 ms and a 60 ms
+    session no ConvLayer of kernel 1 runs (the residual 1x1 convs are plain
+    products), and every conv call leaves its state the last
+    (kernel - 1) * dilation columns of [state before | input]; at 20 ms a
+    frame-rate conv gets fewer input columns than that, so the shift
+    overlaps. Each session holds 23 conv states, each of that shape and
+    still the tail of its layer's last call, and state_nbytes() is their
+    bytes plus the two KV caches'. Returns the 60 ms session."""
     from tvtsyn.config import StreamConfig
     from tvtsyn.kernels import ConvLayer
     from tvtsyn.model import synthesize
     from tvtsyn.streaming import open_session
 
     apply = ConvLayer.apply
-    kernels = []
+    kernels, overlaps, last = [], [], {}
 
     def spy(layer, x, state):
         kernels.append(layer.kernel)
-        return apply(layer, x, state)
+        overlaps.append(x.shape[1] < state.shape[1])
+        window = np.concatenate([state, x], axis=1)
+        y = apply(layer, x, state)
+        tail = window[:, window.shape[1] - state.shape[1]:]
+        assert np.array_equal(state, tail)
+        last[id(state)] = state, tail  # holding the state keeps its id unique
+        return y
 
     monkeypatch.setattr(ConvLayer, "apply", spy)
     synthesize(model, random_wave(40, 960 * 3), speaker)
-    session = open_session(model, StreamConfig(chunk_ms=60), speaker)
-    for k in range(3):
-        session.feed(random_wave(41 + k, 960))
+    for chunk_ms in (20, 60):
+        overlaps.clear()
+        session = open_session(model, StreamConfig(chunk_ms=chunk_ms), speaker)
+        for k in range(3):
+            session.feed(random_wave(41 + k, session.chunk_samples))
+        assert any(overlaps) or chunk_ms != 20
+        states = conv_states(session)
+        assert len(states) == 23
+        assert all(isinstance(state, np.ndarray) and state.size for state in states)
+        assert [state.shape for state in states] == [
+            (layer.in_ch, (layer.kernel - 1) * layer.dilation) for layer in state_layers(model)]
+        for state in states:
+            held, tail = last[id(state)]
+            assert held is state and np.array_equal(state, tail)
+        assert session.state_nbytes() == (sum(state.nbytes for state in states)
+                                          + session.enc_state.cache.nbytes
+                                          + session.dec_cache.nbytes)
     assert kernels and 1 not in kernels
-    states = conv_states(session)
-    assert len(states) == 23
-    assert all(isinstance(state, np.ndarray) and state.size for state in states)
-    assert [state.shape for state in states] == [
-        (layer.in_ch, (layer.kernel - 1) * layer.dilation) for layer in state_layers(model)]
-    assert session.state_nbytes() == (sum(state.nbytes for state in states)
-                                      + session.enc_state.cache.nbytes
-                                      + session.dec_cache.nbytes)
     return session
 
 

@@ -27,7 +27,7 @@ def conv_layer(w, b=None, **geometry):
 
 
 def conv(x, layer, state=None):
-    """One call of `layer` from `state` (zeros when omitted)."""
+    """One call of `layer` from `state` (zeros when omitted), which it shifts."""
     return layer.apply(x, layer.init_state() if state is None else state)
 
 
@@ -69,18 +69,18 @@ def tconv_oracle(x, w, b, stride):
 
 class TestCausalConv:
     def test_identity_kernel(self):
-        y, _ = conv(np.array([[1, 2, 3]], F32), conv_layer(np.ones((1, 1, 1), F32)))
+        y = conv(np.array([[1, 2, 3]], F32), conv_layer(np.ones((1, 1, 1), F32)))
         assert np.array_equal(y, [[1, 2, 3]])
 
     def test_hand_computed_k2(self):
         # y[j] = x[j-1] + x[j] with zero left state
-        y, _ = conv(np.array([[1, 2, 3]], F32), conv_layer(np.ones((1, 1, 2), F32)))
+        y = conv(np.array([[1, 2, 3]], F32), conv_layer(np.ones((1, 1, 2), F32)))
         assert np.array_equal(y, [[1, 3, 5]])
 
     def test_stride_output_count(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1, 320)).astype(F32)
-        y, _ = conv(x, conv_layer(rng.normal(size=(2, 1, 16)).astype(F32), stride=8))
+        y = conv(x, conv_layer(rng.normal(size=(2, 1, 16)).astype(F32), stride=8))
         assert y.shape == (2, 40)
 
     @pytest.mark.parametrize("stride,dilation", [(1, 1), (1, 2), (2, 1), (5, 1), (4, 3)])
@@ -89,7 +89,7 @@ class TestCausalConv:
         x = rng.normal(size=(3, 40)).astype(F32)
         w = rng.normal(size=(5, 3, 4)).astype(F32)
         b = rng.normal(size=5).astype(F32)
-        y, _ = conv(x, conv_layer(w, b, stride=stride, dilation=dilation))
+        y = conv(x, conv_layer(w, b, stride=stride, dilation=dilation))
         expected = conv_oracle(x, w, b, stride, dilation)
         assert y.shape == expected.shape
         np.testing.assert_allclose(y, expected, atol=1e-5)
@@ -99,11 +99,11 @@ class TestCausalConv:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 30)).astype(F32)
         layer = conv_layer(rng.normal(size=(2, 2, 3)).astype(F32), dilation=2)
-        base, _ = conv(x, layer)
+        base = conv(x, layer)
         for t in (5, 12, 28):
             poked = x.copy()
             poked[:, t + 1:] = 0
-            y, _ = conv(poked, layer)
+            y = conv(poked, layer)
             assert np.array_equal(base[:, :t + 1], y[:, :t + 1])
 
     def test_streaming_equals_one_shot_arbitrary_splits(self):
@@ -111,7 +111,7 @@ class TestCausalConv:
         x = rng.normal(size=(2, 64)).astype(F32)
         layer = conv_layer(rng.normal(size=(3, 2, 5)).astype(F32),
                            rng.normal(size=3).astype(F32), dilation=2)
-        full, _ = conv(x, layer)
+        full = conv(x, layer)
         for seed in range(5):
             cuts = np.sort(np.random.default_rng(seed).choice(
                 np.arange(1, 64), size=4, replace=False))
@@ -119,7 +119,7 @@ class TestCausalConv:
             parts = []
             prev = 0
             for cut in list(cuts) + [64]:
-                y, state = conv(x[:, prev:cut], layer, state)
+                y = conv(x[:, prev:cut], layer, state)
                 parts.append(y)
                 prev = cut
             np.testing.assert_allclose(np.concatenate(parts, axis=1), full, atol=1e-6)
@@ -128,11 +128,11 @@ class TestCausalConv:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(1, 48)).astype(F32)
         layer = conv_layer(rng.normal(size=(2, 1, 8)).astype(F32), stride=4)
-        full, _ = conv(x, layer)
+        full = conv(x, layer)
         state = layer.init_state()
         parts = []
         for k in range(0, 48, 16):
-            y, state = conv(x[:, k:k + 16], layer, state)
+            y = conv(x[:, k:k + 16], layer, state)
             parts.append(y)
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, atol=1e-6)
 
@@ -147,16 +147,17 @@ class TestTransposedConv:
     def test_hand_computed(self):
         # frame t adds x[t] to samples 2t..2t+3; the last frame is carried
         layer = up_layer(np.ones((1, 4, 1), F32))
-        y, state = conv(np.array([[1, 2]], F32), layer)
+        state = layer.init_state()
+        y = conv(np.array([[1, 2]], F32), layer, state)
         assert np.array_equal(y, [[1, 1, 3, 3]])
         assert np.array_equal(state, [[2]])
-        y, state = conv(np.array([[4]], F32), layer, state)
+        y = conv(np.array([[4]], F32), layer, state)
         assert np.array_equal(y, [[6, 6]]) and np.array_equal(state, [[4]])
 
     def test_zero_input_zero_output(self):
         rng = np.random.default_rng(0)
         layer = up_layer(rng.normal(size=(2, 8, 3)).astype(F32))
-        y, _ = conv(np.zeros((3, 6), F32), layer)
+        y = conv(np.zeros((3, 6), F32), layer)
         assert y.shape == (2, 24) and not y.any()
 
     def test_composed_strides_restore_factor_320(self):
@@ -164,7 +165,7 @@ class TestTransposedConv:
         x = rng.normal(size=(2, 50)).astype(F32)
         for stride in (2, 4, 5, 8):
             w = rng.normal(size=(2, 2 * stride, 2)).astype(F32)
-            x, _ = conv(x, up_layer(w))
+            x = conv(x, up_layer(w))
         assert x.shape == (2, 16000)
 
     def test_matches_direct_oracle(self):
@@ -172,18 +173,18 @@ class TestTransposedConv:
         x = rng.normal(size=(3, 12)).astype(F32)
         w = rng.normal(size=(2, 4, 3)).astype(F32)
         b = rng.normal(size=2).astype(F32)
-        y, _ = conv(x, up_layer(w, b))
+        y = conv(x, up_layer(w, b))
         np.testing.assert_allclose(y, tconv_oracle(x, w, b, 2), atol=1e-5)
 
     def test_streaming_tail_carry(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 20)).astype(F32)
         layer = up_layer(rng.normal(size=(3, 10, 2)).astype(F32), rng.normal(size=3).astype(F32))
-        full, _ = conv(x, layer)
+        full = conv(x, layer)
         state = layer.init_state()
         parts = []
         for k in range(0, 20, 5):
-            y, state = conv(x[:, k:k + 5], layer, state)
+            y = conv(x[:, k:k + 5], layer, state)
             parts.append(y)
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, atol=1e-6)
 
@@ -193,11 +194,11 @@ class TestTransposedConv:
         h = x
         for stride in (8, 5, 4, 2):
             w = rng.normal(size=(2, h.shape[0], 2 * stride)).astype(F32)
-            h, _ = conv(h, conv_layer(w, stride=stride))
+            h = conv(h, conv_layer(w, stride=stride))
         assert h.shape[1] == 10
         for stride in (2, 4, 5, 8):
             w = rng.normal(size=(2, 2 * stride, h.shape[0])).astype(F32)
-            h, _ = conv(h, up_layer(w))
+            h = conv(h, up_layer(w))
         assert h.shape[1] == 3200
 
 
@@ -420,10 +421,10 @@ def _check_causal_conv(rng, t, c_in, c_out, kernel, stride, dilation):
     t_out = -(-t // stride)
     cols = np.arange(t_out)[:, None] * stride + np.arange(kernel)[None, :] * dilation
     want = np.einsum("ock,cjk->oj", _f64(w), xx[:, cols]) + _f64(b)[:, None]
-    got, new_state = conv(x, ConvLayer(w, b, stride, dilation), state)
+    got = conv(x, ConvLayer(w, b, stride, dilation), state)
     assert got.shape == (c_out, t_out) and got.dtype == F32
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-4)
-    assert np.array_equal(new_state, xx[:, xx.shape[1] - pad:].astype(F32))
+    assert np.array_equal(state, xx[:, xx.shape[1] - pad:].astype(F32))
 
 
 def _check_transposed_conv(rng, t, c_in, c_out, stride):
@@ -440,11 +441,11 @@ def _check_transposed_conv(rng, t, c_in, c_out, stride):
     full = np.zeros((c_out, (t + 2) * stride))
     for k in range(kernel):
         full[:, k:k + t * stride + 1:stride] += contrib[:, k]
-    got, new_state = conv(x, up_layer(w, b), state)
+    got = conv(x, up_layer(w, b), state)
     assert got.shape == (c_out, t * stride) and got.dtype == F32
     np.testing.assert_allclose(got, full[:, stride:(t + 1) * stride] + _f64(b)[:, None],
                                rtol=1e-5, atol=1e-4)
-    assert np.array_equal(new_state, xx[:, -1:].astype(F32))
+    assert np.array_equal(state, xx[:, -1:].astype(F32))
 
 
 class TestWeightMajorProducts:
@@ -472,7 +473,7 @@ class TestWeightMajorProducts:
         assert got.shape == (80,)
         np.testing.assert_allclose(got, _f64(w) @ _f64(x), rtol=1e-5, atol=1e-4)
 
-    # t = 0 takes the general path: (C_out, 0) out, the state as it was
+    # t = 0 takes the general path: (C_out, 0) out, the state left as it was
     @pytest.mark.parametrize("t", [0, 1, 3, 960])
     @pytest.mark.parametrize("kernel,stride,dilation", [(3, 1, 1), (3, 1, 2), (4, 2, 1),
                                                         (16, 8, 1), (5, 3, 2)])
@@ -480,16 +481,17 @@ class TestWeightMajorProducts:
         _check_causal_conv(np.random.default_rng(100 * kernel + 10 * stride + dilation),
                            t, 6, 5, kernel, stride, dilation)
 
-    # no input columns: no output, and the state as it was
+    # no input columns: no output, and the state left as it was
     @pytest.mark.parametrize("kernel,stride", [(4, 2), (16, 8)])
     def test_transposed_conv_of_no_columns(self, kernel, stride):
         rng = np.random.default_rng(kernel)
         w = rng.normal(size=(5, kernel, 6)).astype(F32)
         state = rng.normal(size=(6, 1)).astype(F32)
         layer = up_layer(w, rng.normal(size=5).astype(F32))
-        y, new_state = conv(np.zeros((6, 0), F32), layer, state)
+        before = state.copy()
+        y = conv(np.zeros((6, 0), F32), layer, state)
         assert y.shape == (5, 0) and y.dtype == F32
-        assert np.array_equal(new_state, state) and not np.shares_memory(new_state, state)
+        assert np.array_equal(state, before) and not np.shares_memory(y, state)
 
     # the model's (kernel, stride, dilation) sets: res units, every down
     # conv, conv_in/conv_out and the frame-rate convs; and a 1-tap conv,
@@ -527,11 +529,11 @@ class TestWeightMajorProducts:
         w = rng.normal(size=(out_ch, 6, kernel)).astype(F32)
         b = rng.normal(size=out_ch).astype(F32)
         layer = ConvLayer(w, b, stride, dilation)
-        full, _ = conv(x, layer)
+        full = conv(x, layer)
         cuts = np.sort(rng.choice(np.arange(1, t_out), size=6, replace=False)) * stride
         state, parts, prev = layer.init_state(), [], 0
         for cut in [*cuts, t_out * stride]:
-            y, state = conv(x[:, prev:cut], layer, state)
+            y = conv(x[:, prev:cut], layer, state)
             parts.append(y)
             prev = cut
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, rtol=1e-5, atol=1e-4)
@@ -553,11 +555,12 @@ class TestWeightMajorProducts:
         b = rng.normal(size=5).astype(F32)
         state = rng.normal(size=(6, 1)).astype(F32)
         layer = up_layer(w, b)
-        full, full_state = conv(x, layer, state)
+        full_state = state.copy()
+        full = conv(x, layer, full_state)
         parts, prev = [], 0
         while prev < x.shape[1]:
             cut = min(prev + int(rng.integers(1, 8)), x.shape[1])
-            y, state = conv(x[:, prev:cut], layer, state)
+            y = conv(x[:, prev:cut], layer, state)
             parts.append(y)
             prev = cut
         np.testing.assert_allclose(np.concatenate(parts, axis=1), full, rtol=1e-5, atol=1e-5)
@@ -706,7 +709,7 @@ class TestConvTemporaries:
         layer = ConvLayer(w, b, dilation=dilation)
         tracemalloc.start()
         try:
-            y, _ = layer.apply(x, state)
+            y = layer.apply(x, state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -46,14 +46,15 @@ class TestTrunk:
                             rng.normal(0, 0.1, 2 * hidden).astype(F32))
         x = rng.normal(0, 1, (d_model, t)).astype(F32)
         state = rng.normal(0, 1, (d_model, 2)).astype(F32)
-        y, new_state = stacked.apply(x, state)
+        stacked_state = state.copy()
+        y = stacked.apply(x, stacked_state)
         assert y.shape == (2 * hidden, t)
         for w, b, y_half in zip(np.split(stacked.weight, 2), np.split(stacked.bias, 2),
                                 np.split(y, 2)):
-            half = ConvLayer(w, b)
-            y_sep, state_sep = half.apply(x, state)
+            half_state = state.copy()
+            y_sep = ConvLayer(w, b).apply(x, half_state)
             assert np.array_equal(y_half, y_sep)
-            assert np.array_equal(new_state, state_sep)
+            assert np.array_equal(stacked_state, half_state)
 
 
 class TestPredictor:
@@ -63,26 +64,26 @@ class TestPredictor:
 
     def test_zero_weights_constant_bias(self, model):
         params = _zero_predictor(model.prosody, 2.5, -1.25)
-        pred, _ = predict_f0_energy(self._features(model), params)
+        pred = predict_f0_energy(self._features(model), params)
         assert np.all(pred[:, 0] == F32(2.5))
         assert np.all(pred[:, 1] == F32(-1.25))
 
     def test_causality(self, model):
         x = self._features(model, seed=1)
-        base, _ = predict_f0_energy(x, model.prosody)
+        base = predict_f0_energy(x, model.prosody)
         rng = np.random.default_rng(2)
         for t in (4, 15, 27):
             poked = x.copy()
             poked[t + 1:] = rng.normal(0, 1, poked[t + 1:].shape).astype(F32)
-            y, _ = predict_f0_energy(poked, model.prosody)
+            y = predict_f0_energy(poked, model.prosody)
             assert np.array_equal(base[:t + 1], y[:t + 1])
 
     def test_chunked_equals_one_shot(self, model):
         x = self._features(model, seed=3, t=24)
-        full, _ = predict_f0_energy(x, model.prosody)
-        states = None
+        full = predict_f0_energy(x, model.prosody)
+        states = model.prosody.init_states()
         parts = []
         for k in range(0, 24, 6):
-            y, states = predict_f0_energy(x[k:k + 6], model.prosody, states)
+            y = predict_f0_energy(x[k:k + 6], model.prosody, states)
             parts.append(y)
         np.testing.assert_allclose(np.concatenate(parts), full, atol=1e-6)

@@ -1,13 +1,14 @@
-"""The kernels and entry points work in place only on their own temporaries:
-no call writes an input array, a passed-in state or a weight (weights are
-read-only, so a write there raises), and no returned array or state shares
-memory with an input.
+"""The kernels and entry points write only their own temporaries and the
+state they are passed: no call writes an input array or a weight (weights
+are read-only, so a write there raises), a conv shifts its state in place
+to the last columns of [state before | input] and a KV ring is written in
+place, and no returned array shares memory with an input or a state.
 """
 
 import numpy as np
 import pytest
 
-from conftest import random_wave
+from conftest import random_wave, state_arrays
 from tvtsyn.config import LOOKBACK_FRAMES, StreamConfig
 from tvtsyn.context import KvCache, transformer_full, transformer_step
 from tvtsyn.kernels import ConvLayer, layer_norm, linear
@@ -38,16 +39,25 @@ class Snapshot:
                 assert not np.shares_memory(r, a), f"result of shape {r.shape} aliases an input"
 
 
+def check_conv(layer, x, state):
+    """x and the weight and bias are unchanged, the state is shifted to the
+    last columns of [state before | x], and y aliases neither x nor state."""
+    window = np.concatenate([state, x], axis=1)
+    snap = Snapshot(x, layer.weight, layer.bias)
+    y = layer.apply(x, state)
+    snap.assert_unchanged()
+    assert np.array_equal(state, window[:, window.shape[1] - state.shape[1]:])
+    snap.assert_not_aliased(y)
+    assert not np.shares_memory(y, state)
+
+
+# t = 1 is shorter than the state of every kernel here but 1: the shift overlaps
 @pytest.mark.parametrize("t", [1, 3, 960])
 @pytest.mark.parametrize("kernel,stride,dilation", [(1, 1, 1), (3, 1, 2), (16, 8, 1), (7, 1, 1)])
 def test_causal_conv_is_pure(t, kernel, stride, dilation):
     rng = np.random.default_rng(t + kernel)
     x, w, b = _normal(rng, 6, t * stride), _normal(rng, 5, 6, kernel), _normal(rng, 5)
-    state = _normal(rng, 6, (kernel - 1) * dilation)
-    snap = Snapshot(x, w, b, state)
-    y, new_state = ConvLayer(w, b, stride, dilation).apply(x, state)
-    snap.assert_unchanged()
-    snap.assert_not_aliased(y, new_state)
+    check_conv(ConvLayer(w, b, stride, dilation), x, _normal(rng, 6, (kernel - 1) * dilation))
 
 
 # the up convs of a transposed conv of kernel 2 * stride: 2 taps, stride phases
@@ -56,11 +66,7 @@ def test_causal_conv_is_pure(t, kernel, stride, dilation):
 def test_transposed_conv_is_pure(t, kernel, stride):
     rng = np.random.default_rng(t + kernel)
     x, w, b = _normal(rng, 6, t), _normal(rng, 5 * stride, 6, 2), _normal(rng, 5)
-    state = _normal(rng, 6, 1)
-    snap = Snapshot(x, w, b, state)
-    y, new_state = ConvLayer(w, b, up=stride).apply(x, state)
-    snap.assert_unchanged()
-    snap.assert_not_aliased(y, new_state)
+    check_conv(ConvLayer(w, b, up=stride), x, _normal(rng, 6, 1))
 
 
 @pytest.mark.parametrize("t", [1, 3, 960])
@@ -101,3 +107,6 @@ def test_feed_and_synthesize_are_pure(model, speaker):
     outs += [session.feed(wave[k * 960:(k + 1) * 960]) for k in range(4)]
     snap.assert_unchanged()
     snap.assert_not_aliased(*outs)
+    # the session's states are its own: no feed returns a view of one
+    assert not any(np.shares_memory(out, state)
+                   for out in outs[2:] for state in state_arrays(session))

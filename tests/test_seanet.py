@@ -43,16 +43,16 @@ class Reference:
     def conv(self, name, x, *sizes, **geometry):
         """`x` through the stored conv `name` of sizes (in_ch, out_ch, kernel)."""
         layer = ConvLayer.from_store(self.store, name, *sizes, **geometry)
-        state = self.states[name] if name in self.states else layer.init_state()
-        y, self.states[name] = layer.apply(x, state)
-        return y
+        if name not in self.states:
+            self.states[name] = layer.init_state()
+        return layer.apply(x, self.states[name])
 
     def res(self, name, width, x):
         h = self.conv(f"{name}.conv1", x, width, width, RES_KERNEL, dilation=RES_DILATION)
         # the 1x1 conv is stored as its (width, width) matrix; run it as a conv
         conv2 = ConvLayer(self.store.get(f"{name}.conv2.weight", (width, width))[:, :, None],
                           self.store.get(f"{name}.conv2.bias", (width,)))
-        h, _ = conv2.apply(elu(h), conv2.init_state())
+        h = conv2.apply(elu(h), conv2.init_state())
         return x + h
 
     def encoder(self, wave):
@@ -87,9 +87,9 @@ def test_encoder_cnn_matches_reference(biased_store, cfg, n_chunks):
     cnn = EncoderCnn.from_store(biased_store, cfg)
     ref = Reference(biased_store, cfg)
     wave = random_wave(31, 960 * 7)
-    states = None
+    states = cnn.init_states()
     for chunk in np.split(wave, n_chunks):
-        frames, states = cnn.apply(chunk, states)
+        frames = cnn.apply(chunk, states)
         _close(frames, ref.encoder(chunk))
 
 
@@ -98,7 +98,7 @@ def test_decoder_cnn_matches_reference(biased_store, cfg, n_chunks):
     cnn = DecoderCnn.from_store(biased_store, cfg)
     ref = Reference(biased_store, cfg)
     frames = np.random.default_rng(32).normal(0.0, 1.0, (21, cfg.d_model)).astype(F32)
-    states = None
+    states = cnn.init_states()
     for chunk in np.split(frames, n_chunks):
-        wave, states = cnn.apply(chunk, states)
+        wave = cnn.apply(chunk, states)
         _close(wave, ref.decoder(chunk))

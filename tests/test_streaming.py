@@ -7,8 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (NAN_ENCODER_WEIGHTS, bit_flipped, check_state_only_where_memory, conv_states,
-                      random_wave, store_of)
+from conftest import (NAN_ENCODER_WEIGHTS, bit_flipped, check_state_only_where_memory, random_wave,
+                      state_arrays, store_of)
 from tvtsyn import decoder, encoder, streaming, timbre
 from tvtsyn import model as model_mod
 from tvtsyn.config import SAMPLE_RATE, StreamConfig
@@ -322,7 +322,7 @@ class TestHugeDecoderWeight:
         cnn = dataclasses.replace(model.decoder.cnn, layers=layers)
         frames = np.ones((2, model.cfg.d_model), F32)
         if passes:
-            wave, _ = cnn.apply(frames)
+            wave = cnn.apply(frames)
             assert np.array_equal(wave, np.full(wave.shape, np.sign(bias), F32))
         else:
             with pytest.raises(InputError, match="decoder CNN output"):
@@ -486,12 +486,26 @@ class TestLongStream:
         check_state_only_where_memory(monkeypatch, model, speaker)
 
     def test_state_nbytes_constant_across_ring_wraps(self, model, speaker):
-        # 300 chunks = 900 frames, nine times the 100-frame KV window
+        # 300 chunks = 900 frames, nine times the 100-frame KV window. Every
+        # state array is allocated once, by open_session: each conv state
+        # and each ring's k, v and pos keeps its identity and its buffer
         s = open_session(model, StreamConfig(chunk_ms=60), speaker)
+        # holding the arrays keeps a new one from taking their ids or buffers
+        opened = state_arrays(s)
+        buffers = [a.ctypes.data for a in opened]
+        assert len(opened) == 29
+
+        def same_arrays():
+            now = state_arrays(s)
+            return (all(a is b for a, b in zip(now, opened, strict=True))
+                    and [a.ctypes.data for a in now] == buffers)
+
         s.feed(np.zeros(960, F32))
+        assert same_arrays()
         sizes = {s.state_nbytes()}
         for k in range(299):
             s.feed(random_wave(k, 960, amp=0.1))
+            assert same_arrays()
             if k % 25 == 0:
                 sizes.add(s.state_nbytes())
         sizes.add(s.state_nbytes())
@@ -513,9 +527,7 @@ class TestLongStream:
 
 def _snapshot(s):
     """Copies of every piece of a session's mutable state, and its counters."""
-    arrays = [state.copy() for state in conv_states(s)]
-    for cache in (s.enc_state.cache, s.dec_cache):
-        arrays += [cache.k.copy(), cache.v.copy(), cache.pos.copy()]
+    arrays = [state.copy() for state in state_arrays(s)]
     counters = (s.enc_state.cache.next_pos, s.dec_cache.next_pos, s.samples_in,
                 s.samples_out, s.closed)
     return arrays, counters
